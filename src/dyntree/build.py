@@ -21,12 +21,19 @@ from .core import (
     Split,
     TreeNode,
 )
-from .gini import TIE_TOL, _gain_from_counts, _gini_from_counts, _sweep_numeric
+from .gini import (
+    TIE_TOL,
+    _Columns,
+    _gain_from_counts,
+    _gini_from_counts,
+    _sweep_categorical,
+    _sweep_numeric,
+)
 
 
 def _leaf(entries, idx, schema, eta: int, total: int, ones: int) -> TreeNode:
     sub = ActiveMultiset._from_sorted_items(
-        [entries[i] for i in idx.tolist()], schema, total=total
+        map(entries.__getitem__, idx.tolist()), schema, total=total
     )
     return TreeNode(
         depth=eta,
@@ -38,19 +45,18 @@ def _leaf(entries, idx, schema, eta: int, total: int, ones: int) -> TreeNode:
     )
 
 
-def _separating_split(idx, kinds, numcol, catcol, X):
-    """Lowest (feature, value) split with both sides nonempty, or None."""
+def _separating_split(kinds, pos, Xi, Ci):
+    """Lowest (feature, value) split with both sides nonempty, as
+    (feature, value, left mask), or None.
+
+    Categorical values are codes, whose order is the symbols' order; at the
+    smallest value, ``x <= value`` and ``x == value`` select the same rows.
+    """
     for j, kind in enumerate(kinds):
-        if kind is FeatureKind.REAL:
-            col = X[idx, numcol[j]]
-            lo = col.min()
-            if col.max() > lo:
-                return j, float(lo)
-        else:
-            col = catcol[j]
-            values = {col[i] for i in idx.tolist()}
-            if len(values) > 1:
-                return j, min(values)
+        col = (Xi if kind is FeatureKind.REAL else Ci)[:, pos[j]]
+        lo = col.min()
+        if col.max() > lo:
+            return j, lo.item(), col == lo
     return None
 
 
@@ -61,14 +67,14 @@ def build(s: ActiveMultiset, eta: int, params: FeasibilityParams) -> TreeNode:
     thresholds, ties to the lowest feature then the lowest threshold.
     Fresh nodes carry size = subtree size and a zeroed pending counter.
     """
-    return _build_entries(s.items_list(), s.schema, eta, params)
+    return _build_entries(list(s._unsorted_items()), s.schema, eta, params)
 
 
 def _build_entries(
     entries: list, schema, eta: int, params: FeasibilityParams
 ) -> TreeNode:
-    # Internal: entries is a sorted (example, count) list, as stored in
-    # leaf dictionaries, so sub-multisets can be formed without resorting.
+    # Internal: entries is an (example, count) list with distinct examples,
+    # in any order; the tree built does not depend on it.
     n = len(entries)
     if n == 0:
         empty = ActiveMultiset(schema)
@@ -76,108 +82,74 @@ def _build_entries(
                         label_hist=[0, 0], height=0)
 
     d = schema.arity if schema is not None else len(entries[0][0].features)
-    kinds = schema.kinds if schema is not None else (FeatureKind.REAL,) * d
-    w = np.fromiter((c for _, c in entries), dtype=np.int64, count=n)
-    y = np.fromiter((e.label for e, _ in entries), dtype=np.int64, count=n)
-    wy = w * y
-    num = [j for j in range(d) if kinds[j] is FeatureKind.REAL]
-    X = None
-    if len(num) == d:
-        X = np.array([e.features for e, _ in entries], dtype=np.float64)
-    elif num:
-        X = np.empty((n, len(num)), dtype=np.float64)
-        for jj, j in enumerate(num):
-            X[:, jj] = [e.features[j] for e, _ in entries]
-    numcol = {j: jj for jj, j in enumerate(num)}
-    catcol = {
-        j: [e.features[j] for e, _ in entries]
-        for j in range(d)
-        if kinds[j] is FeatureKind.CATEGORICAL
-    }
+    cols = _Columns(entries, schema, d)
+    kinds, w, wy, X, C = cols.kinds, cols.w, cols.wy, cols.X, cols.C
+    num, cat, pos = cols.num, cols.cat, cols.pos
+    symbols, code_col = cols.symbols, cols.code_col
+    REAL = FeatureKind.REAL
 
-    def recurse(idx: np.ndarray, eta: int) -> TreeNode:
-        wi = w[idx]
-        total = int(wi.sum())
-        ones = int(wy[idx].sum())
+    def recurse(idx: np.ndarray, eta: int, total: int, ones: int) -> TreeNode:
         g = _gini_from_counts(total, ones)
         if total <= params.k or g <= params.alpha / 2.0 or params.depth_capped(eta):
             return _leaf(entries, idx, schema, eta, total, ones)
 
+        wi = w[idx]
         wyi = wy[idx]
-        idx_list = None
-        best = None  # (feature, threshold, left, left_ones, gain)
+        # one sweep per kind covers every feature of that kind
+        found = [None] * d
+        Xi = Ci = None
+        if num:
+            Xi = X[idx]
+            for j, res in zip(num, _sweep_numeric(Xi, wi, wyi, total, ones)):
+                found[j] = res
+        if cat:
+            Ci = C[idx]
+            for j, res in zip(cat, _sweep_categorical(Ci, wi, wyi, total, ones,
+                                                      code_col)):
+                found[j] = res
+        best = None  # (feature, threshold or code, gain, left, left_ones)
         best_gain = -1.0
-        for j in range(d):
-            if kinds[j] is FeatureKind.REAL:
-                thr, left, left_ones = _sweep_numeric(
-                    X[idx, numcol[j]], wi, wyi, total, ones
-                )
-            else:
-                if idx_list is None:
-                    idx_list = idx.tolist()
-                col = catcol[j]
-                acc: dict = {}
-                for i, cnt, lab in zip(idx_list, wi.tolist(), y[idx].tolist()):
-                    cell = acc.get(col[i])
-                    if cell is None:
-                        acc[col[i]] = [cnt, cnt * lab]
-                    else:
-                        cell[0] += cnt
-                        cell[1] += cnt * lab
-                thr, left, left_ones, vgain = None, 0, 0, -1.0
-                for v in sorted(acc):
-                    lw, lw1 = acc[v]
-                    cand = _gain_from_counts(total, ones, lw, lw1)
-                    if cand > vgain + TIE_TOL:
-                        thr, left, left_ones, vgain = v, lw, lw1, cand
+        for j, (thr, left, left_ones) in enumerate(found):
             gain = _gain_from_counts(total, ones, left, left_ones)
             if gain > best_gain + TIE_TOL:
-                best = (j, thr, left, left_ones, gain)
+                best = (j, thr, gain, left, left_ones)
                 best_gain = gain
 
-        j, thr, left, left_ones, gain = best
-        if kinds[j] is FeatureKind.REAL:
-            mask = X[idx, numcol[j]] <= thr
-        else:
-            col = catcol[j]
-            if idx_list is None:
-                idx_list = idx.tolist()
-            mask = np.fromiter((col[i] == thr for i in idx_list), dtype=bool,
-                               count=len(idx_list))
-        left_idx = idx[mask]
-        right_idx = idx[~mask]
-        if len(left_idx) == 0 or len(right_idx) == 0:
-            # the argmax split fails to separate, which only happens when
-            # every gain is 0; fall back to the first split that makes
+        j, thr, gain, left, left_ones = best
+        if left == total:
+            # the argmax split sends everything left, which only happens
+            # when every gain is 0; fall back to the first split that makes
             # progress so children keep shrinking, else stop here
-            sep = _separating_split(idx, kinds, numcol, catcol, X)
+            sep = _separating_split(kinds, pos, Xi, Ci)
             if sep is None:
                 return _leaf(entries, idx, schema, eta, total, ones)
-            j, thr, gain = sep[0], sep[1], 0.0
-            if kinds[j] is FeatureKind.REAL:
-                mask = X[idx, numcol[j]] <= thr
-            else:
-                col = catcol[j]
-                if idx_list is None:
-                    idx_list = idx.tolist()
-                mask = np.fromiter((col[i] == thr for i in idx_list),
-                                   dtype=bool, count=len(idx_list))
-            left_idx = idx[mask]
-            right_idx = idx[~mask]
+            j, thr, mask = sep
+            gain = 0.0
+            left, left_ones = int(wi[mask].sum()), int(wyi[mask].sum())
+        elif kinds[j] is REAL:
+            mask = Xi[:, pos[j]] <= thr
+        else:
+            mask = Ci[:, pos[j]] == thr
 
-        lnode = recurse(left_idx, eta + 1)
-        rnode = recurse(right_idx, eta + 1)
+        lnode = recurse(idx[mask], eta + 1, left, left_ones)
+        rnode = recurse(idx[~mask], eta + 1, total - left, ones - left_ones)
+        categorical = kinds[j] is not REAL
         return TreeNode(
             depth=eta,
             size=total,
-            split=Split(j, thr, categorical=kinds[j] is FeatureKind.CATEGORICAL),
+            split=Split(j, symbols[thr] if categorical else thr,
+                        categorical=categorical),
             split_gain=gain,
             left=lnode,
             right=rnode,
             height=1 + max(lnode.height, rnode.height),
         )
 
-    return recurse(np.arange(n), eta)
+    tree = recurse(np.arange(n), eta, cols.total, cols.ones)
+    # recurse refers to itself through its closure; clearing the name frees
+    # the snapshot now instead of at the cycle collector's next pass
+    del recurse
+    return tree
 
 
 class _CatCounters:
@@ -236,7 +208,7 @@ def build_categorical(
     schema = s.schema
     if schema is not None and not schema.all_categorical:
         raise SchemaError("build_categorical needs an all-categorical schema")
-    return _build_cat_entries(s.items_list(), schema, eta, params)
+    return _build_cat_entries(list(s._unsorted_items()), schema, eta, params)
 
 
 def _build_cat_entries(
@@ -259,8 +231,9 @@ def _build_cat_entries(
 
     def close(state: _CatCounters, eta: int) -> TreeNode:
         total = state.n0 + state.n1
-        items = sorted((entries[i] for i in state.ids), key=lambda it: it[0])
-        sub = ActiveMultiset._from_sorted_items(items, schema, total=total)
+        sub = ActiveMultiset._from_sorted_items(
+            map(entries.__getitem__, state.ids), schema, total=total
+        )
         return TreeNode(
             depth=eta,
             size=total,
@@ -329,7 +302,9 @@ def _build_cat_entries(
             height=1 + max(lnode.height, rnode.height),
         )
 
-    return recurse(root, eta)
+    tree = recurse(root, eta)
+    del recurse  # break the closure's self-reference, as in _build_entries
+    return tree
 
 
 def builder_for(schema) -> "callable":

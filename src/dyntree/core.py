@@ -1,9 +1,9 @@
 """Core types shared by the tree engine, the oracle, and the harness.
 
 Examples are immutable (features, label) pairs with binary labels.  The
-active set is a multiset over examples backed by an ordered map keyed
-lexicographically by features then label, so enumeration order is
-deterministic regardless of the order updates arrived in.
+active set is a multiset over examples backed by a hash map; enumeration
+sorts on demand, lexicographically by features then label, so its order
+is deterministic regardless of the order updates arrived in.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ import enum
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
-
-from sortedcontainers import SortedDict
 
 
 class SchemaError(ValueError):
@@ -78,9 +76,13 @@ class Schema:
             )
         for j, (v, kind) in enumerate(zip(features, self.kinds)):
             numeric = isinstance(v, (int, float)) and not isinstance(v, bool)
-            if kind is FeatureKind.REAL and not numeric:
-                raise SchemaError(f"feature {j} must be real-valued, got {v!r}")
-            if kind is FeatureKind.CATEGORICAL and numeric and isinstance(v, float):
+            if kind is FeatureKind.REAL:
+                if not numeric:
+                    raise SchemaError(f"feature {j} must be real-valued, got {v!r}")
+                if v != v:
+                    # NaN compares false to every threshold and equal to nothing
+                    raise SchemaError(f"feature {j} is NaN")
+            elif numeric and isinstance(v, float):
                 # int/bool symbols are fine as category codes, bare floats are not
                 raise SchemaError(f"feature {j} must be categorical, got {v!r}")
 
@@ -119,15 +121,16 @@ def majority_label(
 class ActiveMultiset:
     """Multiset of labeled examples keyed by (features, label) with counts.
 
-    Backed by an ordered map, so point updates touch O(log N) keys and a
-    full scan enumerates keys once in lexicographic order.  The schema is
-    pinned on construction or by the first inserted example.
+    Backed by a hash map, so point updates take O(1) expected time.
+    ``items``, ``items_list`` and iteration sort the keys on each call and
+    enumerate them in lexicographic order.  The schema is pinned on
+    construction or by the first inserted example.
     """
 
     __slots__ = ("_entries", "_schema", "_total")
 
     def __init__(self, schema: Optional[Schema] = None):
-        self._entries: SortedDict = SortedDict()
+        self._entries: dict = {}
         self._schema = schema
         self._total = 0
 
@@ -147,9 +150,11 @@ class ActiveMultiset:
         schema: Optional[Schema],
         total: Optional[int] = None,
     ) -> "ActiveMultiset":
-        # Internal: trusted pre-validated (example, count) pairs.
-        s = cls(schema)
-        s._entries = SortedDict(items)
+        # Internal: trusted pre-validated (example, count) pairs with
+        # distinct examples, in any order.
+        s = cls.__new__(cls)
+        s._entries = dict(items)
+        s._schema = schema
         s._total = (
             total if total is not None else sum(s._entries.values())
         )
@@ -157,8 +162,12 @@ class ActiveMultiset:
 
     def items_list(self) -> list:
         """Sorted (example, count) pairs as a plain list."""
-        entries = self._entries
-        return [(key, entries[key]) for key in entries]
+        return sorted(self._entries.items())
+
+    def _unsorted_items(self):
+        # Internal: (example, count) pairs in storage order, for callers
+        # whose result does not depend on the order.
+        return self._entries.items()
 
     @property
     def schema(self) -> Optional[Schema]:
@@ -182,12 +191,12 @@ class ActiveMultiset:
         return example in self._entries
 
     def __iter__(self) -> Iterator[LabeledExample]:
-        return iter(self._entries)
+        return iter(sorted(self._entries))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ActiveMultiset):
             return NotImplemented
-        return dict(self._entries) == dict(other._entries)
+        return self._entries == other._entries
 
     def _check(self, example: LabeledExample) -> None:
         if example.label not in (0, 1):
@@ -198,6 +207,10 @@ class ActiveMultiset:
 
     def insert(self, example: LabeledExample) -> None:
         self._check(example)
+        self._insert_trusted(example)
+
+    def _insert_trusted(self, example: LabeledExample) -> None:
+        # Internal: insert for callers that already ran _check's checks.
         self._entries[example] = self._entries.get(example, 0) + 1
         self._total += 1
 
@@ -215,10 +228,10 @@ class ActiveMultiset:
         return self._entries.get(example, 0)
 
     def items(self) -> Iterator[tuple[LabeledExample, int]]:
-        return iter(self._entries.items())
+        return iter(self.items_list())
 
     def expanded(self) -> Iterator[LabeledExample]:
-        for e, c in self._entries.items():
+        for e, c in self.items_list():
             for _ in range(c):
                 yield e
 
@@ -227,7 +240,9 @@ class ActiveMultiset:
         return self._total - n1, n1
 
     def copy(self) -> "ActiveMultiset":
-        return ActiveMultiset._from_sorted_items(self._entries.items(), self._schema)
+        return ActiveMultiset._from_sorted_items(
+            self._entries.items(), self._schema, total=self._total
+        )
 
 
 @dataclass(frozen=True)

@@ -133,18 +133,19 @@ class DecisionTree:
         return ActiveMultiset._from_sorted_items(items, self.schema, total=total)
 
     def _gather(self, node: TreeNode):
+        # (example, count) pairs of the leaves below node, in no particular
+        # order; leaves hold disjoint keys, and the builders need no order
         items = []
         total = 0
         stack = [node]
         while stack:
             v = stack.pop()
             if v.is_leaf:
-                items.extend(v.leaf_examples.items_list())
+                items.extend(v.leaf_examples._unsorted_items())
                 total += len(v.leaf_examples)
             else:
                 stack.append(v.right)
                 stack.append(v.left)
-        items.sort(key=lambda it: it[0])  # leaves hold disjoint keys
         return items, total
 
     def query(self, features: Sequence) -> int:
@@ -180,7 +181,8 @@ class DecisionTree:
         if op == "del" and leaf.leaf_examples.count(example) == 0:
             raise ExampleNotFound(f"example not in active set: {example}")
         if op == "ins":
-            leaf.leaf_examples.insert(example)
+            # validated above, so skip the multiset's own schema check
+            leaf.leaf_examples._insert_trusted(example)
             leaf.label_hist[example.label] += 1
             self._active += 1
         else:

@@ -9,6 +9,7 @@ and ties resolve to the lowest feature index, then the lowest threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -58,60 +59,80 @@ def gini_gain(s: ActiveMultiset, split: Split) -> float:
 
 
 class _Columns:
-    """Per-feature views over a multiset snapshot, shared by the sweeps."""
+    """Column arrays over a multiset snapshot, shared by the engine's builder
+    and the exact split search.
 
-    __slots__ = ("entries", "w", "y", "wy", "total", "ones", "kinds", "_cols")
+    Real features go into one float64 matrix ``X`` (rows x real features).
+    Categorical features go into one int64 matrix ``C`` of codes: each
+    column's symbols get consecutive codes in sorted symbol order, offset so
+    that codes of different columns never collide; ``symbols[code]`` and
+    ``code_col[code]`` map a code back to its symbol and categorical column.
+    Row i describes the i-th entry; the sweeps do not depend on row order.
+    """
+
+    __slots__ = ("w", "wy", "total", "ones", "kinds", "num", "cat", "pos", "X",
+                 "C", "symbols", "code_col")
 
     def __init__(self, entries, schema: Optional[Schema], d: int):
-        self.entries = entries
-        n = len(entries)
-        self.w = np.fromiter((c for _, c in entries), dtype=np.int64, count=n)
-        self.y = np.fromiter((e.label for e, _ in entries), dtype=np.int64, count=n)
-        self.wy = self.w * self.y
+        examples, counts = zip(*entries)
+        features, labels = zip(*examples)
+        self.w = np.array(counts, dtype=np.int64)
+        self.wy = self.w * np.array(labels, dtype=np.int64)
         self.total = int(self.w.sum())
         self.ones = int(self.wy.sum())
         if schema is not None:
             self.kinds = schema.kinds
         else:
             self.kinds = (FeatureKind.REAL,) * d
-        self._cols: dict = {}
+        self.num = [j for j in range(d) if self.kinds[j] is FeatureKind.REAL]
+        self.cat = [j for j in range(d) if self.kinds[j] is FeatureKind.CATEGORICAL]
+        self.pos = [0] * d  # feature j is column pos[j] of X or of C
+        for group in (self.num, self.cat):
+            for jj, j in enumerate(group):
+                self.pos[j] = jj
+        self.X = self.C = None
+        self.symbols: list = []
+        self.code_col: list = []
+        n, m = len(features), len(self.num)
+        if m == d:
+            self.X = np.fromiter(chain.from_iterable(features), dtype=np.float64,
+                                 count=n * d).reshape(n, d)
+            return
+        by_col = list(zip(*features))
+        if m:
+            self.X = np.fromiter(chain.from_iterable(by_col[j] for j in self.num),
+                                 dtype=np.float64, count=m * n).reshape(m, n).T.copy()
+        codes = []
+        for jj, j in enumerate(self.cat):
+            values = sorted(set(by_col[j]))
+            code = {v: i for i, v in enumerate(values, start=len(self.symbols))}
+            codes.append(list(map(code.__getitem__, by_col[j])))
+            self.symbols += values
+            self.code_col += [jj] * len(values)
+        self.C = np.array(codes, dtype=np.int64).T.copy()
 
-    def column(self, j: int):
-        col = self._cols.get(j)
-        if col is None:
-            if self.kinds[j] is FeatureKind.REAL:
-                col = np.fromiter(
-                    (e.features[j] for e, _ in self.entries),
-                    dtype=np.float64,
-                    count=len(self.entries),
-                )
-            else:
-                col = [e.features[j] for e, _ in self.entries]
-            self._cols[j] = col
-        return col
 
+def _sweep_numeric(X: np.ndarray, w, wy, total: int, ones: int) -> list:
+    """Best threshold of every real feature of one node in one pass.
 
-def _sweep_numeric(vals: np.ndarray, w, wy, total: int, ones: int):
-    """Best threshold for one real feature: sort once, sweep boundaries.
+    X holds the node's rows by real feature. Each column is sorted once
+    (stably) and swept at its value boundaries: the candidate thresholds
+    are the observed distinct values, and the largest routes everything
+    left and scores 0. Per column the winner is the smallest threshold
+    whose gain is within TIE_TOL of the column's best. Returns one
+    (threshold, left, left_ones) per column so the caller can finalize the
+    gain through the scalar kernel.
 
-    Candidate thresholds are the observed distinct values; the last one
-    routes everything left and scores 0.  Returns (threshold, left, left_ones)
-    of the winner so the caller can finalize the gain through the scalar
-    kernel.
+    The sort need not be stable: only the last row of each run of equal
+    values is a candidate, and its running sums cover the whole run in any
+    order, so every order of ties gives the same result.
     """
-    n = len(vals)
-    order = np.argsort(vals, kind="stable")
-    sv = vals[order]
-    cw = np.cumsum(w[order])
-    cwy = np.cumsum(wy[order])
-    boundary = np.empty(n, dtype=bool)
-    if n > 1:
-        boundary[:-1] = sv[:-1] != sv[1:]
-    boundary[-1] = True
-    bidx = np.nonzero(boundary)[0]
-
-    wl = cw[bidx].astype(np.float64)
-    wyl = cwy[bidx].astype(np.float64)
+    cols = np.arange(X.shape[1])
+    order = X.argsort(axis=0)
+    sv = X[order, cols]
+    # integer running sums, exact in float64 below 2**53
+    wl = w[order].cumsum(axis=0, dtype=np.float64)
+    wyl = wy[order].cumsum(axis=0, dtype=np.float64)
     wr = total - wl
     wyr = ones - wyl
     g = 2.0 * (ones / total) * ((total - ones) / total)
@@ -120,35 +141,59 @@ def _sweep_numeric(vals: np.ndarray, w, wy, total: int, ones: int):
     gl = 2.0 * (wyl / dl) * ((wl - wyl) / dl)
     gr = 2.0 * (wyr / dr) * ((wr - wyr) / dr)
     gains = np.maximum(0.0, g - (wl * gl + wr * gr) / total)
-    gains = np.where((wl == 0) | (wr == 0), 0.0, gains)
+    gains[(wl == 0) | (wr == 0)] = 0.0
+    gains[:-1][sv[:-1] == sv[1:]] = -1.0  # not a value boundary
 
-    best = float(gains.max())
-    sel = int(np.nonzero(gains >= best - TIE_TOL)[0][0])
-    pos = bidx[sel]
-    return float(sv[pos]), int(cw[pos]), int(cwy[pos])
+    sel = (gains >= gains.max(axis=0) - TIE_TOL).argmax(axis=0)
+    return list(zip(sv[sel, cols].tolist(),
+                    wl[sel, cols].astype(np.int64).tolist(),
+                    wyl[sel, cols].astype(np.int64).tolist()))
 
 
-def _sweep_categorical(col: list, w, wy, total: int, ones: int):
-    """Best equality split for one categorical feature.
+def _sweep_categorical(C: np.ndarray, w, wy, total: int, ones: int,
+                       code_col: list) -> list:
+    """Best equality split of every categorical feature of one node.
 
-    Scores every observed value a as the split {x_j == a} versus the rest;
-    ties resolve to the smallest value.
+    C holds the node's codes by categorical feature (see ``_Columns``).
+    Scores every code present as the split {x_j == a} versus the rest, in
+    code order, so ties resolve to the smallest symbol. Returns one
+    (code, left, left_ones) per column.
     """
-    acc: dict = {}
-    for v, cnt, cnt1 in zip(col, w.tolist(), wy.tolist()):
-        cell = acc.get(v)
-        if cell is None:
-            acc[v] = [cnt, cnt1]
-        else:
-            cell[0] += cnt
-            cell[1] += cnt1
-    best_v, best_gain, best_l, best_l1 = None, -1.0, 0, 0
-    for v in sorted(acc):
-        left, left_ones = acc[v]
+    m = C.shape[1]
+    codes = C.ravel()
+    cw = np.bincount(codes, weights=np.repeat(w, m))
+    cwy = np.bincount(codes, weights=np.repeat(wy, m))
+    present = np.flatnonzero(cw)
+    best: list = [None] * m
+    gains = [-1.0] * m
+    for code, left, left_ones in zip(present.tolist(),
+                                     cw[present].astype(np.int64).tolist(),
+                                     cwy[present].astype(np.int64).tolist()):
+        jj = code_col[code]
         gain = _gain_from_counts(total, ones, left, left_ones)
-        if gain > best_gain + TIE_TOL:
-            best_v, best_gain, best_l, best_l1 = v, gain, left, left_ones
-    return best_v, best_l, best_l1
+        if gain > gains[jj] + TIE_TOL:
+            best[jj] = (code, left, left_ones)
+            gains[jj] = gain
+    return best
+
+
+def _sweep_all(s: ActiveMultiset):
+    """Column snapshot of s and (threshold, left, left_ones) per feature."""
+    entries = list(s._unsorted_items())
+    d = len(entries[0][0].features)
+    cols = _Columns(entries, s.schema, d)
+    out = [None] * d
+    if cols.num:
+        for j, r in zip(cols.num, _sweep_numeric(cols.X, cols.w, cols.wy,
+                                                 cols.total, cols.ones)):
+            out[j] = r
+    if cols.cat:
+        for j, (code, left, left_ones) in zip(
+            cols.cat, _sweep_categorical(cols.C, cols.w, cols.wy, cols.total,
+                                         cols.ones, cols.code_col)
+        ):
+            out[j] = (cols.symbols[code], left, left_ones)
+    return cols, out
 
 
 def best_split_numeric(s: ActiveMultiset, j: int) -> tuple[float, float]:
@@ -157,10 +202,8 @@ def best_split_numeric(s: ActiveMultiset, j: int) -> tuple[float, float]:
         raise ValueError("best_split_numeric needs a nonempty multiset")
     if s.schema is not None and s.schema.kinds[j] is not FeatureKind.REAL:
         raise SchemaError(f"feature {j} is not real-valued")
-    cols = _Columns(list(s.items()), s.schema, j + 1)
-    thr, left, left_ones = _sweep_numeric(
-        cols.column(j), cols.w, cols.wy, cols.total, cols.ones
-    )
+    cols, found = _sweep_all(s)
+    thr, left, left_ones = found[j]
     return thr, _gain_from_counts(cols.total, cols.ones, left, left_ones)
 
 
@@ -170,10 +213,8 @@ def best_split_categorical(s: ActiveMultiset, j: int):
         raise ValueError("best_split_categorical needs a nonempty multiset")
     if s.schema is None or s.schema.kinds[j] is not FeatureKind.CATEGORICAL:
         raise SchemaError(f"feature {j} is not categorical")
-    cols = _Columns(list(s.items()), s.schema, j + 1)
-    v, left, left_ones = _sweep_categorical(
-        cols.column(j), cols.w, cols.wy, cols.total, cols.ones
-    )
+    cols, found = _sweep_all(s)
+    v, left, left_ones = found[j]
     return v, _gain_from_counts(cols.total, cols.ones, left, left_ones)
 
 
@@ -186,18 +227,17 @@ class GainResult:
     per_feature: tuple
 
 
-def _search_columns(cols: _Columns, d: int) -> GainResult:
+def best_split(s: ActiveMultiset) -> GainResult:
+    """Exact best split over every feature, observed thresholds only.
+
+    Runs the sweeps the engine's builder runs at each node.
+    """
+    if len(s) == 0:
+        raise ValueError("best_split needs a nonempty multiset")
+    cols, found = _sweep_all(s)
     per_feature = []
     best_j, best_gain = 0, -1.0
-    for j in range(d):
-        if cols.kinds[j] is FeatureKind.REAL:
-            thr, left, left_ones = _sweep_numeric(
-                cols.column(j), cols.w, cols.wy, cols.total, cols.ones
-            )
-        else:
-            thr, left, left_ones = _sweep_categorical(
-                cols.column(j), cols.w, cols.wy, cols.total, cols.ones
-            )
+    for j, (thr, left, left_ones) in enumerate(found):
         gain = _gain_from_counts(cols.total, cols.ones, left, left_ones)
         per_feature.append((thr, gain))
         if gain > best_gain + TIE_TOL:
@@ -205,15 +245,6 @@ def _search_columns(cols: _Columns, d: int) -> GainResult:
     thr, gain = per_feature[best_j]
     split = Split(best_j, thr, categorical=cols.kinds[best_j] is FeatureKind.CATEGORICAL)
     return GainResult(split, gain, tuple(per_feature))
-
-
-def best_split(s: ActiveMultiset) -> GainResult:
-    """Exact best split over every feature, observed thresholds only."""
-    if len(s) == 0:
-        raise ValueError("best_split needs a nonempty multiset")
-    d = len(next(iter(s)).features)
-    cols = _Columns(list(s.items()), s.schema, d)
-    return _search_columns(cols, d)
 
 
 def relative_edit_distance(s1: ActiveMultiset, s2: ActiveMultiset) -> float:

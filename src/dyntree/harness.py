@@ -114,9 +114,10 @@ def load_stream(
     """Read a headered CSV into labeled examples.
 
     Columns whose every value parses as a float become real features, all
-    others categorical symbols.  The label column is picked by name, or by
-    zero-based index when the name is not in the header; its values map to
-    1 when equal to positive_class and 0 otherwise.
+    others categorical symbols; a NaN in a real column is an error.  The
+    label column is picked by name, or by zero-based index when the name is
+    not in the header; its values map to 1 when equal to positive_class and
+    0 otherwise.
     """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -154,11 +155,14 @@ def load_stream(
             numeric.append(False)
 
     out = []
-    for row in data:
+    for rownum, row in enumerate(data, start=2):
         feats = tuple(
             float(row[j]) if is_num else row[j]
             for j, is_num in zip(feature_idx, numeric)
         )
+        nan = [header[j] for j, v in zip(feature_idx, feats) if v != v]
+        if nan:
+            raise ValueError(f"row {rownum}: NaN in real column {nan[0]!r}")
         out.append(make_example(feats, 1 if row[label_idx] == positive_class else 0))
     return out
 

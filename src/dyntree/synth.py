@@ -63,11 +63,16 @@ def mixed_stream(
     alphabet: int = 4,
 ) -> list[LabeledExample]:
     """Small-alphabet mixture for feasibility soaks: numeric features on a
-    coarse grid, categorical symbols, labels from a noisy rule over both."""
+    coarse grid, categorical symbols, labels from a noisy rule over the
+    first feature of each kind present."""
+    if d_num == 0 and d_cat == 0:
+        raise ValueError("mixed_stream needs at least one feature")
     rng = np.random.default_rng(seed)
     xnum = rng.integers(0, grid, size=(n, d_num)).astype(float)
     xcat = rng.integers(0, alphabet, size=(n, d_cat))
-    score = (xnum[:, 0] >= grid / 2).astype(np.int64)
+    score = np.zeros(n, dtype=np.int64)
+    if d_num:
+        score += xnum[:, 0] >= grid / 2
     if d_cat:
         score += xcat[:, 0] == 0
     y = (score >= 1).astype(np.int64)

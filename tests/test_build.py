@@ -11,12 +11,15 @@ from dyntree import (
     FeasibilityParams,
     Schema,
     SchemaError,
+    Split,
     build,
     build_categorical,
     builder_for,
+    exhaustive_split_search,
     gini_index,
     make_example,
 )
+from dyntree.core import FeatureKind
 
 PARAMS = FeasibilityParams(epsilon=0.1, alpha=0.2, beta=0.1, k=1, h=8)
 
@@ -241,3 +244,72 @@ def test_categorical_and_generic_builds_agree(seed):
     t2 = build_categorical(s, 0, PARAMS)
     for pt in itertools.product((0, 1, 2), repeat=d):
         assert predict(t1, pt) == predict(t2, pt)
+
+
+def _subtree_multiset(node, schema):
+    out = ActiveMultiset(schema)
+    for v in walk(node):
+        if v.is_leaf:
+            for e in v.leaf_examples.expanded():
+                out.insert(e)
+    return out
+
+
+def _first_separating_split(sub):
+    # lowest feature with two distinct values, split at its smallest value
+    kinds = sub.schema.kinds
+    for j, kind in enumerate(kinds):
+        values = sorted({e.features[j] for e in sub})
+        if len(values) > 1:
+            return Split(j, values[0], categorical=kind is FeatureKind.CATEGORICAL)
+    return None
+
+
+def test_every_split_matches_exhaustive_search():
+    rng = random.Random(2024)
+    zero_gain_nodes = internal = 0
+    for trial in range(250):
+        d = rng.randint(1, 4)
+        kinds = tuple(FeatureKind.REAL if rng.random() < 0.5
+                      else FeatureKind.CATEGORICAL for _ in range(d))
+        schema = Schema(kinds)
+        grid, alphabet = rng.randint(1, 6), rng.randint(1, 4)
+        cube = rng.random() < 0.3
+        if cube:
+            # parity labels on a cube with equal multiplicities: for d >= 2
+            # no single split gains anything, at the root and below
+            points = list(itertools.product(range(2), repeat=d)) * rng.randint(1, 3)
+        else:
+            points = [[rng.randrange(grid if k is FeatureKind.REAL else alphabet)
+                       for k in kinds] for _ in range(rng.randint(1, 60))]
+        s = ActiveMultiset(schema)
+        for codes in points:
+            feats = tuple(float(c) / 2 if k is FeatureKind.REAL else "pqrs"[c]
+                          for c, k in zip(codes, kinds))
+            label = sum(codes) % 2 if cube else rng.randrange(2)
+            s.insert(make_example(feats, label))
+        params = FeasibilityParams(epsilon=0.1, alpha=rng.choice([0.0, 0.2, 0.5]),
+                                   beta=0.1, k=rng.choice([1, 2, 4]),
+                                   h=rng.choice([None, 2, 5]))
+        root = build(s, 0, params)
+        assert _subtree_multiset(root, schema) == s, f"trial {trial}"
+        for v in walk(root):
+            if v.is_leaf:
+                continue
+            internal += 1
+            sub = _subtree_multiset(v, schema)
+            split, gain, _ = exhaustive_split_search(sub)
+            left = sum(c for e, c in sub.items() if split.routes_left(e.features))
+            if left in (0, len(sub)):
+                # the argmax sends everything one way; the builder falls back
+                zero_gain_nodes += 1
+                split, gain = _first_separating_split(sub), 0.0
+            assert v.split == split, f"trial {trial}, depth {v.depth}"
+            assert abs(v.split_gain - gain) <= 1e-12
+            assert v.size == len(sub)
+            assert all(split.routes_left(e.features)
+                       for e in _subtree_multiset(v.left, schema))
+            assert not any(split.routes_left(e.features)
+                           for e in _subtree_multiset(v.right, schema))
+    assert internal > 500
+    assert zero_gain_nodes > 50

@@ -1,5 +1,7 @@
 """Domain types: examples, schemas, multisets, splits, parameter envelopes."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -104,6 +106,40 @@ def test_entries_stay_sorted():
     keys = list(s)
     assert keys == sorted(keys)
     assert s.items_list() == list(s.items())
+
+
+def test_schema_rejects_nan_real_feature():
+    schema = Schema.numeric(2)
+    with pytest.raises(SchemaError, match="NaN"):
+        schema.validate((1.0, float("nan")))
+    s = ActiveMultiset()
+    with pytest.raises(SchemaError, match="NaN"):
+        s.insert(make_example((float("nan"), "a"), 0))
+    assert len(s) == 0
+
+
+def test_enumeration_sorted_after_shuffled_updates():
+    rng = random.Random(3)
+    pool = [make_example((float(rng.randrange(4)), "ab"[rng.randrange(2)]),
+                         rng.randrange(2)) for _ in range(40)]
+    extra = [make_example((9.0, "z"), 1), make_example((-1.0, "a"), 0)]
+    seen = []
+    for trial in range(20):
+        ops = [(e, "ins") for e in pool + extra]
+        rng.shuffle(ops)
+        s = ActiveMultiset()
+        for e, _ in ops:
+            s.insert(e)
+        victims = extra[:]
+        rng.shuffle(victims)
+        for e in victims:
+            s.delete(e)
+        items = list(s.items())
+        assert items == sorted(items)
+        assert list(s) == [e for e, _ in items]
+        assert s.items_list() == items
+        seen.append(items)
+    assert all(items == seen[0] for items in seen)
 
 
 def test_label_counts():

@@ -163,6 +163,32 @@ def test_update_validates_op_and_label():
         tree.update(make_example((1.0, 2.0), 1), "ins")
 
 
+def test_update_validates_each_example_once(monkeypatch):
+    tree = DecisionTree.empty(HALF, Schema.numeric(1))
+    calls = []
+    original = Schema.validate
+
+    def counting(schema, features):
+        calls.append(features)
+        return original(schema, features)
+
+    monkeypatch.setattr(Schema, "validate", counting)
+    tree.update(make_example((1.0,), 1), "ins")
+    assert len(calls) == 1
+
+
+def test_nan_update_raises_before_any_state_changes():
+    exs = [make_example((float(i), 1.0), i % 2) for i in range(6)]
+    tree = DecisionTree.from_multiset(ActiveMultiset.from_examples(exs), HALF)
+    pendings = [(id(v), v.pending) for v in _walk(tree.root)]
+    with pytest.raises(SchemaError):
+        tree.update(make_example((float("nan"), 1.0), 1), "ins")
+    assert tree.active_size == 6
+    assert tree.stats.updates == 0
+    assert [(id(v), v.pending) for v in _walk(tree.root)] == pendings
+    assert tree.leaf_union() == ActiveMultiset.from_examples(exs)
+
+
 def test_lab_requests_do_not_touch_counters():
     exs = [make_example((float(i),), i % 2) for i in range(8)]
     tree = DecisionTree.from_multiset(ActiveMultiset.from_examples(exs), HALF)

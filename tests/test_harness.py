@@ -69,6 +69,12 @@ def test_load_stream_label_by_index(tmp_path):
     assert stream[0].features == (1.0, 2.0)
 
 
+def test_load_stream_rejects_nan_in_real_column(tmp_path):
+    path = write_csv(tmp_path / "n.csv", "a,label\n1.5,yes\nnan,no\n")
+    with pytest.raises(ValueError, match="row 3"):
+        load_stream(path, "label", "yes")
+
+
 def test_load_stream_errors(tmp_path):
     ragged = write_csv(tmp_path / "r.csv", "a,label\n1,yes\n2\n")
     with pytest.raises(ValueError, match="row 3"):
