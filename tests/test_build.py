@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from dyntree import (
     ActiveMultiset,
     FeasibilityParams,
+    FeatureKind,
     Schema,
     SchemaError,
     Split,
@@ -19,7 +20,6 @@ from dyntree import (
     gini_index,
     make_example,
 )
-from dyntree.core import FeatureKind
 
 PARAMS = FeasibilityParams(epsilon=0.1, alpha=0.2, beta=0.1, k=1, h=8)
 
