@@ -9,21 +9,8 @@ import argparse
 import statistics
 import sys
 
-from dyntree import (
-    FeasibilityParams,
-    StreamConfig,
-    mixed_stream,
-    run_incremental,
-    run_random_update,
-    run_sliding_window,
-    threshold_stream,
-)
-
-RUNNERS = {
-    "incremental": run_incremental,
-    "sw": run_sliding_window,
-    "ru": run_random_update,
-}
+from dyntree import FeasibilityParams, StreamConfig, mixed_stream, threshold_stream
+from dyntree.harness import RUNNERS
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -37,10 +37,21 @@ class Schema:
     """
 
     kinds: tuple[FeatureKind, ...]
+    # Derived in __post_init__; neither compared, hashed nor shown.
+    # _exact: per column, the one type validate accepts without the full
+    # check.  _categorical: the categorical column indices.
+    _exact: tuple = field(init=False, repr=False, compare=False)
+    _categorical: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.kinds) < 1:
             raise SchemaError("schema needs at least one feature")
+        object.__setattr__(self, "_exact", tuple(
+            float if k is FeatureKind.REAL else str for k in self.kinds
+        ))
+        object.__setattr__(self, "_categorical", tuple(
+            j for j, k in enumerate(self.kinds) if k is FeatureKind.CATEGORICAL
+        ))
 
     @property
     def arity(self) -> int:
@@ -70,6 +81,26 @@ class Schema:
         return cls(tuple(kinds))
 
     def validate(self, features: Sequence) -> None:
+        """Raise SchemaError unless features fit this schema.
+
+        Real features must be int or float (not bool, not NaN); categorical
+        ones may be any symbol that is not a float.  The fast path accepts
+        only features of the right arity whose every value has exactly its
+        column's type in ``_exact`` (float or str) and is not NaN: a subset
+        of what ``_validate_full`` accepts.  Everything else goes to that
+        full check, so acceptance and error messages do not depend on the
+        path taken.
+        """
+        exact = self._exact
+        if len(features) == len(exact):
+            for v, t in zip(features, exact):
+                if type(v) is not t or v != v:
+                    break
+            else:
+                return
+        self._validate_full(features)
+
+    def _validate_full(self, features: Sequence) -> None:
         if len(features) != self.arity:
             raise SchemaError(
                 f"expected {self.arity} features, got {len(features)}"
@@ -85,6 +116,22 @@ class Schema:
             elif numeric and isinstance(v, float):
                 # int/bool symbols are fine as category codes, bare floats are not
                 raise SchemaError(f"feature {j} must be categorical, got {v!r}")
+
+    def _check_symbols(self, features: Sequence, pinned: Optional[tuple]) -> tuple:
+        # Symbols of one categorical column are sorted together when a
+        # subtree is built, so each column takes one symbol type, pinned by
+        # the holder (multiset or tree) at its first example; pinned is None
+        # before that.  Returns the types of features' categorical values,
+        # to pin.  Call after validate.
+        types = tuple([type(features[j]) for j in self._categorical])
+        if pinned is not None and types != pinned:
+            for j, t, p in zip(self._categorical, types, pinned):
+                if t is not p:
+                    raise SchemaError(
+                        f"feature {j} holds {p.__name__} symbols, "
+                        f"got {features[j]!r} of type {t.__name__}"
+                    )
+        return types
 
 
 class LabeledExample(NamedTuple):
@@ -124,15 +171,17 @@ class ActiveMultiset:
     Backed by a hash map, so point updates take O(1) expected time.
     ``items``, ``items_list`` and iteration sort the keys on each call and
     enumerate them in lexicographic order.  The schema is pinned on
-    construction or by the first inserted example.
+    construction or by the first inserted example, and so is the symbol
+    type of each categorical column.
     """
 
-    __slots__ = ("_entries", "_schema", "_total")
+    __slots__ = ("_entries", "_schema", "_total", "_symbols")
 
     def __init__(self, schema: Optional[Schema] = None):
         self._entries: dict = {}
         self._schema = schema
         self._total = 0
+        self._symbols = None  # pinned symbol types, see Schema._check_symbols
 
     @classmethod
     def from_examples(
@@ -155,6 +204,7 @@ class ActiveMultiset:
         s = cls.__new__(cls)
         s._entries = dict(items)
         s._schema = schema
+        s._symbols = None
         s._total = (
             total if total is not None else sum(s._entries.values())
         )
@@ -203,7 +253,15 @@ class ActiveMultiset:
             raise SchemaError(f"label must be 0 or 1, got {example.label!r}")
         if self._schema is None:
             self._schema = Schema.infer(example.features)
-        self._schema.validate(example.features)
+        schema = self._schema
+        schema.validate(example.features)
+        if schema._categorical:
+            pinned = self._symbols
+            if pinned is None and self._entries:
+                # built from trusted items: pin what they hold
+                held = next(iter(self._entries)).features
+                pinned = schema._check_symbols(held, None)
+            self._symbols = schema._check_symbols(example.features, pinned)
 
     def insert(self, example: LabeledExample) -> None:
         self._check(example)

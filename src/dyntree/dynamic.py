@@ -81,7 +81,9 @@ def _shat(size: int) -> int:
 class DecisionTree:
     """A decision tree maintained under a stream of inserts and deletes."""
 
-    __slots__ = ("root", "params", "schema", "stats", "_active", "_builder")
+    __slots__ = (
+        "root", "params", "schema", "stats", "_active", "_builder", "_symbols"
+    )
 
     def __init__(self, root: TreeNode, params: FeasibilityParams, schema: Schema):
         self.root = root
@@ -90,6 +92,13 @@ class DecisionTree:
         self.stats = TreeStats(max_height=root.height)
         self._active = sum(
             node.size for node in self._leaves()
+        )
+        # categorical symbol types, pinned by the first example the tree
+        # holds (see Schema._check_symbols); None while it has held none
+        held = next((e for leaf in self._leaves()
+                     for e, _ in leaf.leaf_examples._unsorted_items()), None)
+        self._symbols = (
+            None if held is None else schema._check_symbols(held.features, None)
         )
         self._builder = (
             _build_cat_entries if schema.all_categorical else _build_entries
@@ -169,6 +178,10 @@ class DecisionTree:
         self.schema.validate(example.features)
         if example.label not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {example.label!r}")
+        if op == "ins" and self.schema._categorical:
+            self._symbols = self.schema._check_symbols(
+                example.features, self._symbols
+            )
 
         path = []
         node = self.root

@@ -2,8 +2,9 @@
 
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dyntree import (
     ActiveMultiset,
@@ -48,6 +49,81 @@ def test_schema_validate_rejects_wrong_arity_and_kind():
         schema.validate((1.0,))
     with pytest.raises(SchemaError):
         schema.validate((1.0, "oops"))
+
+
+_EDGE_VALUES = [
+    float("nan"), float("inf"), -float("inf"), 0.5, -0.0,
+    np.float64("nan"), np.float64(0.5), np.int64(2), 3, True, False,
+    None, "a", "", ("a", 1),
+]
+_ANY_VALUE = st.one_of(
+    st.sampled_from(_EDGE_VALUES),
+    st.one_of(
+        st.floats(),
+        st.integers(),
+        st.booleans(),
+        st.floats().map(np.float64),
+        st.integers(-2**63, 2**63 - 1).map(np.int64),
+        st.text("ab", max_size=3),
+        st.none(),
+        st.tuples(st.integers(), st.text("ab", max_size=2)),
+    ),
+)
+_FIT = {FeatureKind.REAL: 0.5, FeatureKind.CATEGORICAL: "a"}
+_SCHEMAS = pytest.mark.parametrize("schema", [
+    Schema.numeric(3),
+    Schema.categorical(3),
+    Schema((FeatureKind.REAL, FeatureKind.CATEGORICAL, FeatureKind.REAL)),
+], ids=["numeric", "categorical", "mixed"])
+
+
+@st.composite
+def _features(draw, schema):
+    # a tuple of each column's fast-path type (float, NaN and +-inf
+    # included, or str), then maybe one value swapped for any value, and
+    # maybe one value dropped or appended
+    fit = {
+        FeatureKind.REAL: st.floats(),
+        FeatureKind.CATEGORICAL: st.text("ab", max_size=3),
+    }
+    values = [draw(fit[k]) for k in schema.kinds]
+    if draw(st.booleans()):
+        values[draw(st.integers(0, len(values) - 1))] = draw(_ANY_VALUE)
+    extra = draw(st.sampled_from([0, 0, -1, 1]))
+    if extra < 0:
+        values.pop()
+    elif extra > 0:
+        values.append(draw(_ANY_VALUE))
+    return tuple(values)
+
+
+def _outcome(check, features):
+    try:
+        check(features)
+    except Exception as e:
+        return type(e), str(e)
+    return None
+
+
+@_SCHEMAS
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_validate_fast_path_agrees_with_full_check(schema, data):
+    features = data.draw(_features(schema))
+    assert _outcome(schema.validate, features) == _outcome(
+        schema._validate_full, features
+    )
+
+
+@_SCHEMAS
+def test_validate_fast_path_agrees_with_full_check_on_edge_values(schema):
+    fit = tuple(_FIT[k] for k in schema.kinds)
+    for j in range(schema.arity):
+        for v in _EDGE_VALUES:
+            features = fit[:j] + (v,) + fit[j + 1:]
+            assert _outcome(schema.validate, features) == _outcome(
+                schema._validate_full, features
+            ), features
 
 
 def test_insert_into_empty():

@@ -14,6 +14,7 @@ from dyntree import (
     Split,
     TreeNode,
     UpdateRequest,
+    check_counters,
     make_example,
 )
 from dyntree.dynamic import _shat
@@ -177,6 +178,26 @@ def test_update_validates_each_example_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_query_and_insert_validate_each_example_once(monkeypatch):
+    schema = Schema.infer((1.0, "a"))
+    tree = DecisionTree.from_multiset(
+        ActiveMultiset.from_examples([make_example((1.0, "a"), 1)]), HALF
+    )
+    s = ActiveMultiset.from_examples([make_example((1.0, "a"), 1)], schema)
+    calls = []
+    original = Schema.validate
+
+    def counting(schema, features):
+        calls.append(features)
+        return original(schema, features)
+
+    monkeypatch.setattr(Schema, "validate", counting)
+    tree.query((2.0, "b"))
+    assert calls == [(2.0, "b")]
+    s.insert(make_example((3.0, "c"), 0))
+    assert calls == [(2.0, "b"), (3.0, "c")]
+
+
 def test_nan_update_raises_before_any_state_changes():
     exs = [make_example((float(i), 1.0), i % 2) for i in range(6)]
     tree = DecisionTree.from_multiset(ActiveMultiset.from_examples(exs), HALF)
@@ -187,6 +208,29 @@ def test_nan_update_raises_before_any_state_changes():
     assert tree.stats.updates == 0
     assert [(id(v), v.pending) for v in _walk(tree.root)] == pendings
     assert tree.leaf_union() == ActiveMultiset.from_examples(exs)
+
+
+def test_mixed_symbol_types_raise_before_any_state_changes():
+    params = FeasibilityParams(epsilon=0.2, alpha=0.1, beta=0.5, k=1)
+    a, one = make_example(("a",), 1), make_example((1,), 0)
+    tree = DecisionTree.empty(params, Schema.categorical(1))
+    tree.update(a, "ins")
+    pendings = [(id(v), v.pending) for v in _walk(tree.root)]
+    with pytest.raises(SchemaError, match="feature 0 holds str symbols"):
+        tree.update(one, "ins")
+    assert tree.active_size == 1
+    assert tree.stats.updates == 1
+    assert [(id(v), v.pending) for v in _walk(tree.root)] == pendings
+    shadow = ActiveMultiset.from_examples([a])
+    assert tree.leaf_union() == shadow
+    assert check_counters(tree, shadow, params.epsilon).ok
+    # the pin holds for multisets, their copies and trees built from them
+    with pytest.raises(SchemaError):
+        ActiveMultiset.from_examples([a, one])
+    with pytest.raises(SchemaError):
+        shadow.copy().insert(one)
+    with pytest.raises(SchemaError):
+        DecisionTree.from_multiset(shadow, params).update(one, "ins")
 
 
 def test_lab_requests_do_not_touch_counters():
