@@ -179,11 +179,8 @@ def test_update_validates_each_example_once(monkeypatch):
 
 
 def test_query_and_insert_validate_each_example_once(monkeypatch):
-    schema = Schema.infer((1.0, "a"))
-    tree = DecisionTree.from_multiset(
-        ActiveMultiset.from_examples([make_example((1.0, "a"), 1)]), HALF
-    )
-    s = ActiveMultiset.from_examples([make_example((1.0, "a"), 1)], schema)
+    s = ActiveMultiset.from_examples([make_example((1.0, "a"), 1)])
+    tree = DecisionTree.from_multiset(s, HALF)
     calls = []
     original = Schema.validate
 
