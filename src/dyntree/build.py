@@ -71,10 +71,31 @@ def build(s: ActiveMultiset, eta: int, params: FeasibilityParams) -> TreeNode:
 
 
 def _build_entries(
-    entries: list, schema, eta: int, params: FeasibilityParams
+    entries: list, schema, eta: int, params: FeasibilityParams,
+    old: TreeNode | None = None, path=(), kept: list | None = None,
 ) -> TreeNode:
     # Internal: entries is an (example, count) list with distinct examples,
     # in any order; the tree built does not depend on it.
+    #
+    # A rebuild passes the subtree it replaces as old, the nodes of the
+    # update that triggered it as path, and a list kept; a fresh build
+    # passes none of them.  Wherever the new tree picks the same split as
+    # the old node in the same place, an old child u with u.pending == 0,
+    # not on path, whose size equals the new child's weighted count is
+    # returned as is (and appended to kept) instead of being rebuilt.
+    # This is exact:
+    # - every update routed through a node bumps its pending counter,
+    #   except below the node that triggers a rebuild; those nodes are on
+    #   that update's path, which the rebuild never keeps.  So off the
+    #   current path, pending == 0 means u's multiset is the one it was
+    #   built (or kept) from, and the routing by the shared split hands the
+    #   new child that same multiset;
+    # - this builder is a pure function of (multiset, depth, params), so a
+    #   fresh build of u's multiset at u's depth reproduces u: size,
+    #   pending 0, height, splits, split_gain bits and leaves.
+    # Path nodes below the trigger keep pending 0 but hold one example more
+    # or fewer than their size, so the path test and the size test each
+    # exclude them; both are cheap guards.
     n = len(entries)
     if n == 0:
         empty = ActiveMultiset(schema)
@@ -87,8 +108,18 @@ def _build_entries(
     num, cat, pos = cols.num, cols.cat, cols.pos
     symbols, code_col = cols.symbols, cols.code_col
     REAL = FeatureKind.REAL
+    on_path = {id(v) for v in path}
 
-    def recurse(idx: np.ndarray, eta: int, total: int, ones: int) -> TreeNode:
+    def keep(u, total: int):
+        # u if it may stand for the new child of weighted count total
+        if (u is not None and u.pending == 0 and u.size == total
+                and id(u) not in on_path):
+            kept.append(u)
+            return u
+        return None
+
+    def recurse(idx: np.ndarray, eta: int, total: int, ones: int,
+                old) -> TreeNode:
         g = _gini_from_counts(total, ones)
         if total <= params.k or g <= params.alpha / 2.0 or params.depth_capped(eta):
             return _leaf(entries, idx, schema, eta, total, ones)
@@ -131,21 +162,28 @@ def _build_entries(
         else:
             mask = Ci[:, pos[j]] == thr
 
-        lnode = recurse(idx[mask], eta + 1, left, left_ones)
-        rnode = recurse(idx[~mask], eta + 1, total - left, ones - left_ones)
         categorical = kinds[j] is not REAL
+        split = Split(j, symbols[thr] if categorical else thr,
+                      categorical=categorical)
+        lold = rold = None
+        if old is not None and old.split == split:
+            lold, rold = old.left, old.right
+        right, right_ones = total - left, ones - left_ones
+        lnode = keep(lold, left) or recurse(idx[mask], eta + 1, left,
+                                            left_ones, lold)
+        rnode = keep(rold, right) or recurse(idx[~mask], eta + 1, right,
+                                             right_ones, rold)
         return TreeNode(
             depth=eta,
             size=total,
-            split=Split(j, symbols[thr] if categorical else thr,
-                        categorical=categorical),
+            split=split,
             split_gain=gain,
             left=lnode,
             right=rnode,
             height=1 + max(lnode.height, rnode.height),
         )
 
-    tree = recurse(np.arange(n), eta, cols.total, cols.ones)
+    tree = recurse(np.arange(n), eta, cols.total, cols.ones, old)
     # recurse refers to itself through its closure; clearing the name frees
     # the snapshot now instead of at the cycle collector's next pass
     del recurse
@@ -212,8 +250,10 @@ def build_categorical(
 
 
 def _build_cat_entries(
-    entries: list, schema, eta: int, params: FeasibilityParams
+    entries: list, schema, eta: int, params: FeasibilityParams,
+    old: TreeNode | None = None, path=(), kept: list | None = None,
 ) -> TreeNode:
+    # Takes _build_entries' arguments; it always builds the whole subtree.
     n = len(entries)
     if n == 0:
         empty = ActiveMultiset(schema)

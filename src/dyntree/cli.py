@@ -94,6 +94,8 @@ def main(argv=None) -> int:
             "updates": metrics.n_updates,
             "mean_update_nanos": sum(upd) / len(upd) if upd else None,
             "rebuild_count": metrics.rebuild_count,
+            "rebuild_example_touches": metrics.rebuild_example_touches,
+            "rebuild_reused_touches": metrics.rebuild_reused_touches,
             "max_height": metrics.max_height,
         }
     print(json.dumps(summary))

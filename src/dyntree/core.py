@@ -22,6 +22,10 @@ class ExampleNotFound(KeyError):
     """Deletion of an example that is not in the active set."""
 
 
+# Categorical symbols must be scalars; see Schema._validate_full.
+_CONTAINERS = (tuple, list, set, frozenset, dict)
+
+
 class FeatureKind(enum.Enum):
     REAL = "real"
     CATEGORICAL = "categorical"
@@ -84,7 +88,8 @@ class Schema:
         """Raise SchemaError unless features fit this schema.
 
         Real features must be int or float (not bool, not NaN); categorical
-        ones may be any symbol that is not a float.  The fast path accepts
+        ones may be any symbol that is not a float or a container (tuple,
+        list, set, frozenset, dict).  The fast path accepts
         only features of the right arity whose every value has exactly its
         column's type in ``_exact`` (float or str) and is not NaN: a subset
         of what ``_validate_full`` accepts.  Everything else goes to that
@@ -116,6 +121,12 @@ class Schema:
             elif numeric and isinstance(v, float):
                 # int/bool symbols are fine as category codes, bare floats are not
                 raise SchemaError(f"feature {j} must be categorical, got {v!r}")
+            elif isinstance(v, _CONTAINERS):
+                # a pinned type does not make containers orderable
+                # against each other, and rebuilds sort symbols
+                raise SchemaError(
+                    f"feature {j} must be a scalar symbol, got {type(v).__name__}"
+                )
 
     def _check_symbols(self, features: Sequence, pinned: Optional[tuple]) -> tuple:
         # Symbols of one categorical column are sorted together when a
@@ -251,10 +262,9 @@ class ActiveMultiset:
     def _check(self, example: LabeledExample) -> None:
         if example.label not in (0, 1):
             raise SchemaError(f"label must be 0 or 1, got {example.label!r}")
-        if self._schema is None:
-            self._schema = Schema.infer(example.features)
-        schema = self._schema
+        schema = self._schema or Schema.infer(example.features)
         schema.validate(example.features)
+        self._schema = schema  # an inferred schema is kept only if it fits
         if schema._categorical:
             pinned = self._symbols
             if pinned is None and self._entries:

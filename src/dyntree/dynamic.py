@@ -6,6 +6,21 @@ root.  The first node whose pending count exceeds epsilon times its
 build-time size triggers a rebuild; the rebuild reaches up the path to the
 shallowest ancestor whose build-time size fits within the next power of
 two of the trigger's, so repeated work amortizes geometrically.
+
+A rebuild gathers every example below its target and rebuilds exactly,
+but keeps untouched subtrees of the old target.  Wherever the new tree
+picks the same split as the old node in the same place, an old child with
+``pending == 0`` that is not on the triggering update's path (and whose
+build-time size matches) is kept instead of rebuilt.  Invariant: off that
+path, ``pending == 0`` means no update has been routed through the node
+since it was built or kept, because updates that stop counting at a
+trigger are on a path the rebuild never keeps.  Such a node still holds
+its build-time multiset, and the builder is a pure function of (multiset,
+depth, params), so the tree is identical to a full rebuild's.
+``TreeStats.rebuild_touches`` still counts every gathered example, kept or
+not, so the paper's rebuild cost (acceptance criterion 7) is unchanged;
+``TreeStats.reused_touches`` counts the examples inside kept subtrees.
+See ``build._build_entries`` for the argument in full.
 """
 
 from __future__ import annotations
@@ -68,6 +83,9 @@ class TreeStats:
     updates: int = 0
     rebuild_count: int = 0
     rebuild_touches: int = 0
+    # examples inside subtrees a rebuild kept instead of rebuilding; they
+    # are gathered, so rebuild_touches counts them too
+    reused_touches: int = 0
     max_height: int = 0
 
 
@@ -79,7 +97,12 @@ def _shat(size: int) -> int:
 
 
 class DecisionTree:
-    """A decision tree maintained under a stream of inserts and deletes."""
+    """A decision tree maintained under a stream of inserts and deletes.
+
+    Rebuilds keep subtrees whose pending counter is 0 (see the module
+    docstring), so a root passed in by hand must hold what the builder
+    would build for each such node's multiset.
+    """
 
     __slots__ = (
         "root", "params", "schema", "stats", "_active", "_builder", "_symbols"
@@ -218,7 +241,9 @@ class DecisionTree:
         j = next(jj for jj in range(i + 1) if path[jj].size <= shat)
         target = path[j]
         gathered, gathered_total = self._gather(target)
-        fresh = self._builder(gathered, self.schema, target.depth, self.params)
+        kept = []
+        fresh = self._builder(gathered, self.schema, target.depth, self.params,
+                              target, path, kept)
         if j == 0:
             self.root = fresh
         else:
@@ -231,6 +256,7 @@ class DecisionTree:
                 a.height = 1 + max(a.left.height, a.right.height)
         self.stats.rebuild_count += 1
         self.stats.rebuild_touches += gathered_total
+        self.stats.reused_touches += sum(u.size for u in kept)
         if self.root.height > self.stats.max_height:
             self.stats.max_height = self.root.height
         return RebuildInfo(fresh, target.depth, gathered_total)

@@ -82,6 +82,7 @@ class StreamMetrics:
     n_updates: int = 0
     rebuild_count: int = 0
     rebuild_example_touches: int = 0
+    rebuild_reused_touches: int = 0
     max_height: int = 0
 
 
@@ -221,6 +222,7 @@ class _Session:
             m.n_updates = self.tree.stats.updates
             m.rebuild_count = self.tree.stats.rebuild_count
             m.rebuild_example_touches = self.tree.stats.rebuild_touches
+            m.rebuild_reused_touches = self.tree.stats.reused_touches
             m.max_height = self.tree.stats.max_height
         return m
 
@@ -314,6 +316,7 @@ def emit_metrics(
         "median_update_nanos": statistics.median(upd) if upd else None,
         "rebuild_count": metrics.rebuild_count,
         "rebuild_example_touches": metrics.rebuild_example_touches,
+        "rebuild_reused_touches": metrics.rebuild_reused_touches,
         "max_height": metrics.max_height,
         "config": asdict(config) if config is not None else None,
     }

@@ -65,6 +65,20 @@ def test_run_verified_stream(csv_path, capsys):
     assert json.loads(capsys.readouterr().out)["updates"] == 60
 
 
+def test_summaries_report_reused_touches(csv_path, tmp_path, capsys):
+    args = ["run", "--data", csv_path, "--label", "label", "--positive", "pos",
+            "--epsilon", "0.03", "--alpha", "0.4", "--beta", "0.5", "--k", "3"]
+    assert run_cli(args) == 0
+    printed = json.loads(capsys.readouterr().out)
+    out = tmp_path / "summary.json"
+    assert run_cli(args + ["--out", str(out)]) == 0
+    written = json.loads(out.read_text())
+    # kept subtrees are gathered too, so they are part of the touches
+    assert 0 < printed["rebuild_reused_touches"] < printed["rebuild_example_touches"]
+    for key in ("rebuild_example_touches", "rebuild_reused_touches"):
+        assert written[key] == printed[key]
+
+
 def test_missing_file_fails_cleanly(capsys):
     code = run_cli([
         "run", "--data", "/does/not/exist.csv",

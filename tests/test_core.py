@@ -194,6 +194,24 @@ def test_schema_rejects_nan_real_feature():
     assert len(s) == 0
 
 
+def test_rejected_first_insert_leaves_schema_unset():
+    s = ActiveMultiset()
+    with pytest.raises(SchemaError, match="NaN"):
+        s.insert(make_example((float("nan"), "a"), 0))
+    assert s.schema is None
+    s.insert(make_example(("b", 1.0), 1))  # the next example pins its own
+    assert s.schema.kinds == (FeatureKind.CATEGORICAL, FeatureKind.REAL)
+
+
+@pytest.mark.parametrize("symbol", [("a",), ["a"], {"a"}, frozenset("a"),
+                                    {"a": 1}])
+def test_schema_rejects_container_symbols(symbol):
+    schema = Schema.categorical(2)
+    with pytest.raises(SchemaError, match="feature 1 must be a scalar symbol"):
+        schema.validate(("a", symbol))
+    schema.validate(("a", 1))  # scalar symbols still pass
+
+
 def test_enumeration_sorted_after_shuffled_updates():
     rng = random.Random(3)
     pool = [make_example((float(rng.randrange(4)), "ab"[rng.randrange(2)]),

@@ -14,8 +14,10 @@ from dyntree import (
     Split,
     TreeNode,
     UpdateRequest,
+    build,
     check_counters,
     make_example,
+    mixed_stream,
 )
 from dyntree.dynamic import _shat
 
@@ -228,6 +230,95 @@ def test_mixed_symbol_types_raise_before_any_state_changes():
         shadow.copy().insert(one)
     with pytest.raises(SchemaError):
         DecisionTree.from_multiset(shadow, params).update(one, "ins")
+
+
+def test_container_symbols_raise_before_any_state_changes():
+    params = FeasibilityParams(epsilon=0.2, alpha=0.1, beta=0.5, k=1)
+    a = make_example(("a",), 1)
+    tree = DecisionTree.empty(params, Schema.categorical(1))
+    tree.update(a, "ins")
+    pendings = [(id(v), v.pending) for v in _walk(tree.root)]
+    # tuple symbols share a type but need not be orderable: ("a",) < (1,)
+    # raised TypeError inside the rebuild, after the state had changed
+    for features in ((("a",),), ((1,),)):
+        with pytest.raises(SchemaError, match="feature 0 must be a scalar"):
+            tree.update(make_example(features, 0), "ins")
+    assert tree.active_size == 1
+    assert tree.stats.updates == 1
+    assert [(id(v), v.pending) for v in _walk(tree.root)] == pendings
+    shadow = ActiveMultiset.from_examples([a])
+    assert tree.leaf_union() == shadow
+    assert check_counters(tree, shadow, params.epsilon).ok
+    with pytest.raises(SchemaError):
+        ActiveMultiset().insert(make_example((("a",),), 0))
+
+
+def _preorder(node):
+    """Every field a fresh build determines, node by node in preorder."""
+    out = []
+    for v in _walk(node):
+        row = [v.depth, v.size, v.pending, v.height]
+        if v.is_leaf:
+            row += [v.leaf_label, list(v.label_hist),
+                    v.leaf_examples.items_list()]
+        else:
+            row += [v.split, v.split_gain.hex()]
+        out.append(row)
+    return out
+
+
+def _subtree_multiset(node, schema):
+    s = ActiveMultiset(schema)
+    for v in _walk(node):
+        if v.is_leaf:
+            for e, c in v.leaf_examples.items():
+                for _ in range(c):
+                    s.insert(e)
+    return s
+
+
+def _numeric_stream(n, seed):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        x = (float(rng.randrange(16)), float(rng.randrange(8)))
+        label = int(x[0] + x[1] > 11) ^ (rng.random() < 0.1)
+        out.append(make_example(x, label))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["numeric", "mixed"])
+def test_rebuilds_equal_fresh_builds(kind):
+    # A rebuild keeps old subtrees that no update reached; the subtree it
+    # returns must still be exactly what a full rebuild would produce.
+    if kind == "numeric":
+        stream = _numeric_stream(500, seed=3)
+        schema = Schema.numeric(2)
+    else:
+        stream = mixed_stream(500, d_num=2, d_cat=2, seed=3, grid=8)
+        schema = Schema.infer(stream[0].features)
+    params = FeasibilityParams(epsilon=0.04, alpha=0.2, beta=0.5, k=2, h=8)
+    rng = random.Random(11)
+    window = list(stream[:150])
+    tree = DecisionTree.from_multiset(
+        ActiveMultiset.from_examples(window, schema), params
+    )
+    rebuilds = 0
+    for e in stream[150:]:
+        victim = window.pop(rng.randrange(len(window)))
+        window.append(e)
+        for ex, op in ((victim, "del"), (e, "ins")):
+            info = tree.update(ex, op)
+            if info is None:
+                continue
+            rebuilds += 1
+            fresh = build(_subtree_multiset(info.node, schema), info.depth,
+                          params)
+            assert _preorder(info.node) == _preorder(fresh)
+    assert tree.leaf_union() == ActiveMultiset.from_examples(window, schema)
+    assert rebuilds > 100
+    # some subtrees were kept, so the comparison above is not vacuous
+    assert tree.stats.reused_touches > 0
 
 
 def test_lab_requests_do_not_touch_counters():
