@@ -262,9 +262,14 @@ class ActiveMultiset:
     def _check(self, example: LabeledExample) -> None:
         if example.label not in (0, 1):
             raise SchemaError(f"label must be 0 or 1, got {example.label!r}")
-        schema = self._schema or Schema.infer(example.features)
-        schema.validate(example.features)
-        self._schema = schema  # an inferred schema is kept only if it fits
+        schema = self._schema
+        if schema is None:
+            # keep an inferred schema only once the example fits it
+            schema = Schema.infer(example.features)
+            schema.validate(example.features)
+            self._schema = schema
+        else:
+            schema.validate(example.features)
         if schema._categorical:
             pinned = self._symbols
             if pinned is None and self._entries:
