@@ -16,14 +16,12 @@ from .core import (
 from .gini import (
     GainResult,
     best_split,
-    best_split_categorical,
-    best_split_numeric,
     gini_gain,
     gini_index,
     relative_edit_distance,
 )
-from .build import build, build_categorical, builder_for
-from .dynamic import DecisionTree, RebuildInfo, UpdateRequest
+from .build import build
+from .dynamic import DecisionTree, RebuildInfo
 from .oracle import (
     CounterReport,
     FeasibilityReport,
@@ -68,15 +66,10 @@ __all__ = [
     "StreamConfig",
     "StreamMetrics",
     "TreeNode",
-    "UpdateRequest",
     "VerificationError",
     "audit_smoothness",
     "best_split",
-    "best_split_categorical",
-    "best_split_numeric",
     "build",
-    "build_categorical",
-    "builder_for",
     "check_counters",
     "check_feasibility",
     "emit_metrics",

@@ -1,10 +1,11 @@
 """Exact tree construction from a multiset snapshot.
 
-``build`` handles any schema through the generic sweeps; ``build_categorical``
-produces the same tree for all-categorical schemas from per-value counters,
-moving only the smaller side of each split so repartitioning stays cheap.
-Both stop at the same rules: size floor k, Gini at most alpha/2, or the
-depth cap; a chosen split that fails to separate the node also stops it.
+One builder serves every schema: real features go through one numeric
+sweep and categorical ones through one bincount sweep per node (see
+``gini``).  A node stops at the size floor k, at Gini at most alpha/2, or
+at the depth cap; a chosen split that fails to separate the node also
+stops it.  A rebuild passes the subtree it replaces, and the builder keeps
+the parts of it that no update reached (see ``_build_entries``).
 """
 
 from __future__ import annotations
@@ -15,9 +16,6 @@ from .core import (
     ActiveMultiset,
     FeasibilityParams,
     FeatureKind,
-    LabeledExample,
-    Schema,
-    SchemaError,
     Split,
     TreeNode,
 )
@@ -28,18 +26,23 @@ from .gini import (
     _gini_from_counts,
     _sweep_categorical,
     _sweep_numeric,
+    _unzip,
 )
 
 
-def _leaf(entries, idx, schema, eta: int, total: int, ones: int) -> TreeNode:
-    sub = ActiveMultiset._from_sorted_items(
-        map(entries.__getitem__, idx.tolist()), schema, total=total
-    )
+def _stops(total: int, ones: int, eta: int, params: FeasibilityParams) -> bool:
+    # the stop rule of every node: size floor, purity, depth cap
+    return (total <= params.k
+            or _gini_from_counts(total, ones) <= params.alpha / 2.0
+            or params.depth_capped(eta))
+
+
+def _leaf(items, schema, eta: int, total: int, ones: int) -> TreeNode:
     return TreeNode(
         depth=eta,
         size=total,
         leaf_label=1 if ones > total - ones else 0,
-        leaf_examples=sub,
+        leaf_examples=ActiveMultiset._from_sorted_items(items, schema, total=total),
         label_hist=[total - ones, ones],
         height=0,
     )
@@ -96,14 +99,14 @@ def _build_entries(
     # Path nodes below the trigger keep pending 0 but hold one example more
     # or fewer than their size, so the path test and the size test each
     # exclude them; both are cheap guards.
-    n = len(entries)
-    if n == 0:
-        empty = ActiveMultiset(schema)
-        return TreeNode(depth=eta, size=0, leaf_label=0, leaf_examples=empty,
-                        label_hist=[0, 0], height=0)
+    features, labels, counts, total, ones = _unzip(entries)
+    # a root that stops (an empty multiset always does, as k >= 1) needs no
+    # column arrays
+    if _stops(total, ones, eta, params):
+        return _leaf(entries, schema, eta, total, ones)
 
-    d = schema.arity if schema is not None else len(entries[0][0].features)
-    cols = _Columns(entries, schema, d)
+    cols = _Columns(features, labels, counts, schema)
+    d = len(cols.kinds)
     kinds, w, wy, X, C = cols.kinds, cols.w, cols.wy, cols.X, cols.C
     num, cat, pos = cols.num, cols.cat, cols.pos
     symbols, code_col = cols.symbols, cols.code_col
@@ -120,19 +123,23 @@ def _build_entries(
 
     def recurse(idx: np.ndarray, eta: int, total: int, ones: int,
                 old) -> TreeNode:
-        g = _gini_from_counts(total, ones)
-        if total <= params.k or g <= params.alpha / 2.0 or params.depth_capped(eta):
-            return _leaf(entries, idx, schema, eta, total, ones)
+        if _stops(total, ones, eta, params):
+            return _leaf(map(entries.__getitem__, idx.tolist()), schema, eta,
+                         total, ones)
 
         wi = w[idx]
         wyi = wy[idx]
-        # one sweep per kind covers every feature of that kind
+        # one sweep per kind covers every feature of that kind; the
+        # categorical sweep already holds each winner's gain, the numeric
+        # winners are scored here through the scalar kernel
         found = [None] * d
         Xi = Ci = None
         if num:
             Xi = X[idx]
-            for j, res in zip(num, _sweep_numeric(Xi, wi, wyi, total, ones)):
-                found[j] = res
+            for j, (thr, left, left_ones) in zip(
+                    num, _sweep_numeric(Xi, wi, wyi, total, ones)):
+                found[j] = (thr, left, left_ones,
+                            _gain_from_counts(total, ones, left, left_ones))
         if cat:
             Ci = C[idx]
             for j, res in zip(cat, _sweep_categorical(Ci, wi, wyi, total, ones,
@@ -140,8 +147,7 @@ def _build_entries(
                 found[j] = res
         best = None  # (feature, threshold or code, gain, left, left_ones)
         best_gain = -1.0
-        for j, (thr, left, left_ones) in enumerate(found):
-            gain = _gain_from_counts(total, ones, left, left_ones)
+        for j, (thr, left, left_ones, gain) in enumerate(found):
             if gain > best_gain + TIE_TOL:
                 best = (j, thr, gain, left, left_ones)
                 best_gain = gain
@@ -153,7 +159,8 @@ def _build_entries(
             # progress so children keep shrinking, else stop here
             sep = _separating_split(kinds, pos, Xi, Ci)
             if sep is None:
-                return _leaf(entries, idx, schema, eta, total, ones)
+                return _leaf(map(entries.__getitem__, idx.tolist()), schema,
+                             eta, total, ones)
             j, thr, mask = sep
             gain = 0.0
             left, left_ones = int(wi[mask].sum()), int(wyi[mask].sum())
@@ -183,172 +190,14 @@ def _build_entries(
             height=1 + max(lnode.height, rnode.height),
         )
 
-    tree = recurse(np.arange(n), eta, cols.total, cols.ones, old)
+    tree = recurse(np.arange(len(entries)), eta, total, ones, old)
     # recurse refers to itself through its closure; clearing the name frees
     # the snapshot now instead of at the cycle collector's next pass
     del recurse
     return tree
 
 
-class _CatCounters:
-    """Per-feature value counters plus id buckets for one node's examples."""
-
-    __slots__ = ("ids", "counts", "buckets", "n0", "n1")
-
-    def __init__(self, d: int):
-        self.ids: set[int] = set()
-        self.counts = [dict() for _ in range(d)]   # value -> [w0, w1]
-        self.buckets = [dict() for _ in range(d)]  # value -> set of ids
-        self.n0 = 0
-        self.n1 = 0
-
-    def add(self, i: int, features: tuple, cnt: int, label: int) -> None:
-        self.ids.add(i)
-        if label:
-            self.n1 += cnt
-        else:
-            self.n0 += cnt
-        for j, v in enumerate(features):
-            cell = self.counts[j].get(v)
-            if cell is None:
-                self.counts[j][v] = [0, 0]
-                self.buckets[j][v] = set()
-                cell = self.counts[j][v]
-            cell[label] += cnt
-            self.buckets[j][v].add(i)
-
-    def remove(self, i: int, features: tuple, cnt: int, label: int) -> None:
-        self.ids.discard(i)
-        if label:
-            self.n1 -= cnt
-        else:
-            self.n0 -= cnt
-        for j, v in enumerate(features):
-            cell = self.counts[j][v]
-            cell[label] -= cnt
-            bucket = self.buckets[j][v]
-            bucket.discard(i)
-            if not bucket:
-                del self.buckets[j][v]
-                del self.counts[j][v]
-
-
-def build_categorical(
-    s: ActiveMultiset, eta: int, params: FeasibilityParams
-) -> TreeNode:
-    """Counter-based build for all-categorical schemas.
-
-    Chooses the same splits as ``build`` (gain-maximal equality tests with
-    the same tie-breaks) but scores them straight from value counters and
-    peels the smaller side of each split out of the parent's counters, so
-    one side's structures are reused instead of rebuilt.
-    """
-    schema = s.schema
-    if schema is not None and not schema.all_categorical:
-        raise SchemaError("build_categorical needs an all-categorical schema")
-    return _build_cat_entries(list(s._unsorted_items()), schema, eta, params)
-
-
-def _build_cat_entries(
-    entries: list, schema, eta: int, params: FeasibilityParams,
-    old: TreeNode | None = None, path=(), kept: list | None = None,
-) -> TreeNode:
-    # Takes _build_entries' arguments; it always builds the whole subtree.
-    n = len(entries)
-    if n == 0:
-        empty = ActiveMultiset(schema)
-        return TreeNode(depth=eta, size=0, leaf_label=0, leaf_examples=empty,
-                        label_hist=[0, 0], height=0)
-
-    d = schema.arity if schema is not None else len(entries[0][0].features)
-    feats = [e.features for e, _ in entries]
-    cnts = [c for _, c in entries]
-    labs = [e.label for e, _ in entries]
-
-    root = _CatCounters(d)
-    for i in range(n):
-        root.add(i, feats[i], cnts[i], labs[i])
-
-    def close(state: _CatCounters, eta: int) -> TreeNode:
-        total = state.n0 + state.n1
-        sub = ActiveMultiset._from_sorted_items(
-            map(entries.__getitem__, state.ids), schema, total=total
-        )
-        return TreeNode(
-            depth=eta,
-            size=total,
-            leaf_label=1 if state.n1 > state.n0 else 0,
-            leaf_examples=sub,
-            label_hist=[state.n0, state.n1],
-            height=0,
-        )
-
-    def recurse(state: _CatCounters, eta: int) -> TreeNode:
-        total = state.n0 + state.n1
-        ones = state.n1
-        g = _gini_from_counts(total, ones)
-        if total <= params.k or g <= params.alpha / 2.0 or params.depth_capped(eta):
-            return close(state, eta)
-
-        best_j, best_v, best_gain = 0, None, -1.0
-        for j in range(d):
-            for v in sorted(state.counts[j]):
-                w0, w1 = state.counts[j][v]
-                gain = _gain_from_counts(total, ones, w0 + w1, w1)
-                if gain > best_gain + TIE_TOL:
-                    best_j, best_v, best_gain = j, v, gain
-
-        cell = state.counts[best_j][best_v]
-        left_w = cell[0] + cell[1]
-        if left_w == total:
-            # argmax split puts everything left (all gains are 0); fall
-            # back to the first value that separates, else stop here
-            fallback = None
-            for j in range(d):
-                for v in sorted(state.counts[j]):
-                    w0, w1 = state.counts[j][v]
-                    if w0 + w1 < total:
-                        fallback = (j, v, w0 + w1)
-                        break
-                if fallback is not None:
-                    break
-            if fallback is None:
-                return close(state, eta)
-            best_j, best_v, left_w = fallback
-            best_gain = 0.0
-
-        left_ids = set(state.buckets[best_j][best_v])
-        if 2 * left_w <= total:
-            moved_ids, peel_is_left = left_ids, True
-        else:
-            moved_ids, peel_is_left = state.ids - left_ids, False
-        peeled = _CatCounters(d)
-        for i in moved_ids:
-            state.remove(i, feats[i], cnts[i], labs[i])
-            peeled.add(i, feats[i], cnts[i], labs[i])
-        left_state, right_state = (
-            (peeled, state) if peel_is_left else (state, peeled)
-        )
-
-        lnode = recurse(left_state, eta + 1)
-        rnode = recurse(right_state, eta + 1)
-        return TreeNode(
-            depth=eta,
-            size=total,
-            split=Split(best_j, best_v, categorical=True),
-            split_gain=best_gain,
-            left=lnode,
-            right=rnode,
-            height=1 + max(lnode.height, rnode.height),
-        )
-
-    tree = recurse(root, eta)
-    del recurse  # break the closure's self-reference, as in _build_entries
-    return tree
-
-
-def builder_for(schema) -> "callable":
-    """Pick the counter-based path when every feature is categorical."""
-    if schema is not None and schema.all_categorical:
-        return build_categorical
-    return build
+# Alias kept for bench/tracing.py, which patches this name in this module
+# and in dynamic.py; it goes when the benchmark reads engine events instead
+# (ROADMAP item 1).
+_build_cat_entries = _build_entries

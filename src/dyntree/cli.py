@@ -84,20 +84,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.out:
-        summary = emit_metrics(metrics, args.out, config=config, series_path=args.series)
-    else:
-        upd = metrics.per_update_nanos
-        summary = {
-            "f1": metrics.f1,
-            "predictions": len(metrics.predictions),
-            "updates": metrics.n_updates,
-            "mean_update_nanos": sum(upd) / len(upd) if upd else None,
-            "rebuild_count": metrics.rebuild_count,
-            "rebuild_example_touches": metrics.rebuild_example_touches,
-            "rebuild_reused_touches": metrics.rebuild_reused_touches,
-            "max_height": metrics.max_height,
-        }
+    summary = emit_metrics(metrics, args.out, config=config, series_path=args.series)
     print(json.dumps(summary))
     return 0
 

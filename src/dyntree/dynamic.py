@@ -7,8 +7,9 @@ build-time size triggers a rebuild; the rebuild reaches up the path to the
 shallowest ancestor whose build-time size fits within the next power of
 two of the trigger's, so repeated work amortizes geometrically.
 
-A rebuild gathers every example below its target and rebuilds exactly,
-but keeps untouched subtrees of the old target.  Wherever the new tree
+A rebuild gathers every example below its target and rebuilds exactly
+with the one builder, ``build._build_entries``, whatever the schema, but
+keeps untouched subtrees of the old target.  Wherever the new tree
 picks the same split as the old node in the same place, an old child with
 ``pending == 0`` that is not on the triggering update's path (and whose
 build-time size matches) is kept instead of rebuilt.  Invariant: off that
@@ -25,10 +26,12 @@ See ``build._build_entries`` for the argument in full.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
-from .build import _build_cat_entries, _build_entries, build, builder_for
+# _build_cat_entries is an alias of _build_entries that bench/tracing.py
+# patches by name here; it goes with ROADMAP item 1
+from .build import _build_cat_entries, _build_entries, build  # noqa: F401
 from .core import (
     ActiveMultiset,
     ExampleNotFound,
@@ -37,36 +40,6 @@ from .core import (
     Schema,
     TreeNode,
 )
-
-
-@dataclass(frozen=True)
-class UpdateRequest:
-    """One stream operation: ins/del carry an example, lab bare features."""
-
-    op: str
-    example: Optional[LabeledExample] = None
-    features: Optional[tuple] = None
-
-    def __post_init__(self):
-        if self.op not in ("ins", "del", "lab"):
-            raise ValueError(f"op must be ins, del or lab, got {self.op!r}")
-        if self.op == "lab":
-            if self.features is None or self.example is not None:
-                raise ValueError("lab requests carry features and no example")
-        elif self.example is None or self.features is not None:
-            raise ValueError(f"{self.op} requests carry an example only")
-
-    @classmethod
-    def ins(cls, example: LabeledExample) -> "UpdateRequest":
-        return cls("ins", example=example)
-
-    @classmethod
-    def delete(cls, example: LabeledExample) -> "UpdateRequest":
-        return cls("del", example=example)
-
-    @classmethod
-    def lab(cls, features: Iterable) -> "UpdateRequest":
-        return cls("lab", features=tuple(features))
 
 
 @dataclass(frozen=True)
@@ -105,7 +78,7 @@ class DecisionTree:
     """
 
     __slots__ = (
-        "root", "params", "schema", "stats", "_active", "_builder", "_symbols"
+        "root", "params", "schema", "stats", "_active", "_symbols"
     )
 
     def __init__(self, root: TreeNode, params: FeasibilityParams, schema: Schema):
@@ -123,9 +96,6 @@ class DecisionTree:
         self._symbols = (
             None if held is None else schema._check_symbols(held.features, None)
         )
-        self._builder = (
-            _build_cat_entries if schema.all_categorical else _build_entries
-        )
 
     @classmethod
     def empty(cls, params: FeasibilityParams, schema: Schema) -> "DecisionTree":
@@ -138,7 +108,7 @@ class DecisionTree:
     ) -> "DecisionTree":
         if s.schema is None:
             raise ValueError("multiset has no schema; insert examples or pass one")
-        root = builder_for(s.schema)(s, 0, params)
+        root = build(s, 0, params)
         return cls(root, params, s.schema)
 
     def _leaves(self):
@@ -166,7 +136,7 @@ class DecisionTree:
 
     def _gather(self, node: TreeNode):
         # (example, count) pairs of the leaves below node, in no particular
-        # order; leaves hold disjoint keys, and the builders need no order
+        # order; leaves hold disjoint keys, and the builder needs no order
         items = []
         total = 0
         stack = [node]
@@ -242,8 +212,8 @@ class DecisionTree:
         target = path[j]
         gathered, gathered_total = self._gather(target)
         kept = []
-        fresh = self._builder(gathered, self.schema, target.depth, self.params,
-                              target, path, kept)
+        fresh = _build_entries(gathered, self.schema, target.depth,
+                               self.params, target, path, kept)
         if j == 0:
             self.root = fresh
         else:
@@ -260,13 +230,3 @@ class DecisionTree:
         if self.root.height > self.stats.max_height:
             self.stats.max_height = self.root.height
         return RebuildInfo(fresh, target.depth, gathered_total)
-
-    def run_sequence(self, requests: Iterable[UpdateRequest]) -> list[int]:
-        """Apply requests in order; returns the answers to the lab queries."""
-        answers = []
-        for r in requests:
-            if r.op == "lab":
-                answers.append(self.query(r.features))
-            else:
-                self.update(r.example, r.op)
-        return answers

@@ -9,14 +9,15 @@ and ties resolve to the lowest feature index, then the lowest threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress, count
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ActiveMultiset, FeatureKind, Schema, SchemaError, Split
+from .core import ActiveMultiset, FeatureKind, Schema, Split
 
 TIE_TOL = 1e-12
+_REAL = FeatureKind.REAL
 
 
 def _gini_from_counts(total: int, ones: int) -> float:
@@ -58,6 +59,16 @@ def gini_gain(s: ActiveMultiset, split: Split) -> float:
     return _gain_from_counts(total, ones, left, left_ones)
 
 
+def _unzip(entries) -> tuple:
+    """(features, labels, counts, total, ones) of (example, count) entries:
+    three tuples in entry order, the total weight and the 1-label weight."""
+    if not entries:
+        return (), (), (), 0, 0
+    examples, counts = zip(*entries)
+    features, labels = zip(*examples)
+    return features, labels, counts, sum(counts), sum(compress(counts, labels))
+
+
 class _Columns:
     """Column arrays over a multiset snapshot, shared by the engine's builder
     and the exact split search.
@@ -70,46 +81,47 @@ class _Columns:
     Row i describes the i-th entry; the sweeps do not depend on row order.
     """
 
-    __slots__ = ("w", "wy", "total", "ones", "kinds", "num", "cat", "pos", "X",
-                 "C", "symbols", "code_col")
+    __slots__ = ("w", "wy", "kinds", "num", "cat", "pos", "X", "C", "symbols",
+                 "code_col")
 
-    def __init__(self, entries, schema: Optional[Schema], d: int):
-        examples, counts = zip(*entries)
-        features, labels = zip(*examples)
-        self.w = np.array(counts, dtype=np.int64)
-        self.wy = self.w * np.array(labels, dtype=np.int64)
-        self.total = int(self.w.sum())
-        self.ones = int(self.wy.sum())
-        if schema is not None:
-            self.kinds = schema.kinds
-        else:
-            self.kinds = (FeatureKind.REAL,) * d
-        self.num = [j for j in range(d) if self.kinds[j] is FeatureKind.REAL]
-        self.cat = [j for j in range(d) if self.kinds[j] is FeatureKind.CATEGORICAL]
-        self.pos = [0] * d  # feature j is column pos[j] of X or of C
-        for group in (self.num, self.cat):
+    def __init__(self, features, labels, counts, schema: Optional[Schema]):
+        # features, labels, counts: nonempty tuples as _unzip returns them.
+        # The weights are integers held as float64, exact below 2**53, so
+        # the sweeps' sums and bincounts need no conversion.
+        self.w = w = np.array(counts, dtype=np.float64)
+        self.wy = w * np.array(labels, dtype=np.float64)
+        self.kinds = kinds = (schema.kinds if schema is not None
+                              else (_REAL,) * len(features[0]))
+        d = len(kinds)
+        self.num = num = [j for j, k in enumerate(kinds) if k is _REAL]
+        self.cat = cat = [j for j, k in enumerate(kinds) if k is not _REAL]
+        self.pos = pos = [0] * d  # feature j is column pos[j] of X or of C
+        for group in (num, cat):
             for jj, j in enumerate(group):
-                self.pos[j] = jj
+                pos[j] = jj
         self.X = self.C = None
-        self.symbols: list = []
-        self.code_col: list = []
-        n, m = len(features), len(self.num)
+        self.symbols = symbols = []
+        self.code_col = code_col = []
+        n, m = len(features), len(num)
         if m == d:
             self.X = np.fromiter(chain.from_iterable(features), dtype=np.float64,
                                  count=n * d).reshape(n, d)
             return
         by_col = list(zip(*features))
         if m:
-            self.X = np.fromiter(chain.from_iterable(by_col[j] for j in self.num),
+            self.X = np.fromiter(chain.from_iterable(by_col[j] for j in num),
                                  dtype=np.float64, count=m * n).reshape(m, n).T.copy()
         codes = []
-        for jj, j in enumerate(self.cat):
-            values = sorted(set(by_col[j]))
-            code = {v: i for i, v in enumerate(values, start=len(self.symbols))}
-            codes.append(list(map(code.__getitem__, by_col[j])))
-            self.symbols += values
-            self.code_col += [jj] * len(values)
-        self.C = np.array(codes, dtype=np.int64).T.copy()
+        for jj, j in enumerate(cat):
+            col = by_col[j]
+            values = sorted(set(col))
+            codes.append(map(dict(zip(values, count(len(symbols)))).__getitem__,
+                             col))
+            symbols += values
+            code_col += [jj] * len(values)
+        mc = d - m
+        self.C = np.fromiter(chain.from_iterable(codes), dtype=np.int64,
+                             count=mc * n).reshape(mc, n).T.copy()
 
 
 def _sweep_numeric(X: np.ndarray, w, wy, total: int, ones: int) -> list:
@@ -157,65 +169,59 @@ def _sweep_categorical(C: np.ndarray, w, wy, total: int, ones: int,
     C holds the node's codes by categorical feature (see ``_Columns``).
     Scores every code present as the split {x_j == a} versus the rest, in
     code order, so ties resolve to the smallest symbol. Returns one
-    (code, left, left_ones) per column.
+    (code, left, left_ones, gain) per column.
     """
     m = C.shape[1]
     codes = C.ravel()
-    cw = np.bincount(codes, weights=np.repeat(w, m))
-    cwy = np.bincount(codes, weights=np.repeat(wy, m))
-    present = np.flatnonzero(cw)
+    cw = np.bincount(codes, weights=w.repeat(m))
+    cwy = np.bincount(codes, weights=wy.repeat(m))
+    present = cw.nonzero()[0]
     best: list = [None] * m
     gains = [-1.0] * m
-    for code, left, left_ones in zip(present.tolist(),
-                                     cw[present].astype(np.int64).tolist(),
-                                     cwy[present].astype(np.int64).tolist()):
+    # _gain_from_counts inlined: the same float operations in the same
+    # order, so each gain is bit-identical to the kernel's. The counts stay
+    # floats here; they are integers below 2**53, so every operation sees
+    # the same values as with ints.
+    g = 2.0 * (ones / total) * ((total - ones) / total)
+    for code, left, left_ones in zip(present.tolist(), cw[present].tolist(),
+                                     cwy[present].tolist()):
+        right = total - left
+        if right:
+            right_ones = ones - left_ones
+            gl = 2.0 * (left_ones / left) * ((left - left_ones) / left)
+            gr = 2.0 * (right_ones / right) * ((right - right_ones) / right)
+            gain = g - (left * gl + right * gr) / total
+            if gain <= 0.0:  # as max(0.0, gain)
+                gain = 0.0
+        else:
+            gain = 0.0
         jj = code_col[code]
-        gain = _gain_from_counts(total, ones, left, left_ones)
         if gain > gains[jj] + TIE_TOL:
             best[jj] = (code, left, left_ones)
             gains[jj] = gain
-    return best
+    return [(code, int(left), int(left_ones), gain)
+            for (code, left, left_ones), gain in zip(best, gains)]
 
 
 def _sweep_all(s: ActiveMultiset):
-    """Column snapshot of s and (threshold, left, left_ones) per feature."""
-    entries = list(s._unsorted_items())
-    d = len(entries[0][0].features)
-    cols = _Columns(entries, s.schema, d)
-    out = [None] * d
+    """Column snapshot of s and (threshold, left, left_ones, gain) per
+    feature."""
+    features, labels, counts, total, ones = _unzip(list(s._unsorted_items()))
+    cols = _Columns(features, labels, counts, s.schema)
+    out = [None] * len(cols.kinds)
     if cols.num:
-        for j, r in zip(cols.num, _sweep_numeric(cols.X, cols.w, cols.wy,
-                                                 cols.total, cols.ones)):
-            out[j] = r
-    if cols.cat:
-        for j, (code, left, left_ones) in zip(
-            cols.cat, _sweep_categorical(cols.C, cols.w, cols.wy, cols.total,
-                                         cols.ones, cols.code_col)
+        for j, (thr, left, left_ones) in zip(
+            cols.num, _sweep_numeric(cols.X, cols.w, cols.wy, total, ones)
         ):
-            out[j] = (cols.symbols[code], left, left_ones)
+            out[j] = (thr, left, left_ones,
+                      _gain_from_counts(total, ones, left, left_ones))
+    if cols.cat:
+        for j, (code, left, left_ones, gain) in zip(
+            cols.cat, _sweep_categorical(cols.C, cols.w, cols.wy, total, ones,
+                                         cols.code_col)
+        ):
+            out[j] = (cols.symbols[code], left, left_ones, gain)
     return cols, out
-
-
-def best_split_numeric(s: ActiveMultiset, j: int) -> tuple[float, float]:
-    """Exact best threshold and gain for real-valued feature j."""
-    if len(s) == 0:
-        raise ValueError("best_split_numeric needs a nonempty multiset")
-    if s.schema is not None and s.schema.kinds[j] is not FeatureKind.REAL:
-        raise SchemaError(f"feature {j} is not real-valued")
-    cols, found = _sweep_all(s)
-    thr, left, left_ones = found[j]
-    return thr, _gain_from_counts(cols.total, cols.ones, left, left_ones)
-
-
-def best_split_categorical(s: ActiveMultiset, j: int):
-    """Exact best equality value and gain for categorical feature j."""
-    if len(s) == 0:
-        raise ValueError("best_split_categorical needs a nonempty multiset")
-    if s.schema is None or s.schema.kinds[j] is not FeatureKind.CATEGORICAL:
-        raise SchemaError(f"feature {j} is not categorical")
-    cols, found = _sweep_all(s)
-    v, left, left_ones = found[j]
-    return v, _gain_from_counts(cols.total, cols.ones, left, left_ones)
 
 
 @dataclass(frozen=True)
@@ -237,8 +243,7 @@ def best_split(s: ActiveMultiset) -> GainResult:
     cols, found = _sweep_all(s)
     per_feature = []
     best_j, best_gain = 0, -1.0
-    for j, (thr, left, left_ones) in enumerate(found):
-        gain = _gain_from_counts(cols.total, cols.ones, left, left_ones)
+    for j, (thr, _, _, gain) in enumerate(found):
         per_feature.append((thr, gain))
         if gain > best_gain + TIE_TOL:
             best_j, best_gain = j, gain

@@ -302,11 +302,12 @@ RUNNERS = {
 
 def emit_metrics(
     metrics: StreamMetrics,
-    path,
+    path=None,
     config: Optional[StreamConfig] = None,
     series_path=None,
 ) -> dict:
-    """Write a JSON summary, plus an optional CSV series of the steps."""
+    """Summarize a run; write the summary as JSON to path when given, and
+    the steps as CSV to series_path when given."""
     upd = metrics.per_update_nanos
     summary = {
         "f1": metrics.f1,
@@ -320,7 +321,8 @@ def emit_metrics(
         "max_height": metrics.max_height,
         "config": asdict(config) if config is not None else None,
     }
-    Path(path).write_text(json.dumps(summary, indent=2) + "\n")
+    if path is not None:
+        Path(path).write_text(json.dumps(summary, indent=2) + "\n")
     if series_path is not None:
         with open(series_path, "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -26,10 +26,10 @@ from dyntree import (
     audit_smoothness,
     best_split,
     build,
-    build_categorical,
     check_counters,
     check_feasibility,
     exact_feature_gains,
+    exact_gini,
     exhaustive_split_search,
     generate_index_instance,
     load_stream,
@@ -222,9 +222,51 @@ def test_criterion_4_smoothness_audit():
     assert report.violations == []
 
 
+def _grow_by_enumeration(s, depth, params):
+    """Tree grown by recursing exhaustive_split_search, with the builder's
+    stop rules (size floor, Gini at most alpha/2, depth cap) and its
+    fallback when the best split sends everything one way: the lowest
+    feature with two distinct values, split at its smallest value.  Leaves
+    are bare labels; internal nodes are (split, left, right).
+    """
+    n0, n1 = s.label_counts()
+    label = 1 if n1 > n0 else 0
+    if (n0 + n1 <= params.k or exact_gini(s) <= Fraction(params.alpha) / 2
+            or (params.h is not None and depth >= params.h)):
+        return label
+    split, _, _ = exhaustive_split_search(s)
+    left = [e for e in s.expanded() if split.routes_left(e.features)]
+    if len(left) in (0, n0 + n1):
+        split = None
+        for j, kind in enumerate(s.schema.kinds):
+            values = sorted({e.features[j] for e in s})
+            if len(values) > 1:
+                split = Split(j, values[0],
+                              categorical=kind is FeatureKind.CATEGORICAL)
+                break
+        if split is None:
+            return label
+        left = [e for e in s.expanded() if split.routes_left(e.features)]
+    right = [e for e in s.expanded() if not split.routes_left(e.features)]
+    return (
+        split,
+        _grow_by_enumeration(ActiveMultiset.from_examples(left, s.schema),
+                             depth + 1, params),
+        _grow_by_enumeration(ActiveMultiset.from_examples(right, s.schema),
+                             depth + 1, params),
+    )
+
+
+def _predict_grown(node, features):
+    while isinstance(node, tuple):
+        split, left, right = node
+        node = left if split.routes_left(features) else right
+    return node
+
+
 @pytest.mark.criterion(5, "split search matches brute-force enumeration on "
-                          "200 instances and the categorical fast path "
-                          "agrees on every binary query point")
+                          "200 instances and build agrees on every binary "
+                          "query point with a tree grown by brute force")
 def test_criterion_5_split_search_equivalence():
     rng = random.Random(77)
     for trial in range(200):
@@ -259,11 +301,11 @@ def test_criterion_5_split_search_equivalence():
             s.insert(make_example(
                 tuple(rng.randrange(2) for _ in range(d)), rng.randrange(2)
             ))
-        generic = build(s, 0, params)
-        fast = build_categorical(s, 0, params)
+        built = build(s, 0, params)
+        grown = _grow_by_enumeration(s, 0, params)
         for point in itertools.product((0, 1), repeat=d):
-            assert _predict(generic, point) == _predict(fast, point), (
-                f"trial {trial}: builds disagree at {point}"
+            assert _predict(built, point) == _predict_grown(grown, point), (
+                f"trial {trial}: build and enumeration disagree at {point}"
             )
 
 

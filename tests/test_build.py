@@ -1,33 +1,23 @@
-"""Exact tree construction: stopping rules, argmax splits, categorical path."""
+"""Exact tree construction: stopping rules, argmax splits, categorical splits."""
 
 import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from dyntree import (
     ActiveMultiset,
     FeasibilityParams,
     FeatureKind,
     Schema,
-    SchemaError,
     Split,
     build,
-    build_categorical,
-    builder_for,
     exhaustive_split_search,
     gini_index,
     make_example,
 )
 
 PARAMS = FeasibilityParams(epsilon=0.1, alpha=0.2, beta=0.1, k=1, h=8)
-
-
-def predict(node, x):
-    while not node.is_leaf:
-        node = node.left if node.split.routes_left(x) else node.right
-    return node.leaf_label
 
 
 def walk(node):
@@ -168,39 +158,11 @@ def test_indistinguishable_examples_become_a_leaf():
 
 def test_all_identical_examples_single_leaf_categorical():
     exs = [make_example(("x", "y"), 1)] * 8
-    root = build_categorical(
+    root = build(
         ActiveMultiset.from_examples(exs, Schema.categorical(2)), 0, PARAMS
     )
     assert root.is_leaf
     assert root.leaf_label == 1
-
-
-def test_categorical_rejects_real_schema():
-    s = ActiveMultiset.from_examples([make_example((1.0,), 0)])
-    with pytest.raises(SchemaError):
-        build_categorical(s, 0, PARAMS)
-
-
-def test_builder_selection():
-    assert builder_for(Schema.categorical(2)) is build_categorical
-    assert builder_for(Schema.numeric(2)) is build
-    assert builder_for(Schema.infer((1.0, "a"))) is build
-
-
-def test_categorical_matches_generic_on_pure_dependence():
-    # label copies feature 0; both builders must produce the same predictions
-    rng = random.Random(9)
-    for _ in range(10):
-        d = rng.randrange(1, 5)
-        exs = []
-        for _ in range(rng.randrange(4, 40)):
-            bits = tuple(rng.randrange(2) for _ in range(d))
-            exs.append(make_example(bits, bits[0]))
-        s = ActiveMultiset.from_examples(exs, Schema.categorical(d))
-        t1 = build(s, 0, PARAMS)
-        t2 = build_categorical(s, 0, PARAMS)
-        for pt in itertools.product((0, 1), repeat=d):
-            assert predict(t1, pt) == predict(t2, pt)
 
 
 def test_categorical_three_symbol_gain_argmax():
@@ -208,7 +170,7 @@ def test_categorical_three_symbol_gain_argmax():
     exs = [make_example((sym,), lab)
            for sym, lab in [("a", 0), ("a", 0), ("b", 1), ("b", 1), ("c", 0)]]
     s = ActiveMultiset.from_examples(exs, Schema.categorical(1))
-    root = build_categorical(s, 0, PARAMS)
+    root = build(s, 0, PARAMS)
     assert not root.is_leaf
     assert root.split.categorical
     assert root.split.threshold == "b"
@@ -222,28 +184,13 @@ def test_categorical_leaf_dicts_partition_input():
     exs = [make_example(tuple("abc"[rng.randrange(3)] for _ in range(3)),
                         rng.randrange(2)) for _ in range(80)]
     s = ActiveMultiset.from_examples(exs, Schema.categorical(3))
-    root = build_categorical(s, 0, PARAMS)
+    root = build(s, 0, PARAMS)
     seen = ActiveMultiset(Schema.categorical(3))
     for v in walk(root):
         if v.is_leaf:
             for e in v.leaf_examples.expanded():
                 seen.insert(e)
     assert seen == s
-
-
-@given(st.integers(0, 2**31))
-@settings(max_examples=40, deadline=None)
-def test_categorical_and_generic_builds_agree(seed):
-    rng = random.Random(seed)
-    d = rng.randrange(1, 5)
-    n = rng.randrange(1, 50)
-    exs = [make_example(tuple(rng.randrange(3) for _ in range(d)),
-                        rng.randrange(2)) for _ in range(n)]
-    s = ActiveMultiset.from_examples(exs, Schema.categorical(d))
-    t1 = build(s, 0, PARAMS)
-    t2 = build_categorical(s, 0, PARAMS)
-    for pt in itertools.product((0, 1, 2), repeat=d):
-        assert predict(t1, pt) == predict(t2, pt)
 
 
 def _subtree_multiset(node, schema):

@@ -79,6 +79,25 @@ def test_summaries_report_reused_touches(csv_path, tmp_path, capsys):
         assert written[key] == printed[key]
 
 
+def test_printed_summary_without_out_is_the_full_summary(csv_path, tmp_path,
+                                                         capsys):
+    # without --out the CLI prints the same summary emit_metrics writes,
+    # and --series is still honoured
+    series = tmp_path / "steps.csv"
+    args = ["run", "--data", csv_path, "--label", "label", "--positive", "pos",
+            "--mode", "sw", "--window", "20", "--epsilon", "0.5"]
+    assert run_cli(args + ["--series", str(series)]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert series.read_text().startswith("t,y_hat,y,nanos")
+    out = tmp_path / "summary.json"
+    assert run_cli(args + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    written = json.loads(out.read_text())
+    assert printed.keys() == written.keys()
+    assert printed["median_update_nanos"] is not None
+    assert printed["config"] == written["config"]
+
+
 def test_missing_file_fails_cleanly(capsys):
     code = run_cli([
         "run", "--data", "/does/not/exist.csv",

@@ -1,4 +1,4 @@
-"""Update mechanics: routing, counters, proactive rebuilds, request streams."""
+"""Update mechanics: routing, counters, proactive rebuilds, query streams."""
 
 import random
 
@@ -13,7 +13,6 @@ from dyntree import (
     SchemaError,
     Split,
     TreeNode,
-    UpdateRequest,
     build,
     check_counters,
     make_example,
@@ -287,7 +286,7 @@ def _numeric_stream(n, seed):
     return out
 
 
-@pytest.mark.parametrize("kind", ["numeric", "mixed"])
+@pytest.mark.parametrize("kind", ["numeric", "mixed", "categorical"])
 def test_rebuilds_equal_fresh_builds(kind):
     # A rebuild keeps old subtrees that no update reached; the subtree it
     # returns must still be exactly what a full rebuild would produce.
@@ -295,7 +294,8 @@ def test_rebuilds_equal_fresh_builds(kind):
         stream = _numeric_stream(500, seed=3)
         schema = Schema.numeric(2)
     else:
-        stream = mixed_stream(500, d_num=2, d_cat=2, seed=3, grid=8)
+        d_num, d_cat = (2, 2) if kind == "mixed" else (0, 3)
+        stream = mixed_stream(500, d_num=d_num, d_cat=d_cat, seed=3, grid=8)
         schema = Schema.infer(stream[0].features)
     params = FeasibilityParams(epsilon=0.04, alpha=0.2, beta=0.5, k=2, h=8)
     rng = random.Random(11)
@@ -325,38 +325,19 @@ def test_lab_requests_do_not_touch_counters():
     exs = [make_example((float(i),), i % 2) for i in range(8)]
     tree = DecisionTree.from_multiset(ActiveMultiset.from_examples(exs), HALF)
     before = [(id(v), v.pending) for v in _walk(tree.root)]
-    tree.run_sequence([UpdateRequest.lab((3.0,)) for _ in range(20)])
+    for _ in range(20):
+        tree.query((3.0,))
     assert [(id(v), v.pending) for v in _walk(tree.root)] == before
 
 
 def test_run_sequence_answers_lab_queries():
+    # a stream of inserts, then lab requests answered by query
     tree = DecisionTree.empty(HALF, Schema.numeric(1))
     e0 = make_example((0.0,), 0)
     e1 = make_example((5.0,), 1)
-    answers = tree.run_sequence([
-        UpdateRequest.ins(e0),
-        UpdateRequest.ins(e0),
-        UpdateRequest.ins(e1),
-        UpdateRequest.ins(e1),
-        UpdateRequest.ins(e1),
-        UpdateRequest.lab((0.0,)),
-        UpdateRequest.lab((5.0,)),
-    ])
-    assert answers == [0, 1]
-    assert tree.run_sequence([]) == []
-
-
-def test_update_request_validation():
-    e = make_example((1.0,), 0)
-    with pytest.raises(ValueError):
-        UpdateRequest("ins", example=None)
-    with pytest.raises(ValueError):
-        UpdateRequest("lab", example=e)
-    with pytest.raises(ValueError):
-        UpdateRequest("zap", example=e)
-    assert UpdateRequest.ins(e).op == "ins"
-    assert UpdateRequest.delete(e).op == "del"
-    assert UpdateRequest.lab((1.0,)).features == (1.0,)
+    for e in (e0, e0, e1, e1, e1):
+        tree.update(e, "ins")
+    assert [tree.query((0.0,)), tree.query((5.0,))] == [0, 1]
 
 
 def test_leaf_union_tracks_random_churn():

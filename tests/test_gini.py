@@ -10,8 +10,6 @@ from dyntree import (
     Schema,
     Split,
     best_split,
-    best_split_categorical,
-    best_split_numeric,
     gini_gain,
     gini_index,
     make_example,
@@ -61,12 +59,12 @@ def test_gain_empty_side_is_zero():
 
 def test_best_split_numeric_boundary():
     s = multiset([1, 2, 3, 4], [0, 0, 1, 1])
-    assert best_split_numeric(s, 0) == (2.0, 0.5)
+    assert best_split(s).per_feature[0] == (2.0, 0.5)
 
 
 def test_best_split_numeric_constant_feature():
     s = multiset([7, 7, 7], [0, 1, 0])
-    thr, gain = best_split_numeric(s, 0)
+    thr, gain = best_split(s).per_feature[0]
     assert thr == 7.0
     assert gain == 0.0
 
@@ -78,12 +76,12 @@ def test_best_split_numeric_three_point():
     assert by_hand[1.0] == pytest.approx(1 / 9)
     assert by_hand[2.0] == pytest.approx(1 / 9)
     assert by_hand[3.0] == 0.0
-    assert best_split_numeric(s, 0) == (1.0, pytest.approx(1 / 9))
+    assert best_split(s).per_feature[0] == (1.0, pytest.approx(1 / 9))
 
 
 def test_best_split_numeric_empty_raises():
     with pytest.raises(ValueError):
-        best_split_numeric(ActiveMultiset(Schema.numeric(1)), 0)
+        best_split(ActiveMultiset(Schema.numeric(1)))
 
 
 def test_best_split_single_example():
@@ -104,15 +102,9 @@ def test_best_split_categorical_counts():
     exs = [make_example((sym,), lab)
            for sym, lab in [("a", 0), ("a", 0), ("b", 1), ("b", 1), ("c", 0)]]
     s = ActiveMultiset.from_examples(exs)
-    value, gain = best_split_categorical(s, 0)
+    value, gain = best_split(s).per_feature[0]
     assert value == "b"
     assert gain == pytest.approx(gini_index(s))  # b splits off all the 1s
-
-
-def test_categorical_on_real_feature_raises():
-    s = multiset([1, 2], [0, 1])
-    with pytest.raises(Exception):
-        best_split_categorical(s, 0)
 
 
 def test_edit_distance_examples():
@@ -185,3 +177,18 @@ def test_best_split_gain_is_max_over_features(s):
     assert res.best_gain == pytest.approx(
         max(g for _, g in res.per_feature), abs=1e-15
     )
+
+
+@given(st.integers(0, 2**31))
+@settings(max_examples=60, deadline=None)
+def test_categorical_gains_equal_the_scalar_kernel_bit_for_bit(seed):
+    # the categorical sweep inlines the scalar gain kernel on float counts;
+    # each winner's gain must equal gini_gain of the same split exactly
+    rng = random.Random(seed)
+    d = rng.randint(1, 3)
+    exs = [make_example(tuple("abcd"[rng.randrange(4)] for _ in range(d)),
+                        rng.randrange(2))
+           for _ in range(rng.randint(1, 40))]
+    s = ActiveMultiset.from_examples(exs)
+    for j, (symbol, gain) in enumerate(best_split(s).per_feature):
+        assert gain == gini_gain(s, Split(j, symbol, categorical=True))
