@@ -1,6 +1,7 @@
 """Gini impurity, split gain, exact split search, and multiset distance.
 
-All engine-side scoring funnels through two scalar kernels so that a gain
+All engine-side scoring funnels through two scalar kernels (the
+categorical sweep runs an inlined copy of the gain kernel) so that a gain
 reported by the sweep equals what ``gini_gain`` computes for the same
 split, bit for bit.  Gains within ``TIE_TOL`` of each other count as tied
 and ties resolve to the lowest feature index, then the lowest threshold.
