@@ -18,7 +18,6 @@ from .gini import (
     best_split,
     gini_gain,
     gini_index,
-    relative_edit_distance,
 )
 from .build import build
 from .dynamic import DecisionTree, RebuildInfo
@@ -86,7 +85,6 @@ __all__ = [
     "make_example",
     "mixed_stream",
     "prequential_f1",
-    "relative_edit_distance",
     "run_incremental",
     "run_random_update",
     "run_sliding_window",

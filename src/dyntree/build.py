@@ -1,8 +1,9 @@
 """Exact tree construction from a multiset snapshot.
 
-One builder serves every schema: real features go through one numeric
-sweep and categorical ones through one bincount sweep per node (see
-``gini``).  A node stops at the size floor k, at Gini at most alpha/2, or
+One builder serves every schema: it slices the real matrix and the code
+matrix of a row store (``core._Store``) by row id, and real features go
+through one numeric sweep and categorical ones through one bincount sweep
+per node (see ``gini``).  Leaves count rows of the same store.  A node stops at the size floor k, at Gini at most alpha/2, or
 at the depth cap; a chosen split that fails to separate the node also
 stops it.  A rebuild passes the subtree it replaces, and the builder keeps
 the parts of it that no update reached (see ``_build_entries``).
@@ -18,15 +19,14 @@ from .core import (
     FeatureKind,
     Split,
     TreeNode,
+    _Store,
 )
 from .gini import (
     TIE_TOL,
-    _Columns,
     _gain_from_counts,
     _gini_from_counts,
     _sweep_categorical,
     _sweep_numeric,
-    _unzip,
 )
 
 
@@ -37,12 +37,13 @@ def _stops(total: int, ones: int, eta: int, params: FeasibilityParams) -> bool:
             or params.depth_capped(eta))
 
 
-def _leaf(items, schema, eta: int, total: int, ones: int) -> TreeNode:
+def _leaf(store: _Store, entries: dict, eta: int, total: int,
+          ones: int) -> TreeNode:
     return TreeNode(
         depth=eta,
         size=total,
         leaf_label=1 if ones > total - ones else 0,
-        leaf_examples=ActiveMultiset._from_sorted_items(items, schema, total=total),
+        leaf_examples=ActiveMultiset._from_rows(store, entries, total),
         label_hist=[total - ones, ones],
         height=0,
     )
@@ -69,16 +70,21 @@ def build(s: ActiveMultiset, eta: int, params: FeasibilityParams) -> TreeNode:
     Every split maximizes Gini gain over all features and observed
     thresholds, ties to the lowest feature then the lowest threshold.
     Fresh nodes carry size = subtree size and a zeroed pending counter.
+    The tree's leaves count rows of a copy of s's store, so s stays free
+    to change.
     """
-    return _build_entries(list(s._unsorted_items()), s.schema, eta, params)
+    c = s.copy()
+    return _build_entries(c._rows, c.label_counts(), c._store, eta, params)
 
 
 def _build_entries(
-    entries: list, schema, eta: int, params: FeasibilityParams,
+    entries: dict, hist, store: _Store, eta: int, params: FeasibilityParams,
     old: TreeNode | None = None, path=(), kept: list | None = None,
 ) -> TreeNode:
-    # Internal: entries is an (example, count) list with distinct examples,
-    # in any order; the tree built does not depend on it.
+    # Internal: entries maps row ids of store to counts, hist is their
+    # (0-label, 1-label) weight.  The tree built does not depend on the
+    # map's order, and its leaves count rows of store; a root that stops
+    # takes entries itself.
     #
     # A rebuild passes the subtree it replaces as old, the nodes of the
     # update that triggered it as path, and a list kept; a fresh build
@@ -99,17 +105,22 @@ def _build_entries(
     # Path nodes below the trigger keep pending 0 but hold one example more
     # or fewer than their size, so the path test and the size test each
     # exclude them; both are cheap guards.
-    features, labels, counts, total, ones = _unzip(entries)
+    #
+    # Nodes are made in preorder, left child first, from an explicit stack,
+    # so the depth of the tree is not bounded by Python's recursion limit.
+    n0, ones = hist
+    total = n0 + ones
     # a root that stops (an empty multiset always does, as k >= 1) needs no
-    # column arrays
+    # columns
     if _stops(total, ones, eta, params):
-        return _leaf(entries, schema, eta, total, ones)
+        return _leaf(store, entries, eta, total, ones)
 
-    cols = _Columns(features, labels, counts, schema)
-    d = len(cols.kinds)
-    kinds, w, wy, X, C = cols.kinds, cols.w, cols.wy, cols.X, cols.C
-    num, cat, pos = cols.num, cols.cat, cols.pos
-    symbols, code_col = cols.symbols, cols.code_col
+    rows, counts, w, wy, X, C = store.columns(entries)
+    schema = store.schema
+    kinds, num, cat, pos = (schema.kinds, schema._real, schema._categorical,
+                            schema._pos)
+    symbols, code_col = store.symbols, store.code_col
+    d = len(kinds)
     REAL = FeatureKind.REAL
     on_path = {id(v) for v in path}
 
@@ -121,80 +132,91 @@ def _build_entries(
             return u
         return None
 
-    def recurse(idx: np.ndarray, eta: int, total: int, ones: int,
-                old) -> TreeNode:
-        if _stops(total, ones, eta, params):
-            return _leaf(map(entries.__getitem__, idx.tolist()), schema, eta,
-                         total, ones)
+    root = None
+    splits = []  # split nodes in the order made; a node's children come later
+    # frames: (row indices, depth, total, ones, old node, parent, left side)
+    stack = [(np.arange(len(rows)), eta, total, ones, old, None, True)]
+    while stack:
+        idx, eta, total, ones, old, parent, is_left = stack.pop()
+        node = None
+        if not _stops(total, ones, eta, params):
+            wi = w[idx]
+            wyi = wy[idx]
+            # one sweep per kind covers every feature of that kind; the
+            # categorical sweep already holds each winner's gain, the
+            # numeric winners are scored here through the scalar kernel
+            found = [None] * d
+            Xi = Ci = None
+            if num:
+                Xi = X[idx]
+                for j, (thr, left, left_ones) in zip(
+                        num, _sweep_numeric(Xi, wi, wyi, total, ones)):
+                    found[j] = (thr, left, left_ones,
+                                _gain_from_counts(total, ones, left, left_ones))
+            if cat:
+                Ci = C[idx]
+                for j, res in zip(cat, _sweep_categorical(Ci, wi, wyi, total,
+                                                          ones, code_col)):
+                    found[j] = res
+            best = None  # (feature, threshold or code, gain, left, left_ones)
+            best_gain = -1.0
+            for j, (thr, left, left_ones, gain) in enumerate(found):
+                if gain > best_gain + TIE_TOL:
+                    best = (j, thr, gain, left, left_ones)
+                    best_gain = gain
 
-        wi = w[idx]
-        wyi = wy[idx]
-        # one sweep per kind covers every feature of that kind; the
-        # categorical sweep already holds each winner's gain, the numeric
-        # winners are scored here through the scalar kernel
-        found = [None] * d
-        Xi = Ci = None
-        if num:
-            Xi = X[idx]
-            for j, (thr, left, left_ones) in zip(
-                    num, _sweep_numeric(Xi, wi, wyi, total, ones)):
-                found[j] = (thr, left, left_ones,
-                            _gain_from_counts(total, ones, left, left_ones))
-        if cat:
-            Ci = C[idx]
-            for j, res in zip(cat, _sweep_categorical(Ci, wi, wyi, total, ones,
-                                                      code_col)):
-                found[j] = res
-        best = None  # (feature, threshold or code, gain, left, left_ones)
-        best_gain = -1.0
-        for j, (thr, left, left_ones, gain) in enumerate(found):
-            if gain > best_gain + TIE_TOL:
-                best = (j, thr, gain, left, left_ones)
-                best_gain = gain
-
-        j, thr, gain, left, left_ones = best
-        if left == total:
-            # the argmax split sends everything left, which only happens
-            # when every gain is 0; fall back to the first split that makes
-            # progress so children keep shrinking, else stop here
-            sep = _separating_split(kinds, pos, Xi, Ci)
-            if sep is None:
-                return _leaf(map(entries.__getitem__, idx.tolist()), schema,
-                             eta, total, ones)
-            j, thr, mask = sep
-            gain = 0.0
-            left, left_ones = int(wi[mask].sum()), int(wyi[mask].sum())
-        elif kinds[j] is REAL:
-            mask = Xi[:, pos[j]] <= thr
+            j, thr, gain, left, left_ones = best
+            mask = None
+            if left == total:
+                # the argmax split sends everything left, which only
+                # happens when every gain is 0; fall back to the first
+                # split that makes progress so children keep shrinking,
+                # else stop here
+                sep = _separating_split(kinds, pos, Xi, Ci)
+                if sep is not None:
+                    j, thr, mask = sep
+                    gain = 0.0
+                    left, left_ones = int(wi[mask].sum()), int(wyi[mask].sum())
+            elif kinds[j] is REAL:
+                mask = Xi[:, pos[j]] <= thr
+            else:
+                mask = Ci[:, pos[j]] == thr
+            if mask is not None:
+                categorical = kinds[j] is not REAL
+                split = Split(j, symbols[thr] if categorical else thr,
+                              categorical=categorical)
+                node = TreeNode(depth=eta, size=total, split=split,
+                                split_gain=gain)
+                splits.append(node)
+                lold = rold = None
+                if old is not None and old.split == split:
+                    lold, rold = old.left, old.right
+                right, right_ones = total - left, ones - left_ones
+                # right pushed first, so the left subtree is made first
+                for u, sub, t, t_ones, side in (
+                        (rold, ~mask, right, right_ones, False),
+                        (lold, mask, left, left_ones, True)):
+                    child = keep(u, t)
+                    if child is None:
+                        stack.append((idx[sub], eta + 1, t, t_ones, u, node,
+                                      side))
+                    elif side:
+                        node.left = child
+                    else:
+                        node.right = child
+        if node is None:
+            node = _leaf(store, dict(zip(rows[idx].tolist(),
+                                         counts[idx].tolist())),
+                         eta, total, ones)
+        if parent is None:
+            root = node
+        elif is_left:
+            parent.left = node
         else:
-            mask = Ci[:, pos[j]] == thr
-
-        categorical = kinds[j] is not REAL
-        split = Split(j, symbols[thr] if categorical else thr,
-                      categorical=categorical)
-        lold = rold = None
-        if old is not None and old.split == split:
-            lold, rold = old.left, old.right
-        right, right_ones = total - left, ones - left_ones
-        lnode = keep(lold, left) or recurse(idx[mask], eta + 1, left,
-                                            left_ones, lold)
-        rnode = keep(rold, right) or recurse(idx[~mask], eta + 1, right,
-                                             right_ones, rold)
-        return TreeNode(
-            depth=eta,
-            size=total,
-            split=split,
-            split_gain=gain,
-            left=lnode,
-            right=rnode,
-            height=1 + max(lnode.height, rnode.height),
-        )
-
-    tree = recurse(np.arange(len(entries)), eta, total, ones, old)
-    # recurse refers to itself through its closure; clearing the name frees
-    # the snapshot now instead of at the cycle collector's next pass
-    del recurse
-    return tree
+            parent.right = node
+    for v in reversed(splits):
+        v.height = 1 + max(v.left.height, v.right.height)
+    return root
 
 
 # Alias kept for bench/tracing.py, which patches this name in this module

@@ -1,17 +1,35 @@
 """Core types shared by the tree engine, the oracle, and the harness.
 
 Examples are immutable (features, label) pairs with binary labels.  The
-active set is a multiset over examples backed by a hash map; enumeration
-sorts on demand, lexicographically by features then label, so its order
-is deterministic regardless of the order updates arrived in.
+active set is a multiset over examples.  Its storage is a row store plus
+a map from row id to count: the store (``_Store``) gives each distinct
+example one row and codes it into column arrays once, and the multiset
+counts rows.  Every leaf of a tree counts rows of the tree's one store,
+so a rebuild slices the store's columns by row id instead of re-reading
+examples.  Enumeration sorts on demand, lexicographically by features
+then label, so its order is deterministic regardless of the order
+updates arrived in.
+
+Store invariants, which hold whenever the store is flushed (see
+``_Store.flush``):
+
+- one row per distinct example its holders count, and ``row_of`` maps
+  each of them to its row;
+- a row freed by the last delete of its example is reused before a new
+  one is made, so there are never more row ids than the largest number of
+  distinct examples held at once;
+- within a categorical column, codes order like the symbols they stand
+  for, so sweeps that take the lowest code take the smallest symbol.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
+from itertools import chain, count
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
+
+import numpy as np
 
 
 class SchemaError(ValueError):
@@ -43,19 +61,29 @@ class Schema:
     kinds: tuple[FeatureKind, ...]
     # Derived in __post_init__; neither compared, hashed nor shown.
     # _exact: per column, the one type validate accepts without the full
-    # check.  _categorical: the categorical column indices.
+    # check.  _real, _categorical: the real and the categorical column
+    # indices.  _pos: feature j is column _pos[j] of the store's real
+    # matrix or of its code matrix.
     _exact: tuple = field(init=False, repr=False, compare=False)
+    _real: tuple = field(init=False, repr=False, compare=False)
     _categorical: tuple = field(init=False, repr=False, compare=False)
+    _pos: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.kinds) < 1:
             raise SchemaError("schema needs at least one feature")
+        real = tuple(j for j, k in enumerate(self.kinds) if k is FeatureKind.REAL)
+        cat = tuple(j for j, k in enumerate(self.kinds) if k is not FeatureKind.REAL)
+        pos = [0] * len(self.kinds)
+        for group in (real, cat):
+            for jj, j in enumerate(group):
+                pos[j] = jj
         object.__setattr__(self, "_exact", tuple(
             float if k is FeatureKind.REAL else str for k in self.kinds
         ))
-        object.__setattr__(self, "_categorical", tuple(
-            j for j, k in enumerate(self.kinds) if k is FeatureKind.CATEGORICAL
-        ))
+        object.__setattr__(self, "_real", real)
+        object.__setattr__(self, "_categorical", cat)
+        object.__setattr__(self, "_pos", tuple(pos))
 
     @property
     def arity(self) -> int:
@@ -176,21 +204,197 @@ def majority_label(
     return 1 if n1 > n0 else 0
 
 
+# flushes of at most this many rows code row by row (see _Store._code_rows)
+_FEW_ROWS = 16
+
+
+class _Store:
+    """Rows of distinct examples, coded into column arrays.
+
+    Row r holds ``examples[r]`` (None while free, and then listed in
+    ``free``) and ``row_of`` maps each held example back to its row.  Rows
+    are taken and freed by ``ActiveMultiset._insert_trusted`` and
+    ``ActiveMultiset.delete`` in pure Python; coding waits for ``flush``,
+    which fills the columns of the rows taken since: ``y`` (labels), ``X``
+    (real features, one column per real feature, float64) and ``C``
+    (categorical codes, int64).  Codes are global across columns:
+    ``symbols[code]`` and ``code_col[code]`` give a code's symbol and
+    categorical column, and within a column codes follow sorted symbol
+    order (see the module docstring).  The arrays grow geometrically, so
+    they may hold more rows than there are row ids.
+    """
+
+    __slots__ = ("schema", "row_of", "examples", "free", "uncoded", "y", "X",
+                 "C", "symbols", "code_col", "code_of")
+
+    def __init__(self, schema: Optional[Schema]):
+        self.schema = schema
+        self.row_of: dict = {}
+        self.examples: list = []
+        self.free: list = []
+        self.uncoded: set = set()  # rows taken since the last flush
+        self.y = self.X = self.C = None
+        self.symbols: list = []
+        self.code_col: list = []
+        self.code_of: list = []  # per categorical column: symbol -> code
+
+    def copy(self) -> "_Store":
+        self.flush()
+        new = _Store(self.schema)
+        new.row_of = dict(self.row_of)
+        new.examples = list(self.examples)
+        new.free = list(self.free)
+        for name in ("y", "X", "C"):
+            a = getattr(self, name)
+            setattr(new, name, None if a is None else a.copy())
+        new.symbols = list(self.symbols)
+        new.code_col = list(self.code_col)
+        new.code_of = [dict(d) for d in self.code_of]
+        return new
+
+    def flush(self) -> None:
+        """Code the rows taken since the last flush."""
+        if not self.uncoded:
+            return
+        examples = self.examples
+        rows = [r for r in self.uncoded if examples[r] is not None]
+        self.uncoded.clear()
+        if not rows:
+            return
+        if self.schema is None:
+            self.schema = Schema.infer(examples[rows[0]].features)
+        if self.y is None or len(self.y) < len(examples):
+            self._grow(len(examples))
+        if len(rows) > _FEW_ROWS or not self._code_rows(rows):
+            self._code_batch(rows)
+
+    def _code_rows(self, rows: list) -> bool:
+        # Codes rows one at a time, which costs less than the batch path's
+        # array set-up for a few rows.  Returns False, with some rows maybe
+        # coded, at a symbol without a code; the batch path then codes
+        # again.
+        examples, y, X, C = self.examples, self.y, self.X, self.C
+        num, cat = self.schema._real, self.schema._categorical
+        code_of = [(j, codes.get) for j, codes in zip(cat, self.code_of)]
+        if len(code_of) < len(cat):
+            return False
+        for r in rows:
+            e = examples[r]
+            f = e.features
+            if cat:
+                codes = [get(f[j]) for j, get in code_of]
+                if None in codes:
+                    return False
+                C[r] = codes
+            if num:
+                X[r] = [f[j] for j in num]
+            y[r] = e.label
+        return True
+
+    def _code_batch(self, rows: list) -> None:
+        schema, examples = self.schema, self.examples
+        exs = [examples[r] for r in rows]
+        idx = np.array(rows, dtype=np.intp)
+        k, d = len(rows), schema.arity
+        num, cat = schema._real, schema._categorical
+        self.y[idx] = [e.label for e in exs]
+        if len(num) == d:
+            self.X[idx] = np.fromiter(chain.from_iterable(e.features for e in exs),
+                                      dtype=np.float64, count=k * d).reshape(k, d)
+            return
+        by_col = list(zip(*(e.features for e in exs)))
+        if num:
+            m = len(num)
+            self.X[idx] = np.fromiter(
+                chain.from_iterable(by_col[j] for j in num), dtype=np.float64,
+                count=m * k).reshape(m, k).T
+        if not self.code_of:
+            self.code_of = [{} for _ in cat]
+        batch = [set(by_col[j]) for j in cat]
+        if any(not b.issubset(c) for b, c in zip(batch, self.code_of)):
+            self._recode(batch, idx)
+        mc = len(cat)
+        self.C[idx] = np.fromiter(
+            chain.from_iterable(map(self.code_of[jj].__getitem__, by_col[j])
+                                for jj, j in enumerate(cat)),
+            dtype=np.int64, count=mc * k).reshape(mc, k).T
+
+    def _grow(self, rows: int) -> None:
+        size = max(rows, 2 * (0 if self.y is None else len(self.y)), 16)
+        m, mc = len(self.schema._real), len(self.schema._categorical)
+        for name, cols, dtype in (("y", None, np.float64), ("X", m, np.float64),
+                                  ("C", mc, np.int64)):
+            if cols == 0:
+                continue
+            a = np.zeros(size if cols is None else (size, cols), dtype=dtype)
+            old = getattr(self, name)
+            if old is not None:
+                a[:len(old)] = old
+            setattr(self, name, a)
+
+    def _recode(self, batch: list, rows: np.ndarray) -> None:
+        # Codes again so that each column's codes follow its sorted
+        # symbols, new ones included.  Symbols that neither a coded row nor
+        # the batch holds are dropped, so the tables stay as small as the
+        # rows.  batch: per categorical column, the symbols of the rows
+        # being coded, whose old codes are stale.
+        n = len(self.examples)
+        live = np.fromiter((e is not None for e in self.examples), dtype=bool,
+                           count=n)
+        live[rows] = False
+        C = self.C[:n]
+        held = C[live]
+        used = np.zeros(len(self.symbols), dtype=bool)
+        used[held] = True
+        remap = np.zeros(len(self.symbols), dtype=np.int64)
+        symbols, code_col, code_of = [], [], []
+        for jj, (old, fresh) in enumerate(zip(self.code_of, batch)):
+            values = sorted(fresh.union(v for v, c in old.items() if used[c]))
+            codes = dict(zip(values, count(len(symbols))))
+            for v, c in old.items():
+                if used[c]:
+                    remap[c] = codes[v]
+            code_of.append(codes)
+            symbols += values
+            code_col += [jj] * len(values)
+        C[live] = remap[held]
+        self.symbols, self.code_col, self.code_of = symbols, code_col, code_of
+
+    def columns(self, entries: Mapping[int, int]) -> tuple:
+        """(rows, counts, w, wy, X, C) of a row id -> count map.
+
+        rows and counts are arrays in the map's order; w and wy are the
+        float64 weights and 1-label weights (integers, exact below 2**53);
+        X and C are the rows' real matrix and code matrix, or None for a
+        schema without real or without categorical features.
+        """
+        self.flush()
+        n = len(entries)
+        rows = np.fromiter(entries, dtype=np.intp, count=n)
+        counts = np.fromiter(entries.values(), dtype=np.int64, count=n)
+        w = counts.astype(np.float64)
+        return (rows, counts, w, w * self.y[rows],
+                None if self.X is None else self.X[rows],
+                None if self.C is None else self.C[rows])
+
+
 class ActiveMultiset:
     """Multiset of labeled examples keyed by (features, label) with counts.
 
-    Backed by a hash map, so point updates take O(1) expected time.
-    ``items``, ``items_list`` and iteration sort the keys on each call and
-    enumerate them in lexicographic order.  The schema is pinned on
+    Stored as a map from row id to count over a ``_Store`` that holds the
+    examples, so point updates take O(1) expected time.  A multiset made
+    by the caller owns its store; the leaves of one tree share the tree's.
+    ``items``, ``items_list`` and iteration sort on each call and
+    enumerate in lexicographic order.  The schema is pinned on
     construction or by the first inserted example, and so is the symbol
     type of each categorical column.
     """
 
-    __slots__ = ("_entries", "_schema", "_total", "_symbols")
+    __slots__ = ("_rows", "_store", "_total", "_symbols")
 
     def __init__(self, schema: Optional[Schema] = None):
-        self._entries: dict = {}
-        self._schema = schema
+        self._rows: dict = {}
+        self._store = _Store(schema)
         self._total = 0
         self._symbols = None  # pinned symbol types, see Schema._check_symbols
 
@@ -208,31 +412,38 @@ class ActiveMultiset:
         cls,
         items: Iterable[tuple[LabeledExample, int]],
         schema: Optional[Schema],
-        total: Optional[int] = None,
     ) -> "ActiveMultiset":
         # Internal: trusted pre-validated (example, count) pairs with
-        # distinct examples, in any order.
+        # distinct examples, in any order, into a store of their own.
+        s = cls(schema)
+        for e, c in items:
+            s._insert_trusted(e, c)
+        return s
+
+    @classmethod
+    def _from_rows(cls, store: _Store, rows: dict, total: int) -> "ActiveMultiset":
+        # Internal: a multiset counting rows of store (row id -> count);
+        # takes rows as is.
         s = cls.__new__(cls)
-        s._entries = dict(items)
-        s._schema = schema
+        s._rows = rows
+        s._store = store
+        s._total = total
         s._symbols = None
-        s._total = (
-            total if total is not None else sum(s._entries.values())
-        )
         return s
 
     def items_list(self) -> list:
         """Sorted (example, count) pairs as a plain list."""
-        return sorted(self._entries.items())
+        return sorted(self._unsorted_items())
 
-    def _unsorted_items(self):
+    def _unsorted_items(self) -> list:
         # Internal: (example, count) pairs in storage order, for callers
         # whose result does not depend on the order.
-        return self._entries.items()
+        examples = self._store.examples
+        return [(examples[r], c) for r, c in self._rows.items()]
 
     @property
     def schema(self) -> Optional[Schema]:
-        return self._schema
+        return self._store.schema
 
     @property
     def total_size(self) -> int:
@@ -240,7 +451,7 @@ class ActiveMultiset:
 
     @property
     def distinct_size(self) -> int:
-        return len(self._entries)
+        return len(self._rows)
 
     def __len__(self) -> int:
         return self._total
@@ -249,32 +460,35 @@ class ActiveMultiset:
         return self._total > 0
 
     def __contains__(self, example: LabeledExample) -> bool:
-        return example in self._entries
+        return self._store.row_of.get(example) in self._rows
 
     def __iter__(self) -> Iterator[LabeledExample]:
-        return iter(sorted(self._entries))
+        examples = self._store.examples
+        return iter(sorted([examples[r] for r in self._rows]))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ActiveMultiset):
             return NotImplemented
-        return self._entries == other._entries
+        if self._store is other._store:
+            return self._rows == other._rows
+        return dict(self._unsorted_items()) == dict(other._unsorted_items())
 
     def _check(self, example: LabeledExample) -> None:
         if example.label not in (0, 1):
             raise SchemaError(f"label must be 0 or 1, got {example.label!r}")
-        schema = self._schema
+        schema = self._store.schema
         if schema is None:
             # keep an inferred schema only once the example fits it
             schema = Schema.infer(example.features)
             schema.validate(example.features)
-            self._schema = schema
+            self._store.schema = schema
         else:
             schema.validate(example.features)
         if schema._categorical:
             pinned = self._symbols
-            if pinned is None and self._entries:
+            if pinned is None and self._rows:
                 # built from trusted items: pin what they hold
-                held = next(iter(self._entries)).features
+                held = self._store.examples[next(iter(self._rows))].features
                 pinned = schema._check_symbols(held, None)
             self._symbols = schema._check_symbols(example.features, pinned)
 
@@ -282,23 +496,50 @@ class ActiveMultiset:
         self._check(example)
         self._insert_trusted(example)
 
-    def _insert_trusted(self, example: LabeledExample) -> None:
+    def _insert_trusted(self, example: LabeledExample, count: int = 1) -> None:
         # Internal: insert for callers that already ran _check's checks.
-        self._entries[example] = self._entries.get(example, 0) + 1
-        self._total += 1
+        # A new example takes a free row, else a new one.  This is the
+        # update path, so it hashes the example as few times as it can and
+        # makes no call it can avoid.
+        store = self._store
+        row = store.row_of.get(example)
+        if row is None:
+            free = store.free
+            if free:
+                row = free[-1]
+                del free[-1]
+                store.examples[row] = example
+            else:
+                row = len(store.examples)
+                store.examples.append(example)
+            store.row_of[example] = row
+            store.uncoded.add(row)
+            self._rows[row] = count
+        else:
+            # the store's other holders (leaves of one tree) hold other
+            # examples, so the row is this multiset's
+            self._rows[row] += count
+        self._total += count
 
     def delete(self, example: LabeledExample) -> None:
-        cnt = self._entries.get(example, 0)
-        if cnt == 0:
+        store = self._store
+        row = store.row_of.get(example)
+        rows = self._rows
+        if row not in rows:
             raise ExampleNotFound(f"example not in active set: {example}")
+        cnt = rows[row]
         if cnt == 1:
-            del self._entries[example]
+            # the last count: free the row for the next new example
+            del rows[row]
+            del store.row_of[example]
+            store.examples[row] = None
+            store.free.append(row)
         else:
-            self._entries[example] = cnt - 1
+            rows[row] = cnt - 1
         self._total -= 1
 
     def count(self, example: LabeledExample) -> int:
-        return self._entries.get(example, 0)
+        return self._rows.get(self._store.row_of.get(example), 0)
 
     def items(self) -> Iterator[tuple[LabeledExample, int]]:
         return iter(self.items_list())
@@ -309,13 +550,18 @@ class ActiveMultiset:
                 yield e
 
     def label_counts(self) -> tuple[int, int]:
-        n1 = sum(c for e, c in self._entries.items() if e.label == 1)
+        examples = self._store.examples
+        n1 = sum(c for r, c in self._rows.items() if examples[r].label == 1)
         return self._total - n1, n1
 
     def copy(self) -> "ActiveMultiset":
-        return ActiveMultiset._from_sorted_items(
-            self._entries.items(), self._schema, total=self._total
-        )
+        store = self._store
+        if len(store.row_of) == len(self._rows):
+            # the store holds this multiset's rows only: copy it, codes and all
+            return ActiveMultiset._from_rows(store.copy(), dict(self._rows),
+                                             self._total)
+        return ActiveMultiset._from_sorted_items(self._unsorted_items(),
+                                                 store.schema)
 
 
 @dataclass(frozen=True)

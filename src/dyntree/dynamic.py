@@ -7,9 +7,17 @@ build-time size triggers a rebuild; the rebuild reaches up the path to the
 shallowest ancestor whose build-time size fits within the next power of
 two of the trigger's, so repeated work amortizes geometrically.
 
-A rebuild gathers every example below its target and rebuilds exactly
-with the one builder, ``build._build_entries``, whatever the schema, but
-keeps untouched subtrees of the old target.  Wherever the new tree
+Every example is coded once, when it enters the tree: the tree keeps one
+row store (``core._Store``) with a row per distinct active example, and
+leaves count row ids.  An update edits its leaf through one example ->
+row lookup and does no numpy work; rows it adds are coded at the next
+rebuild.  So one rebuild touch costs a copy of a (row, count) pair out of
+a leaf map, its slice of the store's columns, and its place in a child
+leaf's map, with no per-example Python work on features.
+
+A rebuild gathers every row below its target and rebuilds exactly with
+the one builder, ``build._build_entries``, whatever the schema, but keeps
+untouched subtrees of the old target.  Wherever the new tree
 picks the same split as the old node in the same place, an old child with
 ``pending == 0`` that is not on the triggering update's path (and whose
 build-time size matches) is kept instead of rebuilt.  Invariant: off that
@@ -34,11 +42,11 @@ from typing import Optional, Sequence
 from .build import _build_cat_entries, _build_entries, build  # noqa: F401
 from .core import (
     ActiveMultiset,
-    ExampleNotFound,
     FeasibilityParams,
     LabeledExample,
     Schema,
     TreeNode,
+    _Store,
 )
 
 
@@ -74,11 +82,13 @@ class DecisionTree:
 
     Rebuilds keep subtrees whose pending counter is 0 (see the module
     docstring), so a root passed in by hand must hold what the builder
-    would build for each such node's multiset.
+    would build for each such node's multiset.  Its leaves are moved into
+    the tree's store, and each example a leaf holds must route to that
+    leaf.
     """
 
     __slots__ = (
-        "root", "params", "schema", "stats", "_active", "_symbols"
+        "root", "params", "schema", "stats", "_active", "_symbols", "_store"
     )
 
     def __init__(self, root: TreeNode, params: FeasibilityParams, schema: Schema):
@@ -86,16 +96,45 @@ class DecisionTree:
         self.params = params
         self.schema = schema
         self.stats = TreeStats(max_height=root.height)
+        self._store = self._adopt_leaves()
         self._active = sum(
             node.size for node in self._leaves()
         )
         # categorical symbol types, pinned by the first example the tree
         # holds (see Schema._check_symbols); None while it has held none
-        held = next((e for leaf in self._leaves()
-                     for e, _ in leaf.leaf_examples._unsorted_items()), None)
+        held = next((e for e in self._store.examples if e is not None), None)
         self._symbols = (
             None if held is None else schema._check_symbols(held.features, None)
         )
+
+    def _adopt_leaves(self) -> _Store:
+        # The one store the leaves count rows of.  The builder's leaves
+        # share one that holds their rows only, which the tree takes as
+        # is; leaves made by hand get new multisets over a new store.
+        leaves = list(self._leaves())
+        stores = {id(v.leaf_examples._store): v.leaf_examples._store
+                  for v in leaves}
+        if len(stores) == 1:
+            (store,) = stores.values()
+            if len(store.row_of) == sum(v.leaf_examples.distinct_size
+                                        for v in leaves):
+                return store
+        store = _Store(self.schema)
+        for leaf in leaves:
+            moved = ActiveMultiset._from_rows(store, {}, 0)
+            for e, c in leaf.leaf_examples._unsorted_items():
+                node = self.root
+                while not node.is_leaf:
+                    node = node.route_child(e.features)
+                if node is not leaf:
+                    raise ValueError(
+                        f"a leaf at depth {leaf.depth} holds {e!r}, "
+                        f"which routes to another leaf"
+                    )
+                moved._insert_trusted(e, c)
+            leaf.leaf_examples = moved
+            leaf.label_hist = list(moved.label_counts())
+        return store
 
     @classmethod
     def empty(cls, params: FeasibilityParams, schema: Schema) -> "DecisionTree":
@@ -131,24 +170,30 @@ class DecisionTree:
 
     def leaf_union(self) -> ActiveMultiset:
         """Union of the leaf multisets: the engine's view of the active set."""
-        items, total = self._gather(self.root)
-        return ActiveMultiset._from_sorted_items(items, self.schema, total=total)
+        entries, _ = self._gather(self.root)
+        examples = self._store.examples
+        return ActiveMultiset._from_sorted_items(
+            [(examples[r], c) for r, c in entries.items()], self.schema
+        )
 
     def _gather(self, node: TreeNode):
-        # (example, count) pairs of the leaves below node, in no particular
-        # order; leaves hold disjoint keys, and the builder needs no order
-        items = []
-        total = 0
+        # (row id -> count map, [0-label, 1-label] weight) of the leaves
+        # below node; leaves hold disjoint rows, and the builder needs no
+        # order
+        entries = {}
+        n0 = n1 = 0
         stack = [node]
         while stack:
             v = stack.pop()
             if v.is_leaf:
-                items.extend(v.leaf_examples._unsorted_items())
-                total += len(v.leaf_examples)
+                entries.update(v.leaf_examples._rows)
+                h0, h1 = v.label_hist
+                n0 += h0
+                n1 += h1
             else:
                 stack.append(v.right)
                 stack.append(v.left)
-        return items, total
+        return entries, [n0, n1]
 
     def query(self, features: Sequence) -> int:
         """Label of the leaf that features route to."""
@@ -184,14 +229,13 @@ class DecisionTree:
         path.append(node)
 
         leaf = node
-        if op == "del" and leaf.leaf_examples.count(example) == 0:
-            raise ExampleNotFound(f"example not in active set: {example}")
         if op == "ins":
             # validated above, so skip the multiset's own schema check
             leaf.leaf_examples._insert_trusted(example)
             leaf.label_hist[example.label] += 1
             self._active += 1
         else:
+            # raises ExampleNotFound before it changes anything
             leaf.leaf_examples.delete(example)
             leaf.label_hist[example.label] -= 1
             self._active -= 1
@@ -210,9 +254,10 @@ class DecisionTree:
         shat = _shat(path[i].size)
         j = next(jj for jj in range(i + 1) if path[jj].size <= shat)
         target = path[j]
-        gathered, gathered_total = self._gather(target)
+        gathered, hist = self._gather(target)
+        gathered_total = hist[0] + hist[1]
         kept = []
-        fresh = _build_entries(gathered, self.schema, target.depth,
+        fresh = _build_entries(gathered, hist, self._store, target.depth,
                                self.params, target, path, kept)
         if j == 0:
             self.root = fresh

@@ -1,4 +1,4 @@
-"""Gini impurity, split gain, exact split search, and multiset distance.
+"""Gini impurity, split gain and exact split search.
 
 All engine-side scoring funnels through two scalar kernels (the
 categorical sweep runs an inlined copy of the gain kernel) so that a gain
@@ -10,15 +10,12 @@ and ties resolve to the lowest feature index, then the lowest threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress, count
-from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ActiveMultiset, FeatureKind, Schema, Split
+from .core import ActiveMultiset, FeatureKind, Split
 
 TIE_TOL = 1e-12
-_REAL = FeatureKind.REAL
 
 
 def _gini_from_counts(total: int, ones: int) -> float:
@@ -58,73 +55,6 @@ def gini_gain(s: ActiveMultiset, split: Split) -> float:
             left += c
             left_ones += c * e.label
     return _gain_from_counts(total, ones, left, left_ones)
-
-
-def _unzip(entries) -> tuple:
-    """(features, labels, counts, total, ones) of (example, count) entries:
-    three tuples in entry order, the total weight and the 1-label weight."""
-    if not entries:
-        return (), (), (), 0, 0
-    examples, counts = zip(*entries)
-    features, labels = zip(*examples)
-    return features, labels, counts, sum(counts), sum(compress(counts, labels))
-
-
-class _Columns:
-    """Column arrays over a multiset snapshot, shared by the engine's builder
-    and the exact split search.
-
-    Real features go into one float64 matrix ``X`` (rows x real features).
-    Categorical features go into one int64 matrix ``C`` of codes: each
-    column's symbols get consecutive codes in sorted symbol order, offset so
-    that codes of different columns never collide; ``symbols[code]`` and
-    ``code_col[code]`` map a code back to its symbol and categorical column.
-    Row i describes the i-th entry; the sweeps do not depend on row order.
-    """
-
-    __slots__ = ("w", "wy", "kinds", "num", "cat", "pos", "X", "C", "symbols",
-                 "code_col")
-
-    def __init__(self, features, labels, counts, schema: Optional[Schema]):
-        # features, labels, counts: nonempty tuples as _unzip returns them.
-        # The weights are held as float64 (integers, exact below 2**53) so
-        # the sweeps' bincounts and cumsums convert nothing; they are made
-        # as int64 first, which reads Python ints faster.
-        w = np.array(counts, dtype=np.int64)
-        self.w = w.astype(np.float64)
-        self.wy = (w * np.array(labels, dtype=np.int64)).astype(np.float64)
-        self.kinds = kinds = (schema.kinds if schema is not None
-                              else (_REAL,) * len(features[0]))
-        d = len(kinds)
-        self.num = num = [j for j, k in enumerate(kinds) if k is _REAL]
-        self.cat = cat = [j for j, k in enumerate(kinds) if k is not _REAL]
-        self.pos = pos = [0] * d  # feature j is column pos[j] of X or of C
-        for group in (num, cat):
-            for jj, j in enumerate(group):
-                pos[j] = jj
-        self.X = self.C = None
-        self.symbols = symbols = []
-        self.code_col = code_col = []
-        n, m = len(features), len(num)
-        if m == d:
-            self.X = np.fromiter(chain.from_iterable(features), dtype=np.float64,
-                                 count=n * d).reshape(n, d)
-            return
-        by_col = list(zip(*features))
-        if m:
-            self.X = np.fromiter(chain.from_iterable(by_col[j] for j in num),
-                                 dtype=np.float64, count=m * n).reshape(m, n).T.copy()
-        codes = []
-        for jj, j in enumerate(cat):
-            col = by_col[j]
-            values = sorted(set(col))
-            codes.append(map(dict(zip(values, count(len(symbols)))).__getitem__,
-                             col))
-            symbols += values
-            code_col += [jj] * len(values)
-        mc = d - m
-        self.C = np.fromiter(chain.from_iterable(codes), dtype=np.int64,
-                             count=mc * n).reshape(mc, n).T.copy()
 
 
 def _sweep_numeric(X: np.ndarray, w, wy, total: int, ones: int) -> list:
@@ -169,7 +99,7 @@ def _sweep_categorical(C: np.ndarray, w, wy, total: int, ones: int,
                        code_col: list) -> list:
     """Best equality split of every categorical feature of one node.
 
-    C holds the node's codes by categorical feature (see ``_Columns``).
+    C holds the node's codes by categorical feature (see ``core._Store``).
     Scores every code present as the split {x_j == a} versus the rest, in
     code order, so ties resolve to the smallest symbol. Returns one
     (code, left, left_ones, gain) per column.
@@ -206,25 +136,28 @@ def _sweep_categorical(C: np.ndarray, w, wy, total: int, ones: int,
             for (code, left, left_ones), gain in zip(best, gains)]
 
 
-def _sweep_all(s: ActiveMultiset):
-    """Column snapshot of s and (threshold, left, left_ones, gain) per
-    feature."""
-    features, labels, counts, total, ones = _unzip(list(s._unsorted_items()))
-    cols = _Columns(features, labels, counts, s.schema)
-    out = [None] * len(cols.kinds)
-    if cols.num:
+def _sweep_all(s: ActiveMultiset) -> list:
+    """(threshold, left, left_ones, gain) per feature of s, read from the
+    columns of s's store."""
+    store = s._store
+    _, _, w, wy, X, C = store.columns(s._rows)
+    n0, ones = s.label_counts()
+    total = n0 + ones
+    schema = store.schema
+    out = [None] * schema.arity
+    if schema._real:
         for j, (thr, left, left_ones) in zip(
-            cols.num, _sweep_numeric(cols.X, cols.w, cols.wy, total, ones)
+            schema._real, _sweep_numeric(X, w, wy, total, ones)
         ):
             out[j] = (thr, left, left_ones,
                       _gain_from_counts(total, ones, left, left_ones))
-    if cols.cat:
+    if schema._categorical:
         for j, (code, left, left_ones, gain) in zip(
-            cols.cat, _sweep_categorical(cols.C, cols.w, cols.wy, total, ones,
-                                         cols.code_col)
+            schema._categorical,
+            _sweep_categorical(C, w, wy, total, ones, store.code_col)
         ):
-            out[j] = (cols.symbols[code], left, left_ones, gain)
-    return cols, out
+            out[j] = (store.symbols[code], left, left_ones, gain)
+    return out
 
 
 @dataclass(frozen=True)
@@ -243,7 +176,7 @@ def best_split(s: ActiveMultiset) -> GainResult:
     """
     if len(s) == 0:
         raise ValueError("best_split needs a nonempty multiset")
-    cols, found = _sweep_all(s)
+    found = _sweep_all(s)
     per_feature = []
     best_j, best_gain = 0, -1.0
     for j, (thr, _, _, gain) in enumerate(found):
@@ -251,19 +184,6 @@ def best_split(s: ActiveMultiset) -> GainResult:
         if gain > best_gain + TIE_TOL:
             best_j, best_gain = j, gain
     thr, gain = per_feature[best_j]
-    split = Split(best_j, thr, categorical=cols.kinds[best_j] is FeatureKind.CATEGORICAL)
+    split = Split(best_j, thr,
+                  categorical=s.schema.kinds[best_j] is FeatureKind.CATEGORICAL)
     return GainResult(split, gain, tuple(per_feature))
-
-
-def relative_edit_distance(s1: ActiveMultiset, s2: ActiveMultiset) -> float:
-    """Edits to turn s1 into s2, relative to the larger size.
-
-    Delta = |s1| + |s2| - 2 |s1 cap s2| with key-wise minimum multiplicities;
-    the ratio can exceed 1 when the sets are near-disjoint.
-    """
-    n1, n2 = len(s1), len(s2)
-    if n1 == 0 and n2 == 0:
-        raise ValueError("relative edit distance of two empty multisets")
-    small, large = (s1, s2) if s1.distinct_size <= s2.distinct_size else (s2, s1)
-    inter = sum(min(c, large.count(e)) for e, c in small.items())
-    return (n1 + n2 - 2 * inter) / max(n1, n2)

@@ -286,13 +286,36 @@ def _numeric_stream(n, seed):
     return out
 
 
-@pytest.mark.parametrize("kind", ["numeric", "mixed", "categorical"])
+def _descending_symbols(stream):
+    """stream with each column's symbols renamed so that they first appear
+    in descending order, and every fourth example repeated."""
+    names = {}
+    out = []
+    for i, e in enumerate(stream):
+        features = list(e.features)
+        for j, v in enumerate(features):
+            if isinstance(v, str):
+                col = names.setdefault(j, {})
+                features[j] = col.setdefault(v, f"s{9 - len(col)}")
+        out += [make_example(features, e.label)] * (2 if i % 4 == 0 else 1)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["numeric", "mixed", "categorical",
+                                  "descending"])
 def test_rebuilds_equal_fresh_builds(kind):
     # A rebuild keeps old subtrees that no update reached; the subtree it
     # returns must still be exactly what a full rebuild would produce.
+    # "descending" codes symbols in the tree's store in the reverse of
+    # their order and counts repeated examples, which a fresh build of the
+    # subtree's multiset does not share.
     if kind == "numeric":
         stream = _numeric_stream(500, seed=3)
         schema = Schema.numeric(2)
+    elif kind == "descending":
+        stream = _descending_symbols(
+            mixed_stream(400, d_num=2, d_cat=2, seed=3, grid=8))
+        schema = Schema.infer(stream[0].features)
     else:
         d_num, d_cat = (2, 2) if kind == "mixed" else (0, 3)
         stream = mixed_stream(500, d_num=d_num, d_cat=d_cat, seed=3, grid=8)
@@ -394,3 +417,26 @@ def test_rebuild_depth_uses_true_node_depth():
 def test_from_multiset_requires_schema():
     with pytest.raises(ValueError):
         DecisionTree.from_multiset(ActiveMultiset(), HALF)
+
+
+def test_unbounded_depth_chain_builds_and_updates():
+    # alternating labels on one feature with h=None: the exact tree is a
+    # chain thousands of nodes deep, deeper than Python's recursion limit
+    exs = [make_example((float(i),), i % 2) for i in range(3000)]
+    params = FeasibilityParams(epsilon=0.2, alpha=0.0, beta=0.0, k=1, h=None)
+    tree = DecisionTree.from_multiset(ActiveMultiset.from_examples(exs), params)
+    assert tree.height > 1000
+    tree.update(make_example((1500.5,), 1), "ins")
+    tree.update(exs[0], "del")
+    assert tree.active_size == 3000
+    assert tree.leaf_union() == ActiveMultiset.from_examples(
+        exs[1:] + [make_example((1500.5,), 1)])
+
+
+def test_hand_built_leaf_must_hold_what_routes_to_it():
+    left = leaf_node([make_example((1.0,), 0)], depth=1)
+    right = leaf_node([make_example((-1.0,), 1)], depth=1)
+    root = TreeNode(depth=0, size=2, split=Split(0, 0.0),
+                    left=left, right=right, height=1)
+    with pytest.raises(ValueError, match="routes to another leaf"):
+        DecisionTree(root, HALF, Schema.numeric(1))

@@ -1,4 +1,4 @@
-"""Gini index, gain, split search, and the edit-distance smoothness bounds."""
+"""Gini index, gain and split search."""
 
 import random
 
@@ -13,7 +13,6 @@ from dyntree import (
     gini_gain,
     gini_index,
     make_example,
-    relative_edit_distance,
 )
 from dyntree.oracle import exhaustive_split_search
 
@@ -105,33 +104,6 @@ def test_best_split_categorical_counts():
     value, gain = best_split(s).per_feature[0]
     assert value == "b"
     assert gain == pytest.approx(gini_index(s))  # b splits off all the 1s
-
-
-def test_edit_distance_examples():
-    a = make_example((0.0,), 0)
-    b = make_example((1.0,), 0)
-    s1 = ActiveMultiset.from_examples([a])
-    s2 = ActiveMultiset.from_examples([a, b])
-    assert relative_edit_distance(s1, s2) == 0.5
-    assert relative_edit_distance(s2, s2) == 0.0
-
-
-def test_edit_distance_disjoint_exceeds_one():
-    s1 = multiset([0, 1, 2], [0, 0, 0])
-    s2 = multiset([5, 6, 7, 8, 9], [1, 1, 1, 1, 1])
-    assert relative_edit_distance(s1, s2) == pytest.approx(8 / 5)
-
-
-def test_edit_distance_counts_multiplicity():
-    e = make_example((1.0,), 1)
-    s1 = ActiveMultiset.from_examples([e, e, e])
-    s2 = ActiveMultiset.from_examples([e])
-    assert relative_edit_distance(s1, s2) == pytest.approx(2 / 3)
-
-
-def test_edit_distance_both_empty_raises():
-    with pytest.raises(ValueError):
-        relative_edit_distance(ActiveMultiset(), ActiveMultiset())
 
 
 @st.composite
