@@ -83,8 +83,8 @@ class DecisionTree:
     Rebuilds keep subtrees whose pending counter is 0 (see the module
     docstring), so a root passed in by hand must hold what the builder
     would build for each such node's multiset.  Its leaves are moved into
-    the tree's store, and each example a leaf holds must route to that
-    leaf.
+    the tree's store, with label histograms recounted, and each example a
+    leaf holds must route to that leaf.
     """
 
     __slots__ = (
