@@ -18,15 +18,21 @@ Store invariants, which hold whenever the store is flushed (see
 - a row freed by the last delete of its example is reused before a new
   one is made, so there are never more row ids than the largest number of
   distinct examples held at once;
-- within a categorical column, codes order like the symbols they stand
-  for, so sweeps that take the lowest code take the smallest symbol.
+- a categorical symbol gets an id when it first reaches its column, and
+  rows hold ids, so a new symbol leaves the coded rows as they are;
+- within a categorical column, the codes that ``_Store.columns`` hands
+  out (ids mapped through a rank table) order like the symbols they stand
+  for, so sweeps that take the lowest code take the smallest symbol;
+- ids of symbols that no row holds are dropped once the ids number more
+  than twice the store's categorical cells (row ids times categorical
+  columns), so the tables stay O(rows).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from itertools import chain, count
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -204,10 +210,6 @@ def majority_label(
     return 1 if n1 > n0 else 0
 
 
-# flushes of at most this many rows code row by row (see _Store._code_rows)
-_FEW_ROWS = 16
-
-
 class _Store:
     """Rows of distinct examples, coded into column arrays.
 
@@ -217,15 +219,18 @@ class _Store:
     ``ActiveMultiset.delete`` in pure Python; coding waits for ``flush``,
     which fills the columns of the rows taken since: ``y`` (labels), ``X``
     (real features, one column per real feature, float64) and ``C``
-    (categorical codes, int64).  Codes are global across columns:
-    ``symbols[code]`` and ``code_col[code]`` give a code's symbol and
-    categorical column, and within a column codes follow sorted symbol
-    order (see the module docstring).  The arrays grow geometrically, so
-    they may hold more rows than there are row ids.
+    (categorical symbol ids, int64).  A symbol gets an id when it first
+    reaches a column (``ids``, per column: symbol -> id), so a new symbol
+    never touches the rows already coded.  ``rank`` maps ids to the codes
+    that ``columns`` hands out: global across columns, each column's in
+    one block that follows its sorted symbols (see the module docstring),
+    with ``symbols[code]`` and ``code_col[code]`` the symbol and the
+    categorical column of a code.  The arrays grow geometrically, so they
+    may hold more rows than there are row ids.
     """
 
     __slots__ = ("schema", "row_of", "examples", "free", "uncoded", "y", "X",
-                 "C", "symbols", "code_col", "code_of")
+                 "C", "ids", "rank", "symbols", "code_col")
 
     def __init__(self, schema: Optional[Schema]):
         self.schema = schema
@@ -234,9 +239,10 @@ class _Store:
         self.free: list = []
         self.uncoded: set = set()  # rows taken since the last flush
         self.y = self.X = self.C = None
+        self.ids: list = []
+        self.rank = np.zeros(0, dtype=np.int64)
         self.symbols: list = []
         self.code_col: list = []
-        self.code_of: list = []  # per categorical column: symbol -> code
 
     def copy(self) -> "_Store":
         self.flush()
@@ -244,12 +250,12 @@ class _Store:
         new.row_of = dict(self.row_of)
         new.examples = list(self.examples)
         new.free = list(self.free)
-        for name in ("y", "X", "C"):
+        for name in ("y", "X", "C", "rank"):
             a = getattr(self, name)
             setattr(new, name, None if a is None else a.copy())
+        new.ids = [dict(d) for d in self.ids]
         new.symbols = list(self.symbols)
         new.code_col = list(self.code_col)
-        new.code_of = [dict(d) for d in self.code_of]
         return new
 
     def flush(self) -> None:
@@ -261,38 +267,11 @@ class _Store:
         self.uncoded.clear()
         if not rows:
             return
-        if self.schema is None:
-            self.schema = Schema.infer(examples[rows[0]].features)
+        schema = self.schema
+        if schema is None:
+            schema = self.schema = Schema.infer(examples[rows[0]].features)
         if self.y is None or len(self.y) < len(examples):
             self._grow(len(examples))
-        if len(rows) > _FEW_ROWS or not self._code_rows(rows):
-            self._code_batch(rows)
-
-    def _code_rows(self, rows: list) -> bool:
-        # Codes rows one at a time, which costs less than the batch path's
-        # array set-up for a few rows.  Returns False, with some rows maybe
-        # coded, at a symbol without a code; the batch path then codes
-        # again.
-        examples, y, X, C = self.examples, self.y, self.X, self.C
-        num, cat = self.schema._real, self.schema._categorical
-        code_of = [(j, codes.get) for j, codes in zip(cat, self.code_of)]
-        if len(code_of) < len(cat):
-            return False
-        for r in rows:
-            e = examples[r]
-            f = e.features
-            if cat:
-                codes = [get(f[j]) for j, get in code_of]
-                if None in codes:
-                    return False
-                C[r] = codes
-            if num:
-                X[r] = [f[j] for j in num]
-            y[r] = e.label
-        return True
-
-    def _code_batch(self, rows: list) -> None:
-        schema, examples = self.schema, self.examples
         exs = [examples[r] for r in rows]
         idx = np.array(rows, dtype=np.intp)
         k, d = len(rows), schema.arity
@@ -308,16 +287,21 @@ class _Store:
             self.X[idx] = np.fromiter(
                 chain.from_iterable(by_col[j] for j in num), dtype=np.float64,
                 count=m * k).reshape(m, k).T
-        if not self.code_of:
-            self.code_of = [{} for _ in cat]
-        batch = [set(by_col[j]) for j in cat]
-        if any(not b.issubset(c) for b, c in zip(batch, self.code_of)):
-            self._recode(batch, idx)
         mc = len(cat)
-        self.C[idx] = np.fromiter(
-            chain.from_iterable(map(self.code_of[jj].__getitem__, by_col[j])
-                                for jj, j in enumerate(cat)),
-            dtype=np.int64, count=mc * k).reshape(mc, k).T
+        if not self.ids:
+            self.ids = [{} for _ in cat]
+
+        def code():
+            return np.fromiter(
+                chain.from_iterable(map(ids.__getitem__, by_col[j])
+                                    for ids, j in zip(self.ids, cat)),
+                dtype=np.int64, count=mc * k)
+        try:
+            codes = code()
+        except KeyError:  # a symbol without an id
+            self._add_symbols([by_col[j] for j in cat], idx)
+            codes = code()
+        self.C[idx] = codes.reshape(mc, k).T
 
     def _grow(self, rows: int) -> None:
         size = max(rows, 2 * (0 if self.y is None else len(self.y)), 16)
@@ -332,33 +316,53 @@ class _Store:
                 a[:len(old)] = old
             setattr(self, name, a)
 
-    def _recode(self, batch: list, rows: np.ndarray) -> None:
-        # Codes again so that each column's codes follow its sorted
-        # symbols, new ones included.  Symbols that neither a coded row nor
-        # the batch holds are dropped, so the tables stay as small as the
-        # rows.  batch: per categorical column, the symbols of the rows
-        # being coded, whose old codes are stale.
-        n = len(self.examples)
-        live = np.fromiter((e is not None for e in self.examples), dtype=bool,
-                           count=n)
-        live[rows] = False
-        C = self.C[:n]
-        held = C[live]
-        used = np.zeros(len(self.symbols), dtype=bool)
+    def _add_symbols(self, batch: list, rows: np.ndarray) -> None:
+        # Gives ids to the symbols of batch (per categorical column, the
+        # symbols of the rows being coded) that have none, then ranks every
+        # id again: O(symbols log symbols), whatever the number of rows.
+        ids = self.ids
+        n = sum(map(len, ids))
+        if n > 2 * len(ids) * len(self.examples):
+            # more ids than twice the rows' cells: drop those no row holds,
+            # so the tables stay O(rows); as many ids were made since the
+            # last drop as this one costs
+            n = self._drop_unheld(rows)
+            ids = self.ids
+        for codes, values in zip(ids, batch):
+            for v in values:
+                if v not in codes:
+                    codes[v] = n
+                    n += 1
+        rank = np.zeros(n, dtype=np.int64)
+        symbols, code_col = [], []
+        for jj, codes in enumerate(ids):
+            col = sorted(codes)
+            rank[[codes[v] for v in col]] = np.arange(len(symbols),
+                                                      len(symbols) + len(col))
+            symbols += col
+            code_col += [jj] * len(col)
+        self.rank, self.symbols, self.code_col = rank, symbols, code_col
+
+    def _drop_unheld(self, rows: np.ndarray) -> int:
+        # Drops the ids of symbols that no coded row holds and numbers the
+        # rest again, in the same order; returns how many are left.  rows
+        # are being coded, so their ids are stale.
+        n = sum(map(len, self.ids))
+        live = np.fromiter(self.row_of.values(), dtype=np.intp,
+                           count=len(self.row_of))
+        stale = np.zeros(len(self.examples), dtype=bool)
+        stale[rows] = True
+        live = live[~stale[live]]
+        held = self.C[live]
+        used = np.zeros(n, dtype=bool)
         used[held] = True
-        remap = np.zeros(len(self.symbols), dtype=np.int64)
-        symbols, code_col, code_of = [], [], []
-        for jj, (old, fresh) in enumerate(zip(self.code_of, batch)):
-            values = sorted(fresh.union(v for v, c in old.items() if used[c]))
-            codes = dict(zip(values, count(len(symbols))))
-            for v, c in old.items():
-                if used[c]:
-                    remap[c] = codes[v]
-            code_of.append(codes)
-            symbols += values
-            code_col += [jj] * len(values)
-        C[live] = remap[held]
-        self.symbols, self.code_col, self.code_of = symbols, code_col, code_of
+        renumber = np.cumsum(used) - 1
+        self.C[live] = renumber[held]
+        renumber = renumber.tolist()
+        used = used.tolist()
+        self.ids = [{v: renumber[i] for v, i in codes.items() if used[i]}
+                    for codes in self.ids]
+        return sum(map(len, self.ids))
 
     def columns(self, entries: Mapping[int, int]) -> tuple:
         """(rows, counts, w, wy, X, C) of a row id -> count map.
@@ -375,7 +379,7 @@ class _Store:
         w = counts.astype(np.float64)
         return (rows, counts, w, w * self.y[rows],
                 None if self.X is None else self.X[rows],
-                None if self.C is None else self.C[rows])
+                None if self.C is None else self.rank[self.C[rows]])
 
 
 class ActiveMultiset:

@@ -83,8 +83,8 @@ class DecisionTree:
     Rebuilds keep subtrees whose pending counter is 0 (see the module
     docstring), so a root passed in by hand must hold what the builder
     would build for each such node's multiset.  Its leaves are moved into
-    the tree's store, with label histograms recounted, and each example a
-    leaf holds must route to that leaf.
+    a new store coded under ``schema``, with label histograms recounted,
+    and each example a leaf holds must route to that leaf.
     """
 
     __slots__ = (
@@ -92,11 +92,19 @@ class DecisionTree:
     )
 
     def __init__(self, root: TreeNode, params: FeasibilityParams, schema: Schema):
+        self._start(root, params, schema, None)
+
+    def _start(self, root: TreeNode, params: FeasibilityParams, schema: Schema,
+               store: Optional[_Store]) -> None:
+        # store: the one store root's leaves count rows of, coded under
+        # schema and holding their rows only, with their label histograms
+        # counted; the builder's output is such a tree.  None moves the
+        # leaves into a new store.
         self.root = root
         self.params = params
         self.schema = schema
         self.stats = TreeStats(max_height=root.height)
-        self._store = self._adopt_leaves()
+        self._store = self._adopt_leaves() if store is None else store
         self._active = sum(
             node.size for node in self._leaves()
         )
@@ -108,19 +116,10 @@ class DecisionTree:
         )
 
     def _adopt_leaves(self) -> _Store:
-        # The one store the leaves count rows of.  The builder's leaves
-        # share one that holds their rows only, which the tree takes as
-        # is; leaves made by hand get new multisets over a new store.
-        leaves = list(self._leaves())
-        stores = {id(v.leaf_examples._store): v.leaf_examples._store
-                  for v in leaves}
-        if len(stores) == 1:
-            (store,) = stores.values()
-            if len(store.row_of) == sum(v.leaf_examples.distinct_size
-                                        for v in leaves):
-                return store
+        # Moves every leaf's examples into a new store coded under the
+        # tree's schema, recounting the leaf's label histogram.
         store = _Store(self.schema)
-        for leaf in leaves:
+        for leaf in self._leaves():
             moved = ActiveMultiset._from_rows(store, {}, 0)
             for e, c in leaf.leaf_examples._unsorted_items():
                 node = self.root
@@ -137,9 +136,21 @@ class DecisionTree:
         return store
 
     @classmethod
+    def _from_build(cls, root: TreeNode, params: FeasibilityParams,
+                    schema: Schema) -> "DecisionTree":
+        # root is build()'s output for a multiset of schema: its leaves
+        # share a store of their own
+        tree = cls.__new__(cls)
+        leaf = root
+        while not leaf.is_leaf:
+            leaf = leaf.left
+        tree._start(root, params, schema, leaf.leaf_examples._store)
+        return tree
+
+    @classmethod
     def empty(cls, params: FeasibilityParams, schema: Schema) -> "DecisionTree":
         root = build(ActiveMultiset(schema), 0, params)
-        return cls(root, params, schema)
+        return cls._from_build(root, params, schema)
 
     @classmethod
     def from_multiset(
@@ -148,7 +159,7 @@ class DecisionTree:
         if s.schema is None:
             raise ValueError("multiset has no schema; insert examples or pass one")
         root = build(s, 0, params)
-        return cls(root, params, s.schema)
+        return cls._from_build(root, params, s.schema)
 
     def _leaves(self):
         stack = [self.root]

@@ -433,6 +433,19 @@ def test_unbounded_depth_chain_builds_and_updates():
         exs[1:] + [make_example((1500.5,), 1)])
 
 
+def test_hand_built_lone_leaf_takes_the_trees_schema():
+    # the leaf's own multiset infers a real schema from int symbols; the
+    # tree's schema is categorical, so a rebuild splits by equality
+    exs = [make_example((i % 3,), int(i % 3 == 1)) for i in range(6)]
+    root = leaf_node(exs, depth=0)
+    root.label_hist = [0, 0]  # recounted when the tree takes the leaf
+    root.pending = 3
+    tree = DecisionTree(root, HALF, Schema.categorical(1))
+    assert tree.root.label_hist == [4, 2]
+    assert tree.update(make_example((1,), 1), "ins") is not None
+    assert tree.root.split == Split(0, 1, categorical=True)
+
+
 def test_hand_built_leaf_must_hold_what_routes_to_it():
     left = leaf_node([make_example((1.0,), 0)], depth=1)
     right = leaf_node([make_example((-1.0,), 1)], depth=1)

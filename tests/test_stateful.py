@@ -1,8 +1,9 @@
 """A state machine that drives update and query against a Counter shadow.
 
 The rules reach the row store's edge cases: rows freed and reused,
-examples counted more than once, and symbols that sort before every held
-one, which code a column again.  The rejected inputs (NaN, a symbol of
+examples counted more than once, symbols that sort before every held
+one, which rank a column again, and a stream of new symbols, whose ids
+the store drops once no row holds them.  The rejected inputs (NaN, a symbol of
 another type, a container symbol, a delete of an absent example) must
 leave every invariant standing.
 """
@@ -52,6 +53,7 @@ class TreeMachine(RuleBasedStateMachine):
             ActiveMultiset.from_examples(warm, SCHEMA), params)
         self.deleted = None  # the last example whose last count was deleted
         self.max_distinct = len(self.shadow)
+        self.fresh = 0  # symbols made by insert_new_symbol
 
     def _apply(self, e, op):
         self.tree.update(e, op)
@@ -104,6 +106,13 @@ class TreeMachine(RuleBasedStateMachine):
     def insert_lowest_symbol(self, x, label):
         low = min((e.features[1] for e in self.shadow), default="m")
         self._apply(make_example((x, chr(ord(low) - 1)), label), "ins")
+
+    @rule(x=reals, label=st.integers(0, 1))
+    def insert_new_symbol(self, x, label):
+        # a symbol no example has held, above every other; once deleted,
+        # such symbols pile up until the store drops their ids
+        self.fresh += 1
+        self._apply(make_example((x, chr(0x100 + self.fresh)), label), "ins")
 
     @rule(x=reals, s=symbols)
     def query(self, x, s):
@@ -187,13 +196,17 @@ def _store_problems(tree, max_distinct):
         problems.append(f"{len(store.examples)} row ids for at most "
                         f"{max_distinct} distinct examples")
     schema = tree.schema
-    for jj, j in enumerate(schema._categorical):
+    cat = schema._categorical
+    if len(store.symbols) > 3 * len(cat) * len(store.examples):
+        problems.append(f"{len(store.symbols)} symbol ids for "
+                        f"{len(store.examples)} rows")
+    for jj, j in enumerate(cat):
         col = [v for v, c in zip(store.symbols, store.code_col) if c == jj]
         if col != sorted(col) or len(set(col)) != len(col):
             problems.append(f"codes of feature {j} do not follow its symbols")
         for e, r in store.row_of.items():
             if r not in store.uncoded and (
-                    store.symbols[store.C[r, jj]] != e.features[j]):
+                    store.symbols[store.rank[store.C[r, jj]]] != e.features[j]):
                 problems.append(f"row {r} codes feature {j} wrongly")
     for jj, j in enumerate(schema._real):
         for e, r in store.row_of.items():
@@ -202,7 +215,7 @@ def _store_problems(tree, max_distinct):
     return problems
 
 
-def test_store_recycles_rows_and_recodes_symbols():
+def test_store_recycles_rows_and_ranks_symbols():
     params = FeasibilityParams(epsilon=0.2, alpha=0.1, beta=0.5, k=1, h=6)
     exs = [make_example((float(i % 3), s), i % 2)
            for i, s in enumerate(["m", "n", "m", "p"])]
@@ -214,7 +227,7 @@ def test_store_recycles_rows_and_recodes_symbols():
         tree.update(e, "del")
         tree.update(make_example(e.features, 1 - e.label), "ins")
         assert _store_problems(tree, max_distinct) == []
-    # a symbol below every held one codes the column again when the rows
+    # a symbol below every held one ranks the column again when the rows
     # are next coded
     low = make_example((0.0, "a"), 1)
     for _ in range(4):
@@ -223,6 +236,33 @@ def test_store_recycles_rows_and_recodes_symbols():
     tree._store.flush()
     assert tree._store.symbols[0] == "a"
     assert _store_problems(tree, max_distinct + 1) == []
+
+
+def test_new_symbols_leave_coded_rows_and_unheld_ids_go():
+    # every insert brings a symbol no row has held: rows that keep their
+    # example keep their ids, and ids no row holds are dropped in time
+    params = FeasibilityParams(epsilon=0.2, alpha=0.1, beta=0.5, k=1, h=6)
+    exs = [make_example((float(i % 3), f"s{i:04d}"), i % 2)
+           for i in range(400)]
+    window = exs[:20]
+    tree = DecisionTree.from_multiset(ActiveMultiset.from_examples(window),
+                                      params)
+    store = tree._store
+    drops = 0
+    for e in exs[20:]:
+        kept = {r: store.C[r].copy() for x, r in store.row_of.items()
+                if x != window[0]}
+        ids = len(store.symbols)
+        tree.update(window.pop(0), "del")
+        tree.update(e, "ins")
+        window.append(e)
+        store.flush()
+        if len(store.symbols) > ids:
+            assert all((store.C[r] == c).all() for r, c in kept.items())
+        else:
+            drops += 1
+        assert _store_problems(tree, 20) == []
+    assert drops > 0
 
 
 TreeMachine.TestCase.settings = settings(
