@@ -10,7 +10,6 @@ from .core import (
     SchemaError,
     Split,
     TreeNode,
-    majority_label,
     make_example,
 )
 from .gini import (
@@ -81,7 +80,6 @@ __all__ = [
     "gini_gain",
     "gini_index",
     "load_stream",
-    "majority_label",
     "make_example",
     "mixed_stream",
     "prequential_f1",

@@ -33,7 +33,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -69,11 +69,14 @@ class Schema:
     # _exact: per column, the one type validate accepts without the full
     # check.  _real, _categorical: the real and the categorical column
     # indices.  _pos: feature j is column _pos[j] of the store's real
-    # matrix or of its code matrix.
+    # matrix or of its code matrix.  _str_symbols: the symbol types pinned
+    # by an example that validate's fast path accepted, (str,) per
+    # categorical column.
     _exact: tuple = field(init=False, repr=False, compare=False)
     _real: tuple = field(init=False, repr=False, compare=False)
     _categorical: tuple = field(init=False, repr=False, compare=False)
     _pos: tuple = field(init=False, repr=False, compare=False)
+    _str_symbols: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.kinds) < 1:
@@ -90,6 +93,7 @@ class Schema:
         object.__setattr__(self, "_real", real)
         object.__setattr__(self, "_categorical", cat)
         object.__setattr__(self, "_pos", tuple(pos))
+        object.__setattr__(self, "_str_symbols", (str,) * len(cat))
 
     @property
     def arity(self) -> int:
@@ -118,7 +122,7 @@ class Schema:
                 kinds.append(FeatureKind.REAL)
         return cls(tuple(kinds))
 
-    def validate(self, features: Sequence) -> None:
+    def validate(self, features: Sequence) -> bool:
         """Raise SchemaError unless features fit this schema.
 
         Real features must be int or float (not bool, not NaN); categorical
@@ -129,6 +133,10 @@ class Schema:
         of what ``_validate_full`` accepts.  Everything else goes to that
         full check, so acceptance and error messages do not depend on the
         path taken.
+
+        Returns True when the fast path accepted, so every categorical
+        value is exactly a ``str`` and the symbol types are
+        ``_str_symbols``; False when the full check did.
         """
         exact = self._exact
         if len(features) == len(exact):
@@ -136,8 +144,9 @@ class Schema:
                 if type(v) is not t or v != v:
                     break
             else:
-                return
+                return True
         self._validate_full(features)
+        return False
 
     def _validate_full(self, features: Sequence) -> None:
         if len(features) != self.arity:
@@ -197,26 +206,13 @@ def make_example(features: Iterable, label: int) -> LabeledExample:
     return LabeledExample(tuple(features), label)
 
 
-def majority_label(
-    source: Union["ActiveMultiset", Mapping[int, int], Sequence[int]]
-) -> int:
-    """Label with the strictly greater count; ties and empty input give 0."""
-    if isinstance(source, ActiveMultiset):
-        n0, n1 = source.label_counts()
-    elif isinstance(source, Mapping):
-        n0, n1 = source.get(0, 0), source.get(1, 0)
-    else:
-        n0, n1 = source
-    return 1 if n1 > n0 else 0
-
-
 class _Store:
     """Rows of distinct examples, coded into column arrays.
 
     Row r holds ``examples[r]`` (None while free, and then listed in
     ``free``) and ``row_of`` maps each held example back to its row.  Rows
     are taken and freed by ``ActiveMultiset._insert_trusted`` and
-    ``ActiveMultiset.delete`` in pure Python; coding waits for ``flush``,
+    ``ActiveMultiset._delete_row`` in pure Python; coding waits for ``flush``,
     which fills the columns of the rows taken since: ``y`` (labels), ``X``
     (real features, one column per real feature, float64) and ``C``
     (categorical symbol ids, int64).  A symbol gets an id when it first
@@ -486,8 +482,9 @@ class ActiveMultiset:
             schema = Schema.infer(example.features)
             schema.validate(example.features)
             self._store.schema = schema
-        else:
-            schema.validate(example.features)
+        elif schema.validate(example.features) and (
+                self._symbols == schema._str_symbols):
+            return  # every symbol is a str, as pinned
         if schema._categorical:
             pinned = self._symbols
             if pinned is None and self._rows:
@@ -503,39 +500,42 @@ class ActiveMultiset:
     def _insert_trusted(self, example: LabeledExample, count: int = 1) -> None:
         # Internal: insert for callers that already ran _check's checks.
         # A new example takes a free row, else a new one.  This is the
-        # update path, so it hashes the example as few times as it can and
-        # makes no call it can avoid.
+        # update path, so it hashes the example once: setdefault offers the
+        # row a new example would take, and returns the held row otherwise.
         store = self._store
-        row = store.row_of.get(example)
-        if row is None:
-            free = store.free
+        free = store.free
+        row = free[-1] if free else len(store.examples)
+        held = store.row_of.setdefault(example, row)
+        if held == row:
             if free:
-                row = free[-1]
                 del free[-1]
                 store.examples[row] = example
             else:
-                row = len(store.examples)
                 store.examples.append(example)
-            store.row_of[example] = row
             store.uncoded.add(row)
             self._rows[row] = count
         else:
             # the store's other holders (leaves of one tree) hold other
             # examples, so the row is this multiset's
-            self._rows[row] += count
+            self._rows[held] += count
         self._total += count
 
     def delete(self, example: LabeledExample) -> None:
-        store = self._store
-        row = store.row_of.get(example)
-        rows = self._rows
-        if row not in rows:
+        row = self._store.row_of.get(example)
+        if row not in self._rows:
             raise ExampleNotFound(f"example not in active set: {example}")
+        self._delete_row(row)
+
+    def _delete_row(self, row: int) -> None:
+        # Internal: delete one count of the example in row, which this
+        # multiset holds; the last count frees the row for the next new
+        # example, and only then is the example hashed.
+        rows = self._rows
         cnt = rows[row]
         if cnt == 1:
-            # the last count: free the row for the next new example
             del rows[row]
-            del store.row_of[example]
+            store = self._store
+            del store.row_of[store.examples[row]]
             store.examples[row] = None
             store.free.append(row)
         else:

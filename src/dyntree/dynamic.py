@@ -11,7 +11,11 @@ Every example is coded once, when it enters the tree: the tree keeps one
 row store (``core._Store``) with a row per distinct active example, and
 leaves count row ids.  An update edits its leaf through one example ->
 row lookup and does no numpy work; rows it adds are coded at the next
-rebuild.  So one rebuild touch costs a copy of a (row, count) pair out of
+rebuild.  The store holds only examples valid under the tree's schema:
+an insert is checked before it enters, and the public constructor checks
+every example of the leaves it is given.  So a delete looks its example
+up before validating it, and a delete of the object the store holds
+skips validation; an insert validates and pins symbol types in one pass.  So one rebuild touch costs a copy of a (row, count) pair out of
 a leaf map, its slice of the store's columns, and its place in a child
 leaf's map, with no per-example Python work on features.
 
@@ -42,6 +46,7 @@ from typing import Optional, Sequence
 from .build import _build_cat_entries, _build_entries, build  # noqa: F401
 from .core import (
     ActiveMultiset,
+    ExampleNotFound,
     FeasibilityParams,
     LabeledExample,
     Schema,
@@ -117,11 +122,17 @@ class DecisionTree:
 
     def _adopt_leaves(self) -> _Store:
         # Moves every leaf's examples into a new store coded under the
-        # tree's schema, recounting the leaf's label histogram.
+        # tree's schema, recounting the leaf's label histogram.  A delete
+        # of a held example skips validation, so each example is checked
+        # here as a multiset insert checks it, against one symbol pin for
+        # the whole tree.
         store = _Store(self.schema)
+        symbols = None
         for leaf in self._leaves():
             moved = ActiveMultiset._from_rows(store, {}, 0)
+            moved._symbols = symbols
             for e, c in leaf.leaf_examples._unsorted_items():
+                moved._check(e)
                 node = self.root
                 while not node.is_leaf:
                     node = node.route_child(e.features)
@@ -131,6 +142,7 @@ class DecisionTree:
                         f"which routes to another leaf"
                     )
                 moved._insert_trusted(e, c)
+            symbols = moved._symbols
             leaf.leaf_examples = moved
             leaf.label_hist = list(moved.label_counts())
         return store
@@ -165,7 +177,7 @@ class DecisionTree:
         stack = [self.root]
         while stack:
             node = stack.pop()
-            if node.is_leaf:
+            if node.split is None:
                 yield node
             else:
                 stack.append(node.right)
@@ -196,7 +208,7 @@ class DecisionTree:
         stack = [node]
         while stack:
             v = stack.pop()
-            if v.is_leaf:
+            if v.split is None:
                 entries.update(v.leaf_examples._rows)
                 h0, h1 = v.label_hist
                 n0 += h0
@@ -210,44 +222,83 @@ class DecisionTree:
         """Label of the leaf that features route to."""
         self.schema.validate(features)
         node = self.root
-        while not node.is_leaf:
-            node = node.route_child(features)
+        s = node.split
+        # Split.routes_left, inlined: routing is the update path's inner loop
+        while s is not None:
+            v = features[s.feature]
+            if v == s.threshold if s.categorical else v <= s.threshold:
+                node = node.left
+            else:
+                node = node.right
+            s = node.split
         return node.leaf_label
+
+    def _check(self, example: LabeledExample) -> bool:
+        # the checks an update runs on an example before it changes
+        # anything; returns what validate does
+        fast = self.schema.validate(example.features)
+        if example.label not in (0, 1):
+            raise ValueError(f"label must be 0 or 1, got {example.label!r}")
+        return fast
 
     def update(self, example: LabeledExample, op: str) -> Optional[RebuildInfo]:
         """Apply one ins/del; returns rebuild details when one triggered.
 
-        Deleting an example that is not active raises before any state
-        changes.  Counters along the path stop incrementing at the trigger;
+        A rejected update raises before any state changes: an invalid op,
+        features or label, a symbol of another type than its column holds,
+        or a delete of an example that is not active.  A delete looks its
+        example up first: the store holds only examples that were checked
+        when they entered the tree, so a delete of the very object held
+        skips the checks.  Any other delete runs them, because equality
+        can join values of types the schema rejects (``True == 1.0``).
+        Counters along the path stop incrementing at the trigger;
         everything below the rebuilt ancestor is replaced wholesale, so
         deeper counters die with their nodes.
         """
-        if op not in ("ins", "del"):
+        if op == "del":
+            store = self._store
+            try:
+                row = store.row_of.get(example)
+            except TypeError:  # unhashable features
+                self._check(example)
+                raise
+            if row is None or store.examples[row] is not example:
+                self._check(example)
+                if row is None:
+                    raise ExampleNotFound(f"example not in active set: {example}")
+        elif op == "ins":
+            fast = self._check(example)
+            schema = self.schema
+            if schema._categorical and not (
+                    fast and self._symbols == schema._str_symbols):
+                self._symbols = schema._check_symbols(
+                    example.features, self._symbols
+                )
+        else:
             raise ValueError(f"op must be ins or del, got {op!r}")
-        self.schema.validate(example.features)
-        if example.label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {example.label!r}")
-        if op == "ins" and self.schema._categorical:
-            self._symbols = self.schema._check_symbols(
-                example.features, self._symbols
-            )
 
+        features = example.features
         path = []
         node = self.root
-        while not node.is_leaf:
+        s = node.split
+        while s is not None:
             path.append(node)
-            node = node.route_child(example.features)
+            v = features[s.feature]
+            if v == s.threshold if s.categorical else v <= s.threshold:
+                node = node.left
+            else:
+                node = node.right
+            s = node.split
         path.append(node)
 
         leaf = node
         if op == "ins":
-            # validated above, so skip the multiset's own schema check
+            # checked above, so skip the multiset's own schema check
             leaf.leaf_examples._insert_trusted(example)
             leaf.label_hist[example.label] += 1
             self._active += 1
         else:
-            # raises ExampleNotFound before it changes anything
-            leaf.leaf_examples.delete(example)
+            leaf.leaf_examples._delete_row(row)
             leaf.label_hist[example.label] -= 1
             self._active -= 1
         n0, n1 = leaf.label_hist

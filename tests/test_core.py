@@ -14,7 +14,6 @@ from dyntree import (
     Schema,
     SchemaError,
     Split,
-    majority_label,
     make_example,
 )
 
@@ -241,12 +240,6 @@ def test_label_counts():
         [make_example((float(i),), lab) for i, lab in enumerate([0, 1, 1, 1])]
     )
     assert s.label_counts() == (1, 3)
-
-
-def test_majority_label():
-    assert majority_label({0: 3, 1: 5}) == 1
-    assert majority_label({0: 2, 1: 2}) == 0
-    assert majority_label({}) == 0
 
 
 def test_split_routing():

@@ -175,8 +175,36 @@ def test_update_validates_each_example_once(monkeypatch):
         return original(schema, features)
 
     monkeypatch.setattr(Schema, "validate", counting)
-    tree.update(make_example((1.0,), 1), "ins")
+    e = make_example((1.0,), 1)
+    tree.update(e, "ins")
     assert len(calls) == 1
+    # the store holds e since it was validated, so its delete skips the check
+    tree.update(e, "del")
+    assert len(calls) == 1
+    # a delete that finds nothing validates before it raises
+    with pytest.raises(ExampleNotFound):
+        tree.update(e, "del")
+    assert len(calls) == 2
+    cat = DecisionTree.empty(HALF, Schema.categorical(2))
+    cat.update(make_example(("a", "b"), 0), "ins")
+    cat.update(make_example(("a", "c"), 1), "ins")
+    assert len(calls) == 4
+
+
+def test_delete_of_an_equal_value_of_a_rejected_type_raises():
+    # True == 1.0 and 1.0 == 1 find the held example, but neither is a
+    # value its column accepts, so the delete is rejected as an insert is
+    params = FeasibilityParams(epsilon=0.2, alpha=0.1, beta=0.5, k=1)
+    for schema, held, other in (
+            (Schema.numeric(1), (1.0,), (True,)),
+            (Schema.categorical(1), (1,), (1.0,))):
+        tree = DecisionTree.empty(params, schema)
+        tree.update(make_example(held, 1), "ins")
+        with pytest.raises(SchemaError):
+            tree.update(make_example(other, 1), "del")
+        assert tree.active_size == 1
+        tree.update(make_example(held, 1), "del")
+        assert tree.active_size == 0
 
 
 def test_query_and_insert_validate_each_example_once(monkeypatch):
@@ -229,6 +257,14 @@ def test_mixed_symbol_types_raise_before_any_state_changes():
         shadow.copy().insert(one)
     with pytest.raises(SchemaError):
         DecisionTree.from_multiset(shadow, params).update(one, "ins")
+    # a str symbol passes validate's fast path and still meets an int pin
+    ints = DecisionTree.empty(params, Schema.categorical(1))
+    ints.update(one, "ins")
+    with pytest.raises(SchemaError, match="feature 0 holds int symbols"):
+        ints.update(a, "ins")
+    with pytest.raises(SchemaError, match="feature 0 holds int symbols"):
+        ActiveMultiset.from_examples([one, a], Schema.categorical(1))
+    assert ints.active_size == 1
 
 
 def test_container_symbols_raise_before_any_state_changes():
@@ -444,6 +480,22 @@ def test_hand_built_lone_leaf_takes_the_trees_schema():
     assert tree.root.label_hist == [4, 2]
     assert tree.update(make_example((1,), 1), "ins") is not None
     assert tree.root.split == Split(0, 1, categorical=True)
+
+
+def test_hand_built_leaf_must_hold_valid_examples():
+    # deletes of held examples skip validation, so a tree takes only
+    # leaves whose examples fit its schema and one symbol type per column
+    params = FeasibilityParams(epsilon=0.2, alpha=0.1, beta=0.5, k=1)
+    # the leaf's multiset inferred a real schema from its float
+    lone = leaf_node([make_example((1.5,), 0)], depth=0)
+    with pytest.raises(SchemaError, match="must be categorical"):
+        DecisionTree(lone, params, Schema.categorical(1))
+    left = leaf_node([make_example((1,), 0)], depth=1)
+    right = leaf_node([make_example(("a",), 1)], depth=1)
+    root = TreeNode(depth=0, size=2, split=Split(0, 1, categorical=True),
+                    left=left, right=right, height=1)
+    with pytest.raises(SchemaError, match="holds int symbols"):
+        DecisionTree(root, params, Schema.categorical(1))
 
 
 def test_hand_built_leaf_must_hold_what_routes_to_it():

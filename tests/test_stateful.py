@@ -3,12 +3,15 @@
 The rules reach the row store's edge cases: rows freed and reused,
 examples counted more than once, symbols that sort before every held
 one, which rank a column again, and a stream of new symbols, whose ids
-the store drops once no row holds them.  The rejected inputs (NaN, a symbol of
-another type, a container symbol, a delete of an absent example) must
-leave every invariant standing.
+the store drops once no row holds them.  A rejected update (NaN, a wrong
+arity, a symbol of another type, a container symbol, unhashable features,
+label 2, an unknown op, a delete of an absent example or of a value of a
+rejected type that equals a held one) must raise what it raised before
+deletes of held examples skipped validation, and change no state.
 """
 
 from collections import Counter
+from dataclasses import astuple
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
@@ -25,6 +28,7 @@ from dyntree import (
     DecisionTree,
     ExampleNotFound,
     FeasibilityParams,
+    LabeledExample,
     Schema,
     SchemaError,
     check_counters,
@@ -120,28 +124,77 @@ class TreeMachine(RuleBasedStateMachine):
         assert self.tree.query((x, s)) in (0, 1)
         assert [v.pending for v in _nodes(self.tree.root)] == pending
 
-    @rule(label=st.integers(0, 1))
-    def insert_nan(self, label):
-        with pytest.raises(SchemaError, match="NaN"):
-            self.tree.update(make_example((float("nan"), "m"), label), "ins")
+    @precondition(lambda self: self.shadow)
+    @rule(i=st.integers(0, 10**6))
+    def delete_equal_copy(self, i):
+        # an equal example that is not the object the store holds
+        held = sorted(self.shadow)
+        e = held[i % len(held)]
+        self._apply(make_example(list(e.features), e.label), "del")
+
+    def _rejected(self, e, op, error, match):
+        before = _state(self.tree)
+        with pytest.raises(error, match=match):
+            self.tree.update(e, op)
+        assert _state(self.tree) == before
+
+    @rule(label=st.integers(0, 1), op=st.sampled_from(["ins", "del"]))
+    def update_nan(self, label, op):
+        self._rejected(make_example((float("nan"), "m"), label), op,
+                       SchemaError, "NaN")
 
     @precondition(lambda self: self.shadow)
     @rule(label=st.integers(0, 1))
     def insert_int_symbol(self, label):
         # the column holds str symbols; an int one must not reach the store
-        with pytest.raises(SchemaError, match="holds str symbols"):
-            self.tree.update(make_example((0.0, 1), label), "ins")
+        self._rejected(make_example((0.0, 1), label), "ins",
+                       SchemaError, "holds str symbols")
 
-    @rule(label=st.integers(0, 1))
-    def insert_container_symbol(self, label):
-        with pytest.raises(SchemaError, match="scalar"):
-            self.tree.update(make_example((0.0, ("m",)), label), "ins")
+    @rule(s=symbols, label=st.integers(0, 1),
+          container=st.sampled_from([tuple, list]),
+          op=st.sampled_from(["ins", "del"]))
+    def update_container_symbol(self, s, label, container, op):
+        self._rejected(make_example((0.0, container([s])), label), op,
+                       SchemaError, "scalar")
+
+    @rule(x=reals, label=st.integers(0, 1))
+    def delete_wrong_arity(self, x, label):
+        self._rejected(make_example((x,), label), "del",
+                       SchemaError, "expected 2 features")
+
+    @rule(e=examples)
+    def delete_list_features(self, e):
+        # validate takes a list of valid values; hashing it then fails
+        self._rejected(LabeledExample(list(e.features), e.label), "del",
+                       TypeError, "unhashable")
+        self._rejected(LabeledExample([float("nan"), "m"], e.label), "del",
+                       SchemaError, "NaN")
+
+    @rule(e=examples)
+    def delete_label_2(self, e):
+        self._rejected(LabeledExample(e.features, 2), "del",
+                       ValueError, "label must be 0 or 1")
+
+    @rule(e=examples)
+    def upsert(self, e):
+        self._rejected(e, "upsert", ValueError, "op must be ins or del")
+
+    @precondition(lambda self: any(e.features[0] in (0.0, 1.0)
+                                   for e in self.shadow))
+    @rule(i=st.integers(0, 10**6))
+    def delete_bool_equal_to_held(self, i):
+        # False == 0.0 and True == 1.0, so the store finds the example, but
+        # a bool is not a real value
+        held = sorted(e for e in self.shadow if e.features[0] in (0.0, 1.0))
+        e = held[i % len(held)]
+        self._rejected(make_example((bool(e.features[0]), e.features[1]),
+                                    e.label),
+                       "del", SchemaError, "must be real-valued")
 
     @rule(e=examples)
     def delete_absent(self, e):
         if e not in self.shadow:
-            with pytest.raises(ExampleNotFound):
-                self.tree.update(e, "del")
+            self._rejected(e, "del", ExampleNotFound, "not in active set")
 
     @invariant()
     def leaf_union_is_the_shadow(self):
@@ -160,6 +213,15 @@ class TreeMachine(RuleBasedStateMachine):
     @invariant()
     def store_holds(self):
         assert _store_problems(self.tree, self.max_distinct) == []
+
+
+def _state(tree):
+    """What a rejected update must leave as it was."""
+    store = tree._store
+    return ([(id(v), v.pending) for v in _nodes(tree.root)],
+            dict(tree.leaf_union().items()), tree.active_size,
+            astuple(tree.stats), tree._symbols, len(store.row_of),
+            list(store.examples), list(store.free))
 
 
 def _nodes(node):
@@ -279,15 +341,23 @@ def test_machine_reproducers(params):
     m = TreeMachine()
     m.start(params, [make_example((0.0, "m"), 0), make_example((1.0, "n"), 1)])
     steps = [
-        lambda: m.insert_nan(1),
+        lambda: m.update_nan(1, "ins"),
         lambda: m.insert_int_symbol(0),
-        lambda: m.insert_container_symbol(1),
+        lambda: m.update_container_symbol("m", 1, tuple, "ins"),
         lambda: m.insert_lowest_symbol(2.0, 1),
         lambda: m.delete(0),
         lambda: m.reinsert_deleted(),
         lambda: m.insert_duplicate(1),
         lambda: m.delete_all_then_reinsert(0),
-        lambda: m.insert_nan(0),
+        lambda: m.delete_equal_copy(1),
+        lambda: m.update_nan(0, "del"),
+        lambda: m.update_container_symbol("n", 0, list, "del"),
+        lambda: m.delete_wrong_arity(1.0, 0),
+        lambda: m.delete_list_features(make_example((0.0, "m"), 0)),
+        lambda: m.delete_label_2(make_example((0.0, "m"), 0)),
+        lambda: m.upsert(make_example((1.0, "n"), 1)),
+        lambda: m.delete_bool_equal_to_held(0),
+        lambda: m.delete_absent(make_example((3.0, "o"), 1)),
         lambda: m.insert_int_symbol(1),
     ]
     for step in steps:
