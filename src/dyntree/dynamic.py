@@ -225,8 +225,8 @@ class DecisionTree:
         s = node.split
         # Split.routes_left, inlined: routing is the update path's inner loop
         while s is not None:
-            v = features[s.feature]
-            if v == s.threshold if s.categorical else v <= s.threshold:
+            x = features[s.feature]
+            if x == s.threshold if s.categorical else x <= s.threshold:
                 node = node.left
             else:
                 node = node.right
@@ -269,11 +269,10 @@ class DecisionTree:
         elif op == "ins":
             fast = self._check(example)
             schema = self.schema
+            symbols = self._symbols
             if schema._categorical and not (
-                    fast and self._symbols == schema._str_symbols):
-                self._symbols = schema._check_symbols(
-                    example.features, self._symbols
-                )
+                    fast and symbols == schema._str_symbols):
+                symbols = schema._check_symbols(example.features, symbols)
         else:
             raise ValueError(f"op must be ins or del, got {op!r}")
 
@@ -283,8 +282,8 @@ class DecisionTree:
         s = node.split
         while s is not None:
             path.append(node)
-            v = features[s.feature]
-            if v == s.threshold if s.categorical else v <= s.threshold:
+            x = features[s.feature]
+            if x == s.threshold if s.categorical else x <= s.threshold:
                 node = node.left
             else:
                 node = node.right
@@ -293,8 +292,11 @@ class DecisionTree:
 
         leaf = node
         if op == "ins":
-            # checked above, so skip the multiset's own schema check
+            # checked above, so skip the multiset's own schema check; it
+            # raises TypeError for unhashable features before it changes
+            # anything, so the pin is kept only after it
             leaf.leaf_examples._insert_trusted(example)
+            self._symbols = symbols
             leaf.label_hist[example.label] += 1
             self._active += 1
         else:

@@ -9,6 +9,7 @@ from dyntree import (
     ExampleNotFound,
     DecisionTree,
     FeasibilityParams,
+    LabeledExample,
     Schema,
     SchemaError,
     Split,
@@ -265,6 +266,14 @@ def test_mixed_symbol_types_raise_before_any_state_changes():
     with pytest.raises(SchemaError, match="feature 0 holds int symbols"):
         ActiveMultiset.from_examples([one, a], Schema.categorical(1))
     assert ints.active_size == 1
+
+
+def test_unhashable_insert_into_an_empty_tree_pins_no_symbol_type():
+    tree = DecisionTree.empty(HALF, Schema.categorical(1))
+    with pytest.raises(TypeError, match="unhashable"):
+        tree.update(LabeledExample(["a"], 0), "ins")
+    tree.update(make_example((1,), 0), "ins")
+    assert tree.active_size == 1
 
 
 def test_container_symbols_raise_before_any_state_changes():

@@ -162,12 +162,13 @@ class TreeMachine(RuleBasedStateMachine):
         self._rejected(make_example((x,), label), "del",
                        SchemaError, "expected 2 features")
 
-    @rule(e=examples)
-    def delete_list_features(self, e):
-        # validate takes a list of valid values; hashing it then fails
-        self._rejected(LabeledExample(list(e.features), e.label), "del",
+    @rule(e=examples, op=st.sampled_from(["ins", "del"]))
+    def update_list_features(self, e, op):
+        # validate takes a list of valid values; hashing it then fails,
+        # and an insert into an empty tree must not pin symbol types
+        self._rejected(LabeledExample(list(e.features), e.label), op,
                        TypeError, "unhashable")
-        self._rejected(LabeledExample([float("nan"), "m"], e.label), "del",
+        self._rejected(LabeledExample([float("nan"), "m"], e.label), op,
                        SchemaError, "NaN")
 
     @rule(e=examples)
@@ -353,7 +354,7 @@ def test_machine_reproducers(params):
         lambda: m.update_nan(0, "del"),
         lambda: m.update_container_symbol("n", 0, list, "del"),
         lambda: m.delete_wrong_arity(1.0, 0),
-        lambda: m.delete_list_features(make_example((0.0, "m"), 0)),
+        lambda: m.update_list_features(make_example((0.0, "m"), 0), "del"),
         lambda: m.delete_label_2(make_example((0.0, "m"), 0)),
         lambda: m.upsert(make_example((1.0, "n"), 1)),
         lambda: m.delete_bool_equal_to_held(0),
