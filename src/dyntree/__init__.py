@@ -18,7 +18,6 @@ from .gini import (
     gini_gain,
     gini_index,
 )
-from .build import build
 from .dynamic import DecisionTree, RebuildInfo
 from .oracle import (
     CounterReport,
@@ -67,7 +66,6 @@ __all__ = [
     "VerificationError",
     "audit_smoothness",
     "best_split",
-    "build",
     "check_counters",
     "check_feasibility",
     "emit_metrics",

@@ -1,12 +1,14 @@
 """Exact tree construction from a multiset snapshot.
 
-One builder serves every schema: it slices the real matrix and the code
-matrix of a row store (``core._Store``) by row id, and real features go
-through one numeric sweep and categorical ones through one bincount sweep
-per node (see ``gini``).  Leaves count rows of the same store.  A node stops at the size floor k, at Gini at most alpha/2, or
-at the depth cap; a chosen split that fails to separate the node also
-stops it.  A rebuild passes the subtree it replaces, and the builder keeps
-the parts of it that no update reached (see ``_build_entries``).
+One builder serves every schema.  It slices the real matrix and the code
+matrix of a row store (``core._Store``) by row id.  Real features go
+through one numeric sweep per node, and categorical ones through one
+bincount sweep (see ``gini``).  Leaves count rows of the same store.
+
+A node stops at the size floor k, at Gini at most alpha/2, or at the
+depth cap; a chosen split that fails to separate the node also stops it.
+A rebuild passes the subtree it replaces, and the builder keeps the parts
+of it that no update reached (see ``_build_entries``).
 """
 
 from __future__ import annotations
@@ -70,8 +72,8 @@ def build(s: ActiveMultiset, eta: int, params: FeasibilityParams) -> TreeNode:
     Every split maximizes Gini gain over all features and observed
     thresholds, ties to the lowest feature then the lowest threshold.
     Fresh nodes carry size = subtree size and a zeroed pending counter.
-    The tree's leaves count rows of a copy of s's store, so s stays free
-    to change.
+    The tree's leaves count rows of a copy of s's store, symbol pin
+    included, so s stays free to change.
     """
     c = s.copy()
     return _build_entries(c._rows, c.label_counts(), c._store, eta, params)

@@ -18,6 +18,8 @@ Store invariants, which hold whenever the store is flushed (see
 - a row freed by the last delete of its example is reused before a new
   one is made, so there are never more row ids than the largest number of
   distinct examples held at once;
+- every held example's categorical symbols have the types that
+  ``symbol_types`` pins, one per column;
 - a categorical symbol gets an id when it first reaches its column, and
   rows hold ids, so a new symbol leaves the coded rows as they are;
 - within a categorical column, the codes that ``_Store.columns`` hands
@@ -99,10 +101,6 @@ class Schema:
     def arity(self) -> int:
         return len(self.kinds)
 
-    @property
-    def all_categorical(self) -> bool:
-        return all(k is FeatureKind.CATEGORICAL for k in self.kinds)
-
     @classmethod
     def numeric(cls, d: int) -> "Schema":
         return cls((FeatureKind.REAL,) * d)
@@ -170,15 +168,29 @@ class Schema:
                 raise SchemaError(
                     f"feature {j} must be a scalar symbol, got {type(v).__name__}"
                 )
+            elif v != v:
+                # a symbol unequal to itself (Decimal("NaN")) can be neither
+                # found again nor sorted
+                raise SchemaError(f"feature {j} is a symbol unequal to itself")
 
     def _check_symbols(self, features: Sequence, pinned: Optional[tuple]) -> tuple:
         # Symbols of one categorical column are sorted together when a
-        # subtree is built, so each column takes one symbol type, pinned by
-        # the holder (multiset or tree) at its first example; pinned is None
-        # before that.  Returns the types of features' categorical values,
-        # to pin.  Call after validate.
+        # subtree is built, so each column takes one symbol type, pinned in
+        # the row store (``_Store.symbol_types``) by its first example;
+        # pinned is None before that, and then each type must order against
+        # itself.  Returns the types of features' categorical values, to
+        # pin.  Call after validate.
         types = tuple([type(features[j]) for j in self._categorical])
-        if pinned is not None and types != pinned:
+        if pinned is None:
+            for j in self._categorical:
+                v = features[j]
+                try:
+                    v < v
+                except TypeError:
+                    raise SchemaError(
+                        f"feature {j} must be a symbol that sorts, got {v!r}"
+                    ) from None
+        elif types != pinned:
             for j, t, p in zip(self._categorical, types, pinned):
                 if t is not p:
                     raise SchemaError(
@@ -222,11 +234,14 @@ class _Store:
     one block that follows its sorted symbols (see the module docstring),
     with ``symbols[code]`` and ``code_col[code]`` the symbol and the
     categorical column of a code.  The arrays grow geometrically, so they
-    may hold more rows than there are row ids.
+    may hold more rows than there are row ids.  ``symbol_types`` is the
+    symbol type of each categorical column, pinned by the first example
+    the store's holders took (see ``Schema._check_symbols``); None before
+    that.
     """
 
     __slots__ = ("schema", "row_of", "examples", "free", "uncoded", "y", "X",
-                 "C", "ids", "rank", "symbols", "code_col")
+                 "C", "ids", "rank", "symbols", "code_col", "symbol_types")
 
     def __init__(self, schema: Optional[Schema]):
         self.schema = schema
@@ -239,6 +254,7 @@ class _Store:
         self.rank = np.zeros(0, dtype=np.int64)
         self.symbols: list = []
         self.code_col: list = []
+        self.symbol_types: Optional[tuple] = None
 
     def copy(self) -> "_Store":
         self.flush()
@@ -252,6 +268,7 @@ class _Store:
         new.ids = [dict(d) for d in self.ids]
         new.symbols = list(self.symbols)
         new.code_col = list(self.code_col)
+        new.symbol_types = self.symbol_types
         return new
 
     def flush(self) -> None:
@@ -386,17 +403,16 @@ class ActiveMultiset:
     by the caller owns its store; the leaves of one tree share the tree's.
     ``items``, ``items_list`` and iteration sort on each call and
     enumerate in lexicographic order.  The schema is pinned on
-    construction or by the first inserted example, and so is the symbol
-    type of each categorical column.
+    construction or by the first inserted example, and the store pins the
+    symbol type of each categorical column.
     """
 
-    __slots__ = ("_rows", "_store", "_total", "_symbols")
+    __slots__ = ("_rows", "_store", "_total")
 
     def __init__(self, schema: Optional[Schema] = None):
         self._rows: dict = {}
         self._store = _Store(schema)
         self._total = 0
-        self._symbols = None  # pinned symbol types, see Schema._check_symbols
 
     @classmethod
     def from_examples(
@@ -414,10 +430,15 @@ class ActiveMultiset:
         schema: Optional[Schema],
     ) -> "ActiveMultiset":
         # Internal: trusted pre-validated (example, count) pairs with
-        # distinct examples, in any order, into a store of their own.
+        # distinct examples of one symbol type per column, in any order,
+        # into a store of their own, pinned by the first of them.
         s = cls(schema)
         for e, c in items:
             s._insert_trusted(e, c)
+        store = s._store
+        if store.examples:
+            store.symbol_types = schema._check_symbols(
+                store.examples[0].features, None)
         return s
 
     @classmethod
@@ -428,7 +449,6 @@ class ActiveMultiset:
         s._rows = rows
         s._store = store
         s._total = total
-        s._symbols = None
         return s
 
     def items_list(self) -> list:
@@ -444,10 +464,6 @@ class ActiveMultiset:
     @property
     def schema(self) -> Optional[Schema]:
         return self._store.schema
-
-    @property
-    def total_size(self) -> int:
-        return self._total
 
     @property
     def distinct_size(self) -> int:
@@ -473,32 +489,26 @@ class ActiveMultiset:
             return self._rows == other._rows
         return dict(self._unsorted_items()) == dict(other._unsorted_items())
 
-    def _check(self, example: LabeledExample) -> None:
+    def insert(self, example: LabeledExample) -> None:
         if example.label not in (0, 1):
             raise SchemaError(f"label must be 0 or 1, got {example.label!r}")
-        schema = self._store.schema
+        store = self._store
+        schema = store.schema
         if schema is None:
-            # keep an inferred schema only once the example fits it
             schema = Schema.infer(example.features)
-            schema.validate(example.features)
-            self._store.schema = schema
-        elif schema.validate(example.features) and (
-                self._symbols == schema._str_symbols):
-            return  # every symbol is a str, as pinned
-        if schema._categorical:
-            pinned = self._symbols
-            if pinned is None and self._rows:
-                # built from trusted items: pin what they hold
-                held = self._store.examples[next(iter(self._rows))].features
-                pinned = schema._check_symbols(held, None)
-            self._symbols = schema._check_symbols(example.features, pinned)
-
-    def insert(self, example: LabeledExample) -> None:
-        self._check(example)
+        fast = schema.validate(example.features)
+        types = store.symbol_types
+        if schema._categorical and not (fast and types == schema._str_symbols):
+            types = schema._check_symbols(example.features, types)
+        # _insert_trusted raises TypeError for unhashable features before
+        # it changes anything, so an inferred schema and the pin are kept
+        # only after it
         self._insert_trusted(example)
+        store.schema = schema
+        store.symbol_types = types
 
     def _insert_trusted(self, example: LabeledExample, count: int = 1) -> None:
-        # Internal: insert for callers that already ran _check's checks.
+        # Internal: insert for callers that already ran insert's checks.
         # A new example takes a free row, else a new one.  This is the
         # update path, so it hashes the example once: setdefault offers the
         # row a new example would take, and returns the held row otherwise.
@@ -547,11 +557,6 @@ class ActiveMultiset:
 
     def items(self) -> Iterator[tuple[LabeledExample, int]]:
         return iter(self.items_list())
-
-    def expanded(self) -> Iterator[LabeledExample]:
-        for e, c in self.items_list():
-            for _ in range(c):
-                yield e
 
     def label_counts(self) -> tuple[int, int]:
         examples = self._store.examples

@@ -11,17 +11,21 @@ Every example is coded once, when it enters the tree: the tree keeps one
 row store (``core._Store``) with a row per distinct active example, and
 leaves count row ids.  An update edits its leaf through one example ->
 row lookup and does no numpy work; rows it adds are coded at the next
-rebuild.  The store holds only examples valid under the tree's schema:
-an insert is checked before it enters, and the public constructor checks
-every example of the leaves it is given.  So a delete looks its example
-up before validating it, and a delete of the object the store holds
-skips validation; an insert validates and pins symbol types in one pass.  So one rebuild touch costs a copy of a (row, count) pair out of
+rebuild.  One rebuild touch costs a copy of a (row, count) pair out of
 a leaf map, its slice of the store's columns, and its place in a child
 leaf's map, with no per-example Python work on features.
 
+The store holds only examples valid under the tree's schema.  A tree is
+built over a copy of a multiset, whose inserts were checked, and each
+later insert is checked before it enters.  So a delete looks its example
+up before validating it, and a delete of the object the store holds
+skips validation.  An insert validates and checks its symbol types
+against the store's pin in one pass.
+
 A rebuild gathers every row below its target and rebuilds exactly with
 the one builder, ``build._build_entries``, whatever the schema, but keeps
-untouched subtrees of the old target.  Wherever the new tree
+untouched subtrees of the old target.  Every node of a tree is the
+builder's, since no caller can hand a tree a root.  Wherever the new tree
 picks the same split as the old node in the same place, an old child with
 ``pending == 0`` that is not on the triggering update's path (and whose
 build-time size matches) is kept instead of rebuilt.  Invariant: off that
@@ -51,7 +55,6 @@ from .core import (
     LabeledExample,
     Schema,
     TreeNode,
-    _Store,
 )
 
 
@@ -85,93 +88,33 @@ def _shat(size: int) -> int:
 class DecisionTree:
     """A decision tree maintained under a stream of inserts and deletes.
 
-    Rebuilds keep subtrees whose pending counter is 0 (see the module
-    docstring), so a root passed in by hand must hold what the builder
-    would build for each such node's multiset.  Its leaves are moved into
-    a new store coded under ``schema``, with label histograms recounted,
-    and each example a leaf holds must route to that leaf.
+    The constructor builds the tree over a copy of a multiset, so every
+    node is the builder's, as subtree reuse needs (see the module
+    docstring); ``empty`` and ``from_multiset`` wrap it.
     """
 
-    __slots__ = (
-        "root", "params", "schema", "stats", "_active", "_symbols", "_store"
-    )
+    __slots__ = ("root", "params", "schema", "stats", "_active", "_store")
 
-    def __init__(self, root: TreeNode, params: FeasibilityParams, schema: Schema):
-        self._start(root, params, schema, None)
-
-    def _start(self, root: TreeNode, params: FeasibilityParams, schema: Schema,
-               store: Optional[_Store]) -> None:
-        # store: the one store root's leaves count rows of, coded under
-        # schema and holding their rows only, with their label histograms
-        # counted; the builder's output is such a tree.  None moves the
-        # leaves into a new store.
-        self.root = root
+    def __init__(self, s: ActiveMultiset, params: FeasibilityParams):
+        if s.schema is None:
+            raise ValueError("multiset has no schema; insert examples or pass one")
+        self.root = build(s, 0, params)
         self.params = params
-        self.schema = schema
-        self.stats = TreeStats(max_height=root.height)
-        self._store = self._adopt_leaves() if store is None else store
-        self._active = sum(
-            node.size for node in self._leaves()
-        )
-        # categorical symbol types, pinned by the first example the tree
-        # holds (see Schema._check_symbols); None while it has held none
-        held = next((e for e in self._store.examples if e is not None), None)
-        self._symbols = (
-            None if held is None else schema._check_symbols(held.features, None)
-        )
-
-    def _adopt_leaves(self) -> _Store:
-        # Moves every leaf's examples into a new store coded under the
-        # tree's schema, recounting the leaf's label histogram.  A delete
-        # of a held example skips validation, so each example is checked
-        # here as a multiset insert checks it, against one symbol pin for
-        # the whole tree.
-        store = _Store(self.schema)
-        symbols = None
-        for leaf in self._leaves():
-            moved = ActiveMultiset._from_rows(store, {}, 0)
-            moved._symbols = symbols
-            for e, c in leaf.leaf_examples._unsorted_items():
-                moved._check(e)
-                node = self.root
-                while not node.is_leaf:
-                    node = node.route_child(e.features)
-                if node is not leaf:
-                    raise ValueError(
-                        f"a leaf at depth {leaf.depth} holds {e!r}, "
-                        f"which routes to another leaf"
-                    )
-                moved._insert_trusted(e, c)
-            symbols = moved._symbols
-            leaf.leaf_examples = moved
-            leaf.label_hist = list(moved.label_counts())
-        return store
-
-    @classmethod
-    def _from_build(cls, root: TreeNode, params: FeasibilityParams,
-                    schema: Schema) -> "DecisionTree":
-        # root is build()'s output for a multiset of schema: its leaves
-        # share a store of their own
-        tree = cls.__new__(cls)
-        leaf = root
-        while not leaf.is_leaf:
-            leaf = leaf.left
-        tree._start(root, params, schema, leaf.leaf_examples._store)
-        return tree
+        self.schema = s.schema
+        self.stats = TreeStats(max_height=self.root.height)
+        # build's leaves share a copy of s's store, symbol pin and all
+        self._store = next(self._leaves()).leaf_examples._store
+        self._active = len(s)
 
     @classmethod
     def empty(cls, params: FeasibilityParams, schema: Schema) -> "DecisionTree":
-        root = build(ActiveMultiset(schema), 0, params)
-        return cls._from_build(root, params, schema)
+        return cls(ActiveMultiset(schema), params)
 
     @classmethod
     def from_multiset(
         cls, s: ActiveMultiset, params: FeasibilityParams
     ) -> "DecisionTree":
-        if s.schema is None:
-            raise ValueError("multiset has no schema; insert examples or pass one")
-        root = build(s, 0, params)
-        return cls._from_build(root, params, s.schema)
+        return cls(s, params)
 
     def _leaves(self):
         stack = [self.root]
@@ -255,8 +198,8 @@ class DecisionTree:
         everything below the rebuilt ancestor is replaced wholesale, so
         deeper counters die with their nodes.
         """
+        store = self._store
         if op == "del":
-            store = self._store
             try:
                 row = store.row_of.get(example)
             except TypeError:  # unhashable features
@@ -269,10 +212,10 @@ class DecisionTree:
         elif op == "ins":
             fast = self._check(example)
             schema = self.schema
-            symbols = self._symbols
+            types = store.symbol_types
             if schema._categorical and not (
-                    fast and symbols == schema._str_symbols):
-                symbols = schema._check_symbols(example.features, symbols)
+                    fast and types == schema._str_symbols):
+                types = schema._check_symbols(example.features, types)
         else:
             raise ValueError(f"op must be ins or del, got {op!r}")
 
@@ -296,7 +239,7 @@ class DecisionTree:
             # raises TypeError for unhashable features before it changes
             # anything, so the pin is kept only after it
             leaf.leaf_examples._insert_trusted(example)
-            self._symbols = symbols
+            store.symbol_types = types
             leaf.label_hist[example.label] += 1
             self._active += 1
         else:

@@ -25,7 +25,6 @@ from dyntree import (
     StreamConfig,
     audit_smoothness,
     best_split,
-    build,
     check_counters,
     check_feasibility,
     exact_feature_gains,
@@ -39,6 +38,7 @@ from dyntree import (
     run_sliding_window,
     threshold_stream,
 )
+from dyntree.build import build
 
 GUARANTEED = dict(epsilon=0.03, alpha=0.4, beta=0.5, k=3)
 SOAK_STREAMS = 54
@@ -235,7 +235,8 @@ def _grow_by_enumeration(s, depth, params):
             or (params.h is not None and depth >= params.h)):
         return label
     split, _, _ = exhaustive_split_search(s)
-    left = [e for e in s.expanded() if split.routes_left(e.features)]
+    every = [e for e, c in s.items() for _ in range(c)]
+    left = [e for e in every if split.routes_left(e.features)]
     if len(left) in (0, n0 + n1):
         split = None
         for j, kind in enumerate(s.schema.kinds):
@@ -246,8 +247,8 @@ def _grow_by_enumeration(s, depth, params):
                 break
         if split is None:
             return label
-        left = [e for e in s.expanded() if split.routes_left(e.features)]
-    right = [e for e in s.expanded() if not split.routes_left(e.features)]
+        left = [e for e in every if split.routes_left(e.features)]
+    right = [e for e in every if not split.routes_left(e.features)]
     return (
         split,
         _grow_by_enumeration(ActiveMultiset.from_examples(left, s.schema),

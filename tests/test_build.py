@@ -11,11 +11,11 @@ from dyntree import (
     FeatureKind,
     Schema,
     Split,
-    build,
     exhaustive_split_search,
     gini_index,
     make_example,
 )
+from dyntree.build import build
 
 PARAMS = FeasibilityParams(epsilon=0.1, alpha=0.2, beta=0.1, k=1, h=8)
 
@@ -188,8 +188,9 @@ def test_categorical_leaf_dicts_partition_input():
     seen = ActiveMultiset(Schema.categorical(3))
     for v in walk(root):
         if v.is_leaf:
-            for e in v.leaf_examples.expanded():
-                seen.insert(e)
+            for e, c in v.leaf_examples.items():
+                for _ in range(c):
+                    seen.insert(e)
     assert seen == s
 
 
@@ -197,8 +198,9 @@ def _subtree_multiset(node, schema):
     out = ActiveMultiset(schema)
     for v in walk(node):
         if v.is_leaf:
-            for e in v.leaf_examples.expanded():
-                out.insert(e)
+            for e, c in v.leaf_examples.items():
+                for _ in range(c):
+                    out.insert(e)
     return out
 
 

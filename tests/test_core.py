@@ -1,21 +1,47 @@
 """Domain types: examples, schemas, multisets, splits, parameter envelopes."""
 
 import random
+from decimal import Decimal
+from types import ModuleType
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dyntree
 from dyntree import (
     ActiveMultiset,
     ExampleNotFound,
     FeasibilityParams,
     FeatureKind,
+    LabeledExample,
     Schema,
     SchemaError,
     Split,
     make_example,
 )
+
+PUBLIC_NAMES = [
+    "ActiveMultiset", "CounterReport", "DecisionTree", "ExampleNotFound",
+    "FeasibilityParams", "FeasibilityReport", "FeatureKind", "GainResult",
+    "LabeledExample", "RebuildInfo", "Schema", "SchemaError", "Split",
+    "StreamConfig", "StreamMetrics", "TreeNode", "VerificationError",
+    "audit_smoothness", "best_split", "check_counters", "check_feasibility",
+    "emit_metrics", "era_flip_stream", "exact_feature_gains", "exact_gain",
+    "exact_gini", "exhaustive_split_search", "generate_index_instance",
+    "gini_gain", "gini_index", "load_stream", "make_example", "mixed_stream",
+    "prequential_f1", "run_incremental", "run_random_update",
+    "run_sliding_window", "threshold_stream",
+]
+
+
+def test_public_names():
+    assert sorted(dyntree.__all__) == PUBLIC_NAMES
+    assert all(hasattr(dyntree, name) for name in PUBLIC_NAMES)
+    # the builder is reached through its module, which the package does
+    # not shadow with the function
+    assert isinstance(dyntree.build, ModuleType)
+    assert dyntree.build.build.__module__ == "dyntree.build"
 
 
 def test_make_example_rejects_bad_labels():
@@ -33,7 +59,6 @@ def test_schema_inference_mixed():
         FeatureKind.REAL,
     )
     assert schema.arity == 3
-    assert not schema.all_categorical
 
 
 def test_schema_inference_bool_is_categorical():
@@ -200,6 +225,30 @@ def test_rejected_first_insert_leaves_schema_unset():
     assert s.schema is None
     s.insert(make_example(("b", 1.0), 1))  # the next example pins its own
     assert s.schema.kinds == (FeatureKind.CATEGORICAL, FeatureKind.REAL)
+
+
+def test_rejected_unhashable_insert_changes_nothing():
+    # validate takes valid values in a list; hashing them then fails
+    s = ActiveMultiset()
+    with pytest.raises(TypeError, match="unhashable"):
+        s.insert(LabeledExample(["a"], 0))
+    assert s.schema is None and s._store.symbol_types is None
+    s.insert(make_example((1.5,), 0))
+    assert s.schema == Schema.numeric(1)
+
+
+@pytest.mark.parametrize("symbol", [1j, object(), Decimal("NaN"), None],
+                         ids=["complex", "object", "decimal-nan", "none"])
+def test_symbols_that_cannot_sort_are_rejected(symbol):
+    # rebuilds sort each column's symbols, so a multiset takes none that
+    # are unequal to themselves or whose type cannot order against itself
+    s = ActiveMultiset()
+    with pytest.raises(SchemaError, match="feature 1"):
+        s.insert(make_example(("a", symbol), 0))
+    assert s.schema is None and s._store.symbol_types is None and not s
+    s.insert(make_example(("a",), 1))
+    assert s.schema == Schema.categorical(1)
+    assert s._store.symbol_types == (str,)
 
 
 @pytest.mark.parametrize("symbol", [("a",), ["a"], {"a"}, frozenset("a"),

@@ -1,6 +1,7 @@
 """Update mechanics: routing, counters, proactive rebuilds, query streams."""
 
 import random
+from decimal import Decimal
 
 import pytest
 
@@ -13,28 +14,19 @@ from dyntree import (
     Schema,
     SchemaError,
     Split,
-    TreeNode,
-    build,
     check_counters,
     make_example,
     mixed_stream,
 )
+from dyntree.build import build
 from dyntree.dynamic import _shat
 
 HALF = FeasibilityParams(epsilon=0.5, alpha=0.2, beta=0.2, k=1, h=8)
 
 
-def leaf_node(examples, depth, size=None):
-    s = ActiveMultiset.from_examples(examples)
-    n0, n1 = s.label_counts()
-    return TreeNode(
-        depth=depth,
-        size=len(s) if size is None else size,
-        leaf_label=1 if n1 > n0 else 0,
-        leaf_examples=s,
-        label_hist=[n0, n1],
-        height=0,
-    )
+def _tree(examples, params=HALF):
+    return DecisionTree.from_multiset(ActiveMultiset.from_examples(examples),
+                                      params)
 
 
 def test_shat_rounding():
@@ -54,11 +46,8 @@ def test_empty_tree_predicts_zero():
 
 
 def test_query_routes_left_on_equality():
-    left = leaf_node([make_example((-1.0,), 0)], depth=1)
-    right = leaf_node([make_example((1.0,), 1)], depth=1)
-    root = TreeNode(depth=0, size=2, split=Split(0, 0.0),
-                    left=left, right=right, height=1)
-    tree = DecisionTree(root, HALF, Schema.numeric(1))
+    tree = _tree([make_example((0.0,), 0), make_example((1.0,), 1)])
+    assert tree.root.split == Split(0, 0.0)
     assert tree.query((-1.0,)) == 0
     assert tree.query((0.0,)) == 0
     assert tree.query((0.5,)) == 1
@@ -72,10 +61,10 @@ def test_query_schema_mismatch():
 
 def test_counter_under_budget_no_rebuild():
     # size 4 at epsilon 1/2: pending may reach 2, strictly above it rebuilds
-    exs = [make_example((float(i),), 1) for i in range(4)]
-    root = leaf_node(exs, depth=0)
+    tree = _tree([make_example((float(i),), 1) for i in range(4)])
+    root = tree.root
+    assert root.is_leaf and root.size == 4
     root.pending = 1
-    tree = DecisionTree(root, HALF, Schema.numeric(1))
     info = tree.update(make_example((9.0,), 1), "ins")
     assert info is None
     assert tree.root is root
@@ -83,10 +72,10 @@ def test_counter_under_budget_no_rebuild():
 
 
 def test_counter_over_budget_rebuilds_root():
-    exs = [make_example((float(i),), 1) for i in range(4)]
-    root = leaf_node(exs, depth=0)
+    tree = _tree([make_example((float(i),), 1) for i in range(4)])
+    root = tree.root
+    assert root.is_leaf and root.size == 4
     root.pending = 2
-    tree = DecisionTree(root, HALF, Schema.numeric(1))
     info = tree.update(make_example((9.0,), 1), "ins")
     assert info is not None
     assert info.gathered == 5
@@ -99,16 +88,17 @@ def test_counter_over_budget_rebuilds_root():
 def test_rebuild_picks_ancestor_within_doubled_size():
     # trigger at a size-5 leaf rounds up to 8; the size-7 ancestor fits,
     # the size-20 root does not, so the subtree swap happens in the middle
-    leaf_a = leaf_node([make_example((1.0, 1.0), i % 2) for i in range(5)], depth=2)
-    leaf_b = leaf_node([make_example((1.0, 4.0), 1) for _ in range(2)], depth=2)
-    leaf_c = leaf_node([make_example((6.0, 0.0), i % 2) for i in range(13)], depth=1)
-    mid = TreeNode(depth=1, size=7, split=Split(1, 3.0),
-                   left=leaf_a, right=leaf_b, height=1)
-    root = TreeNode(depth=0, size=20, split=Split(0, 5.0),
-                    left=mid, right=leaf_c, height=2)
+    tree = _tree([make_example((1.0, 1.0), i % 2) for i in range(5)]
+                 + [make_example((1.0, 4.0), 1)] * 2
+                 + [make_example((6.0, 0.0), 0)] * 13)
+    root = tree.root
+    mid, leaf_c = root.left, root.right
+    leaf_a, leaf_b = mid.left, mid.right
+    assert (root.size, mid.size, leaf_c.size) == (20, 7, 13)
+    assert (leaf_a.size, leaf_b.size) == (5, 2)
+    assert leaf_a.is_leaf and leaf_b.is_leaf and leaf_c.is_leaf
     leaf_a.pending = 2
     mid.pending = 2
-    tree = DecisionTree(root, HALF, Schema.numeric(2))
 
     info = tree.update(make_example((1.0, 1.0), 1), "ins")
     assert info is not None
@@ -276,6 +266,24 @@ def test_unhashable_insert_into_an_empty_tree_pins_no_symbol_type():
     assert tree.active_size == 1
 
 
+@pytest.mark.parametrize("symbol", [1j, object(), Decimal("NaN")],
+                         ids=["complex", "object", "decimal-nan"])
+def test_symbols_that_cannot_sort_raise_before_any_state_changes(symbol):
+    # a rebuild sorts each column's symbols: (1j,) then (2j,) once raised
+    # TypeError from that sort, after the leaf edit
+    tree = DecisionTree.empty(HALF, Schema.categorical(1))
+    with pytest.raises(SchemaError, match="feature 0"):
+        tree.update(make_example((symbol,), 0), "ins")
+    store = tree._store
+    assert (tree.active_size, tree.stats.updates, tree.root.pending) == (0, 0, 0)
+    assert store.symbol_types is None
+    assert (store.row_of, store.examples, store.uncoded) == ({}, [], set())
+    a, b = make_example(("a",), 1), make_example(("b",), 0)
+    tree.update(a, "ins")
+    tree.update(b, "ins")
+    assert tree.leaf_union() == ActiveMultiset.from_examples([a, b])
+
+
 def test_container_symbols_raise_before_any_state_changes():
     params = FeasibilityParams(epsilon=0.2, alpha=0.1, beta=0.5, k=1)
     a = make_example(("a",), 1)
@@ -421,7 +429,8 @@ def test_leaf_union_tracks_random_churn():
             tree.update(e, "ins")
             shadow.insert(e)
         else:
-            victim = rng.choice(list(shadow.expanded()))
+            victim = rng.choice([e for e, c in shadow.items()
+                                 for _ in range(c)])
             tree.update(victim, "del")
             shadow.delete(victim)
         assert tree.active_size == len(shadow)
@@ -476,41 +485,3 @@ def test_unbounded_depth_chain_builds_and_updates():
     assert tree.active_size == 3000
     assert tree.leaf_union() == ActiveMultiset.from_examples(
         exs[1:] + [make_example((1500.5,), 1)])
-
-
-def test_hand_built_lone_leaf_takes_the_trees_schema():
-    # the leaf's own multiset infers a real schema from int symbols; the
-    # tree's schema is categorical, so a rebuild splits by equality
-    exs = [make_example((i % 3,), int(i % 3 == 1)) for i in range(6)]
-    root = leaf_node(exs, depth=0)
-    root.label_hist = [0, 0]  # recounted when the tree takes the leaf
-    root.pending = 3
-    tree = DecisionTree(root, HALF, Schema.categorical(1))
-    assert tree.root.label_hist == [4, 2]
-    assert tree.update(make_example((1,), 1), "ins") is not None
-    assert tree.root.split == Split(0, 1, categorical=True)
-
-
-def test_hand_built_leaf_must_hold_valid_examples():
-    # deletes of held examples skip validation, so a tree takes only
-    # leaves whose examples fit its schema and one symbol type per column
-    params = FeasibilityParams(epsilon=0.2, alpha=0.1, beta=0.5, k=1)
-    # the leaf's multiset inferred a real schema from its float
-    lone = leaf_node([make_example((1.5,), 0)], depth=0)
-    with pytest.raises(SchemaError, match="must be categorical"):
-        DecisionTree(lone, params, Schema.categorical(1))
-    left = leaf_node([make_example((1,), 0)], depth=1)
-    right = leaf_node([make_example(("a",), 1)], depth=1)
-    root = TreeNode(depth=0, size=2, split=Split(0, 1, categorical=True),
-                    left=left, right=right, height=1)
-    with pytest.raises(SchemaError, match="holds int symbols"):
-        DecisionTree(root, params, Schema.categorical(1))
-
-
-def test_hand_built_leaf_must_hold_what_routes_to_it():
-    left = leaf_node([make_example((1.0,), 0)], depth=1)
-    right = leaf_node([make_example((-1.0,), 1)], depth=1)
-    root = TreeNode(depth=0, size=2, split=Split(0, 0.0),
-                    left=left, right=right, height=1)
-    with pytest.raises(ValueError, match="routes to another leaf"):
-        DecisionTree(root, HALF, Schema.numeric(1))

@@ -7,6 +7,7 @@ import pytest
 from dyntree import (
     DecisionTree,
     FeasibilityParams,
+    FeatureKind,
     Schema,
     StreamConfig,
     StreamMetrics,
@@ -44,8 +45,8 @@ def test_load_stream_infers_column_types(tmp_path):
     assert [e.label for e in stream] == [1, 0, 1]
     assert stream[0].features == (1.5, "red")
     assert stream[1].features == (2.0, "blue")
-    schema = Schema.infer(stream[0].features)
-    assert not schema.all_categorical
+    assert Schema.infer(stream[0].features) == Schema(
+        (FeatureKind.REAL, FeatureKind.CATEGORICAL))
 
 
 def test_load_stream_numbers_stay_text_in_mixed_columns(tmp_path):

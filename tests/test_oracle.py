@@ -15,7 +15,6 @@ from dyntree import (
     TreeNode,
     audit_smoothness,
     best_split,
-    build,
     check_counters,
     check_feasibility,
     exact_feature_gains,
@@ -26,6 +25,7 @@ from dyntree import (
     gini_gain,
     make_example,
 )
+from dyntree.build import build
 
 PARAMS = FeasibilityParams(epsilon=0.2, alpha=0.3, beta=0.2, k=2, h=8)
 

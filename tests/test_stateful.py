@@ -221,7 +221,7 @@ def _state(tree):
     store = tree._store
     return ([(id(v), v.pending) for v in _nodes(tree.root)],
             dict(tree.leaf_union().items()), tree.active_size,
-            astuple(tree.stats), tree._symbols, len(store.row_of),
+            astuple(tree.stats), store.symbol_types, len(store.row_of),
             list(store.examples), list(store.free))
 
 
@@ -252,6 +252,10 @@ def _store_problems(tree, max_distinct):
     for e, r in store.row_of.items():
         if store.examples[r] != e:
             problems.append(f"row {r} holds {store.examples[r]}, not {e}")
+        types = tuple(type(e.features[j]) for j in tree.schema._categorical)
+        if types != store.symbol_types:
+            problems.append(f"{e} holds symbol types {types}, "
+                            f"pinned {store.symbol_types}")
     if sorted(store.free) != [r for r, e in enumerate(store.examples)
                               if e is None]:
         problems.append("free list differs from the free rows")

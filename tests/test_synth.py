@@ -18,7 +18,8 @@ def test_mixed_stream_with_real_features_is_pinned():
 def test_mixed_stream_all_categorical():
     stream = mixed_stream(10, d_num=0, d_cat=3)
     assert len(stream) == 10
-    assert all(Schema.infer(e.features).all_categorical for e in stream)
+    assert all(Schema.infer(e.features) == Schema.categorical(3)
+               for e in stream)
     assert all(len(e.features) == 3 for e in stream)
     # the label follows the categorical rule up to 15% noise
     big = mixed_stream(2000, d_num=0, d_cat=1, seed=4)
