@@ -3,7 +3,8 @@
 One builder serves every schema.  It slices the real matrix and the code
 matrix of a row store (``core._Store``) by row id.  Real features go
 through one numeric sweep per node, and categorical ones through one
-bincount sweep (see ``gini``).  Leaves count rows of the same store.
+bincount sweep (see ``gini``).  A leaf is a plain map from row id to
+count over the same store (``TreeNode.leaf_rows``).
 
 A node stops at the size floor k, at Gini at most alpha/2, or at the
 depth cap; a chosen split that fails to separate the node also stops it.
@@ -15,14 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (
-    ActiveMultiset,
-    FeasibilityParams,
-    FeatureKind,
-    Split,
-    TreeNode,
-    _Store,
-)
+from .core import FeasibilityParams, FeatureKind, Split, TreeNode, _Store
 from .gini import (
     TIE_TOL,
     _gain_from_counts,
@@ -39,13 +33,12 @@ def _stops(total: int, ones: int, eta: int, params: FeasibilityParams) -> bool:
             or params.depth_capped(eta))
 
 
-def _leaf(store: _Store, entries: dict, eta: int, total: int,
-          ones: int) -> TreeNode:
+def _leaf(entries: dict, eta: int, total: int, ones: int) -> TreeNode:
     return TreeNode(
         depth=eta,
         size=total,
         leaf_label=1 if ones > total - ones else 0,
-        leaf_examples=ActiveMultiset._from_rows(store, entries, total),
+        leaf_rows=entries,
         label_hist=[total - ones, ones],
         height=0,
     )
@@ -66,17 +59,19 @@ def _separating_split(kinds, pos, Xi, Ci):
     return None
 
 
-def build(s: ActiveMultiset, eta: int, params: FeasibilityParams) -> TreeNode:
-    """Build an exact tree for s with the node built at depth eta.
+def build(s, eta: int, params: FeasibilityParams) -> tuple[TreeNode, _Store]:
+    """Build an exact tree for the multiset s with the node built at depth
+    eta; returns (root, store).
 
     Every split maximizes Gini gain over all features and observed
     thresholds, ties to the lowest feature then the lowest threshold.
     Fresh nodes carry size = subtree size and a zeroed pending counter.
-    The tree's leaves count rows of a copy of s's store, symbol pin
+    The tree's leaves count rows of store, a copy of s's store, symbol pin
     included, so s stays free to change.
     """
-    c = s.copy()
-    return _build_entries(c._rows, c.label_counts(), c._store, eta, params)
+    store = s._store.copy()
+    root = _build_entries(dict(s._rows), s.label_counts(), store, eta, params)
+    return root, store
 
 
 def _build_entries(
@@ -115,7 +110,7 @@ def _build_entries(
     # a root that stops (an empty multiset always does, as k >= 1) needs no
     # columns
     if _stops(total, ones, eta, params):
-        return _leaf(store, entries, eta, total, ones)
+        return _leaf(entries, eta, total, ones)
 
     rows, counts, w, wy, X, C = store.columns(entries)
     schema = store.schema
@@ -207,8 +202,7 @@ def _build_entries(
                     else:
                         node.right = child
         if node is None:
-            node = _leaf(store, dict(zip(rows[idx].tolist(),
-                                         counts[idx].tolist())),
+            node = _leaf(dict(zip(rows[idx].tolist(), counts[idx].tolist())),
                          eta, total, ones)
         if parent is None:
             root = node

@@ -3,12 +3,12 @@
 Examples are immutable (features, label) pairs with binary labels.  The
 active set is a multiset over examples.  Its storage is a row store plus
 a map from row id to count: the store (``_Store``) gives each distinct
-example one row and codes it into column arrays once, and the multiset
-counts rows.  Every leaf of a tree counts rows of the tree's one store,
-so a rebuild slices the store's columns by row id instead of re-reading
-examples.  Enumeration sorts on demand, lexicographically by features
-then label, so its order is deterministic regardless of the order
-updates arrived in.
+example one row and codes it into column arrays once, and a map counts
+rows.  A caller's multiset owns its store; a tree keeps one, and each
+leaf is a plain row id -> count map over it, so a rebuild slices the
+store's columns by row id instead of re-reading examples.  Enumeration
+sorts on demand, lexicographically by features then label, so its order
+is deterministic regardless of the order updates arrived in.
 
 Store invariants, which hold whenever the store is flushed (see
 ``_Store.flush``):
@@ -50,6 +50,13 @@ class ExampleNotFound(KeyError):
 
 # Categorical symbols must be scalars; see Schema._validate_full.
 _CONTAINERS = (tuple, list, set, frozenset, dict)
+
+
+def _unequal_to_itself(v) -> bool:
+    try:
+        return v != v
+    except ArithmeticError:  # a signalling NaN, Decimal("sNaN")
+        return True
 
 
 class FeatureKind(enum.Enum):
@@ -168,9 +175,9 @@ class Schema:
                 raise SchemaError(
                     f"feature {j} must be a scalar symbol, got {type(v).__name__}"
                 )
-            elif v != v:
-                # a symbol unequal to itself (Decimal("NaN")) can be neither
-                # found again nor sorted
+            elif _unequal_to_itself(v):
+                # such a symbol (Decimal("NaN")) can be neither found again
+                # nor sorted
                 raise SchemaError(f"feature {j} is a symbol unequal to itself")
 
     def _check_symbols(self, features: Sequence, pinned: Optional[tuple]) -> tuple:
@@ -223,8 +230,10 @@ class _Store:
 
     Row r holds ``examples[r]`` (None while free, and then listed in
     ``free``) and ``row_of`` maps each held example back to its row.  Rows
-    are taken and freed by ``ActiveMultiset._insert_trusted`` and
-    ``ActiveMultiset._delete_row`` in pure Python; coding waits for ``flush``,
+    are taken by ``take`` and freed by ``release``, in pure Python, and
+    nothing else touches ``row_of``, ``examples``, ``free`` or
+    ``uncoded``; the holders (a caller's multiset, or the leaves of one
+    tree) count rows in maps of their own.  Coding waits for ``flush``,
     which fills the columns of the rows taken since: ``y`` (labels), ``X``
     (real features, one column per real feature, float64) and ``C``
     (categorical symbol ids, int64).  A symbol gets an id when it first
@@ -236,8 +245,7 @@ class _Store:
     categorical column of a code.  The arrays grow geometrically, so they
     may hold more rows than there are row ids.  ``symbol_types`` is the
     symbol type of each categorical column, pinned by the first example
-    the store's holders took (see ``Schema._check_symbols``); None before
-    that.
+    the store took (see ``Schema._check_symbols``); None before that.
     """
 
     __slots__ = ("schema", "row_of", "examples", "free", "uncoded", "y", "X",
@@ -271,18 +279,65 @@ class _Store:
         new.symbol_types = self.symbol_types
         return new
 
-    def flush(self) -> None:
-        """Code the rows taken since the last flush."""
-        if not self.uncoded:
-            return
-        examples = self.examples
-        rows = [r for r in self.uncoded if examples[r] is not None]
-        self.uncoded.clear()
-        if not rows:
-            return
+    def check(self, example: LabeledExample, insert: bool = True) -> tuple:
+        """(schema, symbol types) to keep once ``take`` has taken example's
+        row.  Changes nothing, and raises SchemaError first unless the label
+        is 0 or 1, the features fit the schema (inferred when the store has
+        none) and, for an insert, the symbols have the pinned types.
+        """
+        if example.label not in (0, 1):
+            raise SchemaError(f"label must be 0 or 1, got {example.label!r}")
         schema = self.schema
         if schema is None:
-            schema = self.schema = Schema.infer(examples[rows[0]].features)
+            schema = Schema.infer(example.features)
+        fast = schema.validate(example.features)
+        types = self.symbol_types
+        if insert and schema._categorical and not (
+                fast and types == schema._str_symbols):
+            types = schema._check_symbols(example.features, types)
+        return schema, types
+
+    def take(self, example: LabeledExample) -> int:
+        """Example's row: the held one, else a free one, else a new one.
+        Raises TypeError for unhashable features before any change."""
+        free = self.free
+        row = free[-1] if free else len(self.examples)
+        # setdefault offers the row a new example would take, and returns
+        # the held row otherwise
+        held = self.row_of.setdefault(example, row)
+        if held == row:
+            if free:
+                del free[-1]
+                self.examples[row] = example
+            else:
+                self.examples.append(example)
+            self.uncoded.add(row)
+        return held
+
+    def release(self, row: int) -> None:
+        """Free row, whose example's last count is gone, for the next one."""
+        examples = self.examples
+        del self.row_of[examples[row]]
+        examples[row] = None
+        self.free.append(row)
+
+    def flush(self) -> None:
+        """Code the rows taken since the last flush.
+
+        All or nothing: if coding raises, the coded rows, the symbol ids
+        and the rank table are as they were, and the rows stay uncoded.
+        """
+        examples = self.examples
+        rows = [r for r in self.uncoded if examples[r] is not None]
+        if rows:
+            self._code(rows)
+        self.uncoded.clear()
+
+    def _code(self, rows: list) -> None:
+        # Writes the columns of rows, which are uncoded; only a new
+        # symbol's ids and rank, committed together, reach other rows.
+        examples = self.examples
+        schema = self.schema
         if self.y is None or len(self.y) < len(examples):
             self._grow(len(examples))
         exs = [examples[r] for r in rows]
@@ -333,14 +388,18 @@ class _Store:
         # Gives ids to the symbols of batch (per categorical column, the
         # symbols of the rows being coded) that have none, then ranks every
         # id again: O(symbols log symbols), whatever the number of rows.
-        ids = self.ids
-        n = sum(map(len, ids))
-        if n > 2 * len(ids) * len(self.examples):
+        # The new tables are made aside and committed only once the sort,
+        # which can raise, is done.
+        n = sum(map(len, self.ids))
+        live = None
+        if n > 2 * len(self.ids) * len(self.examples):
             # more ids than twice the rows' cells: drop those no row holds,
             # so the tables stay O(rows); as many ids were made since the
             # last drop as this one costs
-            n = self._drop_unheld(rows)
-            ids = self.ids
+            live, held, ids = self._drop_unheld(rows)
+            n = sum(map(len, ids))
+        else:
+            ids = [dict(codes) for codes in self.ids]
         for codes, values in zip(ids, batch):
             for v in values:
                 if v not in codes:
@@ -354,12 +413,16 @@ class _Store:
                                                       len(symbols) + len(col))
             symbols += col
             code_col += [jj] * len(col)
-        self.rank, self.symbols, self.code_col = rank, symbols, code_col
+        if live is not None:
+            self.C[live] = held
+        self.ids, self.rank, self.symbols, self.code_col = (ids, rank, symbols,
+                                                            code_col)
 
-    def _drop_unheld(self, rows: np.ndarray) -> int:
-        # Drops the ids of symbols that no coded row holds and numbers the
-        # rest again, in the same order; returns how many are left.  rows
-        # are being coded, so their ids are stale.
+    def _drop_unheld(self, rows: np.ndarray) -> tuple:
+        # The ids of symbols that some coded row holds, numbered again in
+        # the same order, as (coded rows, their renumbered ids, new id
+        # tables); changes nothing.  rows are being coded, so their ids are
+        # stale.
         n = sum(map(len, self.ids))
         live = np.fromiter(self.row_of.values(), dtype=np.intp,
                            count=len(self.row_of))
@@ -370,12 +433,12 @@ class _Store:
         used = np.zeros(n, dtype=bool)
         used[held] = True
         renumber = np.cumsum(used) - 1
-        self.C[live] = renumber[held]
+        held = renumber[held]
         renumber = renumber.tolist()
         used = used.tolist()
-        self.ids = [{v: renumber[i] for v, i in codes.items() if used[i]}
-                    for codes in self.ids]
-        return sum(map(len, self.ids))
+        ids = [{v: renumber[i] for v, i in codes.items() if used[i]}
+               for codes in self.ids]
+        return live, held, ids
 
     def columns(self, entries: Mapping[int, int]) -> tuple:
         """(rows, counts, w, wy, X, C) of a row id -> count map.
@@ -398,11 +461,10 @@ class _Store:
 class ActiveMultiset:
     """Multiset of labeled examples keyed by (features, label) with counts.
 
-    Stored as a map from row id to count over a ``_Store`` that holds the
-    examples, so point updates take O(1) expected time.  A multiset made
-    by the caller owns its store; the leaves of one tree share the tree's.
-    ``items``, ``items_list`` and iteration sort on each call and
-    enumerate in lexicographic order.  The schema is pinned on
+    Stored as a map from row id to count over a ``_Store`` of its own,
+    which holds exactly the examples it counts, so point updates take O(1)
+    expected time.  ``items``, ``items_list`` and iteration sort on each
+    call and enumerate in lexicographic order.  The schema is pinned on
     construction or by the first inserted example, and the store pins the
     symbol type of each categorical column.
     """
@@ -427,28 +489,19 @@ class ActiveMultiset:
     def _from_sorted_items(
         cls,
         items: Iterable[tuple[LabeledExample, int]],
-        schema: Optional[Schema],
+        schema: Schema,
     ) -> "ActiveMultiset":
         # Internal: trusted pre-validated (example, count) pairs with
         # distinct examples of one symbol type per column, in any order,
-        # into a store of their own, pinned by the first of them.
+        # pinned by the first of them.
         s = cls(schema)
+        store, rows = s._store, s._rows
         for e, c in items:
-            s._insert_trusted(e, c)
-        store = s._store
+            rows[store.take(e)] = c
+            s._total += c
         if store.examples:
             store.symbol_types = schema._check_symbols(
                 store.examples[0].features, None)
-        return s
-
-    @classmethod
-    def _from_rows(cls, store: _Store, rows: dict, total: int) -> "ActiveMultiset":
-        # Internal: a multiset counting rows of store (row id -> count);
-        # takes rows as is.
-        s = cls.__new__(cls)
-        s._rows = rows
-        s._store = store
-        s._total = total
         return s
 
     def items_list(self) -> list:
@@ -476,7 +529,7 @@ class ActiveMultiset:
         return self._total > 0
 
     def __contains__(self, example: LabeledExample) -> bool:
-        return self._store.row_of.get(example) in self._rows
+        return example in self._store.row_of
 
     def __iter__(self) -> Iterator[LabeledExample]:
         examples = self._store.examples
@@ -485,69 +538,29 @@ class ActiveMultiset:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ActiveMultiset):
             return NotImplemented
-        if self._store is other._store:
-            return self._rows == other._rows
         return dict(self._unsorted_items()) == dict(other._unsorted_items())
 
     def insert(self, example: LabeledExample) -> None:
-        if example.label not in (0, 1):
-            raise SchemaError(f"label must be 0 or 1, got {example.label!r}")
         store = self._store
-        schema = store.schema
-        if schema is None:
-            schema = Schema.infer(example.features)
-        fast = schema.validate(example.features)
-        types = store.symbol_types
-        if schema._categorical and not (fast and types == schema._str_symbols):
-            types = schema._check_symbols(example.features, types)
-        # _insert_trusted raises TypeError for unhashable features before
-        # it changes anything, so an inferred schema and the pin are kept
-        # only after it
-        self._insert_trusted(example)
+        schema, types = store.check(example)
+        row = store.take(example)
+        # take raises TypeError for unhashable features before it changes
+        # anything, so an inferred schema and the pin are kept only after it
         store.schema = schema
         store.symbol_types = types
-
-    def _insert_trusted(self, example: LabeledExample, count: int = 1) -> None:
-        # Internal: insert for callers that already ran insert's checks.
-        # A new example takes a free row, else a new one.  This is the
-        # update path, so it hashes the example once: setdefault offers the
-        # row a new example would take, and returns the held row otherwise.
-        store = self._store
-        free = store.free
-        row = free[-1] if free else len(store.examples)
-        held = store.row_of.setdefault(example, row)
-        if held == row:
-            if free:
-                del free[-1]
-                store.examples[row] = example
-            else:
-                store.examples.append(example)
-            store.uncoded.add(row)
-            self._rows[row] = count
-        else:
-            # the store's other holders (leaves of one tree) hold other
-            # examples, so the row is this multiset's
-            self._rows[held] += count
-        self._total += count
+        rows = self._rows
+        rows[row] = rows.get(row, 0) + 1
+        self._total += 1
 
     def delete(self, example: LabeledExample) -> None:
         row = self._store.row_of.get(example)
-        if row not in self._rows:
+        if row is None:
             raise ExampleNotFound(f"example not in active set: {example}")
-        self._delete_row(row)
-
-    def _delete_row(self, row: int) -> None:
-        # Internal: delete one count of the example in row, which this
-        # multiset holds; the last count frees the row for the next new
-        # example, and only then is the example hashed.
         rows = self._rows
         cnt = rows[row]
         if cnt == 1:
             del rows[row]
-            store = self._store
-            del store.row_of[store.examples[row]]
-            store.examples[row] = None
-            store.free.append(row)
+            self._store.release(row)
         else:
             rows[row] = cnt - 1
         self._total -= 1
@@ -564,13 +577,11 @@ class ActiveMultiset:
         return self._total - n1, n1
 
     def copy(self) -> "ActiveMultiset":
-        store = self._store
-        if len(store.row_of) == len(self._rows):
-            # the store holds this multiset's rows only: copy it, codes and all
-            return ActiveMultiset._from_rows(store.copy(), dict(self._rows),
-                                             self._total)
-        return ActiveMultiset._from_sorted_items(self._unsorted_items(),
-                                                 store.schema)
+        new = ActiveMultiset.__new__(ActiveMultiset)
+        new._store = self._store.copy()
+        new._rows = dict(self._rows)
+        new._total = self._total
+        return new
 
 
 @dataclass(frozen=True)
@@ -593,9 +604,10 @@ class Split:
 class TreeNode:
     """Node of the dynamic tree.
 
-    Leaves own a multiset of the examples routed to them plus a label
-    histogram; every node carries the rebuild counters: ``size`` is the
-    subtree size at the time the node was built and ``pending`` counts
+    A leaf holds ``leaf_rows``, a plain map from row id to count over its
+    tree's row store (``_Store``) of the examples routed to it, plus a
+    label histogram; every node carries the rebuild counters: ``size`` is
+    the subtree size at the time the node was built and ``pending`` counts
     updates routed through it since.
     """
 
@@ -607,7 +619,7 @@ class TreeNode:
     right: Optional["TreeNode"] = None
     split_gain: float = 0.0
     leaf_label: int = 0
-    leaf_examples: Optional[ActiveMultiset] = None
+    leaf_rows: Optional[dict] = None
     label_hist: Optional[list[int]] = None
     height: int = 0
 

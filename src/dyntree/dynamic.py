@@ -1,7 +1,7 @@
 """The dynamic tree engine: queries, counted updates, proactive rebuilds.
 
-Every insert or delete routes to its leaf, adjusts the leaf's multiset and
-label, then bumps a pending counter on each node along the path from the
+Every insert or delete routes to its leaf, adjusts the leaf's row counts
+and label, then bumps a pending counter on each node along the path from the
 root.  The first node whose pending count exceeds epsilon times its
 build-time size triggers a rebuild; the rebuild reaches up the path to the
 shallowest ancestor whose build-time size fits within the next power of
@@ -9,18 +9,19 @@ two of the trigger's, so repeated work amortizes geometrically.
 
 Every example is coded once, when it enters the tree: the tree keeps one
 row store (``core._Store``) with a row per distinct active example, and
-leaves count row ids.  An update edits its leaf through one example ->
-row lookup and does no numpy work; rows it adds are coded at the next
-rebuild.  One rebuild touch costs a copy of a (row, count) pair out of
-a leaf map, its slice of the store's columns, and its place in a child
-leaf's map, with no per-example Python work on features.
+each leaf is a plain row id -> count map (``TreeNode.leaf_rows``).  An
+update takes or frees its row through the store (``_Store.take``,
+``_Store.release``), edits its leaf's map and does no numpy work; rows it
+adds are coded at the next rebuild.  One rebuild touch costs a copy of a
+(row, count) pair out of a leaf map, its slice of the store's columns,
+and its place in a child leaf's map, with no per-example Python work on
+features.
 
 The store holds only examples valid under the tree's schema.  A tree is
 built over a copy of a multiset, whose inserts were checked, and each
-later insert is checked before it enters.  So a delete looks its example
-up before validating it, and a delete of the object the store holds
-skips validation.  An insert validates and checks its symbol types
-against the store's pin in one pass.
+later insert passes the same checks (``_Store.check``) before it enters.
+So a delete looks its example up before validating it, and a delete of
+the object the store holds skips validation.
 
 A rebuild gathers every row below its target and rebuilds exactly with
 the one builder, ``build._build_entries``, whatever the schema, but keeps
@@ -98,12 +99,11 @@ class DecisionTree:
     def __init__(self, s: ActiveMultiset, params: FeasibilityParams):
         if s.schema is None:
             raise ValueError("multiset has no schema; insert examples or pass one")
-        self.root = build(s, 0, params)
+        # the leaves count rows of a copy of s's store, symbol pin and all
+        self.root, self._store = build(s, 0, params)
         self.params = params
         self.schema = s.schema
         self.stats = TreeStats(max_height=self.root.height)
-        # build's leaves share a copy of s's store, symbol pin and all
-        self._store = next(self._leaves()).leaf_examples._store
         self._active = len(s)
 
     @classmethod
@@ -115,16 +115,6 @@ class DecisionTree:
         cls, s: ActiveMultiset, params: FeasibilityParams
     ) -> "DecisionTree":
         return cls(s, params)
-
-    def _leaves(self):
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.split is None:
-                yield node
-            else:
-                stack.append(node.right)
-                stack.append(node.left)
 
     @property
     def height(self) -> int:
@@ -152,7 +142,7 @@ class DecisionTree:
         while stack:
             v = stack.pop()
             if v.split is None:
-                entries.update(v.leaf_examples._rows)
+                entries.update(v.leaf_rows)
                 h0, h1 = v.label_hist
                 n0 += h0
                 n1 += h1
@@ -176,14 +166,6 @@ class DecisionTree:
             s = node.split
         return node.leaf_label
 
-    def _check(self, example: LabeledExample) -> bool:
-        # the checks an update runs on an example before it changes
-        # anything; returns what validate does
-        fast = self.schema.validate(example.features)
-        if example.label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {example.label!r}")
-        return fast
-
     def update(self, example: LabeledExample, op: str) -> Optional[RebuildInfo]:
         """Apply one ins/del; returns rebuild details when one triggered.
 
@@ -203,19 +185,14 @@ class DecisionTree:
             try:
                 row = store.row_of.get(example)
             except TypeError:  # unhashable features
-                self._check(example)
+                store.check(example, insert=False)
                 raise
             if row is None or store.examples[row] is not example:
-                self._check(example)
+                store.check(example, insert=False)
                 if row is None:
                     raise ExampleNotFound(f"example not in active set: {example}")
         elif op == "ins":
-            fast = self._check(example)
-            schema = self.schema
-            types = store.symbol_types
-            if schema._categorical and not (
-                    fast and types == schema._str_symbols):
-                types = schema._check_symbols(example.features, types)
+            _, types = store.check(example)
         else:
             raise ValueError(f"op must be ins or del, got {op!r}")
 
@@ -233,17 +210,24 @@ class DecisionTree:
             s = node.split
         path.append(node)
 
+        # an example's row, when held, is in the leaf the example routes to
         leaf = node
+        rows = leaf.leaf_rows
         if op == "ins":
-            # checked above, so skip the multiset's own schema check; it
-            # raises TypeError for unhashable features before it changes
-            # anything, so the pin is kept only after it
-            leaf.leaf_examples._insert_trusted(example)
+            # take raises TypeError for unhashable features before it
+            # changes anything, so the pin is kept only after it
+            row = store.take(example)
             store.symbol_types = types
+            rows[row] = rows.get(row, 0) + 1
             leaf.label_hist[example.label] += 1
             self._active += 1
         else:
-            leaf.leaf_examples._delete_row(row)
+            cnt = rows[row]
+            if cnt == 1:
+                del rows[row]
+                store.release(row)
+            else:
+                rows[row] = cnt - 1
             leaf.label_hist[example.label] -= 1
             self._active -= 1
         n0, n1 = leaf.label_hist

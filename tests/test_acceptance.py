@@ -200,7 +200,7 @@ def test_criterion_3_hard_instance_gains():
                 params = FeasibilityParams(
                     epsilon=0.25, alpha=0.4, beta=0.1, k=k, h=None
                 )
-                root = build(reduced, 0, params)
+                root, _ = build(reduced, 0, params)
                 assert not root.is_leaf
                 assert root.split == Split(ell - 1, 0.0)
                 assert abs(root.split_gain - 1 / 6) <= GAIN_TOL
@@ -302,7 +302,7 @@ def test_criterion_5_split_search_equivalence():
             s.insert(make_example(
                 tuple(rng.randrange(2) for _ in range(d)), rng.randrange(2)
             ))
-        built = build(s, 0, params)
+        built, _ = build(s, 0, params)
         grown = _grow_by_enumeration(s, 0, params)
         for point in itertools.product((0, 1), repeat=d):
             assert _predict(built, point) == _predict_grown(grown, point), (

@@ -20,6 +20,13 @@ from dyntree.build import build
 PARAMS = FeasibilityParams(epsilon=0.1, alpha=0.2, beta=0.1, k=1, h=8)
 
 
+def leaf_multiset(store, leaf):
+    """The multiset that leaf counts over its tree's row store."""
+    return ActiveMultiset._from_sorted_items(
+        [(store.examples[r], c) for r, c in leaf.leaf_rows.items()],
+        store.schema)
+
+
 def walk(node):
     stack = [node]
     while stack:
@@ -31,18 +38,18 @@ def walk(node):
 
 
 def test_empty_build_is_zero_leaf():
-    root = build(ActiveMultiset(Schema.numeric(1)), 0, PARAMS)
+    root, store = build(ActiveMultiset(Schema.numeric(1)), 0, PARAMS)
     assert root.is_leaf
     assert root.leaf_label == 0
     assert root.size == 0
-    assert len(root.leaf_examples) == 0
+    assert len(leaf_multiset(store, root)) == 0
 
 
 def test_pure_multiset_is_single_leaf():
     s = ActiveMultiset.from_examples(
         [make_example((float(i),), 1) for i in range(10)]
     )
-    root = build(s, 0, PARAMS)
+    root, _ = build(s, 0, PARAMS)
     assert root.is_leaf
     assert root.leaf_label == 1
     assert root.label_hist == [0, 10]
@@ -53,13 +60,13 @@ def test_small_multiset_respects_k():
         [make_example((float(i),), i % 2) for i in range(4)]
     )
     params = FeasibilityParams(epsilon=0.1, alpha=0.2, beta=0.1, k=4, h=8)
-    root = build(s, 0, params)
+    root, _ = build(s, 0, params)
     assert root.is_leaf
 
 
 def test_perfectly_separable_pair_splits_at_root():
     exs = [make_example((0.0,), 0), make_example((1.0,), 1)] * 3
-    root = build(ActiveMultiset.from_examples(exs), 0, PARAMS)
+    root, _ = build(ActiveMultiset.from_examples(exs), 0, PARAMS)
     assert not root.is_leaf
     assert root.split.feature == 0
     assert root.split.threshold == 0.0
@@ -76,7 +83,7 @@ def test_depth_cap_prunes():
         for _ in range(200)
     ]
     params = FeasibilityParams(epsilon=0.1, alpha=0.01, beta=0.1, k=1, h=2)
-    root = build(ActiveMultiset.from_examples(exs), 0, params)
+    root, _ = build(ActiveMultiset.from_examples(exs), 0, params)
     for v in walk(root):
         assert v.depth <= 2
         if v.depth == 2:
@@ -91,12 +98,13 @@ def test_stopping_rules_hold_everywhere():
                      rng.randrange(2))
         for _ in range(150)
     ]
-    root = build(ActiveMultiset.from_examples(exs), 0, PARAMS)
+    root, store = build(ActiveMultiset.from_examples(exs), 0, PARAMS)
     for v in walk(root):
         if not v.is_leaf:
             continue
-        g = gini_index(v.leaf_examples)
-        sep = len({e.features for e in v.leaf_examples}) > 1
+        leaf = leaf_multiset(store, v)
+        g = gini_index(leaf)
+        sep = len({e.features for e in leaf}) > 1
         assert (
             v.size <= PARAMS.k
             or g <= PARAMS.alpha / 2.0
@@ -109,12 +117,12 @@ def test_fresh_counters():
     rng = random.Random(1)
     exs = [make_example((float(rng.randrange(6)),), rng.randrange(2))
            for _ in range(60)]
-    root = build(ActiveMultiset.from_examples(exs), 0, PARAMS)
+    root, store = build(ActiveMultiset.from_examples(exs), 0, PARAMS)
     for v in walk(root):
         assert v.pending == 0
         assert v.size >= 0
         if v.is_leaf:
-            assert v.size == len(v.leaf_examples)
+            assert v.size == len(leaf_multiset(store, v))
             assert sum(v.label_hist) == v.size
         else:
             assert v.size == v.left.size + v.right.size
@@ -124,7 +132,7 @@ def test_leaf_depths_match_build_depth_argument():
     s = ActiveMultiset.from_examples(
         [make_example((float(i % 4),), i % 2) for i in range(20)]
     )
-    root = build(s, 3, PARAMS)
+    root, _ = build(s, 3, PARAMS)
     assert root.depth == 3
     for v in walk(root):
         if not v.is_leaf:
@@ -142,7 +150,7 @@ def test_zero_progress_with_separating_alternative_still_splits():
         + [make_example((7.0, "c"), 1)]
     )
     params = FeasibilityParams(epsilon=0.1, alpha=0.4, beta=0.5, k=3, h=8)
-    root = build(ActiveMultiset.from_examples(exs), 0, params)
+    root, _ = build(ActiveMultiset.from_examples(exs), 0, params)
     assert not root.is_leaf
     assert root.split.feature == 1
     assert root.left.is_leaf and root.right.is_leaf
@@ -151,14 +159,14 @@ def test_zero_progress_with_separating_alternative_still_splits():
 
 def test_indistinguishable_examples_become_a_leaf():
     exs = [make_example((7.0, "a"), 0)] * 3 + [make_example((7.0, "a"), 1)] * 3
-    root = build(ActiveMultiset.from_examples(exs), 0, PARAMS)
+    root, _ = build(ActiveMultiset.from_examples(exs), 0, PARAMS)
     assert root.is_leaf
     assert root.size == 6
 
 
 def test_all_identical_examples_single_leaf_categorical():
     exs = [make_example(("x", "y"), 1)] * 8
-    root = build(
+    root, _ = build(
         ActiveMultiset.from_examples(exs, Schema.categorical(2)), 0, PARAMS
     )
     assert root.is_leaf
@@ -170,7 +178,7 @@ def test_categorical_three_symbol_gain_argmax():
     exs = [make_example((sym,), lab)
            for sym, lab in [("a", 0), ("a", 0), ("b", 1), ("b", 1), ("c", 0)]]
     s = ActiveMultiset.from_examples(exs, Schema.categorical(1))
-    root = build(s, 0, PARAMS)
+    root, _ = build(s, 0, PARAMS)
     assert not root.is_leaf
     assert root.split.categorical
     assert root.split.threshold == "b"
@@ -184,21 +192,21 @@ def test_categorical_leaf_dicts_partition_input():
     exs = [make_example(tuple("abc"[rng.randrange(3)] for _ in range(3)),
                         rng.randrange(2)) for _ in range(80)]
     s = ActiveMultiset.from_examples(exs, Schema.categorical(3))
-    root = build(s, 0, PARAMS)
+    root, store = build(s, 0, PARAMS)
     seen = ActiveMultiset(Schema.categorical(3))
     for v in walk(root):
         if v.is_leaf:
-            for e, c in v.leaf_examples.items():
+            for e, c in leaf_multiset(store, v).items():
                 for _ in range(c):
                     seen.insert(e)
     assert seen == s
 
 
-def _subtree_multiset(node, schema):
-    out = ActiveMultiset(schema)
+def _subtree_multiset(store, node):
+    out = ActiveMultiset(store.schema)
     for v in walk(node):
         if v.is_leaf:
-            for e, c in v.leaf_examples.items():
+            for e, c in leaf_multiset(store, v).items():
                 for _ in range(c):
                     out.insert(e)
     return out
@@ -240,13 +248,13 @@ def test_every_split_matches_exhaustive_search():
         params = FeasibilityParams(epsilon=0.1, alpha=rng.choice([0.0, 0.2, 0.5]),
                                    beta=0.1, k=rng.choice([1, 2, 4]),
                                    h=rng.choice([None, 2, 5]))
-        root = build(s, 0, params)
-        assert _subtree_multiset(root, schema) == s, f"trial {trial}"
+        root, store = build(s, 0, params)
+        assert _subtree_multiset(store, root) == s, f"trial {trial}"
         for v in walk(root):
             if v.is_leaf:
                 continue
             internal += 1
-            sub = _subtree_multiset(v, schema)
+            sub = _subtree_multiset(store, v)
             split, gain, _ = exhaustive_split_search(sub)
             left = sum(c for e, c in sub.items() if split.routes_left(e.features))
             if left in (0, len(sub)):
@@ -257,8 +265,8 @@ def test_every_split_matches_exhaustive_search():
             assert abs(v.split_gain - gain) <= 1e-12
             assert v.size == len(sub)
             assert all(split.routes_left(e.features)
-                       for e in _subtree_multiset(v.left, schema))
+                       for e in _subtree_multiset(store, v.left))
             assert not any(split.routes_left(e.features)
-                           for e in _subtree_multiset(v.right, schema))
+                           for e in _subtree_multiset(store, v.right))
     assert internal > 500
     assert zero_gain_nodes > 50

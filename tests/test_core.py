@@ -237,8 +237,10 @@ def test_rejected_unhashable_insert_changes_nothing():
     assert s.schema == Schema.numeric(1)
 
 
-@pytest.mark.parametrize("symbol", [1j, object(), Decimal("NaN"), None],
-                         ids=["complex", "object", "decimal-nan", "none"])
+@pytest.mark.parametrize("symbol", [1j, object(), Decimal("NaN"), None,
+                                    Decimal("sNaN")],
+                         ids=["complex", "object", "decimal-nan", "none",
+                              "decimal-snan"])
 def test_symbols_that_cannot_sort_are_rejected(symbol):
     # rebuilds sort each column's symbols, so a multiset takes none that
     # are unequal to themselves or whose type cannot order against itself
@@ -249,6 +251,75 @@ def test_symbols_that_cannot_sort_are_rejected(symbol):
     s.insert(make_example(("a",), 1))
     assert s.schema == Schema.categorical(1)
     assert s._store.symbol_types == (str,)
+
+
+class _Picky:
+    """A symbol whose ``<`` raises between 1 and 2 only, so it passes the
+    ``v < v`` probe when its column is pinned."""
+
+    def __init__(self, v):
+        self.v = v
+
+    def __eq__(self, other):
+        return isinstance(other, _Picky) and self.v == other.v
+
+    def __hash__(self):
+        return hash(self.v)
+
+    def __lt__(self, other):
+        if {self.v, other.v} == {1, 2}:
+            raise TypeError("1 and 2 do not order")
+        return self.v < other.v
+
+
+def test_failed_flush_leaves_the_store_as_it_was():
+    # a flush that raised once kept the ids it had handed out and cleared
+    # its rows from uncoded first, so a later columns() coded S(1) as S(0)
+    s = ActiveMultiset(Schema.categorical(1))
+    s.insert(make_example((_Picky(0),), 0))
+    store = s._store
+    store.flush()
+    s.insert(make_example((_Picky(1),), 1))
+    s.insert(make_example((_Picky(2),), 0))
+
+    def coded():
+        return ([dict(d) for d in store.ids], store.rank.tolist(),
+                list(store.symbols), list(store.code_col),
+                store.C[store.row_of[make_example((_Picky(0),), 0)]].tolist(),
+                set(store.uncoded))
+
+    before = coded()
+    with pytest.raises(TypeError, match="do not order"):
+        store.flush()
+    assert coded() == before
+    s.delete(make_example((_Picky(2),), 0))
+    rows, _, _, _, _, C = store.columns(s._rows)
+    codes = {store.examples[r].features[0].v: c
+             for r, c in zip(rows.tolist(), C[:, 0].tolist())}
+    assert codes == {0: 0, 1: 1}
+    assert store.symbols == [_Picky(0), _Picky(1)] and not store.uncoded
+
+
+def test_a_multisets_store_holds_exactly_its_rows():
+    # a caller's multiset owns its store, so copy can copy the store whole
+    def exact(s):
+        store = s._store
+        return (len(store.row_of) == s.distinct_size
+                and set(store.row_of.values()) == set(s._rows))
+
+    exs = [make_example((float(i % 3), "ab"[i % 2]), i % 2) for i in range(8)]
+    s = ActiveMultiset.from_examples(exs)
+    assert exact(s)
+    for e in exs[:5]:
+        s.insert(e)
+        assert exact(s)
+    c = s.copy()
+    assert exact(c) and c == s and c._store is not s._store
+    for e in exs + exs[:5]:
+        s.delete(e)
+        assert exact(s)
+    assert not s and s.distinct_size == 0
+    assert exact(s.copy()) and exact(c) and len(c) == 13
 
 
 @pytest.mark.parametrize("symbol", [("a",), ["a"], {"a"}, frozenset("a"),

@@ -266,8 +266,10 @@ def test_unhashable_insert_into_an_empty_tree_pins_no_symbol_type():
     assert tree.active_size == 1
 
 
-@pytest.mark.parametrize("symbol", [1j, object(), Decimal("NaN")],
-                         ids=["complex", "object", "decimal-nan"])
+@pytest.mark.parametrize("symbol", [1j, object(), Decimal("NaN"),
+                                    Decimal("sNaN")],
+                         ids=["complex", "object", "decimal-nan",
+                              "decimal-snan"])
 def test_symbols_that_cannot_sort_raise_before_any_state_changes(symbol):
     # a rebuild sorts each column's symbols: (1j,) then (2j,) once raised
     # TypeError from that sort, after the leaf edit
@@ -282,6 +284,31 @@ def test_symbols_that_cannot_sort_raise_before_any_state_changes(symbol):
     tree.update(a, "ins")
     tree.update(b, "ins")
     assert tree.leaf_union() == ActiveMultiset.from_examples([a, b])
+
+
+@pytest.mark.parametrize("where", ["tree-ins", "tree-del", "multiset-insert"])
+def test_bad_labels_fail_alike(where):
+    # the tree and the multiset run one insert check, so label 2 raises
+    # the same SchemaError from either, before any state changes
+    a = make_example((1.0, "m"), 1)
+    bad = LabeledExample(a.features, 2)
+    tree = _tree([a, make_example((2.0, "n"), 0)])
+    s = ActiveMultiset.from_examples([a])
+
+    def state():
+        store = tree._store
+        return ([(id(v), v.pending) for v in _walk(tree.root)],
+                dict(tree.leaf_union().items()), tree.active_size,
+                tree.stats.updates, store.symbol_types, list(store.examples),
+                dict(s.items()), list(s._store.examples))
+
+    before = state()
+    with pytest.raises(SchemaError, match="label must be 0 or 1"):
+        if where == "multiset-insert":
+            s.insert(bad)
+        else:
+            tree.update(bad, where[len("tree-"):])
+    assert state() == before
 
 
 def test_container_symbols_raise_before_any_state_changes():
@@ -305,25 +332,32 @@ def test_container_symbols_raise_before_any_state_changes():
         ActiveMultiset().insert(make_example((("a",),), 0))
 
 
-def _preorder(node):
+def _leaf_multiset(store, leaf):
+    """The multiset that leaf counts over its tree's row store."""
+    return ActiveMultiset._from_sorted_items(
+        [(store.examples[r], c) for r, c in leaf.leaf_rows.items()],
+        store.schema)
+
+
+def _preorder(store, node):
     """Every field a fresh build determines, node by node in preorder."""
     out = []
     for v in _walk(node):
         row = [v.depth, v.size, v.pending, v.height]
         if v.is_leaf:
             row += [v.leaf_label, list(v.label_hist),
-                    v.leaf_examples.items_list()]
+                    _leaf_multiset(store, v).items_list()]
         else:
             row += [v.split, v.split_gain.hex()]
         out.append(row)
     return out
 
 
-def _subtree_multiset(node, schema):
-    s = ActiveMultiset(schema)
+def _subtree_multiset(store, node):
+    s = ActiveMultiset(store.schema)
     for v in _walk(node):
         if v.is_leaf:
-            for e, c in v.leaf_examples.items():
+            for e, c in _leaf_multiset(store, v).items():
                 for _ in range(c):
                     s.insert(e)
     return s
@@ -388,9 +422,10 @@ def test_rebuilds_equal_fresh_builds(kind):
             if info is None:
                 continue
             rebuilds += 1
-            fresh = build(_subtree_multiset(info.node, schema), info.depth,
-                          params)
-            assert _preorder(info.node) == _preorder(fresh)
+            fresh, fresh_store = build(
+                _subtree_multiset(tree._store, info.node), info.depth, params)
+            assert (_preorder(tree._store, info.node)
+                    == _preorder(fresh_store, fresh))
     assert tree.leaf_union() == ActiveMultiset.from_examples(window, schema)
     assert rebuilds > 100
     # some subtrees were kept, so the comparison above is not vacuous

@@ -49,7 +49,7 @@ def test_fresh_builds_are_feasible_and_counters_clean():
         d_num = rng.randint(0, 3)
         d_cat = rng.randint(0, 2) if d_num else rng.randint(1, 2)
         s = random_multiset(rng, rng.randint(1, 120), d_num, d_cat)
-        root = build(s, 0, PARAMS)
+        root, _ = build(s, 0, PARAMS)
         report = check_feasibility(root, s, PARAMS)
         assert report.ok, f"trial {trial}: {report}"
         counters = check_counters(root, s, PARAMS.epsilon)
@@ -67,7 +67,7 @@ def two_cluster_multiset():
 def test_flipped_leaf_label_fails_condition_3():
     params = FeasibilityParams(epsilon=0.2, alpha=0.3, beta=0.2, k=3, h=8)
     s = two_cluster_multiset()
-    root = build(s, 0, params)
+    root, _ = build(s, 0, params)
     assert not root.is_leaf
     root.left.leaf_label = 1 - root.left.leaf_label
     report = check_feasibility(root, s, params)
@@ -79,10 +79,8 @@ def test_internal_node_over_tiny_set_fails_condition_1():
     exs = [make_example((0.0,), 0), make_example((1.0,), 1)]
     s = ActiveMultiset.from_examples(exs)
     left = TreeNode(depth=1, size=1, leaf_label=0,
-                    leaf_examples=ActiveMultiset.from_examples(exs[:1]),
                     label_hist=[1, 0], height=0)
     right = TreeNode(depth=1, size=1, leaf_label=1,
-                     leaf_examples=ActiveMultiset.from_examples(exs[1:]),
                      label_hist=[0, 1], height=0)
     root = TreeNode(depth=0, size=2, split=Split(0, 0.0),
                     left=left, right=right, height=1)
@@ -95,7 +93,7 @@ def test_internal_node_over_tiny_set_fails_condition_1():
 def test_impure_separable_leaf_fails_condition_1():
     params = FeasibilityParams(epsilon=0.2, alpha=0.1, beta=0.2, k=1, h=8)
     s = two_cluster_multiset()
-    root = TreeNode(depth=0, size=6, leaf_label=0, leaf_examples=s.copy(),
+    root = TreeNode(depth=0, size=6, leaf_label=0,
                     label_hist=[3, 3], height=0)
     report = check_feasibility(root, s, params)
     assert not report.ok
@@ -109,7 +107,7 @@ def test_inseparable_impure_leaf_is_exempt():
     params = FeasibilityParams(epsilon=0.2, alpha=0.1, beta=0.2, k=1, h=8)
     exs = [make_example((4.0,), i % 2) for i in range(6)]
     s = ActiveMultiset.from_examples(exs)
-    root = build(s, 0, params)
+    root, _ = build(s, 0, params)
     assert root.is_leaf
     assert check_feasibility(root, s, params).ok
 
@@ -121,10 +119,9 @@ def suboptimal_split_fixture():
         + [make_example((1.0, 0.0), 1)] * 2
     )
     s = ActiveMultiset.from_examples(exs)
-    left = TreeNode(depth=1, size=4, leaf_label=0, leaf_examples=s.copy(),
+    left = TreeNode(depth=1, size=4, leaf_label=0,
                     label_hist=[2, 2], height=0)
     right = TreeNode(depth=1, size=0, leaf_label=0,
-                     leaf_examples=ActiveMultiset(s.schema),
                      label_hist=[0, 0], height=0)
     root = TreeNode(depth=0, size=4, split=Split(1, 0.0),
                     left=left, right=right, height=1)
@@ -147,7 +144,7 @@ def test_gain_gap_within_beta_passes():
 
 def test_counters_flag_pending_over_budget():
     s = two_cluster_multiset()
-    root = build(s, 0, PARAMS)
+    root, _ = build(s, 0, PARAMS)
     root.pending = 10
     report = check_counters(root, s, PARAMS.epsilon)
     assert not report.ok
@@ -161,7 +158,7 @@ def test_counters_flag_child_above_parent():
     )
     s = ActiveMultiset.from_examples(exs)
     params = FeasibilityParams(epsilon=0.5, alpha=0.3, beta=0.2, k=2, h=8)
-    root = build(s, 0, params)
+    root, _ = build(s, 0, params)
     assert not root.is_leaf
     root.left.pending = 1  # within its own budget, above the parent's 0
     report = check_counters(root, s, params.epsilon)
@@ -171,7 +168,7 @@ def test_counters_flag_child_above_parent():
 
 def test_counters_flag_size_drift():
     s = two_cluster_multiset()
-    root = build(s, 0, PARAMS)
+    root, _ = build(s, 0, PARAMS)
     root.size = 100
     report = check_counters(root, s, PARAMS.epsilon)
     assert not report.ok

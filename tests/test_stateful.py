@@ -240,14 +240,21 @@ def _store_problems(tree, max_distinct):
     store = tree._store
     problems = []
     held = {}
+    live = set(store.row_of.values())
     for v in _nodes(tree.root):
         if v.is_leaf:
-            assert v.leaf_examples._store is store
-            for r in v.leaf_examples._rows:
+            if type(v.leaf_rows) is not dict:
+                problems.append(f"a leaf holds {type(v.leaf_rows).__name__}, "
+                                "not a plain dict")
+            for r, c in v.leaf_rows.items():
+                if r not in live:
+                    problems.append(f"a leaf holds row {r}, which is not live")
                 if r in held:
                     problems.append(f"row {r} held by two leaves")
+                if c < 1:
+                    problems.append(f"a leaf counts row {r} {c} times")
                 held[r] = v
-    if set(held) != set(store.row_of.values()):
+    if set(held) != live:
         problems.append("rows held by leaves differ from the store's rows")
     for e, r in store.row_of.items():
         if store.examples[r] != e:
