@@ -55,11 +55,13 @@ def main(argv=None) -> int:
         config = StreamConfig(params, mode=mode, window=window, seed=args.seed)
         metrics = RUNNERS[mode](stream, config)
         nanos = sorted(metrics.per_update_nanos)
-        print(f"{mode:>12} {metrics.n_updates:>8} "
-              f"{statistics.fmean(nanos) / 1000:>9.1f} "
-              f"{percentile(nanos, 0.5) / 1000:>9.1f} "
-              f"{percentile(nanos, 0.9) / 1000:>9.1f} "
-              f"{nanos[-1] / 1000:>9.1f} "
+        if nanos:
+            timings = (statistics.fmean(nanos), percentile(nanos, 0.5),
+                       percentile(nanos, 0.9), nanos[-1])
+            timing = " ".join(f"{t / 1000:>9.1f}" for t in timings)
+        else:  # the stream ended before the mode's first update
+            timing = " ".join([f"{'-':>9}"] * 4)
+        print(f"{mode:>12} {metrics.n_updates:>8} {timing} "
               f"{metrics.rebuild_count:>9} {metrics.f1:>7.4f}")
     return 0
 

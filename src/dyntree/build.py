@@ -1,10 +1,11 @@
 """Exact tree construction from a multiset snapshot.
 
-One builder serves every schema.  It slices the real matrix and the code
-matrix of a row store (``core._Store``) by row id.  Real features go
-through one numeric sweep per node, and categorical ones through one
-bincount sweep (see ``gini``).  A leaf is a plain map from row id to
-count over the same store (``TreeNode.leaf_rows``).
+One builder serves every schema.  It takes an array of row ids of a row
+store (``core._Store``) and slices the store's counts, real matrix and
+code matrix by them.  Real features go through one numeric sweep per
+node, and categorical ones through one bincount sweep (see ``gini``).
+Each leaf gets its slice of the row array, listed under the store's
+current clock (``TreeNode.leaf_rows``, ``TreeNode.leaf_ticket``).
 
 A node stops at the size floor k, at Gini at most alpha/2, or at the
 depth cap; a chosen split that fails to separate the node also stops it.
@@ -33,12 +34,15 @@ def _stops(total: int, ones: int, eta: int, params: FeasibilityParams) -> bool:
             or params.depth_capped(eta))
 
 
-def _leaf(entries: dict, eta: int, total: int, ones: int) -> TreeNode:
+def _leaf(rows: np.ndarray, ticket: int, eta: int, total: int,
+          ones: int) -> TreeNode:
     return TreeNode(
         depth=eta,
         size=total,
         leaf_label=1 if ones > total - ones else 0,
-        leaf_rows=entries,
+        leaf_rows=rows,
+        leaf_ticket=ticket,
+        leaf_new=[],
         label_hist=[total - ones, ones],
         height=0,
     )
@@ -66,22 +70,26 @@ def build(s, eta: int, params: FeasibilityParams) -> tuple[TreeNode, _Store]:
     Every split maximizes Gini gain over all features and observed
     thresholds, ties to the lowest feature then the lowest threshold.
     Fresh nodes carry size = subtree size and a zeroed pending counter.
-    The tree's leaves count rows of store, a copy of s's store, symbol pin
-    included, so s stays free to change.
+    The tree's leaves list rows of store, a copy of s's store, counts and
+    symbol pin included, so s stays free to change.
     """
     store = s._store.copy()
-    root = _build_entries(dict(s._rows), s.label_counts(), store, eta, params)
+    root = _build_entries(store.held_rows(), s.label_counts(), store, eta,
+                          params)
     return root, store
 
 
 def _build_entries(
-    entries: dict, hist, store: _Store, eta: int, params: FeasibilityParams,
-    old: TreeNode | None = None, path=(), kept: list | None = None,
+    rows: np.ndarray, hist, store: _Store, eta: int,
+    params: FeasibilityParams, old: TreeNode | None = None, path=(),
+    kept: list | None = None,
 ) -> TreeNode:
-    # Internal: entries maps row ids of store to counts, hist is their
-    # (0-label, 1-label) weight.  The tree built does not depend on the
-    # map's order, and its leaves count rows of store; a root that stops
-    # takes entries itself.
+    # Internal: rows is an array of distinct held row ids of store, weighed
+    # by the store's counts, and hist is their (0-label, 1-label) weight.
+    # The tree built does not depend on the rows' order.  Each new leaf
+    # takes its slice of rows, listed under the store's clock (all of rows
+    # were taken at or before it), with no conversion per row; a root that
+    # stops takes rows itself.
     #
     # A rebuild passes the subtree it replaces as old, the nodes of the
     # update that triggered it as path, and a list kept; a fresh build
@@ -90,18 +98,15 @@ def _build_entries(
     # not on path, whose size equals the new child's weighted count is
     # returned as is (and appended to kept) instead of being rebuilt.
     # This is exact:
-    # - every update routed through a node bumps its pending counter,
-    #   except below the node that triggers a rebuild; those nodes are on
-    #   that update's path, which the rebuild never keeps.  So off the
-    #   current path, pending == 0 means u's multiset is the one it was
-    #   built (or kept) from, and the routing by the shared split hands the
-    #   new child that same multiset;
+    # - every update routed through a node bumps its pending counter (the
+    #   rebuild bumps those below its trigger), so pending == 0 means u's
+    #   multiset is the one it was built (or kept) from, and the routing by
+    #   the shared split hands the new child that same multiset;
     # - this builder is a pure function of (multiset, depth, params), so a
     #   fresh build of u's multiset at u's depth reproduces u: size,
     #   pending 0, height, splits, split_gain bits and leaves.
-    # Path nodes below the trigger keep pending 0 but hold one example more
-    # or fewer than their size, so the path test and the size test each
-    # exclude them; both are cheap guards.
+    # The nodes on path hold one example more or fewer than their size, so
+    # the path test and the size test are cheap extra guards.
     #
     # Nodes are made in preorder, left child first, from an explicit stack,
     # so the depth of the tree is not bounded by Python's recursion limit.
@@ -109,10 +114,11 @@ def _build_entries(
     total = n0 + ones
     # a root that stops (an empty multiset always does, as k >= 1) needs no
     # columns
+    ticket = store.clock
     if _stops(total, ones, eta, params):
-        return _leaf(entries, eta, total, ones)
+        return _leaf(rows, ticket, eta, total, ones)
 
-    rows, counts, w, wy, X, C = store.columns(entries)
+    w, wy, X, C = store.columns(rows)
     schema = store.schema
     kinds, num, cat, pos = (schema.kinds, schema._real, schema._categorical,
                             schema._pos)
@@ -202,8 +208,7 @@ def _build_entries(
                     else:
                         node.right = child
         if node is None:
-            node = _leaf(dict(zip(rows[idx].tolist(), counts[idx].tolist())),
-                         eta, total, ones)
+            node = _leaf(rows[idx], ticket, eta, total, ones)
         if parent is None:
             root = node
         elif is_left:

@@ -1,23 +1,29 @@
 """Core types shared by the tree engine, the oracle, and the harness.
 
 Examples are immutable (features, label) pairs with binary labels.  The
-active set is a multiset over examples.  Its storage is a row store plus
-a map from row id to count: the store (``_Store``) gives each distinct
-example one row and codes it into column arrays once, and a map counts
-rows.  A caller's multiset owns its store; a tree keeps one, and each
-leaf is a plain row id -> count map over it, so a rebuild slices the
-store's columns by row id instead of re-reading examples.  Enumeration
-sorts on demand, lexicographically by features then label, so its order
-is deterministic regardless of the order updates arrived in.
+active set is a multiset over examples, kept in a row store
+(``_Store``): each distinct example gets one row, coded into column
+arrays once, and the store counts each row's copies in one dense per-row
+count.  A caller's multiset owns its store; a tree keeps one for all its
+leaves, and each leaf lists the rows routed to it (see ``TreeNode``), so
+a rebuild slices the store's columns and counts by row id instead of
+re-reading examples.  Enumeration sorts on demand, lexicographically by
+features then label, so its order is deterministic regardless of the
+order updates arrived in.
 
 Store invariants, which hold whenever the store is flushed (see
 ``_Store.flush``):
 
-- one row per distinct example its holders count, and ``row_of`` maps
-  each of them to its row;
+- one row per distinct example the store holds: ``row_of`` maps each of
+  them to its row, and ``count[row]`` is its number of copies;
 - a row freed by the last delete of its example is reused before a new
   one is made, so there are never more row ids than the largest number of
   distinct examples held at once;
+- a row's ``stamp`` is the ticket of its last take, a tick of the store's
+  ``clock``, or ``_FREED`` once it is freed.  A tree lists a row in a leaf
+  with a ticket, and the listing is current while ``stamp <= ticket``;
+  only a row's last listing passes, so a freed and reused row is never
+  counted through the stale listings it leaves behind;
 - every held example's categorical symbols have the types that
   ``symbol_types`` pins, one per column;
 - a categorical symbol gets an id when it first reaches its column, and
@@ -33,9 +39,10 @@ Store invariants, which hold whenever the store is flushed (see
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -225,31 +232,62 @@ def make_example(features: Iterable, label: int) -> LabeledExample:
     return LabeledExample(tuple(features), label)
 
 
+# stamp of a freed row: above every ticket, so no listing of it is current
+_FREED = np.iinfo(np.int64).max
+
+
+def _binary_label(label) -> bool:
+    # an integer (int, bool or a type with __index__) equal to 0 or 1
+    try:
+        return operator.index(label) in (0, 1)
+    except TypeError:
+        return False
+
+
+def _int64s(n: int) -> memoryview:
+    # a per-row column that Python indexes at list speed; numpy reads the
+    # array under it, its .obj, without a copy
+    return memoryview(np.zeros(n, dtype=np.int64))
+
+
 class _Store:
     """Rows of distinct examples, coded into column arrays.
 
     Row r holds ``examples[r]`` (None while free, and then listed in
     ``free``) and ``row_of`` maps each held example back to its row.  Rows
     are taken by ``take`` and freed by ``release``, in pure Python, and
-    nothing else touches ``row_of``, ``examples``, ``free`` or
-    ``uncoded``; the holders (a caller's multiset, or the leaves of one
-    tree) count rows in maps of their own.  Coding waits for ``flush``,
-    which fills the columns of the rows taken since: ``y`` (labels), ``X``
-    (real features, one column per real feature, float64) and ``C``
-    (categorical symbol ids, int64).  A symbol gets an id when it first
-    reaches a column (``ids``, per column: symbol -> id), so a new symbol
-    never touches the rows already coded.  ``rank`` maps ids to the codes
-    that ``columns`` hands out: global across columns, each column's in
-    one block that follows its sorted symbols (see the module docstring),
-    with ``symbols[code]`` and ``code_col[code]`` the symbol and the
-    categorical column of a code.  The arrays grow geometrically, so they
-    may hold more rows than there are row ids.  ``symbol_types`` is the
-    symbol type of each categorical column, pinned by the first example
-    the store took (see ``Schema._check_symbols``); None before that.
+    nothing else touches ``row_of``, ``examples``, ``free``, ``uncoded``,
+    ``count`` or ``stamp``.  ``count[r]`` is the number of copies of row
+    r's example that the store's holder (a caller's multiset, or the
+    leaves of one tree) holds: each ``take`` counts one copy and each
+    ``release`` one fewer.  A free row counts 1, the count it has when it
+    is taken again, so that neither call writes the count of a row it
+    takes afresh or frees.  ``take`` ticks ``clock`` for every row it
+    hands out afresh and writes the tick to the row's ``stamp``;
+    ``release`` writes ``_FREED`` when it frees a row.  A tree lists a
+    row in a leaf with a ticket, and the listing is current while
+    ``stamp <= ticket`` (see the module docstring).  ``count`` and
+    ``stamp`` are memoryviews of int64 arrays, grown geometrically, so
+    they may hold more rows than there are row ids.
+
+    Coding waits for ``flush``, which fills the columns of the rows taken
+    since: ``y`` (labels), ``X`` (real features, one column per real
+    feature, float64) and ``C`` (categorical symbol ids, int64).  A symbol
+    gets an id when it first reaches a column (``ids``, per column: symbol
+    -> id), so a new symbol never touches the rows already coded.
+    ``rank`` maps ids to the codes that ``columns`` hands out: global
+    across columns, each column's in one block that follows its sorted
+    symbols (see the module docstring), with ``symbols[code]`` and
+    ``code_col[code]`` the symbol and the categorical column of a code.
+    The arrays grow geometrically, so they may hold more rows than there
+    are row ids.  ``symbol_types`` is the symbol type of each categorical
+    column, pinned by the first example the store took (see
+    ``Schema._check_symbols``); None before that.
     """
 
-    __slots__ = ("schema", "row_of", "examples", "free", "uncoded", "y", "X",
-                 "C", "ids", "rank", "symbols", "code_col", "symbol_types")
+    __slots__ = ("schema", "row_of", "examples", "free", "uncoded", "count",
+                 "stamp", "clock", "y", "X", "C", "ids", "rank", "symbols",
+                 "code_col", "symbol_types")
 
     def __init__(self, schema: Optional[Schema]):
         self.schema = schema
@@ -257,6 +295,9 @@ class _Store:
         self.examples: list = []
         self.free: list = []
         self.uncoded: set = set()  # rows taken since the last flush
+        self.count = _int64s(0)
+        self.stamp = _int64s(0)
+        self.clock = 0
         self.y = self.X = self.C = None
         self.ids: list = []
         self.rank = np.zeros(0, dtype=np.int64)
@@ -270,6 +311,9 @@ class _Store:
         new.row_of = dict(self.row_of)
         new.examples = list(self.examples)
         new.free = list(self.free)
+        new.count = memoryview(self.count.obj.copy())
+        new.stamp = memoryview(self.stamp.obj.copy())
+        new.clock = self.clock
         for name in ("y", "X", "C", "rank"):
             a = getattr(self, name)
             setattr(new, name, None if a is None else a.copy())
@@ -282,11 +326,14 @@ class _Store:
     def check(self, example: LabeledExample, insert: bool = True) -> tuple:
         """(schema, symbol types) to keep once ``take`` has taken example's
         row.  Changes nothing, and raises SchemaError first unless the label
-        is 0 or 1, the features fit the schema (inferred when the store has
-        none) and, for an insert, the symbols have the pinned types.
+        is an integer equal to 0 or 1, the features fit the schema (inferred
+        when the store has none) and, for an insert, the symbols have the
+        pinned types.
         """
-        if example.label not in (0, 1):
-            raise SchemaError(f"label must be 0 or 1, got {example.label!r}")
+        label = example.label
+        if not (type(label) is int and 0 <= label <= 1
+                or _binary_label(label)):
+            raise SchemaError(f"label must be 0 or 1, got {label!r}")
         schema = self.schema
         if schema is None:
             schema = Schema.infer(example.features)
@@ -297,29 +344,65 @@ class _Store:
             types = schema._check_symbols(example.features, types)
         return schema, types
 
-    def take(self, example: LabeledExample) -> int:
-        """Example's row: the held one, else a free one, else a new one.
-        Raises TypeError for unhashable features before any change."""
+    def take(self, example: LabeledExample,
+             listing: Optional[list] = None) -> int:
+        """Count one more copy of example, and return its row: the held
+        one, else a free one, else a new one.
+
+        A row handed out afresh is stamped with a new tick of ``clock``,
+        and when a listing is given, the pair (row, tick) is appended to
+        it.  Raises TypeError for unhashable features before any change.
+        """
         free = self.free
         row = free[-1] if free else len(self.examples)
         # setdefault offers the row a new example would take, and returns
         # the held row otherwise
         held = self.row_of.setdefault(example, row)
-        if held == row:
-            if free:
-                del free[-1]
-                self.examples[row] = example
-            else:
-                self.examples.append(example)
-            self.uncoded.add(row)
-        return held
+        if held != row:
+            self.count[held] += 1
+            return held
+        # a free row counts 1 already
+        if free:
+            del free[-1]
+            self.examples[row] = example
+        else:
+            self.examples.append(example)
+            if row == len(self.count):
+                self._grow_rows()
+        self.uncoded.add(row)
+        self.clock = t = self.clock + 1
+        self.stamp[row] = t
+        if listing is not None:
+            listing.append(row)
+            listing.append(t)
+        return row
 
     def release(self, row: int) -> None:
-        """Free row, whose example's last count is gone, for the next one."""
+        """Count one copy fewer of row's example, and free the row for the
+        next example once none is left."""
+        count = self.count
+        c = count[row]
+        if c > 1:
+            count[row] = c - 1
+            return
+        # the row keeps its count of 1 for its next example
         examples = self.examples
         del self.row_of[examples[row]]
         examples[row] = None
         self.free.append(row)
+        self.stamp[row] = _FREED
+
+    def _grow_rows(self) -> None:
+        n = len(self.count)
+        count, stamp = _int64s(2 * n or 16), _int64s(2 * n or 16)
+        count.obj[n:] = 1  # rows not yet made count as free ones do
+        count.obj[:n] = self.count.obj
+        stamp.obj[:n] = self.stamp.obj
+        self.count, self.stamp = count, stamp
+
+    def held_rows(self) -> np.ndarray:
+        """Every held row id, ascending."""
+        return np.flatnonzero(self.stamp.obj[:len(self.examples)] != _FREED)
 
     def flush(self) -> None:
         """Code the rows taken since the last flush.
@@ -440,20 +523,17 @@ class _Store:
                for codes in self.ids]
         return live, held, ids
 
-    def columns(self, entries: Mapping[int, int]) -> tuple:
-        """(rows, counts, w, wy, X, C) of a row id -> count map.
+    def columns(self, rows: np.ndarray) -> tuple:
+        """(w, wy, X, C) of an array of held row ids.
 
-        rows and counts are arrays in the map's order; w and wy are the
-        float64 weights and 1-label weights (integers, exact below 2**53);
-        X and C are the rows' real matrix and code matrix, or None for a
-        schema without real or without categorical features.
+        w and wy are the rows' counts and 1-label counts as float64
+        (integers, exact below 2**53); X and C are the rows' real matrix
+        and code matrix, or None for a schema without real or without
+        categorical features.
         """
         self.flush()
-        n = len(entries)
-        rows = np.fromiter(entries, dtype=np.intp, count=n)
-        counts = np.fromiter(entries.values(), dtype=np.int64, count=n)
-        w = counts.astype(np.float64)
-        return (rows, counts, w, w * self.y[rows],
+        w = self.count.obj[rows].astype(np.float64)
+        return (w, w * self.y[rows],
                 None if self.X is None else self.X[rows],
                 None if self.C is None else self.rank[self.C[rows]])
 
@@ -461,18 +541,17 @@ class _Store:
 class ActiveMultiset:
     """Multiset of labeled examples keyed by (features, label) with counts.
 
-    Stored as a map from row id to count over a ``_Store`` of its own,
-    which holds exactly the examples it counts, so point updates take O(1)
-    expected time.  ``items``, ``items_list`` and iteration sort on each
-    call and enumerate in lexicographic order.  The schema is pinned on
+    Stored in a ``_Store`` of its own, which holds exactly the examples it
+    counts and their counts, so point updates take O(1) expected time.
+    ``items``, ``items_list`` and iteration sort on each call and
+    enumerate in lexicographic order.  The schema is pinned on
     construction or by the first inserted example, and the store pins the
     symbol type of each categorical column.
     """
 
-    __slots__ = ("_rows", "_store", "_total")
+    __slots__ = ("_store", "_total")
 
     def __init__(self, schema: Optional[Schema] = None):
-        self._rows: dict = {}
         self._store = _Store(schema)
         self._total = 0
 
@@ -495,9 +574,10 @@ class ActiveMultiset:
         # distinct examples of one symbol type per column, in any order,
         # pinned by the first of them.
         s = cls(schema)
-        store, rows = s._store, s._rows
+        store = s._store
         for e, c in items:
-            rows[store.take(e)] = c
+            row = store.take(e)  # may grow count, so look count up after
+            store.count[row] = c
             s._total += c
         if store.examples:
             store.symbol_types = schema._check_symbols(
@@ -511,8 +591,8 @@ class ActiveMultiset:
     def _unsorted_items(self) -> list:
         # Internal: (example, count) pairs in storage order, for callers
         # whose result does not depend on the order.
-        examples = self._store.examples
-        return [(examples[r], c) for r, c in self._rows.items()]
+        count = self._store.count
+        return [(e, count[r]) for e, r in self._store.row_of.items()]
 
     @property
     def schema(self) -> Optional[Schema]:
@@ -520,7 +600,7 @@ class ActiveMultiset:
 
     @property
     def distinct_size(self) -> int:
-        return len(self._rows)
+        return len(self._store.row_of)
 
     def __len__(self) -> int:
         return self._total
@@ -532,8 +612,7 @@ class ActiveMultiset:
         return example in self._store.row_of
 
     def __iter__(self) -> Iterator[LabeledExample]:
-        examples = self._store.examples
-        return iter(sorted([examples[r] for r in self._rows]))
+        return iter(sorted(self._store.row_of))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ActiveMultiset):
@@ -543,43 +622,38 @@ class ActiveMultiset:
     def insert(self, example: LabeledExample) -> None:
         store = self._store
         schema, types = store.check(example)
-        row = store.take(example)
+        store.take(example)
         # take raises TypeError for unhashable features before it changes
         # anything, so an inferred schema and the pin are kept only after it
         store.schema = schema
         store.symbol_types = types
-        rows = self._rows
-        rows[row] = rows.get(row, 0) + 1
         self._total += 1
 
     def delete(self, example: LabeledExample) -> None:
-        row = self._store.row_of.get(example)
+        store = self._store
+        row = store.row_of.get(example)
         if row is None:
             raise ExampleNotFound(f"example not in active set: {example}")
-        rows = self._rows
-        cnt = rows[row]
-        if cnt == 1:
-            del rows[row]
-            self._store.release(row)
-        else:
-            rows[row] = cnt - 1
+        store.release(row)
         self._total -= 1
 
     def count(self, example: LabeledExample) -> int:
-        return self._rows.get(self._store.row_of.get(example), 0)
+        store = self._store
+        row = store.row_of.get(example)
+        return 0 if row is None else store.count[row]
 
     def items(self) -> Iterator[tuple[LabeledExample, int]]:
         return iter(self.items_list())
 
     def label_counts(self) -> tuple[int, int]:
-        examples = self._store.examples
-        n1 = sum(c for r, c in self._rows.items() if examples[r].label == 1)
+        count = self._store.count
+        n1 = sum([count[r] for e, r in self._store.row_of.items()
+                  if e.label == 1])
         return self._total - n1, n1
 
     def copy(self) -> "ActiveMultiset":
         new = ActiveMultiset.__new__(ActiveMultiset)
         new._store = self._store.copy()
-        new._rows = dict(self._rows)
         new._total = self._total
         return new
 
@@ -604,10 +678,17 @@ class Split:
 class TreeNode:
     """Node of the dynamic tree.
 
-    A leaf holds ``leaf_rows``, a plain map from row id to count over its
-    tree's row store (``_Store``) of the examples routed to it, plus a
-    label histogram; every node carries the rebuild counters: ``size`` is
-    the subtree size at the time the node was built and ``pending`` counts
+    A leaf lists the rows of its tree's row store (``_Store``) whose
+    examples route to it, and keeps their label histogram.  ``leaf_rows``
+    is the array of rows the builder listed, all under the ticket
+    ``leaf_ticket`` (the store's clock when it built the leaf);
+    ``leaf_new`` is a flat list of (row, ticket) pairs, one per row an
+    update took afresh for this leaf since.  A listing is current while
+    the row's stamp is at most its ticket, and a held row has exactly one
+    current listing; the others are stale, left behind by rows that were
+    freed (see the module docstring).  The example counts are the
+    store's.  Every node carries the rebuild counters: ``size`` is the
+    subtree size at the time the node was built and ``pending`` counts
     updates routed through it since.
     """
 
@@ -619,7 +700,9 @@ class TreeNode:
     right: Optional["TreeNode"] = None
     split_gain: float = 0.0
     leaf_label: int = 0
-    leaf_rows: Optional[dict] = None
+    leaf_rows: Optional[np.ndarray] = None
+    leaf_ticket: int = 0
+    leaf_new: Optional[list] = None
     label_hist: Optional[list[int]] = None
     height: int = 0
 

@@ -1,21 +1,25 @@
 """The dynamic tree engine: queries, counted updates, proactive rebuilds.
 
-Every insert or delete routes to its leaf, adjusts the leaf's row counts
-and label, then bumps a pending counter on each node along the path from the
-root.  The first node whose pending count exceeds epsilon times its
+Every insert or delete routes to its leaf, adjusts its row's count and
+the leaf's label, then bumps a pending counter on each node along the path
+from the root.  The first node whose pending count exceeds epsilon times its
 build-time size triggers a rebuild; the rebuild reaches up the path to the
 shallowest ancestor whose build-time size fits within the next power of
 two of the trigger's, so repeated work amortizes geometrically.
 
 Every example is coded once, when it enters the tree: the tree keeps one
-row store (``core._Store``) with a row per distinct active example, and
-each leaf is a plain row id -> count map (``TreeNode.leaf_rows``).  An
-update takes or frees its row through the store (``_Store.take``,
-``_Store.release``), edits its leaf's map and does no numpy work; rows it
-adds are coded at the next rebuild.  One rebuild touch costs a copy of a
-(row, count) pair out of a leaf map, its slice of the store's columns,
-and its place in a child leaf's map, with no per-example Python work on
-features.
+row store (``core._Store``) with a row per distinct active example and
+its count, and each leaf lists its rows (``TreeNode``): the builder's
+array of row ids, plus a list of the rows updates took afresh for it
+since, each with its ticket.  An update counts its copy in or out
+through the store (``_Store.take``, ``_Store.release``), which also
+lists a row taken afresh in the leaf's list, and does no numpy work;
+rows it adds are coded at the next rebuild.  A rebuild joins its leaves'
+listings with one concatenation and drops the stale ones with a
+vectorized ticket test, so one rebuild touch costs an element of that
+array, its slice of the store's counts and columns, and its place in a
+child leaf's slice; only the rows listed since the leaves were built pass
+through Python.
 
 The store holds only examples valid under the tree's schema.  A tree is
 built over a copy of a multiset, whose inserts were checked, and each
@@ -29,10 +33,11 @@ untouched subtrees of the old target.  Every node of a tree is the
 builder's, since no caller can hand a tree a root.  Wherever the new tree
 picks the same split as the old node in the same place, an old child with
 ``pending == 0`` that is not on the triggering update's path (and whose
-build-time size matches) is kept instead of rebuilt.  Invariant: off that
-path, ``pending == 0`` means no update has been routed through the node
-since it was built or kept, because updates that stop counting at a
-trigger are on a path the rebuild never keeps.  Such a node still holds
+build-time size matches) is kept instead of rebuilt.  Invariant:
+``pending == 0`` means no update has been routed through the node since
+it was built or kept, because every update counts itself in each node of
+its path; the counting stops at a trigger, but the rebuild counts it in
+the nodes below before it replaces them.  Such a node still holds
 its build-time multiset, and the builder is a pure function of (multiset,
 depth, params), so the tree is identical to a full rebuild's.
 ``TreeStats.rebuild_touches`` still counts every gathered example, kept or
@@ -45,6 +50,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+import numpy as np
 
 # _build_cat_entries is an alias of _build_entries that bench/tracing.py
 # patches by name here; it goes with ROADMAP item 1
@@ -126,30 +133,53 @@ class DecisionTree:
 
     def leaf_union(self) -> ActiveMultiset:
         """Union of the leaf multisets: the engine's view of the active set."""
-        entries, _ = self._gather(self.root)
-        examples = self._store.examples
+        rows, _ = self._gather(self.root)
+        examples, count = self._store.examples, self._store.count
         return ActiveMultiset._from_sorted_items(
-            [(examples[r], c) for r, c in entries.items()], self.schema
+            [(examples[r], count[r]) for r in rows.tolist()], self.schema
         )
 
     def _gather(self, node: TreeNode):
-        # (row id -> count map, [0-label, 1-label] weight) of the leaves
-        # below node; leaves hold disjoint rows, and the builder needs no
-        # order
-        entries = {}
+        # (array of the rows listed currently below node, [0-label, 1-label]
+        # weight); leaves hold disjoint rows, and the builder needs no
+        # order.  A leaf no update has reached (pending == 0, the invariant
+        # subtree reuse rests on) holds only current listings, in its
+        # builder array.  The other leaves' arrays are joined and their
+        # stale rows dropped in one vectorized ticket test, and the current
+        # rows of their new lists added (see core._Store).
+        arrays, touched, tickets, new = [], [], [], []
         n0 = n1 = 0
         stack = [node]
         while stack:
             v = stack.pop()
             if v.split is None:
-                entries.update(v.leaf_rows)
+                if v.pending:
+                    touched.append(v.leaf_rows)
+                    tickets.append(v.leaf_ticket)
+                    new += v.leaf_new
+                else:
+                    arrays.append(v.leaf_rows)
                 h0, h1 = v.label_hist
                 n0 += h0
                 n1 += h1
             else:
                 stack.append(v.right)
                 stack.append(v.left)
-        return entries, [n0, n1]
+        if touched:
+            stamp = self._store.stamp.obj  # the array under the memoryview
+            rows = touched[0] if len(touched) == 1 else np.concatenate(touched)
+            if tickets.count(tickets[0]) == len(tickets):
+                bound = tickets[0]  # the usual case, and cheaper
+            else:
+                bound = np.repeat(tickets, [len(a) for a in touched])
+            arrays.append(rows[stamp[rows] <= bound])
+            if new:
+                pairs = np.fromiter(new, dtype=np.int64,
+                                    count=len(new)).reshape(-1, 2)
+                fresh = pairs[:, 0]
+                arrays.append(fresh[stamp[fresh] <= pairs[:, 1]])
+        rows = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+        return rows, [n0, n1]
 
     def query(self, features: Sequence) -> int:
         """Label of the leaf that features route to."""
@@ -176,9 +206,9 @@ class DecisionTree:
         when they entered the tree, so a delete of the very object held
         skips the checks.  Any other delete runs them, because equality
         can join values of types the schema rejects (``True == 1.0``).
-        Counters along the path stop incrementing at the trigger;
-        everything below the rebuilt ancestor is replaced wholesale, so
-        deeper counters die with their nodes.
+        Counters along the path stop incrementing at the trigger, whose
+        rebuild counts the update in the nodes below it before everything
+        below the rebuilt ancestor is replaced wholesale.
         """
         store = self._store
         if op == "del":
@@ -210,24 +240,18 @@ class DecisionTree:
             s = node.split
         path.append(node)
 
-        # an example's row, when held, is in the leaf the example routes to
+        # an example's row, when held, is listed currently in the leaf the
+        # example routes to, and a row taken afresh is listed there
         leaf = node
-        rows = leaf.leaf_rows
         if op == "ins":
             # take raises TypeError for unhashable features before it
             # changes anything, so the pin is kept only after it
-            row = store.take(example)
+            store.take(example, leaf.leaf_new)
             store.symbol_types = types
-            rows[row] = rows.get(row, 0) + 1
             leaf.label_hist[example.label] += 1
             self._active += 1
         else:
-            cnt = rows[row]
-            if cnt == 1:
-                del rows[row]
-                store.release(row)
-            else:
-                rows[row] = cnt - 1
+            store.release(row)
             leaf.label_hist[example.label] -= 1
             self._active -= 1
         n0, n1 = leaf.label_hist
@@ -236,8 +260,8 @@ class DecisionTree:
         self.stats.updates += 1
         eps = self.params.epsilon
         for i, v in enumerate(path):
-            v.pending += 1
-            if v.pending > eps * v.size:
+            v.pending = pending = v.pending + 1
+            if pending > eps * v.size:
                 return self._rebuild_at(path, i)
         return None
 
@@ -245,6 +269,11 @@ class DecisionTree:
         shat = _shat(path[i].size)
         j = next(jj for jj in range(i + 1) if path[jj].size <= shat)
         target = path[j]
+        # the counters below the trigger missed this update; these nodes
+        # die in this rebuild, but count it in them first, so that every
+        # leaf an update reached has pending > 0 (see _gather)
+        for v in path[i + 1:]:
+            v.pending += 1
         gathered, hist = self._gather(target)
         gathered_total = hist[0] + hist[1]
         kept = []

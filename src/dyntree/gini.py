@@ -140,7 +140,7 @@ def _sweep_all(s: ActiveMultiset) -> list:
     """(threshold, left, left_ones, gain) per feature of s, read from the
     columns of s's store."""
     store = s._store
-    _, _, w, wy, X, C = store.columns(s._rows)
+    w, wy, X, C = store.columns(store.held_rows())
     n0, ones = s.label_counts()
     total = n0 + ones
     schema = store.schema

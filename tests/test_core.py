@@ -293,7 +293,8 @@ def test_failed_flush_leaves_the_store_as_it_was():
         store.flush()
     assert coded() == before
     s.delete(make_example((_Picky(2),), 0))
-    rows, _, _, _, _, C = store.columns(s._rows)
+    rows = store.held_rows()
+    _, _, _, C = store.columns(rows)
     codes = {store.examples[r].features[0].v: c
              for r, c in zip(rows.tolist(), C[:, 0].tolist())}
     assert codes == {0: 0, 1: 1}
@@ -305,7 +306,8 @@ def test_a_multisets_store_holds_exactly_its_rows():
     def exact(s):
         store = s._store
         return (len(store.row_of) == s.distinct_size
-                and set(store.row_of.values()) == set(s._rows))
+                and set(store.row_of.values())
+                == set(store.held_rows().tolist()))
 
     exs = [make_example((float(i % 3), "ab"[i % 2]), i % 2) for i in range(8)]
     s = ActiveMultiset.from_examples(exs)

@@ -333,10 +333,18 @@ def test_container_symbols_raise_before_any_state_changes():
 
 
 def _leaf_multiset(store, leaf):
-    """The multiset that leaf counts over its tree's row store."""
+    """The multiset that leaf lists currently over its tree's row store."""
     return ActiveMultiset._from_sorted_items(
-        [(store.examples[r], c) for r, c in leaf.leaf_rows.items()],
+        [(store.examples[r], store.count[r]) for r in _current_rows(store, leaf)],
         store.schema)
+
+
+def _current_rows(store, leaf):
+    """The rows leaf lists currently: those whose stamp is at most the
+    ticket they are listed under."""
+    listed = [(r, leaf.leaf_ticket) for r in leaf.leaf_rows.tolist()]
+    listed += zip(leaf.leaf_new[::2], leaf.leaf_new[1::2])
+    return [r for r, ticket in listed if store.stamp[r] <= ticket]
 
 
 def _preorder(store, node):
@@ -449,6 +457,57 @@ def test_run_sequence_answers_lab_queries():
     for e in (e0, e0, e1, e1, e1):
         tree.update(e, "ins")
     assert [tree.query((0.0,)), tree.query((5.0,))] == [0, 1]
+
+
+def test_a_reused_row_is_gathered_once():
+    # The store reuses a freed row at once, so a row can be freed in leaf
+    # L, reused by an example that routes to leaf B, freed again and
+    # reused back in L, while L still lists it from before.  Only the last
+    # listing may count, in the leaf union and in the next rebuild.
+    params = FeasibilityParams(epsilon=10.0, alpha=0.2, beta=0.2, k=1, h=8)
+    warm = [make_example((x,), int(x > 3.0)) for x in (0.0, 1.0, 5.0, 6.0)]
+    tree = DecisionTree.from_multiset(ActiveMultiset.from_examples(warm),
+                                      params)
+    store = tree._store
+    left, right = tree.root.left, tree.root.right
+    assert tree.root.split.threshold == 1.0 and len(left.leaf_rows) == 2
+    shadow = ActiveMultiset.from_examples(warm)
+
+    def apply(e, op):
+        assert tree.update(e, op) is None
+        (shadow.insert if op == "ins" else shadow.delete)(e)
+
+    reused = store.row_of[warm[0]]
+    in_b = make_example((7.0,), 1)
+    apply(warm[0], "del")
+    apply(in_b, "ins")  # L's builder row, reused in B
+    apply(in_b, "del")
+    apply(make_example((0.5,), 0), "ins")  # and back in L
+    fresh = make_example((0.25,), 0)
+    apply(fresh, "ins")  # a row L lists in its new list ...
+    row = store.row_of[fresh]
+    apply(fresh, "del")
+    apply(make_example((8.0,), 1), "ins")  # ... reused in B
+    apply(make_example((8.0,), 1), "del")
+    apply(make_example((0.75,), 0), "ins")  # and back in L's new list
+    assert left.leaf_rows.tolist().count(reused) == 1
+    assert left.leaf_new[::2] == [reused, row, row]
+    assert right.leaf_new[::2] == [reused, row]
+    assert tree.leaf_union() == shadow
+
+    rows, hist = tree._gather(left)
+    assert sorted(rows.tolist()) == sorted(
+        r for e, r in store.row_of.items() if e.features[0] <= 1.0)
+    assert hist == [3, 0]
+    while True:  # churn L until it rebuilds alone
+        info = tree.update(warm[1], "del")
+        assert info is None
+        info = tree.update(warm[1], "ins")
+        if info is not None:
+            break
+    assert info.node is tree.root.left and info.gathered == 3
+    assert sorted(info.node.leaf_rows.tolist()) == sorted(rows.tolist())
+    assert tree.leaf_union() == shadow
 
 
 def test_leaf_union_tracks_random_churn():

@@ -5,13 +5,15 @@ examples counted more than once, symbols that sort before every held
 one, which rank a column again, and a stream of new symbols, whose ids
 the store drops once no row holds them.  A rejected update (NaN, a wrong
 arity, a symbol of another type, a container symbol, unhashable features,
-label 2, an unknown op, a delete of an absent example or of a value of a
-rejected type that equals a held one) must raise what it raised before
-deletes of held examples skipped validation, and change no state.
+label 2, a label equal to 0 or 1 that is not an integer, an unknown op, a
+delete of an absent example or of a value of a rejected type that equals a
+held one) must raise what it raised before deletes of held examples
+skipped validation, and change no state.
 """
 
 from collections import Counter
 from dataclasses import astuple
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
@@ -104,6 +106,22 @@ class TreeMachine(RuleBasedStateMachine):
             self._apply(e, "del")
         self._apply(e, "ins")
 
+    @precondition(lambda self: self.shadow)
+    @rule(i=st.integers(0, 10**6), other=examples)
+    def reuse_row_elsewhere_and_back(self, i, other):
+        # e's freed row is reused at once by other, which may route to
+        # another leaf, then freed again and reused by e, so e's leaf may
+        # list the row twice: once stale, once current
+        held = sorted(self.shadow)
+        e = held[i % len(held)]
+        if other in self.shadow or other == e:
+            return
+        for _ in range(self.shadow[e]):
+            self._apply(e, "del")
+        self._apply(other, "ins")
+        self._apply(other, "del")
+        self._apply(e, "ins")
+
     @precondition(lambda self: min((e.features[1] for e in self.shadow),
                                    default="m") > "0")
     @rule(x=reals, label=st.integers(0, 1))
@@ -176,6 +194,23 @@ class TreeMachine(RuleBasedStateMachine):
         self._rejected(LabeledExample(e.features, 2), "del",
                        ValueError, "label must be 0 or 1")
 
+    @rule(e=examples, label=st.sampled_from([0.0, 1.0, Fraction(0),
+                                              Fraction(1)]))
+    def insert_non_integer_label(self, e, label):
+        # 1.0 == 1 once passed the label check, and the leaf's label
+        # histogram then raised TypeError after the row was taken
+        self._rejected(LabeledExample(e.features, label), "ins",
+                       SchemaError, "label must be 0 or 1")
+
+    @precondition(lambda self: self.shadow)
+    @rule(i=st.integers(0, 10**6), kind=st.sampled_from([float, Fraction]))
+    def delete_non_integer_label(self, i, kind):
+        # equal to a held example, so the store finds its row
+        held = sorted(self.shadow)
+        e = held[i % len(held)]
+        self._rejected(LabeledExample(e.features, kind(e.label)), "del",
+                       SchemaError, "label must be 0 or 1")
+
     @rule(e=examples)
     def upsert(self, e):
         self._rejected(e, "upsert", ValueError, "op must be ins or del")
@@ -235,34 +270,54 @@ def _nodes(node):
             stack.append(v.left)
 
 
+def _leaf_of(node, features):
+    while not node.is_leaf:
+        node = node.route_child(features)
+    return node
+
+
 def _store_problems(tree, max_distinct):
     """Broken row-store invariants of tree (see dyntree.core), as strings."""
     store = tree._store
     problems = []
-    held = {}
-    live = set(store.row_of.values())
+    listed = {}  # row -> the leaf that lists it currently
     for v in _nodes(tree.root):
-        if v.is_leaf:
-            if type(v.leaf_rows) is not dict:
-                problems.append(f"a leaf holds {type(v.leaf_rows).__name__}, "
-                                "not a plain dict")
-            for r, c in v.leaf_rows.items():
-                if r not in live:
-                    problems.append(f"a leaf holds row {r}, which is not live")
-                if r in held:
-                    problems.append(f"row {r} held by two leaves")
-                if c < 1:
-                    problems.append(f"a leaf counts row {r} {c} times")
-                held[r] = v
-    if set(held) != live:
-        problems.append("rows held by leaves differ from the store's rows")
+        if not v.is_leaf:
+            continue
+        listings = [(r, v.leaf_ticket) for r in v.leaf_rows.tolist()]
+        listings += zip(v.leaf_new[::2], v.leaf_new[1::2])
+        hist = [0, 0]
+        for r, ticket in listings:
+            if store.stamp[r] > ticket:
+                continue  # stale: the row was freed since
+            if store.examples[r] is None:
+                problems.append(f"a current listing points at freed row {r}")
+            elif r in listed:
+                problems.append(f"row {r} has two current listings")
+            else:
+                listed[r] = v
+                hist[store.examples[r].label] += store.count[r]
+        if hist != v.label_hist:
+            problems.append(f"a leaf's histogram {v.label_hist} differs "
+                            f"from its rows' {hist}")
     for e, r in store.row_of.items():
         if store.examples[r] != e:
             problems.append(f"row {r} holds {store.examples[r]}, not {e}")
+        if store.count[r] < 1:
+            problems.append(f"held row {r} counts {store.count[r]}")
+        if r not in listed:
+            problems.append(f"held row {r} has no current listing")
+        elif listed[r] is not _leaf_of(tree.root, e.features):
+            problems.append(f"row {r} is listed in a leaf {e} does not "
+                            "route to")
         types = tuple(type(e.features[j]) for j in tree.schema._categorical)
         if types != store.symbol_types:
             problems.append(f"{e} holds symbol types {types}, "
                             f"pinned {store.symbol_types}")
+    if any(store.count[r] != 1 for r in range(len(store.count))
+           if r >= len(store.examples) or store.examples[r] is None):
+        problems.append("a free row does not count 1, as its next take "
+                        "expects")
     if sorted(store.free) != [r for r, e in enumerate(store.examples)
                               if e is None]:
         problems.append("free list differs from the free rows")
@@ -371,6 +426,12 @@ def test_machine_reproducers(params):
         lambda: m.delete_bool_equal_to_held(0),
         lambda: m.delete_absent(make_example((3.0, "o"), 1)),
         lambda: m.insert_int_symbol(1),
+        lambda: m.insert_non_integer_label(make_example((1.0, "n"), 1), 1.0),
+        lambda: m.insert_non_integer_label(make_example((0.0, "m"), 0),
+                                           Fraction(0)),
+        lambda: m.delete_non_integer_label(0, float),
+        lambda: m.delete_non_integer_label(1, Fraction),
+        lambda: m.reuse_row_elsewhere_and_back(0, make_example((3.0, "o"), 1)),
     ]
     for step in steps:
         step()
