@@ -42,7 +42,7 @@ def _leaf(rows: np.ndarray, ticket: int, eta: int, total: int,
         leaf_label=1 if ones > total - ones else 0,
         leaf_rows=rows,
         leaf_ticket=ticket,
-        leaf_new=[],
+        leaf_new=None,
         label_hist=[total - ones, ones],
         height=0,
     )

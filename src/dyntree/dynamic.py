@@ -156,7 +156,8 @@ class DecisionTree:
                 if v.pending:
                     touched.append(v.leaf_rows)
                     tickets.append(v.leaf_ticket)
-                    new += v.leaf_new
+                    if v.leaf_new:
+                        new += v.leaf_new
                 else:
                     arrays.append(v.leaf_rows)
                 h0, h1 = v.label_hist
@@ -246,7 +247,10 @@ class DecisionTree:
         if op == "ins":
             # take raises TypeError for unhashable features before it
             # changes anything, so the pin is kept only after it
-            store.take(example, leaf.leaf_new)
+            new = leaf.leaf_new
+            if new is None:  # made on demand: most leaves never need one
+                new = leaf.leaf_new = []
+            store.take(example, new)
             store.symbol_types = types
             leaf.label_hist[example.label] += 1
             self._active += 1

@@ -23,7 +23,7 @@ PARAMS = FeasibilityParams(epsilon=0.1, alpha=0.2, beta=0.1, k=1, h=8)
 def leaf_multiset(store, leaf):
     """The multiset that a freshly built leaf lists over its tree's row
     store; no update has left a stale listing in it."""
-    assert leaf.leaf_new == []
+    assert leaf.leaf_new is None
     return ActiveMultiset._from_sorted_items(
         [(store.examples[r], store.count[r]) for r in leaf.leaf_rows.tolist()],
         store.schema)

@@ -343,7 +343,8 @@ def _current_rows(store, leaf):
     """The rows leaf lists currently: those whose stamp is at most the
     ticket they are listed under."""
     listed = [(r, leaf.leaf_ticket) for r in leaf.leaf_rows.tolist()]
-    listed += zip(leaf.leaf_new[::2], leaf.leaf_new[1::2])
+    new = leaf.leaf_new or []
+    listed += zip(new[::2], new[1::2])
     return [r for r, ticket in listed if store.stamp[r] <= ticket]
 
 

@@ -285,7 +285,8 @@ def _store_problems(tree, max_distinct):
         if not v.is_leaf:
             continue
         listings = [(r, v.leaf_ticket) for r in v.leaf_rows.tolist()]
-        listings += zip(v.leaf_new[::2], v.leaf_new[1::2])
+        new = v.leaf_new or []
+        listings += zip(new[::2], new[1::2])
         hist = [0, 0]
         for r, ticket in listings:
             if store.stamp[r] > ticket:
