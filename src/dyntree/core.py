@@ -323,6 +323,17 @@ class _Store:
         new.symbol_types = self.symbol_types
         return new
 
+    def __getstate__(self) -> dict:
+        # memoryviews do not pickle; the arrays under them do
+        state = {name: getattr(self, name) for name in self.__slots__}
+        state["count"], state["stamp"] = self.count.obj, self.stamp.obj
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        self.count, self.stamp = memoryview(self.count), memoryview(self.stamp)
+
     def check(self, example: LabeledExample, insert: bool = True) -> tuple:
         """(schema, symbol types) to keep once ``take`` has taken example's
         row.  Changes nothing, and raises SchemaError first unless the label

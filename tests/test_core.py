@@ -1,5 +1,7 @@
 """Domain types: examples, schemas, multisets, splits, parameter envelopes."""
 
+import copy
+import pickle
 import random
 from decimal import Decimal
 from types import ModuleType
@@ -11,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import dyntree
 from dyntree import (
     ActiveMultiset,
+    DecisionTree,
     ExampleNotFound,
     FeasibilityParams,
     FeatureKind,
@@ -322,6 +325,27 @@ def test_a_multisets_store_holds_exactly_its_rows():
         assert exact(s)
     assert not s and s.distinct_size == 0
     assert exact(s.copy()) and exact(c) and len(c) == 13
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy,
+                                   lambda x: pickle.loads(pickle.dumps(x))],
+                         ids=["deepcopy", "pickle"])
+def test_multisets_and_trees_copy_and_pickle(clone):
+    # the store keeps its per-row counts and stamps under memoryviews,
+    # which pickle cannot take
+    exs = [make_example((float(i % 5), "ab"[i % 2]), i % 2) for i in range(12)]
+    s = ActiveMultiset.from_examples(exs + exs[:3])
+    assert clone(s) == s
+    tree = DecisionTree.from_multiset(s, FeasibilityParams(epsilon=0.5))
+    for e in exs[:4]:
+        tree.update(e, "del")
+        tree.update(make_example(e.features, 1 - e.label), "ins")
+    c = clone(tree)
+    assert c.leaf_union() == tree.leaf_union()
+    for t in (tree, c):
+        t.update(exs[5], "del")
+        t.update(make_example((9.0, "a"), 1), "ins")
+    assert c.leaf_union() == tree.leaf_union()
 
 
 @pytest.mark.parametrize("symbol", [("a",), ["a"], {"a"}, frozenset("a"),
