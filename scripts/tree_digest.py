@@ -149,12 +149,11 @@ def digest(name: str, steps: int, seed: int) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--steps", type=int, default=1500,
-                        help="examples each stream brings after its warm window")
+                        help="examples each stream brings after its warm "
+                        "window")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--stream", choices=(*STREAMS, "all"), default="all")
     args = parser.parse_args(argv)
-    names = list(STREAMS) if args.stream == "all" else [args.stream]
-    for name in names:
+    for name in STREAMS:
         print(f"{name:>15} {digest(name, args.steps, args.seed)}")
     return 0
 

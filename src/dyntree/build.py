@@ -105,8 +105,8 @@ def _build_entries(
     # - this builder is a pure function of (multiset, depth, params), so a
     #   fresh build of u's multiset at u's depth reproduces u: size,
     #   pending 0, height, splits, split_gain bits and leaves.
-    # The nodes on path hold one example more or fewer than their size, so
-    # the path test and the size test are cheap extra guards.
+    # So the nodes on path, all reached by the triggering update, have
+    # pending > 0; the path test and the size test are cheap extra guards.
     #
     # Nodes are made in preorder, left child first, from an explicit stack,
     # so the depth of the tree is not bounded by Python's recursion limit.

@@ -245,8 +245,9 @@ def _binary_label(label) -> bool:
 
 
 def _int64s(n: int) -> memoryview:
-    # a per-row column that Python indexes at list speed; numpy reads the
-    # array under it, its .obj, without a copy
+    # a per-row column: Python reads and writes plain ints through the
+    # memoryview, about twice as fast as through the array, and numpy reads
+    # the array under it (.obj) without a copy
     return memoryview(np.zeros(n, dtype=np.int64))
 
 
@@ -694,13 +695,13 @@ class TreeNode:
     is the array of rows the builder listed, all under the ticket
     ``leaf_ticket`` (the store's clock when it built the leaf);
     ``leaf_new`` is a flat list of (row, ticket) pairs, one per row an
-    update took afresh for this leaf since (None until the first).  A listing is current while
-    the row's stamp is at most its ticket, and a held row has exactly one
-    current listing; the others are stale, left behind by rows that were
-    freed (see the module docstring).  The example counts are the
-    store's.  Every node carries the rebuild counters: ``size`` is the
-    subtree size at the time the node was built and ``pending`` counts
-    updates routed through it since.
+    update took afresh for this leaf since (None until the first).  A
+    listing is current while the row's stamp is at most its ticket, and a
+    held row has exactly one current listing; the others are stale, left
+    behind by rows that were freed (see the module docstring).  The
+    example counts are the store's.  Every node carries the rebuild
+    counters: ``size`` is the subtree size at the time the node was built
+    and ``pending`` counts updates routed through it since.
     """
 
     depth: int

@@ -264,8 +264,8 @@ class DecisionTree:
         self.stats.updates += 1
         eps = self.params.epsilon
         for i, v in enumerate(path):
-            v.pending = pending = v.pending + 1
-            if pending > eps * v.size:
+            v.pending += 1
+            if v.pending > eps * v.size:
                 return self._rebuild_at(path, i)
         return None
 

@@ -25,7 +25,8 @@ def leaf_multiset(store, leaf):
     store; no update has left a stale listing in it."""
     assert leaf.leaf_new is None
     return ActiveMultiset._from_sorted_items(
-        [(store.examples[r], store.count[r]) for r in leaf.leaf_rows.tolist()],
+        [(store.examples[r], store.count[r])
+         for r in leaf.leaf_rows.tolist()],
         store.schema)
 
 

@@ -335,7 +335,8 @@ def test_container_symbols_raise_before_any_state_changes():
 def _leaf_multiset(store, leaf):
     """The multiset that leaf lists currently over its tree's row store."""
     return ActiveMultiset._from_sorted_items(
-        [(store.examples[r], store.count[r]) for r in _current_rows(store, leaf)],
+        [(store.examples[r], store.count[r])
+         for r in _current_rows(store, leaf)],
         store.schema)
 
 
