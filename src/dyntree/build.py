@@ -98,15 +98,18 @@ def _build_entries(
     # not on path, whose size equals the new child's weighted count is
     # returned as is (and appended to kept) instead of being rebuilt.
     # This is exact:
-    # - every update routed through a node bumps its pending counter (the
-    #   rebuild bumps those below its trigger), so pending == 0 means u's
-    #   multiset is the one it was built (or kept) from, and the routing by
-    #   the shared split hands the new child that same multiset;
+    # - every update routed through a node bumps its pending counter,
+    #   except below the node that triggers a rebuild; those nodes are on
+    #   that update's path, which the rebuild never keeps.  So off the
+    #   current path, pending == 0 means u's multiset is the one it was
+    #   built (or kept) from, and the routing by the shared split hands the
+    #   new child that same multiset;
     # - this builder is a pure function of (multiset, depth, params), so a
     #   fresh build of u's multiset at u's depth reproduces u: size,
     #   pending 0, height, splits, split_gain bits and leaves.
-    # So the nodes on path, all reached by the triggering update, have
-    # pending > 0; the path test and the size test are cheap extra guards.
+    # Path nodes below the trigger keep pending 0 but hold one example more
+    # or fewer than their size, so the path test and the size test each
+    # exclude them; both are cheap guards.
     #
     # Nodes are made in preorder, left child first, from an explicit stack,
     # so the depth of the tree is not bounded by Python's recursion limit.

@@ -695,7 +695,10 @@ class TreeNode:
     is the array of rows the builder listed, all under the ticket
     ``leaf_ticket`` (the store's clock when it built the leaf);
     ``leaf_new`` is a flat list of (row, ticket) pairs, one per row an
-    update took afresh for this leaf since (None until the first).  A
+    update took afresh for this leaf since (None until the first).  An
+    insert that makes ``leaf_new`` too long folds the leaf's current
+    listings into a new ``leaf_rows`` under the clock's ticket (see
+    ``dynamic``).  A
     listing is current while the row's stamp is at most its ticket, and a
     held row has exactly one current listing; the others are stale, left
     behind by rows that were freed (see the module docstring).  The

@@ -19,7 +19,11 @@ listings with one concatenation and drops the stale ones with a
 vectorized ticket test, so one rebuild touch costs an element of that
 array, its slice of the store's counts and columns, and its place in a
 child leaf's slice; only the rows listed since the leaves were built pass
-through Python.
+through Python.  A leaf whose new-row list outgrows twice its rows' count
+(plus a constant) folds its current listings into one array at that insert,
+so its listings do not grow with the stream, whatever epsilon is; the fold
+is paid for by the inserts that grew the list, and at epsilon 1 or below
+it never happens, since the leaf rebuilds first.
 
 The store holds only examples valid under the tree's schema.  A tree is
 built over a copy of a multiset, whose inserts were checked, and each
@@ -33,11 +37,10 @@ untouched subtrees of the old target.  Every node of a tree is the
 builder's, since no caller can hand a tree a root.  Wherever the new tree
 picks the same split as the old node in the same place, an old child with
 ``pending == 0`` that is not on the triggering update's path (and whose
-build-time size matches) is kept instead of rebuilt.  Invariant:
-``pending == 0`` means no update has been routed through the node since
-it was built or kept, because every update counts itself in each node of
-its path; the counting stops at a trigger, but the rebuild counts it in
-the nodes below before it replaces them.  Such a node still holds
+build-time size matches) is kept instead of rebuilt.  Invariant: off that
+path, ``pending == 0`` means no update has been routed through the node
+since it was built or kept, because updates that stop counting at a
+trigger are on a path the rebuild never keeps.  Such a node still holds
 its build-time multiset, and the builder is a pure function of (multiset,
 depth, params), so the tree is identical to a full rebuild's.
 ``TreeStats.rebuild_touches`` still counts every gathered example, kept or
@@ -84,6 +87,22 @@ class TreeStats:
     # are gathered, so rebuild_touches counts them too
     reused_touches: int = 0
     max_height: int = 0
+
+
+def _current_rows(arrays: list, tickets: list, new: list,
+                  store) -> np.ndarray:
+    # the rows listed currently by some leaves, given their builder arrays,
+    # the arrays' tickets and their new-row lists joined: the arrays are
+    # joined and their stale rows dropped in one vectorized ticket test,
+    # then the current rows of the new lists added (see core._Store)
+    stamp = store.stamp.obj  # the array under the memoryview
+    rows = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+    rows = rows[stamp[rows] <= np.repeat(tickets, [len(a) for a in arrays])]
+    if not new:
+        return rows
+    pairs = np.fromiter(new, dtype=np.int64, count=len(new)).reshape(-1, 2)
+    fresh = pairs[:, 0]
+    return np.concatenate((rows, fresh[stamp[fresh] <= pairs[:, 1]]))
 
 
 def _shat(size: int) -> int:
@@ -141,46 +160,25 @@ class DecisionTree:
 
     def _gather(self, node: TreeNode):
         # (array of the rows listed currently below node, [0-label, 1-label]
-        # weight); leaves hold disjoint rows, and the builder needs no
-        # order.  A leaf no update has reached (pending == 0, the invariant
-        # subtree reuse rests on) holds only current listings, in its
-        # builder array.  The other leaves' arrays are joined and their
-        # stale rows dropped in one vectorized ticket test, and the current
-        # rows of their new lists added (see core._Store).
-        arrays, touched, tickets, new = [], [], [], []
+        # weight); leaves hold disjoint current rows, and the builder needs
+        # no order
+        arrays, tickets, new = [], [], []
         n0 = n1 = 0
         stack = [node]
         while stack:
             v = stack.pop()
             if v.split is None:
-                if v.pending:
-                    touched.append(v.leaf_rows)
-                    tickets.append(v.leaf_ticket)
-                    if v.leaf_new:
-                        new += v.leaf_new
-                else:
-                    arrays.append(v.leaf_rows)
+                arrays.append(v.leaf_rows)
+                tickets.append(v.leaf_ticket)
+                if v.leaf_new:
+                    new += v.leaf_new
                 h0, h1 = v.label_hist
                 n0 += h0
                 n1 += h1
             else:
                 stack.append(v.right)
                 stack.append(v.left)
-        if touched:
-            stamp = self._store.stamp.obj  # the array under the memoryview
-            rows = touched[0] if len(touched) == 1 else np.concatenate(touched)
-            if tickets.count(tickets[0]) == len(tickets):
-                bound = tickets[0]  # the usual case, and cheaper
-            else:
-                bound = np.repeat(tickets, [len(a) for a in touched])
-            arrays.append(rows[stamp[rows] <= bound])
-            if new:
-                pairs = np.fromiter(new, dtype=np.int64,
-                                    count=len(new)).reshape(-1, 2)
-                fresh = pairs[:, 0]
-                arrays.append(fresh[stamp[fresh] <= pairs[:, 1]])
-        rows = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-        return rows, [n0, n1]
+        return _current_rows(arrays, tickets, new, self._store), [n0, n1]
 
     def query(self, features: Sequence) -> int:
         """Label of the leaf that features route to."""
@@ -207,9 +205,9 @@ class DecisionTree:
         when they entered the tree, so a delete of the very object held
         skips the checks.  Any other delete runs them, because equality
         can join values of types the schema rejects (``True == 1.0``).
-        Counters along the path stop incrementing at the trigger, whose
-        rebuild counts the update in the nodes below it before everything
-        below the rebuilt ancestor is replaced wholesale.
+        Counters along the path stop incrementing at the trigger;
+        everything below the rebuilt ancestor is replaced wholesale, so
+        deeper counters die with their nodes.
         """
         store = self._store
         if op == "del":
@@ -260,6 +258,13 @@ class DecisionTree:
             self._active -= 1
         n0, n1 = leaf.label_hist
         leaf.leaf_label = 1 if n1 > n0 else 0
+        # fold the leaf's listings once its new-row list, flat (row, ticket)
+        # pairs, lists more than 2 (n0 + n1) + 32 rows
+        if op == "ins" and len(new) > 4 * (n0 + n1) + 64:
+            leaf.leaf_rows = _current_rows([leaf.leaf_rows],
+                                           [leaf.leaf_ticket], new, store)
+            leaf.leaf_ticket = store.clock  # every current stamp is at most it
+            leaf.leaf_new = None
 
         self.stats.updates += 1
         eps = self.params.epsilon
@@ -273,11 +278,6 @@ class DecisionTree:
         shat = _shat(path[i].size)
         j = next(jj for jj in range(i + 1) if path[jj].size <= shat)
         target = path[j]
-        # the counters below the trigger missed this update; these nodes
-        # die in this rebuild, but count it in them first, so that every
-        # leaf an update reached has pending > 0 (see _gather)
-        for v in path[i + 1:]:
-            v.pending += 1
         gathered, hist = self._gather(target)
         gathered_total = hist[0] + hist[1]
         kept = []

@@ -11,6 +11,7 @@ held one) must raise what it raised before deletes of held examples
 skipped validation, and change no state.
 """
 
+import random
 from collections import Counter
 from dataclasses import astuple
 from fractions import Fraction
@@ -393,6 +394,41 @@ def test_new_symbols_leave_coded_rows_and_unheld_ids_go():
             drops += 1
         assert _store_problems(tree, 20) == []
     assert drops > 0
+
+
+def test_listings_stay_within_a_constant_of_the_rows():
+    # At a large epsilon leaves go long without a rebuild, while every
+    # delete and reinsert of an example takes a row afresh and lists it
+    # again; the leaves must fold their stale listings away.  Reinserting
+    # in delete order hands the freed rows out in reverse, so rows also
+    # move between leaves.
+    params = FeasibilityParams(epsilon=64.0, alpha=0.1, beta=0.5, k=100, h=3)
+    rng = random.Random(64)
+    exs = [make_example((rng.random(), rng.choice("mno")),
+                        int(rng.random() < 0.3)) for _ in range(1000)]
+    exs = [make_example(e.features, int(e.features[0] > 0.6) ^ e.label)
+           for e in exs]
+    tree = DecisionTree.from_multiset(ActiveMultiset.from_examples(exs),
+                                      params)
+    store = tree._store
+    leaves = [v for v in _nodes(tree.root) if v.is_leaf]
+    assert len(leaves) > 2
+    for round_ in range(200):
+        churn = rng.sample(exs, 100)
+        for e in churn:
+            tree.update(e, "del")
+        for e in churn:
+            tree.update(e, "ins")
+        listings = sum(len(v.leaf_rows) + len(v.leaf_new or ()) // 2
+                       for v in _nodes(tree.root) if v.is_leaf)
+        assert listings <= 4 * len(store.row_of)
+        if round_ % 50 == 49:
+            assert _store_problems(tree, 1000) == []
+    assert tree.stats.rebuild_count == 0  # the leaves above, folded
+    assert [v for v in _nodes(tree.root) if v.is_leaf] == leaves
+    assert dict(tree.leaf_union().items()) == dict(Counter(exs))
+    rows, _ = tree._gather(tree.root)
+    assert sorted(rows.tolist()) == sorted(store.row_of.values())
 
 
 TreeMachine.TestCase.settings = settings(
