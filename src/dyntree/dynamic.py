@@ -22,8 +22,8 @@ child leaf's slice; only the rows listed since the leaves were built pass
 through Python.  A leaf whose new-row list outgrows twice its rows' count
 (plus a constant) folds its current listings into one array at that insert,
 so its listings do not grow with the stream, whatever epsilon is; the fold
-is paid for by the inserts that grew the list, and at epsilon 1 or below
-it never happens, since the leaf rebuilds first.
+is paid for by the inserts that grew the list.  At epsilon 1 or below the
+leaf rebuilds first, so ``update`` does not test for a fold there.
 
 The store holds only examples valid under the tree's schema.  A tree is
 built over a copy of a multiset, whose inserts were checked, and each
@@ -89,15 +89,16 @@ class TreeStats:
     max_height: int = 0
 
 
-def _current_rows(arrays: list, tickets: list, new: list,
+def _current_rows(arrays: list, tickets: list, lens: list, new: list,
                   store) -> np.ndarray:
     # the rows listed currently by some leaves, given their builder arrays,
-    # the arrays' tickets and their new-row lists joined: the arrays are
-    # joined and their stale rows dropped in one vectorized ticket test,
-    # then the current rows of the new lists added (see core._Store)
+    # the arrays' tickets and lengths, and their new-row lists joined: the
+    # arrays are joined and their stale rows dropped in one vectorized
+    # ticket test, then the current rows of the new lists added (see
+    # core._Store)
     stamp = store.stamp.obj  # the array under the memoryview
     rows = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-    rows = rows[stamp[rows] <= np.repeat(tickets, [len(a) for a in arrays])]
+    rows = rows[stamp[rows] <= np.array(tickets).repeat(lens)]
     if not new:
         return rows
     pairs = np.fromiter(new, dtype=np.int64, count=len(new)).reshape(-1, 2)
@@ -162,14 +163,16 @@ class DecisionTree:
         # (array of the rows listed currently below node, [0-label, 1-label]
         # weight); leaves hold disjoint current rows, and the builder needs
         # no order
-        arrays, tickets, new = [], [], []
+        arrays, tickets, lens, new = [], [], [], []
         n0 = n1 = 0
         stack = [node]
         while stack:
             v = stack.pop()
             if v.split is None:
-                arrays.append(v.leaf_rows)
+                a = v.leaf_rows
+                arrays.append(a)
                 tickets.append(v.leaf_ticket)
+                lens.append(len(a))
                 if v.leaf_new:
                     new += v.leaf_new
                 h0, h1 = v.label_hist
@@ -178,7 +181,7 @@ class DecisionTree:
             else:
                 stack.append(v.right)
                 stack.append(v.left)
-        return _current_rows(arrays, tickets, new, self._store), [n0, n1]
+        return _current_rows(arrays, tickets, lens, new, self._store), [n0, n1]
 
     def query(self, features: Sequence) -> int:
         """Label of the leaf that features route to."""
@@ -242,6 +245,8 @@ class DecisionTree:
         # an example's row, when held, is listed currently in the leaf the
         # example routes to, and a row taken afresh is listed there
         leaf = node
+        hist = leaf.label_hist
+        eps = self.params.epsilon
         if op == "ins":
             # take raises TypeError for unhashable features before it
             # changes anything, so the pin is kept only after it
@@ -250,24 +255,26 @@ class DecisionTree:
                 new = leaf.leaf_new = []
             store.take(example, new)
             store.symbol_types = types
-            leaf.label_hist[example.label] += 1
+            hist[example.label] += 1
             self._active += 1
+            n0, n1 = hist
+            # fold the leaf's listings once its new-row list, flat (row,
+            # ticket) pairs, lists more than 2 (n0 + n1) + 32 rows; at
+            # epsilon 1 or below the leaf rebuilds first
+            if eps > 1 and len(new) > 4 * (n0 + n1) + 64:
+                a = leaf.leaf_rows
+                leaf.leaf_rows = _current_rows([a], [leaf.leaf_ticket],
+                                               [len(a)], new, store)
+                leaf.leaf_ticket = store.clock  # no current stamp is later
+                leaf.leaf_new = None
         else:
             store.release(row)
-            leaf.label_hist[example.label] -= 1
+            hist[example.label] -= 1
             self._active -= 1
-        n0, n1 = leaf.label_hist
+            n0, n1 = hist
         leaf.leaf_label = 1 if n1 > n0 else 0
-        # fold the leaf's listings once its new-row list, flat (row, ticket)
-        # pairs, lists more than 2 (n0 + n1) + 32 rows
-        if op == "ins" and len(new) > 4 * (n0 + n1) + 64:
-            leaf.leaf_rows = _current_rows([leaf.leaf_rows],
-                                           [leaf.leaf_ticket], new, store)
-            leaf.leaf_ticket = store.clock  # every current stamp is at most it
-            leaf.leaf_new = None
 
         self.stats.updates += 1
-        eps = self.params.epsilon
         for i, v in enumerate(path):
             v.pending += 1
             if v.pending > eps * v.size:
