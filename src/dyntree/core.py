@@ -19,13 +19,11 @@ Store invariants, which hold whenever the store is flushed (see
 - a row freed by the last delete of its example is reused before a new
   one is made, so there are never more row ids than the largest number of
   distinct examples held at once;
-- freeing a row ticks the store's ``clock`` and writes the tick to the
-  row's ``stamp`` (0 for a row never freed).  A tree lists a row in a leaf
-  with a ticket, the clock when the row was taken (or the leaf built), and
-  the listing is current while ``stamp <= ticket``, that is while the row
-  has not been freed since; only a row's last listing passes, so a freed
-  and reused row is never counted through the stale listings it leaves
-  behind;
+- a row's ``stamp`` is the ticket of its last take, a tick of the store's
+  ``clock``, or ``_FREED`` once it is freed.  A tree lists a row in a leaf
+  with a ticket, and the listing is current while ``stamp <= ticket``;
+  only a row's last listing passes, so a freed and reused row is never
+  counted through the stale listings it leaves behind;
 - every held example's categorical symbols have the types that
   ``symbol_types`` pins, one per column;
 - a categorical symbol gets an id when it first reaches its column, and
@@ -234,6 +232,10 @@ def make_example(features: Iterable, label: int) -> LabeledExample:
     return LabeledExample(tuple(features), label)
 
 
+# stamp of a freed row: above every ticket, so no listing of it is current
+_FREED = np.iinfo(np.int64).max
+
+
 def _binary_label(label) -> bool:
     # an integer (int, bool or a type with __index__) equal to 0 or 1
     try:
@@ -261,11 +263,11 @@ class _Store:
     leaves of one tree) holds: each ``take`` counts one copy and each
     ``release`` one fewer.  A free row counts 1, the count it has when it
     is taken again, so that neither call writes the count of a row it
-    takes afresh or frees.  ``release`` ticks ``clock`` for every row it
-    frees and writes the tick to the row's ``stamp``.  A tree lists a row
-    in a leaf with a ticket, the clock when the row was taken afresh, and
-    the listing is current while ``stamp <= ticket`` (see the module
-    docstring).  ``count`` and
+    takes afresh or frees.  ``take`` ticks ``clock`` for every row it
+    hands out afresh and writes the tick to the row's ``stamp``;
+    ``release`` writes ``_FREED`` when it frees a row.  A tree lists a
+    row in a leaf with a ticket, and the listing is current while
+    ``stamp <= ticket`` (see the module docstring).  ``count`` and
     ``stamp`` are memoryviews of int64 arrays, grown geometrically, so
     they may hold more rows than there are row ids.
 
@@ -359,9 +361,9 @@ class _Store:
         """Count one more copy of example, and return its row: the held
         one, else a free one, else a new one.
 
-        When a listing is given, a row handed out afresh is listed in it as
-        the pair (row, ``clock``).  Raises TypeError for unhashable
-        features before any change.
+        A row handed out afresh is stamped with a new tick of ``clock``,
+        and when a listing is given, the pair (row, tick) is appended to
+        it.  Raises TypeError for unhashable features before any change.
         """
         free = self.free
         row = free[-1] if free else len(self.examples)
@@ -380,9 +382,11 @@ class _Store:
             if row == len(self.count):
                 self._grow_rows()
         self.uncoded.add(row)
+        self.clock = t = self.clock + 1
+        self.stamp[row] = t
         if listing is not None:
             listing.append(row)
-            listing.append(self.clock)
+            listing.append(t)
         return row
 
     def release(self, row: int) -> None:
@@ -398,8 +402,7 @@ class _Store:
         del self.row_of[examples[row]]
         examples[row] = None
         self.free.append(row)
-        self.clock = t = self.clock + 1
-        self.stamp[row] = t
+        self.stamp[row] = _FREED
 
     def _grow_rows(self) -> None:
         n = len(self.count)
@@ -411,8 +414,7 @@ class _Store:
 
     def held_rows(self) -> np.ndarray:
         """Every held row id, ascending."""
-        return np.sort(np.fromiter(self.row_of.values(), dtype=np.intp,
-                                   count=len(self.row_of)))
+        return np.flatnonzero(self.stamp.obj[:len(self.examples)] != _FREED)
 
     def flush(self) -> None:
         """Code the rows taken since the last flush.
