@@ -18,13 +18,13 @@ from __future__ import annotations
 import numpy as np
 
 from .core import FeasibilityParams, FeatureKind, Split, TreeNode, _Store
-from .gini import (
-    TIE_TOL,
-    _gain_from_counts,
-    _gini_from_counts,
-    _sweep_categorical,
-    _sweep_numeric,
-)
+from .gini import (TIE_TOL, _gini_from_counts, _sweep_categorical,
+                   _sweep_numeric)
+
+# Bound here for bench/tracing.py, which patches it by name in this module;
+# the builder calls it nowhere, as both sweeps return their gains.  It goes
+# when the benchmark reads engine events instead (ROADMAP item 1).
+from .gini import _gain_from_counts  # noqa: F401
 
 
 def _stops(total: int, ones: int, eta: int, params: FeasibilityParams) -> bool:
@@ -140,27 +140,28 @@ def _build_entries(
 
     root = None
     splits = []  # split nodes in the order made; a node's children come later
-    # frames: (row indices, depth, total, ones, old node, parent, left side)
-    stack = [(np.arange(len(rows)), eta, total, ones, old, None, True)]
+    # frames: (row indices, depth, total, ones, old node, parent, left side);
+    # the first frame's indices are None, for all of rows in their order, so
+    # it sweeps the columns as store.columns returned them
+    stack = [(None, eta, total, ones, old, None, True)]
     while stack:
         idx, eta, total, ones, old, parent, is_left = stack.pop()
         node = None
         if not _stops(total, ones, eta, params):
-            wi = w[idx]
-            wyi = wy[idx]
-            # one sweep per kind covers every feature of that kind; the
-            # categorical sweep already holds each winner's gain, the
-            # numeric winners are scored here through the scalar kernel
+            first = idx is None
+            wi = w if first else w[idx]
+            wyi = wy if first else wy[idx]
+            # one sweep per kind covers every feature of that kind, and each
+            # returns its winners' gains
             found = [None] * d
             Xi = Ci = None
             if num:
-                Xi = X[idx]
-                for j, (thr, left, left_ones) in zip(
-                        num, _sweep_numeric(Xi, wi, wyi, total, ones)):
-                    found[j] = (thr, left, left_ones,
-                                _gain_from_counts(total, ones, left, left_ones))
+                Xi = X if first else X[idx]
+                for j, res in zip(num, _sweep_numeric(Xi, wi, wyi, total,
+                                                      ones)):
+                    found[j] = res
             if cat:
-                Ci = C[idx]
+                Ci = C if first else C[idx]
                 for j, res in zip(cat, _sweep_categorical(Ci, wi, wyi, total,
                                                           ones, code_col)):
                     found[j] = res
@@ -204,14 +205,15 @@ def _build_entries(
                         (lold, mask, left, left_ones, True)):
                     child = keep(u, t)
                     if child is None:
-                        stack.append((idx[sub], eta + 1, t, t_ones, u, node,
-                                      side))
+                        stack.append((sub.nonzero()[0] if first else idx[sub],
+                                      eta + 1, t, t_ones, u, node, side))
                     elif side:
                         node.left = child
                     else:
                         node.right = child
         if node is None:
-            node = _leaf(rows[idx], ticket, eta, total, ones)
+            node = _leaf(rows if idx is None else rows[idx], ticket, eta,
+                         total, ones)
         if parent is None:
             root = node
         elif is_left:

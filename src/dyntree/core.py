@@ -754,7 +754,9 @@ class FeasibilityParams:
             raise ValueError(f"k must be a positive integer, got {self.k}")
         if self.h is not None and self.h < 1:
             raise ValueError(f"h must be a positive integer or None, got {self.h}")
-        if self.epsilon < 0.0:
+        # written so that a NaN epsilon, which compares false both ways and
+        # would make every drift bound NaN, is rejected too
+        if not self.epsilon >= 0.0:
             raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
 
     @property

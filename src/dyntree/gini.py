@@ -1,10 +1,13 @@
 """Gini impurity, split gain and exact split search.
 
-All engine-side scoring funnels through two scalar kernels (the
-categorical sweep runs an inlined copy of the gain kernel) so that a gain
-reported by the sweep equals what ``gini_gain`` computes for the same
-split, bit for bit.  Gains within ``TIE_TOL`` of each other count as tied
-and ties resolve to the lowest feature index, then the lowest threshold.
+``gini_gain`` scores one split through the scalar kernel
+``_gain_from_counts``.  The engine's two sweeps score every candidate of a
+node at once: the numeric sweep in numpy arrays, the categorical one in an
+inlined copy of the kernel.  Both run the kernel's float operations in its
+order, so a gain a sweep reports equals what ``gini_gain`` computes for the
+same split, bit for bit.  Gains within ``TIE_TOL`` of each other count as
+tied and ties resolve to the lowest feature index, then the lowest
+threshold.
 """
 
 from __future__ import annotations
@@ -60,13 +63,19 @@ def gini_gain(s: ActiveMultiset, split: Split) -> float:
 def _sweep_numeric(X: np.ndarray, w, wy, total: int, ones: int) -> list:
     """Best threshold of every real feature of one node in one pass.
 
-    X holds the node's rows by real feature. Each column is sorted once
-    (stably) and swept at its value boundaries: the candidate thresholds
-    are the observed distinct values, and the largest routes everything
-    left and scores 0. Per column the winner is the smallest threshold
-    whose gain is within TIE_TOL of the column's best. Returns one
-    (threshold, left, left_ones) per column so the caller can finalize the
-    gain through the scalar kernel.
+    X holds the node's rows by real feature, and w, wy their counts and
+    1-label counts; every row is a held row, so w >= 1 everywhere.  Each
+    column is sorted once and swept at its value boundaries: the candidate
+    thresholds are the observed distinct values, and the largest routes
+    everything left and scores 0.  Per column the winner is the smallest
+    threshold whose gain is within TIE_TOL of the column's best.  Returns
+    one (threshold, left, left_ones, gain) per column.
+
+    The gains are ``_gain_from_counts`` run elementwise: the same float
+    operations in the same order on the same (integer-valued) counts, so
+    each is bit-identical to the kernel's.  As w >= 1, the left count is at
+    least 1 on every row and the right count is 0 only on the last, whose
+    gain the kernel defines as 0.
 
     The sort need not be stable: only the last row of each run of equal
     values is a candidate, and its running sums cover the whole run in any
@@ -81,18 +90,18 @@ def _sweep_numeric(X: np.ndarray, w, wy, total: int, ones: int) -> list:
     wr = total - wl
     wyr = ones - wyl
     g = 2.0 * (ones / total) * ((total - ones) / total)
-    dl = np.maximum(wl, 1.0)
-    dr = np.maximum(wr, 1.0)
-    gl = 2.0 * (wyl / dl) * ((wl - wyl) / dl)
+    dr = np.maximum(wr, 1.0)  # the last row divides by 1, not 0
+    gl = 2.0 * (wyl / wl) * ((wl - wyl) / wl)
     gr = 2.0 * (wyr / dr) * ((wr - wyr) / dr)
     gains = np.maximum(0.0, g - (wl * gl + wr * gr) / total)
-    gains[(wl == 0) | (wr == 0)] = 0.0
+    gains[-1] = 0.0  # everything left
     gains[:-1][sv[:-1] == sv[1:]] = -1.0  # not a value boundary
 
     sel = (gains >= gains.max(axis=0) - TIE_TOL).argmax(axis=0)
     return list(zip(sv[sel, cols].tolist(),
                     wl[sel, cols].astype(np.int64).tolist(),
-                    wyl[sel, cols].astype(np.int64).tolist()))
+                    wyl[sel, cols].astype(np.int64).tolist(),
+                    gains[sel, cols].tolist()))
 
 
 def _sweep_categorical(C: np.ndarray, w, wy, total: int, ones: int,
@@ -146,11 +155,8 @@ def _sweep_all(s: ActiveMultiset) -> list:
     schema = store.schema
     out = [None] * schema.arity
     if schema._real:
-        for j, (thr, left, left_ones) in zip(
-            schema._real, _sweep_numeric(X, w, wy, total, ones)
-        ):
-            out[j] = (thr, left, left_ones,
-                      _gain_from_counts(total, ones, left, left_ones))
+        for j, res in zip(schema._real, _sweep_numeric(X, w, wy, total, ones)):
+            out[j] = res
     if schema._categorical:
         for j, (code, left, left_ones, gain) in zip(
             schema._categorical,

@@ -125,6 +125,16 @@ def test_bad_param_combination_fails_cleanly(csv_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_nan_epsilon_fails_cleanly(csv_path, capsys):
+    # a NaN epsilon would make every drift bound NaN, so nothing rebuilds
+    code = run_cli([
+        "run", "--data", csv_path, "--label", "label", "--positive", "pos",
+        "--epsilon", "nan",
+    ])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_parser_requires_subcommand():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])

@@ -413,6 +413,8 @@ def test_params_validation():
     with pytest.raises(ValueError):
         FeasibilityParams(epsilon=-0.1)
     with pytest.raises(ValueError):
+        FeasibilityParams(epsilon=float("nan"))
+    with pytest.raises(ValueError):
         FeasibilityParams(epsilon=0.1, h=0)
 
 

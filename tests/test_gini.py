@@ -164,3 +164,25 @@ def test_categorical_gains_equal_the_scalar_kernel_bit_for_bit(seed):
     s = ActiveMultiset.from_examples(exs)
     for j, (symbol, gain) in enumerate(best_split(s).per_feature):
         assert gain == gini_gain(s, Split(j, symbol, categorical=True))
+
+
+@given(st.integers(0, 2**31))
+@settings(max_examples=60, deadline=None)
+def test_numeric_gains_equal_the_scalar_kernel_bit_for_bit(seed):
+    # the numeric sweep scores every threshold in numpy arrays; each
+    # winner's gain must equal gini_gain of the same split exactly, with
+    # examples held more than once, columns that never vary, and a lone
+    # example held twice
+    rng = random.Random(seed)
+    d = rng.randint(1, 4)
+    # a pool of one value makes a constant column
+    pools = [[rng.uniform(-5.0, 5.0) for _ in range(rng.choice((1, 3, 8)))]
+             for _ in range(d)]
+    distinct = [make_example(tuple(rng.choice(p) for p in pools),
+                             rng.randrange(2))
+                for _ in range(rng.randint(1, 30))]
+    held = [e for e in distinct for _ in range(rng.randint(1, 4))]
+    for s in (ActiveMultiset.from_examples(held),
+              ActiveMultiset.from_examples(distinct[:1] * 2)):
+        for j, (thr, gain) in enumerate(best_split(s).per_feature):
+            assert gain == gini_gain(s, Split(j, thr))
