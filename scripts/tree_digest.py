@@ -1,8 +1,10 @@
 """Print one sha256 per seeded stream of everything a tree shows.
 
 Each stream drives one ``DecisionTree`` through seeded updates: a numeric
-sliding window, a mixed sliding window, categorical random updates, and a
-sliding window whose inserts mostly bring a symbol no example has had.
+sliding window, a mixed sliding window, categorical random updates, a
+sliding window whose inserts mostly bring a symbol no example has had, and
+a mixed sliding window whose real columns take 4 values each, so they
+repeat values at every rebuild target.
 After every update the digest takes every node's split, ``split_gain``
 (as ``float.hex``), size, pending count and height, and each leaf's label
 and label histogram, in preorder.  After every rebuild, and at the end,
@@ -60,6 +62,9 @@ STREAMS = {
     "new-symbols-sw": (
         "sw", FeasibilityParams(epsilon=0.1, alpha=0.3, beta=0.4, k=3, h=8),
         _new_symbol_stream),
+    "grid-sw": (
+        "sw", FeasibilityParams(epsilon=0.05, alpha=0.3, beta=0.4, k=3, h=8),
+        lambda n, seed: mixed_stream(n, d_num=3, d_cat=1, seed=seed, grid=4)),
 }
 
 

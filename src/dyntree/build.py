@@ -4,8 +4,13 @@ One builder serves every schema.  It takes an array of row ids of a row
 store (``core._Store``) and slices the store's counts, real matrix and
 code matrix by them.  Real features go through one numeric sweep per
 node, and categorical ones through one bincount sweep (see ``gini``).
-Each leaf gets its slice of the row array, listed under the store's
-current clock (``TreeNode.leaf_rows``, ``TreeNode.leaf_ticket``).
+The first node, the target, sorts its real columns in the sort sweep.
+When it has ``gini.RANK_ROWS`` rows or more and they repeat values enough
+(``gini._rank_gate``), that sort becomes rank codes for this build alone,
+and each node below whose cells number at least the columns' distinct
+values V sweeps and partitions its codes instead of sorting.  Each leaf
+gets its slice of the row array, listed under the store's current clock
+(``TreeNode.leaf_rows``, ``TreeNode.leaf_ticket``).
 
 A node stops at the size floor k, at Gini at most alpha/2, or at the
 depth cap; a chosen split that fails to separate the node also stops it.
@@ -18,7 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 from .core import FeasibilityParams, FeatureKind, Split, TreeNode, _Store
-from .gini import (TIE_TOL, _gini_from_counts, _sweep_categorical,
+from .gini import (RANK_ROWS, TIE_TOL, _gini_from_counts, _rank_codes,
+                   _rank_gate, _sweep_binned, _sweep_categorical,
                    _sweep_numeric)
 
 # Bound here for bench/tracing.py, which patches it by name in this module;
@@ -52,8 +58,9 @@ def _separating_split(kinds, pos, Xi, Ci):
     """Lowest (feature, value) split with both sides nonempty, as
     (feature, value, left mask), or None.
 
-    Categorical values are codes, whose order is the symbols' order; at the
-    smallest value, ``x <= value`` and ``x == value`` select the same rows.
+    Categorical values are codes, whose order is the symbols' order, and
+    so are real ones when Xi holds rank codes; at the smallest value,
+    ``x <= value`` and ``x == value`` select the same rows.
     """
     for j, kind in enumerate(kinds):
         col = (Xi if kind is FeatureKind.REAL else Ci)[:, pos[j]]
@@ -138,6 +145,11 @@ def _build_entries(
             return u
         return None
 
+    # the target's sort of its real columns (for a target of RANK_ROWS rows
+    # or more), and V, the number of their distinct values when they pass
+    # gini._rank_gate, else 0; the first node below with at least V cells
+    # makes their rank codes R from the sort
+    layout, V, R = [], 0, None
     root = None
     splits = []  # split nodes in the order made; a node's children come later
     # frames: (row indices, depth, total, ones, old node, parent, left side);
@@ -154,12 +166,26 @@ def _build_entries(
             # one sweep per kind covers every feature of that kind, and each
             # returns its winners' gains
             found = [None] * d
-            Xi = Ci = None
+            Xi = Ci = vals = None
             if num:
-                Xi = X if first else X[idx]
-                for j, res in zip(num, _sweep_numeric(Xi, wi, wyi, total,
-                                                      ones)):
-                    found[j] = res
+                if first:
+                    Xi = X
+                    res = _sweep_numeric(
+                        Xi, wi, wyi, total, ones,
+                        layout if len(rows) >= RANK_ROWS else None)
+                    V = _rank_gate(*layout[1:]) if layout else 0
+                elif V and len(idx) * len(num) >= V:
+                    if R is None:
+                        R, rvals, starts, rcol = _rank_codes(*layout)
+                    # Xi holds codes, thresholds are codes, vals maps them
+                    Xi, vals = R[idx], rvals
+                    res = _sweep_binned(Xi, wi, wyi, total, ones, starts,
+                                        rcol)
+                else:
+                    Xi = X[idx]
+                    res = _sweep_numeric(Xi, wi, wyi, total, ones)
+                for j, r in zip(num, res):
+                    found[j] = r
             if cat:
                 Ci = C if first else C[idx]
                 for j, res in zip(cat, _sweep_categorical(Ci, wi, wyi, total,
@@ -190,7 +216,8 @@ def _build_entries(
                 mask = Ci[:, pos[j]] == thr
             if mask is not None:
                 categorical = kinds[j] is not REAL
-                split = Split(j, symbols[thr] if categorical else thr,
+                split = Split(j, symbols[thr] if categorical
+                              else thr if vals is None else vals[thr].item(),
                               categorical=categorical)
                 node = TreeNode(depth=eta, size=total, split=split,
                                 split_gain=gain)

@@ -440,16 +440,20 @@ class _Store:
         k, d = len(rows), schema.arity
         num, cat = schema._real, schema._categorical
         self.y[idx] = [e.label for e in exs]
+        # real values are coded + 0.0, which turns -0.0 into 0.0: the two
+        # compare equal, so a threshold at their run would otherwise read as
+        # whichever sign the run's held example arrived with
         if len(num) == d:
             self.X[idx] = np.fromiter(chain.from_iterable(e.features for e in exs),
-                                      dtype=np.float64, count=k * d).reshape(k, d)
+                                      dtype=np.float64,
+                                      count=k * d).reshape(k, d) + 0.0
             return
         by_col = list(zip(*(e.features for e in exs)))
         if num:
             m = len(num)
             self.X[idx] = np.fromiter(
                 chain.from_iterable(by_col[j] for j in num), dtype=np.float64,
-                count=m * k).reshape(m, k).T
+                count=m * k).reshape(m, k).T + 0.0
         mc = len(cat)
         if not self.ids:
             self.ids = [{} for _ in cat]

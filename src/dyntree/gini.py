@@ -1,13 +1,28 @@
 """Gini impurity, split gain and exact split search.
 
 ``gini_gain`` scores one split through the scalar kernel
-``_gain_from_counts``.  The engine's two sweeps score every candidate of a
-node at once: the numeric sweep in numpy arrays, the categorical one in an
-inlined copy of the kernel.  Both run the kernel's float operations in its
-order, so a gain a sweep reports equals what ``gini_gain`` computes for the
-same split, bit for bit.  Gains within ``TIE_TOL`` of each other count as
-tied and ties resolve to the lowest feature index, then the lowest
-threshold.
+``_gain_from_counts``.  The engine's sweeps score every candidate of a
+node at once: the numeric sort sweep and the binned sweep in numpy arrays,
+the categorical one in an inlined copy of the kernel.  All run the
+kernel's float operations in its order, so a gain a sweep reports equals
+what ``gini_gain`` computes for the same split, bit for bit.  Gains within
+``TIE_TOL`` of each other count as tied and ties resolve to the lowest
+feature index, then the lowest threshold.
+
+Real columns that repeat values are also split by counting, as binary and
+categorical ones are.  The sort sweep of a rebuild's target can hand back
+its sort.  When the target has at least ``RANK_ROWS`` rows and its columns
+hold few distinct values (V, summed over the columns, with
+``RANK_GATE * V <= rows * columns``: ``_rank_gate``), each node below the
+target whose cells number at least V runs ``_sweep_binned`` instead of
+sorting.  The first such node turns the target's sort into dense rank
+codes (``_rank_codes``), local to the one rebuild: global across the
+columns, each column's codes one block in value order.  The binned sweep
+takes two bincounts and cumsums over the codes present.  Each row has one
+code per column, so column j's running sums over the codes present run
+on from ``j * total`` and ``j * ones``; less those offsets they are the
+sort sweep's running sums exactly, and the winner is the same, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -60,7 +75,8 @@ def gini_gain(s: ActiveMultiset, split: Split) -> float:
     return _gain_from_counts(total, ones, left, left_ones)
 
 
-def _sweep_numeric(X: np.ndarray, w, wy, total: int, ones: int) -> list:
+def _sweep_numeric(X: np.ndarray, w, wy, total: int, ones: int,
+                   layout: list | None = None) -> list:
     """Best threshold of every real feature of one node in one pass.
 
     X holds the node's rows by real feature, and w, wy their counts and
@@ -69,7 +85,9 @@ def _sweep_numeric(X: np.ndarray, w, wy, total: int, ones: int) -> list:
     thresholds are the observed distinct values, and the largest routes
     everything left and scores 0.  Per column the winner is the smallest
     threshold whose gain is within TIE_TOL of the column's best.  Returns
-    one (threshold, left, left_ones, gain) per column.
+    one (threshold, left, left_ones, gain) per column.  When layout is a
+    list, the sort is appended to it as (order, sorted values, ties), for
+    ``_rank_codes``.
 
     The gains are ``_gain_from_counts`` run elementwise: the same float
     operations in the same order on the same (integer-valued) counts, so
@@ -79,7 +97,8 @@ def _sweep_numeric(X: np.ndarray, w, wy, total: int, ones: int) -> list:
 
     The sort need not be stable: only the last row of each run of equal
     values is a candidate, and its running sums cover the whole run in any
-    order, so every order of ties gives the same result.
+    order.  The threshold is that row's value, so values that compare
+    equal must be one value: the row store codes -0.0 as 0.0.
     """
     cols = np.arange(X.shape[1])
     order = X.argsort(axis=0)
@@ -95,13 +114,97 @@ def _sweep_numeric(X: np.ndarray, w, wy, total: int, ones: int) -> list:
     gr = 2.0 * (wyr / dr) * ((wr - wyr) / dr)
     gains = np.maximum(0.0, g - (wl * gl + wr * gr) / total)
     gains[-1] = 0.0  # everything left
-    gains[:-1][sv[:-1] == sv[1:]] = -1.0  # not a value boundary
+    tie = sv[:-1] == sv[1:]
+    gains[:-1][tie] = -1.0  # not a value boundary
+    if layout is not None:
+        layout += order, sv, tie
 
     sel = (gains >= gains.max(axis=0) - TIE_TOL).argmax(axis=0)
     return list(zip(sv[sel, cols].tolist(),
                     wl[sel, cols].astype(np.int64).tolist(),
                     wyl[sel, cols].astype(np.int64).tolist(),
                     gains[sel, cols].tolist()))
+
+
+# A target's real columns are rank-coded when it has at least RANK_ROWS
+# rows and RANK_GATE times their number of distinct values is at most their
+# number of cells; a smaller target has too few nodes below to repay the
+# codes, so it does not even count its values.
+RANK_ROWS = 128
+RANK_GATE = 16
+
+
+def _rank_gate(sv, tie) -> int:
+    """V, the number of distinct values summed over a node's real columns,
+    given their sort (see ``_sweep_numeric``'s layout), when RANK_GATE * V
+    is at most their number of cells; else 0."""
+    cells = sv.size
+    V = cells - np.count_nonzero(tie)
+    return V if RANK_GATE * V <= cells else 0
+
+
+def _rank_codes(order, sv, tie) -> tuple:
+    """Dense rank codes of a node's real columns, from their sort.
+
+    Returns (R, vals, starts, code_col): R[i, j] is the code of row i's
+    value in column j, global across columns, column j's codes the block
+    from starts[j] in value order; vals[code] is the value and
+    code_col[code] the column of a code.
+    """
+    n, m = sv.shape
+    rk = np.empty((n, m), dtype=np.intp)
+    rk[0] = 0
+    np.cumsum(~tie, axis=0, out=rk[1:])
+    distinct = rk[-1] + 1
+    starts = np.zeros(m, dtype=np.intp)
+    np.cumsum(distinct[:-1], out=starts[1:])
+    rk += starts
+    R = np.empty_like(rk)
+    R[order, np.arange(m)] = rk
+    vals = np.empty(starts[-1] + distinct[-1])
+    vals[rk] = sv
+    return R, vals, starts, np.arange(m).repeat(distinct)
+
+
+def _sweep_binned(R: np.ndarray, w, wy, total: int, ones: int, starts,
+                  code_col) -> list:
+    """``_sweep_numeric`` of one node from the rank codes R of its rows.
+
+    starts and code_col are ``_rank_codes``'.  Counts each code's weight,
+    keeps the codes present (the node's distinct values) and sweeps them
+    in code order, so it scores the same candidates as the sort sweep,
+    with the same integer running sums and the same float operations.
+    Returns one (code, left, left_ones, gain) per column: the winner's
+    threshold is vals[code].
+    """
+    m = R.shape[1]
+    codes = R.ravel()
+    cw = np.bincount(codes, weights=w.repeat(m))
+    cwy = np.bincount(codes, weights=wy.repeat(m))
+    present = cw.nonzero()[0]
+    col = code_col[present]
+    # each column's weights sum to total (and its 1-labels to ones), so
+    # column j's running sums start at j * total and j * ones
+    wl = cw[present].cumsum() - col * total
+    wyl = cwy[present].cumsum() - col * ones
+    wr = total - wl
+    wyr = ones - wyl
+    g = 2.0 * (ones / total) * ((total - ones) / total)
+    dr = np.maximum(wr, 1.0)
+    gl = 2.0 * (wyl / wl) * ((wl - wyl) / wl)
+    gr = 2.0 * (wyr / dr) * ((wr - wyr) / dr)
+    gains = np.maximum(0.0, g - (wl * gl + wr * gr) / total)
+    gains[wr == 0.0] = 0.0  # each column's last code: everything left
+
+    # per column, the smallest code within TIE_TOL of the column's best
+    first = present.searchsorted(starts)
+    best = np.maximum.reduceat(gains, first)
+    hit = (gains >= (best - TIE_TOL)[col]).nonzero()[0]
+    sel = hit[hit.searchsorted(first)]
+    return list(zip(present[sel].tolist(),
+                    wl[sel].astype(np.int64).tolist(),
+                    wyl[sel].astype(np.int64).tolist(),
+                    gains[sel].tolist()))
 
 
 def _sweep_categorical(C: np.ndarray, w, wy, total: int, ones: int,
@@ -147,7 +250,13 @@ def _sweep_categorical(C: np.ndarray, w, wy, total: int, ones: int,
 
 def _sweep_all(s: ActiveMultiset) -> list:
     """(threshold, left, left_ones, gain) per feature of s, read from the
-    columns of s's store."""
+    columns of s's store.
+
+    The real features go through the builder's dispatch for a node below
+    a target: when s has RANK_ROWS rows or more and its real columns pass
+    ``_rank_gate``, the binned sweep answers from their rank codes, else
+    the sort sweep.
+    """
     store = s._store
     w, wy, X, C = store.columns(store.held_rows())
     n0, ones = s.label_counts()
@@ -155,7 +264,15 @@ def _sweep_all(s: ActiveMultiset) -> list:
     schema = store.schema
     out = [None] * schema.arity
     if schema._real:
-        for j, res in zip(schema._real, _sweep_numeric(X, w, wy, total, ones)):
+        layout = []
+        found = _sweep_numeric(X, w, wy, total, ones,
+                               layout if len(X) >= RANK_ROWS else None)
+        if layout and _rank_gate(*layout[1:]):
+            R, vals, starts, code_col = _rank_codes(*layout)
+            found = [(vals[code].item(), left, left_ones, gain)
+                     for code, left, left_ones, gain in _sweep_binned(
+                         R, w, wy, total, ones, starts, code_col)]
+        for j, res in zip(schema._real, found):
             out[j] = res
     if schema._categorical:
         for j, (code, left, left_ones, gain) in zip(

@@ -2,11 +2,14 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dyntree import (
     ActiveMultiset,
+    DecisionTree,
+    FeasibilityParams,
     Schema,
     Split,
     best_split,
@@ -14,6 +17,7 @@ from dyntree import (
     gini_index,
     make_example,
 )
+from dyntree import gini
 from dyntree.oracle import exhaustive_split_search
 
 
@@ -186,3 +190,81 @@ def test_numeric_gains_equal_the_scalar_kernel_bit_for_bit(seed):
               ActiveMultiset.from_examples(distinct[:1] * 2)):
         for j, (thr, gain) in enumerate(best_split(s).per_feature):
             assert gain == gini_gain(s, Split(j, thr))
+
+
+def _sweep_inputs(rng):
+    # rows of a node: columns of low or high cardinality (a pool of one
+    # value makes a constant column, and a repeated pool two equal columns),
+    # counts of 1 to 4, and labels that mirror around the middle value, so
+    # thresholds on either side of it tie
+    n = rng.randint(1, 120)
+    pools = []
+    for _ in range(rng.randint(1, 5)):
+        if pools and rng.random() < 0.2:
+            pools.append(pools[-1])
+        else:
+            size = rng.choice((1, 2, 4, 12, 500))
+            pools.append(sorted({round(rng.uniform(-5.0, 5.0), 2)
+                                 for _ in range(size)}))
+    X = np.array([[rng.choice(p) for p in pools] for _ in range(n)])
+    w = np.array([float(rng.choice((1, 1, 2, 4))) for _ in range(n)])
+    if rng.random() < 0.3:
+        mid = np.median(X[:, 0])
+        y = (np.abs(X[:, 0] - mid) < 1.0).astype(float)
+    else:
+        y = (np.array([rng.random() for _ in range(n)]) < rng.random()
+             ).astype(float)
+    return X, w, w * y
+
+
+def test_binned_sweep_equals_sort_sweep_bit_for_bit():
+    # the binned sweep, over rank codes of a target's columns, must return
+    # the sort sweep's (threshold, left, left_ones, gain) exactly, at the
+    # target and at subsets of its rows below it, whatever the gate says
+    subsets = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        X, w, wy = _sweep_inputs(rng)
+        n = len(X)
+        layout = []
+        expected = gini._sweep_numeric(X, w, wy, int(w.sum()), int(wy.sum()),
+                                       layout)
+        R, vals, starts, code_col = gini._rank_codes(*layout)
+        assert (vals[R] == X).all()
+        nodes = [np.arange(n)]
+        nodes += [np.array(sorted(rng.sample(range(n), k)))
+                  for k in (1, rng.randint(1, n))]
+        for i, idx in enumerate(nodes):
+            total, ones = int(w[idx].sum()), int(wy[idx].sum())
+            if i:
+                expected = gini._sweep_numeric(X[idx], w[idx], wy[idx], total,
+                                               ones)
+                subsets += 1
+            got = [(vals[code].item(), left, left_ones, gain)
+                   for code, left, left_ones, gain in gini._sweep_binned(
+                       R[idx], w[idx], wy[idx], total, ones, starts, code_col)]
+            assert got == expected, (seed, i)
+            assert repr(got) == repr(expected), (seed, i)  # -0.0 apart
+    assert subsets == 400
+
+
+def test_a_zero_threshold_reads_0_0_in_every_arrival_order():
+    # (-0.0,) and (0.0,) are one example, held as whichever came first; the
+    # threshold at their run must not depend on which that was, whether the
+    # sort sweep picks it (at a tree's root) or the binned sweep does
+    # (best_split over 128 rows of seven two-valued columns, which the gate
+    # codes)
+    rng = random.Random(5)
+    params = FeasibilityParams(epsilon=0.1, alpha=0.2, beta=0.1, k=1, h=8)
+    assert 2 ** 7 >= gini.RANK_ROWS
+    for trial in range(2):
+        for zeros in ((-0.0, 0.0), (0.0, -0.0)):
+            exs = [make_example(
+                tuple(zeros[i % 2] if bit == "0" else 1.0
+                      for bit in f"{v:07b}"), int(v >= 64))
+                for i in range(2) for v in range(128)]
+            rng.shuffle(exs)
+            s = ActiveMultiset.from_examples(exs)
+            assert repr(best_split(s).best_split.threshold) == "0.0"
+            root = DecisionTree(s, params).root
+            assert repr(root.split.threshold) == "0.0"

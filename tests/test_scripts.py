@@ -1,5 +1,6 @@
 """Smoke tests of the scripts under scripts/."""
 
+import importlib
 import importlib.util
 from pathlib import Path
 
@@ -24,9 +25,10 @@ def test_benchmark_reports_a_mode_that_ran_no_updates(capsys):
 
 
 # The digests of `tree_digest.py --steps 150 --seed 3`, recorded before the
-# numeric sweep started returning its gains. A change that only speeds the
-# engine up must build the same trees, so these stay as they are; a change
-# that means to alter the trees updates them and says why.
+# numeric sweep started returning its gains (grid-sw: before the binned
+# sweep came in). A change that only speeds the engine up must build the
+# same trees, so these stay as they are; a change that means to alter the
+# trees updates them and says why.
 PINNED_DIGESTS = {
     "numeric-sw":
         "6402adc77ab5a6a2b53459a62bbd9410250fe4236e148576b6fa6bd449e7ca29",
@@ -36,10 +38,23 @@ PINNED_DIGESTS = {
         "2969410e9c721a8f868e0120a7ac59fa5fe4b1f0353135e60a14df542f511436",
     "new-symbols-sw":
         "2622e7717aa717f0a1350eb8934996b3148ff779f14b2dc3f786ddb9a0d9c3b9",
+    "grid-sw":
+        "c9c164c3a49757cf1004c224254316762ff8529a77b0cde91736d2a5921ef252",
 }
 
 
-def test_tree_digest_is_reproducible(capsys):
+def test_tree_digest_is_reproducible(capsys, monkeypatch):
+    # grid-sw's real columns repeat values at every rebuild target, so its
+    # digest covers the binned sweep whatever the gate's constants are; a
+    # spy in the builder's namespace checks that it ran there
+    build_mod = importlib.import_module("dyntree.build")
+    binned = []
+
+    def spy(*args):
+        binned.append(len(args[0]))
+        return sweep(*args)
+    sweep = build_mod._sweep_binned
+    monkeypatch.setattr(build_mod, "_sweep_binned", spy)
     digest = _load("tree_digest")
     outs = []
     for _ in range(2):
@@ -51,3 +66,6 @@ def test_tree_digest_is_reproducible(capsys):
     assert dict(line.split() for line in lines) == PINNED_DIGESTS
     assert len({line.split()[1] for line in lines}) == len(lines)
     assert digest.digest("mixed-sw", 150, 4) not in outs[0]
+    binned.clear()
+    assert digest.digest("grid-sw", 150, 3) == PINNED_DIGESTS["grid-sw"]
+    assert len(binned) > 100
