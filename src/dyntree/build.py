@@ -6,11 +6,11 @@ code matrix by them.  Real features go through one numeric sweep per
 node, and categorical ones through one bincount sweep (see ``gini``).
 The first node, the target, sorts its real columns in the sort sweep.
 When it has ``gini.RANK_ROWS`` rows or more and they repeat values enough
-(``gini._rank_gate``), that sort becomes rank codes for this build alone,
-and each node below whose cells number at least the columns' distinct
-values V sweeps and partitions its codes instead of sorting.  Each leaf
-gets its slice of the row array, listed under the store's current clock
-(``TreeNode.leaf_rows``, ``TreeNode.leaf_ticket``).
+(see ``gini._sweep_numeric``), that sort becomes rank codes for this
+build alone, and each node below whose cells number at least the columns'
+distinct values V sweeps and partitions its codes instead of sorting.
+Each leaf gets its slice of the row array, listed under the store's
+current clock (``TreeNode.leaf_rows``, ``TreeNode.leaf_ticket``).
 
 A node stops at the size floor k, at Gini at most alpha/2, or at the
 depth cap; a chosen split that fails to separate the node also stops it.
@@ -24,8 +24,7 @@ import numpy as np
 
 from .core import FeasibilityParams, FeatureKind, Split, TreeNode, _Store
 from .gini import (RANK_ROWS, TIE_TOL, _gini_from_counts, _rank_codes,
-                   _rank_gate, _sweep_binned, _sweep_categorical,
-                   _sweep_numeric)
+                   _sweep_binned, _sweep_categorical, _sweep_numeric)
 
 # Bound here for bench/tracing.py, which patches it by name in this module;
 # the builder calls it nowhere, as both sweeps return their gains.  It goes
@@ -145,10 +144,10 @@ def _build_entries(
             return u
         return None
 
-    # the target's sort of its real columns (for a target of RANK_ROWS rows
-    # or more), and V, the number of their distinct values when they pass
-    # gini._rank_gate, else 0; the first node below with at least V cells
-    # makes their rank codes R from the sort
+    # the target's sort of its real columns, and V, the number of their
+    # distinct values, when the target has RANK_ROWS rows or more and they
+    # repeat values enough (see gini._sweep_numeric), else V = 0; the first
+    # node below with at least V cells makes their rank codes R from it
     layout, V, R = [], 0, None
     root = None
     splits = []  # split nodes in the order made; a node's children come later
@@ -173,10 +172,10 @@ def _build_entries(
                     res = _sweep_numeric(
                         Xi, wi, wyi, total, ones,
                         layout if len(rows) >= RANK_ROWS else None)
-                    V = _rank_gate(*layout[1:]) if layout else 0
+                    V = layout[0] if layout else 0
                 elif V and len(idx) * len(num) >= V:
                     if R is None:
-                        R, rvals, starts, rcol = _rank_codes(*layout)
+                        R, rvals, starts, rcol = _rank_codes(*layout[1:])
                     # Xi holds codes, thresholds are codes, vals maps them
                     Xi, vals = R[idx], rvals
                     res = _sweep_binned(Xi, wi, wyi, total, ones, starts,

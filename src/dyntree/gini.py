@@ -13,16 +13,15 @@ Real columns that repeat values are also split by counting, as binary and
 categorical ones are.  The sort sweep of a rebuild's target can hand back
 its sort.  When the target has at least ``RANK_ROWS`` rows and its columns
 hold few distinct values (V, summed over the columns, with
-``RANK_GATE * V <= rows * columns``: ``_rank_gate``), each node below the
-target whose cells number at least V runs ``_sweep_binned`` instead of
-sorting.  The first such node turns the target's sort into dense rank
-codes (``_rank_codes``), local to the one rebuild: global across the
-columns, each column's codes one block in value order.  The binned sweep
-takes two bincounts and cumsums over the codes present.  Each row has one
-code per column, so column j's running sums over the codes present run
-on from ``j * total`` and ``j * ones``; less those offsets they are the
-sort sweep's running sums exactly, and the winner is the same, bit for
-bit.
+``RANK_GATE * V <= rows * columns``), each node below the target whose
+cells number at least V runs ``_sweep_binned`` instead of sorting.  The
+first such node turns the target's sort into dense rank codes
+(``_rank_codes``), local to the one rebuild: global across the columns,
+each column's codes one block in value order.  The binned sweep takes two
+bincounts and cumsums over the codes present.  Each row has one code per
+column, so column j's running sums over the codes present run on from
+``j * total`` and ``j * ones``; less those offsets they are the sort
+sweep's running sums exactly, and the winner is the same, bit for bit.
 """
 
 from __future__ import annotations
@@ -34,6 +33,13 @@ import numpy as np
 from .core import ActiveMultiset, FeatureKind, Split
 
 TIE_TOL = 1e-12
+
+# A rebuild's target rank-codes its real columns when it has at least
+# RANK_ROWS rows and RANK_GATE times their number of distinct values is at
+# most their number of cells.  A smaller target has too few nodes below to
+# repay the codes, so it does not even count its values.
+RANK_ROWS = 128
+RANK_GATE = 16
 
 
 def _gini_from_counts(total: int, ones: int) -> float:
@@ -85,9 +91,12 @@ def _sweep_numeric(X: np.ndarray, w, wy, total: int, ones: int,
     thresholds are the observed distinct values, and the largest routes
     everything left and scores 0.  Per column the winner is the smallest
     threshold whose gain is within TIE_TOL of the column's best.  Returns
-    one (threshold, left, left_ones, gain) per column.  When layout is a
-    list, the sort is appended to it as (order, sorted values, ties), for
-    ``_rank_codes``.
+    one (threshold, left, left_ones, gain) per column.
+
+    When layout is a list and the columns repeat values enough, that is,
+    RANK_GATE * V is at most their number of cells for V their distinct
+    values summed over the columns, (V, order, sorted values, ties) is
+    appended to it, for ``_rank_codes``.
 
     The gains are ``_gain_from_counts`` run elementwise: the same float
     operations in the same order on the same (integer-valued) counts, so
@@ -117,7 +126,9 @@ def _sweep_numeric(X: np.ndarray, w, wy, total: int, ones: int,
     tie = sv[:-1] == sv[1:]
     gains[:-1][tie] = -1.0  # not a value boundary
     if layout is not None:
-        layout += order, sv, tie
+        V = X.size - np.count_nonzero(tie)
+        if RANK_GATE * V <= X.size:
+            layout += V, order, sv, tie
 
     sel = (gains >= gains.max(axis=0) - TIE_TOL).argmax(axis=0)
     return list(zip(sv[sel, cols].tolist(),
@@ -126,25 +137,9 @@ def _sweep_numeric(X: np.ndarray, w, wy, total: int, ones: int,
                     gains[sel, cols].tolist()))
 
 
-# A target's real columns are rank-coded when it has at least RANK_ROWS
-# rows and RANK_GATE times their number of distinct values is at most their
-# number of cells; a smaller target has too few nodes below to repay the
-# codes, so it does not even count its values.
-RANK_ROWS = 128
-RANK_GATE = 16
-
-
-def _rank_gate(sv, tie) -> int:
-    """V, the number of distinct values summed over a node's real columns,
-    given their sort (see ``_sweep_numeric``'s layout), when RANK_GATE * V
-    is at most their number of cells; else 0."""
-    cells = sv.size
-    V = cells - np.count_nonzero(tie)
-    return V if RANK_GATE * V <= cells else 0
-
-
 def _rank_codes(order, sv, tie) -> tuple:
-    """Dense rank codes of a node's real columns, from their sort.
+    """Dense rank codes of a node's real columns, from their sort (see
+    ``_sweep_numeric``'s layout).
 
     Returns (R, vals, starts, code_col): R[i, j] is the code of row i's
     value in column j, global across columns, column j's codes the block
@@ -253,9 +248,9 @@ def _sweep_all(s: ActiveMultiset) -> list:
     columns of s's store.
 
     The real features go through the builder's dispatch for a node below
-    a target: when s has RANK_ROWS rows or more and its real columns pass
-    ``_rank_gate``, the binned sweep answers from their rank codes, else
-    the sort sweep.
+    a target: when s has RANK_ROWS rows or more and its real columns repeat
+    values enough (see ``_sweep_numeric``), the binned sweep answers from
+    their rank codes, else the sort sweep.
     """
     store = s._store
     w, wy, X, C = store.columns(store.held_rows())
@@ -267,8 +262,8 @@ def _sweep_all(s: ActiveMultiset) -> list:
         layout = []
         found = _sweep_numeric(X, w, wy, total, ones,
                                layout if len(X) >= RANK_ROWS else None)
-        if layout and _rank_gate(*layout[1:]):
-            R, vals, starts, code_col = _rank_codes(*layout)
+        if layout:
+            R, vals, starts, code_col = _rank_codes(*layout[1:])
             found = [(vals[code].item(), left, left_ones, gain)
                      for code, left, left_ones, gain in _sweep_binned(
                          R, w, wy, total, ones, starts, code_col)]
