@@ -444,16 +444,18 @@ class _Store:
         # compare equal, so a threshold at their run would otherwise read as
         # whichever sign the run's held example arrived with
         if len(num) == d:
-            self.X[idx] = np.fromiter(chain.from_iterable(e.features for e in exs),
-                                      dtype=np.float64,
-                                      count=k * d).reshape(k, d) + 0.0
+            x = np.fromiter(chain.from_iterable(e.features for e in exs),
+                            dtype=np.float64, count=k * d)
+            x += 0.0
+            self.X[idx] = x.reshape(k, d)
             return
         by_col = list(zip(*(e.features for e in exs)))
         if num:
             m = len(num)
-            self.X[idx] = np.fromiter(
-                chain.from_iterable(by_col[j] for j in num), dtype=np.float64,
-                count=m * k).reshape(m, k).T + 0.0
+            x = np.fromiter(chain.from_iterable(by_col[j] for j in num),
+                            dtype=np.float64, count=m * k)
+            x += 0.0
+            self.X[idx] = x.reshape(m, k).T
         mc = len(cat)
         if not self.ids:
             self.ids = [{} for _ in cat]
