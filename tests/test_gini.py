@@ -217,6 +217,24 @@ def _sweep_inputs(rng):
     return X, w, w * y
 
 
+# (counts, 1-label counts) of values 0, 1, ... that mirror around the
+# middle value: thresholds on either side of it score gains a few ulps
+# apart, and the smallest threshold within TIE_TOL of the best wins where
+# the largest gain would not
+NEAR_TIES = [
+    ([3, 4, 2, 3, 4, 3, 2, 4, 3], [1, 0, 1, 0, 2, 0, 1, 0, 1]),
+    ([2, 1, 4, 2, 4, 1, 2], [1, 1, 2, 2, 2, 1, 1]),
+    ([1, 5, 1, 1, 1, 5, 1], [1, 4, 1, 0, 1, 4, 1]),
+]
+
+
+def _binned(R, w, wy, vals, starts, code_col):
+    # the binned sweep's answer in the sort sweep's terms
+    return [(vals[code].item(), left, left_ones, gain)
+            for code, left, left_ones, gain in gini._sweep_binned(
+                R, w, wy, int(w.sum()), int(wy.sum()), starts, code_col)]
+
+
 def test_binned_sweep_equals_sort_sweep_bit_for_bit(monkeypatch):
     # the binned sweep, over rank codes of a target's columns, must return
     # the sort sweep's (threshold, left, left_ones, gain) exactly, at the
@@ -243,12 +261,26 @@ def test_binned_sweep_equals_sort_sweep_bit_for_bit(monkeypatch):
                 expected = gini._sweep_numeric(X[idx], w[idx], wy[idx], total,
                                                ones)
                 subsets += 1
-            got = [(vals[code].item(), left, left_ones, gain)
-                   for code, left, left_ones, gain in gini._sweep_binned(
-                       R[idx], w[idx], wy[idx], total, ones, starts, code_col)]
+            got = _binned(R[idx], w[idx], wy[idx], vals, starts, code_col)
             assert got == expected, (seed, i)
             assert repr(got) == repr(expected), (seed, i)  # -0.0 apart
     assert subsets == 400
+
+    for counts, ones in NEAR_TIES:
+        # the mirrored column, then a copy of it, then a constant one
+        X = np.array([[float(v), float(v), 1.0] for v in range(len(counts))])
+        w, wy = np.array(counts, dtype=float), np.array(ones, dtype=float)
+        total, n1 = int(w.sum()), int(wy.sum())
+        gains = [gini._gain_from_counts(total, n1, int(left), int(left_ones))
+                 for left, left_ones in zip(w.cumsum(), wy.cumsum())]
+        assert gains.index(max(gains)) != min(
+            t for t, g in enumerate(gains) if g >= max(gains) - gini.TIE_TOL)
+        layout = []
+        expected = gini._sweep_numeric(X, w, wy, total, n1, layout)
+        V, *sort = layout
+        R, vals, starts, code_col = gini._rank_codes(*sort)
+        got = _binned(R, w, wy, vals, starts, code_col)
+        assert repr(got) == repr(expected)
 
 
 def test_a_zero_threshold_reads_0_0_in_every_arrival_order():
