@@ -4,11 +4,14 @@ One builder serves every schema.  It takes an array of row ids of a row
 store (``core._Store``) and slices the store's counts, real matrix and
 code matrix by them.  Real features go through one numeric sweep per
 node, and categorical ones through one bincount sweep (see ``gini``).
-The first node, the target, sorts its real columns in the sort sweep.
-When it has ``gini.RANK_ROWS`` rows or more and they repeat values enough
-(see ``gini._sweep_numeric``), that sort becomes rank codes for this
-build alone, and each node below whose cells number at least the columns'
-distinct values V sweeps and partitions its codes instead of sorting.
+A node of at most ``gini.LIST_CELLS`` real cells (rows times real
+columns) sweeps them on Python lists, through ``gini._sweep_numeric``;
+a larger target sorts its real columns in the sort sweep.  When it has
+``gini.RANK_ROWS`` rows or more and they repeat values enough (see
+``gini._sweep_numeric``), that sort becomes rank codes for this build
+alone, and each node below whose cells number at least the columns'
+distinct values V, and more than ``LIST_CELLS``, sweeps and partitions
+its codes instead of sorting.
 Each leaf gets its slice of the row array, listed under the store's
 current clock (``TreeNode.leaf_rows``, ``TreeNode.leaf_ticket``).
 
@@ -24,7 +27,8 @@ import numpy as np
 
 from .core import FeasibilityParams, FeatureKind, Split, TreeNode, _Store
 from .gini import (RANK_ROWS, TIE_TOL, _gini_from_counts, _rank_codes,
-                   _sweep_binned, _sweep_categorical, _sweep_numeric)
+                   _sweep_binned, _sweep_categorical, _sweep_numeric,
+                   _takes_lists)
 
 # Bound here for bench/tracing.py, which patches it by name in this module;
 # the builder calls it nowhere, as both sweeps return their gains.  It goes
@@ -147,7 +151,8 @@ def _build_entries(
     # the target's sort of its real columns, and V, the number of their
     # distinct values, when the target has RANK_ROWS rows or more and they
     # repeat values enough (see gini._sweep_numeric), else V = 0; the first
-    # node below with at least V cells makes their rank codes R from it
+    # node below with at least V cells, and too many for the list sweep
+    # (gini._takes_lists), makes their rank codes R from it
     layout, V, R = [], 0, None
     root = None
     splits = []  # split nodes in the order made; a node's children come later
@@ -173,7 +178,8 @@ def _build_entries(
                         Xi, wi, wyi, total, ones,
                         layout if len(rows) >= RANK_ROWS else None)
                     V = layout[0] if layout else 0
-                elif V and len(idx) * len(num) >= V:
+                elif (V and len(idx) * len(num) >= V
+                      and not _takes_lists(len(idx) * len(num))):
                     if R is None:
                         R, rvals, starts, rcol = _rank_codes(*layout[1:])
                     # Xi holds codes, thresholds are codes, vals maps them

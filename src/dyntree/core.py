@@ -66,6 +66,13 @@ def _unequal_to_itself(v) -> bool:
         return True
 
 
+def _exact_float(v: int) -> bool:
+    try:
+        return float(v) == v
+    except OverflowError:  # beyond the largest float64
+        return False
+
+
 class FeatureKind(enum.Enum):
     REAL = "real"
     CATEGORICAL = "categorical"
@@ -137,14 +144,15 @@ class Schema:
     def validate(self, features: Sequence) -> bool:
         """Raise SchemaError unless features fit this schema.
 
-        Real features must be int or float (not bool, not NaN); categorical
-        ones may be any symbol that is not a float or a container (tuple,
-        list, set, frozenset, dict).  The fast path accepts
-        only features of the right arity whose every value has exactly its
-        column's type in ``_exact`` (float or str) and is not NaN: a subset
-        of what ``_validate_full`` accepts.  Everything else goes to that
-        full check, so acceptance and error messages do not depend on the
-        path taken.
+        Real features must be int or float (not bool, not NaN), and an int
+        must have an exact float64 value (``2**53 + 1`` and ``10**400``
+        have none); categorical ones may be any symbol that is not a float
+        or a container (tuple, list, set, frozenset, dict).  The fast path
+        accepts only features of the right arity whose every value has
+        exactly its column's type in ``_exact`` (float or str) and is not
+        NaN: a subset of what ``_validate_full`` accepts.  Everything else
+        goes to that full check, so acceptance and error messages do not
+        depend on the path taken.
 
         Returns True when the fast path accepted, so every categorical
         value is exactly a ``str`` and the symbol types are
@@ -173,6 +181,12 @@ class Schema:
                 if v != v:
                     # NaN compares false to every threshold and equal to nothing
                     raise SchemaError(f"feature {j} is NaN")
+                if not isinstance(v, float) and not _exact_float(v):
+                    # the row store codes real values as float64, and a
+                    # rounded int would route one way and be built another
+                    raise SchemaError(
+                        f"feature {j} is an int that float64 cannot hold "
+                        f"exactly")
             elif numeric and isinstance(v, float):
                 # int/bool symbols are fine as category codes, bare floats are not
                 raise SchemaError(f"feature {j} must be categorical, got {v!r}")

@@ -3,25 +3,33 @@
 ``gini_gain`` scores one split through the scalar kernel
 ``_gain_from_counts``.  The engine's sweeps score every candidate of a
 node at once: the numeric sort sweep and the binned sweep in numpy arrays,
-the categorical one in an inlined copy of the kernel.  All run the
-kernel's float operations in its order, so a gain a sweep reports equals
-what ``gini_gain`` computes for the same split, bit for bit.  Gains within
-``TIE_TOL`` of each other count as tied and ties resolve to the lowest
-feature index, then the lowest threshold.
+the list sweep and the categorical one in inlined copies of the kernel.
+All run the kernel's float operations in its order, so a gain a sweep
+reports equals what ``gini_gain`` computes for the same split, bit for
+bit.  Gains within ``TIE_TOL`` of each other count as tied and ties
+resolve to the lowest feature index, then the lowest threshold.
+
+A node's real columns take one of three kernels, by one rule for the
+builder and ``best_split``.  A node of at most ``LIST_CELLS`` real cells
+(rows times real columns) runs ``_sweep_list``: one ``sorted`` per column
+and a boundary scan on Python lists, where numpy's cost per call would
+outweigh its arithmetic.  Larger nodes run the sort sweep,
+``_sweep_numeric``, or the binned sweep.
 
 Real columns that repeat values are also split by counting, as binary and
 categorical ones are.  The sort sweep of a rebuild's target can hand back
 its sort.  When the target has at least ``RANK_ROWS`` rows and its columns
 hold few distinct values (V, summed over the columns, with
 ``RANK_GATE * V <= rows * columns``), each node below the target whose
-cells number at least V runs ``_sweep_binned`` instead of sorting.  The
-first such node turns the target's sort into dense rank codes
-(``_rank_codes``), local to the one rebuild: global across the columns,
-each column's codes one block in value order.  The binned sweep takes two
-bincounts and cumsums over the codes present.  Each row has one code per
-column, so column j's running sums over the codes present run on from
-``j * total`` and ``j * ones``; less those offsets they are the sort
-sweep's running sums exactly, and the winner is the same, bit for bit.
+cells number at least V, and more than ``LIST_CELLS``, runs
+``_sweep_binned`` instead of sorting.  The first such node turns the
+target's sort into dense rank codes (``_rank_codes``), local to the one
+rebuild: global across the columns, each column's codes one block in
+value order.  The binned sweep takes two bincounts and cumsums over the
+codes present.  Each row has one code per column, so column j's running
+sums over the codes present run on from ``j * total`` and ``j * ones``;
+less those offsets they are the sort sweep's running sums exactly, and the
+winner is the same, bit for bit.
 """
 
 from __future__ import annotations
@@ -40,6 +48,12 @@ TIE_TOL = 1e-12
 # repay the codes, so it does not even count its values.
 RANK_ROWS = 128
 RANK_GATE = 16
+
+# A node with at most LIST_CELLS real cells (rows times real columns)
+# sweeps them on Python lists, where numpy's cost per call would outweigh
+# its arithmetic.  It stays below RANK_ROWS, so a target that makes rank
+# codes is never that small.
+LIST_CELLS = 96
 
 
 def _gini_from_counts(total: int, ones: int) -> float:
@@ -81,6 +95,16 @@ def gini_gain(s: ActiveMultiset, split: Split) -> float:
     return _gain_from_counts(total, ones, left, left_ones)
 
 
+def _takes_lists(cells: int) -> bool:
+    """Whether a node of this many real cells sweeps them on lists.
+
+    The one rule for the builder and ``best_split``: such a node runs
+    ``_sweep_list`` (through ``_sweep_numeric``) even where rank codes
+    would let it run the binned sweep.
+    """
+    return cells <= LIST_CELLS
+
+
 def _sweep_numeric(X: np.ndarray, w, wy, total: int, ones: int,
                    layout: list | None = None) -> list:
     """Best threshold of every real feature of one node in one pass.
@@ -108,7 +132,13 @@ def _sweep_numeric(X: np.ndarray, w, wy, total: int, ones: int,
     values is a candidate, and its running sums cover the whole run in any
     order.  The threshold is that row's value, so values that compare
     equal must be one value: the row store codes -0.0 as 0.0.
+
+    A node small enough for ``_takes_lists`` is handed to ``_sweep_list``,
+    unless layout is asked for.
     """
+    if layout is None and _takes_lists(X.size):
+        return _sweep_list(X.T.tolist(), w.tolist(), wy.tolist(), total,
+                           ones)
     cols = np.arange(X.shape[1])
     order = X.argsort(axis=0)
     sv = X[order, cols]
@@ -135,6 +165,51 @@ def _sweep_numeric(X: np.ndarray, w, wy, total: int, ones: int,
                     wl[sel, cols].astype(np.int64).tolist(),
                     wyl[sel, cols].astype(np.int64).tolist(),
                     gains[sel, cols].tolist()))
+
+
+def _sweep_list(cols: list, w: list, wy: list, total: int,
+                ones: int) -> list:
+    """``_sweep_numeric`` of a small node, on Python lists.
+
+    cols holds the node's real columns, each a list of the rows' values,
+    and w, wy the rows' counts and 1-label counts.  Each column is sorted
+    once and scanned at its value boundaries, which are the sort sweep's
+    candidates, with ``_gain_from_counts`` inlined in the same float order
+    on the same running sums.  The winner is picked by the same rule, so
+    the result equals the sort sweep's bit for bit.
+    """
+    g = 2.0 * (ones / total) * ((total - ones) / total)
+    rows = range(len(w))
+    out = []
+    for col in cols:
+        cands = []  # (threshold, left, left_ones) at each value boundary
+        gains = []
+        left = left_ones = 0.0  # integers, exact in a float below 2**53
+        order = sorted(rows, key=col.__getitem__)
+        prev = col[order[0]]
+        for i in order:
+            v = col[i]
+            if v != prev:
+                right = total - left
+                right_ones = ones - left_ones
+                gl = 2.0 * (left_ones / left) * ((left - left_ones) / left)
+                gr = 2.0 * (right_ones / right) * ((right - right_ones)
+                                                   / right)
+                gain = g - (left * gl + right * gr) / total
+                gains.append(gain if gain > 0.0 else 0.0)  # max(0.0, gain)
+                cands.append((prev, left, left_ones))
+                prev = v
+            left += w[i]
+            left_ones += wy[i]
+        gains.append(0.0)  # everything left
+        cands.append((prev, left, left_ones))
+        floor = max(gains) - TIE_TOL
+        k = 0
+        while gains[k] < floor:
+            k += 1
+        thr, left, left_ones = cands[k]
+        out.append((thr, int(left), int(left_ones), gains[k]))
+    return out
 
 
 def _rank_codes(order, sv, tie) -> tuple:
@@ -250,7 +325,8 @@ def _sweep_all(s: ActiveMultiset) -> list:
     The real features go through the builder's dispatch for a node below
     a target: when s has RANK_ROWS rows or more and its real columns repeat
     values enough (see ``_sweep_numeric``), the binned sweep answers from
-    their rank codes, else the sort sweep.
+    their rank codes, else ``_sweep_numeric``, which hands a node of at
+    most LIST_CELLS cells to the list sweep.
     """
     store = s._store
     w, wy, X, C = store.columns(store.held_rows())

@@ -227,6 +227,39 @@ def test_nan_update_raises_before_any_state_changes():
     assert tree.leaf_union() == ActiveMultiset.from_examples(exs)
 
 
+@pytest.mark.parametrize("value", [2**53 + 1, 10**400],
+                         ids=["2**53+1", "10**400"])
+def test_real_ints_without_an_exact_float_raise_before_any_state_changes(
+        value):
+    # the row store codes real values as float64: the builder would put
+    # 2**53 + 1 at 2**53 while routing compares the int itself, and 10**400
+    # would overflow in the flush of a rebuild, after the update counted
+    exs = [make_example((float(i), 1.0), i % 2) for i in range(6)]
+    tree = _tree(exs)
+    s = ActiveMultiset.from_examples(exs)
+    pendings = [(id(v), v.pending) for v in _walk(tree.root)]
+    bad = make_example((value, 1.0), 1)
+    with pytest.raises(SchemaError, match="float64 cannot hold exactly"):
+        tree.update(bad, "ins")
+    with pytest.raises(SchemaError, match="float64 cannot hold exactly"):
+        tree.query(bad.features)
+    with pytest.raises(SchemaError, match="float64 cannot hold exactly"):
+        s.insert(bad)
+    assert tree.active_size == 6
+    assert tree.stats.updates == 0
+    assert [(id(v), v.pending) for v in _walk(tree.root)] == pendings
+    assert tree.leaf_union() == ActiveMultiset.from_examples(exs) == s
+    # ints that a float64 holds exactly stay real values
+    for v in (2**53, 3):
+        e = make_example((v, 1.0), 0)
+        tree.update(e, "ins")
+        tree.query(e.features)
+        s.insert(e)
+    assert tree.active_size == len(s) == 8
+    assert tree.leaf_union() == s
+    assert check_counters(tree, s, HALF.epsilon).ok
+
+
 def test_mixed_symbol_types_raise_before_any_state_changes():
     params = FeasibilityParams(epsilon=0.2, alpha=0.1, beta=0.5, k=1)
     a, one = make_example(("a",), 1), make_example((1,), 0)

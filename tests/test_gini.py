@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dyntree import (
     ActiveMultiset,
@@ -170,13 +170,19 @@ def test_categorical_gains_equal_the_scalar_kernel_bit_for_bit(seed):
         assert gain == gini_gain(s, Split(j, symbol, categorical=True))
 
 
+@pytest.mark.parametrize("list_cells", [0, gini.LIST_CELLS],
+                         ids=["sort_sweep", "default_dispatch"])
 @given(st.integers(0, 2**31))
-@settings(max_examples=60, deadline=None)
-def test_numeric_gains_equal_the_scalar_kernel_bit_for_bit(seed):
-    # the numeric sweep scores every threshold in numpy arrays; each
-    # winner's gain must equal gini_gain of the same split exactly, with
-    # examples held more than once, columns that never vary, and a lone
-    # example held twice
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_numeric_gains_equal_the_scalar_kernel_bit_for_bit(monkeypatch,
+                                                           list_cells, seed):
+    # the numeric sweeps score every threshold, in numpy arrays or (up to
+    # LIST_CELLS cells) on lists; each winner's gain must equal gini_gain
+    # of the same split exactly, with examples held more than once, columns
+    # that never vary, and a lone example held twice.  LIST_CELLS at 0
+    # sends every node to the numpy sort sweep
+    monkeypatch.setattr(gini, "LIST_CELLS", list_cells)
     rng = random.Random(seed)
     d = rng.randint(1, 4)
     # a pool of one value makes a constant column
@@ -281,6 +287,38 @@ def test_binned_sweep_equals_sort_sweep_bit_for_bit(monkeypatch):
         R, vals, starts, code_col = gini._rank_codes(*sort)
         got = _binned(R, w, wy, vals, starts, code_col)
         assert repr(got) == repr(expected)
+
+
+def test_list_sweep_equals_sort_sweep_bit_for_bit(monkeypatch):
+    # the list sweep must return the numpy sort sweep's (threshold, left,
+    # left_ones, gain) exactly, on nodes of one row, constant columns,
+    # counts above 1 and near ties; LIST_CELLS at 0 keeps _sweep_numeric
+    # on numpy
+    assert gini.LIST_CELLS < gini.RANK_ROWS  # a target that codes is large
+    monkeypatch.setattr(gini, "LIST_CELLS", 0)
+
+    def check(X, w, wy):
+        total, ones = int(w.sum()), int(wy.sum())
+        expected = gini._sweep_numeric(X, w, wy, total, ones)
+        got = gini._sweep_list(X.T.tolist(), w.tolist(), wy.tolist(), total,
+                               ones)
+        assert repr(got) == repr(expected)
+
+    lone = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        X, w, wy = _sweep_inputs(rng)
+        check(X, w, wy)
+        for k in (1, rng.randint(1, len(X))):
+            idx = np.array(sorted(rng.sample(range(len(X)), k)))
+            check(X[idx], w[idx], wy[idx])
+            lone += k == 1
+    assert lone >= 200
+
+    for counts, ones in NEAR_TIES:
+        # the mirrored column, then a copy of it, then a constant one
+        X = np.array([[float(v), float(v), 1.0] for v in range(len(counts))])
+        check(X, np.array(counts, dtype=float), np.array(ones, dtype=float))
 
 
 def test_a_zero_threshold_reads_0_0_in_every_arrival_order():

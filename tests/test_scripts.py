@@ -46,8 +46,11 @@ PINNED_DIGESTS = {
 def test_tree_digest_is_reproducible(capsys, monkeypatch):
     # grid-sw's real columns repeat values at every rebuild target, so its
     # digest covers the binned sweep whatever the gate's constants are; a
-    # spy in the builder's namespace checks that it ran there
+    # spy in the builder's namespace checks that it ran there.  mixed-sw's
+    # small nodes sweep their real columns on lists, which a second spy
+    # checks
     build_mod = importlib.import_module("dyntree.build")
+    gini_mod = importlib.import_module("dyntree.gini")
     binned = []
 
     def spy(*args):
@@ -55,6 +58,13 @@ def test_tree_digest_is_reproducible(capsys, monkeypatch):
         return sweep(*args)
     sweep = build_mod._sweep_binned
     monkeypatch.setattr(build_mod, "_sweep_binned", spy)
+    listed = []
+
+    def list_spy(*args):
+        listed.append(len(args[1]))
+        return list_sweep(*args)
+    list_sweep = gini_mod._sweep_list
+    monkeypatch.setattr(gini_mod, "_sweep_list", list_spy)
     digest = _load("tree_digest")
     outs = []
     for _ in range(2):
@@ -66,6 +76,9 @@ def test_tree_digest_is_reproducible(capsys, monkeypatch):
     assert dict(line.split() for line in lines) == PINNED_DIGESTS
     assert len({line.split()[1] for line in lines}) == len(lines)
     assert digest.digest("mixed-sw", 150, 4) not in outs[0]
+    listed.clear()
+    assert digest.digest("mixed-sw", 150, 3) == PINNED_DIGESTS["mixed-sw"]
+    assert len(listed) > 0
     binned.clear()
     assert digest.digest("grid-sw", 150, 3) == PINNED_DIGESTS["grid-sw"]
     assert len(binned) > 100
