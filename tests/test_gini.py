@@ -245,8 +245,10 @@ def test_binned_sweep_equals_sort_sweep_bit_for_bit(monkeypatch):
     # the binned sweep, over rank codes of a target's columns, must return
     # the sort sweep's (threshold, left, left_ones, gain) exactly, at the
     # target and at subsets of its rows below it; the gate at 1 passes
-    # columns of any cardinality
+    # columns of any cardinality, and LIST_CELLS at 0 keeps the small
+    # subsets on the numpy sort sweep
     monkeypatch.setattr(gini, "RANK_GATE", 1)
+    monkeypatch.setattr(gini, "LIST_CELLS", 0)
     subsets = 0
     for seed in range(200):
         rng = random.Random(seed)
