@@ -12,12 +12,8 @@ from .core import (
     TreeNode,
     make_example,
 )
-from .gini import (
-    GainResult,
-    best_split,
-    gini_gain,
-    gini_index,
-)
+from .build import GainResult, best_split
+from .gini import gini_gain, gini_index
 from .dynamic import DecisionTree, RebuildInfo
 from .oracle import (
     CounterReport,

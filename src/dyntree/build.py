@@ -1,17 +1,14 @@
-"""Exact tree construction from a multiset snapshot.
+"""Exact tree construction from a multiset snapshot, and its split search.
 
 One builder serves every schema.  It takes an array of row ids of a row
 store (``core._Store``) and slices the store's counts, real matrix and
-code matrix by them.  Real features go through one numeric sweep per
-node, and categorical ones through one bincount sweep (see ``gini``).
-A node of at most ``gini.LIST_CELLS`` real cells (rows times real
-columns) sweeps them on Python lists, through ``gini._sweep_numeric``;
-a larger target sorts its real columns in the sort sweep.  When it has
-``gini.RANK_ROWS`` rows or more and they repeat values enough (see
-``gini._sweep_numeric``), that sort becomes rank codes for this build
-alone, and each node below whose cells number at least the columns'
-distinct values V, and more than ``LIST_CELLS``, sweeps and partitions
-its codes instead of sorting.
+code matrix by them.  The split search is written once, as one build's
+node sweep (``_node_sweep``): the builder runs it at every node, and
+``best_split`` (acceptance criterion 5) at a multiset's held rows, as at
+a rebuild's target.  It picks each node's real-column kernel, the list,
+sort or binned sweep, by one rule (see ``gini``), makes the target's rank
+codes when a node first needs them, runs the categorical sweep and takes
+the first feature whose gain is within ``TIE_TOL`` of the best.
 Each leaf gets its slice of the row array, listed under the store's
 current clock (``TreeNode.leaf_rows``, ``TreeNode.leaf_ticket``).
 
@@ -23,9 +20,13 @@ of it that no update reached (see ``_build_entries``).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from operator import itemgetter
+
 import numpy as np
 
-from .core import FeasibilityParams, FeatureKind, Split, TreeNode, _Store
+from .core import (ActiveMultiset, FeasibilityParams, FeatureKind, Split,
+                   TreeNode, _Store)
 from .gini import (RANK_ROWS, TIE_TOL, _gini_from_counts, _rank_codes,
                    _sweep_binned, _sweep_categorical, _sweep_numeric,
                    _takes_lists)
@@ -73,12 +74,82 @@ def _separating_split(kinds, pos, Xi, Ci):
     return None
 
 
+_gain_of = itemgetter(3)  # of a sweep's (threshold, left, left_ones, gain)
+
+
+def _node_sweep(store: _Store, rows: np.ndarray):
+    """The split search of one build over rows, distinct held row ids of
+    store: returns sweep(idx, total, ones) for the node of rows[idx], of
+    weight total with ones 1-labels.  idx None, the build's target, is all
+    of rows in their order, and comes first.
+
+    sweep returns (j, found, w, wy, X, C, vals): the chosen feature j, one
+    (threshold, left, left_ones, gain) per feature, with float counts, and
+    the node's counts, 1-label counts, real columns and codes.
+    Categorical thresholds are codes; vals maps real ones, and X, to values
+    when they are rank codes, else is None.
+    """
+    w, wy, X, C = store.columns(rows)
+    schema = store.schema
+    num, cat, code_col = schema._real, schema._categorical, store.code_col
+    d, m = len(schema.kinds), len(num)
+    # the target's sort of its real columns, and V, the number of their
+    # distinct values, when the target has RANK_ROWS rows or more and they
+    # repeat values enough (see gini._sweep_numeric), else V = 0; the first
+    # node below with at least V cells, and too many for the list sweep,
+    # makes their rank codes from it
+    layout = [] if len(rows) >= RANK_ROWS else None
+    V, rank = 0, None
+
+    def sweep(idx, total: int, ones: int) -> tuple:
+        nonlocal V, rank
+        first = idx is None
+        wi = w if first else w[idx]
+        wyi = wy if first else wy[idx]
+        # one sweep per kind covers every feature of that kind, and each
+        # returns its winners' gains
+        found = [None] * d
+        Xi = Ci = vals = None
+        if num:
+            if first:
+                Xi = X
+                res = _sweep_numeric(X, w, wy, total, ones, layout)
+                V = layout[0] if layout else 0
+            elif (V and len(idx) * m >= V
+                  and not _takes_lists(len(idx) * m)):
+                if rank is None:
+                    rank = _rank_codes(*layout[1:])
+                # Xi holds codes, thresholds are codes, vals maps them
+                R, vals, starts, rcol = rank
+                Xi = R[idx]
+                res = _sweep_binned(Xi, wi, wyi, total, ones, starts, rcol)
+            else:
+                Xi = X[idx]
+                res = _sweep_numeric(Xi, wi, wyi, total, ones)
+            for j, r in zip(num, res):
+                found[j] = r
+        if cat:
+            Ci = C if first else C[idx]
+            for j, r in zip(cat, _sweep_categorical(Ci, wi, wyi, total, ones,
+                                                    code_col)):
+                found[j] = r
+        # the first feature within TIE_TOL of the best gain
+        floor = max(map(_gain_of, found)) - TIE_TOL
+        j = 0
+        while found[j][3] < floor:
+            j += 1
+        return j, found, wi, wyi, Xi, Ci, vals
+
+    return sweep
+
+
 def build(s, eta: int, params: FeasibilityParams) -> tuple[TreeNode, _Store]:
     """Build an exact tree for the multiset s with the node built at depth
     eta; returns (root, store).
 
     Every split maximizes Gini gain over all features and observed
-    thresholds, ties to the lowest feature then the lowest threshold.
+    thresholds; gains within TIE_TOL of the best tie, to the lowest
+    feature then (see ``gini``) the lowest threshold.
     Fresh nodes carry size = subtree size and a zeroed pending counter.
     The tree's leaves list rows of store, a copy of s's store, counts and
     symbol pin included, so s stays free to change.
@@ -131,12 +202,9 @@ def _build_entries(
     if _stops(total, ones, eta, params):
         return _leaf(rows, ticket, eta, total, ones)
 
-    w, wy, X, C = store.columns(rows)
+    sweep = _node_sweep(store, rows)
     schema = store.schema
-    kinds, num, cat, pos = (schema.kinds, schema._real, schema._categorical,
-                            schema._pos)
-    symbols, code_col = store.symbols, store.code_col
-    d = len(kinds)
+    kinds, pos, symbols = schema.kinds, schema._pos, store.symbols
     REAL = FeatureKind.REAL
     on_path = {id(v) for v in path}
 
@@ -148,62 +216,18 @@ def _build_entries(
             return u
         return None
 
-    # the target's sort of its real columns, and V, the number of their
-    # distinct values, when the target has RANK_ROWS rows or more and they
-    # repeat values enough (see gini._sweep_numeric), else V = 0; the first
-    # node below with at least V cells, and too many for the list sweep
-    # (gini._takes_lists), makes their rank codes R from it
-    layout, V, R = [], 0, None
     root = None
     splits = []  # split nodes in the order made; a node's children come later
     # frames: (row indices, depth, total, ones, old node, parent, left side);
-    # the first frame's indices are None, for all of rows in their order, so
-    # it sweeps the columns as store.columns returned them
+    # the first frame's indices are None, for all of rows in their order
     stack = [(None, eta, total, ones, old, None, True)]
     while stack:
         idx, eta, total, ones, old, parent, is_left = stack.pop()
         node = None
         if not _stops(total, ones, eta, params):
-            first = idx is None
-            wi = w if first else w[idx]
-            wyi = wy if first else wy[idx]
-            # one sweep per kind covers every feature of that kind, and each
-            # returns its winners' gains
-            found = [None] * d
-            Xi = Ci = vals = None
-            if num:
-                if first:
-                    Xi = X
-                    res = _sweep_numeric(
-                        Xi, wi, wyi, total, ones,
-                        layout if len(rows) >= RANK_ROWS else None)
-                    V = layout[0] if layout else 0
-                elif (V and len(idx) * len(num) >= V
-                      and not _takes_lists(len(idx) * len(num))):
-                    if R is None:
-                        R, rvals, starts, rcol = _rank_codes(*layout[1:])
-                    # Xi holds codes, thresholds are codes, vals maps them
-                    Xi, vals = R[idx], rvals
-                    res = _sweep_binned(Xi, wi, wyi, total, ones, starts,
-                                        rcol)
-                else:
-                    Xi = X[idx]
-                    res = _sweep_numeric(Xi, wi, wyi, total, ones)
-                for j, r in zip(num, res):
-                    found[j] = r
-            if cat:
-                Ci = C if first else C[idx]
-                for j, res in zip(cat, _sweep_categorical(Ci, wi, wyi, total,
-                                                          ones, code_col)):
-                    found[j] = res
-            best = None  # (feature, threshold or code, gain, left, left_ones)
-            best_gain = -1.0
-            for j, (thr, left, left_ones, gain) in enumerate(found):
-                if gain > best_gain + TIE_TOL:
-                    best = (j, thr, gain, left, left_ones)
-                    best_gain = gain
-
-            j, thr, gain, left, left_ones = best
+            j, found, wi, wyi, Xi, Ci, vals = sweep(idx, total, ones)
+            thr, left, left_ones, gain = found[j]
+            left, left_ones = int(left), int(left_ones)  # sizes are ints
             mask = None
             if left == total:
                 # the argmax split sends everything left, which only
@@ -237,7 +261,8 @@ def _build_entries(
                         (lold, mask, left, left_ones, True)):
                     child = keep(u, t)
                     if child is None:
-                        stack.append((sub.nonzero()[0] if first else idx[sub],
+                        stack.append((sub.nonzero()[0] if idx is None
+                                      else idx[sub],
                                       eta + 1, t, t_ones, u, node, side))
                     elif side:
                         node.left = child
@@ -255,6 +280,36 @@ def _build_entries(
     for v in reversed(splits):
         v.height = 1 + max(v.left.height, v.right.height)
     return root
+
+
+@dataclass(frozen=True)
+class GainResult:
+    """Outcome of an exhaustive split search over all features."""
+
+    best_split: Split
+    best_gain: float
+    per_feature: tuple
+
+
+def best_split(s: ActiveMultiset) -> GainResult:
+    """Exact best split over every feature, observed thresholds only.
+
+    Runs the node sweep that the builder runs at a rebuild's target.
+    """
+    if len(s) == 0:
+        raise ValueError("best_split needs a nonempty multiset")
+    store = s._store
+    n0, ones = s.label_counts()
+    j, found, *_ = _node_sweep(store, store.held_rows())(None, n0 + ones,
+                                                         ones)
+    kinds = s.schema.kinds
+    per_feature = tuple(
+        (store.symbols[thr] if kind is FeatureKind.CATEGORICAL else thr,
+         gain)
+        for kind, (thr, _, _, gain) in zip(kinds, found))
+    thr, gain = per_feature[j]
+    split = Split(j, thr, categorical=kinds[j] is FeatureKind.CATEGORICAL)
+    return GainResult(split, gain, per_feature)
 
 
 # Alias kept for bench/tracing.py, which patches this name in this module

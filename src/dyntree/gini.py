@@ -1,19 +1,26 @@
-"""Gini impurity, split gain and exact split search.
+"""Gini impurity, split gain and the split kernels.
 
 ``gini_gain`` scores one split through the scalar kernel
 ``_gain_from_counts``.  The engine's sweeps score every candidate of a
-node at once: the numeric sort sweep and the binned sweep in numpy arrays,
-the list sweep and the categorical one in inlined copies of the kernel.
-All run the kernel's float operations in its order, so a gain a sweep
-reports equals what ``gini_gain`` computes for the same split, bit for
-bit.  Gains within ``TIE_TOL`` of each other count as tied and ties
-resolve to the lowest feature index, then the lowest threshold.
+node at once: the numeric sort sweep and the binned sweep in numpy arrays
+(one helper, ``_gains``, holds their arithmetic), the list sweep and the
+categorical one in inlined copies of the kernel.  All run the kernel's
+float operations in its order, so a gain a sweep reports equals what
+``gini_gain`` computes for the same split, bit for bit.  A sweep returns
+its winners' counts as the floats it sums them in, integers exact below
+2**53.
 
-A node's real columns take one of three kernels, by one rule for the
-builder and ``best_split``.  A node of at most ``LIST_CELLS`` real cells
-(rows times real columns) runs ``_sweep_list``: one ``sorted`` per column
-and a boundary scan on Python lists, where numpy's cost per call would
-outweigh its arithmetic.  Larger nodes run the sort sweep,
+Ties follow one rule: the first candidate whose gain is within
+``TIE_TOL`` of the best wins, so a real column's smallest such threshold
+and, in ``build``'s node sweep, a node's lowest such feature.  A
+categorical column scans its codes in order and keeps a later code only
+when it beats the best so far by more than ``TIE_TOL``.
+
+The node sweep in ``build`` picks a node's real-column kernel, for the
+builder and ``best_split`` alike.  A node of at most ``LIST_CELLS`` real
+cells (rows times real columns) runs ``_sweep_list``: one ``sorted`` per
+column and a boundary scan on Python lists, where numpy's cost per call
+would outweigh its arithmetic.  Larger nodes run the sort sweep,
 ``_sweep_numeric``, or the binned sweep.
 
 Real columns that repeat values are also split by counting, as binary and
@@ -34,11 +41,9 @@ winner is the same, bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import ActiveMultiset, FeatureKind, Split
+from .core import ActiveMultiset, Split
 
 TIE_TOL = 1e-12
 
@@ -98,11 +103,26 @@ def gini_gain(s: ActiveMultiset, split: Split) -> float:
 def _takes_lists(cells: int) -> bool:
     """Whether a node of this many real cells sweeps them on lists.
 
-    The one rule for the builder and ``best_split``: such a node runs
-    ``_sweep_list`` (through ``_sweep_numeric``) even where rank codes
-    would let it run the binned sweep.
+    Such a node runs ``_sweep_list`` (through ``_sweep_numeric``) even
+    where rank codes would let it run the binned sweep.
     """
     return cells <= LIST_CELLS
+
+
+def _gains(wl, wyl, total: int, ones: int):
+    """``_gain_from_counts`` elementwise, over the running left sums wl,
+    wyl of a sweep: the same float operations in the same order on the
+    same (integer-valued) counts, so each gain is bit-identical to the
+    kernel's.  Every left count is at least 1; where the right count is 0
+    it divides by 1, and the caller sets that gain to 0, as the kernel
+    defines it."""
+    wr = total - wl
+    wyr = ones - wyl
+    g = 2.0 * (ones / total) * ((total - ones) / total)
+    dr = np.maximum(wr, 1.0)
+    gl = 2.0 * (wyl / wl) * ((wl - wyl) / wl)
+    gr = 2.0 * (wyr / dr) * ((wr - wyr) / dr)
+    return np.maximum(0.0, g - (wl * gl + wr * gr) / total)
 
 
 def _sweep_numeric(X: np.ndarray, w, wy, total: int, ones: int,
@@ -115,18 +135,16 @@ def _sweep_numeric(X: np.ndarray, w, wy, total: int, ones: int,
     thresholds are the observed distinct values, and the largest routes
     everything left and scores 0.  Per column the winner is the smallest
     threshold whose gain is within TIE_TOL of the column's best.  Returns
-    one (threshold, left, left_ones, gain) per column.
+    one (threshold, left, left_ones, gain) per column, the counts as
+    floats.
 
     When layout is a list and the columns repeat values enough, that is,
     RANK_GATE * V is at most their number of cells for V their distinct
     values summed over the columns, (V, order, sorted values, ties) is
     appended to it, for ``_rank_codes``.
 
-    The gains are ``_gain_from_counts`` run elementwise: the same float
-    operations in the same order on the same (integer-valued) counts, so
-    each is bit-identical to the kernel's.  As w >= 1, the left count is at
-    least 1 on every row and the right count is 0 only on the last, whose
-    gain the kernel defines as 0.
+    The gains come from ``_gains``.  As w >= 1, the left count is at
+    least 1 on every row and the right count is 0 only on the last.
 
     The sort need not be stable: only the last row of each run of equal
     values is a candidate, and its running sums cover the whole run in any
@@ -145,13 +163,7 @@ def _sweep_numeric(X: np.ndarray, w, wy, total: int, ones: int,
     # integer running sums, exact in float64 below 2**53
     wl = w[order].cumsum(axis=0, dtype=np.float64)
     wyl = wy[order].cumsum(axis=0, dtype=np.float64)
-    wr = total - wl
-    wyr = ones - wyl
-    g = 2.0 * (ones / total) * ((total - ones) / total)
-    dr = np.maximum(wr, 1.0)  # the last row divides by 1, not 0
-    gl = 2.0 * (wyl / wl) * ((wl - wyl) / wl)
-    gr = 2.0 * (wyr / dr) * ((wr - wyr) / dr)
-    gains = np.maximum(0.0, g - (wl * gl + wr * gr) / total)
+    gains = _gains(wl, wyl, total, ones)
     gains[-1] = 0.0  # everything left
     tie = sv[:-1] == sv[1:]
     gains[:-1][tie] = -1.0  # not a value boundary
@@ -162,8 +174,8 @@ def _sweep_numeric(X: np.ndarray, w, wy, total: int, ones: int,
 
     sel = (gains >= gains.max(axis=0) - TIE_TOL).argmax(axis=0)
     return list(zip(sv[sel, cols].tolist(),
-                    wl[sel, cols].astype(np.int64).tolist(),
-                    wyl[sel, cols].astype(np.int64).tolist(),
+                    wl[sel, cols].tolist(),
+                    wyl[sel, cols].tolist(),
                     gains[sel, cols].tolist()))
 
 
@@ -208,7 +220,7 @@ def _sweep_list(cols: list, w: list, wy: list, total: int,
         while gains[k] < floor:
             k += 1
         thr, left, left_ones = cands[k]
-        out.append((thr, int(left), int(left_ones), gains[k]))
+        out.append((thr, left, left_ones, gains[k]))
     return out
 
 
@@ -257,14 +269,8 @@ def _sweep_binned(R: np.ndarray, w, wy, total: int, ones: int, starts,
     # column j's running sums start at j * total and j * ones
     wl = cw[present].cumsum() - col * total
     wyl = cwy[present].cumsum() - col * ones
-    wr = total - wl
-    wyr = ones - wyl
-    g = 2.0 * (ones / total) * ((total - ones) / total)
-    dr = np.maximum(wr, 1.0)
-    gl = 2.0 * (wyl / wl) * ((wl - wyl) / wl)
-    gr = 2.0 * (wyr / dr) * ((wr - wyr) / dr)
-    gains = np.maximum(0.0, g - (wl * gl + wr * gr) / total)
-    gains[wr == 0.0] = 0.0  # each column's last code: everything left
+    gains = _gains(wl, wyl, total, ones)
+    gains[wl == total] = 0.0  # each column's last code: everything left
 
     # per column, the smallest code within TIE_TOL of the column's best
     first = present.searchsorted(starts)
@@ -272,8 +278,8 @@ def _sweep_binned(R: np.ndarray, w, wy, total: int, ones: int, starts,
     hit = (gains >= (best - TIE_TOL)[col]).nonzero()[0]
     sel = hit[hit.searchsorted(first)]
     return list(zip(present[sel].tolist(),
-                    wl[sel].astype(np.int64).tolist(),
-                    wyl[sel].astype(np.int64).tolist(),
+                    wl[sel].tolist(),
+                    wyl[sel].tolist(),
                     gains[sel].tolist()))
 
 
@@ -314,70 +320,5 @@ def _sweep_categorical(C: np.ndarray, w, wy, total: int, ones: int,
         if gain > gains[jj] + TIE_TOL:
             best[jj] = (code, left, left_ones)
             gains[jj] = gain
-    return [(code, int(left), int(left_ones), gain)
+    return [(code, left, left_ones, gain)
             for (code, left, left_ones), gain in zip(best, gains)]
-
-
-def _sweep_all(s: ActiveMultiset) -> list:
-    """(threshold, left, left_ones, gain) per feature of s, read from the
-    columns of s's store.
-
-    The real features go through the builder's dispatch for a node below
-    a target: when s has RANK_ROWS rows or more and its real columns repeat
-    values enough (see ``_sweep_numeric``), the binned sweep answers from
-    their rank codes, else ``_sweep_numeric``, which hands a node of at
-    most LIST_CELLS cells to the list sweep.
-    """
-    store = s._store
-    w, wy, X, C = store.columns(store.held_rows())
-    n0, ones = s.label_counts()
-    total = n0 + ones
-    schema = store.schema
-    out = [None] * schema.arity
-    if schema._real:
-        layout = []
-        found = _sweep_numeric(X, w, wy, total, ones,
-                               layout if len(X) >= RANK_ROWS else None)
-        if layout:
-            R, vals, starts, code_col = _rank_codes(*layout[1:])
-            found = [(vals[code].item(), left, left_ones, gain)
-                     for code, left, left_ones, gain in _sweep_binned(
-                         R, w, wy, total, ones, starts, code_col)]
-        for j, res in zip(schema._real, found):
-            out[j] = res
-    if schema._categorical:
-        for j, (code, left, left_ones, gain) in zip(
-            schema._categorical,
-            _sweep_categorical(C, w, wy, total, ones, store.code_col)
-        ):
-            out[j] = (store.symbols[code], left, left_ones, gain)
-    return out
-
-
-@dataclass(frozen=True)
-class GainResult:
-    """Outcome of an exhaustive split search over all features."""
-
-    best_split: Split
-    best_gain: float
-    per_feature: tuple
-
-
-def best_split(s: ActiveMultiset) -> GainResult:
-    """Exact best split over every feature, observed thresholds only.
-
-    Runs the sweeps the engine's builder runs at each node.
-    """
-    if len(s) == 0:
-        raise ValueError("best_split needs a nonempty multiset")
-    found = _sweep_all(s)
-    per_feature = []
-    best_j, best_gain = 0, -1.0
-    for j, (thr, _, _, gain) in enumerate(found):
-        per_feature.append((thr, gain))
-        if gain > best_gain + TIE_TOL:
-            best_j, best_gain = j, gain
-    thr, gain = per_feature[best_j]
-    split = Split(best_j, thr,
-                  categorical=s.schema.kinds[best_j] is FeatureKind.CATEGORICAL)
-    return GainResult(split, gain, tuple(per_feature))

@@ -15,7 +15,9 @@ from dyntree import (
     gini_index,
     make_example,
 )
+import dyntree.build as build_mod
 from dyntree.build import build
+from dyntree.gini import TIE_TOL
 
 PARAMS = FeasibilityParams(epsilon=0.1, alpha=0.2, beta=0.1, k=1, h=8)
 
@@ -225,32 +227,61 @@ def _first_separating_split(sub):
     return None
 
 
-def test_every_split_matches_exhaustive_search():
+def _grid_multiset(rng, kinds, points, grid, alphabet, cube):
+    # points on a grid of real values and symbols; cube: parity labels on a
+    # cube with equal multiplicities, so for d >= 2 no single split gains
+    # anything, at the root and below
+    s = ActiveMultiset(Schema(kinds))
+    if cube:
+        codes_of = list(itertools.product(range(2), repeat=len(kinds))) * points
+    else:
+        codes_of = [[rng.randrange(grid if k is FeatureKind.REAL else alphabet)
+                     for k in kinds] for _ in range(points)]
+    for codes in codes_of:
+        feats = tuple(float(c) / 2 if k is FeatureKind.REAL else "pqrs"[c]
+                      for c, k in zip(codes, kinds))
+        label = sum(codes) % 2 if cube else rng.randrange(2)
+        s.insert(make_example(feats, label))
+    return s
+
+
+def test_every_split_matches_exhaustive_search(monkeypatch):
+    binned = []
+
+    def spy(*args):
+        binned.append(len(args[0]))
+        return sweep(*args)
+    sweep = build_mod._sweep_binned
+    monkeypatch.setattr(build_mod, "_sweep_binned", spy)
     rng = random.Random(2024)
-    zero_gain_nodes = internal = 0
-    for trial in range(250):
+    trials = []
+    for _ in range(250):
         d = rng.randint(1, 4)
         kinds = tuple(FeatureKind.REAL if rng.random() < 0.5
                       else FeatureKind.CATEGORICAL for _ in range(d))
-        schema = Schema(kinds)
         grid, alphabet = rng.randint(1, 6), rng.randint(1, 4)
         cube = rng.random() < 0.3
-        if cube:
-            # parity labels on a cube with equal multiplicities: for d >= 2
-            # no single split gains anything, at the root and below
-            points = list(itertools.product(range(2), repeat=d)) * rng.randint(1, 3)
-        else:
-            points = [[rng.randrange(grid if k is FeatureKind.REAL else alphabet)
-                       for k in kinds] for _ in range(rng.randint(1, 60))]
-        s = ActiveMultiset(schema)
-        for codes in points:
-            feats = tuple(float(c) / 2 if k is FeatureKind.REAL else "pqrs"[c]
-                          for c, k in zip(codes, kinds))
-            label = sum(codes) % 2 if cube else rng.randrange(2)
-            s.insert(make_example(feats, label))
+        points = rng.randint(1, 3) if cube else rng.randint(1, 60)
+        s = _grid_multiset(rng, kinds, points, grid, alphabet, cube)
         params = FeasibilityParams(epsilon=0.1, alpha=rng.choice([0.0, 0.2, 0.5]),
                                    beta=0.1, k=rng.choice([1, 2, 4]),
                                    h=rng.choice([None, 2, 5]))
+        trials.append((s, params))
+    # large targets: 128 to 256 points on a grid of 4 real values.  The
+    # target takes the sort sweep.  With four real columns it mostly holds
+    # 128 distinct rows or more and passes the rank-code gate, so the nodes
+    # below take the binned sweep, then the list sweep once small; a target
+    # with fewer rows (two real columns and a symbol hold at most 96) does
+    # not make rank codes, and its large nodes sort
+    rng = random.Random(17)
+    for m in (4, 4, 4, 2):
+        kinds = (FeatureKind.REAL,) * m + (FeatureKind.CATEGORICAL,)
+        s = _grid_multiset(rng, kinds, rng.randint(128, 256), 4, 3, False)
+        trials.append((s, FeasibilityParams(epsilon=0.1, alpha=0.2, beta=0.1,
+                                            k=rng.choice([1, 2]), h=None)))
+
+    zero_gain_nodes = internal = 0
+    for trial, (s, params) in enumerate(trials):
         root, store = build(s, 0, params)
         assert _subtree_multiset(store, root) == s, f"trial {trial}"
         for v in walk(root):
@@ -273,3 +304,26 @@ def test_every_split_matches_exhaustive_search():
                            for e in _subtree_multiset(store, v.right))
     assert internal > 500
     assert zero_gain_nodes > 50
+    assert len(binned) > 0
+
+
+def test_node_sweep_takes_the_first_feature_within_tie_tol_of_the_best(
+        monkeypatch):
+    # the one tie rule across features, for the builder and best_split:
+    # the first gain within TIE_TOL of the largest.  Each gain here is
+    # within TIE_TOL of the one before, so a sequential strict scan
+    # (gain > best + TIE_TOL), which both ran before, picks the last
+    gains = [0.0, 0.6e-12, 1.2e-12]
+    monkeypatch.setattr(build_mod, "_sweep_numeric",
+                        lambda *args: [(0.0, 1, 0, g) for g in gains])
+    s = ActiveMultiset.from_examples([make_example((0.0, 0.0, 0.0), 0),
+                                      make_example((1.0, 1.0, 1.0), 1)])
+    rows = s._store.held_rows()
+    j, found, *_ = build_mod._node_sweep(s._store, rows)(None, 2, 1)
+    assert j == 1
+    assert [r[3] for r in found] == gains
+    scan, best = None, -1.0
+    for k, gain in enumerate(gains):
+        if gain > best + TIE_TOL:
+            scan, best = k, gain
+    assert scan == 2

@@ -18,6 +18,7 @@ from dyntree import (
     make_example,
 )
 from dyntree import gini
+import dyntree.build as build_mod
 from dyntree.oracle import exhaustive_split_search
 
 
@@ -323,12 +324,20 @@ def test_list_sweep_equals_sort_sweep_bit_for_bit(monkeypatch):
         check(X, np.array(counts, dtype=float), np.array(ones, dtype=float))
 
 
-def test_a_zero_threshold_reads_0_0_in_every_arrival_order():
+def test_a_zero_threshold_reads_0_0_in_every_arrival_order(monkeypatch):
     # (-0.0,) and (0.0,) are one example, held as whichever came first; the
     # threshold at their run must not depend on which that was, whether the
-    # sort sweep picks it (at a tree's root) or the binned sweep does
-    # (best_split over 128 rows of seven two-valued columns, which the gate
-    # codes)
+    # sort sweep picks it (best_split, and a tree's root) or the binned
+    # sweep does.  The root holds 128 rows of seven two-valued columns,
+    # which the gate codes, and splits on the first; its impure child, 64
+    # rows, splits on the second in the binned sweep, which a spy checks
+    binned = []
+
+    def spy(*args):
+        binned.append(len(args[0]))
+        return sweep(*args)
+    sweep = build_mod._sweep_binned
+    monkeypatch.setattr(build_mod, "_sweep_binned", spy)
     rng = random.Random(5)
     params = FeasibilityParams(epsilon=0.1, alpha=0.2, beta=0.1, k=1, h=8)
     assert 2 ** 7 >= gini.RANK_ROWS
@@ -336,10 +345,16 @@ def test_a_zero_threshold_reads_0_0_in_every_arrival_order():
         for zeros in ((-0.0, 0.0), (0.0, -0.0)):
             exs = [make_example(
                 tuple(zeros[i % 2] if bit == "0" else 1.0
-                      for bit in f"{v:07b}"), int(v >= 64))
+                      for bit in f"{v:07b}"), int(v >= 96))
                 for i in range(2) for v in range(128)]
             rng.shuffle(exs)
             s = ActiveMultiset.from_examples(exs)
             assert repr(best_split(s).best_split.threshold) == "0.0"
-            root = DecisionTree(s, params).root
-            assert repr(root.split.threshold) == "0.0"
+            nodes, thresholds = [DecisionTree(s, params).root], []
+            while nodes:
+                v = nodes.pop()
+                if not v.is_leaf:
+                    thresholds.append(repr(v.split.threshold))
+                    nodes += [v.left, v.right]
+            assert thresholds == ["0.0", "0.0"]
+    assert binned == [64] * 4

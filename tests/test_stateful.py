@@ -3,12 +3,13 @@
 The rules reach the row store's edge cases: rows freed and reused,
 examples counted more than once, symbols that sort before every held
 one, which rank a column again, and a stream of new symbols, whose ids
-the store drops once no row holds them.  A rejected update (NaN, a wrong
-arity, a symbol of another type, a container symbol, unhashable features,
-label 2, a label equal to 0 or 1 that is not an integer, an unknown op, a
-delete of an absent example or of a value of a rejected type that equals a
-held one) must raise what it raised before deletes of held examples
-skipped validation, and change no state.
+the store drops once no row holds them.  A rejected update (NaN, a real
+int that a float64 cannot hold exactly, a wrong arity, a symbol of
+another type, a container symbol, unhashable features, label 2, a label
+equal to 0 or 1 that is not an integer, an unknown op, a delete of an
+absent example or of a value of a rejected type that equals a held one)
+must raise what it raised before deletes of held examples skipped
+validation, and change no state.
 """
 
 import random
@@ -161,6 +162,13 @@ class TreeMachine(RuleBasedStateMachine):
     def update_nan(self, label, op):
         self._rejected(make_example((float("nan"), "m"), label), op,
                        SchemaError, "NaN")
+
+    @rule(value=st.sampled_from([2**53 + 1, 10**400]), s=symbols,
+          label=st.integers(0, 1), op=st.sampled_from(["ins", "del"]))
+    def update_inexact_int(self, value, s, label, op):
+        # the row store codes real values as float64, which holds neither
+        self._rejected(make_example((value, s), label), op,
+                       SchemaError, "float64 cannot hold")
 
     @precondition(lambda self: self.shadow)
     @rule(label=st.integers(0, 1))
@@ -455,6 +463,8 @@ def test_machine_reproducers(params):
         lambda: m.delete_all_then_reinsert(0),
         lambda: m.delete_equal_copy(1),
         lambda: m.update_nan(0, "del"),
+        lambda: m.update_inexact_int(2**53 + 1, "m", 0, "ins"),
+        lambda: m.update_inexact_int(10**400, "n", 1, "del"),
         lambda: m.update_container_symbol("n", 0, list, "del"),
         lambda: m.delete_wrong_arity(1.0, 0),
         lambda: m.update_list_features(make_example((0.0, "m"), 0), "del"),

@@ -42,7 +42,9 @@ def test_tracer_spans_every_layer_and_uninstalls():
     finally:
         tracer.uninstall()
     calls = {name: rec[0] for name, rec in tracer.totals().items()}
+    # the builder reaches the sort sweep through build._sweep_numeric, the
+    # name the tracer wraps
     for name in ("core.validate", "dynamic.update", "dynamic.gather",
-                 "dynamic.rebuild", "build.generic"):
+                 "dynamic.rebuild", "build.generic", "gini.sweep_numeric"):
         assert calls.get(name, 0) > 0, name
     assert DecisionTree.__dict__["update"] is update
