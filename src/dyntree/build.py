@@ -162,7 +162,7 @@ def build(s, eta: int, params: FeasibilityParams) -> tuple[TreeNode, _Store]:
 
 def _build_entries(
     rows: np.ndarray, hist, store: _Store, eta: int,
-    params: FeasibilityParams, old: TreeNode | None = None, path=(),
+    params: FeasibilityParams, old: TreeNode | None = None,
     kept: list | None = None,
 ) -> TreeNode:
     # Internal: rows is an array of distinct held row ids of store, weighed
@@ -172,25 +172,21 @@ def _build_entries(
     # were taken at or before it), with no conversion per row; a root that
     # stops takes rows itself.
     #
-    # A rebuild passes the subtree it replaces as old, the nodes of the
-    # update that triggered it as path, and a list kept; a fresh build
-    # passes none of them.  Wherever the new tree picks the same split as
-    # the old node in the same place, an old child u with u.pending == 0,
-    # not on path, whose size equals the new child's weighted count is
+    # A rebuild passes the subtree it replaces as old and a list kept; a
+    # fresh build passes neither.  Wherever the new tree picks the same
+    # split as the old node in the same place, an old child u with
+    # u.pending == 0 whose size equals the new child's weighted count is
     # returned as is (and appended to kept) instead of being rebuilt.
     # This is exact:
-    # - every update routed through a node bumps its pending counter,
-    #   except below the node that triggers a rebuild; those nodes are on
-    #   that update's path, which the rebuild never keeps.  So off the
-    #   current path, pending == 0 means u's multiset is the one it was
-    #   built (or kept) from, and the routing by the shared split hands the
-    #   new child that same multiset;
+    # - every update counts on every node of its path, the triggering
+    #   update included, so pending == 0 alone means no update has reached
+    #   u since it was built (or kept): u's multiset is the one it was
+    #   built from, and the routing by the shared split hands the new child
+    #   that same multiset;
     # - this builder is a pure function of (multiset, depth, params), so a
     #   fresh build of u's multiset at u's depth reproduces u: size,
     #   pending 0, height, splits, split_gain bits and leaves.
-    # Path nodes below the trigger keep pending 0 but hold one example more
-    # or fewer than their size, so the path test and the size test each
-    # exclude them; both are cheap guards.
+    # The size test is a cheap guard.
     #
     # Nodes are made in preorder, left child first, from an explicit stack,
     # so the depth of the tree is not bounded by Python's recursion limit.
@@ -206,12 +202,10 @@ def _build_entries(
     schema = store.schema
     kinds, pos, symbols = schema.kinds, schema._pos, store.symbols
     REAL = FeatureKind.REAL
-    on_path = {id(v) for v in path}
 
     def keep(u, total: int):
         # u if it may stand for the new child of weighted count total
-        if (u is not None and u.pending == 0 and u.size == total
-                and id(u) not in on_path):
+        if u is not None and u.pending == 0 and u.size == total:
             kept.append(u)
             return u
         return None

@@ -1,11 +1,12 @@
 """The dynamic tree engine: queries, counted updates, proactive rebuilds.
 
-Every insert or delete routes to its leaf, adjusts its row's count and
-the leaf's label, then bumps a pending counter on each node along the path
-from the root.  The first node whose pending count exceeds epsilon times its
-build-time size triggers a rebuild; the rebuild reaches up the path to the
-shallowest ancestor whose build-time size fits within the next power of
-two of the trigger's, so repeated work amortizes geometrically.
+Every insert or delete routes to its leaf, bumping a pending counter on
+each node along the path from the root as it descends, then adjusts its
+row's count and the leaf's label.  The first node on the path whose
+pending count exceeds epsilon times its build-time size triggers a
+rebuild; the rebuild reaches up the path to the shallowest ancestor whose
+build-time size fits within the next power of two of the trigger's, so
+repeated work amortizes geometrically.
 
 Every example is coded once, when it enters the tree: the tree keeps one
 row store (``core._Store``) with a row per distinct active example and
@@ -36,11 +37,10 @@ the one builder, ``build._build_entries``, whatever the schema, but keeps
 untouched subtrees of the old target.  Every node of a tree is the
 builder's, since no caller can hand a tree a root.  Wherever the new tree
 picks the same split as the old node in the same place, an old child with
-``pending == 0`` that is not on the triggering update's path (and whose
-build-time size matches) is kept instead of rebuilt.  Invariant: off that
-path, ``pending == 0`` means no update has been routed through the node
-since it was built or kept, because updates that stop counting at a
-trigger are on a path the rebuild never keeps.  Such a node still holds
+``pending == 0`` (and whose build-time size matches, a guard) is kept
+instead of rebuilt.  Invariant: every update counts on its whole path,
+below its trigger too, so ``pending == 0`` alone means no update has
+reached the node since it was built or kept.  Such a node still holds
 its build-time multiset, and the builder is a pure function of (multiset,
 depth, params), so the tree is identical to a full rebuild's.
 ``TreeStats.rebuild_touches`` still counts every gathered example, kept or
@@ -208,9 +208,11 @@ class DecisionTree:
         when they entered the tree, so a delete of the very object held
         skips the checks.  Any other delete runs them, because equality
         can join values of types the schema rejects (``True == 1.0``).
-        Counters along the path stop incrementing at the trigger;
+        An update that raises later, while routing, in the leaf edit or in
+        a rebuild, undoes what it did before it re-raises.
+        Every node of the path counts the update, below the trigger too;
         everything below the rebuilt ancestor is replaced wholesale, so
-        deeper counters die with their nodes.
+        those counts die with their nodes.
         """
         store = self._store
         if op == "del":
@@ -219,7 +221,8 @@ class DecisionTree:
             except TypeError:  # unhashable features
                 store.check(example, insert=False)
                 raise
-            if row is None or store.examples[row] is not example:
+            held = None if row is None else store.examples[row]
+            if held is not example:
                 store.check(example, insert=False)
                 if row is None:
                     raise ExampleNotFound(f"example not in active set: {example}")
@@ -228,33 +231,46 @@ class DecisionTree:
         else:
             raise ValueError(f"op must be ins or del, got {op!r}")
 
+        # one descent routes the example, counts it on every node of its
+        # path and finds the trigger, the first node whose count exceeds
+        # eps * size; i is its index on the path, -1 for none
         features = example.features
-        path = []
-        node = self.root
-        s = node.split
-        while s is not None:
-            path.append(node)
-            x = features[s.feature]
-            if x == s.threshold if s.categorical else x <= s.threshold:
-                node = node.left
-            else:
-                node = node.right
-            s = node.split
-        path.append(node)
-
-        # an example's row, when held, is listed currently in the leaf the
-        # example routes to, and a row taken afresh is listed there
-        leaf = node
-        hist = leaf.label_hist
         eps = self.params.epsilon
+        path = []
+        i = -1
+        node = self.root
+        try:
+            while True:
+                p = node.pending = node.pending + 1
+                if p > eps * node.size and i < 0:
+                    i = len(path)
+                path.append(node)
+                s = node.split
+                if s is None:
+                    break
+                x = features[s.feature]
+                if x == s.threshold if s.categorical else x <= s.threshold:
+                    node = node.left
+                else:
+                    node = node.right
+            # an example's row, when held, is listed currently in the leaf
+            # the example routes to, and a row taken afresh is listed there
+            leaf = node
+            if op == "ins":
+                new = leaf.leaf_new
+                if new is None:  # made on demand: most leaves never need one
+                    new = leaf.leaf_new = []
+                # take raises TypeError for unhashable features before it
+                # changes anything
+                row = store.take(example, new)
+        except BaseException:
+            for v in path:
+                v.pending -= 1
+            raise
+
+        hist = leaf.label_hist
         if op == "ins":
-            # take raises TypeError for unhashable features before it
-            # changes anything, so the pin is kept only after it
-            new = leaf.leaf_new
-            if new is None:  # made on demand: most leaves never need one
-                new = leaf.leaf_new = []
-            store.take(example, new)
-            store.symbol_types = types
+            pin, store.symbol_types = store.symbol_types, types
             hist[example.label] += 1
             self._active += 1
             n0, n1 = hist
@@ -273,13 +289,43 @@ class DecisionTree:
             self._active -= 1
             n0, n1 = hist
         leaf.leaf_label = 1 if n1 > n0 else 0
-
         self.stats.updates += 1
-        for i, v in enumerate(path):
-            v.pending += 1
-            if v.pending > eps * v.size:
-                return self._rebuild_at(path, i)
-        return None
+        if i < 0:
+            return None
+        try:
+            return self._rebuild_at(path, i)
+        except BaseException:
+            self._undo(path, example, op, row, held if op == "del" else pin)
+            raise
+
+    def _undo(self, path: list, example: LabeledExample, op: str, row: int,
+              prior) -> None:
+        # Undoes an update whose rebuild raised: its counts on path, its
+        # stats, its store edit and leaf edit, and an insert's symbol pin.
+        # prior is the pin before an insert, or the example object a
+        # delete released.  The builder changed nothing of the old subtree,
+        # and a store flush is all or nothing, so the tree is as it was
+        # before the update.  A fold of the leaf's listings stays: it lists
+        # the same rows.
+        for v in path:
+            v.pending -= 1
+        self.stats.updates -= 1
+        store = self._store
+        leaf = path[-1]
+        hist = leaf.label_hist
+        if op == "ins":
+            store.release(row)
+            store.symbol_types = prior
+            hist[example.label] -= 1
+            self._active -= 1
+        else:
+            if leaf.leaf_new is None:
+                leaf.leaf_new = []
+            # a row the delete freed is free[-1], so it is taken back
+            store.take(prior, leaf.leaf_new)
+            hist[example.label] += 1
+            self._active += 1
+        leaf.leaf_label = 1 if hist[1] > hist[0] else 0
 
     def _rebuild_at(self, path: list, i: int) -> RebuildInfo:
         shat = _shat(path[i].size)
@@ -289,7 +335,7 @@ class DecisionTree:
         gathered_total = hist[0] + hist[1]
         kept = []
         fresh = _build_entries(gathered, hist, self._store, target.depth,
-                               self.params, target, path, kept)
+                               self.params, target, kept)
         if j == 0:
             self.root = fresh
         else:

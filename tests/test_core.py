@@ -1,6 +1,7 @@
 """Domain types: examples, schemas, multisets, splits, parameter envelopes."""
 
 import copy
+import dataclasses
 import pickle
 import random
 from decimal import Decimal
@@ -302,6 +303,67 @@ def test_failed_flush_leaves_the_store_as_it_was():
              for r, c in zip(rows.tolist(), C[:, 0].tolist())}
     assert codes == {0: 0, 1: 1}
     assert store.symbols == [_Picky(0), _Picky(1)] and not store.uncoded
+
+
+def _tree_state(tree):
+    # everything a failed update must leave as it was
+    union = tree.leaf_union()
+    pendings = []
+    stack = [tree.root]
+    while stack:
+        v = stack.pop()
+        pendings.append((id(v), v.pending))
+        if not v.is_leaf:
+            stack += (v.right, v.left)
+    return (tree.active_size, pendings, dataclasses.astuple(tree.stats),
+            dict(union.items()), tree._store.symbol_types,
+            dyntree.check_counters(tree, union, tree.params.epsilon).ok)
+
+
+PICKY = FeasibilityParams(epsilon=0.2, alpha=0.2, beta=0.2, k=1, h=8)
+
+
+def _picky(v):
+    return make_example((_Picky(v),), v % 2)
+
+
+def test_an_insert_whose_rebuild_raises_changes_nothing():
+    # the third insert's rebuild codes _Picky(2), and its sort of the
+    # symbols raises; the insert once stayed counted (active_size 3, root
+    # pending 1) with its row held uncoded, so every later rebuild raised
+    tree = DecisionTree.empty(PICKY, Schema.categorical(1))
+    tree.update(_picky(0), "ins")
+    tree.update(_picky(1), "ins")
+    before = _tree_state(tree)
+    with pytest.raises(TypeError, match="do not order"):
+        tree.update(_picky(2), "ins")
+    assert _tree_state(tree) == before
+    assert tree.update(_picky(0), "ins") is not None
+    assert tree.update(_picky(1), "del") is not None
+    assert tree.update(_picky(3), "ins") is not None
+    assert dyntree.check_counters(tree, tree.leaf_union(), PICKY.epsilon).ok
+
+
+def test_a_delete_whose_rebuild_raises_changes_nothing():
+    # _Picky(1) keeps its symbol id once deleted, and _Picky(2) enters a
+    # leaf without a rebuild and waits to be coded, so a delete that
+    # rebuilds that leaf raises; the row it released, whether still held
+    # (_Picky(3)) or freed (_Picky(5)), is counted back
+    tree = DecisionTree.from_multiset(ActiveMultiset.from_examples(
+        [_picky(0)] * 10 + [_picky(1), _picky(5)] + [_picky(3)] * 8), PICKY)
+    assert [v.size for v in (tree.root.left, tree.root.right)] == [10, 10]
+    assert tree.update(_picky(1), "del") is None
+    assert tree.update(_picky(2), "ins") is None
+    before = _tree_state(tree)
+    for v in (3, 5):
+        with pytest.raises(TypeError, match="do not order"):
+            tree.update(_picky(v), "del")
+        assert _tree_state(tree) == before
+    assert tree.update(_picky(2), "del") is not None
+    tree.update(_picky(5), "del")
+    assert tree.leaf_union() == ActiveMultiset.from_examples(
+        [_picky(0)] * 10 + [_picky(3)] * 8)
+    assert dyntree.check_counters(tree, tree.leaf_union(), PICKY.epsilon).ok
 
 
 def test_a_multisets_store_holds_exactly_its_rows():

@@ -1,5 +1,6 @@
 """Update mechanics: routing, counters, proactive rebuilds, query streams."""
 
+import dataclasses
 import random
 from decimal import Decimal
 
@@ -297,6 +298,89 @@ def test_unhashable_insert_into_an_empty_tree_pins_no_symbol_type():
         tree.update(LabeledExample(["a"], 0), "ins")
     tree.update(make_example((1,), 0), "ins")
     assert tree.active_size == 1
+
+
+class _Touchy:
+    """A symbol whose ``==`` raises between 9 and another value, so an
+    update that carries a 9 raises while it routes past a split on it."""
+
+    def __init__(self, v):
+        self.v = v
+
+    def __eq__(self, other):
+        if other is not self and 9 in (self.v, other.v):
+            raise RuntimeError("9 does not compare")
+        return self.v == other.v
+
+    def __hash__(self):
+        return hash(self.v)
+
+    def __lt__(self, other):
+        return self.v < other.v
+
+
+LAZY = FeasibilityParams(epsilon=4.0, alpha=0.1, beta=0.2, k=1, h=8)
+
+
+def _xor_tree(sym):
+    # a tree of height 2 or more, whose updates rebuild nothing at first
+    tree = _tree([make_example((sym(a), sym(b)), (a % 2) ^ (b == 2))
+                  for a in range(4) for b in range(3)], LAZY)
+    assert tree.height >= 2
+    return tree
+
+
+def _path(tree, features):
+    # the nodes an update with features routes through, up to where the
+    # routing raises, if it does
+    path, node = [tree.root], tree.root
+    try:
+        while not node.is_leaf:
+            node = node.route_child(features)
+            path.append(node)
+    except RuntimeError:
+        pass
+    return path
+
+
+@pytest.mark.parametrize("where", ["take", "route"])
+def test_an_update_that_raises_in_its_descent_changes_nothing(where):
+    # the descent bumps each node's pending as it routes, so it takes the
+    # bumps back when the leaf edit (take: unhashable features) or the
+    # routing (a symbol's == below the root) raises
+    if where == "take":
+        tree = _xor_tree(str)
+        bad, err = LabeledExample([str(3), str(1)], 0), TypeError
+    else:
+        tree = _xor_tree(_Touchy)
+        # the root's own symbol on the root's feature, a 9 on the other
+        f, thr = tree.root.split.feature, tree.root.split.threshold
+        bad = make_example(tuple(thr if j == f else _Touchy(9)
+                                 for j in range(2)), 0)
+        err = RuntimeError
+    assert len(_path(tree, bad.features)) >= 2  # bumps below the root
+
+    def state():
+        return ([(id(v), v.pending) for v in _walk(tree.root)],
+                dataclasses.astuple(tree.stats), tree.active_size,
+                dict(tree.leaf_union().items()))
+
+    before = state()
+    with pytest.raises(err):
+        tree.update(bad, "ins")
+    assert state() == before
+
+
+def test_an_update_counts_on_its_path_only():
+    tree = _xor_tree(float)
+    e = make_example((3.0, 1.0), 0)
+    on_path = {id(v) for v in _path(tree, e.features)}
+    assert len(on_path) >= 3
+    before = {id(v): v.pending for v in _walk(tree.root)}
+    for bumps, op in enumerate(("ins", "del"), start=1):
+        assert tree.update(e, op) is None
+        for v in _walk(tree.root):
+            assert v.pending == before[id(v)] + bumps * (id(v) in on_path)
 
 
 @pytest.mark.parametrize("symbol", [1j, object(), Decimal("NaN"),
