@@ -7,9 +7,12 @@ arrays once, and the store counts each row's copies in one dense per-row
 count.  A caller's multiset owns its store; a tree keeps one for all its
 leaves, and each leaf lists the rows routed to it (see ``TreeNode``), so
 a rebuild slices the store's columns and counts by row id instead of
-re-reading examples.  Enumeration sorts on demand, lexicographically by
-features then label, so its order is deterministic regardless of the
-order updates arrived in.
+re-reading examples.  A row is coded by the first flush after its take:
+a rebuild's flush, which codes only the few rows taken since the last
+one, writes them cell by cell in Python, and a large one, such as a
+set-up's, with numpy (see ``_Store``).  Enumeration sorts on demand,
+lexicographically by features then label, so its order is deterministic
+regardless of the order updates arrived in.
 
 Store invariants, which hold whenever the store is flushed (see
 ``_Store.flush``):
@@ -249,6 +252,13 @@ def make_example(features: Iterable, label: int) -> LabeledExample:
 # stamp of a freed row: above every ticket, so no listing of it is current
 _FREED = np.iinfo(np.int64).max
 
+# A flush of at most CODE_CELLS cells (rows times features) writes its rows
+# cell by cell through memoryviews; a larger one by numpy fancy assignment.
+# Measured per flush, the two break even near 20 cells for all-real rows,
+# 30 for all-categorical ones and 40 for mixed ones; a one-row flush takes
+# 0.4-0.7 of numpy's time.
+CODE_CELLS = 30
+
 
 def _binary_label(label) -> bool:
     # an integer (int, bool or a type with __index__) equal to 0 or 1
@@ -287,7 +297,11 @@ class _Store:
 
     Coding waits for ``flush``, which fills the columns of the rows taken
     since: ``y`` (labels), ``X`` (real features, one column per real
-    feature, float64) and ``C`` (categorical symbol ids, int64).  A symbol
+    feature, float64) and ``C`` (categorical symbol ids, int64).  It makes
+    every value and id first and writes only then: a flush of at most
+    ``CODE_CELLS`` cells (rows times features), as most rebuilds' are,
+    writes cell by cell through memoryviews of the arrays, and a larger
+    one by numpy fancy assignment; the two write the same.  A symbol
     gets an id when it first reaches a column (``ids``, per column: symbol
     -> id), so a new symbol never touches the rows already coded.
     ``rank`` maps ids to the codes that ``columns`` hands out: global
@@ -445,46 +459,72 @@ class _Store:
     def _code(self, rows: list) -> None:
         # Writes the columns of rows, which are uncoded; only a new
         # symbol's ids and rank, committed together, reach other rows.
+        # Every value and id is made before the first write, so a raise
+        # leaves the columns as they were.  A flush of at most CODE_CELLS
+        # cells writes them one by one through memoryviews, where numpy's
+        # cost per call would outweigh its copying; a larger one by fancy
+        # assignment.
         examples = self.examples
         schema = self.schema
         if self.y is None or len(self.y) < len(examples):
             self._grow(len(examples))
         exs = [examples[r] for r in rows]
-        idx = np.array(rows, dtype=np.intp)
-        k, d = len(rows), schema.arity
+        k, d = len(rows), len(schema.kinds)
         num, cat = schema._real, schema._categorical
-        self.y[idx] = [e.label for e in exs]
-        # real values are coded + 0.0, which turns -0.0 into 0.0: the two
-        # compare equal, so a threshold at their run would otherwise read as
-        # whichever sign the run's held example arrived with
-        if len(num) == d:
+        few = k * d <= CODE_CELLS
+        # real values are coded + 0.0 on both paths, which turns -0.0 into
+        # 0.0: the two compare equal, so a threshold at their run would
+        # otherwise read as whichever sign the run's held example arrived
+        # with
+        if not (few or cat):
             x = np.fromiter(chain.from_iterable(e.features for e in exs),
                             dtype=np.float64, count=k * d)
             x += 0.0
+            idx = np.array(rows, dtype=np.intp)
+            self.y[idx] = [e.label for e in exs]
             self.X[idx] = x.reshape(k, d)
             return
-        by_col = list(zip(*(e.features for e in exs)))
-        if num:
-            m = len(num)
-            x = np.fromiter(chain.from_iterable(by_col[j] for j in num),
-                            dtype=np.float64, count=m * k)
-            x += 0.0
-            self.X[idx] = x.reshape(m, k).T
-        mc = len(cat)
-        if not self.ids:
+        by_col = None if few else list(zip(*(e.features for e in exs)))
+        if cat and not self.ids:
             self.ids = [{} for _ in cat]
 
         def code():
+            # raises KeyError for a symbol without an id
+            if few:  # (row, label, real values, ids) per row
+                idcols = list(zip(self.ids, cat))
+                return [(r, e.label, [f[j] + 0.0 for j in num],
+                         [ids[f[j]] for ids, j in idcols])
+                        for r, e in zip(rows, exs) for f in (e.features,)]
             return np.fromiter(
                 chain.from_iterable(map(ids.__getitem__, by_col[j])
                                     for ids, j in zip(self.ids, cat)),
-                dtype=np.int64, count=mc * k)
+                dtype=np.int64, count=len(cat) * k).reshape(len(cat), k).T
         try:
-            codes = code()
+            coded = code()
         except KeyError:  # a symbol without an id
-            self._add_symbols([by_col[j] for j in cat], idx)
-            codes = code()
-        self.C[idx] = codes.reshape(mc, k).T
+            cols = by_col or list(zip(*(e.features for e in exs)))
+            self._add_symbols([cols[j] for j in cat], rows)
+            coded = code()
+        if few:
+            y = memoryview(self.y)
+            X = None if self.X is None else memoryview(self.X)
+            C = None if self.C is None else memoryview(self.C)
+            for r, label, xs, ids in coded:
+                y[r] = label
+                for jj, v in enumerate(xs):
+                    X[r, jj] = v
+                for jj, v in enumerate(ids):
+                    C[r, jj] = v
+            return
+        if num:
+            x = np.fromiter(chain.from_iterable(by_col[j] for j in num),
+                            dtype=np.float64, count=len(num) * k)
+            x += 0.0
+        idx = np.array(rows, dtype=np.intp)
+        self.y[idx] = [e.label for e in exs]
+        if num:
+            self.X[idx] = x.reshape(len(num), k).T
+        self.C[idx] = coded
 
     def _grow(self, rows: int) -> None:
         size = max(rows, 2 * (0 if self.y is None else len(self.y)), 16)
@@ -499,7 +539,7 @@ class _Store:
                 a[:len(old)] = old
             setattr(self, name, a)
 
-    def _add_symbols(self, batch: list, rows: np.ndarray) -> None:
+    def _add_symbols(self, batch: list, rows: list) -> None:
         # Gives ids to the symbols of batch (per categorical column, the
         # symbols of the rows being coded) that have none, then ranks every
         # id again: O(symbols log symbols), whatever the number of rows.
@@ -533,7 +573,7 @@ class _Store:
         self.ids, self.rank, self.symbols, self.code_col = (ids, rank, symbols,
                                                             code_col)
 
-    def _drop_unheld(self, rows: np.ndarray) -> tuple:
+    def _drop_unheld(self, rows: list) -> tuple:
         # The ids of symbols that some coded row holds, numbered again in
         # the same order, as (coded rows, their renumbered ids, new id
         # tables); changes nothing.  rows are being coded, so their ids are
@@ -749,6 +789,10 @@ class TreeNode:
         return self.left if self.split.routes_left(features) else self.right
 
 
+def _positive_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
+
 @dataclass(frozen=True)
 class FeasibilityParams:
     """Knobs of the approximation contract.
@@ -770,10 +814,13 @@ class FeasibilityParams:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must be in [0, 1], got {self.beta}")
-        if self.k < 1:
-            raise ValueError(f"k must be a positive integer, got {self.k}")
-        if self.h is not None and self.h < 1:
-            raise ValueError(f"h must be a positive integer or None, got {self.h}")
+        # the must-leaf rule tests depth == h, which a fractional h never
+        # meets, while the builder caps depth by eta >= h
+        if not _positive_int(self.k):
+            raise ValueError(f"k must be a positive integer, got {self.k!r}")
+        if self.h is not None and not _positive_int(self.h):
+            raise ValueError(
+                f"h must be a positive integer or None, got {self.h!r}")
         # written so that a NaN epsilon, which compares false both ways and
         # would make every drift bound NaN, is rejected too
         if not self.epsilon >= 0.0:

@@ -53,6 +53,8 @@ class StreamConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.warmup is not None and self.warmup < 0:
+            raise ValueError(f"warmup must be nonnegative, got {self.warmup}")
         if self.mode == "sw":
             if self.window is None or self.window < 1:
                 raise ValueError("sliding-window mode needs a positive window")

@@ -135,6 +135,15 @@ def test_nan_epsilon_fails_cleanly(csv_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_negative_warmup_fails_cleanly(csv_path, capsys):
+    code = run_cli([
+        "run", "--data", csv_path, "--label", "label", "--positive", "pos",
+        "--warmup", "-5",
+    ])
+    assert code == 1
+    assert "warmup must be nonnegative" in capsys.readouterr().err
+
+
 def test_parser_requires_subcommand():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])

@@ -276,9 +276,15 @@ class _Picky:
         return self.v < other.v
 
 
-def test_failed_flush_leaves_the_store_as_it_was():
+# CODE_CELLS values that send every flush down one coding path
+CODING_PATHS = {"numpy": 0, "memoryview": 10**9}
+
+
+@pytest.mark.parametrize("path", CODING_PATHS)
+def test_failed_flush_leaves_the_store_as_it_was(path, monkeypatch):
     # a flush that raised once kept the ids it had handed out and cleared
     # its rows from uncoded first, so a later columns() coded S(1) as S(0)
+    monkeypatch.setattr(dyntree.core, "CODE_CELLS", CODING_PATHS[path])
     s = ActiveMultiset(Schema.categorical(1))
     s.insert(make_example((_Picky(0),), 0))
     store = s._store
@@ -290,7 +296,7 @@ def test_failed_flush_leaves_the_store_as_it_was():
         return ([dict(d) for d in store.ids], store.rank.tolist(),
                 list(store.symbols), list(store.code_col),
                 store.C[store.row_of[make_example((_Picky(0),), 0)]].tolist(),
-                set(store.uncoded))
+                store.y.tobytes(), store.C.tobytes(), set(store.uncoded))
 
     before = coded()
     with pytest.raises(TypeError, match="do not order"):
@@ -303,6 +309,82 @@ def test_failed_flush_leaves_the_store_as_it_was():
              for r, c in zip(rows.tolist(), C[:, 0].tolist())}
     assert codes == {0: 0, 1: 1}
     assert store.symbols == [_Picky(0), _Picky(1)] and not store.uncoded
+
+
+def _coding_steps(kinds: str, seed: int) -> list:
+    # Seeded inserts, deletes and flushes of a multiset of at most six
+    # distinct examples.  Real values include -0.0 next to 0.0, exact ints
+    # such as 2**53, np.float64 and inf; labels include True and
+    # np.int64(1); the str column takes a symbol new to it at most inserts,
+    # so the ids outgrow twice the cells and _drop_unheld runs.
+    rng = random.Random(seed)
+    reals = [-0.0, 0.0, 1.5, 2**53, -(2**53), 3, np.float64(2.5),
+             np.float64(-0.0), float("inf"), float("-inf")]
+    labels = [0, 1, True, False, np.int64(1), np.int64(0)]
+    held, steps, fresh = [], [], 0
+    for _ in range(160):
+        if held and (len(held) >= 6 or rng.random() < 0.4):
+            steps.append(("del", held.pop(rng.randrange(len(held)))))
+        else:
+            features = []
+            for kind in kinds:
+                if kind == "r":
+                    features.append(rng.choice(reals))
+                elif kind == "s":
+                    fresh += rng.random() < 0.8
+                    features.append(f"s{fresh}")
+                else:
+                    features.append(rng.randrange(4))
+            e = LabeledExample(tuple(features), rng.choice(labels))
+            held.append(e)
+            steps.append(("ins", e))
+        if rng.random() < 0.3:
+            steps.append(("flush", None))
+    return steps + [("flush", None)]
+
+
+def _coded_state(store):
+    store.flush()
+    rows = store.held_rows()
+    columns = None
+    if len(rows):  # a store that never coded a row has no columns yet
+        w, wy, X, C = store.columns(rows)
+        assert X is None or not np.signbit(X[X == 0]).any()  # -0.0 codes 0.0
+        columns = [None if a is None else a.tobytes() for a in (w, wy, X, C)]
+    return (rows.tolist(), columns, [dict(d) for d in store.ids],
+            store.rank.tolist(), list(store.symbols), list(store.code_col))
+
+
+@pytest.mark.parametrize("kinds", ["rsri", "rr", "si"])
+def test_both_coding_paths_code_alike(kinds, monkeypatch):
+    # a flush codes its rows through memoryviews or by numpy fancy
+    # assignment, by its number of cells; forced down each path, the same
+    # takes must leave the same columns, ids and rank tables
+    schema = Schema(tuple(FeatureKind.REAL if k == "r"
+                          else FeatureKind.CATEGORICAL for k in kinds))
+    drops = []
+
+    def drop_spy(self, rows):
+        drops.append(len(rows))
+        return drop(self, rows)
+    drop = dyntree.core._Store._drop_unheld
+    monkeypatch.setattr(dyntree.core._Store, "_drop_unheld", drop_spy)
+    for seed in range(3):
+        steps = _coding_steps(kinds, seed)
+        states = {}
+        for path, cells in CODING_PATHS.items():
+            monkeypatch.setattr(dyntree.core, "CODE_CELLS", cells)
+            s = ActiveMultiset(schema)
+            states[path] = []
+            for op, e in steps:
+                if op == "ins":
+                    s.insert(e)
+                elif op == "del":
+                    s.delete(e)
+                else:
+                    states[path].append(_coded_state(s._store))
+        assert states["numpy"] == states["memoryview"]
+    assert ("s" not in kinds) == (not drops)
 
 
 def _tree_state(tree):
@@ -478,6 +560,15 @@ def test_params_validation():
         FeasibilityParams(epsilon=float("nan"))
     with pytest.raises(ValueError):
         FeasibilityParams(epsilon=0.1, h=0)
+    # a fractional h capped the builder at depth 3 (eta >= 2.5) while the
+    # oracle's must-leaf rule, depth == h, never held
+    for bad in (2.5, 2.0, True, "3", None):
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            FeasibilityParams(epsilon=0.1, k=bad)
+        if bad is not None:
+            with pytest.raises(ValueError, match="h must be a positive"):
+                FeasibilityParams(epsilon=0.1, h=bad)
+    assert FeasibilityParams(epsilon=0.1, k=2, h=3).h == 3
 
 
 def test_depth_cap():

@@ -115,6 +115,17 @@ def test_stream_config_validation():
     assert StreamConfig(PARAMS).effective_warmup == 0
 
 
+@pytest.mark.parametrize("mode,window", [("incremental", None), ("sw", 20),
+                                         ("ru", None)])
+def test_negative_warmup_is_rejected(mode, window):
+    # a warmup of -5 on 50 examples built on the first 45 and scored 5
+    # steps from t=-4
+    with pytest.raises(ValueError, match="warmup must be nonnegative"):
+        StreamConfig(PARAMS, mode=mode, window=window, warmup=-5)
+    assert StreamConfig(PARAMS, mode=mode, window=window,
+                        warmup=0).effective_warmup == 0
+
+
 def test_sliding_window_matches_incremental_until_window_fills():
     stream = threshold_stream(120, d=3, seed=7, noise=0.1)
     inc = run_incremental(stream, StreamConfig(PARAMS))

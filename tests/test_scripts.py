@@ -4,6 +4,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -48,9 +50,11 @@ def test_tree_digest_is_reproducible(capsys, monkeypatch):
     # digest covers the binned sweep whatever the gate's constants are; a
     # spy in the builder's namespace checks that it ran there.  mixed-sw's
     # small nodes sweep their real columns on lists, which a second spy
-    # checks
+    # checks.  mixed-sw's and categorical-ru's few-row flushes code their
+    # rows through memoryviews, which a third spy checks
     build_mod = importlib.import_module("dyntree.build")
     gini_mod = importlib.import_module("dyntree.gini")
+    core_mod = importlib.import_module("dyntree.core")
     binned = []
 
     def spy(*args):
@@ -65,6 +69,15 @@ def test_tree_digest_is_reproducible(capsys, monkeypatch):
         return list_sweep(*args)
     list_sweep = gini_mod._sweep_list
     monkeypatch.setattr(gini_mod, "_sweep_list", list_spy)
+    viewed = []
+
+    def view_spy(a):
+        # the store views a float64 vector, its label column, only to code
+        # a flush through memoryviews; its other views are of int64 arrays
+        if a.dtype == np.float64 and a.ndim == 1:
+            viewed.append(len(a))
+        return memoryview(a)
+    monkeypatch.setattr(core_mod, "memoryview", view_spy, raising=False)
     digest = _load("tree_digest")
     outs = []
     for _ in range(2):
@@ -77,8 +90,14 @@ def test_tree_digest_is_reproducible(capsys, monkeypatch):
     assert len({line.split()[1] for line in lines}) == len(lines)
     assert digest.digest("mixed-sw", 150, 4) not in outs[0]
     listed.clear()
+    viewed.clear()
     assert digest.digest("mixed-sw", 150, 3) == PINNED_DIGESTS["mixed-sw"]
     assert len(listed) > 0
+    assert len(viewed) > 0
+    viewed.clear()
+    assert (digest.digest("categorical-ru", 150, 3)
+            == PINNED_DIGESTS["categorical-ru"])
+    assert len(viewed) > 0
     binned.clear()
     assert digest.digest("grid-sw", 150, 3) == PINNED_DIGESTS["grid-sw"]
     assert len(binned) > 100
