@@ -9,13 +9,19 @@ import argparse
 import statistics
 import sys
 
-from dyntree import FeasibilityParams, StreamConfig, mixed_stream, threshold_stream
-from dyntree.harness import RUNNERS
+from dyntree import (
+    FeasibilityParams,
+    StreamConfig,
+    mixed_stream,
+    run_stream,
+    threshold_stream,
+)
+from dyntree.harness import MODES
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--mode", choices=(*RUNNERS, "all"), default="all")
+    parser.add_argument("--mode", choices=(*MODES, "all"), default="all")
     parser.add_argument("--n", type=int, default=20_000, help="stream length")
     parser.add_argument("--d", type=int, default=8)
     parser.add_argument("--mixed", action="store_true",
@@ -47,13 +53,13 @@ def main(argv=None) -> int:
         epsilon=args.epsilon, alpha=args.alpha, beta=args.beta,
         k=args.k, h=args.h,
     )
-    modes = list(RUNNERS) if args.mode == "all" else [args.mode]
+    modes = MODES if args.mode == "all" else [args.mode]
     print(f"{'mode':>12} {'updates':>8} {'mean us':>9} {'p50 us':>9} "
           f"{'p90 us':>9} {'max us':>9} {'rebuilds':>9} {'f1':>7}")
     for mode in modes:
         window = args.window if mode == "sw" else None
         config = StreamConfig(params, mode=mode, window=window, seed=args.seed)
-        metrics = RUNNERS[mode](stream, config)
+        metrics = run_stream(stream, config)
         nanos = sorted(metrics.per_update_nanos)
         if nanos:
             timings = (statistics.fmean(nanos), percentile(nanos, 0.5),

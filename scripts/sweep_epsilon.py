@@ -13,7 +13,7 @@ import sys
 from dyntree import (
     FeasibilityParams,
     StreamConfig,
-    run_sliding_window,
+    run_stream,
     threshold_stream,
 )
 
@@ -49,7 +49,7 @@ def main(argv=None) -> int:
         )
         config = StreamConfig(params, mode="sw", window=args.window,
                               seed=args.seed)
-        metrics = run_sliding_window(stream, config)
+        metrics = run_stream(stream, config)
         mean_us = statistics.fmean(metrics.per_update_nanos) / 1000.0
         median_us = statistics.median(metrics.per_update_nanos) / 1000.0
         rows.append({

@@ -34,9 +34,7 @@ from .harness import (
     emit_metrics,
     load_stream,
     prequential_f1,
-    run_incremental,
-    run_random_update,
-    run_sliding_window,
+    run_stream,
 )
 from .synth import era_flip_stream, mixed_stream, threshold_stream
 
@@ -77,8 +75,6 @@ __all__ = [
     "make_example",
     "mixed_stream",
     "prequential_f1",
-    "run_incremental",
-    "run_random_update",
-    "run_sliding_window",
+    "run_stream",
     "threshold_stream",
 ]

@@ -7,7 +7,14 @@ import json
 import sys
 
 from .core import FeasibilityParams
-from .harness import RUNNERS, StreamConfig, VerificationError, emit_metrics, load_stream
+from .harness import (
+    MODES,
+    StreamConfig,
+    VerificationError,
+    emit_metrics,
+    load_stream,
+    run_stream,
+)
 
 
 def _parse_h(text: str):
@@ -22,9 +29,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="replay a CSV stream through the tree")
-    run.add_argument(
-        "--mode", choices=("incremental", "sw", "ru"), default="incremental"
-    )
+    run.add_argument("--mode", choices=MODES, default="incremental")
     run.add_argument("--data", required=True, help="path to a headered CSV file")
     run.add_argument("--label", required=True, help="label column name or index")
     run.add_argument(
@@ -77,7 +82,7 @@ def main(argv=None) -> int:
             positive_class=args.positive,
         )
         examples = load_stream(args.data, args.label, args.positive)
-        metrics = RUNNERS[args.mode](examples, config)
+        metrics = run_stream(examples, config)
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 2

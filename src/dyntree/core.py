@@ -604,6 +604,8 @@ class _Store:
         categorical features.
         """
         self.flush()
+        if self.y is None:  # no row coded yet: empty columns of the schema
+            self._grow(0)
         w = self.count.obj[rows].astype(np.float64)
         return (w, w * self.y[rows],
                 None if self.X is None else self.X[rows],
@@ -615,10 +617,10 @@ class ActiveMultiset:
 
     Stored in a ``_Store`` of its own, which holds exactly the examples it
     counts and their counts, so point updates take O(1) expected time.
-    ``items``, ``items_list`` and iteration sort on each call and
-    enumerate in lexicographic order.  The schema is pinned on
-    construction or by the first inserted example, and the store pins the
-    symbol type of each categorical column.
+    ``items`` and iteration sort on each call and enumerate in
+    lexicographic order.  The schema is pinned on construction or by the
+    first inserted example, and the store pins the symbol type of each
+    categorical column.
     """
 
     __slots__ = ("_store", "_total")
@@ -655,10 +657,6 @@ class ActiveMultiset:
             store.symbol_types = schema._check_symbols(
                 store.examples[0].features, None)
         return s
-
-    def items_list(self) -> list:
-        """Sorted (example, count) pairs as a plain list."""
-        return sorted(self._unsorted_items())
 
     def _unsorted_items(self) -> list:
         # Internal: (example, count) pairs in storage order, for callers
@@ -715,7 +713,7 @@ class ActiveMultiset:
         return 0 if row is None else store.count[row]
 
     def items(self) -> Iterator[tuple[LabeledExample, int]]:
-        return iter(self.items_list())
+        return iter(sorted(self._unsorted_items()))
 
     def label_counts(self) -> tuple[int, int]:
         count = self._store.count

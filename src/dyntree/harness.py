@@ -1,10 +1,12 @@
 """Streaming evaluation: prequential scoring over three update models.
 
-Each runner predicts the next example's label before the engine sees it,
-then feeds the step's updates to the tree.  Metrics exclude the warm-start
-prefix, which is consumed by one exact build.  With verification enabled,
-the ground-truth multiset is maintained alongside the engine and the
-oracle checks feasibility and counters after every single update.
+run_stream replays a stream under the model that StreamConfig.mode names
+(insert-only, sliding window or random updates).  Each step predicts the
+next example's label before the engine sees it, then feeds the step's
+updates to the tree.  Metrics exclude the warm-start prefix, which is
+consumed by one exact build.  With verification enabled, the ground-truth
+multiset is maintained alongside the engine and the oracle checks
+feasibility and counters after every single update.
 """
 
 from __future__ import annotations
@@ -60,6 +62,8 @@ class StreamConfig:
                 raise ValueError("sliding-window mode needs a positive window")
             if self.warmup is not None and self.warmup > self.window:
                 raise ValueError("warmup cannot exceed the window")
+        elif self.window is not None:
+            raise ValueError(f"window applies to sw mode only, not {self.mode!r}")
 
     @property
     def effective_warmup(self) -> int:
@@ -179,127 +183,77 @@ def _verify_step(tree: DecisionTree, shadow: ActiveMultiset, config: StreamConfi
         raise VerificationError(f"counter invariant: {crep.detail}")
 
 
-class _Session:
-    """Shared plumbing for the runners: warm start, timing, verification."""
+def run_stream(
+    examples: Sequence[LabeledExample], config: StreamConfig
+) -> StreamMetrics:
+    """Replay examples under config.mode and score each step prequentially.
 
-    def __init__(self, examples: Sequence[LabeledExample], config: StreamConfig):
-        self.config = config
-        self.metrics = StreamMetrics()
-        self.warm = min(config.effective_warmup, len(examples))
-        self.examples = examples
-        if not examples:
-            self.tree = None
-            return
-        schema = Schema.infer(examples[0].features)
-        warm_set = ActiveMultiset.from_examples(examples[: self.warm], schema)
-        self.shadow = warm_set.copy() if config.verify else None
-        if self.warm:
-            self.tree = DecisionTree.from_multiset(warm_set, config.params)
-        else:
-            self.tree = DecisionTree.empty(config.params, schema)
-        if config.verify:
-            _verify_step(self.tree, self.shadow, config)
+    Every step predicts its example's label before the engine sees it.
+    incremental then inserts the example.  sw deletes the oldest example
+    before predicting once the window is full, then inserts, so the active
+    set holds min(t, window) examples.  ru flips a coin after predicting:
+    insert the example, or delete a uniform active one; a delete drawn
+    against an empty active set becomes an insert.  Runs are fully
+    deterministic for a given seed.
+    """
+    metrics = StreamMetrics()
+    if not examples:
+        return metrics
+    mode = config.mode
+    warm = min(config.effective_warmup, len(examples))
+    schema = Schema.infer(examples[0].features)
+    warm_set = ActiveMultiset.from_examples(examples[:warm], schema)
+    shadow = warm_set.copy() if config.verify else None
+    if warm:
+        tree = DecisionTree.from_multiset(warm_set, config.params)
+    else:
+        tree = DecisionTree.empty(config.params, schema)
+    if shadow is not None:
+        _verify_step(tree, shadow, config)
 
-    def apply(self, example: LabeledExample, op: str) -> int:
+    def apply(example: LabeledExample, op: str) -> int:
         t0 = time.perf_counter_ns()
-        self.tree.update(example, op)
+        tree.update(example, op)
         dt = time.perf_counter_ns() - t0
-        self.metrics.per_update_nanos.append(dt)
-        if self.shadow is not None:
+        metrics.per_update_nanos.append(dt)
+        if shadow is not None:
             if op == "ins":
-                self.shadow.insert(example)
+                shadow.insert(example)
             else:
-                self.shadow.delete(example)
-            _verify_step(self.tree, self.shadow, self.config)
+                shadow.delete(example)
+            _verify_step(tree, shadow, config)
         return dt
 
-    def finish(self) -> StreamMetrics:
-        m = self.metrics
-        if m.predictions:
-            m.f1 = prequential_f1(
-                [y for _, _, y in m.predictions],
-                [p for _, p, _ in m.predictions],
-            )
-        if self.tree is not None:
-            m.n_updates = self.tree.stats.updates
-            m.rebuild_count = self.tree.stats.rebuild_count
-            m.rebuild_example_touches = self.tree.stats.rebuild_touches
-            m.rebuild_reused_touches = self.tree.stats.reused_touches
-            m.max_height = self.tree.stats.max_height
-        return m
-
-
-def run_incremental(
-    examples: Sequence[LabeledExample], config: StreamConfig
-) -> StreamMetrics:
-    """Insert-only model: predict, then insert, for every example."""
-    ses = _Session(examples, config)
-    if ses.tree is None:
-        return ses.metrics
-    for t, e in enumerate(examples[ses.warm :], start=ses.warm + 1):
-        yhat = ses.tree.query(e.features)
-        dt = ses.apply(e, "ins")
-        ses.metrics.predictions.append((t, yhat, e.label))
-        ses.metrics.step_nanos.append(dt)
-    return ses.finish()
-
-
-def run_sliding_window(
-    examples: Sequence[LabeledExample], config: StreamConfig
-) -> StreamMetrics:
-    """Window model: the oldest example leaves before each new one lands.
-
-    A step first deletes the example falling out of the full window, then
-    predicts, then inserts; the active set holds min(t, window) examples.
-    """
-    ses = _Session(examples, config)
-    if ses.tree is None:
-        return ses.metrics
-    window: deque = deque(examples[: ses.warm])
-    for t, e in enumerate(examples[ses.warm :], start=ses.warm + 1):
-        nanos = 0
-        if len(window) >= config.window:
-            nanos += ses.apply(window.popleft(), "del")
-        yhat = ses.tree.query(e.features)
-        nanos += ses.apply(e, "ins")
-        window.append(e)
-        ses.metrics.predictions.append((t, yhat, e.label))
-        ses.metrics.step_nanos.append(nanos)
-    return ses.finish()
-
-
-def run_random_update(
-    examples: Sequence[LabeledExample], config: StreamConfig
-) -> StreamMetrics:
-    """Coin-flip model: insert the step's example, or delete a uniform
-    active one.  A delete drawn against an empty active set becomes an
-    insert.  Fully deterministic for a given seed."""
-    ses = _Session(examples, config)
-    if ses.tree is None:
-        return ses.metrics
     rng = random.Random(config.seed)
-    active = list(examples[: ses.warm])
-    for t, e in enumerate(examples[ses.warm :], start=ses.warm + 1):
-        yhat = ses.tree.query(e.features)
-        if rng.random() < 0.5 or not active:
-            nanos = ses.apply(e, "ins")
-            active.append(e)
-        else:
+    active = deque(examples[:warm]) if mode == "sw" else list(examples[:warm])
+    for t, e in enumerate(examples[warm:], start=warm + 1):
+        nanos = 0
+        if mode == "sw" and len(active) >= config.window:
+            nanos += apply(active.popleft(), "del")
+        yhat = tree.query(e.features)
+        if mode == "ru" and rng.random() >= 0.5 and active:
             i = rng.randrange(len(active))
             victim = active[i]
             active[i] = active[-1]
             active.pop()
-            nanos = ses.apply(victim, "del")
-        ses.metrics.predictions.append((t, yhat, e.label))
-        ses.metrics.step_nanos.append(nanos)
-    return ses.finish()
+            nanos += apply(victim, "del")
+        else:
+            nanos += apply(e, "ins")
+            active.append(e)
+        metrics.predictions.append((t, yhat, e.label))
+        metrics.step_nanos.append(nanos)
 
-
-RUNNERS = {
-    "incremental": run_incremental,
-    "sw": run_sliding_window,
-    "ru": run_random_update,
-}
+    if metrics.predictions:
+        metrics.f1 = prequential_f1(
+            [y for _, _, y in metrics.predictions],
+            [p for _, p, _ in metrics.predictions],
+        )
+    metrics.n_updates = tree.stats.updates
+    metrics.rebuild_count = tree.stats.rebuild_count
+    metrics.rebuild_example_touches = tree.stats.rebuild_touches
+    metrics.rebuild_reused_touches = tree.stats.reused_touches
+    metrics.max_height = tree.stats.max_height
+    return metrics
 
 
 def emit_metrics(

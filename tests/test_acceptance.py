@@ -34,8 +34,7 @@ from dyntree import (
     load_stream,
     make_example,
     mixed_stream,
-    run_incremental,
-    run_sliding_window,
+    run_stream,
     threshold_stream,
 )
 from dyntree.build import build
@@ -335,7 +334,7 @@ def test_criterion_8_performance_shape():
     for eps in (1.0, 0.1, 0.0):
         params = FeasibilityParams(epsilon=eps, alpha=0.3, beta=0.4, k=5, h=8)
         config = StreamConfig(params, mode="sw", window=1000)
-        metrics = run_sliding_window(stream, config)
+        metrics = run_stream(stream, config)
         assert metrics.n_updates == 100_000
         runs[eps] = metrics
     mean_full = statistics.fmean(runs[0.0].per_update_nanos)
@@ -356,5 +355,5 @@ def test_criterion_9_electricity_spot_check():
     stream = load_stream(str(ELECTRICITY), label, "UP")
     assert stream, "dataset parsed to an empty stream"
     params = FeasibilityParams(epsilon=0.5, alpha=0.0, beta=0.0, k=1, h=10)
-    metrics = run_incremental(stream, StreamConfig(params))
+    metrics = run_stream(stream, StreamConfig(params))
     assert abs(metrics.f1 - 0.8212) <= F1_TOL, metrics.f1

@@ -116,6 +116,15 @@ def test_sw_without_window_fails_cleanly(csv_path, capsys):
     assert "window" in capsys.readouterr().err
 
 
+def test_window_outside_sw_fails_cleanly(csv_path, capsys):
+    code = run_cli([
+        "run", "--data", csv_path, "--label", "label", "--positive", "pos",
+        "--mode", "incremental", "--window", "5",
+    ])
+    assert code == 1
+    assert "sw mode only" in capsys.readouterr().err
+
+
 def test_bad_param_combination_fails_cleanly(csv_path, capsys):
     code = run_cli([
         "run", "--data", csv_path, "--label", "label", "--positive", "pos",

@@ -473,7 +473,7 @@ def _preorder(store, node):
         row = [v.depth, v.size, v.pending, v.height]
         if v.is_leaf:
             row += [v.leaf_label, list(v.label_hist),
-                    _leaf_multiset(store, v).items_list()]
+                    list(_leaf_multiset(store, v).items())]
         else:
             row += [v.split, v.split_gain.hex()]
         out.append(row)

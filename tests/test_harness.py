@@ -1,5 +1,7 @@
-"""Streaming evaluation: loaders, runners, metrics, shadow verification."""
+"""Streaming evaluation: loaders, the stream runner, metrics, shadow
+verification."""
 
+import hashlib
 import json
 
 import pytest
@@ -18,9 +20,7 @@ from dyntree import (
     make_example,
     mixed_stream,
     prequential_f1,
-    run_incremental,
-    run_random_update,
-    run_sliding_window,
+    run_stream,
     threshold_stream,
 )
 from dyntree.harness import _verify_step
@@ -110,6 +110,9 @@ def test_stream_config_validation():
         StreamConfig(PARAMS, mode="sw")
     with pytest.raises(ValueError):
         StreamConfig(PARAMS, mode="sw", window=10, warmup=11)
+    for mode in ("incremental", "ru"):
+        with pytest.raises(ValueError, match="sw mode only"):
+            StreamConfig(PARAMS, mode=mode, window=10)
     cfg = StreamConfig(PARAMS, mode="sw", window=10)
     assert cfg.effective_warmup == 10
     assert StreamConfig(PARAMS).effective_warmup == 0
@@ -126,10 +129,33 @@ def test_negative_warmup_is_rejected(mode, window):
                         warmup=0).effective_warmup == 0
 
 
+@pytest.mark.parametrize("config,pinned", [
+    (StreamConfig(PARAMS, warmup=20),
+     (220, 78, 1864, 8, 0.7868852459016394,
+      "7748c34eabe166d02b82173a3b34b2a30747ec4b295d6707686365ca5b74cdf3")),
+    (StreamConfig(PARAMS, mode="sw", window=60, warmup=10),
+     (410, 174, 2669, 8, 0.7557251908396946,
+      "3adb309c97aa40ba584b93a51553d267ef8ed176e7b025fde2c3e5a01e37482b")),
+    (StreamConfig(PARAMS, mode="ru", warmup=20, seed=4),
+     (220, 105, 1151, 6, 0.7450980392156863,
+      "37759d480699f7f1ee14788c92f44dca85c24e0813b38ed1018c277553cf2a9e")),
+], ids=["incremental", "sw", "ru"])
+def test_run_stream_pins_each_mode(config, pinned):
+    # recorded with the per-mode runners that run_stream replaced; the
+    # digest covers every (t, predicted, actual) triple
+    metrics = run_stream(mixed_stream(240, seed=13), config)
+    digest = hashlib.sha256(json.dumps(metrics.predictions).encode()).hexdigest()
+    assert (metrics.n_updates, metrics.rebuild_count,
+            metrics.rebuild_example_touches, metrics.max_height,
+            metrics.f1, digest) == pinned
+    assert len(metrics.step_nanos) == len(metrics.predictions)
+    assert len(metrics.per_update_nanos) == metrics.n_updates
+
+
 def test_sliding_window_matches_incremental_until_window_fills():
     stream = threshold_stream(120, d=3, seed=7, noise=0.1)
-    inc = run_incremental(stream, StreamConfig(PARAMS))
-    sw = run_sliding_window(
+    inc = run_stream(stream, StreamConfig(PARAMS))
+    sw = run_stream(
         stream, StreamConfig(PARAMS, mode="sw", window=10_000, warmup=0)
     )
     assert sw.predictions == inc.predictions
@@ -139,7 +165,7 @@ def test_sliding_window_matches_incremental_until_window_fills():
 def test_sliding_window_keeps_active_set_at_window():
     stream = threshold_stream(150, d=2, seed=1)
     config = StreamConfig(PARAMS, mode="sw", window=40)
-    metrics = run_sliding_window(stream, config)
+    metrics = run_stream(stream, config)
     # warmup fills the window, every later step pairs one del with one ins
     assert metrics.n_updates == 2 * (150 - 40)
     assert len(metrics.predictions) == 150 - 40
@@ -148,8 +174,8 @@ def test_sliding_window_keeps_active_set_at_window():
 
 def test_random_update_runs_are_seed_deterministic():
     stream = mixed_stream(300, seed=5)
-    a = run_random_update(stream, StreamConfig(PARAMS, mode="ru", seed=9))
-    b = run_random_update(stream, StreamConfig(PARAMS, mode="ru", seed=9))
+    a = run_stream(stream, StreamConfig(PARAMS, mode="ru", seed=9))
+    b = run_stream(stream, StreamConfig(PARAMS, mode="ru", seed=9))
     assert a.predictions == b.predictions
     assert a.n_updates == b.n_updates
     assert a.rebuild_count == b.rebuild_count
@@ -157,21 +183,21 @@ def test_random_update_runs_are_seed_deterministic():
 
 def test_constant_stream_stays_single_leaf():
     stream = [make_example((1.0, 2.0), 1) for _ in range(60)]
-    metrics = run_incremental(stream, StreamConfig(PARAMS))
+    metrics = run_stream(stream, StreamConfig(PARAMS))
     assert metrics.max_height == 0
     assert metrics.f1 > 0.95  # only the first, cold prediction misses
 
 
 def test_warmup_is_not_scored():
     stream = threshold_stream(50, d=2, seed=3)
-    metrics = run_incremental(stream, StreamConfig(PARAMS, warmup=20))
+    metrics = run_stream(stream, StreamConfig(PARAMS, warmup=20))
     assert len(metrics.predictions) == 30
     assert metrics.predictions[0][0] == 21
     assert metrics.n_updates == 30  # warm set lands in the initial build
 
 
 def test_empty_stream_yields_empty_metrics():
-    metrics = run_incremental([], StreamConfig(PARAMS))
+    metrics = run_stream([], StreamConfig(PARAMS))
     assert metrics.predictions == []
     assert metrics.f1 == 0.0
     assert metrics.n_updates == 0
@@ -180,7 +206,7 @@ def test_empty_stream_yields_empty_metrics():
 def test_emit_metrics_writes_summary_and_series(tmp_path):
     stream = threshold_stream(80, d=2, seed=2)
     config = StreamConfig(PARAMS, warmup=10)
-    metrics = run_incremental(stream, config)
+    metrics = run_stream(stream, config)
     out = tmp_path / "m.json"
     series = tmp_path / "m.csv"
     summary = emit_metrics(metrics, out, config=config, series_path=series)
@@ -224,14 +250,14 @@ def test_verify_step_raises_on_corrupted_tree():
 def test_verified_run_completes_under_guaranteed_params():
     stream = mixed_stream(150, seed=8)
     config = StreamConfig(GUARANTEED, mode="ru", seed=1, verify=True)
-    metrics = run_random_update(stream, config)
+    metrics = run_stream(stream, config)
     assert metrics.n_updates == 150
 
 
 def test_sliding_window_recovers_from_era_flip():
     stream = era_flip_stream(300, 500, d=4, seed=6, noise=0.02)
     config = StreamConfig(PARAMS, mode="sw", window=100)
-    metrics = run_sliding_window(stream, config)
+    metrics = run_stream(stream, config)
     tail = metrics.predictions[-250:]
     tail_f1 = prequential_f1([y for _, _, y in tail], [p for _, p, _ in tail])
     assert tail_f1 >= 0.9

@@ -26,6 +26,21 @@ def test_benchmark_reports_a_mode_that_ran_no_updates(capsys):
     assert rows["ru"][1] == "500" and "-" not in rows["ru"]
 
 
+def test_sweep_epsilon_prints_and_writes_a_row_per_epsilon(capsys, tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert _load("sweep_epsilon").main([
+        "--updates", "60", "--window", "20", "--d", "3",
+        "--epsilon", "0", "1", "--out", str(out),
+    ]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0].split() == ["epsilon", "mean", "us", "median", "us",
+                                  "rebuilds", "touches", "f1"]
+    assert [line.split()[0] for line in printed[1:]] == ["0", "1"]
+    rows = out.read_text().splitlines()
+    assert rows[0] == "epsilon,mean_us,median_us,rebuilds,touches,f1"
+    assert [row.split(",")[0] for row in rows[1:]] == ["0.0", "1.0"]
+
+
 # The digests of `tree_digest.py --steps 150 --seed 3`, recorded before the
 # numeric sweep started returning its gains (grid-sw: before the binned
 # sweep came in). A change that only speeds the engine up must build the
