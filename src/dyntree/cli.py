@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .core import FeasibilityParams
@@ -60,8 +61,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _claim(path) -> list:
+    # opens path for appending, so an output that cannot be written fails
+    # before the replay, and a file that exists keeps what it holds;
+    # returns [path] when this made the file
+    existed = os.path.lexists(path)
+    with open(path, "a"):
+        pass
+    return [] if existed else [path]
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    made = []  # output files this run made, removed again if it fails
     try:
         params = FeasibilityParams(
             epsilon=args.epsilon,
@@ -81,17 +93,25 @@ def main(argv=None) -> int:
             label_column=args.label,
             positive_class=args.positive,
         )
+        for path in (args.out, args.series):
+            if path is not None:
+                made += _claim(path)
         examples = load_stream(args.data, args.label, args.positive)
         metrics = run_stream(examples, config)
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
-        return 2
+        code = 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    summary = emit_metrics(metrics, args.out, config=config, series_path=args.series)
-    print(json.dumps(summary))
-    return 0
+        code = 1
+    else:
+        summary = emit_metrics(metrics, args.out, config=config,
+                               series_path=args.series)
+        print(json.dumps(summary))
+        return 0
+    for path in made:
+        os.remove(path)
+    return code
 
 
 if __name__ == "__main__":

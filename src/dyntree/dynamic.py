@@ -30,7 +30,13 @@ The store holds only examples valid under the tree's schema.  A tree is
 built over a copy of a multiset, whose inserts were checked, and each
 later insert passes the same checks (``_Store.check``) before it enters.
 So a delete looks its example up before validating it, and a delete of
-the object the store holds skips validation.
+the object the store holds skips validation.  A test-then-train step
+queries an example's features, then inserts the example, so the tree
+remembers the last features tuple that ``query`` accepted on
+``Schema.validate``'s fast path (exact floats and strs, none NaN); an
+insert of that very tuple skips ``Schema.validate``, since a tuple of
+such values cannot change and the schema is fixed per tree.  Its label
+and symbol types are checked as for any insert.
 
 A rebuild gathers every row below its target and rebuilds exactly with
 the one builder, ``build._build_entries``, whatever the schema, but keeps
@@ -121,7 +127,8 @@ class DecisionTree:
     docstring); ``empty`` and ``from_multiset`` wrap it.
     """
 
-    __slots__ = ("root", "params", "schema", "stats", "_active", "_store")
+    __slots__ = ("root", "params", "schema", "stats", "_active", "_store",
+                 "_queried")
 
     def __init__(self, s: ActiveMultiset, params: FeasibilityParams):
         if s.schema is None:
@@ -132,6 +139,8 @@ class DecisionTree:
         self.schema = s.schema
         self.stats = TreeStats(max_height=self.root.height)
         self._active = len(s)
+        # the features the last query accepted on validate's fast path
+        self._queried = None
 
     @classmethod
     def empty(cls, params: FeasibilityParams, schema: Schema) -> "DecisionTree":
@@ -185,7 +194,8 @@ class DecisionTree:
 
     def query(self, features: Sequence) -> int:
         """Label of the leaf that features route to."""
-        self.schema.validate(features)
+        if self.schema.validate(features):
+            self._queried = features
         node = self.root
         s = node.split
         # Split.routes_left, inlined: routing is the update path's inner loop
@@ -208,6 +218,9 @@ class DecisionTree:
         when they entered the tree, so a delete of the very object held
         skips the checks.  Any other delete runs them, because equality
         can join values of types the schema rejects (``True == 1.0``).
+        An insert whose features are the very tuple the last ``query``
+        accepted on ``Schema.validate``'s fast path skips that validation
+        only; its label and symbol types are checked as for any insert.
         An update that raises later, while routing, in the leaf edit or in
         a rebuild, undoes what it did before it re-raises.
         Every node of the path counts the update, below the trigger too;
@@ -215,6 +228,7 @@ class DecisionTree:
         those counts die with their nodes.
         """
         store = self._store
+        features = example.features
         if op == "del":
             try:
                 row = store.row_of.get(example)
@@ -227,14 +241,16 @@ class DecisionTree:
                 if row is None:
                     raise ExampleNotFound(f"example not in active set: {example}")
         elif op == "ins":
-            _, types = store.check(example)
+            # a tuple query accepted on the fast path is still valid: it
+            # cannot change, nor can its floats and strs
+            _, types = store.check(example, True, features is self._queried
+                                   and type(features) is tuple)
         else:
             raise ValueError(f"op must be ins or del, got {op!r}")
 
         # one descent routes the example, counts it on every node of its
         # path and finds the trigger, the first node whose count exceeds
         # eps * size; i is its index on the path, -1 for none
-        features = example.features
         eps = self.params.epsilon
         path = []
         i = -1

@@ -107,6 +107,61 @@ def test_missing_file_fails_cleanly(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _forbid_replay(monkeypatch):
+    def fail(examples, config):
+        raise AssertionError("the stream was replayed")
+
+    monkeypatch.setattr("dyntree.cli.run_stream", fail)
+
+
+def _failed_cleanly(capsys, path) -> bool:
+    out, err = capsys.readouterr()
+    return (out == "" and err.startswith("error: ")
+            and err.count("\n") == 1 and str(path) in err)
+
+
+def test_unwritable_out_fails_cleanly(csv_path, tmp_path, capsys,
+                                      monkeypatch):
+    _forbid_replay(monkeypatch)
+    bad, series = tmp_path / "no" / "such" / "x.json", tmp_path / "steps.csv"
+    code = run_cli([
+        "run", "--data", csv_path, "--label", "label", "--positive", "pos",
+        "--out", str(bad), "--series", str(series),
+    ])
+    assert code == 1
+    assert _failed_cleanly(capsys, bad)
+    assert not series.exists()
+
+
+def test_unwritable_series_fails_cleanly(csv_path, tmp_path, capsys,
+                                         monkeypatch):
+    _forbid_replay(monkeypatch)
+    bad = tmp_path / "no" / "such" / "steps.csv"
+    made, kept = tmp_path / "summary.json", tmp_path / "kept.json"
+    kept.write_text("old\n")
+    for out in (made, kept):
+        code = run_cli([
+            "run", "--data", csv_path, "--label", "label", "--positive",
+            "pos", "--out", str(out), "--series", str(bad),
+        ])
+        assert code == 1
+        assert _failed_cleanly(capsys, bad)
+    # no partial --out is left behind, and one that existed is not emptied
+    assert not made.exists()
+    assert kept.read_text() == "old\n"
+
+
+def test_a_failed_run_leaves_no_output_behind(csv_path, tmp_path, capsys):
+    out, series = tmp_path / "summary.json", tmp_path / "steps.csv"
+    code = run_cli([
+        "run", "--data", csv_path, "--label", "missing", "--positive", "pos",
+        "--out", str(out), "--series", str(series),
+    ])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists() and not series.exists()
+
+
 def test_sw_without_window_fails_cleanly(csv_path, capsys):
     code = run_cli([
         "run", "--data", csv_path, "--label", "label", "--positive", "pos",

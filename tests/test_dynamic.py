@@ -4,6 +4,7 @@ import dataclasses
 import random
 from decimal import Decimal
 
+import numpy as np
 import pytest
 
 from dyntree import (
@@ -157,8 +158,8 @@ def test_update_validates_op_and_label():
         tree.update(make_example((1.0, 2.0), 1), "ins")
 
 
-def test_update_validates_each_example_once(monkeypatch):
-    tree = DecisionTree.empty(HALF, Schema.numeric(1))
+def _spy_validate(monkeypatch):
+    # the features of every Schema.validate call, in order
     calls = []
     original = Schema.validate
 
@@ -167,6 +168,12 @@ def test_update_validates_each_example_once(monkeypatch):
         return original(schema, features)
 
     monkeypatch.setattr(Schema, "validate", counting)
+    return calls
+
+
+def test_update_validates_each_example_once(monkeypatch):
+    tree = DecisionTree.empty(HALF, Schema.numeric(1))
+    calls = _spy_validate(monkeypatch)
     e = make_example((1.0,), 1)
     tree.update(e, "ins")
     assert len(calls) == 1
@@ -202,18 +209,107 @@ def test_delete_of_an_equal_value_of_a_rejected_type_raises():
 def test_query_and_insert_validate_each_example_once(monkeypatch):
     s = ActiveMultiset.from_examples([make_example((1.0, "a"), 1)])
     tree = DecisionTree.from_multiset(s, HALF)
-    calls = []
-    original = Schema.validate
-
-    def counting(schema, features):
-        calls.append(features)
-        return original(schema, features)
-
-    monkeypatch.setattr(Schema, "validate", counting)
+    calls = _spy_validate(monkeypatch)
     tree.query((2.0, "b"))
     assert calls == [(2.0, "b")]
     s.insert(make_example((3.0, "c"), 0))
     assert calls == [(2.0, "b"), (3.0, "c")]
+
+
+def _state(tree):
+    """What a rejected update must leave as it was."""
+    store = tree._store
+    return ([(id(v), v.pending) for v in _walk(tree.root)],
+            dict(tree.leaf_union().items()), tree.active_size,
+            dataclasses.astuple(tree.stats), store.symbol_types,
+            list(store.examples), list(store.free))
+
+
+def test_an_insert_of_the_queried_tuple_validates_it_once(monkeypatch):
+    tree = _tree([make_example((1.0, "a"), 1), make_example((2.0, "b"), 0)])
+    calls = _spy_validate(monkeypatch)
+    e = make_example((3.0, "c"), 1)
+    tree.query(e.features)
+    tree.update(e, "ins")
+    assert calls == [e.features]
+    # an equal tuple that is not the queried object is validated
+    twin = make_example(list(e.features), 1)
+    assert twin.features == e.features and twin.features is not e.features
+    tree.update(twin, "ins")
+    assert len(calls) == 2
+    assert tree.leaf_union().count(e) == 2
+
+
+def test_a_queried_list_mutated_to_hold_nan_is_rejected_at_the_insert():
+    tree = _tree([make_example((float(i), "a"), i % 2) for i in range(4)])
+    features = [1.0, "a"]
+    tree.query(features)  # lists pass the fast path too
+    features[0] = float("nan")
+    before = _state(tree)
+    with pytest.raises(SchemaError, match="NaN"):
+        tree.update(LabeledExample(features, 1), "ins")
+    assert _state(tree) == before
+
+
+def test_a_queried_str_tuple_still_meets_an_int_pin(monkeypatch):
+    params = FeasibilityParams(epsilon=0.2, alpha=0.1, beta=0.5, k=1)
+    tree = DecisionTree.empty(params, Schema.categorical(1))
+    tree.update(make_example((1,), 0), "ins")
+    calls = _spy_validate(monkeypatch)
+    a = make_example(("a",), 1)
+    tree.query(a.features)
+    before = _state(tree)
+    with pytest.raises(SchemaError, match="feature 0 holds int symbols"):
+        tree.update(a, "ins")
+    assert calls == [a.features]  # validated once, by the query
+    assert _state(tree) == before
+
+
+class _Tuple(tuple):
+    pass
+
+
+@pytest.mark.parametrize("features", [(3, "c"), (np.float64(3.0), "c"),
+                                      _Tuple((3.0, "c"))],
+                         ids=["int", "np.float64", "tuple-subclass"])
+def test_features_off_the_fast_path_are_validated_again(monkeypatch,
+                                                        features):
+    # only exact floats and strs in an exact tuple skip the insert's check
+    tree = _tree([make_example((1.0, "a"), 1), make_example((2.0, "b"), 0)])
+    calls = _spy_validate(monkeypatch)
+    e = LabeledExample(features, 1)
+    tree.query(features)
+    tree.update(e, "ins")
+    assert calls == [features, features]
+    assert tree.leaf_union().count(e) == 1
+
+
+def test_a_query_that_raises_leaves_the_memo_as_it_was(monkeypatch):
+    tree = _tree([make_example((1.0, "a"), 1), make_example((2.0, "b"), 0)])
+    calls = _spy_validate(monkeypatch)
+    e = make_example((3.0, "c"), 1)
+    tree.query(e.features)
+    for bad in ((float("nan"), "c"), (3.0,), (3.0, 1.5)):
+        with pytest.raises(SchemaError):
+            tree.query(bad)
+    # a query accepted off the fast path leaves it too
+    tree.query((3, "c"))
+    assert len(calls) == 5
+    tree.update(e, "ins")
+    assert len(calls) == 5
+
+
+def test_a_query_on_one_tree_skips_nothing_on_another(monkeypatch):
+    exs = [make_example((1.0, "a"), 1), make_example((2.0, "b"), 0)]
+    one, other = _tree(exs), _tree(exs)
+    calls = _spy_validate(monkeypatch)
+    e = make_example((3.0, "c"), 1)
+    one.query(e.features)
+    other.update(e, "ins")
+    assert calls == [e.features, e.features]
+    one.update(e, "ins")
+    assert len(calls) == 2
+    assert one.leaf_union() == other.leaf_union()
 
 
 def test_nan_update_raises_before_any_state_changes():

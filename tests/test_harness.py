@@ -152,6 +152,29 @@ def test_run_stream_pins_each_mode(config, pinned):
     assert len(metrics.per_update_nanos) == metrics.n_updates
 
 
+@pytest.mark.parametrize("config", [
+    StreamConfig(PARAMS, warmup=20),
+    StreamConfig(PARAMS, mode="sw", window=40, warmup=10),
+    StreamConfig(PARAMS, mode="ru", warmup=20, seed=2),
+], ids=["incremental", "sw", "ru"])
+def test_each_example_is_validated_once(monkeypatch, config):
+    # the warm set's inserts validate its examples; then each step's query
+    # validates its example, the insert of that queried tuple adds no
+    # call, and neither does a delete of an example the tree holds
+    calls = []
+    original = Schema.validate
+
+    def counting(schema, features):
+        calls.append(features)
+        return original(schema, features)
+
+    monkeypatch.setattr(Schema, "validate", counting)
+    stream = mixed_stream(200, seed=3)
+    metrics = run_stream(stream, config)
+    assert len(metrics.predictions) == len(stream) - config.effective_warmup
+    assert [id(f) for f in calls] == [id(e.features) for e in stream]
+
+
 def test_sliding_window_matches_incremental_until_window_fills():
     stream = threshold_stream(120, d=3, seed=7, noise=0.1)
     inc = run_stream(stream, StreamConfig(PARAMS))

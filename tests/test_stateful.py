@@ -2,14 +2,15 @@
 
 The rules reach the row store's edge cases: rows freed and reused,
 examples counted more than once, symbols that sort before every held
-one, which rank a column again, and a stream of new symbols, whose ids
-the store drops once no row holds them.  A rejected update (NaN, a real
-int that a float64 cannot hold exactly, a wrong arity, a symbol of
-another type, a container symbol, unhashable features, label 2, a label
-equal to 0 or 1 that is not an integer, an unknown op, a delete of an
-absent example or of a value of a rejected type that equals a held one)
-must raise what it raised before deletes of held examples skipped
-validation, and change no state.
+one, which rank a column again, a stream of new symbols, whose ids the
+store drops once no row holds them, and inserts of the very tuple a
+query just accepted, which skip Schema.validate.  A rejected update
+(NaN, a real int that a float64 cannot hold exactly, a wrong arity, a
+symbol of another type, a container symbol, unhashable features, label
+2, a label equal to 0 or 1 that is not an integer, an unknown op, a
+delete of an absent example or of a value of a rejected type that
+equals a held one) must raise what it raised before deletes of held
+examples skipped validation, and change no state.
 """
 
 import random
@@ -143,6 +144,13 @@ class TreeMachine(RuleBasedStateMachine):
         pending = [v.pending for v in _nodes(self.tree.root)]
         assert self.tree.query((x, s)) in (0, 1)
         assert [v.pending for v in _nodes(self.tree.root)] == pending
+
+    @rule(e=examples)
+    def query_then_insert(self, e):
+        # the test-then-train step: the insert of the tuple the query
+        # accepted skips Schema.validate
+        assert self.tree.query(e.features) in (0, 1)
+        self._apply(e, "ins")
 
     @precondition(lambda self: self.shadow)
     @rule(i=st.integers(0, 10**6))
