@@ -121,15 +121,17 @@ def _node_sweep(store: _Store, rows: np.ndarray):
                     rank = _rank_codes(*layout[1:])
                 # Xi holds codes, thresholds are codes, vals maps them
                 R, vals, starts, rcol = rank
-                Xi = R[idx]
+                # rows are gathered by take: numpy's X[idx] on a matrix
+                # takes a slower path, about 4x at hundreds of rows
+                Xi = R.take(idx, axis=0)
                 res = _sweep_binned(Xi, wi, wyi, total, ones, starts, rcol)
             else:
-                Xi = X[idx]
+                Xi = X.take(idx, axis=0)
                 res = _sweep_numeric(Xi, wi, wyi, total, ones)
             for j, r in zip(num, res):
                 found[j] = r
         if cat:
-            Ci = C if first else C[idx]
+            Ci = C if first else C.take(idx, axis=0)
             for j, r in zip(cat, _sweep_categorical(Ci, wi, wyi, total, ones,
                                                     code_col)):
                 found[j] = r

@@ -589,7 +589,7 @@ class _Store:
         stale = np.zeros(len(self.examples), dtype=bool)
         stale[rows] = True
         live = live[~stale[live]]
-        held = self.C[live]
+        held = self.C.take(live, axis=0)
         used = np.zeros(n, dtype=bool)
         used[held] = True
         renumber = np.cumsum(used) - 1
@@ -612,9 +612,11 @@ class _Store:
         if self.y is None:  # no row coded yet: empty columns of the schema
             self._grow(0)
         w = self.count.obj[rows].astype(np.float64)
+        # matrix rows by take, not X[rows], which takes numpy's slower path
         return (w, w * self.y[rows],
-                None if self.X is None else self.X[rows],
-                None if self.C is None else self.rank[self.C[rows]])
+                None if self.X is None else self.X.take(rows, axis=0),
+                None if self.C is None
+                else self.rank.take(self.C.take(rows, axis=0)))
 
 
 class ActiveMultiset:
@@ -749,7 +751,7 @@ class Split:
         return v <= self.threshold
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class TreeNode:
     """Node of the dynamic tree.
 
@@ -768,6 +770,9 @@ class TreeNode:
     example counts are the store's.  Every node carries the rebuild
     counters: ``size`` is the subtree size at the time the node was built
     and ``pending`` counts updates routed through it since.
+
+    Nodes compare and hash by identity, and ``repr`` shows one node, not
+    its children, so it stays short and flat on a tree of any height.
     """
 
     depth: int
@@ -783,6 +788,17 @@ class TreeNode:
     leaf_new: Optional[list] = None
     label_hist: Optional[list[int]] = None
     height: int = 0
+
+    def __repr__(self) -> str:
+        head = (f"TreeNode(depth={self.depth}, size={self.size}, "
+                f"pending={self.pending}, height={self.height}, ")
+        if self.split is not None:
+            return head + f"split={self.split!r})"
+        # rows listed, stale listings included (see above)
+        rows = 0 if self.leaf_rows is None else len(self.leaf_rows)
+        rows += len(self.leaf_new or ()) // 2
+        return head + (f"leaf_label={self.leaf_label}, "
+                       f"label_hist={self.label_hist}, rows={rows})")
 
     @property
     def is_leaf(self) -> bool:

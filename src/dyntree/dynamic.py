@@ -57,7 +57,7 @@ See ``build._build_entries`` for the argument in full.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -112,6 +112,11 @@ def _current_rows(arrays: list, tickets: list, lens: list, new: list,
     return np.concatenate((rows, fresh[stamp[fresh] <= pairs[:, 1]]))
 
 
+# TreeNode's fields but its children, in the order of a pickled node record
+_NODE_FIELDS = tuple(f.name for f in fields(TreeNode)
+                     if f.name not in ("left", "right"))
+
+
 def _shat(size: int) -> int:
     # next power of two at or above size; degenerate sizes round up to 1
     if size <= 1:
@@ -141,6 +146,36 @@ class DecisionTree:
         self._active = len(s)
         # the features the last query accepted on validate's fast path
         self._queried = None
+
+    def __getstate__(self) -> dict:
+        # pickle and deepcopy take the nodes as flat preorder records, each
+        # a node's fields and its children's record indices (-1 at a leaf),
+        # so that neither recurses over nested nodes, whatever the height
+        nodes, stack = [], [self.root]
+        while stack:
+            v = stack.pop()
+            nodes.append(v)
+            if v.split is not None:
+                stack += v.right, v.left
+        index = {v: i for i, v in enumerate(nodes)}  # nodes hash by identity
+        state = {name: getattr(self, name) for name in self.__slots__}
+        state["root"] = [
+            (tuple([getattr(v, f) for f in _NODE_FIELDS]),
+             -1 if v.split is None else index[v.left],
+             -1 if v.split is None else index[v.right])
+            for v in nodes]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        records = state.pop("root")
+        nodes = [TreeNode(**dict(zip(_NODE_FIELDS, values)))
+                 for values, _, _ in records]
+        for v, (_, left, right) in zip(nodes, records):
+            if left >= 0:
+                v.left, v.right = nodes[left], nodes[right]
+        for name, value in state.items():
+            setattr(self, name, value)
+        self.root = nodes[0]
 
     @classmethod
     def empty(cls, params: FeasibilityParams, schema: Schema) -> "DecisionTree":

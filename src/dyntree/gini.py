@@ -138,10 +138,19 @@ def _sweep_numeric(X: np.ndarray, w, wy, total: int, ones: int,
     one (threshold, left, left_ones, gain) per column, the counts as
     floats.
 
+    X may be laid out in any order.  The sweep works on X.T made
+    contiguous (a copy unless X is column-major), so that each column's
+    sort, sorted values, running sums and gains lie in one contiguous row
+    of a (columns, rows) array, and each column's best gain and winner are
+    reductions along that row: along axis 0 of a row-major (rows, columns)
+    matrix, numpy's sorts and reductions take strided slow paths.
+
     When layout is a list and the columns repeat values enough, that is,
     RANK_GATE * V is at most their number of cells for V their distinct
     values summed over the columns, (V, order, sorted values, ties) is
-    appended to it, for ``_rank_codes``.
+    appended to it, for ``_rank_codes``: (rows, columns) views, column-major,
+    of the sweep's arrays, ``order[i, j]`` the row of column j's i-th
+    smallest value and ``ties[i, j]`` whether it equals the next one.
 
     The gains come from ``_gains``.  As w >= 1, the left count is at
     least 1 on every row and the right count is 0 only on the last.
@@ -157,26 +166,29 @@ def _sweep_numeric(X: np.ndarray, w, wy, total: int, ones: int,
     if layout is None and _takes_lists(X.size):
         return _sweep_list(X.T.tolist(), w.tolist(), wy.tolist(), total,
                            ones)
-    cols = np.arange(X.shape[1])
-    order = X.argsort(axis=0)
-    sv = X[order, cols]
+    n, m = X.shape
+    XT = np.ascontiguousarray(X.T)
+    order = XT.argsort(axis=1)
+    at = np.arange(0, X.size, n)  # flat index of each column's first cell
+    sv = XT.take(order + at[:, None])
     # integer running sums, exact in float64 below 2**53
-    wl = w[order].cumsum(axis=0, dtype=np.float64)
-    wyl = wy[order].cumsum(axis=0, dtype=np.float64)
+    wl = w[order].cumsum(axis=1, dtype=np.float64)
+    wyl = wy[order].cumsum(axis=1, dtype=np.float64)
     gains = _gains(wl, wyl, total, ones)
-    gains[-1] = 0.0  # everything left
-    tie = sv[:-1] == sv[1:]
-    gains[:-1][tie] = -1.0  # not a value boundary
+    gains[:, -1] = 0.0  # everything left
+    tie = sv[:, :-1] == sv[:, 1:]
+    gains[:, :-1][tie] = -1.0  # not a value boundary
     if layout is not None:
         V = X.size - np.count_nonzero(tie)
         if RANK_GATE * V <= X.size:
-            layout += V, order, sv, tie
+            layout += V, order.T, sv.T, tie.T
 
-    sel = (gains >= gains.max(axis=0) - TIE_TOL).argmax(axis=0)
-    return list(zip(sv[sel, cols].tolist(),
-                    wl[sel, cols].tolist(),
-                    wyl[sel, cols].tolist(),
-                    gains[sel, cols].tolist()))
+    # at becomes the flat index of each column's winner
+    at += (gains >= gains.max(axis=1, keepdims=True) - TIE_TOL).argmax(axis=1)
+    return list(zip(sv.take(at).tolist(),
+                    wl.take(at).tolist(),
+                    wyl.take(at).tolist(),
+                    gains.take(at).tolist()))
 
 
 def _sweep_list(cols: list, w: list, wy: list, total: int,
@@ -231,20 +243,23 @@ def _rank_codes(order, sv, tie) -> tuple:
     Returns (R, vals, starts, code_col): R[i, j] is the code of row i's
     value in column j, global across columns, column j's codes the block
     from starts[j] in value order; vals[code] is the value and
-    code_col[code] the column of a code.
+    code_col[code] the column of a code.  R is row-major, whatever the
+    layout of the sort, as the nodes below gather its rows.
     """
     n, m = sv.shape
-    rk = np.empty((n, m), dtype=np.intp)
-    rk[0] = 0
-    np.cumsum(~tie, axis=0, out=rk[1:])
-    distinct = rk[-1] + 1
+    # each column's running count of distinct values along one contiguous
+    # row, as the sort sweep lays its columns out
+    rk = np.empty((m, n), dtype=np.intp)
+    rk[:, 0] = 0
+    np.cumsum(~tie.T, axis=1, out=rk[:, 1:])
+    distinct = rk[:, -1] + 1
     starts = np.zeros(m, dtype=np.intp)
     np.cumsum(distinct[:-1], out=starts[1:])
-    rk += starts
-    R = np.empty_like(rk)
-    R[order, np.arange(m)] = rk
+    rk += starts[:, None]
+    R = np.empty((n, m), dtype=np.intp)
+    R[order, np.arange(m)] = rk.T
     vals = np.empty(starts[-1] + distinct[-1])
-    vals[rk] = sv
+    vals[rk] = sv.T
     return R, vals, starts, np.arange(m).repeat(distinct)
 
 

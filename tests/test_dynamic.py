@@ -1,6 +1,8 @@
 """Update mechanics: routing, counters, proactive rebuilds, query streams."""
 
+import copy
 import dataclasses
+import pickle
 import random
 from decimal import Decimal
 
@@ -794,3 +796,70 @@ def test_unbounded_depth_chain_builds_and_updates():
     assert tree.active_size == 3000
     assert tree.leaf_union() == ActiveMultiset.from_examples(
         exs[1:] + [make_example((1500.5,), 1)])
+
+
+def _chain():
+    # alternating labels on one feature with h=None: a chain of height 2999
+    exs = [make_example((float(i),), i % 2) for i in range(3000)]
+    params = FeasibilityParams(epsilon=0.5, alpha=0.0, beta=0.0, k=1, h=None)
+    return exs, _tree(exs, params)
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy,
+                                   lambda x: pickle.loads(pickle.dumps(x))],
+                         ids=["deepcopy", "pickle"])
+def test_a_tree_of_any_height_copies_and_pickles(clone):
+    # both walked the nested nodes recursively and raised RecursionError;
+    # a restored tree must then continue exactly as the original
+    exs, tree = _chain()
+    assert tree.height == 2999
+    c = clone(tree)
+    assert check_counters(c, c.leaf_union(), c.params.epsilon).ok
+    rng = random.Random(11)
+    ops = [(make_example((rng.uniform(0.0, 3000.0),), rng.randrange(2)), "ins")
+           for _ in range(20)]
+    ops += [(e, "del") for e in rng.sample(exs, 20)]
+    for t in (tree, c):
+        for e, op in ops:
+            t.update(e, op)
+    assert c.stats == tree.stats and c.stats.rebuild_count > 0
+    assert _preorder(c._store, c.root) == _preorder(tree._store, tree.root)
+    assert check_counters(c, c.leaf_union(), c.params.epsilon).ok
+
+
+def test_tree_nodes_compare_and_hash_by_identity():
+    # nodes compared the leaf_rows arrays field by field, which raised
+    # "truth value of an array ... is ambiguous" for leaves of two rows or
+    # more, and did not hash
+    a, b = (dataclasses.replace(_tree(
+        [make_example((1.0,), 0), make_example((2.0,), 0)]).root)
+            for _ in range(2))
+    assert a.is_leaf and len(a.leaf_rows) == 2
+    assert a == a and a != b and not (a == b)
+    tree = _tree([make_example((float(i),), i % 2) for i in range(6)])
+    twin = copy.deepcopy(tree).root
+    assert tree.root != twin and tree.root == tree.root
+    assert hash(tree.root) == hash(tree.root) != hash(twin)
+    assert len({tree.root, twin, tree.root.left}) == 3
+
+
+def test_node_repr_shows_one_node():
+    # repr showed the whole subtree with its leaf arrays, and raised
+    # RecursionError on a deep chain
+    _, tree = _chain()
+    text = repr(tree.root)
+    assert text == ("TreeNode(depth=0, size=3000, pending=0, height=2999, "
+                    "split=Split(feature=0, threshold=0.0, "
+                    "categorical=False))")
+    tree = _tree([make_example((float(i),), int(i >= 3)) for i in range(6)])
+    info = tree.update(make_example((9.0,), 0), "ins")
+    while info is None:
+        info = tree.update(make_example((9.0,), 0), "ins")
+    text = repr(info)
+    assert not info.node.is_leaf
+    assert text.count("TreeNode(") == 1 and "array" not in text
+    leaf = info.node.left
+    assert repr(leaf) == (
+        f"TreeNode(depth={leaf.depth}, size={leaf.size}, pending=0, "
+        f"height=0, leaf_label={leaf.leaf_label}, "
+        f"label_hist={leaf.label_hist}, rows={len(leaf.leaf_rows)})")

@@ -358,3 +358,97 @@ def test_a_zero_threshold_reads_0_0_in_every_arrival_order(monkeypatch):
                     nodes += [v.left, v.right]
             assert thresholds == ["0.0", "0.0"]
     assert binned == [64] * 4
+
+
+def _row_major_sweep(X, w, wy, total, ones):
+    """The sort sweep on a row-major matrix, each step along axis 0: the
+    reference that the sweep's column-major arrays must reproduce.
+    Returns its (threshold, left, left_ones, gain) per column and its sort
+    (order, sorted values, ties) in ``_rank_codes``' terms."""
+    cols = np.arange(X.shape[1])
+    order = X.argsort(axis=0)
+    sv = X[order, cols]
+    wl = w[order].cumsum(axis=0, dtype=np.float64)
+    wyl = wy[order].cumsum(axis=0, dtype=np.float64)
+    gains = gini._gains(wl, wyl, total, ones)
+    gains[-1] = 0.0
+    tie = sv[:-1] == sv[1:]
+    gains[:-1][tie] = -1.0
+    sel = (gains >= gains.max(axis=0) - gini.TIE_TOL).argmax(axis=0)
+    found = list(zip(sv[sel, cols].tolist(), wl[sel, cols].tolist(),
+                     wyl[sel, cols].tolist(), gains[sel, cols].tolist()))
+    return found, (order, sv, tie)
+
+
+def _layout_inputs(rng, n, m):
+    # columns drawn from pools of 1 to n values, some of them holding both
+    # -0.0 and 0.0; counts of 1 to 4; labels of random bias
+    pools = []
+    for _ in range(m):
+        pool = [round(rng.uniform(-3.0, 3.0), 1)
+                for _ in range(rng.choice((1, 2, 5, 20, n)))]
+        if rng.random() < 0.3:
+            pool += [0.0, -0.0]
+        pools.append(pool)
+    X = np.array([[rng.choice(p) for p in pools] for _ in range(n)])
+    w = np.array([float(rng.choice((1, 1, 2, 4))) for _ in range(n)])
+    y = (np.array([rng.random() for _ in range(n)]) < rng.random())
+    return X, w, w * y
+
+
+@pytest.mark.parametrize("rank_gate", [gini.RANK_GATE, 1])
+def test_sort_sweep_is_bit_identical_in_every_layout(monkeypatch, rank_gate):
+    # the sort sweep works on a column-major copy of its input; on C-ordered,
+    # F-ordered and column-sliced matrices, with and without layout, it must
+    # return the row-major reference's winners exactly, gains to the bit,
+    # thresholds to the sign of a zero, and its sort must give the rank
+    # codes the reference's sort gives.  Sizes just above LIST_CELLS reach
+    # the sort sweep, not the list sweep
+    monkeypatch.setattr(gini, "RANK_GATE", rank_gate)
+    shapes = [(gini.LIST_CELLS // m + 1, m) for m in (1, 2, 3, 8)]
+    shapes += [(1000, 8)] * 2
+    coded = 0
+    for seed, (n, m) in enumerate(shapes * 6):
+        rng = random.Random(seed)
+        X, w, wy = _layout_inputs(rng, n, m)
+        assert X.size > gini.LIST_CELLS
+        total, ones = int(w.sum()), int(wy.sum())
+        expected, sort = _row_major_sweep(X, w, wy, total, ones)
+        wide = np.zeros((n, 2 * m + 1))
+        wide[:, 1::2] = X
+        inputs = {"C": X, "F": np.asfortranarray(X), "sliced": wide[:, 1::2]}
+        for name, Xl in inputs.items():
+            assert (Xl == X).all()
+            for layout in (None, []):
+                got = gini._sweep_numeric(Xl, w, wy, total, ones, layout)
+                assert repr(got) == repr(expected), (seed, name)
+                assert ([g.hex() for *_, g in got]
+                        == [g.hex() for *_, g in expected])
+                if layout:
+                    coded += 1
+                    V, *ours = layout
+                    assert V == X.size - np.count_nonzero(sort[2])
+                    codes = gini._rank_codes(*ours)
+                    R, vals = codes[:2]
+                    assert len(vals) == V and (vals[R] == X).all()
+                    for a, b in zip(codes, gini._rank_codes(*sort)):
+                        assert a.tobytes() == b.tobytes(), (seed, name)
+    assert coded >= 18
+
+
+def test_best_split_reads_the_row_major_reference():
+    # best_split runs the node sweep over the store's columns; each real
+    # feature's (threshold, gain) must be the reference's, bit for bit.
+    # The store codes -0.0 as 0.0, so the reference reads X + 0.0
+    for seed, (n, m) in enumerate([(gini.LIST_CELLS // 8 + 1, 8), (300, 3),
+                                   (1000, 8)]):
+        rng = random.Random(100 + seed)
+        X, w, wy = _layout_inputs(rng, n, m)
+        X += 0.0
+        exs = [make_example(x, int(l > 0))
+               for x, c, l in zip(X.tolist(), w.tolist(), wy.tolist())
+               for _ in range(int(c))]
+        s = ActiveMultiset.from_examples(exs)
+        expected, _ = _row_major_sweep(X, w, wy, int(w.sum()), int(wy.sum()))
+        got = best_split(s).per_feature
+        assert repr(got) == repr(tuple((thr, g) for thr, _, _, g in expected))
