@@ -2,9 +2,12 @@
 
 Each stream drives one ``DecisionTree`` through seeded updates: a numeric
 sliding window, a mixed sliding window, categorical random updates, a
-sliding window whose inserts mostly bring a symbol no example has had, and
-a mixed sliding window whose real columns take 4 values each, so they
-repeat values at every rebuild target.
+sliding window whose inserts mostly bring a symbol no example has had, a
+mixed sliding window whose real columns take 4 values each, so they repeat
+values at every rebuild target, and a wide numeric sliding window: 8 real
+features over 1000 rows, so that its set-up and root rebuilds sort-sweep
+1000x8 cells and its flushes code more than ``CODE_CELLS`` cells.  Every
+other stream's window holds 200 examples.
 After every update the digest takes every node's split, ``split_gain``
 (as ``float.hex``), size, pending count and height, and each leaf's label
 and label histogram, in preorder.  After every rebuild, and at the end,
@@ -32,9 +35,6 @@ from dyntree import (
     threshold_stream,
 )
 
-WINDOW = 200
-
-
 def _new_symbol_stream(n: int, seed: int) -> list:
     # a real feature and a symbol that is new to the stream four times in
     # five; the label follows the real feature, with noise
@@ -48,29 +48,36 @@ def _new_symbol_stream(n: int, seed: int) -> list:
     return out
 
 
+# name: (mode, params, stream maker, warm window)
 STREAMS = {
     "numeric-sw": (
         "sw", FeasibilityParams(epsilon=0.1, alpha=0.3, beta=0.4, k=3, h=8),
         lambda n, seed: threshold_stream(n, d=4, seed=seed, noise=0.05,
-                                         decimals=2)),
+                                         decimals=2), 200),
     "mixed-sw": (
         "sw", FeasibilityParams(epsilon=0.03, alpha=0.4, beta=0.5, k=3, h=8),
-        lambda n, seed: mixed_stream(n, d_num=2, d_cat=2, seed=seed)),
+        lambda n, seed: mixed_stream(n, d_num=2, d_cat=2, seed=seed), 200),
     "categorical-ru": (
         "ru", FeasibilityParams(epsilon=0.1, alpha=0.2, beta=0.4, k=2, h=8),
-        lambda n, seed: mixed_stream(n, d_num=0, d_cat=3, seed=seed)),
+        lambda n, seed: mixed_stream(n, d_num=0, d_cat=3, seed=seed), 200),
     "new-symbols-sw": (
         "sw", FeasibilityParams(epsilon=0.1, alpha=0.3, beta=0.4, k=3, h=8),
-        _new_symbol_stream),
+        _new_symbol_stream, 200),
     "grid-sw": (
         "sw", FeasibilityParams(epsilon=0.05, alpha=0.3, beta=0.4, k=3, h=8),
-        lambda n, seed: mixed_stream(n, d_num=3, d_cat=1, seed=seed, grid=4)),
+        lambda n, seed: mixed_stream(n, d_num=3, d_cat=1, seed=seed, grid=4),
+        200),
+    "numeric-wide-sw": (
+        "sw", FeasibilityParams(epsilon=0.1, alpha=0.3, beta=0.4, k=3, h=8),
+        lambda n, seed: threshold_stream(n, d=8, seed=seed, noise=0.05,
+                                         decimals=2), 1000),
 }
 
 
-def _updates(mode: str, stream: list, seed: int):
-    """(warm window, [(example, op), ...]) for a stream mode."""
-    warm, rest = stream[:WINDOW], stream[WINDOW:]
+def _updates(mode: str, stream: list, seed: int, size: int):
+    """(warm window of size examples, [(example, op), ...]) for a stream
+    mode."""
+    warm, rest = stream[:size], stream[size:]
     out = []
     if mode == "sw":
         window = deque(warm)
@@ -133,8 +140,8 @@ def _leaf_multisets(root, shadow: Counter) -> bytes:
 
 
 def digest(name: str, steps: int, seed: int) -> str:
-    mode, params, make = STREAMS[name]
-    warm, updates = _updates(mode, make(WINDOW + steps, seed), seed)
+    mode, params, make, size = STREAMS[name]
+    warm, updates = _updates(mode, make(size + steps, seed), seed, size)
     tree = DecisionTree.from_multiset(ActiveMultiset.from_examples(warm),
                                       params)
     shadow = Counter(warm)

@@ -6,9 +6,14 @@ node at once: the numeric sort sweep and the binned sweep in numpy arrays
 (one helper, ``_gains``, holds their arithmetic), the list sweep and the
 categorical one in inlined copies of the kernel.  All run the kernel's
 float operations in its order, so a gain a sweep reports equals what
-``gini_gain`` computes for the same split, bit for bit.  A sweep returns
-its winners' counts as the floats it sums them in, integers exact below
-2**53.
+``gini_gain`` computes for the same split, bit for bit.  ``_gains`` runs
+them in place on half the kernel's values and doubles its result once at
+the end, which is exact: scaling by 2 commutes with rounding away from
+overflow and the subnormal range.  A sweep returns its winners' counts as
+the floats it sums them in, integers exact below 2**53; the sort sweep
+takes both running sums in one complex cumsum, counts in the real part and
+1-label counts in the imaginary one, and complex addition adds the parts
+apart, so each part is its integer running sum exactly.
 
 Ties follow one rule: the first candidate whose gain is within
 ``TIE_TOL`` of the best wins, so a real column's smallest such threshold
@@ -115,14 +120,37 @@ def _gains(wl, wyl, total: int, ones: int):
     same (integer-valued) counts, so each gain is bit-identical to the
     kernel's.  Every left count is at least 1; where the right count is 0
     it divides by 1, and the caller sets that gain to 0, as the kernel
-    defines it."""
+    defines it.
+
+    The arithmetic runs in place on four temporaries of wl's shape, and
+    it leaves out the kernel's factors 2.0 of g, gl and gr: every value
+    below is half the kernel's, and the result is doubled once, after
+    ``max(0, .)``.  That is exact, as scaling by 2 commutes with rounding
+    away from overflow and the subnormal range, and no value here comes
+    near either: the counts are integers below 2**53, so each nonzero
+    value lies between about 2**-160 and 2**53.
+    """
+    g = (ones / total) * ((total - ones) / total)
+    gl = wyl / wl
+    t = wl - wyl
+    t /= wl
+    gl *= t
+    gl *= wl  # wl * gl
     wr = total - wl
-    wyr = ones - wyl
-    g = 2.0 * (ones / total) * ((total - ones) / total)
     dr = np.maximum(wr, 1.0)
-    gl = 2.0 * (wyl / wl) * ((wl - wyl) / wl)
-    gr = 2.0 * (wyr / dr) * ((wr - wyr) / dr)
-    return np.maximum(0.0, g - (wl * gl + wr * gr) / total)
+    np.subtract(ones, wyl, out=t)  # wyr
+    wr -= t
+    wr /= dr
+    t /= dr
+    t *= wr  # gr
+    np.subtract(total, wl, out=wr)
+    t *= wr  # wr * gr
+    gl += t
+    gl /= total
+    np.subtract(g, gl, out=gl)
+    np.maximum(gl, 0.0, out=gl)
+    gl *= 2.0
+    return gl
 
 
 def _sweep_numeric(X: np.ndarray, w, wy, total: int, ones: int,
@@ -152,8 +180,13 @@ def _sweep_numeric(X: np.ndarray, w, wy, total: int, ones: int,
     of the sweep's arrays, ``order[i, j]`` the row of column j's i-th
     smallest value and ``ties[i, j]`` whether it equals the next one.
 
-    The gains come from ``_gains``.  As w >= 1, the left count is at
-    least 1 on every row and the right count is 0 only on the last.
+    Both running sums come from one cumsum over a complex128 vector, w
+    the real part and wy the imaginary one, gathered by the sort; the
+    parts are then copied out, contiguous, as wl and wyl.  Complex
+    addition adds the parts apart, and the sums are integers below 2**53,
+    so each part is its running sum exactly.  The gains come from
+    ``_gains``.  As w >= 1, the left count is at least 1 on every row and
+    the right count is 0 only on the last.
 
     The sort need not be stable: only the last row of each run of equal
     values is a candidate, and its running sums cover the whole run in any
@@ -171,9 +204,12 @@ def _sweep_numeric(X: np.ndarray, w, wy, total: int, ones: int,
     order = XT.argsort(axis=1)
     at = np.arange(0, X.size, n)  # flat index of each column's first cell
     sv = XT.take(order + at[:, None])
-    # integer running sums, exact in float64 below 2**53
-    wl = w[order].cumsum(axis=1, dtype=np.float64)
-    wyl = wy[order].cumsum(axis=1, dtype=np.float64)
+    # both running sums in one cumsum: w real, wy imaginary
+    z = np.empty(n, dtype=np.complex128)
+    z.real, z.imag = w, wy
+    zl = z.take(order)
+    zl.cumsum(axis=1, out=zl)
+    wl, wyl = zl.real.copy(), zl.imag.copy()
     gains = _gains(wl, wyl, total, ones)
     gains[:, -1] = 0.0  # everything left
     tie = sv[:, :-1] == sv[:, 1:]

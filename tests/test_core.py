@@ -406,6 +406,47 @@ def test_both_coding_paths_code_alike(kinds, monkeypatch):
     assert ("s" not in kinds) == (not drops)
 
 
+class _Real(float):
+    pass
+
+
+@pytest.mark.parametrize("kinds", ["rrrrr", "rsrir"])
+def test_a_packed_flush_codes_each_cell_as_float_plus_zero(kinds,
+                                                           monkeypatch):
+    # a flush of more than CODE_CELLS cells packs its real values into one
+    # bytes object; each real cell must read float(v) + 0.0 (so -0.0 reads
+    # 0.0) and each label float(label), byte for byte
+    packed = []
+
+    def pack_spy(values, cells):
+        packed.append(cells)
+        return pack(values, cells)
+    pack = dyntree.core._reals
+    monkeypatch.setattr(dyntree.core, "_reals", pack_spy)
+    reals = [2**53, -7, -0.0, np.float64(0.1), _Real(2.5), 5e-324,
+             1.7976931348623157e308]
+    labels = [True, np.int64(1), 0, 1, False, np.int64(0), True]
+    exs = [LabeledExample(tuple(reals[(i + j) % len(reals)] if k == "r"
+                                else f"s{i}" if k == "s" else i % 3
+                                for j, k in enumerate(kinds)), label)
+           for i, label in enumerate(labels)]
+    s = ActiveMultiset(Schema(tuple(
+        FeatureKind.REAL if k == "r" else FeatureKind.CATEGORICAL
+        for k in kinds)))
+    for e in exs:
+        s.insert(e)
+    store = s._store
+    store.flush()
+    real = [j for j, k in enumerate(kinds) if k == "r"]
+    assert packed == [len(exs) * len(real)]
+    assert len(exs) * len(kinds) > dyntree.core.CODE_CELLS
+    rows = [store.row_of[e] for e in exs]
+    X = np.array([[float(e.features[j]) + 0.0 for j in real] for e in exs])
+    y = np.array([float(e.label) for e in exs])
+    assert store.X[rows].tobytes() == X.tobytes()
+    assert store.y[rows].tobytes() == y.tobytes()
+
+
 def _tree_state(tree):
     # everything a failed update must leave as it was
     union = tree.leaf_union()

@@ -199,6 +199,44 @@ def test_numeric_gains_equal_the_scalar_kernel_bit_for_bit(monkeypatch,
             assert gain == gini_gain(s, Split(j, thr))
 
 
+@pytest.mark.parametrize("top", [8, 1000, 2**40])
+def test_gain_helper_equals_the_scalar_kernel_on_every_element(top):
+    # _gains runs the kernel's float operations in place and doubles once
+    # at the end; on random integer running sums (left 1-label counts of 0
+    # and equal to the left count among them, counts up to 2**40) every
+    # element must equal _gain_from_counts to the bit, once the caller has
+    # zeroed the gains whose right count is 0, and the sums must be left
+    # as they were
+    rng = random.Random(top)
+    seen = set()
+    for _ in range(20):
+        total = rng.randint(1, top)
+        ones = rng.randint(0, total)
+        wl, wyl = [], []
+        for _ in range(200):
+            left = rng.choice((1, total, rng.randint(1, total)))
+            lo, hi = max(0, ones - (total - left)), min(left, ones)
+            wl.append(left)
+            wyl.append(rng.choice((lo, hi, rng.randint(lo, hi))))
+        want = [0.0 if left == total
+                else gini._gain_from_counts(total, ones, left, left_ones)
+                for left, left_ones in zip(wl, wyl)]
+        a, ay = np.array(wl, dtype=np.float64), np.array(wyl, dtype=np.float64)
+        seen.update(case for case, hit in (("no left ones", ay == 0),
+                                           ("all left ones", ay == a),
+                                           ("empty right", a == total))
+                    if hit.any())
+        for shape in ((200,), (8, 25)):
+            sums = a.reshape(shape), ay.reshape(shape)
+            before = [x.tobytes() for x in sums]
+            got = gini._gains(*sums, total, ones)
+            got[sums[0] == total] = 0.0
+            assert ([g.hex() for g in got.ravel().tolist()]
+                    == [g.hex() for g in want])
+            assert [x.tobytes() for x in sums] == before
+    assert seen == {"no left ones", "all left ones", "empty right"}
+
+
 def _sweep_inputs(rng):
     # rows of a node: columns of low or high cardinality (a pool of one
     # value makes a constant column, and a repeated pool two equal columns),

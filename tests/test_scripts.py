@@ -43,9 +43,11 @@ def test_sweep_epsilon_prints_and_writes_a_row_per_epsilon(capsys, tmp_path):
 
 # The digests of `tree_digest.py --steps 150 --seed 3`, recorded before the
 # numeric sweep started returning its gains (grid-sw: before the binned
-# sweep came in). A change that only speeds the engine up must build the
-# same trees, so these stay as they are; a change that means to alter the
-# trees updates them and says why.
+# sweep came in; numeric-wide-sw: before the sort sweep took its running
+# sums in one complex cumsum and large flushes packed their real values).
+# A change that only speeds the engine up must build the same trees, so
+# these stay as they are; a change that means to alter the trees updates
+# them and says why.
 PINNED_DIGESTS = {
     "numeric-sw":
         "6402adc77ab5a6a2b53459a62bbd9410250fe4236e148576b6fa6bd449e7ca29",
@@ -57,6 +59,8 @@ PINNED_DIGESTS = {
         "2622e7717aa717f0a1350eb8934996b3148ff779f14b2dc3f786ddb9a0d9c3b9",
     "grid-sw":
         "c9c164c3a49757cf1004c224254316762ff8529a77b0cde91736d2a5921ef252",
+    "numeric-wide-sw":
+        "fb8d217bb642f60372eeb997a6af8ba0be06a6fb93dbe150d54f2fc233975c58",
 }
 
 
@@ -66,7 +70,9 @@ def test_tree_digest_is_reproducible(capsys, monkeypatch):
     # spy in the builder's namespace checks that it ran there.  mixed-sw's
     # small nodes sweep their real columns on lists, which a second spy
     # checks.  mixed-sw's and categorical-ru's few-row flushes code their
-    # rows through memoryviews, which a third spy checks
+    # rows through memoryviews, which a third spy checks.  numeric-wide-sw
+    # sort-sweeps 1000x8 cells at its root and packs flushes of more than
+    # CODE_CELLS cells, which a fourth and a fifth spy check
     build_mod = importlib.import_module("dyntree.build")
     gini_mod = importlib.import_module("dyntree.gini")
     core_mod = importlib.import_module("dyntree.core")
@@ -93,6 +99,20 @@ def test_tree_digest_is_reproducible(capsys, monkeypatch):
             viewed.append(len(a))
         return memoryview(a)
     monkeypatch.setattr(core_mod, "memoryview", view_spy, raising=False)
+    swept = []
+
+    def sort_spy(X, *args):
+        swept.append(X.shape)
+        return sort_sweep(X, *args)
+    sort_sweep = build_mod._sweep_numeric
+    monkeypatch.setattr(build_mod, "_sweep_numeric", sort_spy)
+    packed = []
+
+    def pack_spy(values, cells):
+        packed.append(cells)
+        return pack(values, cells)
+    pack = core_mod._reals
+    monkeypatch.setattr(core_mod, "_reals", pack_spy)
     digest = _load("tree_digest")
     outs = []
     for _ in range(2):
@@ -116,3 +136,9 @@ def test_tree_digest_is_reproducible(capsys, monkeypatch):
     binned.clear()
     assert digest.digest("grid-sw", 150, 3) == PINNED_DIGESTS["grid-sw"]
     assert len(binned) > 100
+    swept.clear()
+    packed.clear()
+    assert (digest.digest("numeric-wide-sw", 150, 3)
+            == PINNED_DIGESTS["numeric-wide-sw"])
+    assert (1000, 8) in swept
+    assert max(packed) > core_mod.CODE_CELLS
