@@ -59,15 +59,13 @@ class ExampleNotFound(KeyError):
     """Deletion of an example that is not in the active set."""
 
 
-# Categorical symbols must be scalars; see Schema._validate_full.
-_CONTAINERS = (tuple, list, set, frozenset, dict)
-
-
-def _unequal_to_itself(v) -> bool:
-    try:
-        return v != v
-    except ArithmeticError:  # a signalling NaN, Decimal("sNaN")
-        return True
+# The exact types a categorical symbol may have.  A rebuild sorts each
+# column's symbols, which share one type (see Schema._check_symbols), and
+# within each of these types ``<`` cannot raise; subclasses, which may
+# override it, are not among them.
+_SYMBOL_TYPES = frozenset((
+    str, np.str_, int, bool, np.int8, np.int16, np.int32, np.int64,
+    np.longlong, np.uint8, np.uint16, np.uint32, np.uint64, np.ulonglong))
 
 
 def _exact_float(v: int) -> bool:
@@ -150,8 +148,9 @@ class Schema:
 
         Real features must be int or float (not bool, not NaN), and an int
         must have an exact float64 value (``2**53 + 1`` and ``10**400``
-        have none); categorical ones may be any symbol that is not a float
-        or a container (tuple, list, set, frozenset, dict).  The fast path
+        have none); categorical ones must have exactly one of the symbol
+        types in ``_SYMBOL_TYPES``: ``str``, ``np.str_``, ``int``, ``bool``
+        or a numpy integer type, not a subclass.  The fast path
         accepts only features of the right arity whose every value has
         exactly its column's type in ``_exact`` (float or str) and is not
         NaN: a subset of what ``_validate_full`` accepts.  Everything else
@@ -178,51 +177,31 @@ class Schema:
                 f"expected {self.arity} features, got {len(features)}"
             )
         for j, (v, kind) in enumerate(zip(features, self.kinds)):
-            numeric = isinstance(v, (int, float)) and not isinstance(v, bool)
-            if kind is FeatureKind.REAL:
-                if not numeric:
-                    raise SchemaError(f"feature {j} must be real-valued, got {v!r}")
-                if v != v:
-                    # NaN compares false to every threshold and equal to nothing
-                    raise SchemaError(f"feature {j} is NaN")
-                if not isinstance(v, float) and not _exact_float(v):
-                    # the row store codes real values as float64, and a
-                    # rounded int would route one way and be built another
+            if kind is not FeatureKind.REAL:
+                if type(v) not in _SYMBOL_TYPES:
                     raise SchemaError(
-                        f"feature {j} is an int that float64 cannot hold "
-                        f"exactly")
-            elif numeric and isinstance(v, float):
-                # int/bool symbols are fine as category codes, bare floats are not
-                raise SchemaError(f"feature {j} must be categorical, got {v!r}")
-            elif isinstance(v, _CONTAINERS):
-                # a pinned type does not make containers orderable
-                # against each other, and rebuilds sort symbols
+                        f"feature {j} must be a str or integer symbol, "
+                        f"got {v!r} of type {type(v).__name__}")
+            elif isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise SchemaError(
-                    f"feature {j} must be a scalar symbol, got {type(v).__name__}"
-                )
-            elif _unequal_to_itself(v):
-                # such a symbol (Decimal("NaN")) can be neither found again
-                # nor sorted
-                raise SchemaError(f"feature {j} is a symbol unequal to itself")
+                    f"feature {j} must be real-valued, got {v!r}")
+            elif v != v:
+                # NaN compares false to every threshold and equal to nothing
+                raise SchemaError(f"feature {j} is NaN")
+            elif not isinstance(v, float) and not _exact_float(v):
+                # the row store codes real values as float64, and a rounded
+                # int would route one way and be built another
+                raise SchemaError(
+                    f"feature {j} is an int that float64 cannot hold exactly")
 
     def _check_symbols(self, features: Sequence, pinned: Optional[tuple]) -> tuple:
         # Symbols of one categorical column are sorted together when a
         # subtree is built, so each column takes one symbol type, pinned in
         # the row store (``_Store.symbol_types``) by its first example;
-        # pinned is None before that, and then each type must order against
-        # itself.  Returns the types of features' categorical values, to
-        # pin.  Call after validate.
+        # pinned is None before that.  Returns the types of features'
+        # categorical values, to pin.  Call after validate.
         types = tuple([type(features[j]) for j in self._categorical])
-        if pinned is None:
-            for j in self._categorical:
-                v = features[j]
-                try:
-                    v < v
-                except TypeError:
-                    raise SchemaError(
-                        f"feature {j} must be a symbol that sorts, got {v!r}"
-                    ) from None
-        elif types != pinned:
+        if pinned is not None and types != pinned:
             for j, t, p in zip(self._categorical, types, pinned):
                 if t is not p:
                     raise SchemaError(
@@ -321,7 +300,9 @@ class _Store:
     The arrays grow geometrically, so they may hold more rows than there
     are row ids.  ``symbol_types`` is the symbol type of each categorical
     column, pinned by the first example the store took (see
-    ``Schema._check_symbols``); None before that.
+    ``Schema._check_symbols``); None before that.  Each is one of
+    ``_SYMBOL_TYPES``, whose ``<`` cannot raise within the type, so the
+    sort of a column's symbols in ``_add_symbols`` cannot fail on them.
     """
 
     __slots__ = ("schema", "row_of", "examples", "free", "uncoded", "count",
@@ -555,8 +536,8 @@ class _Store:
         # Gives ids to the symbols of batch (per categorical column, the
         # symbols of the rows being coded) that have none, then ranks every
         # id again: O(symbols log symbols), whatever the number of rows.
-        # The new tables are made aside and committed only once the sort,
-        # which can raise, is done.
+        # The new tables are made aside and committed together at the end,
+        # so a raise on the way leaves them as they were.
         n = sum(map(len, self.ids))
         live = None
         if n > 2 * len(self.ids) * len(self.examples):

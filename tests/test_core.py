@@ -4,7 +4,9 @@ import copy
 import dataclasses
 import pickle
 import random
+from collections import Counter
 from decimal import Decimal
+from fractions import Fraction
 from types import ModuleType
 
 import numpy as np
@@ -240,25 +242,10 @@ def test_rejected_unhashable_insert_changes_nothing():
     assert s.schema == Schema.numeric(1)
 
 
-@pytest.mark.parametrize("symbol", [1j, object(), Decimal("NaN"), None,
-                                    Decimal("sNaN")],
-                         ids=["complex", "object", "decimal-nan", "none",
-                              "decimal-snan"])
-def test_symbols_that_cannot_sort_are_rejected(symbol):
-    # rebuilds sort each column's symbols, so a multiset takes none that
-    # are unequal to themselves or whose type cannot order against itself
-    s = ActiveMultiset()
-    with pytest.raises(SchemaError, match="feature 1"):
-        s.insert(make_example(("a", symbol), 0))
-    assert s.schema is None and s._store.symbol_types is None and not s
-    s.insert(make_example(("a",), 1))
-    assert s.schema == Schema.categorical(1)
-    assert s._store.symbol_types == (str,)
-
-
 class _Picky:
-    """A symbol whose ``<`` raises between 1 and 2 only, so it passes the
-    ``v < v`` probe when its column is pinned."""
+    """A user-defined type whose ``<`` raises between 1 and 2 only.  Its
+    instances once passed the ``v < v`` probe, so 1 and 2 could stand side
+    by side in a column; none is a symbol now."""
 
     def __init__(self, v):
         self.v = v
@@ -275,6 +262,53 @@ class _Picky:
         return self.v < other.v
 
 
+class _Unordered(str):
+    """A str whose ``<`` raises: not exactly a str, so not a symbol."""
+
+    def __lt__(self, other):
+        raise TypeError("no order")
+
+
+class _Code(int):
+    pass
+
+
+@pytest.mark.parametrize("symbol", [
+    1j, object(), Decimal("NaN"), None, Decimal("sNaN"), Decimal(1),
+    Fraction(1, 2), _Picky(0), _Unordered("a"), _Code(1)],
+    ids=["complex", "object", "decimal-nan", "none", "decimal-snan",
+         "decimal", "fraction", "picky", "str-subclass", "int-subclass"])
+def test_symbols_that_cannot_sort_are_rejected(symbol):
+    # rebuilds sort each column's symbols, so a multiset takes only those
+    # of the exact types whose < cannot raise within the type, under a
+    # declared schema or an inferred one (which takes an int subclass as
+    # a real value)
+    inferred = Schema.infer(("a", symbol)) == Schema.categorical(2)
+    assert inferred == (type(symbol) is not _Code)
+    for schema in [Schema.categorical(2)] + [None] * inferred:
+        s = ActiveMultiset(schema)
+        with pytest.raises(SchemaError,
+                           match="feature 1 must be a str or integer"):
+            s.insert(make_example(("a", symbol), 0))
+        assert s.schema == schema and s._store.symbol_types is None and not s
+        s.insert(make_example(("a", "b"), 1))
+        assert s.schema == Schema.categorical(2)
+        assert s._store.symbol_types == (str, str)
+
+
+def _symbol_sort_fails_on(poison, monkeypatch):
+    # An injected fault: the row store's sort of a column's symbols raises
+    # whenever poison is among them, midway through coding a flush, where
+    # the sort of two symbols that did not order against each other once
+    # raised.  Other sorts run as before.
+    def faulty_sorted(values, **kwargs):
+        values = list(values)
+        if poison in values:
+            raise RuntimeError(f"injected fault on {poison!r}")
+        return sorted(values, **kwargs)
+    monkeypatch.setattr(dyntree.core, "sorted", faulty_sorted, raising=False)
+
+
 # CODE_CELLS values that send every flush down one coding path
 CODING_PATHS = {"numpy": 0, "memoryview": 10**9}
 
@@ -282,32 +316,33 @@ CODING_PATHS = {"numpy": 0, "memoryview": 10**9}
 @pytest.mark.parametrize("path", CODING_PATHS)
 def test_failed_flush_leaves_the_store_as_it_was(path, monkeypatch):
     # a flush that raised once kept the ids it had handed out and cleared
-    # its rows from uncoded first, so a later columns() coded S(1) as S(0)
+    # its rows from uncoded first, so a later columns() coded s1 as s0
     monkeypatch.setattr(dyntree.core, "CODE_CELLS", CODING_PATHS[path])
+    _symbol_sort_fails_on("s2", monkeypatch)
     s = ActiveMultiset(Schema.categorical(1))
-    s.insert(make_example((_Picky(0),), 0))
+    s.insert(make_example(("s0",), 0))
     store = s._store
     store.flush()
-    s.insert(make_example((_Picky(1),), 1))
-    s.insert(make_example((_Picky(2),), 0))
+    s.insert(make_example(("s1",), 1))
+    s.insert(make_example(("s2",), 0))
 
     def coded():
         return ([dict(d) for d in store.ids], store.rank.tolist(),
                 list(store.symbols), list(store.code_col),
-                store.C[store.row_of[make_example((_Picky(0),), 0)]].tolist(),
+                store.C[store.row_of[make_example(("s0",), 0)]].tolist(),
                 store.y.tobytes(), store.C.tobytes(), set(store.uncoded))
 
     before = coded()
-    with pytest.raises(TypeError, match="do not order"):
+    with pytest.raises(RuntimeError, match="injected fault"):
         store.flush()
     assert coded() == before
-    s.delete(make_example((_Picky(2),), 0))
+    s.delete(make_example(("s2",), 0))
     rows = store.held_rows()
     _, _, _, C = store.columns(rows)
-    codes = {store.examples[r].features[0].v: c
+    codes = {store.examples[r].features[0]: c
              for r, c in zip(rows.tolist(), C[:, 0].tolist())}
-    assert codes == {0: 0, 1: 1}
-    assert store.symbols == [_Picky(0), _Picky(1)] and not store.uncoded
+    assert codes == {"s0": 0, "s1": 1}
+    assert store.symbols == ["s0", "s1"] and not store.uncoded
 
 
 def _coding_steps(kinds: str, seed: int) -> list:
@@ -462,50 +497,72 @@ def _tree_state(tree):
             dyntree.check_counters(tree, union, tree.params.epsilon).ok)
 
 
-PICKY = FeasibilityParams(epsilon=0.2, alpha=0.2, beta=0.2, k=1, h=8)
+EAGER = FeasibilityParams(epsilon=0.2, alpha=0.2, beta=0.2, k=1, h=8)
 
 
-def _picky(v):
-    return make_example((_Picky(v),), v % 2)
+def _sym(v):
+    return make_example((f"s{v}",), v % 2)
 
 
-def test_an_insert_whose_rebuild_raises_changes_nothing():
-    # the third insert's rebuild codes _Picky(2), and its sort of the
-    # symbols raises; the insert once stayed counted (active_size 3, root
-    # pending 1) with its row held uncoded, so every later rebuild raised
-    tree = DecisionTree.empty(PICKY, Schema.categorical(1))
-    tree.update(_picky(0), "ins")
-    tree.update(_picky(1), "ins")
+def test_an_insert_whose_rebuild_raises_changes_nothing(monkeypatch):
+    # the third insert's rebuild codes s2, and the sort of the symbols
+    # fails; the insert once stayed counted (active_size 3, root pending
+    # 1) with its row held uncoded, so every later rebuild raised
+    _symbol_sort_fails_on("s2", monkeypatch)
+    tree = DecisionTree.empty(EAGER, Schema.categorical(1))
+    tree.update(_sym(0), "ins")
+    tree.update(_sym(1), "ins")
     before = _tree_state(tree)
-    with pytest.raises(TypeError, match="do not order"):
-        tree.update(_picky(2), "ins")
+    with pytest.raises(RuntimeError, match="injected fault"):
+        tree.update(_sym(2), "ins")
     assert _tree_state(tree) == before
-    assert tree.update(_picky(0), "ins") is not None
-    assert tree.update(_picky(1), "del") is not None
-    assert tree.update(_picky(3), "ins") is not None
-    assert dyntree.check_counters(tree, tree.leaf_union(), PICKY.epsilon).ok
+    assert tree.update(_sym(0), "ins") is not None
+    assert tree.update(_sym(1), "del") is not None
+    assert tree.update(_sym(3), "ins") is not None
+    assert dyntree.check_counters(tree, tree.leaf_union(), EAGER.epsilon).ok
 
 
-def test_a_delete_whose_rebuild_raises_changes_nothing():
-    # _Picky(1) keeps its symbol id once deleted, and _Picky(2) enters a
-    # leaf without a rebuild and waits to be coded, so a delete that
-    # rebuilds that leaf raises; the row it released, whether still held
-    # (_Picky(3)) or freed (_Picky(5)), is counted back
+def test_a_delete_whose_rebuild_raises_changes_nothing(monkeypatch):
+    # s1 keeps its symbol id once deleted, and s2 enters a leaf without a
+    # rebuild and waits to be coded, so a delete that rebuilds that leaf
+    # fails in the sort of the symbols; the row it released, whether
+    # still held (s3) or freed (s5), is counted back
+    _symbol_sort_fails_on("s2", monkeypatch)
     tree = DecisionTree.from_multiset(ActiveMultiset.from_examples(
-        [_picky(0)] * 10 + [_picky(1), _picky(5)] + [_picky(3)] * 8), PICKY)
+        [_sym(0)] * 10 + [_sym(1), _sym(5)] + [_sym(3)] * 8), EAGER)
     assert [v.size for v in (tree.root.left, tree.root.right)] == [10, 10]
-    assert tree.update(_picky(1), "del") is None
-    assert tree.update(_picky(2), "ins") is None
+    assert tree.update(_sym(1), "del") is None
+    assert tree.update(_sym(2), "ins") is None
     before = _tree_state(tree)
     for v in (3, 5):
-        with pytest.raises(TypeError, match="do not order"):
-            tree.update(_picky(v), "del")
+        with pytest.raises(RuntimeError, match="injected fault"):
+            tree.update(_sym(v), "del")
         assert _tree_state(tree) == before
-    assert tree.update(_picky(2), "del") is not None
-    tree.update(_picky(5), "del")
+    assert tree.update(_sym(2), "del") is not None
+    tree.update(_sym(5), "del")
     assert tree.leaf_union() == ActiveMultiset.from_examples(
-        [_picky(0)] * 10 + [_picky(3)] * 8)
-    assert dyntree.check_counters(tree, tree.leaf_union(), PICKY.epsilon).ok
+        [_sym(0)] * 10 + [_sym(3)] * 8)
+    assert dyntree.check_counters(tree, tree.leaf_union(), EAGER.epsilon).ok
+
+
+def test_symbols_that_do_not_order_never_enter_a_tree():
+    # In a tree at eps=4, _Picky(0) twice, then _Picky(1) and _Picky(2)
+    # once entered without a rebuild; 19 of the next 20 inserts of
+    # _Picky(0) then raised TypeError from the sort of the symbols, and
+    # leaf_union().items() and check_counters raised too.  Each insert is
+    # now rejected at the boundary, and the tree goes on with str symbols.
+    params = FeasibilityParams(epsilon=4.0)
+    tree = DecisionTree.empty(params, Schema.categorical(1))
+    before = _tree_state(tree)
+    for v in (0, 0, 1, 2):
+        with pytest.raises(SchemaError, match="feature 0 must be a str"):
+            tree.update(make_example((_Picky(v),), 0), "ins")
+        assert _tree_state(tree) == before
+    exs = [make_example(("abc"[i % 3],), i % 2) for i in range(20)]
+    rebuilds = sum(tree.update(e, "ins") is not None for e in exs)
+    assert rebuilds >= 2 and tree.stats.rebuild_count == rebuilds
+    assert dict(tree.leaf_union().items()) == dict(Counter(exs))
+    assert dyntree.check_counters(tree, tree.leaf_union(), params.epsilon).ok
 
 
 def test_a_multisets_store_holds_exactly_its_rows():
@@ -556,9 +613,10 @@ def test_multisets_and_trees_copy_and_pickle(clone):
                                     {"a": 1}])
 def test_schema_rejects_container_symbols(symbol):
     schema = Schema.categorical(2)
-    with pytest.raises(SchemaError, match="feature 1 must be a scalar symbol"):
+    with pytest.raises(SchemaError, match="feature 1 must be a str or integer "
+                                          "symbol, got .* of type"):
         schema.validate(("a", symbol))
-    schema.validate(("a", 1))  # scalar symbols still pass
+    schema.validate(("a", 1))  # integer symbols still pass
 
 
 def test_enumeration_sorted_after_shuffled_updates():

@@ -5,6 +5,7 @@ import dataclasses
 import pickle
 import random
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -399,22 +400,13 @@ def test_unhashable_insert_into_an_empty_tree_pins_no_symbol_type():
 
 
 class _Touchy:
-    """A symbol whose ``==`` raises between 9 and another value, so an
-    update that carries a 9 raises while it routes past a split on it."""
-
-    def __init__(self, v):
-        self.v = v
+    """A split threshold whose ``==`` raises.  No symbol makes routing
+    raise, so a test puts one below the root by hand."""
 
     def __eq__(self, other):
-        if other is not self and 9 in (self.v, other.v):
-            raise RuntimeError("9 does not compare")
-        return self.v == other.v
+        raise RuntimeError("does not compare")
 
-    def __hash__(self):
-        return hash(self.v)
-
-    def __lt__(self, other):
-        return self.v < other.v
+    __hash__ = object.__hash__
 
 
 LAZY = FeasibilityParams(epsilon=4.0, alpha=0.1, beta=0.2, k=1, h=8)
@@ -446,16 +438,14 @@ def test_an_update_that_raises_in_its_descent_changes_nothing(where):
     # the descent bumps each node's pending as it routes, so it takes the
     # bumps back when the leaf edit (take: unhashable features) or the
     # routing (a symbol's == below the root) raises
+    tree = _xor_tree(str)
     if where == "take":
-        tree = _xor_tree(str)
         bad, err = LabeledExample([str(3), str(1)], 0), TypeError
     else:
-        tree = _xor_tree(_Touchy)
-        # the root's own symbol on the root's feature, a 9 on the other
-        f, thr = tree.root.split.feature, tree.root.split.threshold
-        bad = make_example(tuple(thr if j == f else _Touchy(9)
-                                 for j in range(2)), 0)
-        err = RuntimeError
+        bad, err = make_example((str(3), str(1)), 0), RuntimeError
+        # the split below the root on bad's path compares by raising
+        node = _path(tree, bad.features)[1]
+        node.split = dataclasses.replace(node.split, threshold=_Touchy())
     assert len(_path(tree, bad.features)) >= 2  # bumps below the root
 
     def state():
@@ -481,15 +471,45 @@ def test_an_update_counts_on_its_path_only():
             assert v.pending == before[id(v)] + bumps * (id(v) in on_path)
 
 
-@pytest.mark.parametrize("symbol", [1j, object(), Decimal("NaN"),
-                                    Decimal("sNaN")],
-                         ids=["complex", "object", "decimal-nan",
-                              "decimal-snan"])
+class _Picky:
+    """A user-defined type that orders against itself, and is still not a
+    symbol type."""
+
+    def __init__(self, v):
+        self.v = v
+
+    def __eq__(self, other):
+        return isinstance(other, _Picky) and self.v == other.v
+
+    def __hash__(self):
+        return hash(self.v)
+
+    def __lt__(self, other):
+        return self.v < other.v
+
+
+class _Unordered(str):
+    """A str whose ``<`` raises: not exactly a str, so not a symbol."""
+
+    def __lt__(self, other):
+        raise TypeError("no order")
+
+
+class _Code(int):
+    pass
+
+
+@pytest.mark.parametrize("symbol", [
+    1j, object(), Decimal("NaN"), Decimal("sNaN"), Decimal(1), Fraction(1, 2),
+    _Picky(0), _Unordered("a"), _Code(1)],
+    ids=["complex", "object", "decimal-nan", "decimal-snan", "decimal",
+         "fraction", "picky", "str-subclass", "int-subclass"])
 def test_symbols_that_cannot_sort_raise_before_any_state_changes(symbol):
     # a rebuild sorts each column's symbols: (1j,) then (2j,) once raised
     # TypeError from that sort, after the leaf edit
     tree = DecisionTree.empty(HALF, Schema.categorical(1))
-    with pytest.raises(SchemaError, match="feature 0"):
+    with pytest.raises(SchemaError,
+                       match="feature 0 must be a str or integer"):
         tree.update(make_example((symbol,), 0), "ins")
     store = tree._store
     assert (tree.active_size, tree.stats.updates, tree.root.pending) == (0, 0, 0)
@@ -535,7 +555,8 @@ def test_container_symbols_raise_before_any_state_changes():
     # tuple symbols share a type but need not be orderable: ("a",) < (1,)
     # raised TypeError inside the rebuild, after the state had changed
     for features in ((("a",),), ((1,),)):
-        with pytest.raises(SchemaError, match="feature 0 must be a scalar"):
+        with pytest.raises(SchemaError, match="feature 0 must be a str or "
+                           "integer symbol, got .* of type"):
             tree.update(make_example(features, 0), "ins")
     assert tree.active_size == 1
     assert tree.stats.updates == 1

@@ -6,6 +6,9 @@ from pathlib import Path
 
 import numpy as np
 
+from dyntree import Schema, load_stream, mixed_stream
+from dyntree.core import _SYMBOL_TYPES
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -142,3 +145,27 @@ def test_tree_digest_is_reproducible(capsys, monkeypatch):
             == PINNED_DIGESTS["numeric-wide-sw"])
     assert (1000, 8) in swept
     assert max(packed) > core_mod.CODE_CELLS
+
+
+def test_shipped_streams_yield_only_symbol_types(tmp_path):
+    # the schema takes categorical values of the exact types in
+    # _SYMBOL_TYPES only, so every stream the project ships must yield no
+    # other, or it would be rejected at the first insert
+    path = tmp_path / "small.csv"
+    path.write_text("x,colour,n,label\n1.5,red,3,yes\n2,blue,4,no\n"
+                    "-0.5,red,x,yes\n")
+    streams = {"load_stream": load_stream(path, "label", "yes"),
+               "mixed_stream": mixed_stream(100, d_num=2, d_cat=3, seed=1),
+               "mixed_stream-categorical": mixed_stream(100, d_num=0,
+                                                        d_cat=2, seed=2)}
+    for name, (_, _, make, size) in _load("tree_digest").STREAMS.items():
+        streams[name] = make(size + 50, 3)
+    for name, stream in streams.items():
+        schema = Schema.infer(stream[0].features)
+        for e in stream:
+            schema.validate(e.features)
+            types = {type(e.features[j]) for j in schema._categorical}
+            assert types <= _SYMBOL_TYPES, (name, types)
+    # the CSV's colour and n columns (n holds an "x") are categorical
+    assert Schema.infer(streams["load_stream"][0].features) == Schema.infer(
+        (1.5, "red", "3"))

@@ -6,16 +6,18 @@ one, which rank a column again, a stream of new symbols, whose ids the
 store drops once no row holds them, and inserts of the very tuple a
 query just accepted, which skip Schema.validate.  A rejected update
 (NaN, a real int that a float64 cannot hold exactly, a wrong arity, a
-symbol of another type, a container symbol, unhashable features, label
-2, a label equal to 0 or 1 that is not an integer, an unknown op, a
-delete of an absent example or of a value of a rejected type that
-equals a held one) must raise what it raised before deletes of held
-examples skipped validation, and change no state.
+symbol of another type than its column holds, a symbol of a type that is
+not a symbol type, unhashable features, label 2, a label equal to 0 or 1
+that is not an integer, an unknown op, a delete of an absent example or
+of a value of a rejected type that equals a held one) must raise what it
+raised before deletes of held examples skipped validation, and change no
+state.
 """
 
 import random
 from collections import Counter
 from dataclasses import astuple
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -52,6 +54,25 @@ examples = st.builds(lambda x, s, y: make_example((x, s), y), reals, symbols,
                      st.integers(0, 1))
 
 
+class _Unordered(str):
+    """A str whose ``<`` raises: not exactly a str, so not a symbol."""
+
+    def __lt__(self, other):
+        raise TypeError("no order")
+
+
+class _Code(int):
+    pass
+
+
+# makers of a value outside the symbol types from a fresh str symbol; the
+# value equals no held symbol, as the fresh one does not, so the two route
+# alike
+rejected_symbols = st.sampled_from([
+    lambda s: Decimal(1), lambda s: Fraction(1, 2), lambda s: None,
+    lambda s: 1.5, lambda s: _Code(1), _Unordered])
+
+
 class TreeMachine(RuleBasedStateMachine):
     @initialize(params=st.sampled_from([GUARANTEED, LAZY]),
                 warm=st.lists(examples, max_size=10))
@@ -62,10 +83,12 @@ class TreeMachine(RuleBasedStateMachine):
             ActiveMultiset.from_examples(warm, SCHEMA), params)
         self.deleted = None  # the last example whose last count was deleted
         self.max_distinct = len(self.shadow)
-        self.fresh = 0  # symbols made by insert_new_symbol
+        # symbols made by insert_new_symbol and insert_rejected_symbol
+        self.fresh = 0
+        self.rejected_at = []  # per insert_rejected_symbol, at a trigger
 
     def _apply(self, e, op):
-        self.tree.update(e, op)
+        info = self.tree.update(e, op)
         if op == "ins":
             self.shadow[e] += 1
         else:
@@ -74,6 +97,7 @@ class TreeMachine(RuleBasedStateMachine):
                 del self.shadow[e]
                 self.deleted = e
         self.max_distinct = max(self.max_distinct, len(self.shadow))
+        return info
 
     @rule(e=examples)
     def insert(self, e):
@@ -190,7 +214,28 @@ class TreeMachine(RuleBasedStateMachine):
           op=st.sampled_from(["ins", "del"]))
     def update_container_symbol(self, s, label, container, op):
         self._rejected(make_example((0.0, container([s])), label), op,
-                       SchemaError, "scalar")
+                       SchemaError, "str or integer symbol")
+
+    @rule(x=reals, make=rejected_symbols, label=st.integers(0, 1),
+          at_trigger=st.booleans())
+    def insert_rejected_symbol(self, x, make, label, at_trigger):
+        # Symbols that ordered against themselves but not against each
+        # other once entered away from a trigger, and every later rebuild
+        # then raised in the sort of the symbols.  A valid twin routes as
+        # the rejected insert would; inserted until that path triggers,
+        # it rebuilds nothing on the way.
+        self.fresh += 1
+        fresh = chr(0x100 + self.fresh)
+        bad = make_example((x, make(fresh)), label)
+        twin = make_example((x, fresh), label)
+        while at_trigger and not _triggers(self.tree, bad.features):
+            assert self._apply(twin, "ins") is None
+        self.rejected_at.append(_triggers(self.tree, bad.features))
+        self._rejected(bad, "ins", SchemaError, "str or integer symbol")
+        # the tree then takes a valid update, and rebuilds
+        while not _triggers(self.tree, twin.features):
+            assert self._apply(twin, "ins") is None
+        assert self._apply(twin, "ins") is not None
 
     @rule(x=reals, label=st.integers(0, 1))
     def delete_wrong_arity(self, x, label):
@@ -285,6 +330,18 @@ def _nodes(node):
         if not v.is_leaf:
             stack.append(v.right)
             stack.append(v.left)
+
+
+def _triggers(tree, features):
+    """Whether an update with features would rebuild: whether a node on
+    its path would count more than epsilon times its size."""
+    eps = tree.params.epsilon
+    node = tree.root
+    while node.pending + 1 <= eps * node.size:
+        if node.is_leaf:
+            return False
+        node = node.route_child(features)
+    return True
 
 
 def _leaf_of(node, features):
@@ -456,8 +513,10 @@ test_tree_machine = TreeMachine.TestCase
 
 @pytest.mark.parametrize("params", [GUARANTEED, LAZY])
 def test_machine_reproducers(params):
-    # the NaN, str/int and container-symbol inputs that once corrupted
-    # state, each after the store has rows to lose
+    # the NaN, str/int, container-symbol and unordered-symbol inputs that
+    # once corrupted state, each after the store has rows to lose; a
+    # rejected symbol is tried at a trigger and, in the lazy tree, away
+    # from one
     m = TreeMachine()
     m.start(params, [make_example((0.0, "m"), 0), make_example((1.0, "n"), 1)])
     steps = [
@@ -487,10 +546,13 @@ def test_machine_reproducers(params):
         lambda: m.delete_non_integer_label(0, float),
         lambda: m.delete_non_integer_label(1, Fraction),
         lambda: m.reuse_row_elsewhere_and_back(0, make_example((3.0, "o"), 1)),
+        lambda: m.insert_rejected_symbol(1.0, _Unordered, 0, True),
+        lambda: m.insert_rejected_symbol(2.0, lambda s: Decimal(1), 1, False),
     ]
     for step in steps:
         step()
         m.leaf_union_is_the_shadow()
         m.counters_hold()
         m.store_holds()
+    assert m.rejected_at == [True, params.guaranteed]
     m.teardown()
