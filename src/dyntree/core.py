@@ -42,6 +42,7 @@ Store invariants, which hold whenever the store is flushed (see
 from __future__ import annotations
 
 import enum
+import math
 import operator
 import struct
 from dataclasses import dataclass, field
@@ -134,7 +135,9 @@ class Schema:
 
     @classmethod
     def infer(cls, features: Sequence) -> "Schema":
-        """Derive kinds from one example: numbers are real, all else categorical."""
+        """Derive kinds from one example.  An int other than a bool, or a
+        float (``np.float64`` is a float subclass), is real; every other
+        value is categorical, ``bool`` and numpy integers included."""
         kinds = []
         for v in features:
             if isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -223,10 +226,13 @@ class LabeledExample(NamedTuple):
 
 
 def make_example(features: Iterable, label: int) -> LabeledExample:
-    label = int(label)
-    if label not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {label}")
-    return LabeledExample(tuple(features), label)
+    """An example of label 0 or 1, stored as an int.  The label must be an
+    integer (int, bool or a type with ``__index__``), as the tree's
+    boundary requires: 1.7, "1" and ``np.True_`` are rejected, not
+    coerced."""
+    if not _binary_label(label):
+        raise ValueError(f"label must be 0 or 1, got {label!r}")
+    return LabeledExample(tuple(features), int(label))
 
 
 # stamp of a freed row: above every ticket, so no listing of it is current
@@ -828,10 +834,12 @@ class FeasibilityParams:
         if self.h is not None and not _positive_int(self.h):
             raise ValueError(
                 f"h must be a positive integer or None, got {self.h!r}")
-        # written so that a NaN epsilon, which compares false both ways and
-        # would make every drift bound NaN, is rejected too
-        if not self.epsilon >= 0.0:
-            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
+        # written so that a NaN epsilon, which compares false both ways, is
+        # rejected too; NaN would make every drift bound NaN, and so would
+        # an infinite one on an empty subtree (inf * 0), which never rebuilds
+        if not 0.0 <= self.epsilon < math.inf:
+            raise ValueError(
+                f"epsilon must be nonnegative and finite, got {self.epsilon}")
 
     @property
     def guaranteed(self) -> bool:

@@ -38,24 +38,11 @@ class Violation:
     node_path: str
     detail: str
 
-    def to_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "node": self.node_path,
-            "detail": self.detail,
-        }
-
 
 @dataclass
 class FeasibilityReport:
     ok: bool
     violation: Optional[Violation] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "violation": self.violation.to_dict() if self.violation else None,
-        }
 
     def __str__(self) -> str:
         if self.ok:
@@ -65,15 +52,16 @@ class FeasibilityReport:
 
 
 class _Columns:
-    """Raw arrays for one ground-truth snapshot."""
+    """Raw arrays for one ground-truth snapshot: ``counts`` holds each
+    distinct example's count and 1-label count, one row per example."""
 
     def __init__(self, s: ActiveMultiset):
         entries = list(s.items())
         n = len(entries)
         self.n = n
-        self.w = np.fromiter((c for _, c in entries), dtype=np.int64, count=n)
-        self.y = np.fromiter((e.label for e, _ in entries), dtype=np.int64, count=n)
-        self.wy = self.w * self.y
+        w = np.fromiter((c for _, c in entries), dtype=np.int64, count=n)
+        y = np.fromiter((e.label for e, _ in entries), dtype=np.int64, count=n)
+        self.counts = np.stack([w, w * y], axis=1)
         if s.schema is not None:
             self.kinds = s.schema.kinds
         elif n:
@@ -89,17 +77,29 @@ class _Columns:
                 self.cols.append(np.asarray(vals, dtype=object))
 
 
-def _counts_for_mask(cols: _Columns, idx: np.ndarray, mask: np.ndarray):
-    sel = idx[mask]
-    return int(cols.w[sel].sum()), int(cols.wy[sel].sum())
+# Cells (thresholds times rows) of one block of masks in _sides, a memory
+# bound: a cell takes one byte as a bool and eight more while the product
+# casts it to int64, so a block's temporaries stay near 0.6 MB.  A node of
+# more rows takes one threshold per block.
+_BLOCK_CELLS = 1 << 16
 
 
-def _split_mask(cols: _Columns, idx: np.ndarray, split: Split) -> np.ndarray:
-    col = cols.cols[split.feature]
-    sub = col[idx]
-    if split.categorical:
-        return sub == split.threshold
-    return sub <= split.threshold
+def _goes_left(sub, t, categorical: bool):
+    # x == t for a categorical split, x <= t for a real one; t broadcasts
+    return sub == t if categorical else sub <= t
+
+
+def _sides(sub: np.ndarray, counts: np.ndarray, thresholds, categorical: bool):
+    """Per threshold, the count and the 1-label count of the rows that go
+    left, as two lists: sub holds the rows' values of one feature and
+    counts their counts.  Each block of thresholds is one boolean
+    (thresholds x rows) matrix, times counts in integers."""
+    thresholds = np.asarray(thresholds, dtype=object if categorical else float)
+    step = max(1, _BLOCK_CELLS // max(1, len(sub)))
+    return np.concatenate([
+        _goes_left(sub, thresholds[i:i + step, None], categorical) @ counts
+        for i in range(0, len(thresholds), step)
+    ]).T.tolist()
 
 
 def _float_gain(total: int, ones: int, left: int, left_ones: int) -> float:
@@ -116,25 +116,18 @@ def _float_gain(total: int, ones: int, left: int, left_ones: int) -> float:
     return g - (left * gl + right * gr) / total
 
 
-def _best_gain_for_feature(cols: _Columns, idx: np.ndarray, j: int):
-    """(gain, threshold) maximal for feature j over observed values in S_v."""
-    total = int(cols.w[idx].sum())
-    ones = int(cols.wy[idx].sum())
-    sub = cols.cols[j][idx]
+def _best_gain_for_feature(sub: np.ndarray, counts: np.ndarray, total: int,
+                           ones: int, categorical: bool):
+    """(gain, threshold) maximal for one feature over the values it takes
+    in S_v: sub holds them, one per row, counts the rows' counts, and
+    total and ones are the column sums of counts."""
+    thresholds = np.unique(sub)
     best_gain, best_thr = -1.0, None
-    if cols.kinds[j] is FeatureKind.REAL:
-        thr = np.unique(sub)
-        for t in thr.tolist():
-            left, left_ones = _counts_for_mask(cols, idx, sub <= t)
-            gain = _float_gain(total, ones, left, left_ones)
-            if gain > best_gain + _SLACK:
-                best_gain, best_thr = gain, t
-    else:
-        for t in sorted(set(sub.tolist())):
-            left, left_ones = _counts_for_mask(cols, idx, sub == t)
-            gain = _float_gain(total, ones, left, left_ones)
-            if gain > best_gain + _SLACK:
-                best_gain, best_thr = gain, t
+    for t, left, left_ones in zip(
+            thresholds.tolist(), *_sides(sub, counts, thresholds, categorical)):
+        gain = _float_gain(total, ones, left, left_ones)
+        if gain > best_gain + _SLACK:
+            best_gain, best_thr = gain, t
     return best_gain, best_thr
 
 
@@ -143,11 +136,12 @@ def exhaustive_split_search(s: ActiveMultiset):
     if len(s) == 0:
         raise ValueError("exhaustive_split_search needs a nonempty multiset")
     cols = _Columns(s)
-    idx = np.arange(cols.n)
+    total, ones = cols.counts.sum(axis=0).tolist()
     per_feature = []
     best_j, best_gain = 0, -1.0
-    for j in range(len(cols.kinds)):
-        gain, thr = _best_gain_for_feature(cols, idx, j)
+    for j, kind in enumerate(cols.kinds):
+        gain, thr = _best_gain_for_feature(
+            cols.cols[j], cols.counts, total, ones, kind is FeatureKind.CATEGORICAL)
         per_feature.append((thr, gain))
         if gain > best_gain + _SLACK:
             best_j, best_gain = j, gain
@@ -156,14 +150,22 @@ def exhaustive_split_search(s: ActiveMultiset):
     return split, gain, tuple(per_feature)
 
 
-def _separable(cols: _Columns, idx: np.ndarray) -> bool:
-    """Whether some split puts at least one example on each side, which
-    holds exactly when some feature takes two distinct values on S_v."""
-    for j in range(len(cols.kinds)):
-        sub = cols.cols[j][idx]
-        if len(sub) and not (sub == sub[0]).all():
-            return True
-    return False
+def _preorder(tree, cols: _Columns):
+    """Yield (node, idx, depth, name, parent) for every node of tree in
+    preorder: idx the rows of cols that route to node, name its path from
+    the root, such as root.L.R, and parent None at the root."""
+    root = tree.root if hasattr(tree, "root") else tree
+    stack = [(root, np.arange(cols.n), 0, "root", None)]
+    while stack:
+        item = stack.pop()
+        yield item
+        node, idx, depth, name, _ = item
+        if not node.is_leaf:
+            split = node.split
+            mask = _goes_left(cols.cols[split.feature][idx], split.threshold,
+                              split.categorical)
+            stack.append((node.right, idx[~mask], depth + 1, name + ".R", node))
+            stack.append((node.left, idx[mask], depth + 1, name + ".L", node))
 
 
 def check_feasibility(
@@ -180,13 +182,10 @@ def check_feasibility(
     internal-force clause of condition (1): no split separates it, so a
     leaf is the only way such a node can terminate.
     """
-    root = tree.root if hasattr(tree, "root") else tree
     cols = _Columns(s)
-    stack = [(root, np.arange(cols.n), 0, "root")]
-    while stack:
-        node, idx, depth, name = stack.pop()
-        total = int(cols.w[idx].sum())
-        ones = int(cols.wy[idx].sum())
+    for node, idx, depth, name, _ in _preorder(tree, cols):
+        counts = cols.counts[idx]
+        total, ones = counts.sum(axis=0).tolist()
         pure = ones == 0 or ones == total
         g = 0.0 if total == 0 else 2.0 * (ones / total) * (1.0 - ones / total)
 
@@ -200,11 +199,13 @@ def check_feasibility(
                 1, name,
                 f"must be a leaf: |S_v|={total}, gini={g:.6g}, depth={depth}",
             ))
+        # separable: some feature takes two distinct values on S_v, so
+        # some split puts at least one example on each side
         if (
             not must_leaf
             and g >= params.alpha
             and node.is_leaf
-            and _separable(cols, idx)
+            and any(len(np.unique(col[idx])) > 1 for col in cols.cols)
         ):
             return FeasibilityReport(False, Violation(
                 1, name,
@@ -221,21 +222,19 @@ def check_feasibility(
                 ))
             continue
 
-        best_gain = -1.0
-        for j in range(len(cols.kinds)):
-            gain, _ = _best_gain_for_feature(cols, idx, j)
-            if gain > best_gain:
-                best_gain = gain
-        mask = _split_mask(cols, idx, node.split)
-        left, left_ones = _counts_for_mask(cols, idx, mask)
+        best_gain = max((
+            _best_gain_for_feature(col[idx], counts, total, ones,
+                                   kind is FeatureKind.CATEGORICAL)[0]
+            for col, kind in zip(cols.cols, cols.kinds)))
+        split = node.split
+        (left,), (left_ones,) = _sides(cols.cols[split.feature][idx], counts,
+                                       [split.threshold], split.categorical)
         own = _float_gain(total, ones, left, left_ones)
         if own + _SLACK < best_gain - params.beta:
             return FeasibilityReport(False, Violation(
                 2, name,
                 f"split gain {own:.6g} below best {best_gain:.6g} - beta={params.beta}",
             ))
-        stack.append((node.right, idx[~mask], depth + 1, name + ".R"))
-        stack.append((node.left, idx[mask], depth + 1, name + ".L"))
     return FeasibilityReport(True)
 
 
@@ -252,12 +251,9 @@ def check_counters(tree, s: ActiveMultiset, epsilon: float) -> CounterReport:
     pending <= eps * size, and a child's pending never exceeds its
     parent's.  Small float guards absorb rounding of the products.
     """
-    root = tree.root if hasattr(tree, "root") else tree
     cols = _Columns(s)
-    stack = [(root, np.arange(cols.n), None, "root")]
-    while stack:
-        node, idx, parent_pending, name = stack.pop()
-        total = int(cols.w[idx].sum())
+    for node, idx, _, name, parent in _preorder(tree, cols):
+        total = int(cols.counts[idx, 0].sum())
         lo = (1.0 - epsilon) * node.size - 1e-9
         hi = (1.0 + epsilon) * node.size + 1e-9
         if not (lo <= total <= hi):
@@ -270,15 +266,11 @@ def check_counters(tree, s: ActiveMultiset, epsilon: float) -> CounterReport:
                 False,
                 f"{name}: pending={node.pending} exceeds eps*size={epsilon * node.size:.6g}",
             )
-        if parent_pending is not None and node.pending > parent_pending:
+        if parent is not None and node.pending > parent.pending:
             return CounterReport(
                 False,
-                f"{name}: pending={node.pending} exceeds parent's {parent_pending}",
+                f"{name}: pending={node.pending} exceeds parent's {parent.pending}",
             )
-        if not node.is_leaf:
-            mask = _split_mask(cols, idx, node.split)
-            stack.append((node.right, idx[~mask], node.pending, name + ".R"))
-            stack.append((node.left, idx[mask], node.pending, name + ".L"))
     return CounterReport(True)
 
 

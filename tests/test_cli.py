@@ -189,11 +189,13 @@ def test_bad_param_combination_fails_cleanly(csv_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_nan_epsilon_fails_cleanly(csv_path, capsys):
-    # a NaN epsilon would make every drift bound NaN, so nothing rebuilds
+@pytest.mark.parametrize("epsilon", ["nan", "inf"])
+def test_nan_epsilon_fails_cleanly(csv_path, capsys, epsilon):
+    # a NaN epsilon would make every drift bound NaN, and an infinite one an
+    # empty subtree's, so nothing rebuilds
     code = run_cli([
         "run", "--data", csv_path, "--label", "label", "--positive", "pos",
-        "--epsilon", "nan",
+        "--epsilon", epsilon,
     ])
     assert code == 1
     assert "error:" in capsys.readouterr().err

@@ -50,10 +50,13 @@ def test_public_names():
 
 
 def test_make_example_rejects_bad_labels():
-    with pytest.raises(ValueError):
-        make_example((1.0,), 2)
-    with pytest.raises(ValueError):
-        make_example((1.0,), -1)
+    # the tree's boundary rule: an integer 0 or 1, never a coerced value
+    for bad in (2, -1, 1.7, 0.9, -0.4, "1", np.True_):
+        with pytest.raises(ValueError, match="label must be 0 or 1"):
+            make_example((1.0,), bad)
+    for good in (True, np.int64(1)):
+        label = make_example((1.0,), good).label
+        assert label == 1 and type(label) is int
 
 
 def test_schema_inference_mixed():
@@ -673,8 +676,11 @@ def test_params_validation():
         FeasibilityParams(epsilon=0.1, k=0)
     with pytest.raises(ValueError):
         FeasibilityParams(epsilon=-0.1)
-    with pytest.raises(ValueError):
-        FeasibilityParams(epsilon=float("nan"))
+    # an infinite epsilon makes an empty root's trigger inf * 0, NaN, so
+    # the tree never rebuilds
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="epsilon must be"):
+            FeasibilityParams(epsilon=bad)
     with pytest.raises(ValueError):
         FeasibilityParams(epsilon=0.1, h=0)
     # a fractional h capped the builder at depth 3 (eta >= 2.5) while the

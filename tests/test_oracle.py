@@ -1,7 +1,10 @@
 """Brute-force verifiers: feasibility, counters, rational gains, fixtures."""
 
+import ast
+import copy
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +28,7 @@ from dyntree import (
     gini_gain,
     make_example,
 )
+from dyntree import oracle
 from dyntree.build import build
 
 PARAMS = FeasibilityParams(epsilon=0.2, alpha=0.3, beta=0.2, k=2, h=8)
@@ -186,6 +190,106 @@ def test_counters_pass_on_live_tree():
         tree.update(e, "ins")
         report = check_counters(tree, tree.leaf_union(), params.epsilon)
         assert report.ok, report.detail
+
+
+MIXED_KINDS = (FeatureKind.REAL,) * 2 + (FeatureKind.CATEGORICAL,) * 3
+
+
+def mixed_multiset(rng):
+    # real columns with ties and -0.0 next to 0.0, str, int and bool symbol
+    # columns, and examples held up to three times
+    s = ActiveMultiset(Schema(MIXED_KINDS))
+    for _ in range(rng.randint(1, 60)):
+        e = make_example((
+            rng.choice((-0.0, 0.0, 0.5, -1.5, 2.0)),
+            rng.randrange(-3, 4) / 2,
+            rng.choice("abc"),
+            rng.randrange(4),
+            rng.random() < 0.5,
+        ), rng.randrange(2))
+        for _ in range(rng.randint(1, 3)):
+            s.insert(e)
+    return s
+
+
+def test_blocked_enumeration_matches_rational_gains(monkeypatch):
+    blocks = 0
+    goes_left = oracle._goes_left
+
+    def spy(*args):
+        nonlocal blocks
+        blocks += 1
+        return goes_left(*args)
+
+    monkeypatch.setattr(oracle, "_BLOCK_CELLS", 4)
+    monkeypatch.setattr(oracle, "_goes_left", spy)
+    rng = random.Random(25)
+    trials = 40
+    for trial in range(trials):
+        s = mixed_multiset(rng)
+        _, _, per_feature = exhaustive_split_search(s)
+        for j, (_, gain) in enumerate(per_feature):
+            cat = MIXED_KINDS[j] is FeatureKind.CATEGORICAL
+            exact = max(exact_gain(s, Split(j, t, categorical=cat))
+                        for t in {e.features[j] for e in s})
+            assert abs(gain - float(exact)) <= 1e-12, (trial, j)
+    # one count of sides per feature and trial, so its candidates spanned
+    # several blocks
+    assert blocks > trials * len(MIXED_KINDS)
+
+
+def broken_copies(root, s, rng):
+    # the tree itself, one with a leaf's label flipped and one whose root
+    # splits at a poor threshold: the least value of a real feature
+    yield root
+    flipped = copy.deepcopy(root)
+    leaf = flipped
+    while not leaf.is_leaf:
+        leaf = leaf.left if rng.random() < 0.5 else leaf.right
+    leaf.leaf_label = 1 - leaf.leaf_label
+    yield flipped
+    if not root.is_leaf:
+        poor = copy.deepcopy(root)
+        poor.split = Split(0, min(e.features[0] for e in s))
+        yield poor
+
+
+def test_block_cap_leaves_every_report_unchanged(monkeypatch):
+    params = FeasibilityParams(epsilon=0.3, alpha=0.2, beta=0.05, k=1, h=6)
+    rng = random.Random(7)
+    failures = 0
+    for _ in range(30):
+        s = mixed_multiset(rng)
+        root, _ = build(s, 0, params)
+        for tree in broken_copies(root, s, rng):
+            reports = []
+            for cap in (3, oracle._BLOCK_CELLS):
+                monkeypatch.setattr(oracle, "_BLOCK_CELLS", cap)
+                reports.append((check_feasibility(tree, s, params),
+                                check_counters(tree, s, params.epsilon)))
+            monkeypatch.undo()
+            assert reports[0] == reports[1]
+            failures += not reports[0][0].ok
+    assert failures >= 10  # broken trees do fail
+
+
+def test_oracle_stays_independent_and_brute_force():
+    # the oracle checks the engine, so it must not run the engine's builder
+    # or tree, nor a sort sweep: no running sums, no sorted search
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "dyntree." * (node.level > 0) + (node.module or "")
+            imported.add(base)
+            imported.update(f"{base.rstrip('.')}.{a.name}" for a in node.names)
+    assert not imported & {"dyntree.build", "dyntree.dynamic"}, imported
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)}
+    assert not names & {"cumsum", "argsort", "searchsorted"}
 
 
 def test_exact_gini_and_gain_values():
