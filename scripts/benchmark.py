@@ -2,10 +2,14 @@
 
 Each mode replays a seeded stream and reports the per-update engine time
 distribution plus rebuild statistics, so regressions in the hot paths
-show up as shifted percentiles.
+show up as shifted percentiles.  The "faults/upd" column is the minor
+page faults of this process over the mode's run (``getrusage``, set-up
+included) per update: a rebuild path that gets fresh memory from the
+system for its temporaries shows up there.
 """
 
 import argparse
+import resource
 import statistics
 import sys
 
@@ -55,20 +59,25 @@ def main(argv=None) -> int:
     )
     modes = MODES if args.mode == "all" else [args.mode]
     print(f"{'mode':>12} {'updates':>8} {'mean us':>9} {'p50 us':>9} "
-          f"{'p90 us':>9} {'max us':>9} {'rebuilds':>9} {'f1':>7}")
+          f"{'p90 us':>9} {'max us':>9} {'rebuilds':>9} {'f1':>7} "
+          f"{'faults/upd':>10}")
     for mode in modes:
         window = args.window if mode == "sw" else None
         config = StreamConfig(params, mode=mode, window=window, seed=args.seed)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         metrics = run_stream(stream, config)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
         nanos = sorted(metrics.per_update_nanos)
         if nanos:
             timings = (statistics.fmean(nanos), percentile(nanos, 0.5),
                        percentile(nanos, 0.9), nanos[-1])
             timing = " ".join(f"{t / 1000:>9.1f}" for t in timings)
+            faults = f"{faults / len(nanos):>10.2f}"
         else:  # the stream ended before the mode's first update
             timing = " ".join([f"{'-':>9}"] * 4)
+            faults = f"{'-':>10}"
         print(f"{mode:>12} {metrics.n_updates:>8} {timing} "
-              f"{metrics.rebuild_count:>9} {metrics.f1:>7.4f}")
+              f"{metrics.rebuild_count:>9} {metrics.f1:>7.4f} {faults}")
     return 0
 
 

@@ -295,10 +295,11 @@ class _Store:
     every value and id first and writes only then: a flush of at most
     ``CODE_CELLS`` cells (rows times features), as most rebuilds' are,
     writes cell by cell through memoryviews of the arrays, and a larger
-    one packs all its real values with one ``struct.pack`` (``_reals``)
-    and writes by numpy fancy assignment; the two write the same.  A symbol
-    gets an id when it first reaches a column (``ids``, per column: symbol
-    -> id), so a new symbol never touches the rows already coded.
+    one packs all its real values with one ``struct.pack`` (``_reals``),
+    takes its labels as one bytes object and writes by numpy fancy
+    assignment; the two write the same.  A symbol gets an id when it first
+    reaches a column (``ids``, per column: symbol -> id), so a new symbol
+    never touches the rows already coded.
     ``rank`` maps ids to the codes that ``columns`` hands out: global
     across columns, each column's in one block that follows its sorted
     symbols (see the module docstring), with ``symbols[code]`` and
@@ -309,11 +310,16 @@ class _Store:
     ``Schema._check_symbols``); None before that.  Each is one of
     ``_SYMBOL_TYPES``, whose ``<`` cannot raise within the type, so the
     sort of a column's symbols in ``_add_symbols`` cannot fail on them.
+
+    ``scratch`` is the sort sweep's scratch for its running sums (see
+    ``sums``), or None before the first sort sweep over the store's rows.
+    Nothing in it outlives a sweep, so a copy, a pickle or a deepcopy of
+    the store starts without it.
     """
 
     __slots__ = ("schema", "row_of", "examples", "free", "uncoded", "count",
                  "stamp", "clock", "y", "X", "C", "ids", "rank", "symbols",
-                 "code_col", "symbol_types")
+                 "code_col", "symbol_types", "scratch")
 
     def __init__(self, schema: Optional[Schema]):
         self.schema = schema
@@ -330,6 +336,7 @@ class _Store:
         self.symbols: list = []
         self.code_col: list = []
         self.symbol_types: Optional[tuple] = None
+        self.scratch: Optional[np.ndarray] = None
 
     def copy(self) -> "_Store":
         self.flush()
@@ -353,12 +360,28 @@ class _Store:
         # memoryviews do not pickle; the arrays under them do
         state = {name: getattr(self, name) for name in self.__slots__}
         state["count"], state["stamp"] = self.count.obj, self.stamp.obj
+        del state["scratch"]
         return state
 
     def __setstate__(self, state: dict) -> None:
+        self.scratch = None
         for name, value in state.items():
             setattr(self, name, value)
         self.count, self.stamp = memoryview(self.count), memoryview(self.stamp)
+
+    def sums(self, cells: int) -> np.ndarray:
+        """The sort sweep's running sums scratch: a contiguous complex128
+        array of cells elements, for ``gini._sweep_numeric`` to overwrite.
+
+        It is a view of ``scratch``, which grows to the largest number of
+        cells asked for and is kept across rebuilds, so the sweep of a
+        rebuild's target allocates no large array once the store has seen
+        one that size.
+        """
+        buf = self.scratch
+        if buf is None or len(buf) < cells:
+            self.scratch = buf = np.empty(cells, dtype=np.complex128)
+        return buf[:cells]
 
     def check(self, example: LabeledExample, insert: bool = True,
               valid: bool = False) -> tuple:
@@ -474,17 +497,22 @@ class _Store:
         k, d = len(rows), len(schema.kinds)
         num, cat = schema._real, schema._categorical
         few = k * d <= CODE_CELLS
+        if not few:
+            # one pass splits the examples into features and labels; the
+            # labels, checked to be integers equal to 0 or 1, are bytes
+            feats, labels = zip(*exs)
+            labels = np.frombuffer(bytes(labels), dtype=np.uint8)
         # real values are coded + 0.0 on both paths, which turns -0.0 into
         # 0.0: the two compare equal, so a threshold at their run would
         # otherwise read as whichever sign the run's held example arrived
         # with
         if not (few or cat):
-            x = _reals(chain.from_iterable(e.features for e in exs), k * d)
+            x = _reals(chain.from_iterable(feats), k * d)
             idx = np.array(rows, dtype=np.intp)
-            self.y[idx] = [e.label for e in exs]
+            self.y[idx] = labels
             self.X[idx] = x.reshape(k, d)
             return
-        by_col = None if few else list(zip(*(e.features for e in exs)))
+        by_col = None if few else list(zip(*feats))
         if cat and not self.ids:
             self.ids = [{} for _ in cat]
 
@@ -520,7 +548,7 @@ class _Store:
             x = _reals(chain.from_iterable(by_col[j] for j in num),
                        len(num) * k)
         idx = np.array(rows, dtype=np.intp)
-        self.y[idx] = [e.label for e in exs]
+        self.y[idx] = labels
         if num:
             self.X[idx] = x.reshape(len(num), k).T
         self.C[idx] = coded

@@ -13,7 +13,15 @@ overflow and the subnormal range.  A sweep returns its winners' counts as
 the floats it sums them in, integers exact below 2**53; the sort sweep
 takes both running sums in one complex cumsum, counts in the real part and
 1-label counts in the imaginary one, and complex addition adds the parts
-apart, so each part is its integer running sum exactly.
+apart, so each part is its integer running sum exactly.  The builder hands
+it a scratch for those sums that the tree's row store keeps across
+rebuilds (``core._Store.sums``), so a rebuild of a large node does not
+take fresh memory for its largest temporary.
+
+Every gain lies in [0, 0.5], and the sort sweep drops a candidate that is
+not at a value boundary out of the running by subtracting 1 from its
+gain: it lands at -0.5 or below, never within ``TIE_TOL`` of a column's
+best, which is at least 0.
 
 Ties follow one rule: the first candidate whose gain is within
 ``TIE_TOL`` of the best wins, so a real column's smallest such threshold
@@ -120,7 +128,10 @@ def _gains(wl, wyl, total: int, ones: int):
     same (integer-valued) counts, so each gain is bit-identical to the
     kernel's.  Every left count is at least 1; where the right count is 0
     it divides by 1, and the caller sets that gain to 0, as the kernel
-    defines it.
+    defines it.  The right count's stand-in dr = max(wr, 1) also serves
+    as the factor wr of wr * gr: it equals wr wherever wr >= 1, and where
+    wr is 0 the right 1-label count is 0 too, so gr and both products
+    are 0.
 
     The arithmetic runs in place on four temporaries of wl's shape, and
     it leaves out the kernel's factors 2.0 of g, gl and gr: every value
@@ -143,8 +154,7 @@ def _gains(wl, wyl, total: int, ones: int):
     wr /= dr
     t /= dr
     t *= wr  # gr
-    np.subtract(total, wl, out=wr)
-    t *= wr  # wr * gr
+    t *= dr  # wr * gr
     gl += t
     gl /= total
     np.subtract(g, gl, out=gl)
@@ -154,7 +164,7 @@ def _gains(wl, wyl, total: int, ones: int):
 
 
 def _sweep_numeric(X: np.ndarray, w, wy, total: int, ones: int,
-                   layout: list | None = None) -> list:
+                   layout: list | None = None, sums=None) -> list:
     """Best threshold of every real feature of one node in one pass.
 
     X holds the node's rows by real feature, and w, wy their counts and
@@ -188,6 +198,26 @@ def _sweep_numeric(X: np.ndarray, w, wy, total: int, ones: int,
     ``_gains``.  As w >= 1, the left count is at least 1 on every row and
     the right count is 0 only on the last.
 
+    sums, when given, is the scratch of the running sums:
+    ``sums(cells)`` returns a contiguous complex128 array of that many
+    elements that the sweep may overwrite (``core._Store.sums``, kept
+    across rebuilds).  The sort gathers into it with ``take(out=...,
+    mode="clip")``: the sort's indices are in range, and numpy buffers
+    ``out`` in mode "raise".  Nothing the sweep returns or appends to
+    layout is a view of it.  Without sums the array is allocated afresh.
+    A scratch pays where the array is large: at 1000x8 cells it is 128 KB.
+    With a fresh one per sweep, an eps=0 sliding window of 1000 rows of 8
+    real features, which rebuilds such a root at every update, took about
+    100 minor page faults per update in a fresh process (memory the
+    allocator had handed back to the system), against none with the
+    scratch; how many depends on the heap's history.
+
+    A candidate that is not at a value boundary is folded out by
+    subtracting its tie flag (1.0) from its gain.  Every gain lies in
+    [0, 0.5], so such a candidate drops to -0.5 or below, while the best
+    gain of a column is at least 0 (the last candidate scores 0): it is
+    never within TIE_TOL of the best, and never the winner.
+
     The sort need not be stable: only the last row of each run of equal
     values is a candidate, and its running sums cover the whole run in any
     order.  The threshold is that row's value, so values that compare
@@ -207,13 +237,16 @@ def _sweep_numeric(X: np.ndarray, w, wy, total: int, ones: int,
     # both running sums in one cumsum: w real, wy imaginary
     z = np.empty(n, dtype=np.complex128)
     z.real, z.imag = w, wy
-    zl = z.take(order)
+    zl = (np.empty(X.size, dtype=np.complex128) if sums is None
+          else sums(X.size)).reshape(m, n)
+    z.take(order, out=zl, mode="clip")
     zl.cumsum(axis=1, out=zl)
     wl, wyl = zl.real.copy(), zl.imag.copy()
     gains = _gains(wl, wyl, total, ones)
     gains[:, -1] = 0.0  # everything left
     tie = sv[:, :-1] == sv[:, 1:]
-    gains[:, :-1][tie] = -1.0  # not a value boundary
+    # not a value boundary: the gain drops below every column's best
+    np.subtract(gains[:, :-1], tie, out=gains[:, :-1])
     if layout is not None:
         V = X.size - np.count_nonzero(tie)
         if RANK_GATE * V <= X.size:

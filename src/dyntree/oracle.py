@@ -121,7 +121,13 @@ def _best_gain_for_feature(sub: np.ndarray, counts: np.ndarray, total: int,
     """(gain, threshold) maximal for one feature over the values it takes
     in S_v: sub holds them, one per row, counts the rows' counts, and
     total and ones are the column sums of counts."""
-    thresholds = np.unique(sub)
+    # the distinct values in ascending order: the first of each run of
+    # equal values in a sort, as np.unique takes them, without its
+    # per-call overhead
+    thresholds = np.sort(sub)
+    first = np.ones(len(thresholds), dtype=bool)
+    np.not_equal(thresholds[1:], thresholds[:-1], out=first[1:])
+    thresholds = thresholds[first]
     best_gain, best_thr = -1.0, None
     for t, left, left_ones in zip(
             thresholds.tolist(), *_sides(sub, counts, thresholds, categorical)):
@@ -205,7 +211,8 @@ def check_feasibility(
             not must_leaf
             and g >= params.alpha
             and node.is_leaf
-            and any(len(np.unique(col[idx])) > 1 for col in cols.cols)
+            and any(sub.min() < sub.max()
+                    for sub in (col[idx] for col in cols.cols))
         ):
             return FeasibilityReport(False, Violation(
                 1, name,

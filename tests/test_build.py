@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from dyntree import (
@@ -16,6 +17,7 @@ from dyntree import (
     make_example,
 )
 import dyntree.build as build_mod
+import dyntree.gini as gini_mod
 from dyntree.build import build
 from dyntree.gini import TIE_TOL
 
@@ -305,6 +307,57 @@ def test_every_split_matches_exhaustive_search(monkeypatch):
     assert internal > 500
     assert zero_gain_nodes > 50
     assert len(binned) > 0
+
+
+def test_rank_codes_made_after_sort_sweeps_in_the_scratch_build_alike(
+        monkeypatch):
+    # the target's sort waits in layout until the first node that takes the
+    # binned sweep makes rank codes from it; sort sweeps of nodes in between
+    # overwrite the store's scratch.  With every sort sweep's scratch
+    # filled with NaN after it returns, a build must make the tree that
+    # sweeps without a scratch make.  The gate at 1 and LIST_CELLS at 0 send
+    # a node with fewer cells than the target's distinct values to the sort
+    # sweep, and a larger one to the binned sweep
+    monkeypatch.setattr(gini_mod, "RANK_GATE", 1)
+    monkeypatch.setattr(gini_mod, "LIST_CELLS", 0)
+    events = []
+
+    def sort_spy(X, w, wy, total, ones, layout=None, sums=None):
+        events.append("target" if layout is not None else "sort")
+        found = sort_sweep(X, w, wy, total, ones, layout,
+                           sums if scratch else None)
+        if scratch:
+            sums.__self__.scratch.fill(np.nan)
+        return found
+
+    def rank_spy(*args):
+        events.append("rank")
+        return rank_codes(*args)
+    sort_sweep, rank_codes = build_mod._sweep_numeric, build_mod._rank_codes
+    monkeypatch.setattr(build_mod, "_sweep_numeric", sort_spy)
+    monkeypatch.setattr(build_mod, "_rank_codes", rank_spy)
+    params = FeasibilityParams(epsilon=0.1, alpha=0.1, beta=0.1, k=2, h=8)
+    between = 0
+    for seed in range(12):
+        # 200 rows: one column of about 100 values, which the label
+        # follows with noise, and one of 60
+        rng = random.Random(seed)
+        s = ActiveMultiset.from_examples(
+            make_example((x0, float(rng.randrange(60))),
+                         int(x0 > 1.5) if rng.random() < 0.85
+                         else rng.randrange(2))
+            for x0 in (round(rng.uniform(0, 10), 1) for _ in range(200)))
+        trees = []
+        for scratch in (True, False):
+            events.clear()
+            root, store = build(s, 0, params)
+            trees.append([(v.split, v.split_gain.hex(), v.size, v.height,
+                           None if v.split else v.leaf_rows.tolist())
+                          for v in walk(root)])
+        assert trees[0] == trees[1], seed
+        if "rank" in events:
+            between += "sort" in events[:events.index("rank")]
+    assert between >= 6
 
 
 def test_node_sweep_takes_the_first_feature_within_tie_tol_of_the_best(

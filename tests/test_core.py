@@ -485,6 +485,34 @@ def test_a_packed_flush_codes_each_cell_as_float_plus_zero(kinds,
     assert store.y[rows].tobytes() == y.tobytes()
 
 
+class _One:
+    # an integer label of a type of its own: the store takes any label
+    # with __index__ equal to 0 or 1
+    def __index__(self):
+        return 1
+
+
+@pytest.mark.parametrize("kinds", ["rrrr", "rsri", "sisi"])
+def test_a_large_flush_codes_every_integer_label_type(kinds):
+    # a flush of more than CODE_CELLS cells writes its labels from bytes;
+    # a label of each integer type the store accepts reads float(label)
+    labels = [True, False, np.int64(1), np.int8(0), np.uint8(1),
+              np.uint64(0), np.int32(1), 0, 1, _One()]
+    exs = [LabeledExample(tuple(float(i) if k == "r" else f"s{i % 3}"
+                                if k == "s" else i % 2 for k in kinds), label)
+           for i, label in enumerate(labels)]
+    s = ActiveMultiset(Schema(tuple(
+        FeatureKind.REAL if k == "r" else FeatureKind.CATEGORICAL
+        for k in kinds)))
+    for e in exs:
+        s.insert(e)
+    assert len(exs) * len(kinds) > dyntree.core.CODE_CELLS
+    store = s._store
+    store.flush()
+    y = np.array([float(e.label.__index__()) for e in exs])
+    assert store.y[[store.row_of[e] for e in exs]].tobytes() == y.tobytes()
+
+
 def _tree_state(tree):
     # everything a failed update must leave as it was
     union = tree.leaf_union()
@@ -610,6 +638,47 @@ def test_multisets_and_trees_copy_and_pickle(clone):
         t.update(exs[5], "del")
         t.update(make_example((9.0, "a"), 1), "ins")
     assert c.leaf_union() == tree.leaf_union()
+
+
+def _tree_shape(tree):
+    # each node's split, gain bits, size, pending, height and label, in
+    # preorder
+    shape, stack = [], [tree.root]
+    while stack:
+        v = stack.pop()
+        shape.append((v.split, v.split_gain.hex(), v.size, v.pending,
+                      v.height, v.leaf_label))
+        if not v.is_leaf:
+            stack += (v.right, v.left)
+    return shape
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy,
+                                   lambda x: pickle.loads(pickle.dumps(x))],
+                         ids=["deepcopy", "pickle"])
+def test_copies_start_without_the_sort_sweep_scratch(clone):
+    # a tree's store keeps the sort sweep's running sums scratch across
+    # rebuilds; a copy of the tree, or of its store, starts without one,
+    # makes its own and rebuilds as the tree does.  At eps 0 every update
+    # rebuilds the root, 200 rows of two real columns, by the sort sweep
+    rng = random.Random(3)
+    exs = [make_example((rng.random(), rng.random()), int(rng.random() < 0.3))
+           for _ in range(300)]
+    tree = DecisionTree.from_multiset(
+        ActiveMultiset.from_examples(exs[:200]),
+        FeasibilityParams(epsilon=0.0, alpha=0.3, beta=0.4, k=5, h=8))
+    scratch = tree._store.scratch
+    assert scratch is not None and len(scratch) == 400
+    assert tree._store.copy().scratch is None
+    c = clone(tree)
+    assert c._store.scratch is None and tree._store.scratch is scratch
+    for old, new in zip(exs[:100], exs[200:]):
+        for t in (tree, c):
+            t.update(old, "del")
+            t.update(new, "ins")
+        assert _tree_shape(c) == _tree_shape(tree)
+    assert tree._store.scratch is scratch
+    assert not np.shares_memory(c._store.scratch, scratch)
 
 
 @pytest.mark.parametrize("symbol", [("a",), ["a"], {"a"}, frozenset("a"),

@@ -18,6 +18,7 @@ from dyntree import (
     make_example,
 )
 from dyntree import gini
+from dyntree.core import _Store
 import dyntree.build as build_mod
 from dyntree.oracle import exhaustive_split_search
 
@@ -360,6 +361,32 @@ def test_list_sweep_equals_sort_sweep_bit_for_bit(monkeypatch):
         # the mirrored column, then a copy of it, then a constant one
         X = np.array([[float(v), float(v), 1.0] for v in range(len(counts))])
         check(X, np.array(counts, dtype=float), np.array(ones, dtype=float))
+
+
+def test_sort_sweep_in_a_store_scratch_equals_the_list_sweep(monkeypatch):
+    # the sort sweep's running sums go to a store's scratch, which grows to
+    # the largest node and keeps the stale sums of the last one; nodes that
+    # grow it, shrink back below it and grow it again must each return the
+    # list sweep's answer exactly, as the sweep without a scratch does.
+    # LIST_CELLS at 0 keeps _sweep_numeric on numpy at every size
+    monkeypatch.setattr(gini, "LIST_CELLS", 0)
+    store = _Store(None)
+    largest = 0
+    for seed, (n, m) in enumerate([(40, 2), (300, 3), (7, 1), (1000, 8),
+                                   (120, 4), (1, 3), (1000, 8), (600, 8)]):
+        rng = random.Random(seed)
+        X, w, wy = _layout_inputs(rng, n, m)
+        total, ones = int(w.sum()), int(wy.sum())
+        expected = gini._sweep_list(X.T.tolist(), w.tolist(), wy.tolist(),
+                                    total, ones)
+        before = store.scratch
+        got = gini._sweep_numeric(X, w, wy, total, ones, None, store.sums)
+        assert repr(got) == repr(expected), seed
+        assert repr(gini._sweep_numeric(X, w, wy, total, ones)) == repr(got)
+        largest = max(largest, X.size)
+        assert len(store.scratch) == largest
+        assert (store.scratch is before) == (before is not None
+                                             and len(before) >= X.size)
 
 
 def test_a_zero_threshold_reads_0_0_in_every_arrival_order(monkeypatch):

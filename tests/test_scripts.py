@@ -21,12 +21,15 @@ def _load(name):
 
 def test_benchmark_reports_a_mode_that_ran_no_updates(capsys):
     # 500 examples do not fill the sliding window of 1000, so sw runs no
-    # update; its timing columns read "-" instead of raising
+    # update; its timing and page-fault columns read "-" instead of raising
     assert _load("benchmark").main(["--n", "500"]) == 0
-    rows = {line.split()[0]: line.split()
-            for line in capsys.readouterr().out.splitlines()[1:]}
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[-1] == "faults/upd"
+    rows = {line.split()[0]: line.split() for line in lines[1:]}
     assert rows["sw"][1:6] == ["0", "-", "-", "-", "-"]
+    assert rows["sw"][-1] == "-"
     assert rows["ru"][1] == "500" and "-" not in rows["ru"]
+    assert float(rows["ru"][-1]) >= 0.0
 
 
 def test_sweep_epsilon_prints_and_writes_a_row_per_epsilon(capsys, tmp_path):
