@@ -100,9 +100,6 @@ def _node_sweep(store: _Store, rows: np.ndarray):
     # makes their rank codes from it
     layout = [] if len(rows) >= RANK_ROWS else None
     V, rank = 0, None
-    # the sort sweep's running sums go to the store's scratch, which
-    # outlives the build; layout holds no view of it
-    sums = store.sums
 
     def sweep(idx, total: int, ones: int) -> tuple:
         nonlocal V, rank
@@ -116,7 +113,7 @@ def _node_sweep(store: _Store, rows: np.ndarray):
         if num:
             if first:
                 Xi = X
-                res = _sweep_numeric(X, w, wy, total, ones, layout, sums)
+                res = _sweep_numeric(X, w, wy, total, ones, layout)
                 V = layout[0] if layout else 0
             elif (V and len(idx) * m >= V
                   and not _takes_lists(len(idx) * m)):
@@ -130,7 +127,7 @@ def _node_sweep(store: _Store, rows: np.ndarray):
                 res = _sweep_binned(Xi, wi, wyi, total, ones, starts, rcol)
             else:
                 Xi = X.take(idx, axis=0)
-                res = _sweep_numeric(Xi, wi, wyi, total, ones, None, sums)
+                res = _sweep_numeric(Xi, wi, wyi, total, ones)
             for j, r in zip(num, res):
                 found[j] = r
         if cat:

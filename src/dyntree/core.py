@@ -310,16 +310,11 @@ class _Store:
     ``Schema._check_symbols``); None before that.  Each is one of
     ``_SYMBOL_TYPES``, whose ``<`` cannot raise within the type, so the
     sort of a column's symbols in ``_add_symbols`` cannot fail on them.
-
-    ``scratch`` is the sort sweep's scratch for its running sums (see
-    ``sums``), or None before the first sort sweep over the store's rows.
-    Nothing in it outlives a sweep, so a copy, a pickle or a deepcopy of
-    the store starts without it.
     """
 
     __slots__ = ("schema", "row_of", "examples", "free", "uncoded", "count",
                  "stamp", "clock", "y", "X", "C", "ids", "rank", "symbols",
-                 "code_col", "symbol_types", "scratch")
+                 "code_col", "symbol_types")
 
     def __init__(self, schema: Optional[Schema]):
         self.schema = schema
@@ -336,7 +331,6 @@ class _Store:
         self.symbols: list = []
         self.code_col: list = []
         self.symbol_types: Optional[tuple] = None
-        self.scratch: Optional[np.ndarray] = None
 
     def copy(self) -> "_Store":
         self.flush()
@@ -360,28 +354,12 @@ class _Store:
         # memoryviews do not pickle; the arrays under them do
         state = {name: getattr(self, name) for name in self.__slots__}
         state["count"], state["stamp"] = self.count.obj, self.stamp.obj
-        del state["scratch"]
         return state
 
     def __setstate__(self, state: dict) -> None:
-        self.scratch = None
         for name, value in state.items():
             setattr(self, name, value)
         self.count, self.stamp = memoryview(self.count), memoryview(self.stamp)
-
-    def sums(self, cells: int) -> np.ndarray:
-        """The sort sweep's running sums scratch: a contiguous complex128
-        array of cells elements, for ``gini._sweep_numeric`` to overwrite.
-
-        It is a view of ``scratch``, which grows to the largest number of
-        cells asked for and is kept across rebuilds, so the sweep of a
-        rebuild's target allocates no large array once the store has seen
-        one that size.
-        """
-        buf = self.scratch
-        if buf is None or len(buf) < cells:
-            self.scratch = buf = np.empty(cells, dtype=np.complex128)
-        return buf[:cells]
 
     def check(self, example: LabeledExample, insert: bool = True,
               valid: bool = False) -> tuple:

@@ -13,9 +13,9 @@ overflow and the subnormal range.  A sweep returns its winners' counts as
 the floats it sums them in, integers exact below 2**53; the sort sweep
 takes both running sums in one complex cumsum, counts in the real part and
 1-label counts in the imaginary one, and complex addition adds the parts
-apart, so each part is its integer running sum exactly.  The builder hands
-it a scratch for those sums that the tree's row store keeps across
-rebuilds (``core._Store.sums``), so a rebuild of a large node does not
+apart, so each part is its integer running sum exactly.  It gathers those
+sums into a scratch kept across calls, one per thread and at most
+``SCRATCH_CELLS`` cells (``_sums``), so a rebuild of a large node does not
 take fresh memory for its largest temporary.
 
 Every gain lies in [0, 0.5], and the sort sweep drops a candidate that is
@@ -54,6 +54,8 @@ winner is the same, bit for bit.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from .core import ActiveMultiset, Split
@@ -72,6 +74,13 @@ RANK_GATE = 16
 # its arithmetic.  It stays below RANK_ROWS, so a target that makes rank
 # codes is never that small.
 LIST_CELLS = 96
+
+# The sort sweep's running sums of up to SCRATCH_CELLS cells (16 bytes
+# each) go to a scratch that this thread keeps across sweeps (``_sums``);
+# 1 MiB is eight times a 1000x8 node, and a larger node, which sorts far
+# more than it allocates, takes a fresh array.
+SCRATCH_CELLS = 1 << 16
+_scratch = threading.local()
 
 
 def _gini_from_counts(total: int, ones: int) -> float:
@@ -164,7 +173,7 @@ def _gains(wl, wyl, total: int, ones: int):
 
 
 def _sweep_numeric(X: np.ndarray, w, wy, total: int, ones: int,
-                   layout: list | None = None, sums=None) -> list:
+                   layout: list | None = None) -> list:
     """Best threshold of every real feature of one node in one pass.
 
     X holds the node's rows by real feature, and w, wy their counts and
@@ -198,19 +207,16 @@ def _sweep_numeric(X: np.ndarray, w, wy, total: int, ones: int,
     ``_gains``.  As w >= 1, the left count is at least 1 on every row and
     the right count is 0 only on the last.
 
-    sums, when given, is the scratch of the running sums:
-    ``sums(cells)`` returns a contiguous complex128 array of that many
-    elements that the sweep may overwrite (``core._Store.sums``, kept
-    across rebuilds).  The sort gathers into it with ``take(out=...,
+    The running sums go to the scratch from ``_sums``, which the next sweep
+    overwrites; the sort gathers into it with ``take(out=...,
     mode="clip")``: the sort's indices are in range, and numpy buffers
     ``out`` in mode "raise".  Nothing the sweep returns or appends to
-    layout is a view of it.  Without sums the array is allocated afresh.
-    A scratch pays where the array is large: at 1000x8 cells it is 128 KB.
-    With a fresh one per sweep, an eps=0 sliding window of 1000 rows of 8
-    real features, which rebuilds such a root at every update, took about
-    100 minor page faults per update in a fresh process (memory the
-    allocator had handed back to the system), against none with the
-    scratch; how many depends on the heap's history.
+    layout is a view of it.  The scratch pays where the array is large: at
+    1000x8 cells it is 128 KB.  With a fresh one per sweep, an eps=0
+    sliding window of 1000 rows of 8 real features, which rebuilds such a
+    root at every update, took about 100 minor page faults per update in a
+    fresh process (memory the allocator had handed back to the system),
+    against none with the scratch; how many depends on the heap's history.
 
     A candidate that is not at a value boundary is folded out by
     subtracting its tie flag (1.0) from its gain.  Every gain lies in
@@ -237,8 +243,7 @@ def _sweep_numeric(X: np.ndarray, w, wy, total: int, ones: int,
     # both running sums in one cumsum: w real, wy imaginary
     z = np.empty(n, dtype=np.complex128)
     z.real, z.imag = w, wy
-    zl = (np.empty(X.size, dtype=np.complex128) if sums is None
-          else sums(X.size)).reshape(m, n)
+    zl = _sums(X.size).reshape(m, n)
     z.take(order, out=zl, mode="clip")
     zl.cumsum(axis=1, out=zl)
     wl, wyl = zl.real.copy(), zl.imag.copy()
@@ -258,6 +263,25 @@ def _sweep_numeric(X: np.ndarray, w, wy, total: int, ones: int,
                     wl.take(at).tolist(),
                     wyl.take(at).tolist(),
                     gains.take(at).tolist()))
+
+
+def _sums(cells: int) -> np.ndarray:
+    """A contiguous complex128 array of cells elements for the sort sweep's
+    running sums, which the caller may overwrite until its next call in
+    the same thread.
+
+    Up to ``SCRATCH_CELLS`` cells it is a view of this thread's scratch,
+    which grows to the largest such request and is kept for the next
+    sweep; a larger array is allocated afresh and freed with its sweep, so
+    a process keeps at most SCRATCH_CELLS * 16 bytes per thread that
+    sweeps, whatever the largest node it has built.
+    """
+    if cells > SCRATCH_CELLS:
+        return np.empty(cells, dtype=np.complex128)
+    buf = getattr(_scratch, "sums", None)
+    if buf is None or len(buf) < cells:
+        _scratch.sums = buf = np.empty(cells, dtype=np.complex128)
+    return buf[:cells]
 
 
 def _sweep_list(cols: list, w: list, wy: list, total: int,

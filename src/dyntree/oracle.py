@@ -121,13 +121,7 @@ def _best_gain_for_feature(sub: np.ndarray, counts: np.ndarray, total: int,
     """(gain, threshold) maximal for one feature over the values it takes
     in S_v: sub holds them, one per row, counts the rows' counts, and
     total and ones are the column sums of counts."""
-    # the distinct values in ascending order: the first of each run of
-    # equal values in a sort, as np.unique takes them, without its
-    # per-call overhead
-    thresholds = np.sort(sub)
-    first = np.ones(len(thresholds), dtype=bool)
-    np.not_equal(thresholds[1:], thresholds[:-1], out=first[1:])
-    thresholds = thresholds[first]
+    thresholds = np.unique(sub)
     best_gain, best_thr = -1.0, None
     for t, left, left_ones in zip(
             thresholds.tolist(), *_sides(sub, counts, thresholds, categorical)):

@@ -313,21 +313,20 @@ def test_rank_codes_made_after_sort_sweeps_in_the_scratch_build_alike(
         monkeypatch):
     # the target's sort waits in layout until the first node that takes the
     # binned sweep makes rank codes from it; sort sweeps of nodes in between
-    # overwrite the store's scratch.  With every sort sweep's scratch
-    # filled with NaN after it returns, a build must make the tree that
-    # sweeps without a scratch make.  The gate at 1 and LIST_CELLS at 0 send
+    # overwrite the sort sweep's scratch.  With the scratch filled with NaN
+    # after every sort sweep returns, a build must make the tree it makes
+    # without the fill.  The gate at 1 and LIST_CELLS at 0 send
     # a node with fewer cells than the target's distinct values to the sort
     # sweep, and a larger one to the binned sweep
     monkeypatch.setattr(gini_mod, "RANK_GATE", 1)
     monkeypatch.setattr(gini_mod, "LIST_CELLS", 0)
     events = []
 
-    def sort_spy(X, w, wy, total, ones, layout=None, sums=None):
+    def sort_spy(X, w, wy, total, ones, layout=None):
         events.append("target" if layout is not None else "sort")
-        found = sort_sweep(X, w, wy, total, ones, layout,
-                           sums if scratch else None)
-        if scratch:
-            sums.__self__.scratch.fill(np.nan)
+        found = sort_sweep(X, w, wy, total, ones, layout)
+        if fill:
+            gini_mod._scratch.sums.fill(np.nan)
         return found
 
     def rank_spy(*args):
@@ -348,7 +347,7 @@ def test_rank_codes_made_after_sort_sweeps_in_the_scratch_build_alike(
                          else rng.randrange(2))
             for x0 in (round(rng.uniform(0, 10), 1) for _ in range(200)))
         trees = []
-        for scratch in (True, False):
+        for fill in (True, False):
             events.clear()
             root, store = build(s, 0, params)
             trees.append([(v.split, v.split_gain.hex(), v.size, v.height,

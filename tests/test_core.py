@@ -640,47 +640,6 @@ def test_multisets_and_trees_copy_and_pickle(clone):
     assert c.leaf_union() == tree.leaf_union()
 
 
-def _tree_shape(tree):
-    # each node's split, gain bits, size, pending, height and label, in
-    # preorder
-    shape, stack = [], [tree.root]
-    while stack:
-        v = stack.pop()
-        shape.append((v.split, v.split_gain.hex(), v.size, v.pending,
-                      v.height, v.leaf_label))
-        if not v.is_leaf:
-            stack += (v.right, v.left)
-    return shape
-
-
-@pytest.mark.parametrize("clone", [copy.deepcopy,
-                                   lambda x: pickle.loads(pickle.dumps(x))],
-                         ids=["deepcopy", "pickle"])
-def test_copies_start_without_the_sort_sweep_scratch(clone):
-    # a tree's store keeps the sort sweep's running sums scratch across
-    # rebuilds; a copy of the tree, or of its store, starts without one,
-    # makes its own and rebuilds as the tree does.  At eps 0 every update
-    # rebuilds the root, 200 rows of two real columns, by the sort sweep
-    rng = random.Random(3)
-    exs = [make_example((rng.random(), rng.random()), int(rng.random() < 0.3))
-           for _ in range(300)]
-    tree = DecisionTree.from_multiset(
-        ActiveMultiset.from_examples(exs[:200]),
-        FeasibilityParams(epsilon=0.0, alpha=0.3, beta=0.4, k=5, h=8))
-    scratch = tree._store.scratch
-    assert scratch is not None and len(scratch) == 400
-    assert tree._store.copy().scratch is None
-    c = clone(tree)
-    assert c._store.scratch is None and tree._store.scratch is scratch
-    for old, new in zip(exs[:100], exs[200:]):
-        for t in (tree, c):
-            t.update(old, "del")
-            t.update(new, "ins")
-        assert _tree_shape(c) == _tree_shape(tree)
-    assert tree._store.scratch is scratch
-    assert not np.shares_memory(c._store.scratch, scratch)
-
-
 @pytest.mark.parametrize("symbol", [("a",), ["a"], {"a"}, frozenset("a"),
                                     {"a": 1}])
 def test_schema_rejects_container_symbols(symbol):

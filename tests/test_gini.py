@@ -1,6 +1,7 @@
 """Gini index, gain and split search."""
 
 import random
+import threading
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from dyntree import (
     make_example,
 )
 from dyntree import gini
-from dyntree.core import _Store
 import dyntree.build as build_mod
 from dyntree.oracle import exhaustive_split_search
 
@@ -363,30 +363,58 @@ def test_list_sweep_equals_sort_sweep_bit_for_bit(monkeypatch):
         check(X, np.array(counts, dtype=float), np.array(ones, dtype=float))
 
 
-def test_sort_sweep_in_a_store_scratch_equals_the_list_sweep(monkeypatch):
-    # the sort sweep's running sums go to a store's scratch, which grows to
-    # the largest node and keeps the stale sums of the last one; nodes that
-    # grow it, shrink back below it and grow it again must each return the
-    # list sweep's answer exactly, as the sweep without a scratch does.
-    # LIST_CELLS at 0 keeps _sweep_numeric on numpy at every size
+def test_sort_sweep_in_the_scratch_equals_the_list_sweep(monkeypatch):
+    # the sort sweep's running sums go to this thread's scratch, which grows
+    # to the largest node of at most SCRATCH_CELLS cells and keeps the
+    # stale sums of the last one; nodes that grow it, shrink back below it
+    # and grow it again must each return the list sweep's answer exactly,
+    # and a larger node sweeps in a fresh array and leaves the scratch as
+    # it was.  X reads + 0.0, as the store codes it.  LIST_CELLS at 0 keeps _sweep_numeric on numpy at every size,
+    # and SCRATCH_CELLS at 4000 puts the 1000x8 nodes above it
     monkeypatch.setattr(gini, "LIST_CELLS", 0)
-    store = _Store(None)
+    monkeypatch.setattr(gini, "SCRATCH_CELLS", 4000)
+    monkeypatch.setattr(gini, "_scratch", threading.local())
     largest = 0
-    for seed, (n, m) in enumerate([(40, 2), (300, 3), (7, 1), (1000, 8),
-                                   (120, 4), (1, 3), (1000, 8), (600, 8)]):
+    for seed, (n, m) in enumerate([(1000, 8), (40, 2), (300, 3), (7, 1),
+                                   (1000, 8), (1000, 4), (120, 4), (1, 3),
+                                   (600, 5), (1000, 8), (1000, 4)]):
         rng = random.Random(seed)
         X, w, wy = _layout_inputs(rng, n, m)
+        X += 0.0
         total, ones = int(w.sum()), int(wy.sum())
         expected = gini._sweep_list(X.T.tolist(), w.tolist(), wy.tolist(),
                                     total, ones)
-        before = store.scratch
-        got = gini._sweep_numeric(X, w, wy, total, ones, None, store.sums)
+        before = getattr(gini._scratch, "sums", None)
+        got = gini._sweep_numeric(X, w, wy, total, ones)
         assert repr(got) == repr(expected), seed
-        assert repr(gini._sweep_numeric(X, w, wy, total, ones)) == repr(got)
+        after = getattr(gini._scratch, "sums", None)
+        if X.size > 4000:
+            assert after is before
+            continue
         largest = max(largest, X.size)
-        assert len(store.scratch) == largest
-        assert (store.scratch is before) == (before is not None
-                                             and len(before) >= X.size)
+        assert len(after) == largest
+        assert (after is before) == (before is not None
+                                     and len(before) >= X.size)
+    assert largest == 4000
+
+
+def test_each_thread_sweeps_in_a_scratch_of_its_own(monkeypatch):
+    # a sweep in another thread neither reads nor overwrites this
+    # thread's scratch
+    monkeypatch.setattr(gini, "_scratch", threading.local())
+    X, w, wy = _layout_inputs(random.Random(0), 300, 3)
+    total, ones = int(w.sum()), int(wy.sum())
+    got = gini._sweep_numeric(X, w, wy, total, ones)
+    mine = gini._scratch.sums.copy()
+    theirs = []
+    thread = threading.Thread(target=lambda: theirs.append(
+        (gini._sweep_numeric(X[::-1], w[::-1], wy[::-1], total, ones),
+         gini._scratch.sums)))
+    thread.start()
+    thread.join()
+    assert repr(theirs[0][0]) == repr(got)
+    assert not np.shares_memory(theirs[0][1], gini._scratch.sums)
+    assert gini._scratch.sums.tobytes() == mine.tobytes()
 
 
 def test_a_zero_threshold_reads_0_0_in_every_arrival_order(monkeypatch):
