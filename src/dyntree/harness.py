@@ -204,10 +204,7 @@ def run_stream(
     schema = Schema.infer(examples[0].features)
     warm_set = ActiveMultiset.from_examples(examples[:warm], schema)
     shadow = warm_set.copy() if config.verify else None
-    if warm:
-        tree = DecisionTree.from_multiset(warm_set, config.params)
-    else:
-        tree = DecisionTree.empty(config.params, schema)
+    tree = DecisionTree.from_multiset(warm_set, config.params)
     if shadow is not None:
         _verify_step(tree, shadow, config)
 
@@ -263,14 +260,28 @@ def emit_metrics(
     series_path=None,
 ) -> dict:
     """Summarize a run; write the summary as JSON to path when given, and
-    the steps as CSV to series_path when given."""
-    upd = metrics.per_update_nanos
+    the steps as CSV to series_path when given.
+
+    Update-time percentiles interpolate linearly between the two nearest
+    ranks, as statistics.median does; they are None for a run of no update.
+    """
+    upd = sorted(metrics.per_update_nanos)
+
+    def percentile(p: int):
+        if not upd:
+            return None
+        i, r = divmod(p * (len(upd) - 1), 100)
+        return upd[i] if r == 0 else (upd[i] * (100 - r) + upd[i + 1] * r) / 100
+
     summary = {
         "f1": metrics.f1,
         "predictions": len(metrics.predictions),
         "updates": metrics.n_updates,
         "mean_update_nanos": statistics.fmean(upd) if upd else None,
-        "median_update_nanos": statistics.median(upd) if upd else None,
+        "median_update_nanos": percentile(50),
+        "p90_update_nanos": percentile(90),
+        "p99_update_nanos": percentile(99),
+        "max_update_nanos": percentile(100),
         "rebuild_count": metrics.rebuild_count,
         "rebuild_example_touches": metrics.rebuild_example_touches,
         "rebuild_reused_touches": metrics.rebuild_reused_touches,

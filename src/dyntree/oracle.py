@@ -62,12 +62,8 @@ class _Columns:
         w = np.fromiter((c for _, c in entries), dtype=np.int64, count=n)
         y = np.fromiter((e.label for e, _ in entries), dtype=np.int64, count=n)
         self.counts = np.stack([w, w * y], axis=1)
-        if s.schema is not None:
-            self.kinds = s.schema.kinds
-        elif n:
-            self.kinds = Schema.infer(entries[0][0].features).kinds
-        else:
-            self.kinds = ()
+        # a multiset pins its schema at its first insert
+        self.kinds = s.schema.kinds if s.schema is not None else ()
         self.cols = []
         for j, kind in enumerate(self.kinds):
             vals = [e.features[j] for e, _ in entries]
@@ -308,15 +304,10 @@ def exact_feature_gains(s: ActiveMultiset) -> list[Fraction]:
     """Per feature, the exact maximal gain over observed thresholds."""
     if len(s) == 0:
         raise ValueError("exact_feature_gains needs a nonempty multiset")
-    first = next(iter(s))
-    d = len(first.features)
-    kinds = (
-        s.schema.kinds if s.schema is not None else Schema.infer(first.features).kinds
-    )
     out = []
-    for j in range(d):
+    for j, kind in enumerate(s.schema.kinds):
         values = sorted({e.features[j] for e in s})
-        cat = kinds[j] is FeatureKind.CATEGORICAL
+        cat = kind is FeatureKind.CATEGORICAL
         best = Fraction(0)
         for t in values:
             gain = exact_gain(s, Split(j, t, categorical=cat))

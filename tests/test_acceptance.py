@@ -23,14 +23,9 @@ from dyntree import (
     Schema,
     Split,
     StreamConfig,
-    audit_smoothness,
     best_split,
     check_counters,
     check_feasibility,
-    exact_feature_gains,
-    exact_gini,
-    exhaustive_split_search,
-    generate_index_instance,
     load_stream,
     make_example,
     mixed_stream,
@@ -38,6 +33,13 @@ from dyntree import (
     threshold_stream,
 )
 from dyntree.build import build
+from dyntree.oracle import (
+    audit_smoothness,
+    exact_feature_gains,
+    exact_gini,
+    exhaustive_split_search,
+    generate_index_instance,
+)
 
 GUARANTEED = dict(epsilon=0.03, alpha=0.4, beta=0.5, k=3)
 SOAK_STREAMS = 54

@@ -12,14 +12,13 @@ from dyntree import (
     FeatureKind,
     Schema,
     Split,
-    exhaustive_split_search,
-    gini_index,
     make_example,
 )
 import dyntree.build as build_mod
 import dyntree.gini as gini_mod
 from dyntree.build import build
-from dyntree.gini import TIE_TOL
+from dyntree.gini import TIE_TOL, gini_index
+from dyntree.oracle import exhaustive_split_search
 
 PARAMS = FeasibilityParams(epsilon=0.1, alpha=0.2, beta=0.1, k=1, h=8)
 

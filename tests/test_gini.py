@@ -14,11 +14,10 @@ from dyntree import (
     Schema,
     Split,
     best_split,
-    gini_gain,
-    gini_index,
     make_example,
 )
 from dyntree import gini
+from dyntree.gini import gini_gain, gini_index
 import dyntree.build as build_mod
 from dyntree.oracle import exhaustive_split_search
 

@@ -3,6 +3,7 @@ verification."""
 
 import hashlib
 import json
+import statistics
 
 import pytest
 
@@ -15,7 +16,6 @@ from dyntree import (
     StreamMetrics,
     VerificationError,
     emit_metrics,
-    era_flip_stream,
     load_stream,
     make_example,
     mixed_stream,
@@ -24,6 +24,7 @@ from dyntree import (
     threshold_stream,
 )
 from dyntree.harness import _verify_step
+from dyntree.synth import era_flip_stream
 
 PARAMS = FeasibilityParams(epsilon=0.3, alpha=0.2, beta=0.3, k=3, h=8)
 GUARANTEED = FeasibilityParams(epsilon=0.03, alpha=0.4, beta=0.5, k=3, h=None)
@@ -251,6 +252,26 @@ def test_emit_metrics_handles_empty_run(tmp_path):
     summary = emit_metrics(StreamMetrics(), out)
     assert summary["mean_update_nanos"] is None
     assert json.loads(out.read_text())["f1"] == 0.0
+
+
+PERCENTILES = ("median_update_nanos", "p90_update_nanos", "p99_update_nanos",
+               "max_update_nanos")
+
+
+@pytest.mark.parametrize("nanos, expected", [
+    # linear interpolation between the two nearest ranks: p50 of an even
+    # count is the mean of the middle two, as statistics.median reads it
+    ([40, 10, 30, 20], (25.0, 37.0, 39.7, 40)),
+    # one point is every percentile (statistics.quantiles raises on it
+    # before Python 3.13), and no point leaves every percentile None
+    ([7], (7, 7, 7, 7)),
+    ([], (None, None, None, None)),
+], ids=["four", "one", "none"])
+def test_emit_metrics_percentiles_interpolate_linearly(nanos, expected):
+    summary = emit_metrics(StreamMetrics(per_update_nanos=nanos))
+    assert tuple(summary[key] for key in PERCENTILES) == expected
+    if nanos:
+        assert summary["median_update_nanos"] == statistics.median(nanos)
 
 
 def test_verify_step_raises_on_corrupted_tree():

@@ -16,20 +16,22 @@ from dyntree import (
     Schema,
     Split,
     TreeNode,
-    audit_smoothness,
     best_split,
     check_counters,
     check_feasibility,
+    make_example,
+)
+from dyntree import oracle
+from dyntree.build import build
+from dyntree.gini import gini_gain
+from dyntree.oracle import (
+    audit_smoothness,
     exact_feature_gains,
     exact_gain,
     exact_gini,
     exhaustive_split_search,
     generate_index_instance,
-    gini_gain,
-    make_example,
 )
-from dyntree import oracle
-from dyntree.build import build
 
 PARAMS = FeasibilityParams(epsilon=0.2, alpha=0.3, beta=0.2, k=2, h=8)
 

@@ -19,32 +19,40 @@ def _load(name):
     return module
 
 
-def test_benchmark_reports_a_mode_that_ran_no_updates(capsys):
+def test_sweep_reports_a_mode_that_ran_no_updates(capsys):
     # 500 examples do not fill the sliding window of 1000, so sw runs no
     # update; its timing and page-fault columns read "-" instead of raising
-    assert _load("benchmark").main(["--n", "500"]) == 0
+    assert _load("sweep_epsilon").main(["--n", "500"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split()[-1] == "faults/upd"
     rows = {line.split()[0]: line.split() for line in lines[1:]}
-    assert rows["sw"][1:6] == ["0", "-", "-", "-", "-"]
+    assert rows["sw"][2:8] == ["0", "-", "-", "-", "-", "-"]
     assert rows["sw"][-1] == "-"
-    assert rows["ru"][1] == "500" and "-" not in rows["ru"]
+    assert rows["ru"][2] == "500" and "-" not in rows["ru"]
     assert float(rows["ru"][-1]) >= 0.0
 
 
-def test_sweep_epsilon_prints_and_writes_a_row_per_epsilon(capsys, tmp_path):
+def test_sweep_prints_and_writes_a_row_per_mode_and_epsilon(capsys, tmp_path):
     out = tmp_path / "sweep.csv"
     assert _load("sweep_epsilon").main([
-        "--updates", "60", "--window", "20", "--d", "3",
+        "--mode", "sw", "ru", "--n", "50", "--window", "20", "--d", "3",
         "--epsilon", "0", "1", "--out", str(out),
     ]) == 0
     printed = capsys.readouterr().out.splitlines()
-    assert printed[0].split() == ["epsilon", "mean", "us", "median", "us",
-                                  "rebuilds", "touches", "f1"]
-    assert [line.split()[0] for line in printed[1:]] == ["0", "1"]
+    assert printed[0].split() == [
+        "mode", "epsilon", "updates", "mean", "us", "p50", "us", "p90", "us",
+        "p99", "us", "max", "us", "rebuilds", "touches", "f1", "faults/upd"]
+    grid = [["sw", "0"], ["sw", "1"], ["ru", "0"], ["ru", "1"]]
+    assert [line.split()[:2] for line in printed[1:]] == grid
+    # 50 examples through a window of 20 make 30 steps of two updates
+    assert [line.split()[2] for line in printed[1:3]] == ["60", "60"]
     rows = out.read_text().splitlines()
-    assert rows[0] == "epsilon,mean_us,median_us,rebuilds,touches,f1"
-    assert [row.split(",")[0] for row in rows[1:]] == ["0.0", "1.0"]
+    assert rows[0] == (
+        "mode,epsilon,updates,mean_update_nanos,median_update_nanos,"
+        "p90_update_nanos,p99_update_nanos,max_update_nanos,rebuild_count,"
+        "rebuild_example_touches,f1,faults_per_update")
+    assert [row.split(",")[:2] for row in rows[1:]] == [
+        [mode, f"{float(eps)}"] for mode, eps in grid]
 
 
 # The digests of `tree_digest.py --steps 150 --seed 3`, recorded before the
