@@ -5,10 +5,19 @@ store (``core._Store``) and slices the store's counts, real matrix and
 code matrix by them.  The split search is written once, as one build's
 node sweep (``_node_sweep``): the builder runs it at every node, and
 ``best_split`` (acceptance criterion 5) at a multiset's held rows, as at
-a rebuild's target.  It picks each node's real-column kernel, the list,
-sort or binned sweep, by one rule (see ``gini``), makes the target's rank
-codes when a node first needs them, runs the categorical sweep and takes
-the first feature whose gain is within ``TIE_TOL`` of the best.
+a rebuild's target.  It picks each node's real-column kernel (see
+``gini``), runs the categorical sweep and takes the first feature whose
+gain is within ``TIE_TOL`` of the best.
+
+The kernel follows a node's real cells, rows times real columns.  A node
+of at most ``LIST_CELLS`` runs the list sweep.  A target of at least
+``RANK_ROWS`` rows keeps its sort sweep's sort when its columns repeat
+values enough: V, their distinct values summed over the columns, with
+``RANK_GATE * V`` at most its cells.  Below such a target a node of at
+least V cells runs the binned sweep, over rank codes that the first such
+node makes from that sort, local to the one rebuild.  Every other node
+runs the sort sweep.
+
 Each leaf gets its slice of the row array, listed under the store's
 current clock (``TreeNode.leaf_rows``, ``TreeNode.leaf_ticket``).
 
@@ -27,14 +36,25 @@ import numpy as np
 
 from .core import (ActiveMultiset, FeasibilityParams, FeatureKind, Split,
                    TreeNode, _Store)
-from .gini import (RANK_ROWS, TIE_TOL, _gini_from_counts, _rank_codes,
-                   _sweep_binned, _sweep_categorical, _sweep_numeric,
-                   _takes_lists)
+from .gini import (TIE_TOL, _gini_from_counts, _rank_codes, _sweep_binned,
+                   _sweep_categorical, _sweep_list, _sweep_numeric)
 
 # Bound here for bench/tracing.py, which patches it by name in this module;
 # the builder calls it nowhere, as both sweeps return their gains.  It goes
 # when the benchmark reads engine events instead (ROADMAP item 1).
 from .gini import _gain_from_counts  # noqa: F401
+
+# A node with at most LIST_CELLS real cells sweeps them on Python lists,
+# where numpy's cost per call would outweigh its arithmetic.  It stays
+# below RANK_ROWS, so a target that makes rank codes is never that small.
+LIST_CELLS = 96
+
+# A rebuild's target keeps its sort for rank codes when it has at least
+# RANK_ROWS rows and RANK_GATE times their number of distinct values is at
+# most their number of cells.  A smaller target has too few nodes below to
+# repay the codes, so it does not even count its values.
+RANK_ROWS = 128
+RANK_GATE = 16
 
 
 def _stops(total: int, ones: int, eta: int, params: FeasibilityParams) -> bool:
@@ -93,16 +113,12 @@ def _node_sweep(store: _Store, rows: np.ndarray):
     schema = store.schema
     num, cat, code_col = schema._real, schema._categorical, store.code_col
     d, m = len(schema.kinds), len(num)
-    # the target's sort of its real columns, and V, the number of their
-    # distinct values, when the target has RANK_ROWS rows or more and they
-    # repeat values enough (see gini._sweep_numeric), else V = 0; the first
-    # node below with at least V cells, and too many for the list sweep,
-    # makes their rank codes from it
-    layout = [] if len(rows) >= RANK_ROWS else None
-    V, rank = 0, None
+    # the target's (V, order, sorted values, ties) when it passes the gate,
+    # else empty, and the rank codes made from it
+    layout, rank = [], None
 
     def sweep(idx, total: int, ones: int) -> tuple:
-        nonlocal V, rank
+        nonlocal rank
         first = idx is None
         wi = w if first else w[idx]
         wyi = wy if first else wy[idx]
@@ -111,22 +127,27 @@ def _node_sweep(store: _Store, rows: np.ndarray):
         found = [None] * d
         Xi = Ci = vals = None
         if num:
-            if first:
+            cells = len(wi) * m
+            # rows are gathered by take: numpy's X[idx] on a matrix takes a
+            # slower path, about 4x at hundreds of rows
+            if cells <= LIST_CELLS:
+                Xi = X if first else X.take(idx, axis=0)
+                res = _sweep_list(Xi.T.tolist(), wi.tolist(), wyi.tolist(),
+                                  total, ones)
+            elif first and len(rows) >= RANK_ROWS:
                 Xi = X
                 res = _sweep_numeric(X, w, wy, total, ones, layout)
-                V = layout[0] if layout else 0
-            elif (V and len(idx) * m >= V
-                  and not _takes_lists(len(idx) * m)):
+                if RANK_GATE * layout[0] > cells:
+                    layout.clear()
+            elif layout and cells >= layout[0]:
                 if rank is None:
                     rank = _rank_codes(*layout[1:])
                 # Xi holds codes, thresholds are codes, vals maps them
                 R, vals, starts, rcol = rank
-                # rows are gathered by take: numpy's X[idx] on a matrix
-                # takes a slower path, about 4x at hundreds of rows
                 Xi = R.take(idx, axis=0)
                 res = _sweep_binned(Xi, wi, wyi, total, ones, starts, rcol)
             else:
-                Xi = X.take(idx, axis=0)
+                Xi = X if first else X.take(idx, axis=0)
                 res = _sweep_numeric(Xi, wi, wyi, total, ones)
             for j, r in zip(num, res):
                 found[j] = r

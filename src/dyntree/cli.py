@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--verify",
         action="store_true",
-        help="run the feasibility and counter oracles after every update",
+        help="check counters after every update, feasibility if guaranteed",
     )
     run.add_argument("--out", default=None, help="write a JSON summary here")
     run.add_argument("--series", default=None, help="write a per-step CSV here")

@@ -29,27 +29,15 @@ and, in ``build``'s node sweep, a node's lowest such feature.  A
 categorical column scans its codes in order and keeps a later code only
 when it beats the best so far by more than ``TIE_TOL``.
 
-The node sweep in ``build`` picks a node's real-column kernel, for the
-builder and ``best_split`` alike.  A node of at most ``LIST_CELLS`` real
-cells (rows times real columns) runs ``_sweep_list``: one ``sorted`` per
-column and a boundary scan on Python lists, where numpy's cost per call
-would outweigh its arithmetic.  Larger nodes run the sort sweep,
-``_sweep_numeric``, or the binned sweep.
-
-Real columns that repeat values are also split by counting, as binary and
-categorical ones are.  The sort sweep of a rebuild's target can hand back
-its sort.  When the target has at least ``RANK_ROWS`` rows and its columns
-hold few distinct values (V, summed over the columns, with
-``RANK_GATE * V <= rows * columns``), each node below the target whose
-cells number at least V, and more than ``LIST_CELLS``, runs
-``_sweep_binned`` instead of sorting.  The first such node turns the
-target's sort into dense rank codes (``_rank_codes``), local to the one
-rebuild: global across the columns, each column's codes one block in
-value order.  The binned sweep takes two bincounts and cumsums over the
-codes present.  Each row has one code per column, so column j's running
-sums over the codes present run on from ``j * total`` and ``j * ones``;
-less those offsets they are the sort sweep's running sums exactly, and the
-winner is the same, bit for bit.
+``build``'s node sweep picks the kernel that sweeps a node's real
+columns.  Real columns that repeat values can also be split by counting,
+as categorical ones are: ``_rank_codes`` turns a sort sweep's sort into
+dense rank codes, global across the columns, each column's codes one
+block in value order, and the binned sweep (``_sweep_binned``) takes two
+bincounts and cumsums over the codes present.  Each row has one code per
+column, so column j's running sums over the codes present run on from
+``j * total`` and ``j * ones``; less those offsets they are the sort
+sweep's running sums exactly, and the winner is the same, bit for bit.
 """
 
 from __future__ import annotations
@@ -61,19 +49,6 @@ import numpy as np
 from .core import ActiveMultiset, Split
 
 TIE_TOL = 1e-12
-
-# A rebuild's target rank-codes its real columns when it has at least
-# RANK_ROWS rows and RANK_GATE times their number of distinct values is at
-# most their number of cells.  A smaller target has too few nodes below to
-# repay the codes, so it does not even count its values.
-RANK_ROWS = 128
-RANK_GATE = 16
-
-# A node with at most LIST_CELLS real cells (rows times real columns)
-# sweeps them on Python lists, where numpy's cost per call would outweigh
-# its arithmetic.  It stays below RANK_ROWS, so a target that makes rank
-# codes is never that small.
-LIST_CELLS = 96
 
 # The sort sweep's running sums of up to SCRATCH_CELLS cells (16 bytes
 # each) go to a scratch that this thread keeps across sweeps (``_sums``);
@@ -120,15 +95,6 @@ def gini_gain(s: ActiveMultiset, split: Split) -> float:
             left += c
             left_ones += c * e.label
     return _gain_from_counts(total, ones, left, left_ones)
-
-
-def _takes_lists(cells: int) -> bool:
-    """Whether a node of this many real cells sweeps them on lists.
-
-    Such a node runs ``_sweep_list`` (through ``_sweep_numeric``) even
-    where rank codes would let it run the binned sweep.
-    """
-    return cells <= LIST_CELLS
 
 
 def _gains(wl, wyl, total: int, ones: int):
@@ -192,12 +158,11 @@ def _sweep_numeric(X: np.ndarray, w, wy, total: int, ones: int,
     reductions along that row: along axis 0 of a row-major (rows, columns)
     matrix, numpy's sorts and reductions take strided slow paths.
 
-    When layout is a list and the columns repeat values enough, that is,
-    RANK_GATE * V is at most their number of cells for V their distinct
-    values summed over the columns, (V, order, sorted values, ties) is
-    appended to it, for ``_rank_codes``: (rows, columns) views, column-major,
-    of the sweep's arrays, ``order[i, j]`` the row of column j's i-th
-    smallest value and ``ties[i, j]`` whether it equals the next one.
+    When layout is a list, (V, order, sorted values, ties) is appended to
+    it, for ``_rank_codes``: V the number of distinct values summed over
+    the columns, and (rows, columns) views, column-major, of the sweep's
+    arrays, ``order[i, j]`` the row of column j's i-th smallest value and
+    ``ties[i, j]`` whether it equals the next one.
 
     Both running sums come from one cumsum over a complex128 vector, w
     the real part and wy the imaginary one, gathered by the sort; the
@@ -228,13 +193,7 @@ def _sweep_numeric(X: np.ndarray, w, wy, total: int, ones: int,
     values is a candidate, and its running sums cover the whole run in any
     order.  The threshold is that row's value, so values that compare
     equal must be one value: the row store codes -0.0 as 0.0.
-
-    A node small enough for ``_takes_lists`` is handed to ``_sweep_list``,
-    unless layout is asked for.
     """
-    if layout is None and _takes_lists(X.size):
-        return _sweep_list(X.T.tolist(), w.tolist(), wy.tolist(), total,
-                           ones)
     n, m = X.shape
     XT = np.ascontiguousarray(X.T)
     order = XT.argsort(axis=1)
@@ -253,9 +212,7 @@ def _sweep_numeric(X: np.ndarray, w, wy, total: int, ones: int,
     # not a value boundary: the gain drops below every column's best
     np.subtract(gains[:, :-1], tie, out=gains[:, :-1])
     if layout is not None:
-        V = X.size - np.count_nonzero(tie)
-        if RANK_GATE * V <= X.size:
-            layout += V, order.T, sv.T, tie.T
+        layout += X.size - np.count_nonzero(tie), order.T, sv.T, tie.T
 
     # at becomes the flat index of each column's winner
     at += (gains >= gains.max(axis=1, keepdims=True) - TIE_TOL).argmax(axis=1)

@@ -56,7 +56,8 @@ class _Columns:
     distinct example's count and 1-label count, one row per example."""
 
     def __init__(self, s: ActiveMultiset):
-        entries = list(s.items())
+        # in storage order: no verdict depends on the rows' order
+        entries = s._unsorted_items()
         n = len(entries)
         self.n = n
         w = np.fromiter((c for _, c in entries), dtype=np.int64, count=n)

@@ -16,9 +16,10 @@ from dyntree import (
 )
 import dyntree.build as build_mod
 import dyntree.gini as gini_mod
-from dyntree.build import build
+from dyntree.build import best_split, build
 from dyntree.gini import TIE_TOL, gini_index
 from dyntree.oracle import exhaustive_split_search
+from shared import walk
 
 PARAMS = FeasibilityParams(epsilon=0.1, alpha=0.2, beta=0.1, k=1, h=8)
 
@@ -31,16 +32,6 @@ def leaf_multiset(store, leaf):
         [(store.examples[r], store.count[r])
          for r in leaf.leaf_rows.tolist()],
         store.schema)
-
-
-def walk(node):
-    stack = [node]
-    while stack:
-        v = stack.pop()
-        yield v
-        if not v.is_leaf:
-            stack.append(v.right)
-            stack.append(v.left)
 
 
 def test_empty_build_is_zero_leaf():
@@ -317,8 +308,8 @@ def test_rank_codes_made_after_sort_sweeps_in_the_scratch_build_alike(
     # without the fill.  The gate at 1 and LIST_CELLS at 0 send
     # a node with fewer cells than the target's distinct values to the sort
     # sweep, and a larger one to the binned sweep
-    monkeypatch.setattr(gini_mod, "RANK_GATE", 1)
-    monkeypatch.setattr(gini_mod, "LIST_CELLS", 0)
+    monkeypatch.setattr(build_mod, "RANK_GATE", 1)
+    monkeypatch.setattr(build_mod, "LIST_CELLS", 0)
     events = []
 
     def sort_spy(X, w, wy, total, ones, layout=None):
@@ -363,9 +354,10 @@ def test_node_sweep_takes_the_first_feature_within_tie_tol_of_the_best(
     # the one tie rule across features, for the builder and best_split:
     # the first gain within TIE_TOL of the largest.  Each gain here is
     # within TIE_TOL of the one before, so a sequential strict scan
-    # (gain > best + TIE_TOL), which both ran before, picks the last
+    # (gain > best + TIE_TOL), which both ran before, picks the last.  A
+    # target of 2x3 real cells takes the list sweep
     gains = [0.0, 0.6e-12, 1.2e-12]
-    monkeypatch.setattr(build_mod, "_sweep_numeric",
+    monkeypatch.setattr(build_mod, "_sweep_list",
                         lambda *args: [(0.0, 1, 0, g) for g in gains])
     s = ActiveMultiset.from_examples([make_example((0.0, 0.0, 0.0), 0),
                                       make_example((1.0, 1.0, 1.0), 1)])
@@ -378,3 +370,48 @@ def test_node_sweep_takes_the_first_feature_within_tie_tol_of_the_best(
         if gain > best + TIE_TOL:
             scan, best = k, gain
     assert scan == 2
+
+
+def test_node_sweep_picks_each_real_kernel_by_its_cells(monkeypatch):
+    # build's node sweep alone picks a node's real-column kernel by its real
+    # cells: the list sweep up to LIST_CELLS; else, below a target whose V
+    # distinct values pass the gate, the binned sweep on nodes of at least V
+    # cells; else the sort sweep, as at the target
+    calls = []
+    for name in ("_sweep_list", "_sweep_numeric", "_sweep_binned"):
+        def spy(*args, name=name, sweep=getattr(build_mod, name)):
+            calls.append((name, np.size(args[0])))
+            return sweep(*args)
+        monkeypatch.setattr(build_mod, name, spy)
+    params = FeasibilityParams(epsilon=0.1, alpha=0.0, beta=0.1, k=1, h=None)
+    rng = random.Random(3)
+
+    def kernels(n, values):
+        # a build of n distinct rows of 4 real columns, each drawn from
+        # `values` values, their labels noisy in the first two
+        rows = {}
+        while len(rows) < n:
+            x = tuple(float(rng.randrange(values)) for _ in range(4))
+            rows[x] = int(x[0] + x[1] >= values) ^ (rng.random() < 0.2)
+        V = sum(len(set(col)) for col in zip(*rows))
+        gated = n >= build_mod.RANK_ROWS and build_mod.RANK_GATE * V <= 4 * n
+        calls.clear()
+        build(ActiveMultiset.from_examples(
+            itertools.starmap(make_example, rows.items())), 0, params)
+        assert calls[0][1] == 4 * n
+        for i, (name, cells) in enumerate(calls):
+            assert name == ("_sweep_list" if cells <= build_mod.LIST_CELLS
+                            else "_sweep_binned" if i and gated and cells >= V
+                            else "_sweep_numeric"), (i, name, cells, V)
+        return gated, {name for name, _ in calls}
+
+    assert kernels(20, 1000) == (False, {"_sweep_list"})
+    assert kernels(200, 5) == (True, {"_sweep_numeric", "_sweep_binned",
+                                      "_sweep_list"})
+    for values in (20, 10**6):  # too many distinct values to code
+        assert kernels(200, values) == (False, {"_sweep_numeric",
+                                                "_sweep_list"})
+    calls.clear()
+    best_split(ActiveMultiset.from_examples([make_example((0.0, 1.0), 0),
+                                             make_example((1.0, 1.0), 1)]))
+    assert calls == [("_sweep_list", 4)]

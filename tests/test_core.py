@@ -28,6 +28,7 @@ from dyntree import (
     Split,
     make_example,
 )
+from shared import Code, Picky, Unordered, walk
 
 PUBLIC_NAMES = [
     "ActiveMultiset", "DecisionTree", "ExampleNotFound", "FeasibilityParams",
@@ -280,40 +281,9 @@ def test_rejected_unhashable_insert_changes_nothing():
     assert s.schema == Schema.numeric(1)
 
 
-class _Picky:
-    """A user-defined type whose ``<`` raises between 1 and 2 only.  Its
-    instances once passed the ``v < v`` probe, so 1 and 2 could stand side
-    by side in a column; none is a symbol now."""
-
-    def __init__(self, v):
-        self.v = v
-
-    def __eq__(self, other):
-        return isinstance(other, _Picky) and self.v == other.v
-
-    def __hash__(self):
-        return hash(self.v)
-
-    def __lt__(self, other):
-        if {self.v, other.v} == {1, 2}:
-            raise TypeError("1 and 2 do not order")
-        return self.v < other.v
-
-
-class _Unordered(str):
-    """A str whose ``<`` raises: not exactly a str, so not a symbol."""
-
-    def __lt__(self, other):
-        raise TypeError("no order")
-
-
-class _Code(int):
-    pass
-
-
 @pytest.mark.parametrize("symbol", [
     1j, object(), Decimal("NaN"), None, Decimal("sNaN"), Decimal(1),
-    Fraction(1, 2), _Picky(0), _Unordered("a"), _Code(1)],
+    Fraction(1, 2), Picky(0), Unordered("a"), Code(1)],
     ids=["complex", "object", "decimal-nan", "none", "decimal-snan",
          "decimal", "fraction", "picky", "str-subclass", "int-subclass"])
 def test_symbols_that_cannot_sort_are_rejected(symbol):
@@ -322,7 +292,7 @@ def test_symbols_that_cannot_sort_are_rejected(symbol):
     # declared schema or an inferred one (which takes an int subclass as
     # a real value)
     inferred = Schema.infer(("a", symbol)) == Schema.categorical(2)
-    assert inferred == (type(symbol) is not _Code)
+    assert inferred == (type(symbol) is not Code)
     for schema in [Schema.categorical(2)] + [None] * inferred:
         s = ActiveMultiset(schema)
         with pytest.raises(SchemaError,
@@ -551,13 +521,7 @@ def test_a_large_flush_codes_every_integer_label_type(kinds):
 def _tree_state(tree):
     # everything a failed update must leave as it was
     union = tree.leaf_union()
-    pendings = []
-    stack = [tree.root]
-    while stack:
-        v = stack.pop()
-        pendings.append((id(v), v.pending))
-        if not v.is_leaf:
-            stack += (v.right, v.left)
+    pendings = [(id(v), v.pending) for v in walk(tree.root)]
     return (tree.active_size, pendings, dataclasses.astuple(tree.stats),
             dict(union.items()), tree._store.symbol_types,
             dyntree.check_counters(tree, union, tree.params.epsilon).ok)
@@ -612,9 +576,9 @@ def test_a_delete_whose_rebuild_raises_changes_nothing(monkeypatch):
 
 
 def test_symbols_that_do_not_order_never_enter_a_tree():
-    # In a tree at eps=4, _Picky(0) twice, then _Picky(1) and _Picky(2)
+    # In a tree at eps=4, Picky(0) twice, then Picky(1) and Picky(2)
     # once entered without a rebuild; 19 of the next 20 inserts of
-    # _Picky(0) then raised TypeError from the sort of the symbols, and
+    # Picky(0) then raised TypeError from the sort of the symbols, and
     # leaf_union().items() and check_counters raised too.  Each insert is
     # now rejected at the boundary, and the tree goes on with str symbols.
     params = FeasibilityParams(epsilon=4.0)
@@ -622,7 +586,7 @@ def test_symbols_that_do_not_order_never_enter_a_tree():
     before = _tree_state(tree)
     for v in (0, 0, 1, 2):
         with pytest.raises(SchemaError, match="feature 0 must be a str"):
-            tree.update(make_example((_Picky(v),), 0), "ins")
+            tree.update(make_example((Picky(v),), 0), "ins")
         assert _tree_state(tree) == before
     exs = [make_example(("abc"[i % 3],), i % 2) for i in range(20)]
     rebuilds = sum(tree.update(e, "ins") is not None for e in exs)

@@ -25,6 +25,7 @@ from dyntree import (
 )
 from dyntree.build import build
 from dyntree.dynamic import _shat
+from shared import Code, Picky, Unordered, state, walk
 
 HALF = FeasibilityParams(epsilon=0.5, alpha=0.2, beta=0.2, k=1, h=8)
 
@@ -123,24 +124,14 @@ def test_del_of_absent_changes_nothing():
     before_active = tree.active_size
     before_updates = tree.stats.updates
     pendings = [
-        (id(v), v.pending) for v in _walk(tree.root)
+        (id(v), v.pending) for v in walk(tree.root)
     ]
     with pytest.raises(ExampleNotFound):
         tree.update(make_example((0.0,), 1), "del")
     assert tree.active_size == before_active
     assert tree.stats.updates == before_updates
-    assert [(id(v), v.pending) for v in _walk(tree.root)] == pendings
+    assert [(id(v), v.pending) for v in walk(tree.root)] == pendings
     assert tree.leaf_union() == ActiveMultiset.from_examples(exs)
-
-
-def _walk(node):
-    stack = [node]
-    while stack:
-        v = stack.pop()
-        yield v
-        if not v.is_leaf:
-            stack.append(v.right)
-            stack.append(v.left)
 
 
 def test_insert_then_delete_restores_active_set():
@@ -219,15 +210,6 @@ def test_query_and_insert_validate_each_example_once(monkeypatch):
     assert calls == [(2.0, "b"), (3.0, "c")]
 
 
-def _state(tree):
-    """What a rejected update must leave as it was."""
-    store = tree._store
-    return ([(id(v), v.pending) for v in _walk(tree.root)],
-            dict(tree.leaf_union().items()), tree.active_size,
-            dataclasses.astuple(tree.stats), store.symbol_types,
-            list(store.examples), list(store.free))
-
-
 def test_an_insert_of_the_queried_tuple_validates_it_once(monkeypatch):
     tree = _tree([make_example((1.0, "a"), 1), make_example((2.0, "b"), 0)])
     calls = _spy_validate(monkeypatch)
@@ -248,10 +230,10 @@ def test_a_queried_list_mutated_to_hold_nan_is_rejected_at_the_insert():
     features = [1.0, "a"]
     tree.query(features)  # lists pass the fast path too
     features[0] = float("nan")
-    before = _state(tree)
+    before = state(tree)
     with pytest.raises(SchemaError, match="NaN"):
         tree.update(LabeledExample(features, 1), "ins")
-    assert _state(tree) == before
+    assert state(tree) == before
 
 
 def test_a_queried_str_tuple_still_meets_an_int_pin(monkeypatch):
@@ -261,11 +243,11 @@ def test_a_queried_str_tuple_still_meets_an_int_pin(monkeypatch):
     calls = _spy_validate(monkeypatch)
     a = make_example(("a",), 1)
     tree.query(a.features)
-    before = _state(tree)
+    before = state(tree)
     with pytest.raises(SchemaError, match="feature 0 holds int symbols"):
         tree.update(a, "ins")
     assert calls == [a.features]  # validated once, by the query
-    assert _state(tree) == before
+    assert state(tree) == before
 
 
 class _Tuple(tuple):
@@ -318,12 +300,12 @@ def test_a_query_on_one_tree_skips_nothing_on_another(monkeypatch):
 def test_nan_update_raises_before_any_state_changes():
     exs = [make_example((float(i), 1.0), i % 2) for i in range(6)]
     tree = DecisionTree.from_multiset(ActiveMultiset.from_examples(exs), HALF)
-    pendings = [(id(v), v.pending) for v in _walk(tree.root)]
+    pendings = [(id(v), v.pending) for v in walk(tree.root)]
     with pytest.raises(SchemaError):
         tree.update(make_example((float("nan"), 1.0), 1), "ins")
     assert tree.active_size == 6
     assert tree.stats.updates == 0
-    assert [(id(v), v.pending) for v in _walk(tree.root)] == pendings
+    assert [(id(v), v.pending) for v in walk(tree.root)] == pendings
     assert tree.leaf_union() == ActiveMultiset.from_examples(exs)
 
 
@@ -337,7 +319,7 @@ def test_real_ints_without_an_exact_float_raise_before_any_state_changes(
     exs = [make_example((float(i), 1.0), i % 2) for i in range(6)]
     tree = _tree(exs)
     s = ActiveMultiset.from_examples(exs)
-    pendings = [(id(v), v.pending) for v in _walk(tree.root)]
+    pendings = [(id(v), v.pending) for v in walk(tree.root)]
     bad = make_example((value, 1.0), 1)
     with pytest.raises(SchemaError, match="float64 cannot hold exactly"):
         tree.update(bad, "ins")
@@ -347,7 +329,7 @@ def test_real_ints_without_an_exact_float_raise_before_any_state_changes(
         s.insert(bad)
     assert tree.active_size == 6
     assert tree.stats.updates == 0
-    assert [(id(v), v.pending) for v in _walk(tree.root)] == pendings
+    assert [(id(v), v.pending) for v in walk(tree.root)] == pendings
     assert tree.leaf_union() == ActiveMultiset.from_examples(exs) == s
     # ints that a float64 holds exactly stay real values
     for v in (2**53, 3):
@@ -365,12 +347,12 @@ def test_mixed_symbol_types_raise_before_any_state_changes():
     a, one = make_example(("a",), 1), make_example((1,), 0)
     tree = DecisionTree.empty(params, Schema.categorical(1))
     tree.update(a, "ins")
-    pendings = [(id(v), v.pending) for v in _walk(tree.root)]
+    pendings = [(id(v), v.pending) for v in walk(tree.root)]
     with pytest.raises(SchemaError, match="feature 0 holds str symbols"):
         tree.update(one, "ins")
     assert tree.active_size == 1
     assert tree.stats.updates == 1
-    assert [(id(v), v.pending) for v in _walk(tree.root)] == pendings
+    assert [(id(v), v.pending) for v in walk(tree.root)] == pendings
     shadow = ActiveMultiset.from_examples([a])
     assert tree.leaf_union() == shadow
     assert check_counters(tree, shadow, params.epsilon).ok
@@ -448,15 +430,10 @@ def test_an_update_that_raises_in_its_descent_changes_nothing(where):
         node.split = dataclasses.replace(node.split, threshold=_Touchy())
     assert len(_path(tree, bad.features)) >= 2  # bumps below the root
 
-    def state():
-        return ([(id(v), v.pending) for v in _walk(tree.root)],
-                dataclasses.astuple(tree.stats), tree.active_size,
-                dict(tree.leaf_union().items()))
-
-    before = state()
+    before = state(tree)
     with pytest.raises(err):
         tree.update(bad, "ins")
-    assert state() == before
+    assert state(tree) == before
 
 
 def test_an_update_counts_on_its_path_only():
@@ -464,44 +441,16 @@ def test_an_update_counts_on_its_path_only():
     e = make_example((3.0, 1.0), 0)
     on_path = {id(v) for v in _path(tree, e.features)}
     assert len(on_path) >= 3
-    before = {id(v): v.pending for v in _walk(tree.root)}
+    before = {id(v): v.pending for v in walk(tree.root)}
     for bumps, op in enumerate(("ins", "del"), start=1):
         assert tree.update(e, op) is None
-        for v in _walk(tree.root):
+        for v in walk(tree.root):
             assert v.pending == before[id(v)] + bumps * (id(v) in on_path)
-
-
-class _Picky:
-    """A user-defined type that orders against itself, and is still not a
-    symbol type."""
-
-    def __init__(self, v):
-        self.v = v
-
-    def __eq__(self, other):
-        return isinstance(other, _Picky) and self.v == other.v
-
-    def __hash__(self):
-        return hash(self.v)
-
-    def __lt__(self, other):
-        return self.v < other.v
-
-
-class _Unordered(str):
-    """A str whose ``<`` raises: not exactly a str, so not a symbol."""
-
-    def __lt__(self, other):
-        raise TypeError("no order")
-
-
-class _Code(int):
-    pass
 
 
 @pytest.mark.parametrize("symbol", [
     1j, object(), Decimal("NaN"), Decimal("sNaN"), Decimal(1), Fraction(1, 2),
-    _Picky(0), _Unordered("a"), _Code(1)],
+    Picky(0), Unordered("a"), Code(1)],
     ids=["complex", "object", "decimal-nan", "decimal-snan", "decimal",
          "fraction", "picky", "str-subclass", "int-subclass"])
 def test_symbols_that_cannot_sort_raise_before_any_state_changes(symbol):
@@ -530,20 +479,16 @@ def test_bad_labels_fail_alike(where):
     tree = _tree([a, make_example((2.0, "n"), 0)])
     s = ActiveMultiset.from_examples([a])
 
-    def state():
-        store = tree._store
-        return ([(id(v), v.pending) for v in _walk(tree.root)],
-                dict(tree.leaf_union().items()), tree.active_size,
-                tree.stats.updates, store.symbol_types, list(store.examples),
-                dict(s.items()), list(s._store.examples))
+    def both():
+        return state(tree), dict(s.items()), list(s._store.examples)
 
-    before = state()
+    before = both()
     with pytest.raises(SchemaError, match="label must be 0 or 1"):
         if where == "multiset-insert":
             s.insert(bad)
         else:
             tree.update(bad, where[len("tree-"):])
-    assert state() == before
+    assert both() == before
 
 
 def test_container_symbols_raise_before_any_state_changes():
@@ -551,7 +496,7 @@ def test_container_symbols_raise_before_any_state_changes():
     a = make_example(("a",), 1)
     tree = DecisionTree.empty(params, Schema.categorical(1))
     tree.update(a, "ins")
-    pendings = [(id(v), v.pending) for v in _walk(tree.root)]
+    pendings = [(id(v), v.pending) for v in walk(tree.root)]
     # tuple symbols share a type but need not be orderable: ("a",) < (1,)
     # raised TypeError inside the rebuild, after the state had changed
     for features in ((("a",),), ((1,),)):
@@ -560,7 +505,7 @@ def test_container_symbols_raise_before_any_state_changes():
             tree.update(make_example(features, 0), "ins")
     assert tree.active_size == 1
     assert tree.stats.updates == 1
-    assert [(id(v), v.pending) for v in _walk(tree.root)] == pendings
+    assert [(id(v), v.pending) for v in walk(tree.root)] == pendings
     shadow = ActiveMultiset.from_examples([a])
     assert tree.leaf_union() == shadow
     assert check_counters(tree, shadow, params.epsilon).ok
@@ -588,7 +533,7 @@ def _current_rows(store, leaf):
 def _preorder(store, node):
     """Every field a fresh build determines, node by node in preorder."""
     out = []
-    for v in _walk(node):
+    for v in walk(node):
         row = [v.depth, v.size, v.pending, v.height]
         if v.is_leaf:
             row += [v.leaf_label, list(v.label_hist),
@@ -601,7 +546,7 @@ def _preorder(store, node):
 
 def _subtree_multiset(store, node):
     s = ActiveMultiset(store.schema)
-    for v in _walk(node):
+    for v in walk(node):
         if v.is_leaf:
             for e, c in _leaf_multiset(store, v).items():
                 for _ in range(c):
@@ -681,10 +626,10 @@ def test_rebuilds_equal_fresh_builds(kind):
 def test_lab_requests_do_not_touch_counters():
     exs = [make_example((float(i),), i % 2) for i in range(8)]
     tree = DecisionTree.from_multiset(ActiveMultiset.from_examples(exs), HALF)
-    before = [(id(v), v.pending) for v in _walk(tree.root)]
+    before = [(id(v), v.pending) for v in walk(tree.root)]
     for _ in range(20):
         tree.query((3.0,))
-    assert [(id(v), v.pending) for v in _walk(tree.root)] == before
+    assert [(id(v), v.pending) for v in walk(tree.root)] == before
 
 
 def test_run_sequence_answers_lab_queries():

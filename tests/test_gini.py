@@ -171,7 +171,7 @@ def test_categorical_gains_equal_the_scalar_kernel_bit_for_bit(seed):
         assert gain == gini_gain(s, Split(j, symbol, categorical=True))
 
 
-@pytest.mark.parametrize("list_cells", [0, gini.LIST_CELLS],
+@pytest.mark.parametrize("list_cells", [0, build_mod.LIST_CELLS],
                          ids=["sort_sweep", "default_dispatch"])
 @given(st.integers(0, 2**31))
 @settings(max_examples=60, deadline=None,
@@ -183,7 +183,7 @@ def test_numeric_gains_equal_the_scalar_kernel_bit_for_bit(monkeypatch,
     # of the same split exactly, with examples held more than once, columns
     # that never vary, and a lone example held twice.  LIST_CELLS at 0
     # sends every node to the numpy sort sweep
-    monkeypatch.setattr(gini, "LIST_CELLS", list_cells)
+    monkeypatch.setattr(build_mod, "LIST_CELLS", list_cells)
     rng = random.Random(seed)
     d = rng.randint(1, 4)
     # a pool of one value makes a constant column
@@ -280,14 +280,11 @@ def _binned(R, w, wy, vals, starts, code_col):
                 R, w, wy, int(w.sum()), int(wy.sum()), starts, code_col)]
 
 
-def test_binned_sweep_equals_sort_sweep_bit_for_bit(monkeypatch):
+def test_binned_sweep_equals_sort_sweep_bit_for_bit():
     # the binned sweep, over rank codes of a target's columns, must return
     # the sort sweep's (threshold, left, left_ones, gain) exactly, at the
-    # target and at subsets of its rows below it; the gate at 1 passes
-    # columns of any cardinality, and LIST_CELLS at 0 keeps the small
-    # subsets on the numpy sort sweep
-    monkeypatch.setattr(gini, "RANK_GATE", 1)
-    monkeypatch.setattr(gini, "LIST_CELLS", 0)
+    # target and at subsets of its rows below it, whatever the columns'
+    # cardinality
     subsets = 0
     for seed in range(200):
         rng = random.Random(seed)
@@ -330,13 +327,12 @@ def test_binned_sweep_equals_sort_sweep_bit_for_bit(monkeypatch):
         assert repr(got) == repr(expected)
 
 
-def test_list_sweep_equals_sort_sweep_bit_for_bit(monkeypatch):
+def test_list_sweep_equals_sort_sweep_bit_for_bit():
     # the list sweep must return the numpy sort sweep's (threshold, left,
     # left_ones, gain) exactly, on nodes of one row, constant columns,
-    # counts above 1 and near ties; LIST_CELLS at 0 keeps _sweep_numeric
-    # on numpy
-    assert gini.LIST_CELLS < gini.RANK_ROWS  # a target that codes is large
-    monkeypatch.setattr(gini, "LIST_CELLS", 0)
+    # counts above 1 and near ties; a target that makes rank codes is too
+    # large for the list sweep
+    assert build_mod.LIST_CELLS < build_mod.RANK_ROWS
 
     def check(X, w, wy):
         total, ones = int(w.sum()), int(wy.sum())
@@ -368,9 +364,8 @@ def test_sort_sweep_in_the_scratch_equals_the_list_sweep(monkeypatch):
     # stale sums of the last one; nodes that grow it, shrink back below it
     # and grow it again must each return the list sweep's answer exactly,
     # and a larger node sweeps in a fresh array and leaves the scratch as
-    # it was.  X reads + 0.0, as the store codes it.  LIST_CELLS at 0 keeps _sweep_numeric on numpy at every size,
-    # and SCRATCH_CELLS at 4000 puts the 1000x8 nodes above it
-    monkeypatch.setattr(gini, "LIST_CELLS", 0)
+    # it was.  X reads + 0.0, as the store codes it.  SCRATCH_CELLS at
+    # 4000 puts the 1000x8 nodes above it
     monkeypatch.setattr(gini, "SCRATCH_CELLS", 4000)
     monkeypatch.setattr(gini, "_scratch", threading.local())
     largest = 0
@@ -432,7 +427,7 @@ def test_a_zero_threshold_reads_0_0_in_every_arrival_order(monkeypatch):
     monkeypatch.setattr(build_mod, "_sweep_binned", spy)
     rng = random.Random(5)
     params = FeasibilityParams(epsilon=0.1, alpha=0.2, beta=0.1, k=1, h=8)
-    assert 2 ** 7 >= gini.RANK_ROWS
+    assert 2 ** 7 >= build_mod.RANK_ROWS
     for trial in range(2):
         for zeros in ((-0.0, 0.0), (0.0, -0.0)):
             exs = [make_example(
@@ -488,22 +483,20 @@ def _layout_inputs(rng, n, m):
     return X, w, w * y
 
 
-@pytest.mark.parametrize("rank_gate", [gini.RANK_GATE, 1])
-def test_sort_sweep_is_bit_identical_in_every_layout(monkeypatch, rank_gate):
+def test_sort_sweep_is_bit_identical_in_every_layout():
     # the sort sweep works on a column-major copy of its input; on C-ordered,
     # F-ordered and column-sliced matrices, with and without layout, it must
     # return the row-major reference's winners exactly, gains to the bit,
     # thresholds to the sign of a zero, and its sort must give the rank
-    # codes the reference's sort gives.  Sizes just above LIST_CELLS reach
-    # the sort sweep, not the list sweep
-    monkeypatch.setattr(gini, "RANK_GATE", rank_gate)
-    shapes = [(gini.LIST_CELLS // m + 1, m) for m in (1, 2, 3, 8)]
+    # codes the reference's sort gives.  Sizes just above LIST_CELLS are the
+    # smallest that the node sweep sorts
+    shapes = [(build_mod.LIST_CELLS // m + 1, m) for m in (1, 2, 3, 8)]
     shapes += [(1000, 8)] * 2
     coded = 0
     for seed, (n, m) in enumerate(shapes * 6):
         rng = random.Random(seed)
         X, w, wy = _layout_inputs(rng, n, m)
-        assert X.size > gini.LIST_CELLS
+        assert X.size > build_mod.LIST_CELLS
         total, ones = int(w.sum()), int(wy.sum())
         expected, sort = _row_major_sweep(X, w, wy, total, ones)
         wide = np.zeros((n, 2 * m + 1))
@@ -525,15 +518,15 @@ def test_sort_sweep_is_bit_identical_in_every_layout(monkeypatch, rank_gate):
                     assert len(vals) == V and (vals[R] == X).all()
                     for a, b in zip(codes, gini._rank_codes(*sort)):
                         assert a.tobytes() == b.tobytes(), (seed, name)
-    assert coded >= 18
+    assert coded == 3 * 6 * len(shapes)  # a layout list is always filled
 
 
 def test_best_split_reads_the_row_major_reference():
     # best_split runs the node sweep over the store's columns; each real
     # feature's (threshold, gain) must be the reference's, bit for bit.
     # The store codes -0.0 as 0.0, so the reference reads X + 0.0
-    for seed, (n, m) in enumerate([(gini.LIST_CELLS // 8 + 1, 8), (300, 3),
-                                   (1000, 8)]):
+    for seed, (n, m) in enumerate([(build_mod.LIST_CELLS // 8 + 1, 8),
+                                   (300, 3), (1000, 8)]):
         rng = random.Random(100 + seed)
         X, w, wy = _layout_inputs(rng, n, m)
         X += 0.0

@@ -274,21 +274,48 @@ def test_emit_metrics_percentiles_interpolate_linearly(nanos, expected):
         assert summary["median_update_nanos"] == statistics.median(nanos)
 
 
-def test_verify_step_raises_on_corrupted_tree():
-    stream = threshold_stream(40, d=2, seed=4)
-    config = StreamConfig(GUARANTEED, verify=True)
-    tree = DecisionTree.empty(GUARANTEED, Schema.numeric(2))
+def _verified_tree(params):
+    # a tree of 40 inserts, its shadow multiset, and a verifying config
+    tree = DecisionTree.empty(params, Schema.numeric(2))
     shadow = tree.leaf_union()
-    for e in stream:
+    for e in threshold_stream(40, d=2, seed=4):
         tree.update(e, "ins")
         shadow.insert(e)
+    config = StreamConfig(params, verify=True)
     _verify_step(tree, shadow, config)
+    return tree, shadow, config
+
+
+def test_verify_step_raises_on_corrupted_tree():
+    tree, shadow, config = _verified_tree(GUARANTEED)
     node = tree.root
     while not node.is_leaf:
         node = node.left
     node.leaf_label = 1 - node.leaf_label
     with pytest.raises(VerificationError):
         _verify_step(tree, shadow, config)
+
+
+def test_verify_step_checks_counters_outside_the_guarantee():
+    # feasibility is promised in the guaranteed regime only, the counters
+    # always: a pending count above eps * size fails verification
+    assert not PARAMS.guaranteed
+    tree, shadow, config = _verified_tree(PARAMS)
+    tree.root.pending = tree.root.size
+    with pytest.raises(VerificationError, match="counter invariant"):
+        _verify_step(tree, shadow, config)
+
+
+@pytest.mark.parametrize("params", [
+    FeasibilityParams(epsilon=0.1, alpha=0.0, beta=0.0, k=1, h=10),
+    FeasibilityParams(epsilon=0.5, alpha=0.2, beta=0.1, k=3, h=10),
+], ids=["cli_defaults", "eps_0.5"])
+def test_verified_run_completes_outside_the_guarantee(params):
+    # outside the guaranteed regime the tree may be infeasible, as it is
+    # on this stream, so a verified run checks its counters alone
+    assert not params.guaranteed
+    config = StreamConfig(params, mode="sw", window=100, verify=True)
+    assert run_stream(threshold_stream(400), config).n_updates == 600
 
 
 def test_verified_run_completes_under_guaranteed_params():

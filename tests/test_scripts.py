@@ -88,7 +88,6 @@ def test_tree_digest_is_reproducible(capsys, monkeypatch):
     # sort-sweeps 1000x8 cells at its root and packs flushes of more than
     # CODE_CELLS cells, which a fourth and a fifth spy check
     build_mod = importlib.import_module("dyntree.build")
-    gini_mod = importlib.import_module("dyntree.gini")
     core_mod = importlib.import_module("dyntree.core")
     binned = []
 
@@ -102,8 +101,8 @@ def test_tree_digest_is_reproducible(capsys, monkeypatch):
     def list_spy(*args):
         listed.append(len(args[1]))
         return list_sweep(*args)
-    list_sweep = gini_mod._sweep_list
-    monkeypatch.setattr(gini_mod, "_sweep_list", list_spy)
+    list_sweep = build_mod._sweep_list
+    monkeypatch.setattr(build_mod, "_sweep_list", list_spy)
     viewed = []
 
     def view_spy(a):

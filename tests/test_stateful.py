@@ -16,7 +16,6 @@ state.
 
 import random
 from collections import Counter
-from dataclasses import astuple
 from decimal import Decimal
 from fractions import Fraction
 
@@ -42,6 +41,7 @@ from dyntree import (
     check_feasibility,
     make_example,
 )
+from shared import Code, Unordered, state, walk
 
 SCHEMA = Schema.infer((0.0, "m"))
 GUARANTEED = FeasibilityParams(epsilon=0.05, alpha=0.5, beta=1.0, k=1, h=6)
@@ -54,23 +54,12 @@ examples = st.builds(lambda x, s, y: make_example((x, s), y), reals, symbols,
                      st.integers(0, 1))
 
 
-class _Unordered(str):
-    """A str whose ``<`` raises: not exactly a str, so not a symbol."""
-
-    def __lt__(self, other):
-        raise TypeError("no order")
-
-
-class _Code(int):
-    pass
-
-
 # makers of a value outside the symbol types from a fresh str symbol; the
 # value equals no held symbol, as the fresh one does not, so the two route
 # alike
 rejected_symbols = st.sampled_from([
     lambda s: Decimal(1), lambda s: Fraction(1, 2), lambda s: None,
-    lambda s: 1.5, lambda s: _Code(1), _Unordered])
+    lambda s: 1.5, lambda s: Code(1), Unordered])
 
 
 class TreeMachine(RuleBasedStateMachine):
@@ -165,9 +154,9 @@ class TreeMachine(RuleBasedStateMachine):
 
     @rule(x=reals, s=symbols)
     def query(self, x, s):
-        pending = [v.pending for v in _nodes(self.tree.root)]
+        pending = [v.pending for v in walk(self.tree.root)]
         assert self.tree.query((x, s)) in (0, 1)
-        assert [v.pending for v in _nodes(self.tree.root)] == pending
+        assert [v.pending for v in walk(self.tree.root)] == pending
 
     @rule(e=examples)
     def query_then_insert(self, e):
@@ -185,10 +174,10 @@ class TreeMachine(RuleBasedStateMachine):
         self._apply(make_example(list(e.features), e.label), "del")
 
     def _rejected(self, e, op, error, match):
-        before = _state(self.tree)
+        before = state(self.tree)
         with pytest.raises(error, match=match):
             self.tree.update(e, op)
-        assert _state(self.tree) == before
+        assert state(self.tree) == before
 
     @rule(label=st.integers(0, 1), op=st.sampled_from(["ins", "del"]))
     def update_nan(self, label, op):
@@ -313,25 +302,6 @@ class TreeMachine(RuleBasedStateMachine):
         assert _store_problems(self.tree, self.max_distinct) == []
 
 
-def _state(tree):
-    """What a rejected update must leave as it was."""
-    store = tree._store
-    return ([(id(v), v.pending) for v in _nodes(tree.root)],
-            dict(tree.leaf_union().items()), tree.active_size,
-            astuple(tree.stats), store.symbol_types, len(store.row_of),
-            list(store.examples), list(store.free))
-
-
-def _nodes(node):
-    stack = [node]
-    while stack:
-        v = stack.pop()
-        yield v
-        if not v.is_leaf:
-            stack.append(v.right)
-            stack.append(v.left)
-
-
 def _triggers(tree, features):
     """Whether an update with features would rebuild: whether a node on
     its path would count more than epsilon times its size."""
@@ -355,7 +325,7 @@ def _store_problems(tree, max_distinct):
     store = tree._store
     problems = []
     listed = {}  # row -> the leaf that lists it currently
-    for v in _nodes(tree.root):
+    for v in walk(tree.root):
         if not v.is_leaf:
             continue
         listings = [(r, v.leaf_ticket) for r in v.leaf_rows.tolist()]
@@ -484,7 +454,7 @@ def test_listings_stay_within_a_constant_of_the_rows():
     tree = DecisionTree.from_multiset(ActiveMultiset.from_examples(exs),
                                       params)
     store = tree._store
-    leaves = [v for v in _nodes(tree.root) if v.is_leaf]
+    leaves = [v for v in walk(tree.root) if v.is_leaf]
     assert len(leaves) > 2
     for round_ in range(200):
         churn = rng.sample(exs, 100)
@@ -493,12 +463,12 @@ def test_listings_stay_within_a_constant_of_the_rows():
         for e in churn:
             tree.update(e, "ins")
         listings = sum(len(v.leaf_rows) + len(v.leaf_new or ()) // 2
-                       for v in _nodes(tree.root) if v.is_leaf)
+                       for v in walk(tree.root) if v.is_leaf)
         assert listings <= 4 * len(store.row_of)
         if round_ % 50 == 49:
             assert _store_problems(tree, 1000) == []
     assert tree.stats.rebuild_count == 0  # the leaves above, folded
-    assert [v for v in _nodes(tree.root) if v.is_leaf] == leaves
+    assert [v for v in walk(tree.root) if v.is_leaf] == leaves
     assert dict(tree.leaf_union().items()) == dict(Counter(exs))
     rows, _ = tree._gather(tree.root)
     assert sorted(rows.tolist()) == sorted(store.row_of.values())
@@ -546,7 +516,7 @@ def test_machine_reproducers(params):
         lambda: m.delete_non_integer_label(0, float),
         lambda: m.delete_non_integer_label(1, Fraction),
         lambda: m.reuse_row_elsewhere_and_back(0, make_example((3.0, "o"), 1)),
-        lambda: m.insert_rejected_symbol(1.0, _Unordered, 0, True),
+        lambda: m.insert_rejected_symbol(1.0, Unordered, 0, True),
         lambda: m.insert_rejected_symbol(2.0, lambda s: Decimal(1), 1, False),
     ]
     for step in steps:
