@@ -483,16 +483,49 @@ def _layout_inputs(rng, n, m):
     return X, w, w * y
 
 
-def test_sort_sweep_is_bit_identical_in_every_layout():
+def _node_sweep_found(X, w, wy):
+    """Runs build's node sweep over a store of X's rows, weighed by w with
+    wy 1-labels, at the target and at every other row below it; asserts
+    each node's real winners are the row-major reference's on the store's
+    columns, bit for bit, rank-code thresholds mapped to values.  Returns
+    whether the child took the binned sweep."""
+    exs = [make_example(x, int(l > 0))
+           for x, c, l in zip(X.tolist(), w.tolist(), wy.tolist())
+           for _ in range(int(c))]
+    store = ActiveMultiset.from_examples(exs)._store
+    rows = store.held_rows()
+    sw, swy, SX, _ = store.columns(rows)
+    sweep = build_mod._node_sweep(store, rows)
+    binned = False
+    for idx in (None, np.arange(0, len(rows), 2)):
+        wi, wyi, Xi = ((sw, swy, SX) if idx is None
+                       else (sw[idx], swy[idx], SX[idx]))
+        total, ones = int(wi.sum()), int(wyi.sum())
+        expected, _ = _row_major_sweep(Xi, wi, wyi, total, ones)
+        _, found, *_, vals = sweep(idx, total, ones)
+        if vals is not None:
+            binned = True
+            found = [(vals[t].item(), *rest) for t, *rest in found]
+        assert repr(list(found)) == repr(expected)
+    return binned
+
+
+@pytest.mark.parametrize("rank_gate", [build_mod.RANK_GATE, 1])
+def test_sort_sweep_is_bit_identical_in_every_layout(monkeypatch, rank_gate):
     # the sort sweep works on a column-major copy of its input; on C-ordered,
     # F-ordered and column-sliced matrices, with and without layout, it must
     # return the row-major reference's winners exactly, gains to the bit,
     # thresholds to the sign of a zero, and its sort must give the rank
     # codes the reference's sort gives.  Sizes just above LIST_CELLS are the
-    # smallest that the node sweep sorts
+    # smallest that the node sweep sorts.  Build's node sweep applies the
+    # rank gate to the layout its target fills: at a target of RANK_ROWS
+    # rows or more, the target and a child below it, binned when the gate
+    # keeps the sort and the child has enough cells, must find the same
+    # winners
+    monkeypatch.setattr(build_mod, "RANK_GATE", rank_gate)
     shapes = [(build_mod.LIST_CELLS // m + 1, m) for m in (1, 2, 3, 8)]
     shapes += [(1000, 8)] * 2
-    coded = 0
+    coded = binned = fine_binned = 0
     for seed, (n, m) in enumerate(shapes * 6):
         rng = random.Random(seed)
         X, w, wy = _layout_inputs(rng, n, m)
@@ -518,7 +551,17 @@ def test_sort_sweep_is_bit_identical_in_every_layout():
                     assert len(vals) == V and (vals[R] == X).all()
                     for a, b in zip(codes, gini._rank_codes(*sort)):
                         assert a.tobytes() == b.tobytes(), (seed, name)
+        if n >= build_mod.RANK_ROWS:
+            binned += _node_sweep_found(X, w, wy)
+            # 125 values a column, about 1000 in all: the gate at 1 keeps
+            # the target's sort, at 16 it drops it and the child sorts
+            fine = np.array([[rng.randrange(125) for _ in range(m)]
+                             for _ in range(n)]) / 8
+            fine_binned += _node_sweep_found(fine, w, wy)
     assert coded == 3 * 6 * len(shapes)  # a layout list is always filled
+    large = 6 * sum(n >= build_mod.RANK_ROWS for n, _ in shapes)
+    assert binned == large  # at most 61 values a column pass either gate
+    assert fine_binned == (large if rank_gate == 1 else 0)
 
 
 def test_best_split_reads_the_row_major_reference():
