@@ -22,7 +22,7 @@ Each leaf gets its slice of the row array, listed under the store's
 current clock (``TreeNode.leaf_rows``, ``TreeNode.leaf_ticket``).
 
 A node stops at the size floor k, at Gini at most alpha/2, or at the
-depth cap; a chosen split that fails to separate the node also stops it.
+depth cap; so does a node that no feature separates.
 A rebuild passes the subtree it replaces, and the builder keeps the parts
 of it that no update reached (see ``_build_entries``).
 """
@@ -78,22 +78,6 @@ def _leaf(rows: np.ndarray, ticket: int, eta: int, total: int,
     )
 
 
-def _separating_split(kinds, pos, Xi, Ci):
-    """Lowest (feature, value) split with both sides nonempty, as
-    (feature, value, left mask), or None.
-
-    Categorical values are codes, whose order is the symbols' order, and
-    so are real ones when Xi holds rank codes; at the smallest value,
-    ``x <= value`` and ``x == value`` select the same rows.
-    """
-    for j, kind in enumerate(kinds):
-        col = (Xi if kind is FeatureKind.REAL else Ci)[:, pos[j]]
-        lo = col.min()
-        if col.max() > lo:
-            return j, lo.item(), col == lo
-    return None
-
-
 _gain_of = itemgetter(3)  # of a sweep's (threshold, left, left_ones, gain)
 
 
@@ -103,18 +87,29 @@ def _node_sweep(store: _Store, rows: np.ndarray):
     weight total with ones 1-labels.  idx None, the build's target, is all
     of rows in their order, and comes first.
 
-    sweep returns (j, found, w, wy, X, C, vals): the chosen feature j, one
+    sweep returns (j, found, X, C, vals): the chosen feature j, one
     (threshold, left, left_ones, gain) per feature, with float counts, and
-    the node's counts, 1-label counts, real columns and codes.
-    Categorical thresholds are codes; vals maps real ones, and X, to values
-    when they are rank codes, else is None.
+    the node's real columns and codes.  Categorical thresholds are codes;
+    vals maps real ones, and X, to values when they are rank codes, else
+    is None.
+
+    j is the first feature whose gain is within TIE_TOL of the best.  Its
+    winner sends every row left (left == total) only when every gain is
+    within TIE_TOL of 0, as that winner gains 0.  Then, in each of the
+    four kernels, a feature with two or more values on the node wins at
+    its smallest value (or smallest code), which gains at least 0, with
+    its exact side counts; a feature with one value has the
+    everything-left winner.  So the first feature whose winner has
+    left < total is the lowest feature that separates the node, at its
+    smallest value: the builder's split of a node that no split gains on.
     """
     w, wy, X, C = store.columns(rows)
     schema = store.schema
     num, cat, code_col = schema._real, schema._categorical, store.code_col
     d, m = len(schema.kinds), len(num)
     # the target's (V, order, sorted values, ties) when it passes the gate,
-    # else empty, and the rank codes made from it
+    # else empty, and the rank codes made from it; once they are made,
+    # layout keeps V only
     layout, rank = [], None
 
     def sweep(idx, total: int, ones: int) -> tuple:
@@ -142,6 +137,7 @@ def _node_sweep(store: _Store, rows: np.ndarray):
             elif layout and cells >= layout[0]:
                 if rank is None:
                     rank = _rank_codes(*layout[1:])
+                    del layout[1:]
                 # Xi holds codes, thresholds are codes, vals maps them
                 R, vals, starts, rcol = rank
                 Xi = R.take(idx, axis=0)
@@ -161,7 +157,7 @@ def _node_sweep(store: _Store, rows: np.ndarray):
         j = 0
         while found[j][3] < floor:
             j += 1
-        return j, found, wi, wyi, Xi, Ci, vals
+        return j, found, Xi, Ci, vals
 
     return sweep
 
@@ -242,26 +238,22 @@ def _build_entries(
         idx, eta, total, ones, old, parent, is_left = stack.pop()
         node = None
         if not _stops(total, ones, eta, params):
-            j, found, wi, wyi, Xi, Ci, vals = sweep(idx, total, ones)
-            thr, left, left_ones, gain = found[j]
-            left, left_ones = int(left), int(left_ones)  # sizes are ints
-            mask = None
-            if left == total:
-                # the argmax split sends everything left, which only
-                # happens when every gain is 0; fall back to the first
-                # split that makes progress so children keep shrinking,
-                # else stop here
-                sep = _separating_split(kinds, pos, Xi, Ci)
-                if sep is not None:
-                    j, thr, mask = sep
-                    gain = 0.0
-                    left, left_ones = int(wi[mask].sum()), int(wyi[mask].sum())
-            elif kinds[j] is REAL:
-                mask = Xi[:, pos[j]] <= thr
-            else:
-                mask = Ci[:, pos[j]] == thr
-            if mask is not None:
+            j, found, Xi, Ci, vals = sweep(idx, total, ones)
+            gain = found[j][3]
+            if found[j][1] == total:
+                # the pick sends everything left, so no split gains
+                # anything; the first feature that separates the node
+                # splits it at its smallest value, so children keep
+                # shrinking, else the node stops (see _node_sweep)
+                j = next((k for k, r in enumerate(found) if r[1] < total),
+                         None)
+                gain = 0.0
+            if j is not None:
+                thr, left, left_ones, _ = found[j]
+                left, left_ones = int(left), int(left_ones)  # sizes are ints
                 categorical = kinds[j] is not REAL
+                mask = (Ci[:, pos[j]] == thr if categorical
+                        else Xi[:, pos[j]] <= thr)
                 split = Split(j, symbols[thr] if categorical
                               else thr if vals is None else vals[thr].item(),
                               categorical=categorical)

@@ -361,13 +361,13 @@ class _Store:
             setattr(self, name, value)
         self.count, self.stamp = memoryview(self.count), memoryview(self.stamp)
 
-    def check(self, example: LabeledExample, insert: bool = True,
-              valid: bool = False) -> tuple:
+    def check(self, example: LabeledExample, valid: bool = False) -> tuple:
         """(schema, symbol types) to keep once ``take`` has taken example's
         row.  Changes nothing, and raises SchemaError first unless the label
         is an integer equal to 0 or 1, the features fit the schema (inferred
-        when the store has none) and, for an insert, the symbols have the
-        pinned types.  ``valid`` says the caller knows the features pass
+        when the store has none) and the symbols have the pinned types.  A
+        delete that does not pass the held object runs the same checks.
+        ``valid`` says the caller knows the features pass
         ``Schema.validate``'s fast path under the store's schema (as
         ``DecisionTree.update`` does for the tuple its last query
         accepted); ``Schema.validate`` is then skipped, and the label and
@@ -382,7 +382,7 @@ class _Store:
             schema = Schema.infer(example.features)
         fast = valid or schema.validate(example.features)
         types = self.symbol_types
-        if insert and schema._categorical and not (
+        if schema._categorical and not (
                 fast and types == schema._str_symbols):
             types = schema._check_symbols(example.features, types)
         return schema, types

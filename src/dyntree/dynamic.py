@@ -268,17 +268,17 @@ class DecisionTree:
             try:
                 row = store.row_of.get(example)
             except TypeError:  # unhashable features
-                store.check(example, insert=False)
+                store.check(example)
                 raise
             held = None if row is None else store.examples[row]
             if held is not example:
-                store.check(example, insert=False)
+                store.check(example)
                 if row is None:
                     raise ExampleNotFound(f"example not in active set: {example}")
         elif op == "ins":
             # a tuple query accepted on the fast path is still valid: it
             # cannot change, nor can its floats and strs
-            _, types = store.check(example, True, features is self._queried
+            _, types = store.check(example, features is self._queried
                                    and type(features) is tuple)
         else:
             raise ValueError(f"op must be ins or del, got {op!r}")

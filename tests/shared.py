@@ -2,6 +2,8 @@
 
 from dataclasses import astuple
 
+from dyntree import ActiveMultiset
+
 
 def walk(node):
     """The nodes of node's subtree in preorder, left child first."""
@@ -11,6 +13,33 @@ def walk(node):
         yield v
         if not v.is_leaf:
             stack += (v.right, v.left)
+
+
+def current_rows(store, leaf):
+    """The rows leaf lists currently: those whose stamp is at most the
+    ticket they are listed under."""
+    listed = [(r, leaf.leaf_ticket) for r in leaf.leaf_rows.tolist()]
+    new = leaf.leaf_new or []
+    listed += zip(new[::2], new[1::2])
+    return [r for r, ticket in listed if store.stamp[r] <= ticket]
+
+
+def leaf_multiset(store, leaf):
+    """The multiset that leaf lists currently over its tree's row store."""
+    return ActiveMultiset._from_sorted_items(
+        [(store.examples[r], store.count[r]) for r in current_rows(store, leaf)],
+        store.schema)
+
+
+def subtree_multiset(store, node):
+    """The union of the multisets of the leaves below node."""
+    out = ActiveMultiset(store.schema)
+    for v in walk(node):
+        if v.is_leaf:
+            for e, c in leaf_multiset(store, v).items():
+                for _ in range(c):
+                    out.insert(e)
+    return out
 
 
 def state(tree):

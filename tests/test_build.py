@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -19,19 +20,9 @@ import dyntree.gini as gini_mod
 from dyntree.build import best_split, build
 from dyntree.gini import TIE_TOL, gini_index
 from dyntree.oracle import exhaustive_split_search
-from shared import walk
+from shared import leaf_multiset, subtree_multiset as _subtree_multiset, walk
 
 PARAMS = FeasibilityParams(epsilon=0.1, alpha=0.2, beta=0.1, k=1, h=8)
-
-
-def leaf_multiset(store, leaf):
-    """The multiset that a freshly built leaf lists over its tree's row
-    store; no update has left a stale listing in it."""
-    assert leaf.leaf_new is None
-    return ActiveMultiset._from_sorted_items(
-        [(store.examples[r], store.count[r])
-         for r in leaf.leaf_rows.tolist()],
-        store.schema)
 
 
 def test_empty_build_is_zero_leaf():
@@ -39,6 +30,7 @@ def test_empty_build_is_zero_leaf():
     assert root.is_leaf
     assert root.leaf_label == 0
     assert root.size == 0
+    assert root.leaf_new is None
     assert len(leaf_multiset(store, root)) == 0
 
 
@@ -119,6 +111,7 @@ def test_fresh_counters():
         assert v.pending == 0
         assert v.size >= 0
         if v.is_leaf:
+            assert v.leaf_new is None  # a fresh leaf lists no new rows
             assert v.size == len(leaf_multiset(store, v))
             assert sum(v.label_hist) == v.size
         else:
@@ -190,23 +183,7 @@ def test_categorical_leaf_dicts_partition_input():
                         rng.randrange(2)) for _ in range(80)]
     s = ActiveMultiset.from_examples(exs, Schema.categorical(3))
     root, store = build(s, 0, PARAMS)
-    seen = ActiveMultiset(Schema.categorical(3))
-    for v in walk(root):
-        if v.is_leaf:
-            for e, c in leaf_multiset(store, v).items():
-                for _ in range(c):
-                    seen.insert(e)
-    assert seen == s
-
-
-def _subtree_multiset(store, node):
-    out = ActiveMultiset(store.schema)
-    for v in walk(node):
-        if v.is_leaf:
-            for e, c in leaf_multiset(store, v).items():
-                for _ in range(c):
-                    out.insert(e)
-    return out
+    assert _subtree_multiset(store, root) == s
 
 
 def _first_separating_split(sub):
@@ -297,6 +274,79 @@ def test_every_split_matches_exhaustive_search(monkeypatch):
     assert internal > 500
     assert zero_gain_nodes > 50
     assert len(binned) > 0
+
+
+@pytest.mark.parametrize("kernel, values, pure_block", [
+    ("_sweep_list", 2, False),
+    ("_sweep_numeric", 8, False),
+    ("_sweep_binned", 8, True),
+    ("_sweep_categorical", 4, False),
+])
+def test_zero_gain_nodes_split_in_every_kernel(monkeypatch, kernel, values,
+                                               pure_block):
+    # a parity grid of `values` values a side, after a constant first
+    # feature: every split gains 0, the tie rule picks the constant
+    # feature, which sends every row left, and the node must split at the
+    # first feature that separates it.  4 real rows take the list sweep and
+    # 64 the sort sweep; the binned sweep runs below a target only, so there
+    # the grid is the left child of a 128-row target whose other half is
+    # pure and passes the rank-code gate
+    calls = []
+    for name in ("_sweep_list", "_sweep_numeric", "_sweep_binned",
+                 "_sweep_categorical"):
+        def spy(*args, name=name, sweep=getattr(build_mod, name)):
+            calls.append((name, args[3]))  # each kernel's total
+            return sweep(*args)
+        monkeypatch.setattr(build_mod, name, spy)
+
+    def value(c):
+        return "pqrs"[c] if kernel == "_sweep_categorical" else float(c)
+    s = ActiveMultiset.from_examples(
+        make_example((value(c), value(a), value(b)), 1 if c else (a + b) % 2)
+        for c in range(1 + pure_block)
+        for a, b in itertools.product(range(values), repeat=2))
+    root, store = build(s, 0, PARAMS)
+    zero_gain = [v for v in walk(root) if not v.is_leaf and v.split_gain == 0]
+    assert zero_gain
+    for v in zero_gain:
+        sub = _subtree_multiset(store, v)
+        assert exhaustive_split_search(sub)[1] <= TIE_TOL
+        assert v.split == _first_separating_split(sub)
+        assert v.split.feature == 1
+        assert v.split_gain == 0.0
+        assert (kernel, v.size) in calls
+    assert (root.split_gain > 0) == pure_block  # there, the grid is a child
+
+
+def test_rank_codes_free_the_targets_sort(monkeypatch):
+    # once the first binned node has made rank codes from the target's
+    # sort, the node sweep keeps only V of it: the order, sorted values and
+    # ties are freed before the next binned node is swept
+    refs, alive = [], []
+
+    def sort_spy(X, w, wy, total, ones, layout=None):
+        found = sort_sweep(X, w, wy, total, ones, layout)
+        if layout:
+            refs[:] = [weakref.ref(a.base) for a in layout[1:]]
+        return found
+
+    def binned_spy(*args):
+        alive.append(sum(r() is not None for r in refs))
+        return binned_sweep(*args)
+    sort_sweep, binned_sweep = build_mod._sweep_numeric, build_mod._sweep_binned
+    monkeypatch.setattr(build_mod, "_sweep_numeric", sort_spy)
+    monkeypatch.setattr(build_mod, "_sweep_binned", binned_spy)
+    rng = random.Random(5)
+    rows = {}
+    while len(rows) < 200:
+        x = tuple(float(rng.randrange(5)) for _ in range(4))
+        rows[x] = int(x[0] + x[1] >= 5) ^ (rng.random() < 0.2)
+    params = FeasibilityParams(epsilon=0.1, alpha=0.0, beta=0.1, k=1, h=None)
+    build(ActiveMultiset.from_examples(
+        itertools.starmap(make_example, rows.items())), 0, params)
+    assert len(refs) == 3
+    assert len(alive) > 1
+    assert alive == [0] * len(alive)
 
 
 def test_rank_codes_made_after_sort_sweeps_in_the_scratch_build_alike(

@@ -25,7 +25,8 @@ from dyntree import (
 )
 from dyntree.build import build
 from dyntree.dynamic import _shat
-from shared import Code, Picky, Unordered, state, walk
+from shared import (Code, Picky, Unordered, leaf_multiset, state,
+                    subtree_multiset, walk)
 
 HALF = FeasibilityParams(epsilon=0.5, alpha=0.2, beta=0.2, k=1, h=8)
 
@@ -198,6 +199,21 @@ def test_delete_of_an_equal_value_of_a_rejected_type_raises():
         assert tree.active_size == 1
         tree.update(make_example(held, 1), "del")
         assert tree.active_size == 0
+
+
+def test_a_delete_meets_the_symbol_type_pin_as_an_insert_does():
+    # True == 1 and np.str_("b") == "b" find the held examples, and both
+    # pass validate; only the pin of each column's symbol type tells them
+    # apart, and a delete of such an equal copy must meet it
+    tree = DecisionTree.empty(HALF, Schema.categorical(2))
+    for e in (make_example((1, "a"), 0), make_example((1, "b"), 1)):
+        tree.update(e, "ins")
+    before = state(tree)
+    for e in (make_example((True, "a"), 0), make_example((1, np.str_("b")), 1)):
+        for op in ("ins", "del"):
+            with pytest.raises(SchemaError, match="symbols, got"):
+                tree.update(e, op)
+            assert state(tree) == before
 
 
 def test_query_and_insert_validate_each_example_once(monkeypatch):
@@ -513,23 +529,6 @@ def test_container_symbols_raise_before_any_state_changes():
         ActiveMultiset().insert(make_example((("a",),), 0))
 
 
-def _leaf_multiset(store, leaf):
-    """The multiset that leaf lists currently over its tree's row store."""
-    return ActiveMultiset._from_sorted_items(
-        [(store.examples[r], store.count[r])
-         for r in _current_rows(store, leaf)],
-        store.schema)
-
-
-def _current_rows(store, leaf):
-    """The rows leaf lists currently: those whose stamp is at most the
-    ticket they are listed under."""
-    listed = [(r, leaf.leaf_ticket) for r in leaf.leaf_rows.tolist()]
-    new = leaf.leaf_new or []
-    listed += zip(new[::2], new[1::2])
-    return [r for r, ticket in listed if store.stamp[r] <= ticket]
-
-
 def _preorder(store, node):
     """Every field a fresh build determines, node by node in preorder."""
     out = []
@@ -537,21 +536,11 @@ def _preorder(store, node):
         row = [v.depth, v.size, v.pending, v.height]
         if v.is_leaf:
             row += [v.leaf_label, list(v.label_hist),
-                    list(_leaf_multiset(store, v).items())]
+                    list(leaf_multiset(store, v).items())]
         else:
             row += [v.split, v.split_gain.hex()]
         out.append(row)
     return out
-
-
-def _subtree_multiset(store, node):
-    s = ActiveMultiset(store.schema)
-    for v in walk(node):
-        if v.is_leaf:
-            for e, c in _leaf_multiset(store, v).items():
-                for _ in range(c):
-                    s.insert(e)
-    return s
 
 
 def _numeric_stream(n, seed):
@@ -614,7 +603,7 @@ def test_rebuilds_equal_fresh_builds(kind):
                 continue
             rebuilds += 1
             fresh, fresh_store = build(
-                _subtree_multiset(tree._store, info.node), info.depth, params)
+                subtree_multiset(tree._store, info.node), info.depth, params)
             assert (_preorder(tree._store, info.node)
                     == _preorder(fresh_store, fresh))
     assert tree.leaf_union() == ActiveMultiset.from_examples(window, schema)

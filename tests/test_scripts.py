@@ -86,9 +86,25 @@ def test_tree_digest_is_reproducible(capsys, monkeypatch):
     # checks.  mixed-sw's and categorical-ru's few-row flushes code their
     # rows through memoryviews, which a third spy checks.  numeric-wide-sw
     # sort-sweeps 1000x8 cells at its root and packs flushes of more than
-    # CODE_CELLS cells, which a fourth and a fifth spy check
+    # CODE_CELLS cells, which a fourth and a fifth spy check.  In
+    # categorical-ru and grid-sw some nodes gain nothing from any split
+    # yet one separates them, which a spy on the node sweep counts
     build_mod = importlib.import_module("dyntree.build")
     core_mod = importlib.import_module("dyntree.core")
+    zero_gain = []
+
+    def node_sweep_spy(store, rows):
+        def spied(idx, total, ones):
+            out = sweep(idx, total, ones)
+            j, found = out[:2]
+            # the pick sends every row left, and another feature does not
+            if found[j][1] == total and min(r[1] for r in found) < total:
+                zero_gain.append(total)
+            return out
+        sweep = node_sweep(store, rows)
+        return spied
+    node_sweep = build_mod._node_sweep
+    monkeypatch.setattr(build_mod, "_node_sweep", node_sweep_spy)
     binned = []
 
     def spy(*args):
@@ -143,12 +159,16 @@ def test_tree_digest_is_reproducible(capsys, monkeypatch):
     assert len(listed) > 0
     assert len(viewed) > 0
     viewed.clear()
+    zero_gain.clear()
     assert (digest.digest("categorical-ru", 150, 3)
             == PINNED_DIGESTS["categorical-ru"])
     assert len(viewed) > 0
+    assert len(zero_gain) > 0
     binned.clear()
+    zero_gain.clear()
     assert digest.digest("grid-sw", 150, 3) == PINNED_DIGESTS["grid-sw"]
     assert len(binned) > 100
+    assert len(zero_gain) > 0
     swept.clear()
     packed.clear()
     assert (digest.digest("numeric-wide-sw", 150, 3)

@@ -41,7 +41,7 @@ from dyntree import (
     check_feasibility,
     make_example,
 )
-from shared import Code, Unordered, state, walk
+from shared import Code, Unordered, current_rows, state, walk
 
 SCHEMA = Schema.infer((0.0, "m"))
 GUARANTEED = FeasibilityParams(epsilon=0.05, alpha=0.5, beta=1.0, k=1, h=6)
@@ -328,13 +328,8 @@ def _store_problems(tree, max_distinct):
     for v in walk(tree.root):
         if not v.is_leaf:
             continue
-        listings = [(r, v.leaf_ticket) for r in v.leaf_rows.tolist()]
-        new = v.leaf_new or []
-        listings += zip(new[::2], new[1::2])
         hist = [0, 0]
-        for r, ticket in listings:
-            if store.stamp[r] > ticket:
-                continue  # stale: the row was freed since
+        for r in current_rows(store, v):  # stale listings skipped
             if store.examples[r] is None:
                 problems.append(f"a current listing points at freed row {r}")
             elif r in listed:
