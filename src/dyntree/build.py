@@ -29,6 +29,7 @@ of it that no update reached (see ``_build_entries``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -36,8 +37,8 @@ import numpy as np
 
 from .core import (ActiveMultiset, FeasibilityParams, FeatureKind, Split,
                    TreeNode, _Store)
-from .gini import (TIE_TOL, _gini_from_counts, _rank_codes, _sweep_binned,
-                   _sweep_categorical, _sweep_list, _sweep_numeric)
+from .gini import (TIE_TOL, _rank_codes, _sweep_binned, _sweep_categorical,
+                   _sweep_list, _sweep_numeric)
 
 # Bound here for bench/tracing.py, which patches it by name in this module;
 # the builder calls it nowhere, as both sweeps return their gains.  It goes
@@ -55,13 +56,6 @@ LIST_CELLS = 96
 # repay the codes, so it does not even count its values.
 RANK_ROWS = 128
 RANK_GATE = 16
-
-
-def _stops(total: int, ones: int, eta: int, params: FeasibilityParams) -> bool:
-    # the stop rule of every node: size floor, purity, depth cap
-    return (total <= params.k
-            or _gini_from_counts(total, ones) <= params.alpha / 2.0
-            or params.depth_capped(eta))
 
 
 def _leaf(rows: np.ndarray, ticket: int, eta: int, total: int,
@@ -111,6 +105,9 @@ def _node_sweep(store: _Store, rows: np.ndarray):
     # else empty, and the rank codes made from it; once they are made,
     # layout keeps V only
     layout, rank = [], None
+    # with both kinds, feature j's winner is (real winners + categorical
+    # winners)[at[j]]
+    at = sorted(range(d), key=(num + cat).__getitem__)
 
     def sweep(idx, total: int, ones: int) -> tuple:
         nonlocal rank
@@ -118,8 +115,9 @@ def _node_sweep(store: _Store, rows: np.ndarray):
         wi = w if first else w[idx]
         wyi = wy if first else wy[idx]
         # one sweep per kind covers every feature of that kind, and each
-        # returns its winners' gains
-        found = [None] * d
+        # returns its winners' gains; where one kind covers every feature,
+        # its kernel's list is found as it is
+        found = None
         Xi = Ci = vals = None
         if num:
             cells = len(wi) * m
@@ -127,11 +125,11 @@ def _node_sweep(store: _Store, rows: np.ndarray):
             # slower path, about 4x at hundreds of rows
             if cells <= LIST_CELLS:
                 Xi = X if first else X.take(idx, axis=0)
-                res = _sweep_list(Xi.T.tolist(), wi.tolist(), wyi.tolist(),
-                                  total, ones)
+                found = _sweep_list(Xi.T.tolist(), wi.tolist(),
+                                    wyi.tolist(), total, ones)
             elif first and len(rows) >= RANK_ROWS:
                 Xi = X
-                res = _sweep_numeric(X, w, wy, total, ones, layout)
+                found = _sweep_numeric(X, w, wy, total, ones, layout)
                 if RANK_GATE * layout[0] > cells:
                     layout.clear()
             elif layout and cells >= layout[0]:
@@ -141,17 +139,16 @@ def _node_sweep(store: _Store, rows: np.ndarray):
                 # Xi holds codes, thresholds are codes, vals maps them
                 R, vals, starts, rcol = rank
                 Xi = R.take(idx, axis=0)
-                res = _sweep_binned(Xi, wi, wyi, total, ones, starts, rcol)
+                found = _sweep_binned(Xi, wi, wyi, total, ones, starts,
+                                      rcol)
             else:
                 Xi = X if first else X.take(idx, axis=0)
-                res = _sweep_numeric(Xi, wi, wyi, total, ones)
-            for j, r in zip(num, res):
-                found[j] = r
+                found = _sweep_numeric(Xi, wi, wyi, total, ones)
         if cat:
             Ci = C if first else C.take(idx, axis=0)
-            for j, r in zip(cat, _sweep_categorical(Ci, wi, wyi, total, ones,
-                                                    code_col)):
-                found[j] = r
+            res = _sweep_categorical(Ci, wi, wyi, total, ones, code_col)
+            found = (res if found is None
+                     else list(map((found + res).__getitem__, at)))
         # the first feature within TIE_TOL of the best gain
         floor = max(map(_gain_of, found)) - TIE_TOL
         j = 0
@@ -209,17 +206,18 @@ def _build_entries(
     #
     # Nodes are made in preorder, left child first, from an explicit stack,
     # so the depth of the tree is not bounded by Python's recursion limit.
-    n0, ones = hist
-    total = n0 + ones
-    # a root that stops (an empty multiset always does, as k >= 1) needs no
-    # columns
+    #
+    # A node stops at total <= k, at Gini (``_gini_from_counts``, inlined:
+    # past the size floor total >= 1) at most alpha/2, or at depth h or
+    # below.  A root that stops (an empty multiset always does, as k >= 1)
+    # needs no columns, so the node sweep is made at the first node that
+    # does not stop, which is the root.
+    k, floor = params.k, params.alpha / 2.0
+    h = math.inf if params.h is None else params.h
     ticket = store.clock
-    if _stops(total, ones, eta, params):
-        return _leaf(rows, ticket, eta, total, ones)
-
-    sweep = _node_sweep(store, rows)
+    sweep = None
     schema = store.schema
-    kinds, pos, symbols = schema.kinds, schema._pos, store.symbols
+    kinds, pos = schema.kinds, schema._pos
     REAL = FeatureKind.REAL
 
     def keep(u, total: int):
@@ -229,15 +227,20 @@ def _build_entries(
             return u
         return None
 
+    n0, ones = hist
     root = None
     splits = []  # split nodes in the order made; a node's children come later
     # frames: (row indices, depth, total, ones, old node, parent, left side);
     # the first frame's indices are None, for all of rows in their order
-    stack = [(None, eta, total, ones, old, None, True)]
+    stack = [(None, eta, n0 + ones, ones, old, None, True)]
     while stack:
         idx, eta, total, ones, old, parent, is_left = stack.pop()
         node = None
-        if not _stops(total, ones, eta, params):
+        if not (total <= k
+                or 2.0 * (ones / total) * ((total - ones) / total) <= floor
+                or eta >= h):
+            if sweep is None:
+                sweep = _node_sweep(store, rows)
             j, found, Xi, Ci, vals = sweep(idx, total, ones)
             gain = found[j][3]
             if found[j][1] == total:
@@ -245,7 +248,7 @@ def _build_entries(
                 # anything; the first feature that separates the node
                 # splits it at its smallest value, so children keep
                 # shrinking, else the node stops (see _node_sweep)
-                j = next((k for k, r in enumerate(found) if r[1] < total),
+                j = next((f for f, r in enumerate(found) if r[1] < total),
                          None)
                 gain = 0.0
             if j is not None:
@@ -254,15 +257,24 @@ def _build_entries(
                 categorical = kinds[j] is not REAL
                 mask = (Ci[:, pos[j]] == thr if categorical
                         else Xi[:, pos[j]] <= thr)
-                split = Split(j, symbols[thr] if categorical
-                              else thr if vals is None else vals[thr].item(),
-                              categorical=categorical)
+                # store.symbols is read here, as the node sweep's flush
+                # of the store may replace it
+                threshold = (store.symbols[thr] if categorical
+                             else thr if vals is None else vals[thr].item())
+                # where the old node's split is the one picked, the node
+                # takes that Split, and the old children may stand for
+                # the new ones
+                split = None if old is None else old.split
+                lold = rold = None
+                if (split is not None and split.feature == j
+                        and split.threshold == threshold
+                        and split.categorical == categorical):
+                    lold, rold = old.left, old.right
+                else:
+                    split = Split(j, threshold, categorical=categorical)
                 node = TreeNode(depth=eta, size=total, split=split,
                                 split_gain=gain)
                 splits.append(node)
-                lold = rold = None
-                if old is not None and old.split == split:
-                    lold, rold = old.left, old.right
                 right, right_ones = total - left, ones - left_ones
                 # right pushed first, so the left subtree is made first
                 for u, sub, t, t_ones, side in (

@@ -380,7 +380,11 @@ class DecisionTree:
 
     def _rebuild_at(self, path: list, i: int) -> RebuildInfo:
         shat = _shat(path[i].size)
-        j = next(jj for jj in range(i + 1) if path[jj].size <= shat)
+        # the first node of the path within shat; path[i] is, as
+        # shat >= its size
+        j = 0
+        while path[j].size > shat:
+            j += 1
         target = path[j]
         gathered, hist = self._gather(target)
         gathered_total = hist[0] + hist[1]

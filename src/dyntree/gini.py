@@ -4,19 +4,20 @@
 ``_gain_from_counts``.  The engine's sweeps score every candidate of a
 node at once: the numeric sort sweep and the binned sweep in numpy arrays
 (one helper, ``_gains``, holds their arithmetic), the list sweep and the
-categorical one in inlined copies of the kernel.  All run the kernel's
-float operations in its order, so a gain a sweep reports equals what
-``gini_gain`` computes for the same split, bit for bit.  ``_gains`` runs
-them in place on half the kernel's values and doubles its result once at
-the end, which is exact: scaling by 2 commutes with rounding away from
-overflow and the subnormal range.  A sweep returns its winners' counts as
-the floats it sums them in, integers exact below 2**53; the sort sweep
-takes both running sums in one complex cumsum, counts in the real part and
-1-label counts in the imaginary one, and complex addition adds the parts
-apart, so each part is its integer running sum exactly.  It gathers those
-sums into a scratch kept across calls, one per thread and at most
-``SCRATCH_CELLS`` cells (``_sums``), so a rebuild of a large node does not
-take fresh memory for its largest temporary.
+categorical one in inlined copies of the kernel.  The list sweep runs
+the kernel's float operations in its order; ``_gains`` and the categorical
+sweep run them without the kernel's factors 2.0, so every value they
+compute is half the kernel's, and double each gain once at the end, which
+is exact: scaling by 2 commutes with rounding away from overflow and the
+subnormal range.  So a gain a sweep reports equals what ``gini_gain``
+computes for the same split, bit for bit.  A sweep returns its winners'
+counts as the floats it sums them in, integers exact below 2**53; the sort
+sweep takes both running sums in one complex cumsum, counts in the real
+part and 1-label counts in the imaginary one, and complex addition adds
+the parts apart, so each part is its integer running sum exactly.  It
+gathers those sums into a scratch kept across calls, one per thread and at
+most ``SCRATCH_CELLS`` cells (``_sums``), so a rebuild of a large node
+does not take fresh memory for its largest temporary.
 
 Every gain lies in [0, 0.5], and the sort sweep drops a candidate that is
 not at a value boundary out of the running by subtracting 1 from its
@@ -208,11 +209,15 @@ def _sweep_numeric(X: np.ndarray, w, wy, total: int, ones: int,
     wl, wyl = zl.real.copy(), zl.imag.copy()
     gains = _gains(wl, wyl, total, ones)
     gains[:, -1] = 0.0  # everything left
-    tie = sv[:, :-1] == sv[:, 1:]
+    # full width, so that the fold below runs contiguous; the last
+    # candidate of a column has no next value and stays False
+    tie = np.zeros((m, n), dtype=bool)
+    np.equal(sv[:, :-1], sv[:, 1:], out=tie[:, :-1])
     # not a value boundary: the gain drops below every column's best
-    np.subtract(gains[:, :-1], tie, out=gains[:, :-1])
+    np.subtract(gains, tie, out=gains)
     if layout is not None:
-        layout += X.size - np.count_nonzero(tie), order.T, sv.T, tie.T
+        layout += (X.size - np.count_nonzero(tie), order.T, sv.T,
+                   tie[:, :-1].T)
 
     # at becomes the flat index of each column's winner
     at += (gains >= gains.max(axis=1, keepdims=True) - TIE_TOL).argmax(axis=1)
@@ -356,34 +361,43 @@ def _sweep_categorical(C: np.ndarray, w, wy, total: int, ones: int,
     Scores every code present as the split {x_j == a} versus the rest, in
     code order, so ties resolve to the smallest symbol. Returns one
     (code, left, left_ones, gain) per column.
+
+    The codes' weights and 1-label weights come from two bincounts, read
+    as whole lists; a code the node lacks weighs 0 and is skipped.  Each
+    gain is ``_gain_from_counts`` inlined as ``_gains`` runs it: the same
+    float operations in the same order without the factors 2.0, so every
+    value is half the kernel's, and each winner's gain is doubled once, on
+    return.  A code beats its column's best half-gain by more than
+    TIE_TOL / 2 exactly when its gain beats the best gain by more than
+    TIE_TOL, so the winners are the full-gain scan's.  The counts stay
+    floats; they are integers below 2**53, so every operation sees the
+    same values as with ints.
     """
     m = C.shape[1]
     codes = C.ravel()
-    cw = np.bincount(codes, weights=w.repeat(m))
-    cwy = np.bincount(codes, weights=wy.repeat(m))
-    present = cw.nonzero()[0]
+    cw = np.bincount(codes, weights=w.repeat(m)).tolist()
+    cwy = np.bincount(codes, weights=wy.repeat(m)).tolist()
     best: list = [None] * m
-    gains = [-1.0] * m
-    # _gain_from_counts inlined: the same float operations in the same
-    # order, so each gain is bit-identical to the kernel's. The counts stay
-    # floats here; they are integers below 2**53, so every operation sees
-    # the same values as with ints.
-    g = 2.0 * (ones / total) * ((total - ones) / total)
-    for code, left, left_ones in zip(present.tolist(), cw[present].tolist(),
-                                     cwy[present].tolist()):
+    gains = [-1.0] * m  # half-gains
+    tol = TIE_TOL / 2
+    g = (ones / total) * ((total - ones) / total)
+    for code, left in enumerate(cw):
+        if not left:
+            continue
+        left_ones = cwy[code]
         right = total - left
         if right:
             right_ones = ones - left_ones
-            gl = 2.0 * (left_ones / left) * ((left - left_ones) / left)
-            gr = 2.0 * (right_ones / right) * ((right - right_ones) / right)
+            gl = (left_ones / left) * ((left - left_ones) / left)
+            gr = (right_ones / right) * ((right - right_ones) / right)
             gain = g - (left * gl + right * gr) / total
             if gain <= 0.0:  # as max(0.0, gain)
                 gain = 0.0
         else:
             gain = 0.0
         jj = code_col[code]
-        if gain > gains[jj] + TIE_TOL:
+        if gain > gains[jj] + tol:
             best[jj] = (code, left, left_ones)
             gains[jj] = gain
-    return [(code, left, left_ones, gain)
+    return [(code, left, left_ones, 2.0 * gain)
             for (code, left, left_ones), gain in zip(best, gains)]

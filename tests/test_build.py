@@ -80,6 +80,31 @@ def test_depth_cap_prunes():
     assert root.height <= 2
 
 
+@pytest.mark.parametrize("h", [5, None])
+def test_stop_rule_at_its_boundaries(h):
+    # a node stops at exactly k rows, at Gini exactly alpha/2 (4 rows with
+    # one 1-label: 2 * 1/4 * 3/4 = 0.375 = 0.75 / 2) and at depth h; one
+    # row more, alpha one ulp lower and depth h - 1 split.  Without a depth
+    # cap, the first two stop alike and no depth stops a node
+    def splits(labels, eta=0, k=1, alpha=0.0):
+        s = ActiveMultiset.from_examples(
+            make_example((float(i),), y) for i, y in enumerate(labels))
+        params = FeasibilityParams(epsilon=0.1, alpha=alpha, beta=0.1, k=k,
+                                   h=h)
+        root, _ = build(s, eta, params)
+        return not root.is_leaf
+
+    assert not splits([0, 1, 0, 1], k=4)
+    assert splits([0, 1, 0, 1, 0], k=4)
+    assert not splits([0, 0, 0, 1], alpha=0.75)
+    assert splits([0, 0, 0, 1], alpha=float(np.nextafter(0.75, 0.0)))
+    if h is None:
+        assert splits([0, 1], eta=10**6)
+    else:
+        assert not splits([0, 1], eta=h)
+        assert splits([0, 1], eta=h - 1)
+
+
 def test_stopping_rules_hold_everywhere():
     rng = random.Random(3)
     exs = [

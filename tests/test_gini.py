@@ -161,14 +161,88 @@ def test_best_split_gain_is_max_over_features(s):
 def test_categorical_gains_equal_the_scalar_kernel_bit_for_bit(seed):
     # the categorical sweep inlines the scalar gain kernel on float counts;
     # each winner's gain must equal gini_gain of the same split exactly
+    # (the sweep computes half-gains and doubles each winner's once), with
+    # examples held more than once
     rng = random.Random(seed)
     d = rng.randint(1, 3)
     exs = [make_example(tuple("abcd"[rng.randrange(4)] for _ in range(d)),
                         rng.randrange(2))
            for _ in range(rng.randint(1, 40))]
-    s = ActiveMultiset.from_examples(exs)
-    for j, (symbol, gain) in enumerate(best_split(s).per_feature):
-        assert gain == gini_gain(s, Split(j, symbol, categorical=True))
+    held = [e for e in exs for _ in range(rng.randint(1, 4))]
+    for s in (ActiveMultiset.from_examples(exs),
+              ActiveMultiset.from_examples(held)):
+        for j, (symbol, gain) in enumerate(best_split(s).per_feature):
+            assert gain == gini_gain(s, Split(j, symbol, categorical=True))
+
+
+def _sweep_categorical_reference(C, w, wy, total, ones, code_col):
+    # the categorical sweep as it was written first: the codes present by
+    # nonzero, and the scalar kernel inlined with its factors 2.0, so every
+    # gain is the kernel's and is compared against TIE_TOL
+    m = C.shape[1]
+    codes = C.ravel()
+    cw = np.bincount(codes, weights=w.repeat(m))
+    cwy = np.bincount(codes, weights=wy.repeat(m))
+    present = cw.nonzero()[0]
+    best = [None] * m
+    gains = [-1.0] * m
+    g = 2.0 * (ones / total) * ((total - ones) / total)
+    for code, left, left_ones in zip(present.tolist(), cw[present].tolist(),
+                                     cwy[present].tolist()):
+        right = total - left
+        if right:
+            right_ones = ones - left_ones
+            gl = 2.0 * (left_ones / left) * ((left - left_ones) / left)
+            gr = 2.0 * (right_ones / right) * ((right - right_ones) / right)
+            gain = g - (left * gl + right * gr) / total
+            if gain <= 0.0:
+                gain = 0.0
+        else:
+            gain = 0.0
+        jj = code_col[code]
+        if gain > gains[jj] + gini.TIE_TOL:
+            best[jj] = (code, left, left_ones)
+            gains[jj] = gain
+    return [(code, left, left_ones, gain)
+            for (code, left, left_ones), gain in zip(best, gains)]
+
+
+@pytest.mark.parametrize("tie_tol", [gini.TIE_TOL, 0.0, 1e-3, 0.05])
+def test_categorical_sweep_equals_the_full_gain_reference(monkeypatch,
+                                                          tie_tol):
+    # the sweep in half-gains must return the reference's winner tuples
+    # exactly, whatever TIE_TOL is: row weights above 1, codes the store
+    # holds but the node lacks (each column's block of codes is larger
+    # than the codes drawn), and columns with one code present.  The wider
+    # tolerances make later codes within TIE_TOL of a column's best, which
+    # the strict scan must pass over
+    monkeypatch.setattr(gini, "TIE_TOL", tie_tol)
+    tied = beaten = 0  # later codes that tie the winner, or beat it
+    for seed in range(300):
+        rng = random.Random(seed)
+        m = rng.randint(1, 4)
+        blocks = [rng.randint(1, 7) for _ in range(m)]
+        starts = np.cumsum([0] + blocks[:-1])
+        code_col = [jj for jj, b in enumerate(blocks) for _ in range(b)]
+        drawn = [rng.sample(range(b), rng.randint(1, b)) for b in blocks]
+        n = rng.randint(1, 30)
+        C = np.array([[starts[jj] + rng.choice(drawn[jj]) for jj in range(m)]
+                      for _ in range(n)], dtype=np.int64)
+        w = np.array([float(rng.choice((1, 2, 3, 5))) for _ in range(n)])
+        wy = w * np.array([float(rng.random() < 0.4) for _ in range(n)])
+        args = C, w, wy, int(w.sum()), int(wy.sum()), code_col
+        want = _sweep_categorical_reference(*args)
+        assert repr(gini._sweep_categorical(*args)) == repr(want), seed
+        for jj, (code, *_, gain) in enumerate(want):
+            for later in set(C[:, jj].tolist()) - set(range(code + 1)):
+                rows = C[:, jj] == later
+                g = gini._gain_from_counts(args[3], args[4],
+                                           int(w[rows].sum()),
+                                           int(wy[rows].sum()))
+                tied += g == gain
+                beaten += g > gain
+    assert tied > 0
+    assert (beaten > 0) == (tie_tol >= 1e-3)
 
 
 @pytest.mark.parametrize("list_cells", [0, build_mod.LIST_CELLS],
