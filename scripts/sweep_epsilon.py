@@ -35,7 +35,7 @@ COLUMNS = (
     ("p99 us", "p99_update_nanos", ".1f"),
     ("max us", "max_update_nanos", ".1f"),
     ("rebuilds", "rebuild_count", "d"),
-    ("touches", "rebuild_example_touches", "d"),
+    ("touches", "rebuild_touches", "d"),
     ("f1", "f1", ".4f"),
     ("faults/upd", "faults_per_update", ".2f"),
 )

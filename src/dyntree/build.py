@@ -168,7 +168,8 @@ def build(s, eta: int, params: FeasibilityParams) -> tuple[TreeNode, _Store]:
     feature then (see ``gini``) the lowest threshold.
     Fresh nodes carry size = subtree size and a zeroed pending counter.
     The tree's leaves list rows of store, a copy of s's store, counts and
-    symbol pin included, so s stays free to change.
+    symbol pin included, so s stays free to change; the copy codes nothing
+    in s, and store codes the rows s had not coded at its first flush.
     """
     store = s._store.copy()
     root = _build_entries(store.held_rows(), s.label_counts(), store, eta,

@@ -333,11 +333,13 @@ class _Store:
         self.symbol_types: Optional[tuple] = None
 
     def copy(self) -> "_Store":
-        self.flush()
+        # codes nothing: the copy's uncoded rows are this store's, and each
+        # store codes them at its own next flush
         new = _Store(self.schema)
         new.row_of = dict(self.row_of)
         new.examples = list(self.examples)
         new.free = list(self.free)
+        new.uncoded = set(self.uncoded)
         new.count = memoryview(self.count.obj.copy())
         new.stamp = memoryview(self.stamp.obj.copy())
         new.clock = self.clock
@@ -854,6 +856,3 @@ class FeasibilityParams:
             return False
         bound = min(1.0 / (self.k + 1), self.alpha / 5.0, self.beta / 12.5)
         return self.epsilon < bound
-
-    def depth_capped(self, eta: int) -> bool:
-        return self.h is not None and eta >= self.h

@@ -22,9 +22,10 @@ array, its slice of the store's counts and columns, and its place in a
 child leaf's slice; only the rows listed since the leaves were built pass
 through Python.  A leaf whose new-row list outgrows twice its rows' count
 (plus a constant) folds its current listings into one array at that insert,
-so its listings do not grow with the stream, whatever epsilon is; the fold
-is paid for by the inserts that grew the list.  At epsilon 1 or below the
-leaf rebuilds first, so ``update`` does not test for a fold there.
+unless the insert rebuilds it, so its listings do not grow with the stream,
+whatever epsilon is; the fold is paid for by the inserts that grew the
+list.  At epsilon 1 or below the leaf rebuilds first, so ``update`` does
+not test for a fold there.
 
 The store holds only examples valid under the tree's schema.  A tree is
 built over a copy of a multiset, whose inserts were checked, and each
@@ -256,8 +257,8 @@ class DecisionTree:
         An insert whose features are the very tuple the last ``query``
         accepted on ``Schema.validate``'s fast path skips that validation
         only; its label and symbol types are checked as for any insert.
-        An update that raises later, while routing, in the leaf edit or in
-        a rebuild, undoes what it did before it re-raises.
+        An update that raises later, while routing, in the leaf edit, in
+        a rebuild or in a fold, undoes what it did before it re-raises.
         Every node of the path counts the update, below the trigger too;
         everything below the rebuilt ancestor is replaced wholesale, so
         those counts die with their nodes.
@@ -324,40 +325,40 @@ class DecisionTree:
             pin, store.symbol_types = store.symbol_types, types
             hist[example.label] += 1
             self._active += 1
-            n0, n1 = hist
+        else:
+            store.release(row)
+            hist[example.label] -= 1
+            self._active -= 1
+        n0, n1 = hist
+        leaf.leaf_label = 1 if n1 > n0 else 0
+        self.stats.updates += 1
+        try:
+            if i >= 0:
+                return self._rebuild_at(path, i)
             # fold the leaf's listings once its new-row list, flat (row,
-            # ticket) pairs, lists more than 2 (n0 + n1) + 32 rows; at
-            # epsilon 1 or below the leaf rebuilds first
-            if eps > 1 and len(new) > 4 * (n0 + n1) + 64:
+            # ticket) pairs, lists more than 2 (n0 + n1) + 32 rows; a
+            # rebuild replaces the leaf instead, and at epsilon 1 or below
+            # the leaf rebuilds first
+            if eps > 1 and op == "ins" and len(new) > 4 * (n0 + n1) + 64:
                 a = leaf.leaf_rows
                 leaf.leaf_rows = _current_rows([a], [leaf.leaf_ticket],
                                                [len(a)], new, store)
                 leaf.leaf_ticket = store.clock  # no current stamp is later
                 leaf.leaf_new = None
-        else:
-            store.release(row)
-            hist[example.label] -= 1
-            self._active -= 1
-            n0, n1 = hist
-        leaf.leaf_label = 1 if n1 > n0 else 0
-        self.stats.updates += 1
-        if i < 0:
             return None
-        try:
-            return self._rebuild_at(path, i)
         except BaseException:
             self._undo(path, example, op, row, held if op == "del" else pin)
             raise
 
     def _undo(self, path: list, example: LabeledExample, op: str, row: int,
               prior) -> None:
-        # Undoes an update whose rebuild raised: its counts on path, its
-        # stats, its store edit and leaf edit, and an insert's symbol pin.
-        # prior is the pin before an insert, or the example object a
-        # delete released.  The builder changed nothing of the old subtree,
-        # and a store flush is all or nothing, so the tree is as it was
-        # before the update.  A fold of the leaf's listings stays: it lists
-        # the same rows.
+        # Undoes an update whose rebuild or fold raised: its counts on
+        # path, its stats, its store edit and leaf edit, and an insert's
+        # symbol pin.  prior is the pin before an insert, or the example
+        # object a delete released.  The builder changed nothing of the old
+        # subtree, a store flush is all or nothing, and a fold writes the
+        # leaf only once its listings are made, so the tree is as it was
+        # before the update.
         for v in path:
             v.pending -= 1
         self.stats.updates -= 1

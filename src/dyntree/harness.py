@@ -30,7 +30,7 @@ from .core import (
     Schema,
     make_example,
 )
-from .dynamic import DecisionTree
+from .dynamic import DecisionTree, TreeStats
 from .oracle import check_counters, check_feasibility
 
 MODES = ("incremental", "sw", "ru")
@@ -80,18 +80,14 @@ class StreamMetrics:
 
     predictions holds (t, predicted, actual) per scored step, step_nanos
     the engine time each step spent in updates, per_update_nanos one entry
-    per individual engine update.
+    per individual engine update, and stats the tree's own counters.
     """
 
     predictions: list = field(default_factory=list)
     step_nanos: list = field(default_factory=list)
     per_update_nanos: list = field(default_factory=list)
     f1: float = 0.0
-    n_updates: int = 0
-    rebuild_count: int = 0
-    rebuild_example_touches: int = 0
-    rebuild_reused_touches: int = 0
-    max_height: int = 0
+    stats: TreeStats = field(default_factory=TreeStats)
 
 
 def prequential_f1(y_true: Sequence[int], y_pred: Sequence[int]) -> float:
@@ -154,21 +150,19 @@ def load_stream(
             raise ValueError(f"row {rownum}: empty label value")
 
     feature_idx = [j for j in range(len(header)) if j != label_idx]
-    numeric = []
+    # each feature column's cells, as floats when every one parses as one
+    columns = []
     for j in feature_idx:
+        cells = [row[j] for row in data]
         try:
-            for row in data:
-                float(row[j])
-            numeric.append(True)
+            cells = list(map(float, cells))
         except ValueError:
-            numeric.append(False)
+            pass
+        columns.append(cells)
 
     out = []
-    for rownum, row in enumerate(data, start=2):
-        feats = tuple(
-            float(row[j]) if is_num else row[j]
-            for j, is_num in zip(feature_idx, numeric)
-        )
+    rows_feats = zip(*columns) if columns else [()] * len(data)
+    for rownum, row, feats in zip(range(2, len(data) + 2), data, rows_feats):
         nan = [header[j] for j, v in zip(feature_idx, feats) if v != v]
         if nan:
             raise ValueError(f"row {rownum}: NaN in real column {nan[0]!r}")
@@ -248,11 +242,7 @@ def run_stream(
             [y for _, _, y in metrics.predictions],
             [p for _, p, _ in metrics.predictions],
         )
-    metrics.n_updates = tree.stats.updates
-    metrics.rebuild_count = tree.stats.rebuild_count
-    metrics.rebuild_example_touches = tree.stats.rebuild_touches
-    metrics.rebuild_reused_touches = tree.stats.reused_touches
-    metrics.max_height = tree.stats.max_height
+    metrics.stats = tree.stats
     return metrics
 
 
@@ -265,6 +255,7 @@ def emit_metrics(
     """Summarize a run; write the summary as JSON to path when given, and
     the steps as CSV to series_path when given.
 
+    The summary holds every ``TreeStats`` counter under its own name.
     Update-time percentiles interpolate linearly between the two nearest
     ranks, as statistics.median does; they are None for a run of no update.
     """
@@ -279,16 +270,12 @@ def emit_metrics(
     summary = {
         "f1": metrics.f1,
         "predictions": len(metrics.predictions),
-        "updates": metrics.n_updates,
+        **asdict(metrics.stats),
         "mean_update_nanos": statistics.fmean(upd) if upd else None,
         "median_update_nanos": percentile(50),
         "p90_update_nanos": percentile(90),
         "p99_update_nanos": percentile(99),
         "max_update_nanos": percentile(100),
-        "rebuild_count": metrics.rebuild_count,
-        "rebuild_example_touches": metrics.rebuild_example_touches,
-        "rebuild_reused_touches": metrics.rebuild_reused_touches,
-        "max_height": metrics.max_height,
         "config": asdict(config) if config is not None else None,
     }
     if path is not None:

@@ -13,14 +13,14 @@ def threshold_stream(
     seed: int = 0,
     noise: float = 0.05,
     theta: float = 0.5,
-    feature: int = 0,
     decimals: int = 3,
 ) -> list[LabeledExample]:
-    """Uniform points on [0, 1]^d labeled by one axis threshold, plus
-    symmetric label noise.  Coordinates are rounded so values repeat."""
+    """Uniform points on [0, 1]^d labeled by the threshold theta on the
+    first feature, plus symmetric label noise.  Coordinates are rounded so
+    values repeat."""
     rng = np.random.default_rng(seed)
     x = rng.random((n, d)).round(decimals)
-    y = (x[:, feature] > theta).astype(np.int64)
+    y = (x[:, 0] > theta).astype(np.int64)
     if noise > 0:
         y ^= rng.random(n) < noise
     rows = x.tolist()
@@ -34,24 +34,17 @@ def era_flip_stream(
     d: int = 4,
     seed: int = 0,
     noise: float = 0.0,
-    theta: float = 0.5,
 ) -> list[LabeledExample]:
-    """Abrupt drift: after n_pre steps the threshold concept inverts and
-    the last feature switches from 0 to 1, marking the new regime.  A
-    stale tree keeps predicting the old concept until it rebuilds."""
-    rng = np.random.default_rng(seed)
-    n = n_pre + n_post
-    x = rng.random((n, d)).round(3)
-    era = np.zeros(n)
-    era[n_pre:] = 1.0
-    x[:, d - 1] = era
-    y = (x[:, 0] > theta).astype(np.int64)
-    y[n_pre:] ^= 1
-    if noise > 0:
-        y ^= rng.random(n) < noise
-    rows = x.tolist()
-    labels = y.tolist()
-    return [LabeledExample(tuple(row), int(lab)) for row, lab in zip(rows, labels)]
+    """Abrupt drift: ``threshold_stream`` whose last feature is the era, 0
+    for the first n_pre steps and 1 after, when the concept inverts.  A
+    stale tree keeps predicting the old concept until it rebuilds.  Needs
+    d >= 2, as the era would otherwise be the labelling feature."""
+    if d < 2:
+        raise ValueError(f"era_flip_stream needs d >= 2, got {d}")
+    stream = threshold_stream(n_pre + n_post, d=d, seed=seed, noise=noise)
+    return [LabeledExample(e.features[:-1] + (float(t >= n_pre),),
+                           e.label ^ (t >= n_pre))
+            for t, e in enumerate(stream)]
 
 
 def mixed_stream(

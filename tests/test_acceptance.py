@@ -337,7 +337,7 @@ def test_criterion_8_performance_shape():
         params = FeasibilityParams(epsilon=eps, alpha=0.3, beta=0.4, k=5, h=8)
         config = StreamConfig(params, mode="sw", window=1000)
         metrics = run_stream(stream, config)
-        assert metrics.n_updates == 100_000
+        assert metrics.stats.updates == 100_000
         runs[eps] = metrics
     mean_full = statistics.fmean(runs[0.0].per_update_nanos)
     mean_lazy = statistics.fmean(runs[1.0].per_update_nanos)

@@ -1,9 +1,11 @@
 """End-to-end checks of the command line interface."""
 
+import dataclasses
 import json
 
 import pytest
 
+from dyntree import DecisionTree, FeasibilityParams, Schema, load_stream
 from dyntree.cli import _parse_h, build_parser, main
 
 
@@ -74,9 +76,27 @@ def test_summaries_report_reused_touches(csv_path, tmp_path, capsys):
     assert run_cli(args + ["--out", str(out)]) == 0
     written = json.loads(out.read_text())
     # kept subtrees are gathered too, so they are part of the touches
-    assert 0 < printed["rebuild_reused_touches"] < printed["rebuild_example_touches"]
-    for key in ("rebuild_example_touches", "rebuild_reused_touches"):
+    assert 0 < printed["reused_touches"] < printed["rebuild_touches"]
+    for key in ("rebuild_touches", "reused_touches"):
         assert written[key] == printed[key]
+
+
+def test_the_summary_holds_every_tree_counter(csv_path, capsys):
+    # each TreeStats field under its own name, with the value of a tree
+    # that takes the same stream
+    assert run_cli(["run", "--data", csv_path, "--label", "label",
+                    "--positive", "pos", "--epsilon", "0.03", "--alpha",
+                    "0.4", "--beta", "0.5", "--k", "3"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    stream = load_stream(csv_path, "label", "pos")
+    tree = DecisionTree.empty(
+        FeasibilityParams(epsilon=0.03, alpha=0.4, beta=0.5, k=3, h=10),
+        Schema.infer(stream[0].features))
+    for e in stream:
+        tree.update(e, "ins")
+    expected = dataclasses.asdict(tree.stats)
+    assert {key: printed[key] for key in expected} == expected
+    assert all(expected.values())
 
 
 def test_printed_summary_without_out_is_the_full_summary(csv_path, tmp_path,

@@ -552,6 +552,42 @@ def test_an_insert_whose_rebuild_raises_changes_nothing(monkeypatch):
     assert dyntree.check_counters(tree, tree.leaf_union(), EAGER.epsilon).ok
 
 
+def test_an_insert_whose_fold_raises_changes_nothing(monkeypatch):
+    # At eps 1000 the one leaf folds its listings once an insert lists more
+    # than 2 * 5 + 32 new rows.  A MemoryError there once left the insert
+    # half done: active_size 5, the example in the leaf union and every
+    # pending count one higher, but stats.updates as it was.
+    armed = []
+
+    def faulty(*args):
+        if armed:
+            raise MemoryError("injected fault")
+        return current_rows(*args)
+    current_rows = dyntree.dynamic._current_rows
+    monkeypatch.setattr(dyntree.dynamic, "_current_rows", faulty)
+    tree = DecisionTree.from_multiset(ActiveMultiset.from_examples(
+        make_example((float(v),), 0) for v in range(4)),
+        FeasibilityParams(epsilon=1000.0, k=1))
+    for v in range(4, 100):
+        e = make_example((float(v),), 0)
+        before = _tree_state(tree)
+        armed.append(True)
+        try:
+            tree.update(e, "ins")
+        except MemoryError:
+            break
+        finally:
+            armed.clear()
+        tree.update(e, "del")
+    else:
+        pytest.fail("no insert folded")
+    assert v > 40 and _tree_state(tree) == before
+    assert tree.update(e, "ins") is None
+    assert tree.root.leaf_new is None  # folded
+    assert tree.leaf_union() == ActiveMultiset.from_examples(
+        [make_example((float(u),), 0) for u in range(4)] + [e])
+
+
 def test_a_delete_whose_rebuild_raises_changes_nothing(monkeypatch):
     # s1 keeps its symbol id once deleted, and s2 enters a leaf without a
     # rebuild and waits to be coded, so a delete that rebuilds that leaf
@@ -616,6 +652,38 @@ def test_a_multisets_store_holds_exactly_its_rows():
         assert exact(s)
     assert not s and s.distinct_size == 0
     assert exact(s.copy()) and exact(c) and len(c) == 13
+
+
+def test_building_from_or_copying_a_multiset_codes_nothing_of_it():
+    # the copy of a store once flushed it first, so a tree built from a
+    # multiset left its rows coded there too, for as long as it lived
+    exs = [make_example((float(i % 5), "ab"[i % 2]), i % 2) for i in range(12)]
+    s = ActiveMultiset.from_examples(exs)
+    store = s._store
+
+    def kept():
+        return (set(store.uncoded),
+                [None if a is None else a.tobytes()
+                 for a in (store.y, store.X, store.C)],
+                [dict(d) for d in store.ids], list(store.symbols))
+
+    for more in ([], [make_example((7.0, "c"), 1), make_example((8.0, "a"), 0)]):
+        for e in more:  # after a flush: some rows coded, these not
+            s.insert(e)
+        before = kept()
+        tree = DecisionTree.from_multiset(s, FeasibilityParams(epsilon=0.5))
+        c = s.copy()
+        assert kept() == before
+        if not more:  # never coded: no columns at all
+            assert before[1] == [None, None, None] and len(before[0]) == 10
+        else:
+            assert len(before[0]) == 2
+        assert tree.leaf_union() == s and c == s
+        rows = store.held_rows()
+        for other in (c._store, tree._store):
+            assert [a.tobytes() for a in other.columns(rows)] == [
+                a.tobytes() for a in store.columns(rows)]
+            assert other.symbols == store.symbols
 
 
 @pytest.mark.parametrize("clone", [copy.deepcopy,
@@ -719,12 +787,6 @@ def test_params_validation():
             with pytest.raises(ValueError, match="h must be a positive"):
                 FeasibilityParams(epsilon=0.1, h=bad)
     assert FeasibilityParams(epsilon=0.1, k=2, h=3).h == 3
-
-
-def test_depth_cap():
-    assert FeasibilityParams(epsilon=0.1, h=3).depth_capped(3)
-    assert not FeasibilityParams(epsilon=0.1, h=3).depth_capped(2)
-    assert not FeasibilityParams(epsilon=0.1, h=None).depth_capped(10**9)
 
 
 @given(

@@ -4,12 +4,14 @@ import copy
 import dataclasses
 import pickle
 import random
+from collections import Counter, deque
 from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import dyntree
 from dyntree import (
     ActiveMultiset,
     ExampleNotFound,
@@ -610,6 +612,127 @@ def test_rebuilds_equal_fresh_builds(kind):
     assert rebuilds > 100
     # some subtrees were kept, so the comparison above is not vacuous
     assert tree.stats.reused_touches > 0
+
+
+class _Faults:
+    """Raises MemoryError at seeded random calls of the functions it wraps,
+    while armed, and counts the faults it raised by site."""
+
+    def __init__(self, seed: int, rate: float):
+        self.rng = random.Random(seed)
+        self.rate = rate
+        self.armed = False
+        self.raised = Counter()
+
+    def maybe(self, site: str) -> None:
+        if self.armed and self.rng.random() < self.rate:
+            self.raised[site] += 1
+            raise MemoryError(f"injected fault in {site}")
+
+    def wrap(self, site: str, f, after: bool = False):
+        def faulty(*args, **kwargs):
+            if not after:
+                self.maybe(site)
+            out = f(*args, **kwargs)
+            if after:
+                self.maybe(site)
+            return out
+        return faulty
+
+
+def _install_faults(faults: _Faults, monkeypatch) -> None:
+    # every kernel of the node sweep, by its name in build's namespace
+    for name in ("_sweep_list", "_sweep_numeric", "_sweep_binned",
+                 "_sweep_categorical", "_rank_codes"):
+        monkeypatch.setattr(dyntree.build, name,
+                            faults.wrap(name, getattr(dyntree.build, name)))
+    store = dyntree.core._Store
+    monkeypatch.setattr(store, "columns", faults.wrap("columns", store.columns))
+    # _code fails once _add_symbols has committed the new ids
+    monkeypatch.setattr(store, "_add_symbols",
+                        faults.wrap("_code", store._add_symbols, after=True))
+    node_sweep = dyntree.build._node_sweep
+
+    def faulty_node_sweep(store, rows):
+        sweep = node_sweep(store, rows)
+
+        def faulty(idx, total, ones):
+            if idx is not None:  # below the target: midway through a build
+                faults.maybe("node sweep")
+            return sweep(idx, total, ones)
+        return faulty
+    monkeypatch.setattr(dyntree.build, "_node_sweep", faulty_node_sweep)
+    # the fold calls it, and so does every rebuild's gather
+    monkeypatch.setattr(dyntree.dynamic, "_current_rows",
+                        faults.wrap("_current_rows",
+                                    dyntree.dynamic._current_rows))
+    # small enough that a window of 40 runs all four real kernels
+    monkeypatch.setattr(dyntree.build, "LIST_CELLS", 8)
+    monkeypatch.setattr(dyntree.build, "RANK_ROWS", 16)
+    monkeypatch.setattr(dyntree.build, "RANK_GATE", 1)
+
+
+def _lockstep_state(tree):
+    return (_preorder(tree._store, tree.root), dict(tree.leaf_union().items()),
+            tree.active_size, dataclasses.astuple(tree.stats),
+            tree._store.symbol_types)
+
+
+def test_updates_that_fail_anywhere_leave_the_tree_as_it_was(monkeypatch):
+    # Two trees take the same sliding window from empty; one of them meets
+    # a MemoryError at random calls of the node sweep's kernels, of the
+    # store's columns and coding, midway through a build, and in the fold
+    # and the gather.  A failed update must leave that tree as it was, and
+    # its retry, without faults, must bring it level with the other again.
+    faults = _Faults(seed=3, rate=0.2)
+    _install_faults(faults, monkeypatch)
+    streams = [mixed_stream(300, d_num=2, d_cat=2, seed=1, grid=8),
+               mixed_stream(300, d_num=0, d_cat=3, seed=2, alphabet=30)]
+    failed = Counter()
+    # (params, window, fault rate, part): eps 0.1 rebuilds at most
+    # updates; at eps 1000 the one leaf never rebuilds past the first
+    # insert and folds its listings every 2 * 9 + 32 new rows or so, so its
+    # faults are denser.  Each part of a stream starts from empty trees, so
+    # the first insert pins the symbol types again.
+    for params, size, faults.rate, part in (
+            (FeasibilityParams(epsilon=0.1, alpha=0.2, beta=0.4, k=2), 40,
+             0.2, 100),
+            (FeasibilityParams(epsilon=1000.0, k=1), 8, 0.5, 300)):
+        for stream in (st[i:i + part] for st in streams
+                       for i in range(0, len(st), part)):
+            schema = Schema.infer(stream[0].features)
+            a, b = (DecisionTree.empty(params, schema) for _ in range(2))
+            now = _lockstep_state(a)
+            window = deque()
+            for e in stream:
+                steps = [(e, "ins")]
+                if len(window) == size:
+                    steps.insert(0, (window.popleft(), "del"))
+                window.append(e)
+                for ex, op in steps:
+                    faults.armed = True
+                    try:
+                        info = b.update(ex, op)
+                    except MemoryError:
+                        faults.armed = False
+                        assert _lockstep_state(b) == now
+                        # the first insert pins the symbol types
+                        failed["pin"] += b._store.symbol_types is None
+                        info = b.update(ex, op)
+                        # an update that does not rebuild fails in its fold
+                        failed["fold"] += info is None
+                    finally:
+                        faults.armed = False
+                    ref = a.update(ex, op)
+                    assert (info and info.gathered) == (ref and ref.gathered)
+                    now = _lockstep_state(a)
+                    assert _lockstep_state(b) == now
+    # every site failed some update, folds and first pins among them
+    assert set(faults.raised) == {
+        "_sweep_list", "_sweep_numeric", "_sweep_binned",
+        "_sweep_categorical", "_rank_codes", "columns", "_code",
+        "node sweep", "_current_rows"}
+    assert failed["fold"] and failed["pin"]
 
 
 def test_lab_requests_do_not_touch_counters():

@@ -1,13 +1,16 @@
 """Streaming evaluation: loaders, the stream runner, metrics, shadow
 verification."""
 
+import dataclasses
 import hashlib
 import json
 import statistics
 
 import pytest
 
+import dyntree
 from dyntree import (
+    ActiveMultiset,
     DecisionTree,
     FeasibilityParams,
     FeatureKind,
@@ -75,6 +78,36 @@ def test_load_stream_rejects_nan_in_real_column(tmp_path):
     path = write_csv(tmp_path / "n.csv", "a,label\n1.5,yes\nnan,no\n")
     with pytest.raises(ValueError, match="row 3"):
         load_stream(path, "label", "yes")
+
+
+def test_load_stream_names_the_first_nan_by_row_then_by_column(tmp_path):
+    path = write_csv(tmp_path / "n.csv",
+                     "a,b,c,label\n1,2,3,yes\n1,nan,nan,no\nnan,1,1,no\n")
+    with pytest.raises(ValueError, match="row 3: NaN in real column 'b'"):
+        load_stream(path, "label", "yes")
+
+
+def test_load_stream_with_only_a_label_column(tmp_path):
+    path = write_csv(tmp_path / "l.csv", "label\nyes\nno\n")
+    assert load_stream(path, "label", "yes") == [make_example((), 1),
+                                                  make_example((), 0)]
+
+
+def test_load_stream_converts_each_cell_once(tmp_path, monkeypatch):
+    # a real column's cells were converted once to type the column and
+    # again to make the examples; a text column stops at its first word
+    calls = []
+
+    def counting(cell):
+        calls.append(cell)
+        return float(cell)
+    monkeypatch.setattr(dyntree.harness, "float", counting, raising=False)
+    path = write_csv(tmp_path / "s.csv",
+                     "a,b,label\n1.5,3,yes\n-2,x,no\n0.25,y,yes\n")
+    stream = load_stream(path, "label", "yes")
+    assert stream == [make_example((1.5, "3"), 1), make_example((-2.0, "x"), 0),
+                      make_example((0.25, "y"), 1)]
+    assert calls == ["1.5", "-2", "0.25", "3", "x"]
 
 
 def test_load_stream_errors(tmp_path):
@@ -146,11 +179,11 @@ def test_run_stream_pins_each_mode(config, pinned):
     # digest covers every (t, predicted, actual) triple
     metrics = run_stream(mixed_stream(240, seed=13), config)
     digest = hashlib.sha256(json.dumps(metrics.predictions).encode()).hexdigest()
-    assert (metrics.n_updates, metrics.rebuild_count,
-            metrics.rebuild_example_touches, metrics.max_height,
-            metrics.f1, digest) == pinned
+    stats = metrics.stats
+    assert (stats.updates, stats.rebuild_count, stats.rebuild_touches,
+            stats.max_height, metrics.f1, digest) == pinned
     assert len(metrics.step_nanos) == len(metrics.predictions)
-    assert len(metrics.per_update_nanos) == metrics.n_updates
+    assert len(metrics.per_update_nanos) == metrics.stats.updates
 
 
 @pytest.mark.parametrize("config", [
@@ -191,7 +224,7 @@ def test_sliding_window_keeps_active_set_at_window():
     config = StreamConfig(PARAMS, mode="sw", window=40)
     metrics = run_stream(stream, config)
     # warmup fills the window, every later step pairs one del with one ins
-    assert metrics.n_updates == 2 * (150 - 40)
+    assert metrics.stats.updates == 2 * (150 - 40)
     assert len(metrics.predictions) == 150 - 40
     assert metrics.predictions[0][0] == 41
 
@@ -201,14 +234,14 @@ def test_random_update_runs_are_seed_deterministic():
     a = run_stream(stream, StreamConfig(PARAMS, mode="ru", seed=9))
     b = run_stream(stream, StreamConfig(PARAMS, mode="ru", seed=9))
     assert a.predictions == b.predictions
-    assert a.n_updates == b.n_updates
-    assert a.rebuild_count == b.rebuild_count
+    assert a.stats.updates == b.stats.updates
+    assert a.stats.rebuild_count == b.stats.rebuild_count
 
 
 def test_constant_stream_stays_single_leaf():
     stream = [make_example((1.0, 2.0), 1) for _ in range(60)]
     metrics = run_stream(stream, StreamConfig(PARAMS))
-    assert metrics.max_height == 0
+    assert metrics.stats.max_height == 0
     assert metrics.f1 > 0.95  # only the first, cold prediction misses
 
 
@@ -217,14 +250,31 @@ def test_warmup_is_not_scored():
     metrics = run_stream(stream, StreamConfig(PARAMS, warmup=20))
     assert len(metrics.predictions) == 30
     assert metrics.predictions[0][0] == 21
-    assert metrics.n_updates == 30  # warm set lands in the initial build
+    assert metrics.stats.updates == 30  # warm set lands in the initial build
 
 
 def test_empty_stream_yields_empty_metrics():
     metrics = run_stream([], StreamConfig(PARAMS))
     assert metrics.predictions == []
     assert metrics.f1 == 0.0
-    assert metrics.n_updates == 0
+    assert metrics.stats.updates == 0
+
+
+def test_the_summary_holds_every_tree_counter():
+    # each TreeStats field under its own name, with the value of a tree
+    # that takes the same updates
+    stream = threshold_stream(120, d=3, seed=4)
+    metrics = run_stream(stream, StreamConfig(PARAMS, mode="sw", window=30))
+    tree = DecisionTree.from_multiset(
+        ActiveMultiset.from_examples(stream[:30]), PARAMS)
+    for old, new in zip(stream, stream[30:]):
+        tree.update(old, "del")
+        tree.update(new, "ins")
+    expected = dataclasses.asdict(tree.stats)
+    summary = emit_metrics(metrics)
+    assert {key: summary[key] for key in expected} == expected
+    assert all(expected.values())
+    assert metrics.stats == tree.stats
 
 
 def test_emit_metrics_writes_summary_and_series(tmp_path):
@@ -237,7 +287,7 @@ def test_emit_metrics_writes_summary_and_series(tmp_path):
     on_disk = json.loads(out.read_text())
     assert on_disk == summary  # JSON round-trips every float exactly
     assert on_disk["predictions"] == 70
-    assert on_disk["updates"] == metrics.n_updates
+    assert on_disk["updates"] == metrics.stats.updates
     assert on_disk["config"]["warmup"] == 10
     assert on_disk["mean_update_nanos"] > 0
     lines = series.read_text().strip().splitlines()
@@ -315,14 +365,14 @@ def test_verified_run_completes_outside_the_guarantee(params):
     # on this stream, so a verified run checks its counters alone
     assert not params.guaranteed
     config = StreamConfig(params, mode="sw", window=100, verify=True)
-    assert run_stream(threshold_stream(400), config).n_updates == 600
+    assert run_stream(threshold_stream(400), config).stats.updates == 600
 
 
 def test_verified_run_completes_under_guaranteed_params():
     stream = mixed_stream(150, seed=8)
     config = StreamConfig(GUARANTEED, mode="ru", seed=1, verify=True)
     metrics = run_stream(stream, config)
-    assert metrics.n_updates == 150
+    assert metrics.stats.updates == 150
 
 
 def test_sliding_window_recovers_from_era_flip():

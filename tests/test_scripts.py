@@ -50,7 +50,7 @@ def test_sweep_prints_and_writes_a_row_per_mode_and_epsilon(capsys, tmp_path):
     assert rows[0] == (
         "mode,epsilon,updates,mean_update_nanos,median_update_nanos,"
         "p90_update_nanos,p99_update_nanos,max_update_nanos,rebuild_count,"
-        "rebuild_example_touches,f1,faults_per_update")
+        "rebuild_touches,f1,faults_per_update")
     assert [row.split(",")[:2] for row in rows[1:]] == [
         [mode, f"{float(eps)}"] for mode, eps in grid]
 
