@@ -2,7 +2,8 @@
 
 Each (mode, epsilon) pair replays the same seeded stream and prints one
 row of ``harness.emit_metrics``' summary: update count, engine time per
-update (mean and percentiles), rebuild count and touches, and prequential
+update (mean and percentiles), the set-up time of the warm-start prefix
+(ingest and first build), rebuild count and touches, and prequential
 F1.  The "faults/upd" column is the minor page faults of this process
 over the run (``getrusage``, set-up included) per update: a rebuild path
 that gets fresh memory from the system for its temporaries shows up
@@ -34,6 +35,7 @@ COLUMNS = (
     ("p90 us", "p90_update_nanos", ".1f"),
     ("p99 us", "p99_update_nanos", ".1f"),
     ("max us", "max_update_nanos", ".1f"),
+    ("setup us", "setup_nanos", ".1f"),
     ("rebuilds", "rebuild_count", "d"),
     ("touches", "rebuild_touches", "d"),
     ("f1", "f1", ".4f"),

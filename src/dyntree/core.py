@@ -7,7 +7,11 @@ arrays once, and the store counts each row's copies in one dense per-row
 count.  A caller's multiset owns its store; a tree keeps one for all its
 leaves, and each leaf lists the rows routed to it (see ``TreeNode``), so
 a rebuild slices the store's columns and counts by row id instead of
-re-reading examples.  A row is coded by the first flush after its take:
+re-reading examples.  A multiset made from a batch
+(``ActiveMultiset.from_examples``) takes all its rows in one pass when
+every example would pass ``Schema.validate``'s fast path, checked column
+by column; any other batch is inserted one example at a time, and both
+leave the same store.  A row is coded by the first flush after its take:
 a rebuild's flush, which codes only the few rows taken since the last
 one, writes them cell by cell in Python, and a large one, such as a
 set-up's, with numpy (see ``_Store``).  Enumeration sorts on demand,
@@ -287,7 +291,12 @@ class _Store:
     row in a leaf with a ticket, and the listing is current while
     ``stamp <= ticket`` (see the module docstring).  ``count`` and
     ``stamp`` are memoryviews of int64 arrays, grown geometrically, so
-    they may hold more rows than there are row ids.
+    they may hold more rows than there are row ids.  ``take_all`` takes a
+    whole batch into an empty store in one pass and writes what a run of
+    ``take`` calls would; ``check_all`` says whether the batch may go that
+    way, that is whether every example would pass ``check`` on
+    ``Schema.validate``'s fast path.  A batch that may not is taken one
+    ``take`` at a time (see ``ActiveMultiset.from_examples``).
 
     Coding waits for ``flush``, which fills the columns of the rows taken
     since: ``y`` (labels), ``X`` (real features, one column per real
@@ -389,6 +398,62 @@ class _Store:
             types = schema._check_symbols(example.features, types)
         return schema, types
 
+    def check_all(self, examples: list) -> Optional[tuple]:
+        """(schema, symbol types) to keep once ``take_all`` has taken
+        examples into this empty store, when every one of them would pass
+        ``check`` on ``Schema.validate``'s fast path: exactly a
+        ``LabeledExample`` with an ``int`` label of 0 or 1, and features
+        exactly a ``tuple`` of the schema's arity (inferred from the first
+        example when the store has none) whose every value has exactly its
+        column's type in ``_exact`` and is not NaN.  None otherwise,
+        including a real column that holds both inf and -inf, whose sum is
+        NaN.  Changes nothing and raises nothing.
+        """
+        if set(map(type, examples)) != {LabeledExample}:
+            return None
+        feats, labels = zip(*examples)
+        if set(map(type, labels)) != {int} or not set(labels) <= {0, 1}:
+            return None
+        if set(map(type, feats)) != {tuple}:
+            return None
+        schema = self.schema
+        if schema is None:
+            if not feats[0]:  # no schema of no feature; insert raises
+                return None
+            schema = Schema.infer(feats[0])
+        exact = schema._exact
+        if set(map(len, feats)) != {len(exact)}:
+            return None
+        for col, t in zip(zip(*feats), exact):
+            if set(map(type, col)) != {t}:
+                return None
+            if t is float:
+                total = sum(col)
+                if total != total:  # a NaN, or both inf and -inf
+                    return None
+        types = schema._str_symbols if schema._categorical else None
+        return schema, types
+
+    def take_all(self, examples: list) -> None:
+        """Take every one of examples into this empty store in one pass,
+        writing what a run of ``take`` calls would: rows in first-seen
+        order, each holding the first of its equal examples, counts equal
+        to multiplicities, stamps 1..k and ``clock`` k for k rows, every
+        row uncoded, and per-row arrays grown as ``take`` grows them, whose
+        unused rows count 1.  Checks nothing (see ``check_all``)."""
+        row_of: dict = {}
+        setdefault = row_of.setdefault
+        rows = [setdefault(e, len(row_of)) for e in examples]
+        k = len(row_of)
+        if k > len(self.count):
+            self._grow_rows(k)
+        self.count.obj[:k] = np.bincount(rows)
+        self.stamp.obj[:k] = np.arange(1, k + 1)
+        self.row_of = row_of
+        self.examples = list(row_of)
+        self.uncoded = set(range(k))
+        self.clock = k
+
     def take(self, example: LabeledExample,
              listing: Optional[list] = None) -> int:
         """Count one more copy of example, and return its row: the held
@@ -413,7 +478,7 @@ class _Store:
         else:
             self.examples.append(example)
             if row == len(self.count):
-                self._grow_rows()
+                self._grow_rows(row + 1)
         self.uncoded.add(row)
         self.clock = t = self.clock + 1
         self.stamp[row] = t
@@ -437,9 +502,13 @@ class _Store:
         self.free.append(row)
         self.stamp[row] = _FREED
 
-    def _grow_rows(self) -> None:
+    def _grow_rows(self, rows: int) -> None:
+        # doubles the per-row arrays, from 16 rows, until they hold rows
         n = len(self.count)
-        count, stamp = _int64s(2 * n or 16), _int64s(2 * n or 16)
+        size = 2 * n or 16
+        while size < rows:
+            size *= 2
+        count, stamp = _int64s(size), _int64s(size)
         count.obj[n:] = 1  # rows not yet made count as free ones do
         count.obj[:n] = self.count.obj
         stamp.obj[:n] = self.stamp.obj
@@ -642,9 +711,25 @@ class ActiveMultiset:
     def from_examples(
         cls, examples: Iterable[LabeledExample], schema: Optional[Schema] = None
     ) -> "ActiveMultiset":
+        """The multiset of examples, as if each were inserted in turn.
+
+        A batch that ``Schema.validate``'s fast path would accept example
+        by example (see ``_Store.check_all``) is taken in one pass
+        (``_Store.take_all``); any other goes through ``insert`` one
+        example at a time, from the start, so what is accepted, every
+        exception and the final state do not depend on the path taken.
+        """
         s = cls(schema)
-        for e in examples:
-            s.insert(e)
+        examples = list(examples)
+        store = s._store
+        checked = store.check_all(examples)
+        if checked is None:
+            for e in examples:
+                s.insert(e)
+            return s
+        store.take_all(examples)
+        store.schema, store.symbol_types = checked
+        s._total = len(examples)
         return s
 
     @classmethod
@@ -658,10 +743,11 @@ class ActiveMultiset:
         # pinned by the first of them.
         s = cls(schema)
         store = s._store
-        for e, c in items:
-            row = store.take(e)  # may grow count, so look count up after
-            store.count[row] = c
-            s._total += c
+        items = list(items)
+        store.take_all([e for e, _ in items])
+        counts = [c for _, c in items]
+        store.count.obj[:len(counts)] = counts
+        s._total = sum(counts)
         if store.examples:
             store.symbol_types = schema._check_symbols(
                 store.examples[0].features, None)

@@ -80,12 +80,15 @@ class StreamMetrics:
 
     predictions holds (t, predicted, actual) per scored step, step_nanos
     the engine time each step spent in updates, per_update_nanos one entry
-    per individual engine update, and stats the tree's own counters.
+    per individual engine update, setup_nanos the time the warm-start
+    prefix took to ingest and build (0 for an empty stream), and stats
+    the tree's own counters.
     """
 
     predictions: list = field(default_factory=list)
     step_nanos: list = field(default_factory=list)
     per_update_nanos: list = field(default_factory=list)
+    setup_nanos: int = 0
     f1: float = 0.0
     stats: TreeStats = field(default_factory=TreeStats)
 
@@ -199,9 +202,12 @@ def run_stream(
     mode = config.mode
     warm = min(config.effective_warmup, len(examples))
     schema = Schema.infer(examples[0].features)
+    t0 = time.perf_counter_ns()
     warm_set = ActiveMultiset.from_examples(examples[:warm], schema)
-    shadow = warm_set.copy() if config.verify else None
     tree = DecisionTree.from_multiset(warm_set, config.params)
+    metrics.setup_nanos = time.perf_counter_ns() - t0
+    # the tree was built over a copy of warm_set, which it left as it was
+    shadow = warm_set.copy() if config.verify else None
     if shadow is not None:
         _verify_step(tree, shadow, config)
 
@@ -255,7 +261,8 @@ def emit_metrics(
     """Summarize a run; write the summary as JSON to path when given, and
     the steps as CSV to series_path when given.
 
-    The summary holds every ``TreeStats`` counter under its own name.
+    The summary holds every ``TreeStats`` counter under its own name, and
+    the set-up time as ``setup_nanos``.
     Update-time percentiles interpolate linearly between the two nearest
     ranks, as statistics.median does; they are None for a run of no update.
     """
@@ -276,6 +283,7 @@ def emit_metrics(
         "p90_update_nanos": percentile(90),
         "p99_update_nanos": percentile(99),
         "max_update_nanos": percentile(100),
+        "setup_nanos": metrics.setup_nanos,
         "config": asdict(config) if config is not None else None,
     }
     if path is not None:

@@ -3,6 +3,7 @@
 import ast
 import copy
 import dataclasses
+import math
 import pickle
 import random
 from collections import Counter
@@ -27,6 +28,8 @@ from dyntree import (
     SchemaError,
     Split,
     make_example,
+    mixed_stream,
+    threshold_stream,
 )
 from shared import Code, Picky, Unordered, walk
 
@@ -705,6 +708,178 @@ def test_multisets_and_trees_copy_and_pickle(clone):
         t.update(exs[5], "del")
         t.update(make_example((9.0, "a"), 1), "ins")
     assert c.leaf_union() == tree.leaf_union()
+
+
+def _store_state(s):
+    """What a multiset's store holds, its held examples by identity."""
+    store = s._store
+    return (list(store.row_of.items()), [id(e) for e in store.examples],
+            list(store.free), store.count.obj.tolist(),
+            store.stamp.obj.tolist(), store.clock, set(store.uncoded),
+            store.schema, store.symbol_types, len(s))
+
+
+def _inserted(examples, schema):
+    """The multiset of examples, inserted one at a time."""
+    s = ActiveMultiset(schema)
+    for e in examples:
+        s.insert(e)
+    return s
+
+
+def _tree_dump(tree):
+    store = tree._store
+    return ([(v.depth, v.size, v.height, v.split, v.split_gain.hex(),
+              v.leaf_label, v.label_hist,
+              None if v.leaf_rows is None else v.leaf_rows.tolist(),
+              v.leaf_ticket) for v in walk(tree.root)],
+            [None if a is None else a.tobytes()
+             for a in (store.y, store.X, store.C)])
+
+
+KINDS = {
+    "real": (FeatureKind.REAL,) * 3,
+    "categorical": (FeatureKind.CATEGORICAL,) * 2,
+    "mixed": (FeatureKind.REAL, FeatureKind.CATEGORICAL, FeatureKind.REAL),
+}
+
+
+def _batch(kinds, distinct, seed):
+    """distinct examples of kinds, then equal but distinct copies of about
+    half of them, shuffled: a batch with repeats whose first-seen objects
+    differ from their later copies."""
+    rng = random.Random(seed)
+
+    def value(kind):
+        if kind is FeatureKind.REAL:
+            return float(rng.randrange(5))
+        return f"s{rng.randrange(4)}"
+
+    # the first feature makes each example distinct
+    first = float if kinds[0] is FeatureKind.REAL else "r{}".format
+    base = [make_example([first(i)] + [value(k) for k in kinds[1:]],
+                         rng.randrange(2)) for i in range(distinct)]
+    copies = [make_example(list(e.features), e.label)
+              for e in rng.choices(base, k=distinct // 2 + 1)]
+    batch = base + copies
+    rng.shuffle(batch)
+    return batch
+
+
+@pytest.mark.parametrize("kinds", list(KINDS.values()), ids=list(KINDS))
+@pytest.mark.parametrize("distinct", [1, 16, 17, 150])
+def test_from_examples_takes_a_batch_as_inserts_would(kinds, distinct):
+    # the batch path must leave the store a loop of insert leaves: rows in
+    # first-seen order holding the first object, counts and stamps (unused
+    # rows of the grown arrays included), clock, uncoded rows, schema and
+    # symbol pin; 16 and 17 rows sit either side of the first growth
+    params = FeasibilityParams(epsilon=0.1, alpha=0.2, beta=0.4, k=2, h=5)
+    schema = Schema(kinds)
+    batch = _batch(kinds, distinct, seed=distinct)
+    for given in (schema, None):
+        s = ActiveMultiset.from_examples(batch, given)
+        loop = _inserted(batch, given)
+        assert _store_state(s) == _store_state(loop)
+        assert s.schema == schema and s.distinct_size == distinct
+        assert s._store.symbol_types == (
+            (str,) * len(schema._categorical) if schema._categorical else None)
+        assert _tree_dump(DecisionTree.from_multiset(s, params)) == _tree_dump(
+            DecisionTree.from_multiset(loop, params))
+    # leaf_union's materialization takes its rows through the same pass
+    items = s._unsorted_items()
+    m = ActiveMultiset._from_sorted_items(items, schema)
+    assert _store_state(m)[:-3] == _store_state(loop)[:-3]
+    assert m == loop and len(m) == len(loop)
+    # an empty batch keeps the schema it was given, or none
+    assert _store_state(ActiveMultiset.from_examples([], schema)) == (
+        _store_state(ActiveMultiset(schema)))
+    assert ActiveMultiset.from_examples(iter([])).schema is None
+
+
+class _Row(tuple):
+    """A tuple subclass: hashable and valid features, but not exactly a
+    tuple."""
+
+
+def _replace(batch, i, features=None, label=None):
+    e = batch[i]
+    batch[i] = LabeledExample(e.features if features is None else features,
+                              e.label if label is None else label)
+    return batch
+
+
+def _set(batch, i, j, value):
+    f = list(batch[i].features)
+    f[j] = value
+    return _replace(batch, i, features=tuple(f))
+
+
+# Batches that miss the batch path, each made from a valid (real,
+# categorical, real) batch of 46 examples; features 0 and 2 are real
+FAST_PATH_MISSES = {
+    "bool label": lambda b: _replace(b, 20, label=True),
+    "numpy label": lambda b: _replace(b, 20, label=np.int64(1)),
+    "int real": lambda b: _set(b, 20, 2, 3),
+    "numpy real": lambda b: _set(b, 20, 2, np.float64(2.5)),
+    "nan": lambda b: _set(b, 20, 0, float("nan")),
+    "inf and -inf": lambda b: _set(_set(b, 5, 2, math.inf), 30, 2, -math.inf),
+    "wrong arity": lambda b: _replace(b, 20, features=(1.0, "a")),
+    "list features": lambda b: _replace(b, 20, features=list(b[20].features)),
+    "tuple subclass": lambda b: _replace(b, 20, features=_Row(b[20].features)),
+    "numpy str symbol": lambda b: _set(b, 20, 1, np.str_("s1")),
+    "numpy str column": lambda b: [
+        LabeledExample((f[0], np.str_(f[1]), f[2]), e.label)
+        for e in b for f in (e.features,)],
+    "int symbol": lambda b: _set(b, 20, 1, 7),
+    "plain tuple": lambda b: b[:20] + [tuple(b[20])] + b[21:],
+    "no features": lambda b: [LabeledExample((), 0)] + b,
+}
+
+
+@pytest.mark.parametrize("case", list(FAST_PATH_MISSES))
+def test_batches_that_miss_the_batch_path_insert_one_by_one(case, monkeypatch):
+    # each gives the result, or the exception type and message, of a loop
+    # of insert, and goes through insert itself
+    calls = []
+    insert = ActiveMultiset.insert
+
+    def spy(self, e):
+        calls.append(e)
+        return insert(self, e)
+
+    monkeypatch.setattr(ActiveMultiset, "insert", spy)
+
+    def outcome(make, given):
+        calls.clear()
+        try:
+            return _store_state(make(batch, given)), len(calls)
+        except Exception as exc:  # noqa: BLE001 - compared, not handled
+            return (type(exc), str(exc)), len(calls)
+
+    kinds = KINDS["mixed"]
+    batch = FAST_PATH_MISSES[case](_batch(kinds, 30, seed=4))
+    for given in (Schema(kinds), None):
+        got, inserts = outcome(ActiveMultiset.from_examples, given)
+        assert inserts > 0
+        assert got == outcome(_inserted, given)[0]
+
+
+def test_benchmark_shaped_warm_windows_take_the_batch_path(monkeypatch):
+    # the benchmark's set-up ingests warm windows of 1000 examples like
+    # these; insert would see each of them if they went through it
+    rng = random.Random(0)
+    categorical = [make_example([f"s{rng.randrange(5)}" for _ in range(6)],
+                                rng.randrange(2)) for _ in range(1000)]
+    windows = [threshold_stream(1000, d=8, seed=1, noise=0.04, theta=0.75),
+               mixed_stream(1000, d_num=3, d_cat=2, seed=1), categorical]
+    calls = []
+    monkeypatch.setattr(ActiveMultiset, "insert",
+                        lambda self, e: calls.append(e))
+    for window in windows:
+        for given in (Schema.infer(window[0].features), None):
+            s = ActiveMultiset.from_examples(window, given)
+            assert len(s) == 1000 and s.schema is not None
+    assert calls == []
 
 
 @pytest.mark.parametrize("symbol", [("a",), ["a"], {"a"}, frozenset("a"),

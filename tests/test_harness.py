@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import statistics
+import types
 
 import pytest
 
@@ -26,6 +27,7 @@ from dyntree import (
     run_stream,
     threshold_stream,
 )
+from dyntree.core import _Store
 from dyntree.harness import _verify_step
 from dyntree.synth import era_flip_stream
 
@@ -192,17 +194,24 @@ def test_run_stream_pins_each_mode(config, pinned):
     StreamConfig(PARAMS, mode="ru", warmup=20, seed=2),
 ], ids=["incremental", "sw", "ru"])
 def test_each_example_is_validated_once(monkeypatch, config):
-    # the warm set's inserts validate its examples; then each step's query
-    # validates its example, the insert of that queried tuple adds no
-    # call, and neither does a delete of an example the tree holds
+    # the warm set's batch check validates its examples, in one call; then
+    # each step's query validates its example, the insert of that queried
+    # tuple adds no call, and neither does a delete of an example the tree
+    # holds.  A warm example that missed the batch path would be validated
+    # twice, once by the check and once by its insert
     calls = []
-    original = Schema.validate
+    original, check_all = Schema.validate, _Store.check_all
 
     def counting(schema, features):
         calls.append(features)
         return original(schema, features)
 
+    def counting_all(store, examples):
+        calls.extend(e.features for e in examples)
+        return check_all(store, examples)
+
     monkeypatch.setattr(Schema, "validate", counting)
+    monkeypatch.setattr(_Store, "check_all", counting_all)
     stream = mixed_stream(200, seed=3)
     metrics = run_stream(stream, config)
     assert len(metrics.predictions) == len(stream) - config.effective_warmup
@@ -275,6 +284,34 @@ def test_the_summary_holds_every_tree_counter():
     assert {key: summary[key] for key in expected} == expected
     assert all(expected.values())
     assert metrics.stats == tree.stats
+
+
+def test_run_stream_times_its_set_up(monkeypatch):
+    # set-up is the warm ingest and the first build, and nothing else: not
+    # the shadow copy that verification takes
+    now = [0]
+    monkeypatch.setattr(dyntree.harness, "time", types.SimpleNamespace(
+        perf_counter_ns=lambda: now[0]))
+
+    def taking(fn, nanos):
+        def timed(*args):
+            now[0] += nanos
+            return fn(*args)
+        return timed
+
+    monkeypatch.setattr(ActiveMultiset, "from_examples", classmethod(taking(
+        ActiveMultiset.from_examples.__func__, 1_000)))
+    monkeypatch.setattr(DecisionTree, "from_multiset", classmethod(taking(
+        DecisionTree.from_multiset.__func__, 1_000_000)))
+    monkeypatch.setattr(ActiveMultiset, "copy",
+                        taking(ActiveMultiset.copy, 7))
+    stream = threshold_stream(60, d=2, seed=2)
+    for verify in (False, True):
+        metrics = run_stream(stream, StreamConfig(PARAMS, warmup=20,
+                                                  verify=verify))
+        assert metrics.setup_nanos == 1_001_000
+        assert emit_metrics(metrics)["setup_nanos"] == 1_001_000
+    assert run_stream([], StreamConfig(PARAMS)).setup_nanos == 0
 
 
 def test_emit_metrics_writes_summary_and_series(tmp_path):

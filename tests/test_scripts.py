@@ -28,6 +28,8 @@ def test_sweep_reports_a_mode_that_ran_no_updates(capsys):
     rows = {line.split()[0]: line.split() for line in lines[1:]}
     assert rows["sw"][2:8] == ["0", "-", "-", "-", "-", "-"]
     assert rows["sw"][-1] == "-"
+    # the warm window was still ingested and built
+    assert float(rows["sw"][8]) > 0.0
     assert rows["ru"][2] == "500" and "-" not in rows["ru"]
     assert float(rows["ru"][-1]) >= 0.0
 
@@ -41,7 +43,8 @@ def test_sweep_prints_and_writes_a_row_per_mode_and_epsilon(capsys, tmp_path):
     printed = capsys.readouterr().out.splitlines()
     assert printed[0].split() == [
         "mode", "epsilon", "updates", "mean", "us", "p50", "us", "p90", "us",
-        "p99", "us", "max", "us", "rebuilds", "touches", "f1", "faults/upd"]
+        "p99", "us", "max", "us", "setup", "us", "rebuilds", "touches", "f1",
+        "faults/upd"]
     grid = [["sw", "0"], ["sw", "1"], ["ru", "0"], ["ru", "1"]]
     assert [line.split()[:2] for line in printed[1:]] == grid
     # 50 examples through a window of 20 make 30 steps of two updates
@@ -49,8 +52,8 @@ def test_sweep_prints_and_writes_a_row_per_mode_and_epsilon(capsys, tmp_path):
     rows = out.read_text().splitlines()
     assert rows[0] == (
         "mode,epsilon,updates,mean_update_nanos,median_update_nanos,"
-        "p90_update_nanos,p99_update_nanos,max_update_nanos,rebuild_count,"
-        "rebuild_touches,f1,faults_per_update")
+        "p90_update_nanos,p99_update_nanos,max_update_nanos,setup_nanos,"
+        "rebuild_count,rebuild_touches,f1,faults_per_update")
     assert [row.split(",")[:2] for row in rows[1:]] == [
         [mode, f"{float(eps)}"] for mode, eps in grid]
 

@@ -3,8 +3,9 @@
 The rules reach the row store's edge cases: rows freed and reused,
 examples counted more than once, symbols that sort before every held
 one, which rank a column again, a stream of new symbols, whose ids the
-store drops once no row holds them, and inserts of the very tuple a
-query just accepted, which skip Schema.validate.  A rejected update
+store drops once no row holds them, inserts of the very tuple a query
+just accepted, which skip Schema.validate, and a swap of the tree for a
+pickled clone, which the later rules then update.  A rejected update
 (NaN, a real int that a float64 cannot hold exactly, a wrong arity, a
 symbol of another type than its column holds, a symbol of a type that is
 not a symbol type, unhashable features, label 2, a label equal to 0 or 1
@@ -14,6 +15,7 @@ raised before deletes of held examples skipped validation, and change no
 state.
 """
 
+import pickle
 import random
 from collections import Counter
 from decimal import Decimal
@@ -278,6 +280,14 @@ class TreeMachine(RuleBasedStateMachine):
                                     e.label),
                        "del", SchemaError, "must be real-valued")
 
+    @rule()
+    def swap_for_pickled_clone(self):
+        # the later rules run on the clone, which carries the original's
+        # new-row lists, stale listings, freed rows and pending counts
+        clone = pickle.loads(pickle.dumps(self.tree))
+        assert _dump(clone) == _dump(self.tree)
+        self.tree = clone
+
     @rule(e=examples)
     def delete_absent(self, e):
         if e not in self.shadow:
@@ -312,6 +322,21 @@ def _triggers(tree, features):
             return False
         node = node.route_child(features)
     return True
+
+
+def _dump(tree):
+    """Every field of tree's nodes and row store, and its counters."""
+    store = tree._store
+    nodes = [(v.depth, v.size, v.pending, v.height, v.split,
+              v.split_gain.hex(), v.leaf_label, v.label_hist,
+              None if v.leaf_rows is None else v.leaf_rows.tolist(),
+              v.leaf_ticket, v.leaf_new) for v in walk(tree.root)]
+    arrays = [None if a is None else a.tobytes()
+              for a in (store.y, store.X, store.C, store.rank)]
+    return (nodes, arrays, list(store.row_of.items()), store.examples,
+            store.free, store.uncoded, store.count.tolist(),
+            store.stamp.tolist(), store.clock, store.ids, store.symbols,
+            store.code_col, store.symbol_types, tree.stats, tree.active_size)
 
 
 def _leaf_of(node, features):
@@ -467,6 +492,51 @@ def test_listings_stay_within_a_constant_of_the_rows():
     assert dict(tree.leaf_union().items()) == dict(Counter(exs))
     rows, _ = tree._gather(tree.root)
     assert sorted(rows.tolist()) == sorted(store.row_of.values())
+
+
+def _carried(tree):
+    """Whether tree holds new-row lists, stale listings and freed rows."""
+    store = tree._store
+    leaves = [v for v in walk(tree.root) if v.is_leaf]
+    listed = sum(len(v.leaf_rows) + len(v.leaf_new or ()) // 2 for v in leaves)
+    current = sum(len(current_rows(store, v)) for v in leaves)
+    return (any(v.leaf_new for v in leaves), listed > current,
+            bool(store.free))
+
+
+def test_a_pickled_clone_carries_listings_and_freed_rows():
+    # the machine's small trees rebuild often, so its random swaps seldom
+    # clone these; a lazy tree keeps them until the swap, and the clone
+    # then takes updates that fold, rebuild and reuse its rows, and ends
+    # as the tree it was cloned from would have
+    params = FeasibilityParams(epsilon=4.0, alpha=0.2, beta=0.4, k=2, h=4)
+
+    def run(swap):
+        m = TreeMachine()
+        m.start(params, [make_example((float(i % 4), "mno"[i % 3]), i % 2)
+                         for i in range(12)])
+        m.delete_all_then_reinsert(0)  # the row comes back, listed again
+        m.reuse_row_elsewhere_and_back(5, make_example((3.0, "o"), 0))
+        m.delete(7)
+        assert _carried(m.tree) == (True, True, True)
+        if swap:
+            m.swap_for_pickled_clone()
+        steps = [lambda: m.insert(make_example((1.0, "n"), 1)),
+                 lambda: m.reinsert_deleted(),
+                 lambda: m.insert_new_symbol(2.0, 0),
+                 lambda: m.query_then_insert(make_example((0.0, "p"), 1)),
+                 lambda: m.delete_all_then_reinsert(3)]
+        steps += [lambda: m.insert_duplicate(1)] * 40
+        for step in steps:
+            step()
+            m.leaf_union_is_the_shadow()
+            m.counters_hold()
+            m.store_holds()
+        assert m.tree.stats.rebuild_count > 0
+        m.teardown()
+        return _dump(m.tree)
+
+    assert run(swap=True) == run(swap=False)
 
 
 TreeMachine.TestCase.settings = settings(
