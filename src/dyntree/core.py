@@ -4,16 +4,16 @@ Examples are immutable (features, label) pairs with binary labels.  The
 active set is a multiset over examples, kept in a row store
 (``_Store``): each distinct example gets one row, coded into column
 arrays once, and the store counts each row's copies in one dense per-row
-count.  A caller's multiset owns its store; a tree keeps one for all its
-leaves, and each leaf lists the rows routed to it (see ``TreeNode``), so
-a rebuild slices the store's columns and counts by row id instead of
-re-reading examples.  A multiset made from a batch
-(``ActiveMultiset.from_examples``) takes all its rows in one pass when
-every example would pass ``Schema.validate``'s fast path, checked column
-by column; any other batch is inserted one example at a time, and both
-leave the same store.  A row is coded by the first flush after its take:
-a rebuild's flush, which codes only the few rows taken since the last
-one, writes them cell by cell in Python, and a large one, such as a
+count and all of them in one total.  A caller's multiset owns its store;
+a tree keeps one for all its leaves, and each leaf lists the rows routed
+to it (see ``TreeNode``), so a rebuild slices the store's columns and
+counts by row id instead of re-reading examples.  A multiset made from a
+batch (``ActiveMultiset.from_examples``) takes all its rows in one pass
+when every example would pass ``Schema.validate``'s fast path, checked
+column by column; any other batch is inserted one example at a time, and
+both leave the same store.  A row is coded by the first flush after its
+take: a rebuild's flush, which codes only the few rows taken since the
+last one, writes them cell by cell in Python, and a large one, such as a
 set-up's, with numpy (see ``_Store``).  Enumeration sorts on demand,
 lexicographically by features then label, so its order is deterministic
 regardless of the order updates arrived in.
@@ -101,7 +101,8 @@ class Schema:
     # indices.  _pos: feature j is column _pos[j] of the store's real
     # matrix or of its code matrix.  _str_symbols: the symbol types pinned
     # by an example that validate's fast path accepted, (str,) per
-    # categorical column.
+    # categorical column, or None, the pin of a schema without one (see
+    # _check_symbols).
     _exact: tuple = field(init=False, repr=False, compare=False)
     _real: tuple = field(init=False, repr=False, compare=False)
     _categorical: tuple = field(init=False, repr=False, compare=False)
@@ -123,7 +124,7 @@ class Schema:
         object.__setattr__(self, "_real", real)
         object.__setattr__(self, "_categorical", cat)
         object.__setattr__(self, "_pos", tuple(pos))
-        object.__setattr__(self, "_str_symbols", (str,) * len(cat))
+        object.__setattr__(self, "_str_symbols", (str,) * len(cat) or None)
 
     @property
     def arity(self) -> int:
@@ -206,8 +207,9 @@ class Schema:
         # subtree is built, so each column takes one symbol type, pinned in
         # the row store (``_Store.symbol_types``) by its first example;
         # pinned is None before that.  Returns the types of features'
-        # categorical values, to pin.  Call after validate.
-        types = tuple([type(features[j]) for j in self._categorical])
+        # categorical values, to pin, or None for a schema without
+        # categorical columns, which pins nothing.  Call after validate.
+        types = tuple([type(features[j]) for j in self._categorical]) or None
         if pinned is not None and types != pinned:
             for j, t, p in zip(self._categorical, types, pinned):
                 if t is not p:
@@ -280,23 +282,25 @@ class _Store:
     ``free``) and ``row_of`` maps each held example back to its row.  Rows
     are taken by ``take`` and freed by ``release``, in pure Python, and
     nothing else touches ``row_of``, ``examples``, ``free``, ``uncoded``,
-    ``count`` or ``stamp``.  ``count[r]`` is the number of copies of row
-    r's example that the store's holder (a caller's multiset, or the
-    leaves of one tree) holds: each ``take`` counts one copy and each
-    ``release`` one fewer.  A free row counts 1, the count it has when it
-    is taken again, so that neither call writes the count of a row it
-    takes afresh or frees.  ``take`` ticks ``clock`` for every row it
-    hands out afresh and writes the tick to the row's ``stamp``;
-    ``release`` writes ``_FREED`` when it frees a row.  A tree lists a
-    row in a leaf with a ticket, and the listing is current while
-    ``stamp <= ticket`` (see the module docstring).  ``count`` and
-    ``stamp`` are memoryviews of int64 arrays, grown geometrically, so
-    they may hold more rows than there are row ids.  ``take_all`` takes a
-    whole batch into an empty store in one pass and writes what a run of
-    ``take`` calls would; ``check_all`` says whether the batch may go that
-    way, that is whether every example would pass ``check`` on
-    ``Schema.validate``'s fast path.  A batch that may not is taken one
-    ``take`` at a time (see ``ActiveMultiset.from_examples``).
+    ``count``, ``stamp`` or ``total``.  ``count[r]`` is the number of
+    copies of row r's example that the store's holder (a caller's
+    multiset, or the leaves of one tree) holds, and ``total`` the number
+    of copies of all of them, which the holder reads as its size: each
+    ``take`` counts one copy and each ``release`` one fewer, in both.  A
+    free row counts 1, the count it has when it is taken again, so that
+    neither call writes the count of a row it takes afresh or frees.
+    ``take`` ticks ``clock`` for every row it hands out afresh and writes
+    the tick to the row's ``stamp``; ``release`` writes ``_FREED`` when it
+    frees a row.  A tree lists a row in a leaf with a ticket, and the
+    listing is current while ``stamp <= ticket`` (see the module
+    docstring).  ``count`` and ``stamp`` are memoryviews of int64 arrays,
+    grown geometrically, so they may hold more rows than there are row
+    ids.  ``take_all`` takes a whole batch into an empty store in one pass
+    and writes what a run of ``take`` calls would; ``check_all`` says
+    whether the batch may go that way, that is whether every example
+    would pass ``check`` on ``Schema.validate``'s fast path.  A batch that
+    may not is taken one ``take`` at a time (see
+    ``ActiveMultiset.from_examples``).
 
     Coding waits for ``flush``, which fills the columns of the rows taken
     since: ``y`` (labels), ``X`` (real features, one column per real
@@ -316,14 +320,19 @@ class _Store:
     The arrays grow geometrically, so they may hold more rows than there
     are row ids.  ``symbol_types`` is the symbol type of each categorical
     column, pinned by the first example the store took (see
-    ``Schema._check_symbols``); None before that.  Each is one of
-    ``_SYMBOL_TYPES``, whose ``<`` cannot raise within the type, so the
-    sort of a column's symbols in ``_add_symbols`` cannot fail on them.
+    ``Schema._check_symbols``); None before that, and always for a schema
+    without categorical columns.  Each is one of ``_SYMBOL_TYPES``, whose
+    ``<`` cannot raise within the type, so the sort of a column's symbols
+    in ``_add_symbols`` cannot fail on them.
+
+    ``copy`` clones the store from the state that pickling takes (see
+    ``__getstate__``), one level deep: every container and array in it is
+    copied, and what they hold is shared.
     """
 
     __slots__ = ("schema", "row_of", "examples", "free", "uncoded", "count",
-                 "stamp", "clock", "y", "X", "C", "ids", "rank", "symbols",
-                 "code_col", "symbol_types")
+                 "stamp", "clock", "total", "y", "X", "C", "ids", "rank",
+                 "symbols", "code_col", "symbol_types")
 
     def __init__(self, schema: Optional[Schema]):
         self.schema = schema
@@ -334,6 +343,7 @@ class _Store:
         self.count = _int64s(0)
         self.stamp = _int64s(0)
         self.clock = 0
+        self.total = 0
         self.y = self.X = self.C = None
         self.ids: list = []
         self.rank = np.zeros(0, dtype=np.int64)
@@ -342,23 +352,17 @@ class _Store:
         self.symbol_types: Optional[tuple] = None
 
     def copy(self) -> "_Store":
-        # codes nothing: the copy's uncoded rows are this store's, and each
-        # store codes them at its own next flush
-        new = _Store(self.schema)
-        new.row_of = dict(self.row_of)
-        new.examples = list(self.examples)
-        new.free = list(self.free)
-        new.uncoded = set(self.uncoded)
-        new.count = memoryview(self.count.obj.copy())
-        new.stamp = memoryview(self.stamp.obj.copy())
-        new.clock = self.clock
-        for name in ("y", "X", "C", "rank"):
-            a = getattr(self, name)
-            setattr(new, name, None if a is None else a.copy())
-        new.ids = [dict(d) for d in self.ids]
-        new.symbols = list(self.symbols)
-        new.code_col = list(self.code_col)
-        new.symbol_types = self.symbol_types
+        # Codes nothing: the copy's uncoded rows are this store's, and each
+        # store codes them at its own next flush.  The two stores share
+        # only what the containers hold, which no store changes in place:
+        # examples, symbols, ints and the dicts in ids, since _add_symbols
+        # and _drop_unheld always build new ones.
+        state = self.__getstate__()
+        for name, value in state.items():
+            if hasattr(value, "copy"):  # a container or an array
+                state[name] = value.copy()
+        new = _Store.__new__(_Store)
+        new.__setstate__(state)
         return new
 
     def __getstate__(self) -> dict:
@@ -393,8 +397,7 @@ class _Store:
             schema = Schema.infer(example.features)
         fast = valid or schema.validate(example.features)
         types = self.symbol_types
-        if schema._categorical and not (
-                fast and types == schema._str_symbols):
+        if not (fast and types == schema._str_symbols):
             types = schema._check_symbols(example.features, types)
         return schema, types
 
@@ -431,16 +434,16 @@ class _Store:
                 total = sum(col)
                 if total != total:  # a NaN, or both inf and -inf
                     return None
-        types = schema._str_symbols if schema._categorical else None
-        return schema, types
+        return schema, schema._str_symbols
 
     def take_all(self, examples: list) -> None:
         """Take every one of examples into this empty store in one pass,
         writing what a run of ``take`` calls would: rows in first-seen
         order, each holding the first of its equal examples, counts equal
         to multiplicities, stamps 1..k and ``clock`` k for k rows, every
-        row uncoded, and per-row arrays grown as ``take`` grows them, whose
-        unused rows count 1.  Checks nothing (see ``check_all``)."""
+        row uncoded, ``total`` the batch's length, and per-row arrays grown
+        as ``take`` grows them, whose unused rows count 1.  Checks nothing
+        (see ``check_all``)."""
         row_of: dict = {}
         setdefault = row_of.setdefault
         rows = [setdefault(e, len(row_of)) for e in examples]
@@ -453,6 +456,7 @@ class _Store:
         self.examples = list(row_of)
         self.uncoded = set(range(k))
         self.clock = k
+        self.total = len(examples)
 
     def take(self, example: LabeledExample,
              listing: Optional[list] = None) -> int:
@@ -468,6 +472,7 @@ class _Store:
         # setdefault offers the row a new example would take, and returns
         # the held row otherwise
         held = self.row_of.setdefault(example, row)
+        self.total += 1
         if held != row:
             self.count[held] += 1
             return held
@@ -490,6 +495,7 @@ class _Store:
     def release(self, row: int) -> None:
         """Count one copy fewer of row's example, and free the row for the
         next example once none is left."""
+        self.total -= 1
         count = self.count
         c = count[row]
         if c > 1:
@@ -655,8 +661,7 @@ class _Store:
         # tables); changes nothing.  rows are being coded, so their ids are
         # stale.
         n = sum(map(len, self.ids))
-        live = np.fromiter(self.row_of.values(), dtype=np.intp,
-                           count=len(self.row_of))
+        live = self.held_rows()
         stale = np.zeros(len(self.examples), dtype=bool)
         stale[rows] = True
         live = live[~stale[live]]
@@ -695,17 +700,17 @@ class ActiveMultiset:
 
     Stored in a ``_Store`` of its own, which holds exactly the examples it
     counts and their counts, so point updates take O(1) expected time.
-    ``items`` and iteration sort on each call and enumerate in
-    lexicographic order.  The schema is pinned on construction or by the
-    first inserted example, and the store pins the symbol type of each
-    categorical column.
+    The store counts the copies too (``_Store.total``, the multiset's
+    length), and ``copy`` clones it (``_Store.copy``).  ``items`` and
+    iteration sort on each call and enumerate in lexicographic order.  The
+    schema is pinned on construction or by the first inserted example, and
+    the store pins the symbol type of each categorical column.
     """
 
-    __slots__ = ("_store", "_total")
+    __slots__ = ("_store",)
 
     def __init__(self, schema: Optional[Schema] = None):
         self._store = _Store(schema)
-        self._total = 0
 
     @classmethod
     def from_examples(
@@ -729,7 +734,6 @@ class ActiveMultiset:
             return s
         store.take_all(examples)
         store.schema, store.symbol_types = checked
-        s._total = len(examples)
         return s
 
     @classmethod
@@ -740,14 +744,14 @@ class ActiveMultiset:
     ) -> "ActiveMultiset":
         # Internal: trusted pre-validated (example, count) pairs with
         # distinct examples of one symbol type per column, in any order,
-        # pinned by the first of them.
+        # pinned by the first of them as insert pins them.
         s = cls(schema)
         store = s._store
         items = list(items)
         store.take_all([e for e, _ in items])
         counts = [c for _, c in items]
         store.count.obj[:len(counts)] = counts
-        s._total = sum(counts)
+        store.total = sum(counts)
         if store.examples:
             store.symbol_types = schema._check_symbols(
                 store.examples[0].features, None)
@@ -768,10 +772,7 @@ class ActiveMultiset:
         return len(self._store.row_of)
 
     def __len__(self) -> int:
-        return self._total
-
-    def __bool__(self) -> bool:
-        return self._total > 0
+        return self._store.total
 
     def __contains__(self, example: LabeledExample) -> bool:
         return example in self._store.row_of
@@ -792,7 +793,6 @@ class ActiveMultiset:
         # anything, so an inferred schema and the pin are kept only after it
         store.schema = schema
         store.symbol_types = types
-        self._total += 1
 
     def delete(self, example: LabeledExample) -> None:
         store = self._store
@@ -800,7 +800,6 @@ class ActiveMultiset:
         if row is None:
             raise ExampleNotFound(f"example not in active set: {example}")
         store.release(row)
-        self._total -= 1
 
     def count(self, example: LabeledExample) -> int:
         store = self._store
@@ -814,12 +813,11 @@ class ActiveMultiset:
         count = self._store.count
         n1 = sum([count[r] for e, r in self._store.row_of.items()
                   if e.label == 1])
-        return self._total - n1, n1
+        return self._store.total - n1, n1
 
     def copy(self) -> "ActiveMultiset":
         new = ActiveMultiset.__new__(ActiveMultiset)
         new._store = self._store.copy()
-        new._total = self._total
         return new
 
 

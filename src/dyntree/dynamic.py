@@ -130,11 +130,13 @@ class DecisionTree:
 
     The constructor builds the tree over a copy of a multiset, so every
     node is the builder's, as subtree reuse needs (see the module
-    docstring); ``empty`` and ``from_multiset`` wrap it.
+    docstring); ``empty`` and ``from_multiset`` wrap it.  The tree's row
+    store, a clone of the multiset's (``_Store.copy``), counts the active
+    copies as updates take and release them, and ``active_size`` reads
+    its total.
     """
 
-    __slots__ = ("root", "params", "schema", "stats", "_active", "_store",
-                 "_queried")
+    __slots__ = ("root", "params", "schema", "stats", "_store", "_queried")
 
     def __init__(self, s: ActiveMultiset, params: FeasibilityParams):
         if s.schema is None:
@@ -144,7 +146,6 @@ class DecisionTree:
         self.params = params
         self.schema = s.schema
         self.stats = TreeStats(max_height=self.root.height)
-        self._active = len(s)
         # the features the last query accepted on validate's fast path
         self._queried = None
 
@@ -194,7 +195,7 @@ class DecisionTree:
 
     @property
     def active_size(self) -> int:
-        return self._active
+        return self._store.total
 
     def leaf_union(self) -> ActiveMultiset:
         """Union of the leaf multisets: the engine's view of the active set."""
@@ -324,11 +325,9 @@ class DecisionTree:
         if op == "ins":
             pin, store.symbol_types = store.symbol_types, types
             hist[example.label] += 1
-            self._active += 1
         else:
             store.release(row)
             hist[example.label] -= 1
-            self._active -= 1
         n0, n1 = hist
         leaf.leaf_label = 1 if n1 > n0 else 0
         self.stats.updates += 1
@@ -340,9 +339,7 @@ class DecisionTree:
             # rebuild replaces the leaf instead, and at epsilon 1 or below
             # the leaf rebuilds first
             if eps > 1 and op == "ins" and len(new) > 4 * (n0 + n1) + 64:
-                a = leaf.leaf_rows
-                leaf.leaf_rows = _current_rows([a], [leaf.leaf_ticket],
-                                               [len(a)], new, store)
+                leaf.leaf_rows = self._gather(leaf)[0]
                 leaf.leaf_ticket = store.clock  # no current stamp is later
                 leaf.leaf_new = None
             return None
@@ -353,12 +350,12 @@ class DecisionTree:
     def _undo(self, path: list, example: LabeledExample, op: str, row: int,
               prior) -> None:
         # Undoes an update whose rebuild or fold raised: its counts on
-        # path, its stats, its store edit and leaf edit, and an insert's
-        # symbol pin.  prior is the pin before an insert, or the example
-        # object a delete released.  The builder changed nothing of the old
-        # subtree, a store flush is all or nothing, and a fold writes the
-        # leaf only once its listings are made, so the tree is as it was
-        # before the update.
+        # path, its stats, its store edit (which counts its copy out or back
+        # in) and leaf edit, and an insert's symbol pin.  prior is the pin
+        # before an insert, or the example object a delete released.  The
+        # builder changed nothing of the old subtree, a store flush is all
+        # or nothing, and a fold writes the leaf only once its listings are
+        # made, so the tree is as it was before the update.
         for v in path:
             v.pending -= 1
         self.stats.updates -= 1
@@ -369,14 +366,12 @@ class DecisionTree:
             store.release(row)
             store.symbol_types = prior
             hist[example.label] -= 1
-            self._active -= 1
         else:
             if leaf.leaf_new is None:
                 leaf.leaf_new = []
             # a row the delete freed is free[-1], so it is taken back
             store.take(prior, leaf.leaf_new)
             hist[example.label] += 1
-            self._active += 1
         leaf.leaf_label = 1 if hist[1] > hist[0] else 0
 
     def _rebuild_at(self, path: list, i: int) -> RebuildInfo:

@@ -24,7 +24,6 @@ from .core import (
     LabeledExample,
     Schema,
     Split,
-    TreeNode,
     make_example,
 )
 from . import gini as _gini_mod

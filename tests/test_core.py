@@ -88,6 +88,38 @@ def test_every_public_name_has_a_user():
     assert sorted(set(dyntree.__all__) - imported - named - raised) == []
 
 
+# imports kept for bench/tracing.py, which patches them by name in these
+# modules (ROADMAP item 1b)
+TRACER_SHIMS = {("build.py", "_gain_from_counts"),
+                ("dynamic.py", "_build_cat_entries")}
+
+
+def test_every_imported_name_is_used():
+    # neither pyflakes nor ruff is a dependency, so this is their unused
+    # import check, for the package and the scripts: a module uses a name
+    # it imports, or re-exports it in __all__, or is a tracer shim
+    unused = []
+    for path in [*(REPO / "src" / "dyntree").glob("*.py"),
+                 *(REPO / "scripts").glob("*.py")]:
+        module = ast.parse(path.read_text())
+        imported, used = set(), set()
+        for node in ast.walk(module):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name).split(".")[0]
+                                for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif (isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "__all__"
+                          for t in node.targets)):
+                used.update(ast.literal_eval(node.value))
+        unused += [(path.name, name) for name in sorted(imported - used)
+                   if (path.name, name) not in TRACER_SHIMS]
+    assert unused == []
+
+
 def test_make_example_rejects_bad_labels():
     # the tree's boundary rule: an integer 0 or 1, never a coerced value
     for bad in (2, -1, 1.7, 0.9, -0.4, "1", np.True_):
@@ -710,6 +742,43 @@ def test_multisets_and_trees_copy_and_pickle(clone):
     assert c.leaf_union() == tree.leaf_union()
 
 
+def _comparable(state):
+    """A store's pickled state with each array as (dtype, shape, bytes), so
+    that two states compare with ==."""
+    return {name: (v.dtype.str, v.shape, v.tobytes())
+            if isinstance(v, np.ndarray) else v for name, v in state.items()}
+
+
+def test_a_store_copy_shares_no_container_it_changes():
+    # _Store.copy clones the pickled state one level deep instead of naming
+    # its slots, so a slot added later cannot be left shared; edits of the
+    # copy, including a flush that ranks a new symbol, leave the source as
+    # it was
+    exs = [make_example((float(i % 5), "ab"[i % 2]), i % 2) for i in range(12)]
+    s = ActiveMultiset.from_examples(exs)
+    s._store.flush()
+    s.insert(make_example((7.0, "a"), 1))  # held uncoded
+    store = s._store
+    c = store.copy()
+    copied = []
+    for name in dyntree.core._Store.__slots__:
+        mine, theirs = getattr(store, name), getattr(c, name)
+        if isinstance(mine, memoryview):
+            mine, theirs = mine.obj, theirs.obj
+        if isinstance(mine, (dict, list, set, np.ndarray)):
+            assert theirs is not mine, name
+            copied.append(name)
+    assert len(copied) == 13  # y, X and C included: the store has coded
+    before = copy.deepcopy(store.__getstate__())
+    c.take(make_example((8.0, "c"), 0))
+    c.release(c.row_of[exs[0]])
+    c.release(c.row_of[exs[5]])  # its last copy: the row is freed
+    c.flush()
+    assert c.symbols == ["a", "b", "c"] and c.total == 12
+    assert _comparable(store.__getstate__()) == _comparable(before)
+    assert store.total == len(s) == 13
+
+
 def _store_state(s):
     """What a multiset's store holds, its held examples by identity."""
     store = s._store
@@ -785,11 +854,13 @@ def test_from_examples_takes_a_batch_as_inserts_would(kinds, distinct):
             (str,) * len(schema._categorical) if schema._categorical else None)
         assert _tree_dump(DecisionTree.from_multiset(s, params)) == _tree_dump(
             DecisionTree.from_multiset(loop, params))
-    # leaf_union's materialization takes its rows through the same pass
+    # leaf_union's materialization takes its rows through the same pass and
+    # pins what insert pins: None for an all-real schema, which it once
+    # pinned as ()
     items = s._unsorted_items()
     m = ActiveMultiset._from_sorted_items(items, schema)
-    assert _store_state(m)[:-3] == _store_state(loop)[:-3]
-    assert m == loop and len(m) == len(loop)
+    assert _store_state(m) == _store_state(loop)
+    assert m == loop
     # an empty batch keeps the schema it was given, or none
     assert _store_state(ActiveMultiset.from_examples([], schema)) == (
         _store_state(ActiveMultiset(schema)))

@@ -379,6 +379,10 @@ def _store_problems(tree, max_distinct):
         if types != store.symbol_types:
             problems.append(f"{e} holds symbol types {types}, "
                             f"pinned {store.symbol_types}")
+    held = sum(store.count[r] for r in store.row_of.values())
+    if not store.total == held == tree.active_size:
+        problems.append(f"the store totals {store.total} copies, its held "
+                        f"rows count {held} and the tree {tree.active_size}")
     if any(store.count[r] != 1 for r in range(len(store.count))
            if r >= len(store.examples) or store.examples[r] is None):
         problems.append("a free row does not count 1, as its next take "
