@@ -5,18 +5,25 @@ store (``core._Store``) and slices the store's counts, real matrix and
 code matrix by them.  The split search is written once, as one build's
 node sweep (``_node_sweep``): the builder runs it at every node, and
 ``best_split`` (acceptance criterion 5) at a multiset's held rows, as at
-a rebuild's target.  It picks each node's real-column kernel (see
-``gini``), runs the categorical sweep and takes the first feature whose
-gain is within ``TIE_TOL`` of the best.
+a rebuild's target.  It picks each node's real-column kernel and
+categorical sweep (see ``gini``), runs them and takes the first feature
+whose gain is within ``TIE_TOL`` of the best.
 
 The kernel follows a node's real cells, rows times real columns.  A node
 of at most ``LIST_CELLS`` runs the list sweep.  A target of at least
 ``RANK_ROWS`` rows keeps its sort sweep's sort when its columns repeat
 values enough: V, their distinct values summed over the columns, with
 ``RANK_GATE * V`` at most its cells.  Below such a target a node of at
-least V cells runs the binned sweep, over rank codes that the first such
-node makes from that sort, local to the one rebuild.  Every other node
-runs the sort sweep.
+least V cells is counted over rank codes, which the first such node
+makes from that sort, local to the one rebuild.  Every other node runs
+the sort sweep.
+
+Coded columns follow their code range: V for rank codes, the store's
+symbols of every categorical column for categorical codes.  A range of
+at most ``SCAN_CODES`` codes is scanned whole in Python (``_scan_binned``,
+``_sweep_categorical``), a larger one through the codes present
+(``_sweep_binned``, ``_sweep_categorical_present``), so no node's Python
+work grows with the store's alphabet.
 
 Each leaf gets its slice of the row array, listed under the store's
 current clock (``TreeNode.leaf_rows``, ``TreeNode.leaf_ticket``).
@@ -37,7 +44,8 @@ import numpy as np
 
 from .core import (ActiveMultiset, FeasibilityParams, FeatureKind, Split,
                    TreeNode, _Store)
-from .gini import (TIE_TOL, _rank_codes, _sweep_binned, _sweep_categorical,
+from .gini import (TIE_TOL, _rank_codes, _scan_binned, _sweep_binned,
+                   _sweep_categorical, _sweep_categorical_present,
                    _sweep_list, _sweep_numeric)
 
 # Bound here for bench/tracing.py, which patches it by name in this module;
@@ -56,6 +64,18 @@ LIST_CELLS = 96
 # repay the codes, so it does not even count its values.
 RANK_ROWS = 128
 RANK_GATE = 16
+
+# A set of coded columns, a node's rank-coded real columns or its
+# categorical ones, whose code range is at most SCAN_CODES is scanned over
+# its whole range in Python; a larger one is swept through the codes
+# present, so that its Python work follows the node, not the range.  On
+# synthetic 3-column nodes of 40, 150 and 600 rows with every code
+# present, the scan of rank codes takes 0.97-1.00 of the binned sweep's
+# time at 42 codes and loses from 48 or 60 codes on; the whole-range
+# categorical scan loses to the codes-present sweep only once nodes lack
+# many codes, between 90 and 150 codes at 40 rows.  The cutoff sits below
+# the lower crossover (``BENCH_34.json``).
+SCAN_CODES = 40
 
 
 def _leaf(rows: np.ndarray, ticket: int, eta: int, total: int,
@@ -89,11 +109,10 @@ def _node_sweep(store: _Store, rows: np.ndarray):
 
     j is the first feature whose gain is within TIE_TOL of the best.  Its
     winner sends every row left (left == total) only when every gain is
-    within TIE_TOL of 0, as that winner gains 0.  Then, in each of the
-    four kernels, a feature with two or more values on the node wins at
-    its smallest value (or smallest code), which gains at least 0, with
-    its exact side counts; a feature with one value has the
-    everything-left winner.  So the first feature whose winner has
+    within TIE_TOL of 0, as that winner gains 0.  Then, in each kernel,
+    a feature with two or more values on the node wins at its smallest
+    value (or smallest code), which gains at least 0, with its exact side
+    counts; a feature with one value has the everything-left winner.  So the first feature whose winner has
     left < total is the lowest feature that separates the node, at its
     smallest value: the builder's split of a node that no split gains on.
     """
@@ -108,6 +127,9 @@ def _node_sweep(store: _Store, rows: np.ndarray):
     # with both kinds, feature j's winner is (real winners + categorical
     # winners)[at[j]]
     at = sorted(range(d), key=(num + cat).__getitem__)
+    # the store's code range holds for the whole build
+    cat_sweep = (_sweep_categorical if len(code_col) <= SCAN_CODES
+                 else _sweep_categorical_present)
 
     def sweep(idx, total: int, ones: int) -> tuple:
         nonlocal rank
@@ -139,14 +161,17 @@ def _node_sweep(store: _Store, rows: np.ndarray):
                 # Xi holds codes, thresholds are codes, vals maps them
                 R, vals, starts, rcol = rank
                 Xi = R.take(idx, axis=0)
-                found = _sweep_binned(Xi, wi, wyi, total, ones, starts,
-                                      rcol)
+                if len(vals) <= SCAN_CODES:
+                    found = _scan_binned(Xi, wi, wyi, total, ones, starts)
+                else:
+                    found = _sweep_binned(Xi, wi, wyi, total, ones, starts,
+                                          rcol)
             else:
                 Xi = X if first else X.take(idx, axis=0)
                 found = _sweep_numeric(Xi, wi, wyi, total, ones)
         if cat:
             Ci = C if first else C.take(idx, axis=0)
-            res = _sweep_categorical(Ci, wi, wyi, total, ones, code_col)
+            res = cat_sweep(Ci, wi, wyi, total, ones, code_col)
             found = (res if found is None
                      else list(map((found + res).__getitem__, at)))
         # the first feature within TIE_TOL of the best gain

@@ -436,27 +436,33 @@ class _Store:
                     return None
         return schema, schema._str_symbols
 
-    def take_all(self, examples: list) -> None:
+    def take_all(self, examples: list,
+                 counts: Optional[list] = None) -> None:
         """Take every one of examples into this empty store in one pass,
         writing what a run of ``take`` calls would: rows in first-seen
         order, each holding the first of its equal examples, counts equal
         to multiplicities, stamps 1..k and ``clock`` k for k rows, every
         row uncoded, ``total`` the batch's length, and per-row arrays grown
-        as ``take`` grows them, whose unused rows count 1.  Checks nothing
-        (see ``check_all``)."""
+        as ``take`` grows them, whose unused rows count 1.  With counts,
+        the examples are distinct and example i is taken counts[i] times.
+        Checks nothing (see ``check_all``)."""
         row_of: dict = {}
         setdefault = row_of.setdefault
         rows = [setdefault(e, len(row_of)) for e in examples]
         k = len(row_of)
         if k > len(self.count):
             self._grow_rows(k)
-        self.count.obj[:k] = np.bincount(rows)
+        if counts is None:
+            self.count.obj[:k] = np.bincount(rows)
+            self.total = len(examples)
+        else:
+            self.count.obj[:k] = counts
+            self.total = sum(counts)
         self.stamp.obj[:k] = np.arange(1, k + 1)
         self.row_of = row_of
         self.examples = list(row_of)
         self.uncoded = set(range(k))
         self.clock = k
-        self.total = len(examples)
 
     def take(self, example: LabeledExample,
              listing: Optional[list] = None) -> int:
@@ -748,10 +754,7 @@ class ActiveMultiset:
         s = cls(schema)
         store = s._store
         items = list(items)
-        store.take_all([e for e, _ in items])
-        counts = [c for _, c in items]
-        store.count.obj[:len(counts)] = counts
-        store.total = sum(counts)
+        store.take_all([e for e, _ in items], [c for _, c in items])
         if store.examples:
             store.symbol_types = schema._check_symbols(
                 store.examples[0].features, None)

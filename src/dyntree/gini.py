@@ -3,10 +3,11 @@
 ``gini_gain`` scores one split through the scalar kernel
 ``_gain_from_counts``.  The engine's sweeps score every candidate of a
 node at once: the numeric sort sweep and the binned sweep in numpy arrays
-(one helper, ``_gains``, holds their arithmetic), the list sweep and the
-categorical one in inlined copies of the kernel.  The list sweep runs
+(one helper, ``_gains``, holds their arithmetic), the list sweep, the
+Python scan of rank codes and the two categorical sweeps in inlined
+copies of the kernel.  The list sweep and the scan of rank codes run
 the kernel's float operations in its order; ``_gains`` and the categorical
-sweep run them without the kernel's factors 2.0, so every value they
+sweeps run them without the kernel's factors 2.0, so every value they
 compute is half the kernel's, and double each gain once at the end, which
 is exact: scaling by 2 commutes with rounding away from overflow and the
 subnormal range.  So a gain a sweep reports equals what ``gini_gain``
@@ -39,11 +40,22 @@ bincounts and cumsums over the codes present.  Each row has one code per
 column, so column j's running sums over the codes present run on from
 ``j * total`` and ``j * ones``; less those offsets they are the sort
 sweep's running sums exactly, and the winner is the same, bit for bit.
+
+Coded columns, rank-coded or categorical, are counted by two bincounts
+and swept in one of two forms: a Python scan of the whole code range,
+which skips the codes a node lacks (``_scan_binned``,
+``_sweep_categorical``), or a sweep of the codes present only
+(``_sweep_binned``, ``_sweep_categorical_present``).  The scan costs
+per code of the range and the other per node, so ``build``'s node sweep
+picks the form by the code range (``SCAN_CODES``); each pair returns the
+same tuples, bit for bit.  Both categorical forms run one strict scan,
+in ``_sweep_categorical``, so the categorical tie rule stays one rule.
 """
 
 from __future__ import annotations
 
 import threading
+from itertools import count
 
 import numpy as np
 
@@ -353,8 +365,59 @@ def _sweep_binned(R: np.ndarray, w, wy, total: int, ones: int, starts,
                     gains[sel].tolist()))
 
 
+def _scan_binned(R: np.ndarray, w, wy, total: int, ones: int,
+                 starts) -> list:
+    """``_sweep_binned`` in Python, over the whole code range.
+
+    Reads the two bincounts as lists and walks each column's block of
+    codes, from starts[j] to the next column's start, skipping the codes
+    the node lacks.  Each code present is a value boundary of the sort
+    sweep, scored as ``_sweep_list`` scores it, with the same float
+    operations in the same order on the same integer running sums, and
+    the winner is picked by the same rule, so the result equals
+    ``_sweep_binned``'s bit for bit.  Its time grows with the code range,
+    which ``build``'s node sweep bounds (``SCAN_CODES``).
+    """
+    m = R.shape[1]
+    codes = R.ravel()
+    cw = np.bincount(codes, weights=w.repeat(m)).tolist()
+    cwy = np.bincount(codes, weights=wy.repeat(m)).tolist()
+    # the last column's block ends at the node's largest code
+    bounds = starts.tolist() + [len(cw)]
+    g = 2.0 * (ones / total) * ((total - ones) / total)
+    out = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        cands = []  # (code, left, left_ones) at each code present
+        gains = []
+        left = left_ones = 0.0  # integers, exact in a float below 2**53
+        for code in range(lo, hi):
+            c = cw[code]
+            if not c:
+                continue
+            left += c
+            left_ones += cwy[code]
+            right = total - left
+            if right:
+                right_ones = ones - left_ones
+                gl = 2.0 * (left_ones / left) * ((left - left_ones) / left)
+                gr = 2.0 * (right_ones / right) * ((right - right_ones)
+                                                   / right)
+                gain = g - (left * gl + right * gr) / total
+                gains.append(gain if gain > 0.0 else 0.0)  # max(0.0, gain)
+            else:
+                gains.append(0.0)  # the column's last code: everything left
+            cands.append((code, left, left_ones))
+        floor = max(gains) - TIE_TOL
+        k = 0
+        while gains[k] < floor:
+            k += 1
+        code, left, left_ones = cands[k]
+        out.append((code, left, left_ones, gains[k]))
+    return out
+
+
 def _sweep_categorical(C: np.ndarray, w, wy, total: int, ones: int,
-                       code_col: list) -> list:
+                       code_col: list, present: bool = False) -> list:
     """Best equality split of every categorical feature of one node.
 
     C holds the node's codes by categorical feature (see ``core._Store``).
@@ -362,29 +425,40 @@ def _sweep_categorical(C: np.ndarray, w, wy, total: int, ones: int,
     code order, so ties resolve to the smallest symbol. Returns one
     (code, left, left_ones, gain) per column.
 
-    The codes' weights and 1-label weights come from two bincounts, read
-    as whole lists; a code the node lacks weighs 0 and is skipped.  Each
-    gain is ``_gain_from_counts`` inlined as ``_gains`` runs it: the same
-    float operations in the same order without the factors 2.0, so every
-    value is half the kernel's, and each winner's gain is doubled once, on
-    return.  A code beats its column's best half-gain by more than
-    TIE_TOL / 2 exactly when its gain beats the best gain by more than
-    TIE_TOL, so the winners are the full-gain scan's.  The counts stay
-    floats; they are integers below 2**53, so every operation sees the
-    same values as with ints.
+    The codes' weights and 1-label weights come from two bincounts.  One
+    strict scan walks them: over the whole code range, read as whole
+    lists, skipping the codes the node lacks; or, with present, over the
+    codes present only, found from a bool mask (numpy's ``nonzero`` of a
+    float array takes about ten times as long), so that the Python work
+    follows the node's cells, whatever the store's alphabet.  ``build``'s
+    node sweep picks the form by the code range (``SCAN_CODES``).
+
+    Each gain is ``_gain_from_counts`` inlined as ``_gains`` runs it: the
+    same float operations in the same order without the factors 2.0, so
+    every value is half the kernel's, and each winner's gain is doubled
+    once, on return.  A code beats its column's best half-gain by more
+    than TIE_TOL / 2 exactly when its gain beats the best gain by more
+    than TIE_TOL, so the winners are the full-gain scan's; each column
+    keeps that bar, its best half-gain plus TIE_TOL / 2, as it is
+    passed.  The counts stay floats; they are integers below 2**53, so
+    every operation sees the same values as with ints.
     """
     m = C.shape[1]
     codes = C.ravel()
-    cw = np.bincount(codes, weights=w.repeat(m)).tolist()
-    cwy = np.bincount(codes, weights=wy.repeat(m)).tolist()
-    best: list = [None] * m
-    gains = [-1.0] * m  # half-gains
+    cw = np.bincount(codes, weights=w.repeat(m))
+    cwy = np.bincount(codes, weights=wy.repeat(m))
+    if present:
+        at = (cw != 0).nonzero()[0]
+        scan = zip(at.tolist(), cw[at].tolist(), cwy[at].tolist())
+    else:
+        scan = zip(count(), cw.tolist(), cwy.tolist())
+    best: list = [None] * m  # (code, left, left_ones, half-gain)
     tol = TIE_TOL / 2
+    bars = [-1.0 + tol] * m
     g = (ones / total) * ((total - ones) / total)
-    for code, left in enumerate(cw):
+    for code, left, left_ones in scan:
         if not left:
             continue
-        left_ones = cwy[code]
         right = total - left
         if right:
             right_ones = ones - left_ones
@@ -396,8 +470,15 @@ def _sweep_categorical(C: np.ndarray, w, wy, total: int, ones: int,
         else:
             gain = 0.0
         jj = code_col[code]
-        if gain > gains[jj] + tol:
-            best[jj] = (code, left, left_ones)
-            gains[jj] = gain
+        if gain > bars[jj]:
+            best[jj] = (code, left, left_ones, gain)
+            bars[jj] = gain + tol
     return [(code, left, left_ones, 2.0 * gain)
-            for (code, left, left_ones), gain in zip(best, gains)]
+            for code, left, left_ones, gain in best]
+
+
+def _sweep_categorical_present(C: np.ndarray, w, wy, total: int,
+                               ones: int, code_col: list) -> list:
+    """``_sweep_categorical`` over the codes present only: the form that
+    ``build``'s node sweep takes for a code range above ``SCAN_CODES``."""
+    return _sweep_categorical(C, w, wy, total, ones, code_col, True)

@@ -240,13 +240,17 @@ def _grid_multiset(rng, kinds, points, grid, alphabet, cube):
 
 
 def test_every_split_matches_exhaustive_search(monkeypatch):
-    binned = []
-
-    def spy(*args):
-        binned.append(len(args[0]))
-        return sweep(*args)
-    sweep = build_mod._sweep_binned
-    monkeypatch.setattr(build_mod, "_sweep_binned", spy)
+    # SCAN_CODES alternates between 0 and 10**9 from small trial to small
+    # trial, and each large one runs at both, so both paths of each
+    # counting kernel, the codes present and the whole range, meet the
+    # exhaustive search
+    ran = set()
+    for name in ("_scan_binned", "_sweep_binned", "_sweep_categorical",
+                 "_sweep_categorical_present"):
+        def spy(*args, name=name, sweep=getattr(build_mod, name)):
+            ran.add(name)
+            return sweep(*args)
+        monkeypatch.setattr(build_mod, name, spy)
     rng = random.Random(2024)
     trials = []
     for _ in range(250):
@@ -260,7 +264,7 @@ def test_every_split_matches_exhaustive_search(monkeypatch):
         params = FeasibilityParams(epsilon=0.1, alpha=rng.choice([0.0, 0.2, 0.5]),
                                    beta=0.1, k=rng.choice([1, 2, 4]),
                                    h=rng.choice([None, 2, 5]))
-        trials.append((s, params))
+        trials.append((s, params, (0, 10**9)[len(trials) % 2]))
     # large targets: 128 to 256 points on a grid of 4 real values.  The
     # target takes the sort sweep.  With four real columns it mostly holds
     # 128 distinct rows or more and passes the rank-code gate, so the nodes
@@ -271,11 +275,13 @@ def test_every_split_matches_exhaustive_search(monkeypatch):
     for m in (4, 4, 4, 2):
         kinds = (FeatureKind.REAL,) * m + (FeatureKind.CATEGORICAL,)
         s = _grid_multiset(rng, kinds, rng.randint(128, 256), 4, 3, False)
-        trials.append((s, FeasibilityParams(epsilon=0.1, alpha=0.2, beta=0.1,
-                                            k=rng.choice([1, 2]), h=None)))
+        params = FeasibilityParams(epsilon=0.1, alpha=0.2, beta=0.1,
+                                   k=rng.choice([1, 2]), h=None)
+        trials += [(s, params, 0), (s, params, 10**9)]
 
     zero_gain_nodes = internal = 0
-    for trial, (s, params) in enumerate(trials):
+    for trial, (s, params, scan_codes) in enumerate(trials):
+        monkeypatch.setattr(build_mod, "SCAN_CODES", scan_codes)
         root, store = build(s, 0, params)
         assert _subtree_multiset(store, root) == s, f"trial {trial}"
         for v in walk(root):
@@ -298,14 +304,17 @@ def test_every_split_matches_exhaustive_search(monkeypatch):
                            for e in _subtree_multiset(store, v.right))
     assert internal > 500
     assert zero_gain_nodes > 50
-    assert len(binned) > 0
+    assert ran == {"_scan_binned", "_sweep_binned", "_sweep_categorical",
+                   "_sweep_categorical_present"}
 
 
 @pytest.mark.parametrize("kernel, values, pure_block", [
     ("_sweep_list", 2, False),
     ("_sweep_numeric", 8, False),
     ("_sweep_binned", 8, True),
+    ("_scan_binned", 8, True),
     ("_sweep_categorical", 4, False),
+    ("_sweep_categorical_present", 4, False),
 ])
 def test_zero_gain_nodes_split_in_every_kernel(monkeypatch, kernel, values,
                                                pure_block):
@@ -313,19 +322,25 @@ def test_zero_gain_nodes_split_in_every_kernel(monkeypatch, kernel, values,
     # feature: every split gains 0, the tie rule picks the constant
     # feature, which sends every row left, and the node must split at the
     # first feature that separates it.  4 real rows take the list sweep and
-    # 64 the sort sweep; the binned sweep runs below a target only, so there
-    # the grid is the left child of a 128-row target whose other half is
-    # pure and passes the rank-code gate
+    # 64 the sort sweep; the rank-coded kernels run below a target only, so
+    # there the grid is the left child of a 128-row target whose other half
+    # is pure and passes the rank-code gate.  The coded columns hold at
+    # most 18 codes, so SCAN_CODES at 0 sends them to the codes-present
+    # kernels and at 10**9 to the whole-range scans
+    monkeypatch.setattr(build_mod, "SCAN_CODES", 0 if kernel in (
+        "_sweep_binned", "_sweep_categorical_present") else 10**9)
     calls = []
     for name in ("_sweep_list", "_sweep_numeric", "_sweep_binned",
-                 "_sweep_categorical"):
+                 "_scan_binned", "_sweep_categorical",
+                 "_sweep_categorical_present"):
         def spy(*args, name=name, sweep=getattr(build_mod, name)):
             calls.append((name, args[3]))  # each kernel's total
             return sweep(*args)
         monkeypatch.setattr(build_mod, name, spy)
 
     def value(c):
-        return "pqrs"[c] if kernel == "_sweep_categorical" else float(c)
+        return ("pqrs"[c] if kernel.startswith("_sweep_categorical")
+                else float(c))
     s = ActiveMultiset.from_examples(
         make_example((value(c), value(a), value(b)), 1 if c else (a + b) % 2)
         for c in range(1 + pure_block)
@@ -346,7 +361,8 @@ def test_zero_gain_nodes_split_in_every_kernel(monkeypatch, kernel, values,
 def test_rank_codes_free_the_targets_sort(monkeypatch):
     # once the first binned node has made rank codes from the target's
     # sort, the node sweep keeps only V of it: the order, sorted values and
-    # ties are freed before the next binned node is swept
+    # ties are freed before the next binned node is swept, by either
+    # rank-coded kernel
     refs, alive = [], []
 
     def sort_spy(X, w, wy, total, ones, layout=None):
@@ -354,13 +370,13 @@ def test_rank_codes_free_the_targets_sort(monkeypatch):
         if layout:
             refs[:] = [weakref.ref(a.base) for a in layout[1:]]
         return found
-
-    def binned_spy(*args):
-        alive.append(sum(r() is not None for r in refs))
-        return binned_sweep(*args)
-    sort_sweep, binned_sweep = build_mod._sweep_numeric, build_mod._sweep_binned
+    sort_sweep = build_mod._sweep_numeric
     monkeypatch.setattr(build_mod, "_sweep_numeric", sort_spy)
-    monkeypatch.setattr(build_mod, "_sweep_binned", binned_spy)
+    for name in ("_scan_binned", "_sweep_binned"):
+        def binned_spy(*args, sweep=getattr(build_mod, name)):
+            alive.append(sum(r() is not None for r in refs))
+            return sweep(*args)
+        monkeypatch.setattr(build_mod, name, binned_spy)
     rng = random.Random(5)
     rows = {}
     while len(rows) < 200:
@@ -450,10 +466,12 @@ def test_node_sweep_takes_the_first_feature_within_tie_tol_of_the_best(
 def test_node_sweep_picks_each_real_kernel_by_its_cells(monkeypatch):
     # build's node sweep alone picks a node's real-column kernel by its real
     # cells: the list sweep up to LIST_CELLS; else, below a target whose V
-    # distinct values pass the gate, the binned sweep on nodes of at least V
-    # cells; else the sort sweep, as at the target
+    # distinct values pass the gate, on nodes of at least V cells, the
+    # Python scan of the rank codes when V is at most SCAN_CODES and the
+    # binned sweep when it is more; else the sort sweep, as at the target
     calls = []
-    for name in ("_sweep_list", "_sweep_numeric", "_sweep_binned"):
+    for name in ("_sweep_list", "_sweep_numeric", "_sweep_binned",
+                 "_scan_binned"):
         def spy(*args, name=name, sweep=getattr(build_mod, name)):
             calls.append((name, np.size(args[0])))
             return sweep(*args)
@@ -475,14 +493,20 @@ def test_node_sweep_picks_each_real_kernel_by_its_cells(monkeypatch):
             itertools.starmap(make_example, rows.items())), 0, params)
         assert calls[0][1] == 4 * n
         for i, (name, cells) in enumerate(calls):
+            coded = ("_scan_binned" if V <= build_mod.SCAN_CODES
+                     else "_sweep_binned")
             assert name == ("_sweep_list" if cells <= build_mod.LIST_CELLS
-                            else "_sweep_binned" if i and gated and cells >= V
+                            else coded if i and gated and cells >= V
                             else "_sweep_numeric"), (i, name, cells, V)
         return gated, {name for name, _ in calls}
 
     assert kernels(20, 1000) == (False, {"_sweep_list"})
-    assert kernels(200, 5) == (True, {"_sweep_numeric", "_sweep_binned",
+    assert kernels(200, 5) == (True, {"_sweep_numeric", "_scan_binned",
                                       "_sweep_list"})
+    # 4 columns of 11 values: 44 codes, past SCAN_CODES
+    assert 4 * 10 <= build_mod.SCAN_CODES < 4 * 11
+    assert kernels(200, 11) == (True, {"_sweep_numeric", "_sweep_binned",
+                                       "_sweep_list"})
     for values in (20, 10**6):  # too many distinct values to code
         assert kernels(200, values) == (False, {"_sweep_numeric",
                                                 "_sweep_list"})

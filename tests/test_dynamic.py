@@ -643,7 +643,8 @@ class _Faults:
 def _install_faults(faults: _Faults, monkeypatch) -> None:
     # every kernel of the node sweep, by its name in build's namespace
     for name in ("_sweep_list", "_sweep_numeric", "_sweep_binned",
-                 "_sweep_categorical", "_rank_codes"):
+                 "_scan_binned", "_sweep_categorical",
+                 "_sweep_categorical_present", "_rank_codes"):
         monkeypatch.setattr(dyntree.build, name,
                             faults.wrap(name, getattr(dyntree.build, name)))
     store = dyntree.core._Store
@@ -666,10 +667,12 @@ def _install_faults(faults: _Faults, monkeypatch) -> None:
     monkeypatch.setattr(dyntree.dynamic, "_current_rows",
                         faults.wrap("_current_rows",
                                     dyntree.dynamic._current_rows))
-    # small enough that a window of 40 runs all four real kernels
+    # small enough that a window of 40 runs all five real kernels, and both
+    # categorical ones
     monkeypatch.setattr(dyntree.build, "LIST_CELLS", 8)
     monkeypatch.setattr(dyntree.build, "RANK_ROWS", 16)
     monkeypatch.setattr(dyntree.build, "RANK_GATE", 1)
+    monkeypatch.setattr(dyntree.build, "SCAN_CODES", 12)
 
 
 def _lockstep_state(tree):
@@ -729,8 +732,9 @@ def test_updates_that_fail_anywhere_leave_the_tree_as_it_was(monkeypatch):
                     assert _lockstep_state(b) == now
     # every site failed some update, folds and first pins among them
     assert set(faults.raised) == {
-        "_sweep_list", "_sweep_numeric", "_sweep_binned",
-        "_sweep_categorical", "_rank_codes", "columns", "_code",
+        "_sweep_list", "_sweep_numeric", "_sweep_binned", "_scan_binned",
+        "_sweep_categorical", "_sweep_categorical_present", "_rank_codes",
+        "columns", "_code",
         "node sweep", "_current_rows"}
     assert failed["fold"] and failed["pin"]
 

@@ -210,37 +210,60 @@ def _sweep_categorical_reference(C, w, wy, total, ones, code_col):
 @pytest.mark.parametrize("tie_tol", [gini.TIE_TOL, 0.0, 1e-3, 0.05])
 def test_categorical_sweep_equals_the_full_gain_reference(monkeypatch,
                                                           tie_tol):
-    # the sweep in half-gains must return the reference's winner tuples
-    # exactly, whatever TIE_TOL is: row weights above 1, codes the store
-    # holds but the node lacks (each column's block of codes is larger
-    # than the codes drawn), and columns with one code present.  The wider
-    # tolerances make later codes within TIE_TOL of a column's best, which
-    # the strict scan must pass over
+    # both categorical sweeps, in half-gains, must return the reference's
+    # winner tuples exactly, whatever TIE_TOL is, and so must build's node
+    # sweep, whose SCAN_CODES sends every node to one of them: the sweep of
+    # the codes present at 0, the scan of the whole code range at 10**9.
+    # Inputs have row weights above 1, codes the store holds but the node
+    # lacks (each column's block of codes is larger than the codes drawn;
+    # in every third store, 5 to 12 times the node's rows), and columns
+    # with one code present.  The wider tolerances make later codes within
+    # TIE_TOL of a column's best, which the strict scan must pass over
     monkeypatch.setattr(gini, "TIE_TOL", tie_tol)
     tied = beaten = 0  # later codes that tie the winner, or beat it
+    wide = 0  # stores whose code range is at least 5 times the node's cells
     for seed in range(300):
         rng = random.Random(seed)
         m = rng.randint(1, 4)
-        blocks = [rng.randint(1, 7) for _ in range(m)]
-        starts = np.cumsum([0] + blocks[:-1])
-        code_col = [jj for jj, b in enumerate(blocks) for _ in range(b)]
-        drawn = [rng.sample(range(b), rng.randint(1, b)) for b in blocks]
         n = rng.randint(1, 30)
-        C = np.array([[starts[jj] + rng.choice(drawn[jj]) for jj in range(m)]
-                      for _ in range(n)], dtype=np.int64)
-        w = np.array([float(rng.choice((1, 2, 3, 5))) for _ in range(n)])
-        wy = w * np.array([float(rng.random() < 0.4) for _ in range(n)])
-        args = C, w, wy, int(w.sum()), int(wy.sum()), code_col
+        blocks = [rng.randint(5, 12) * n if seed % 3 == 0
+                  else rng.randint(1, 7) for _ in range(m)]
+        drawn = [rng.sample(range(b), rng.randint(1, min(b, 7)))
+                 for b in blocks]
+        node: dict = {}  # example: count
+        for _ in range(n):
+            e = make_example(tuple(f"{rng.choice(d):04d}" for d in drawn),
+                             int(rng.random() < 0.4))
+            node[e] = node.get(e, 0) + rng.choice((1, 2, 3, 5))
+        # one example per symbol of each block, so that the store codes
+        # every one of them
+        rest = [make_example(tuple(f"{i if kk == jj else 0:04d}"
+                                   for kk in range(m)), 0)
+                for jj, b in enumerate(blocks) for i in range(b)]
+        store = ActiveMultiset.from_examples(
+            [e for e, c in node.items() for _ in range(c)] + rest)._store
+        rows = np.array(sorted(store.row_of[e] for e in node))
+        w, wy, _, C = store.columns(rows)
+        args = C, w, wy, int(w.sum()), int(wy.sum()), store.code_col
+        assert len(store.code_col) == sum(blocks)
+        wide += len(store.code_col) >= 5 * C.size
         want = _sweep_categorical_reference(*args)
         assert repr(gini._sweep_categorical(*args)) == repr(want), seed
+        assert (repr(gini._sweep_categorical_present(*args))
+                == repr(want)), seed
+        for scan_codes in (0, 10**9):
+            monkeypatch.setattr(build_mod, "SCAN_CODES", scan_codes)
+            sweep = build_mod._node_sweep(store, rows)
+            assert repr(sweep(None, *args[3:5])[1]) == repr(want), seed
         for jj, (code, *_, gain) in enumerate(want):
             for later in set(C[:, jj].tolist()) - set(range(code + 1)):
-                rows = C[:, jj] == later
+                at = C[:, jj] == later
                 g = gini._gain_from_counts(args[3], args[4],
-                                           int(w[rows].sum()),
-                                           int(wy[rows].sum()))
+                                           int(w[at].sum()),
+                                           int(wy[at].sum()))
                 tied += g == gain
                 beaten += g > gain
+    assert wide >= 100
     assert tied > 0
     assert (beaten > 0) == (tie_tol >= 1e-3)
 
@@ -348,57 +371,106 @@ NEAR_TIES = [
 
 
 def _binned(R, w, wy, vals, starts, code_col):
-    # the binned sweep's answer in the sort sweep's terms
+    # the binned sweep's answer in the sort sweep's terms, after the Python
+    # scan of the whole code range has returned the same tuples
+    total, ones = int(w.sum()), int(wy.sum())
+    found = gini._sweep_binned(R, w, wy, total, ones, starts, code_col)
+    scanned = gini._scan_binned(R, w, wy, total, ones, starts)
+    assert repr(scanned) == repr(found)
     return [(vals[code].item(), left, left_ones, gain)
-            for code, left, left_ones, gain in gini._sweep_binned(
-                R, w, wy, int(w.sum()), int(wy.sum()), starts, code_col)]
+            for code, left, left_ones, gain in found]
 
 
-def test_binned_sweep_equals_sort_sweep_bit_for_bit():
-    # the binned sweep, over rank codes of a target's columns, must return
-    # the sort sweep's (threshold, left, left_ones, gain) exactly, at the
-    # target and at subsets of its rows below it, whatever the columns'
-    # cardinality
-    subsets = 0
-    for seed in range(200):
-        rng = random.Random(seed)
-        X, w, wy = _sweep_inputs(rng)
-        n = len(X)
-        layout = []
-        expected = gini._sweep_numeric(X, w, wy, int(w.sum()), int(wy.sum()),
-                                       layout)
-        V, *sort = layout
-        R, vals, starts, code_col = gini._rank_codes(*sort)
-        assert len(vals) == V and (vals[R] == X).all()
-        nodes = [np.arange(n)]
-        nodes += [np.array(sorted(rng.sample(range(n), k)))
-                  for k in (1, rng.randint(1, n))]
-        for i, idx in enumerate(nodes):
-            total, ones = int(w[idx].sum()), int(wy[idx].sum())
-            if i:
-                expected = gini._sweep_numeric(X[idx], w[idx], wy[idx], total,
-                                               ones)
-                subsets += 1
-            got = _binned(R[idx], w[idx], wy[idx], vals, starts, code_col)
-            assert got == expected, (seed, i)
-            assert repr(got) == repr(expected), (seed, i)  # -0.0 apart
-    assert subsets == 400
+def _chain_differs(X, w, wy, tol) -> int:
+    # columns of X whose strict scan, where a later threshold wins only by
+    # beating the best so far by more than tol, picks another threshold
+    # than the first within tol of the column's best
+    total, ones = int(w.sum()), int(wy.sum())
+    differs = 0
+    for col in X.T:
+        gains = [gini._gain_from_counts(total, ones, int(w[col <= v].sum()),
+                                        int(wy[col <= v].sum()))
+                 for v in np.unique(col)]
+        first = next(k for k, g in enumerate(gains)
+                     if g >= max(gains) - tol)
+        scan, best = None, -1.0
+        for k, g in enumerate(gains):
+            if g > best + tol:
+                scan, best = k, g
+        differs += scan != first
+    return differs
+
+
+def test_binned_sweep_equals_sort_sweep_bit_for_bit(monkeypatch):
+    # the binned sweep and the Python scan, over rank codes of a target's
+    # columns, must each return the sort sweep's (threshold, left,
+    # left_ones, gain) exactly, at the target and at subsets of its rows
+    # below it, whatever the columns' cardinality: code ranges on both
+    # sides of the node sweep's SCAN_CODES, which picks between them.  With
+    # TIE_TOL widened, gains that climb by less than TIE_TOL at a time make
+    # the first threshold within TIE_TOL of the best another than the one a
+    # strict scan keeps, as the categorical sweep picks
+    subsets = chained = 0
+    scanned = set()  # whether a target's code range is at most SCAN_CODES
+    for tie_tol, seeds in ((gini.TIE_TOL, 200), (0.01, 60), (0.05, 60)):
+        monkeypatch.setattr(gini, "TIE_TOL", tie_tol)
+        for seed in range(seeds):
+            rng = random.Random(seed)
+            X, w, wy = _sweep_inputs(rng)
+            n = len(X)
+            layout = []
+            expected = gini._sweep_numeric(X, w, wy, int(w.sum()),
+                                           int(wy.sum()), layout)
+            V, *sort = layout
+            R, vals, starts, code_col = gini._rank_codes(*sort)
+            assert len(vals) == V and (vals[R] == X).all()
+            scanned.add(V <= build_mod.SCAN_CODES)
+            if seeds < 200:
+                chained += _chain_differs(X, w, wy, tie_tol)
+            nodes = [np.arange(n)]
+            nodes += [np.array(sorted(rng.sample(range(n), k)))
+                      for k in (1, rng.randint(1, n))]
+            for i, idx in enumerate(nodes):
+                total, ones = int(w[idx].sum()), int(wy[idx].sum())
+                if i:
+                    expected = gini._sweep_numeric(X[idx], w[idx], wy[idx],
+                                                   total, ones)
+                    subsets += 1
+                got = _binned(R[idx], w[idx], wy[idx], vals, starts,
+                              code_col)
+                assert got == expected, (tie_tol, seed, i)
+                # -0.0 apart
+                assert repr(got) == repr(expected), (tie_tol, seed, i)
+    assert subsets == 2 * (200 + 60 + 60)
+    assert scanned == {True, False}
+    assert chained > 0
+    monkeypatch.undo()
 
     for counts, ones in NEAR_TIES:
-        # the mirrored column, then a copy of it, then a constant one
-        X = np.array([[float(v), float(v), 1.0] for v in range(len(counts))])
+        # the mirrored column, then a copy of it, then a constant one; then
+        # the same with distinct values in as many more columns as take the
+        # code range past SCAN_CODES
+        n = len(counts)
         w, wy = np.array(counts, dtype=float), np.array(ones, dtype=float)
         total, n1 = int(w.sum()), int(wy.sum())
         gains = [gini._gain_from_counts(total, n1, int(left), int(left_ones))
                  for left, left_ones in zip(w.cumsum(), wy.cumsum())]
         assert gains.index(max(gains)) != min(
             t for t, g in enumerate(gains) if g >= max(gains) - gini.TIE_TOL)
-        layout = []
-        expected = gini._sweep_numeric(X, w, wy, total, n1, layout)
-        V, *sort = layout
-        R, vals, starts, code_col = gini._rank_codes(*sort)
-        got = _binned(R, w, wy, vals, starts, code_col)
-        assert repr(got) == repr(expected)
+        wide = build_mod.SCAN_CODES // n + 1
+        ranges = set()
+        for extra in (0, wide):
+            X = np.array([[float(v), float(v), 1.0]
+                          + [100.0 * k - v for k in range(extra)]
+                          for v in range(n)])
+            layout = []
+            expected = gini._sweep_numeric(X, w, wy, total, n1, layout)
+            V, *sort = layout
+            ranges.add(V <= build_mod.SCAN_CODES)
+            R, vals, starts, code_col = gini._rank_codes(*sort)
+            got = _binned(R, w, wy, vals, starts, code_col)
+            assert repr(got) == repr(expected)
+        assert ranges == {True, False}
 
 
 def test_list_sweep_equals_sort_sweep_bit_for_bit():
@@ -491,18 +563,20 @@ def test_a_zero_threshold_reads_0_0_in_every_arrival_order(monkeypatch):
     # sort sweep picks it (best_split, and a tree's root) or the binned
     # sweep does.  The root holds 128 rows of seven two-valued columns,
     # which the gate codes, and splits on the first; its impure child, 64
-    # rows, splits on the second in the binned sweep, which a spy checks
+    # rows, splits on the second over rank codes, which a spy checks: in
+    # the binned sweep with SCAN_CODES at 0, and in the Python scan of the
+    # 14 codes with SCAN_CODES at 10**9
     binned = []
-
-    def spy(*args):
-        binned.append(len(args[0]))
-        return sweep(*args)
-    sweep = build_mod._sweep_binned
-    monkeypatch.setattr(build_mod, "_sweep_binned", spy)
+    for name in ("_sweep_binned", "_scan_binned"):
+        def spy(*args, name=name, sweep=getattr(build_mod, name)):
+            binned.append((name, len(args[0])))
+            return sweep(*args)
+        monkeypatch.setattr(build_mod, name, spy)
     rng = random.Random(5)
     params = FeasibilityParams(epsilon=0.1, alpha=0.2, beta=0.1, k=1, h=8)
     assert 2 ** 7 >= build_mod.RANK_ROWS
     for trial in range(2):
+        monkeypatch.setattr(build_mod, "SCAN_CODES", (0, 10**9)[trial])
         for zeros in ((-0.0, 0.0), (0.0, -0.0)):
             exs = [make_example(
                 tuple(zeros[i % 2] if bit == "0" else 1.0
@@ -518,7 +592,7 @@ def test_a_zero_threshold_reads_0_0_in_every_arrival_order(monkeypatch):
                     thresholds.append(repr(v.split.threshold))
                     nodes += [v.left, v.right]
             assert thresholds == ["0.0", "0.0"]
-    assert binned == [64] * 4
+    assert binned == [("_sweep_binned", 64)] * 2 + [("_scan_binned", 64)] * 2
 
 
 def _row_major_sweep(X, w, wy, total, ones):

@@ -83,8 +83,13 @@ PINNED_DIGESTS = {
 
 def test_tree_digest_is_reproducible(capsys, monkeypatch):
     # grid-sw's real columns repeat values at every rebuild target, so its
-    # digest covers the binned sweep whatever the gate's constants are; a
-    # spy in the builder's namespace checks that it ran there.  mixed-sw's
+    # digest covers the rank-coded sweeps whatever the gate's constants
+    # are; spies on the counting kernels in the builder's namespace check
+    # that they ran there.  grid-sw's real columns hold 12 rank codes and
+    # new-symbols-sw's categorical column hundreds of symbols, so SCAN_CODES
+    # at 0 and at 10**9 sends both streams' counting to the codes-present
+    # kernels and to the whole-range scans; each stream's digest must stay
+    # pinned either way, and each kernel must run.  mixed-sw's
     # small nodes sweep their real columns on lists, which a second spy
     # checks.  mixed-sw's and categorical-ru's few-row flushes code their
     # rows through memoryviews, which a third spy checks.  numeric-wide-sw
@@ -108,13 +113,18 @@ def test_tree_digest_is_reproducible(capsys, monkeypatch):
         return spied
     node_sweep = build_mod._node_sweep
     monkeypatch.setattr(build_mod, "_node_sweep", node_sweep_spy)
-    binned = []
+    counted = dict.fromkeys(("_scan_binned", "_sweep_binned",
+                             "_sweep_categorical",
+                             "_sweep_categorical_present"), 0)
 
-    def spy(*args):
-        binned.append(len(args[0]))
-        return sweep(*args)
-    sweep = build_mod._sweep_binned
-    monkeypatch.setattr(build_mod, "_sweep_binned", spy)
+    def count_spy(name, kernel):
+        def spied(*args):
+            counted[name] += 1
+            return kernel(*args)
+        return spied
+    for name in counted:
+        monkeypatch.setattr(build_mod, name,
+                            count_spy(name, getattr(build_mod, name)))
     listed = []
 
     def list_spy(*args):
@@ -167,11 +177,20 @@ def test_tree_digest_is_reproducible(capsys, monkeypatch):
             == PINNED_DIGESTS["categorical-ru"])
     assert len(viewed) > 0
     assert len(zero_gain) > 0
-    binned.clear()
+    counted.update(_scan_binned=0, _sweep_binned=0)
     zero_gain.clear()
     assert digest.digest("grid-sw", 150, 3) == PINNED_DIGESTS["grid-sw"]
-    assert len(binned) > 100
+    assert counted["_scan_binned"] + counted["_sweep_binned"] > 100
     assert len(zero_gain) > 0
+    scan_codes = build_mod.SCAN_CODES
+    for cutoff, ran in ((0, {"_sweep_binned", "_sweep_categorical_present"}),
+                        (10**9, {"_scan_binned", "_sweep_categorical"})):
+        monkeypatch.setattr(build_mod, "SCAN_CODES", cutoff)
+        counted.update(dict.fromkeys(counted, 0))
+        for name in ("grid-sw", "new-symbols-sw"):
+            assert digest.digest(name, 150, 3) == PINNED_DIGESTS[name]
+        assert {k for k, calls in counted.items() if calls} == ran, cutoff
+    monkeypatch.setattr(build_mod, "SCAN_CODES", scan_codes)
     swept.clear()
     packed.clear()
     assert (digest.digest("numeric-wide-sw", 150, 3)
