@@ -25,8 +25,7 @@ at most ``SCAN_CODES`` codes is scanned whole in Python (``_scan_binned``,
 (``_sweep_binned``, ``_sweep_categorical_present``), so no node's Python
 work grows with the store's alphabet.
 
-Each leaf gets its slice of the row array, listed under the store's
-current clock (``TreeNode.leaf_rows``, ``TreeNode.leaf_ticket``).
+Each leaf gets its slice of the row array (``TreeNode.leaf_rows``).
 
 A node stops at the size floor k, at Gini at most alpha/2, or at the
 depth cap; so does a node that no feature separates.
@@ -78,14 +77,12 @@ RANK_GATE = 16
 SCAN_CODES = 40
 
 
-def _leaf(rows: np.ndarray, ticket: int, eta: int, total: int,
-          ones: int) -> TreeNode:
+def _leaf(rows: np.ndarray, eta: int, total: int, ones: int) -> TreeNode:
     return TreeNode(
         depth=eta,
         size=total,
         leaf_label=1 if ones > total - ones else 0,
         leaf_rows=rows,
-        leaf_ticket=ticket,
         leaf_new=None,
         label_hist=[total - ones, ones],
         height=0,
@@ -210,8 +207,7 @@ def _build_entries(
     # Internal: rows is an array of distinct held row ids of store, weighed
     # by the store's counts, and hist is their (0-label, 1-label) weight.
     # The tree built does not depend on the rows' order.  Each new leaf
-    # takes its slice of rows, listed under the store's clock (all of rows
-    # were taken at or before it), with no conversion per row; a root that
+    # takes its slice of rows, with no conversion per row; a root that
     # stops takes rows itself.
     #
     # A rebuild passes the subtree it replaces as old and a list kept; a
@@ -240,7 +236,6 @@ def _build_entries(
     # does not stop, which is the root.
     k, floor = params.k, params.alpha / 2.0
     h = math.inf if params.h is None else params.h
-    ticket = store.clock
     sweep = None
     schema = store.schema
     kinds, pos = schema.kinds, schema._pos
@@ -316,8 +311,8 @@ def _build_entries(
                     else:
                         node.right = child
         if node is None:
-            node = _leaf(rows if idx is None else rows[idx], ticket, eta,
-                         total, ones)
+            node = _leaf(rows if idx is None else rows[idx], eta, total,
+                         ones)
         if parent is None:
             root = node
         elif is_left:

@@ -23,14 +23,14 @@ Store invariants, which hold whenever the store is flushed (see
 
 - one row per distinct example the store holds: ``row_of`` maps each of
   them to its row, and ``count[row]`` is its number of copies;
-- a row freed by the last delete of its example is reused before a new
-  one is made, so there are never more row ids than the largest number of
-  distinct examples held at once;
-- a row's ``stamp`` is the ticket of its last take, a tick of the store's
-  ``clock``, or ``_FREED`` once it is freed.  A tree lists a row in a leaf
-  with a ticket, and the listing is current while ``stamp <= ticket``;
-  only a row's last listing passes, so a freed and reused row is never
-  counted through the stale listings it leaves behind;
+- a row freed by the last delete of its example counts 0, and is reused
+  only once its holder hands it back (``_Store.recycle``): a multiset at
+  once, a tree once no leaf lists the row (see ``TreeNode``).  So a
+  row is listed at most once, and a listing is current exactly when its
+  row is held.  A new row is made only when no recycled row is left, so
+  row ids never outnumber the most, at any one time, of the distinct
+  examples held plus the freed rows that some leaf still lists (see
+  ``dynamic`` for a bound on those);
 - every held example's categorical symbols have the types that
   ``symbol_types`` pins, one per column;
 - a categorical symbol gets an id when it first reaches its column, and
@@ -241,9 +241,6 @@ def make_example(features: Iterable, label: int) -> LabeledExample:
     return LabeledExample(tuple(features), int(label))
 
 
-# stamp of a freed row: above every ticket, so no listing of it is current
-_FREED = np.iinfo(np.int64).max
-
 # A flush of at most CODE_CELLS cells (rows times features) writes its rows
 # cell by cell through memoryviews; a larger one packs its real values into
 # one bytes object (``_reals``) and writes by numpy fancy assignment.
@@ -278,24 +275,22 @@ def _int64s(n: int) -> memoryview:
 class _Store:
     """Rows of distinct examples, coded into column arrays.
 
-    Row r holds ``examples[r]`` (None while free, and then listed in
-    ``free``) and ``row_of`` maps each held example back to its row.  Rows
-    are taken by ``take`` and freed by ``release``, in pure Python, and
-    nothing else touches ``row_of``, ``examples``, ``free``, ``uncoded``,
-    ``count``, ``stamp`` or ``total``.  ``count[r]`` is the number of
+    Row r holds ``examples[r]`` (None while free) and ``row_of`` maps each
+    held example back to its row.  Rows are taken by ``take``, freed by
+    ``release`` and handed back for reuse by ``recycle``, in pure Python,
+    and nothing else touches ``row_of``, ``examples``, ``free``,
+    ``uncoded``, ``count`` or ``total``.  ``count[r]`` is the number of
     copies of row r's example that the store's holder (a caller's
-    multiset, or the leaves of one tree) holds, and ``total`` the number
-    of copies of all of them, which the holder reads as its size: each
-    ``take`` counts one copy and each ``release`` one fewer, in both.  A
-    free row counts 1, the count it has when it is taken again, so that
-    neither call writes the count of a row it takes afresh or frees.
-    ``take`` ticks ``clock`` for every row it hands out afresh and writes
-    the tick to the row's ``stamp``; ``release`` writes ``_FREED`` when it
-    frees a row.  A tree lists a row in a leaf with a ticket, and the
-    listing is current while ``stamp <= ticket`` (see the module
-    docstring).  ``count`` and ``stamp`` are memoryviews of int64 arrays,
-    grown geometrically, so they may hold more rows than there are row
-    ids.  ``take_all`` takes a whole batch into an empty store in one pass
+    multiset, or the leaves of one tree) holds, 0 for a free row, and
+    ``total`` the number of copies of all of them, which the holder reads
+    as its size: each ``take`` counts one copy and each ``release`` one
+    fewer, in both.  A row that ``release`` frees is not reused until the
+    holder passes it to ``recycle``, which it does once nothing it keeps
+    names the row (see the module docstring); ``free`` lists the rows
+    recycled and not taken since, and ``take`` hands them out before it
+    makes a new one.  ``count`` is a memoryview of an int64 array, grown
+    geometrically, so it may hold more rows than there are row ids.
+    ``take_all`` takes a whole batch into an empty store in one pass
     and writes what a run of ``take`` calls would; ``check_all`` says
     whether the batch may go that way, that is whether every example
     would pass ``check`` on ``Schema.validate``'s fast path.  A batch that
@@ -331,8 +326,8 @@ class _Store:
     """
 
     __slots__ = ("schema", "row_of", "examples", "free", "uncoded", "count",
-                 "stamp", "clock", "total", "y", "X", "C", "ids", "rank",
-                 "symbols", "code_col", "symbol_types")
+                 "total", "y", "X", "C", "ids", "rank", "symbols", "code_col",
+                 "symbol_types")
 
     def __init__(self, schema: Optional[Schema]):
         self.schema = schema
@@ -341,8 +336,6 @@ class _Store:
         self.free: list = []
         self.uncoded: set = set()  # rows taken since the last flush
         self.count = _int64s(0)
-        self.stamp = _int64s(0)
-        self.clock = 0
         self.total = 0
         self.y = self.X = self.C = None
         self.ids: list = []
@@ -368,13 +361,13 @@ class _Store:
     def __getstate__(self) -> dict:
         # memoryviews do not pickle; the arrays under them do
         state = {name: getattr(self, name) for name in self.__slots__}
-        state["count"], state["stamp"] = self.count.obj, self.stamp.obj
+        state["count"] = self.count.obj
         return state
 
     def __setstate__(self, state: dict) -> None:
         for name, value in state.items():
             setattr(self, name, value)
-        self.count, self.stamp = memoryview(self.count), memoryview(self.stamp)
+        self.count = memoryview(self.count)
 
     def check(self, example: LabeledExample, valid: bool = False) -> tuple:
         """(schema, symbol types) to keep once ``take`` has taken example's
@@ -441,9 +434,9 @@ class _Store:
         """Take every one of examples into this empty store in one pass,
         writing what a run of ``take`` calls would: rows in first-seen
         order, each holding the first of its equal examples, counts equal
-        to multiplicities, stamps 1..k and ``clock`` k for k rows, every
-        row uncoded, ``total`` the batch's length, and per-row arrays grown
-        as ``take`` grows them, whose unused rows count 1.  With counts,
+        to multiplicities, every row uncoded, ``total`` the batch's length,
+        and the per-row counts grown as ``take`` grows them, whose unused
+        rows count 0.  With counts,
         the examples are distinct and example i is taken counts[i] times.
         Checks nothing (see ``check_all``)."""
         row_of: dict = {}
@@ -458,20 +451,17 @@ class _Store:
         else:
             self.count.obj[:k] = counts
             self.total = sum(counts)
-        self.stamp.obj[:k] = np.arange(1, k + 1)
         self.row_of = row_of
         self.examples = list(row_of)
         self.uncoded = set(range(k))
-        self.clock = k
 
     def take(self, example: LabeledExample,
              listing: Optional[list] = None) -> int:
         """Count one more copy of example, and return its row: the held
-        one, else a free one, else a new one.
+        one, else a recycled one, else a new one.
 
-        A row handed out afresh is stamped with a new tick of ``clock``,
-        and when a listing is given, the pair (row, tick) is appended to
-        it.  Raises TypeError for unhashable features before any change.
+        A row handed out afresh is appended to listing, when one is given.
+        Raises TypeError for unhashable features before any change.
         """
         free = self.free
         row = free[-1] if free else len(self.examples)
@@ -482,7 +472,6 @@ class _Store:
         if held != row:
             self.count[held] += 1
             return held
-        # a free row counts 1 already
         if free:
             del free[-1]
             self.examples[row] = example
@@ -490,45 +479,43 @@ class _Store:
             self.examples.append(example)
             if row == len(self.count):
                 self._grow_rows(row + 1)
+        self.count[row] = 1
         self.uncoded.add(row)
-        self.clock = t = self.clock + 1
-        self.stamp[row] = t
         if listing is not None:
             listing.append(row)
-            listing.append(t)
         return row
 
     def release(self, row: int) -> None:
-        """Count one copy fewer of row's example, and free the row for the
-        next example once none is left."""
+        """Count one copy fewer of row's example, and free the row once
+        none is left: it counts 0 and holds no example, but ``take`` hands
+        it out again only after ``recycle``."""
         self.total -= 1
         count = self.count
-        c = count[row]
-        if c > 1:
-            count[row] = c - 1
-            return
-        # the row keeps its count of 1 for its next example
-        examples = self.examples
-        del self.row_of[examples[row]]
-        examples[row] = None
-        self.free.append(row)
-        self.stamp[row] = _FREED
+        c = count[row] - 1
+        count[row] = c
+        if not c:
+            examples = self.examples
+            del self.row_of[examples[row]]
+            examples[row] = None
+
+    def recycle(self, rows: list) -> None:
+        """Hand rows, freed rows that nothing of the holder names any
+        more, to ``take`` for reuse."""
+        self.free += rows
 
     def _grow_rows(self, rows: int) -> None:
-        # doubles the per-row arrays, from 16 rows, until they hold rows
+        # doubles the per-row counts, from 16 rows, until they hold rows
         n = len(self.count)
         size = 2 * n or 16
         while size < rows:
             size *= 2
-        count, stamp = _int64s(size), _int64s(size)
-        count.obj[n:] = 1  # rows not yet made count as free ones do
+        count = _int64s(size)
         count.obj[:n] = self.count.obj
-        stamp.obj[:n] = self.stamp.obj
-        self.count, self.stamp = count, stamp
+        self.count = count
 
     def held_rows(self) -> np.ndarray:
         """Every held row id, ascending."""
-        return np.flatnonzero(self.stamp.obj[:len(self.examples)] != _FREED)
+        return np.flatnonzero(self.count.obj[:len(self.examples)])
 
     def flush(self) -> None:
         """Code the rows taken since the last flush.
@@ -798,11 +785,25 @@ class ActiveMultiset:
         store.symbol_types = types
 
     def delete(self, example: LabeledExample) -> None:
+        """Count one copy of example out, and recycle its row once none is
+        left, since a multiset lists no row.  As in
+        ``DecisionTree.update``, a delete of the very object held skips
+        the checks that insert runs, which it passed when it entered; any
+        other runs them, because equality can join values of types the
+        schema rejects (``True == 1.0``)."""
         store = self._store
-        row = store.row_of.get(example)
-        if row is None:
-            raise ExampleNotFound(f"example not in active set: {example}")
+        try:
+            row = store.row_of.get(example)
+        except TypeError:  # unhashable features
+            store.check(example)
+            raise
+        if row is None or store.examples[row] is not example:
+            store.check(example)
+            if row is None:
+                raise ExampleNotFound(f"example not in active set: {example}")
         store.release(row)
+        if not store.count[row]:
+            store.recycle([row])
 
     def count(self, example: LabeledExample) -> int:
         store = self._store
@@ -846,17 +847,15 @@ class TreeNode:
 
     A leaf lists the rows of its tree's row store (``_Store``) whose
     examples route to it, and keeps their label histogram.  ``leaf_rows``
-    is the array of rows the builder listed, all under the ticket
-    ``leaf_ticket`` (the store's clock when it built the leaf);
-    ``leaf_new`` is a flat list of (row, ticket) pairs, one per row an
-    update took afresh for this leaf since (None until the first).  An
-    insert that makes ``leaf_new`` too long folds the leaf's current
-    listings into a new ``leaf_rows`` under the clock's ticket (see
-    ``dynamic``).  A
-    listing is current while the row's stamp is at most its ticket, and a
-    held row has exactly one current listing; the others are stale, left
-    behind by rows that were freed (see the module docstring).  The
-    example counts are the store's.  Every node carries the rebuild
+    is the array of rows the builder listed; ``leaf_new`` is the list of
+    rows an update took afresh for this leaf since (None until the first).
+    An insert that makes ``leaf_new`` too long folds the leaf's held
+    listings into a new ``leaf_rows`` (see ``dynamic``).  A row is listed
+    at most once in the whole tree: a held row in the leaf its example
+    routes to, and a row freed since the leaf was built or folded in the
+    leaf that held it, until a rebuild or a fold drops the listing and
+    recycles the row (see the module docstring).  The example counts are
+    the store's.  Every node carries the rebuild
     counters: ``size`` is the subtree size at the time the node was built
     and ``pending`` counts updates routed through it since.
 
@@ -873,7 +872,6 @@ class TreeNode:
     split_gain: float = 0.0
     leaf_label: int = 0
     leaf_rows: Optional[np.ndarray] = None
-    leaf_ticket: int = 0
     leaf_new: Optional[list] = None
     label_hist: Optional[list[int]] = None
     height: int = 0
@@ -883,9 +881,9 @@ class TreeNode:
                 f"pending={self.pending}, height={self.height}, ")
         if self.split is not None:
             return head + f"split={self.split!r})"
-        # rows listed, stale listings included (see above)
+        # rows listed, freed ones included (see above)
         rows = 0 if self.leaf_rows is None else len(self.leaf_rows)
-        rows += len(self.leaf_new or ()) // 2
+        rows += len(self.leaf_new or ())
         return head + (f"leaf_label={self.leaf_label}, "
                        f"label_hist={self.label_hist}, rows={rows})")
 

@@ -12,20 +12,32 @@ Every example is coded once, when it enters the tree: the tree keeps one
 row store (``core._Store``) with a row per distinct active example and
 its count, and each leaf lists its rows (``TreeNode``): the builder's
 array of row ids, plus a list of the rows updates took afresh for it
-since, each with its ticket.  An update counts its copy in or out
-through the store (``_Store.take``, ``_Store.release``), which also
-lists a row taken afresh in the leaf's list, and does no numpy work;
-rows it adds are coded at the next rebuild.  A rebuild joins its leaves'
-listings with one concatenation and drops the stale ones with a
-vectorized ticket test, so one rebuild touch costs an element of that
+since.  An update counts its copy in or out through the store
+(``_Store.take``, ``_Store.release``), which also lists a row taken
+afresh in the leaf's list, and does no numpy work; rows it adds are coded
+at the next rebuild.  A row that a delete frees stays listed, counting 0,
+until a rebuild or a fold drops its listing and, as its last step that
+can fail, hands it back to the store for reuse (``_Store.recycle``); so
+every row is listed at most once.  A rebuild joins its leaves' listings
+with one concatenation and splits them into held and freed rows by one
+vectorized count test, so one rebuild touch costs an element of that
 array, its slice of the store's counts and columns, and its place in a
 child leaf's slice; only the rows listed since the leaves were built pass
 through Python.  A leaf whose new-row list outgrows twice its rows' count
-(plus a constant) folds its current listings into one array at that insert,
+(plus a constant) folds its held listings into one array at that insert,
 unless the insert rebuilds it, so its listings do not grow with the stream,
 whatever epsilon is; the fold is paid for by the inserts that grew the
 list.  At epsilon 1 or below the leaf rebuilds first, so ``update`` does
 not test for a fold there.
+
+The store makes a new row only when no recycled row is left, so every
+row id is then held or a freed row that a leaf lists.  A root rebuild
+drops every listing, so each freed row listed was freed by a delete
+since, which counts on the root: there are at most epsilon times the
+root's size of them.  Above epsilon 1 the fold rule also bounds them: a
+leaf lists at most its rows at its last build or fold, plus twice its
+copies, plus 33.  So row ids stay within a constant factor of the most
+examples held.
 
 The store holds only examples valid under the tree's schema.  A tree is
 built over a copy of a multiset, whose inserts were checked, and each
@@ -96,21 +108,15 @@ class TreeStats:
     max_height: int = 0
 
 
-def _current_rows(arrays: list, tickets: list, lens: list, new: list,
-                  store) -> np.ndarray:
-    # the rows listed currently by some leaves, given their builder arrays,
-    # the arrays' tickets and lengths, and their new-row lists joined: the
-    # arrays are joined and their stale rows dropped in one vectorized
-    # ticket test, then the current rows of the new lists added (see
-    # core._Store)
-    stamp = store.stamp.obj  # the array under the memoryview
+def _current_rows(arrays: list, new: list, store) -> tuple:
+    # (held, freed): the rows that some leaves list, given their builder
+    # arrays and their new-row lists joined, split by their counts in one
+    # vectorized test; a freed row counts 0 (see core._Store)
+    if new:
+        arrays.append(np.fromiter(new, dtype=np.int64, count=len(new)))
     rows = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-    rows = rows[stamp[rows] <= np.array(tickets).repeat(lens)]
-    if not new:
-        return rows
-    pairs = np.fromiter(new, dtype=np.int64, count=len(new)).reshape(-1, 2)
-    fresh = pairs[:, 0]
-    return np.concatenate((rows, fresh[stamp[fresh] <= pairs[:, 1]]))
+    held = store.count.obj[rows] != 0  # the array under the memoryview
+    return rows[held], rows[~held]
 
 
 # TreeNode's fields but its children, in the order of a pickled node record
@@ -199,26 +205,23 @@ class DecisionTree:
 
     def leaf_union(self) -> ActiveMultiset:
         """Union of the leaf multisets: the engine's view of the active set."""
-        rows, _ = self._gather(self.root)
+        rows = self._gather(self.root)[0]
         examples, count = self._store.examples, self._store.count
         return ActiveMultiset._from_sorted_items(
             [(examples[r], count[r]) for r in rows.tolist()], self.schema
         )
 
     def _gather(self, node: TreeNode):
-        # (array of the rows listed currently below node, [0-label, 1-label]
-        # weight); leaves hold disjoint current rows, and the builder needs
-        # no order
-        arrays, tickets, lens, new = [], [], [], []
+        # (array of the held rows listed below node, [0-label, 1-label]
+        # weight, array of the freed rows listed there); every row is
+        # listed once, and the builder needs no order
+        arrays, new = [], []
         n0 = n1 = 0
         stack = [node]
         while stack:
             v = stack.pop()
             if v.split is None:
-                a = v.leaf_rows
-                arrays.append(a)
-                tickets.append(v.leaf_ticket)
-                lens.append(len(a))
+                arrays.append(v.leaf_rows)
                 if v.leaf_new:
                     new += v.leaf_new
                 h0, h1 = v.label_hist
@@ -227,7 +230,8 @@ class DecisionTree:
             else:
                 stack.append(v.right)
                 stack.append(v.left)
-        return _current_rows(arrays, tickets, lens, new, self._store), [n0, n1]
+        rows, freed = _current_rows(arrays, new, self._store)
+        return rows, [n0, n1], freed
 
     def query(self, features: Sequence) -> int:
         """Label of the leaf that features route to."""
@@ -306,8 +310,8 @@ class DecisionTree:
                     node = node.left
                 else:
                     node = node.right
-            # an example's row, when held, is listed currently in the leaf
-            # the example routes to, and a row taken afresh is listed there
+            # an example's row, when held, is listed in the leaf the
+            # example routes to, and a row taken afresh is listed there
             leaf = node
             if op == "ins":
                 new = leaf.leaf_new
@@ -334,13 +338,13 @@ class DecisionTree:
         try:
             if i >= 0:
                 return self._rebuild_at(path, i)
-            # fold the leaf's listings once its new-row list, flat (row,
-            # ticket) pairs, lists more than 2 (n0 + n1) + 32 rows; a
-            # rebuild replaces the leaf instead, and at epsilon 1 or below
-            # the leaf rebuilds first
-            if eps > 1 and op == "ins" and len(new) > 4 * (n0 + n1) + 64:
-                leaf.leaf_rows = self._gather(leaf)[0]
-                leaf.leaf_ticket = store.clock  # no current stamp is later
+            # fold the leaf's listings once its new-row list lists more
+            # than 2 (n0 + n1) + 32 rows; a rebuild replaces the leaf
+            # instead, and at epsilon 1 or below the leaf rebuilds first
+            if eps > 1 and op == "ins" and len(new) > 2 * (n0 + n1) + 32:
+                rows, _, freed = self._gather(leaf)
+                store.recycle(freed.tolist())
+                leaf.leaf_rows = rows
                 leaf.leaf_new = None
             return None
         except BaseException:
@@ -354,8 +358,10 @@ class DecisionTree:
         # in) and leaf edit, and an insert's symbol pin.  prior is the pin
         # before an insert, or the example object a delete released.  The
         # builder changed nothing of the old subtree, a store flush is all
-        # or nothing, and a fold writes the leaf only once its listings are
-        # made, so the tree is as it was before the update.
+        # or nothing, and a rebuild or a fold recycles rows and writes the
+        # tree only once all else is done, so the tree is as it was before
+        # the update.  A row that a failed insert took afresh stays listed,
+        # freed, as a delete's would.
         for v in path:
             v.pending -= 1
         self.stats.updates -= 1
@@ -367,10 +373,11 @@ class DecisionTree:
             store.symbol_types = prior
             hist[example.label] -= 1
         else:
-            if leaf.leaf_new is None:
-                leaf.leaf_new = []
-            # a row the delete freed is free[-1], so it is taken back
-            store.take(prior, leaf.leaf_new)
+            # a row the delete freed is still listed in the leaf; recycled,
+            # it is free[-1], so it is taken back with no new listing
+            if not store.count[row]:
+                store.recycle([row])
+            store.take(prior)
             hist[example.label] += 1
         leaf.leaf_label = 1 if hist[1] > hist[0] else 0
 
@@ -382,11 +389,14 @@ class DecisionTree:
         while path[j].size > shat:
             j += 1
         target = path[j]
-        gathered, hist = self._gather(target)
+        gathered, hist, freed = self._gather(target)
         gathered_total = hist[0] + hist[1]
         kept = []
         fresh = _build_entries(gathered, hist, self._store, target.depth,
                                self.params, target, kept)
+        # the old subtree's listings die with it, so its freed rows may be
+        # reused
+        self._store.recycle(freed.tolist())
         if j == 0:
             self.root = fresh
         else:

@@ -15,13 +15,72 @@ def walk(node):
             stack += (v.right, v.left)
 
 
+def listed_rows(leaf):
+    """Every row leaf lists, held or freed."""
+    return leaf.leaf_rows.tolist() + (leaf.leaf_new or [])
+
+
 def current_rows(store, leaf):
-    """The rows leaf lists currently: those whose stamp is at most the
-    ticket they are listed under."""
-    listed = [(r, leaf.leaf_ticket) for r in leaf.leaf_rows.tolist()]
-    new = leaf.leaf_new or []
-    listed += zip(new[::2], new[1::2])
-    return [r for r, ticket in listed if store.stamp[r] <= ticket]
+    """The held rows leaf lists: those that count more than 0."""
+    return [r for r in listed_rows(leaf) if store.count[r]]
+
+
+def freed_listed(tree):
+    """The freed rows that tree's leaves list."""
+    store = tree._store
+    return [r for v in walk(tree.root) if v.is_leaf
+            for r in listed_rows(v) if not store.count[r]]
+
+
+def listing_problems(tree):
+    """Broken listing invariants of tree's leaves and row store (see
+    dyntree.core.TreeNode), as strings: no row is listed twice; a held
+    row is listed in the leaf its example routes to; a free row counts 0
+    and holds no example, and is either recycled (on the store's free
+    list) and listed nowhere, or listed and not on the free list."""
+    store = tree._store
+    problems = []
+    where = {}  # row -> the leaf that lists it
+    for v in walk(tree.root):
+        if v.is_leaf:
+            for r in listed_rows(v):
+                if r in where:
+                    problems.append(f"row {r} is listed twice")
+                where[r] = v
+    free = set(store.free)
+    if len(free) != len(store.free):
+        problems.append("a row is on the free list twice")
+    for r, e in enumerate(store.examples):
+        if e is not None:
+            if store.count[r] < 1:
+                problems.append(f"held row {r} counts {store.count[r]}")
+            if r in free:
+                problems.append(f"held row {r} is on the free list")
+            if r not in where:
+                problems.append(f"held row {r} is listed nowhere")
+            elif where[r] is not leaf_of(tree.root, e.features):
+                problems.append(f"row {r} is listed in a leaf {e} does not "
+                                "route to")
+            continue
+        if store.count[r] != 0:
+            problems.append(f"free row {r} counts {store.count[r]}")
+        if r in free and r in where:
+            problems.append(f"free row {r} is recycled but still listed")
+        if r not in free and r not in where:
+            problems.append(f"free row {r} is neither recycled nor listed")
+    made = set(range(len(store.examples)))
+    if not free | set(where) <= made:
+        problems.append("a row not yet made is recycled or listed")
+    if any(store.count.obj[len(store.examples):]):
+        problems.append("a row not yet made counts more than 0")
+    return problems
+
+
+def leaf_of(node, features):
+    """The leaf below node that features route to."""
+    while not node.is_leaf:
+        node = node.route_child(features)
+    return node
 
 
 def leaf_multiset(store, leaf):

@@ -672,7 +672,10 @@ def test_a_multisets_store_holds_exactly_its_rows():
         store = s._store
         return (len(store.row_of) == s.distinct_size
                 and set(store.row_of.values())
-                == set(store.held_rows().tolist()))
+                == set(store.held_rows().tolist())
+                # a multiset recycles a row as it frees it
+                and sorted(store.free) == [
+                    r for r, e in enumerate(store.examples) if e is None])
 
     exs = [make_example((float(i % 3), "ab"[i % 2]), i % 2) for i in range(8)]
     s = ActiveMultiset.from_examples(exs)
@@ -725,8 +728,8 @@ def test_building_from_or_copying_a_multiset_codes_nothing_of_it():
                                    lambda x: pickle.loads(pickle.dumps(x))],
                          ids=["deepcopy", "pickle"])
 def test_multisets_and_trees_copy_and_pickle(clone):
-    # the store keeps its per-row counts and stamps under memoryviews,
-    # which pickle cannot take
+    # the store keeps its per-row counts under a memoryview, which pickle
+    # cannot take
     exs = [make_example((float(i % 5), "ab"[i % 2]), i % 2) for i in range(12)]
     s = ActiveMultiset.from_examples(exs + exs[:3])
     assert clone(s) == s
@@ -768,11 +771,14 @@ def test_a_store_copy_shares_no_container_it_changes():
         if isinstance(mine, (dict, list, set, np.ndarray)):
             assert theirs is not mine, name
             copied.append(name)
-    assert len(copied) == 13  # y, X and C included: the store has coded
+    assert len(copied) == 12  # y, X and C included: the store has coded
     before = copy.deepcopy(store.__getstate__())
     c.take(make_example((8.0, "c"), 0))
     c.release(c.row_of[exs[0]])
-    c.release(c.row_of[exs[5]])  # its last copy: the row is freed
+    row = c.row_of[exs[5]]
+    c.release(row)  # its last copy: the row is freed, then recycled
+    c.recycle([row])
+    assert c.free == [row] and c.count[row] == 0
     c.flush()
     assert c.symbols == ["a", "b", "c"] and c.total == 12
     assert _comparable(store.__getstate__()) == _comparable(before)
@@ -783,8 +789,7 @@ def _store_state(s):
     """What a multiset's store holds, its held examples by identity."""
     store = s._store
     return (list(store.row_of.items()), [id(e) for e in store.examples],
-            list(store.free), store.count.obj.tolist(),
-            store.stamp.obj.tolist(), store.clock, set(store.uncoded),
+            list(store.free), store.count.obj.tolist(), set(store.uncoded),
             store.schema, store.symbol_types, len(s))
 
 
@@ -801,7 +806,7 @@ def _tree_dump(tree):
     return ([(v.depth, v.size, v.height, v.split, v.split_gain.hex(),
               v.leaf_label, v.label_hist,
               None if v.leaf_rows is None else v.leaf_rows.tolist(),
-              v.leaf_ticket) for v in walk(tree.root)],
+              v.leaf_new) for v in walk(tree.root)],
             [None if a is None else a.tobytes()
              for a in (store.y, store.X, store.C)])
 
@@ -839,9 +844,10 @@ def _batch(kinds, distinct, seed):
 @pytest.mark.parametrize("distinct", [1, 16, 17, 150])
 def test_from_examples_takes_a_batch_as_inserts_would(kinds, distinct):
     # the batch path must leave the store a loop of insert leaves: rows in
-    # first-seen order holding the first object, counts and stamps (unused
-    # rows of the grown arrays included), clock, uncoded rows, schema and
-    # symbol pin; 16 and 17 rows sit either side of the first growth
+    # first-seen order holding the first object, counts (unused rows of the
+    # grown arrays included, which count 0, as free rows do), uncoded rows,
+    # schema and symbol pin; 16 and 17 rows sit either side of the first
+    # growth
     params = FeasibilityParams(epsilon=0.1, alpha=0.2, beta=0.4, k=2, h=5)
     schema = Schema(kinds)
     batch = _batch(kinds, distinct, seed=distinct)
@@ -849,6 +855,7 @@ def test_from_examples_takes_a_batch_as_inserts_would(kinds, distinct):
         s = ActiveMultiset.from_examples(batch, given)
         loop = _inserted(batch, given)
         assert _store_state(s) == _store_state(loop)
+        assert not s._store.count.obj[distinct:].any()
         assert s.schema == schema and s.distinct_size == distinct
         assert s._store.symbol_types == (
             (str,) * len(schema._categorical) if schema._categorical else None)

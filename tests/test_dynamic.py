@@ -24,11 +24,12 @@ from dyntree import (
     check_counters,
     make_example,
     mixed_stream,
+    threshold_stream,
 )
 from dyntree.build import build
 from dyntree.dynamic import _shat
-from shared import (Code, Picky, Unordered, leaf_multiset, state,
-                    subtree_multiset, walk)
+from shared import (Code, Picky, Unordered, leaf_multiset, leaf_of,
+                    listing_problems, state, subtree_multiset, walk)
 
 HALF = FeasibilityParams(epsilon=0.5, alpha=0.2, beta=0.2, k=1, h=8)
 
@@ -216,6 +217,38 @@ def test_a_delete_meets_the_symbol_type_pin_as_an_insert_does():
             with pytest.raises(SchemaError, match="symbols, got"):
                 tree.update(e, op)
             assert state(tree) == before
+
+
+# Deletes that the multiset and the tree must reject alike, from both
+# holding (1.0, "a") with label 1 and (2.0, "b") with label 0.  All but the
+# absent one and the list ones equal a held example, which a multiset
+# once deleted without a check; it raised TypeError for a list of a bool.
+BAD_DELETES = {
+    "bool real": LabeledExample((True, "a"), 1),
+    "numpy str symbol": LabeledExample((1.0, np.str_("a")), 1),
+    "float label": LabeledExample((1.0, "a"), 1.0),
+    "label 2": LabeledExample((1.0, "a"), 2),
+    "list features": LabeledExample([1.0, "a"], 1),
+    "list of a bool": LabeledExample([True, "a"], 1),
+    "nan": LabeledExample((float("nan"), "a"), 1),
+    "wrong arity": LabeledExample((1.0,), 1),
+    "absent": LabeledExample((3.0, "a"), 1),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_DELETES))
+def test_the_multiset_and_the_tree_reject_the_same_deletes(name):
+    held = [make_example((1.0, "a"), 1), make_example((2.0, "b"), 0)]
+    s = ActiveMultiset.from_examples(held)
+    tree = _tree(held)
+    raised = []
+    for delete in (s.delete, lambda e: tree.update(e, "del")):
+        with pytest.raises(Exception) as info:
+            delete(BAD_DELETES[name])
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0] == raised[1]
+    assert raised[0][0] is not Exception
+    assert s == tree.leaf_union() == ActiveMultiset.from_examples(held)
 
 
 def test_query_and_insert_validate_each_example_once(monkeypatch):
@@ -616,7 +649,8 @@ def test_rebuilds_equal_fresh_builds(kind):
 
 class _Faults:
     """Raises MemoryError at seeded random calls of the functions it wraps,
-    while armed, and counts the faults it raised by site."""
+    while armed, and counts the faults it raised by site.  It disarms at
+    its fault, so an update meets one, and the undo that follows none."""
 
     def __init__(self, seed: int, rate: float):
         self.rng = random.Random(seed)
@@ -626,6 +660,7 @@ class _Faults:
 
     def maybe(self, site: str) -> None:
         if self.armed and self.rng.random() < self.rate:
+            self.armed = False
             self.raised[site] += 1
             raise MemoryError(f"injected fault in {site}")
 
@@ -652,6 +687,9 @@ def _install_faults(faults: _Faults, monkeypatch) -> None:
     # _code fails once _add_symbols has committed the new ids
     monkeypatch.setattr(store, "_add_symbols",
                         faults.wrap("_code", store._add_symbols, after=True))
+    # every rebuild and fold recycles the freed rows its gather dropped
+    monkeypatch.setattr(store, "recycle", faults.wrap("recycle",
+                                                      store.recycle))
     node_sweep = dyntree.build._node_sweep
 
     def faulty_node_sweep(store, rows):
@@ -684,9 +722,11 @@ def _lockstep_state(tree):
 def test_updates_that_fail_anywhere_leave_the_tree_as_it_was(monkeypatch):
     # Two trees take the same sliding window from empty; one of them meets
     # a MemoryError at random calls of the node sweep's kernels, of the
-    # store's columns and coding, midway through a build, and in the fold
-    # and the gather.  A failed update must leave that tree as it was, and
-    # its retry, without faults, must bring it level with the other again.
+    # store's columns and coding, midway through a build, in the fold and
+    # the gather, and in the recycling of freed rows.  A failed update must
+    # leave that tree as it was, with no row recycled that a leaf still
+    # lists, and its retry, without faults, must bring it level with the
+    # other again.
     faults = _Faults(seed=3, rate=0.2)
     _install_faults(faults, monkeypatch)
     streams = [mixed_stream(300, d_num=2, d_cat=2, seed=1, grid=8),
@@ -719,6 +759,7 @@ def test_updates_that_fail_anywhere_leave_the_tree_as_it_was(monkeypatch):
                     except MemoryError:
                         faults.armed = False
                         assert _lockstep_state(b) == now
+                        assert listing_problems(b) == []
                         # the first insert pins the symbol types
                         failed["pin"] += b._store.symbol_types is None
                         info = b.update(ex, op)
@@ -730,12 +771,13 @@ def test_updates_that_fail_anywhere_leave_the_tree_as_it_was(monkeypatch):
                     assert (info and info.gathered) == (ref and ref.gathered)
                     now = _lockstep_state(a)
                     assert _lockstep_state(b) == now
+                    assert listing_problems(b) == []
     # every site failed some update, folds and first pins among them
     assert set(faults.raised) == {
         "_sweep_list", "_sweep_numeric", "_sweep_binned", "_scan_binned",
         "_sweep_categorical", "_sweep_categorical_present", "_rank_codes",
         "columns", "_code",
-        "node sweep", "_current_rows"}
+        "node sweep", "_current_rows", "recycle"}
     assert failed["fold"] and failed["pin"]
 
 
@@ -759,10 +801,11 @@ def test_run_sequence_answers_lab_queries():
 
 
 def test_a_reused_row_is_gathered_once():
-    # The store reuses a freed row at once, so a row can be freed in leaf
-    # L, reused by an example that routes to leaf B, freed again and
-    # reused back in L, while L still lists it from before.  Only the last
-    # listing may count, in the leaf union and in the next rebuild.
+    # A freed row stays listed in the leaf that held it, counting 0, and
+    # the store hands it out again only after the rebuild or fold that
+    # drops that listing; a gather alone recycles nothing.  So no row is
+    # ever listed twice, and the leaf union and every rebuild count each
+    # held row once.
     params = FeasibilityParams(epsilon=10.0, alpha=0.2, beta=0.2, k=1, h=8)
     warm = [make_example((x,), int(x > 3.0)) for x in (0.0, 1.0, 5.0, 6.0)]
     tree = DecisionTree.from_multiset(ActiveMultiset.from_examples(warm),
@@ -773,40 +816,125 @@ def test_a_reused_row_is_gathered_once():
     shadow = ActiveMultiset.from_examples(warm)
 
     def apply(e, op):
-        assert tree.update(e, op) is None
+        info = tree.update(e, op)
         (shadow.insert if op == "ins" else shadow.delete)(e)
+        assert listing_problems(tree) == []
+        assert tree.leaf_union() == shadow
+        return info
 
-    reused = store.row_of[warm[0]]
+    def rows_of(*xs):
+        return [store.row_of[make_example((x,), int(x > 3.0))] for x in xs]
+
+    freed = store.row_of[warm[0]]
     in_b = make_example((7.0,), 1)
-    apply(warm[0], "del")
-    apply(in_b, "ins")  # L's builder row, reused in B
-    apply(in_b, "del")
-    apply(make_example((0.5,), 0), "ins")  # and back in L
-    fresh = make_example((0.25,), 0)
-    apply(fresh, "ins")  # a row L lists in its new list ...
-    row = store.row_of[fresh]
-    apply(fresh, "del")
-    apply(make_example((8.0,), 1), "ins")  # ... reused in B
-    apply(make_example((8.0,), 1), "del")
-    apply(make_example((0.75,), 0), "ins")  # and back in L's new list
-    assert left.leaf_rows.tolist().count(reused) == 1
-    assert left.leaf_new[::2] == [reused, row, row]
-    assert right.leaf_new[::2] == [reused, row]
-    assert tree.leaf_union() == shadow
+    assert apply(warm[0], "del") is None  # L's builder row, freed
+    assert apply(in_b, "ins") is None  # B takes a new row, not L's
+    [row_b] = rows_of(7.0)
+    assert apply(in_b, "del") is None
+    for x in (0.5, 0.25):  # L takes new rows too
+        assert apply(make_example((x,), 0), "ins") is None
+    [row] = rows_of(0.25)
+    assert apply(make_example((0.25,), 0), "del") is None
+    assert apply(make_example((0.75,), 0), "ins") is None
+    assert store.free == [] and len(store.examples) == 8
+    assert left.leaf_rows.tolist() == [freed] + rows_of(1.0)
+    assert left.leaf_new == rows_of(0.5) + [row] + rows_of(0.75)
+    assert right.leaf_new == [row_b]
+    assert not store.count[freed] and not store.count[row]
 
-    rows, hist = tree._gather(left)
-    assert sorted(rows.tolist()) == sorted(
-        r for e, r in store.row_of.items() if e.features[0] <= 1.0)
+    held, hist, dropped = tree._gather(left)
+    assert sorted(held.tolist()) == sorted(rows_of(1.0, 0.5, 0.75))
     assert hist == [3, 0]
+    assert sorted(dropped.tolist()) == sorted([freed, row])
+    assert store.free == []
     while True:  # churn L until it rebuilds alone
-        info = tree.update(warm[1], "del")
-        assert info is None
-        info = tree.update(warm[1], "ins")
+        apply(warm[1], "del")
+        info = apply(warm[1], "ins")
         if info is not None:
             break
     assert info.node is tree.root.left and info.gathered == 3
-    assert sorted(info.node.leaf_rows.tolist()) == sorted(rows.tolist())
-    assert tree.leaf_union() == shadow
+    left = info.node
+    assert sorted(left.leaf_rows.tolist()) == sorted(rows_of(1.0, 0.5, 0.75))
+    # the rebuild recycled every row L listed freed, the churn's among
+    # them; B's still waits
+    assert {freed, row} < set(store.free)
+    assert right.leaf_new == [row_b]
+    assert sorted(store.free + [row_b]) == [
+        r for r, e in enumerate(store.examples) if e is None]
+    # a new example takes a recycled row, listed once
+    reused = store.free[-1]
+    apply(make_example((0.125,), 0), "ins")
+    assert rows_of(0.125) == [reused] and left.leaf_new == [reused]
+
+
+@pytest.mark.parametrize("mode, eps", [("sw", 1.0), ("sw", 1000.0),
+                                       ("ru", 0.1)])
+def test_row_ids_stay_within_the_freed_listings_bound(mode, eps):
+    # The store makes a new row only when no row is recycled, so every row
+    # id is then held or a freed row that a leaf lists.  Two rules bound
+    # the freed listings:
+    # - a root rebuild drops every listing, so each freed row listed was
+    #   freed by a delete since the root was built; each such update
+    #   counts on the root, which triggers past eps times its size, so
+    #   row ids stay within the distinct examples held, plus 1, plus eps
+    #   times the most copies held;
+    # - a leaf folds once its new-row list outgrows 2 (n0 + n1) + 32 rows,
+    #   and its builder or fold array lists at most its copies then, so
+    #   it lists at most 3 times its most copies plus 33 rows, the insert
+    #   that takes a row included.
+    params = FeasibilityParams(epsilon=eps, alpha=0.3, beta=0.4, k=5, h=8)
+    window = 300
+    if mode == "sw":
+        stream = threshold_stream(window + 2000, d=4, seed=5, theta=0.75)
+        updates = [u for old, e in zip(stream, stream[window:])
+                   for u in ((old, "del"), (e, "ins"))]
+    else:
+        stream = mixed_stream(window + 4000, d_num=0, d_cat=4, seed=5,
+                              alphabet=5)
+        rng = random.Random(5)
+        active, updates = list(stream[:window]), []
+        for e in stream[window:]:
+            if rng.random() < 0.5 or not active:
+                active.append(e)
+                updates.append((e, "ins"))
+            else:
+                i = rng.randrange(len(active))
+                active[i], active[-1] = active[-1], active[i]
+                updates.append((active.pop(), "del"))
+    tree = _tree(stream[:window], params)
+    store = tree._store
+    shadow = Counter(stream[:window])
+    leaves = {v: sum(v.label_hist) for v in walk(tree.root) if v.is_leaf}
+    built = {v: v.leaf_rows for v in leaves}
+    root, deletes = tree.root, 0  # deletes since the root was built
+    bound = peak_rows = peak_distinct = len(shadow)
+    peak_total = window
+    for e, op in updates:
+        bound = max(bound, len(shadow) + 1 + deletes)
+        tree.update(e, op)
+        shadow[e] += 1 if op == "ins" else -1
+        if not shadow[e]:
+            del shadow[e]
+        if tree.root is not root:
+            root, deletes = tree.root, 0
+        elif op == "del":
+            deletes += 1
+        assert len(store.examples) <= bound
+        leaf = leaf_of(tree.root, e.features)
+        if leaf in leaves:
+            leaves[leaf] = max(leaves[leaf], sum(leaf.label_hist))
+        peak_rows = max(peak_rows, len(store.examples))
+        peak_distinct = max(peak_distinct, len(shadow))
+        peak_total = max(peak_total, shadow.total())
+    assert dict(tree.leaf_union().items()) == dict(shadow)
+    assert peak_rows <= peak_distinct + 1 + eps * peak_total
+    if eps > 1:  # no leaf rebuilt, and some folded
+        assert tree.stats.rebuild_count == 0
+        assert any(v.leaf_rows is not rows for v, rows in built.items())
+        assert peak_rows <= sum(3 * n + 33 for n in leaves.values())
+    else:
+        assert tree.stats.rebuild_count > 20
+    assert peak_rows > peak_distinct  # rows waited for their leaves
 
 
 def test_leaf_union_tracks_random_churn():

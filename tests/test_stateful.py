@@ -1,7 +1,7 @@
 """A state machine that drives update and query against a Counter shadow.
 
-The rules reach the row store's edge cases: rows freed and reused,
-examples counted more than once, symbols that sort before every held
+The rules reach the row store's edge cases: rows freed, still listed,
+then recycled by a rebuild and reused, examples counted more than once, symbols that sort before every held
 one, which rank a column again, a stream of new symbols, whose ids the
 store drops once no row holds them, inserts of the very tuple a query
 just accepted, which skip Schema.validate, and a swap of the tree for a
@@ -43,7 +43,8 @@ from dyntree import (
     check_feasibility,
     make_example,
 )
-from shared import Code, Unordered, current_rows, state, walk
+from shared import (Code, Unordered, current_rows, freed_listed,
+                    listing_problems, state, walk)
 
 SCHEMA = Schema.infer((0.0, "m"))
 GUARANTEED = FeasibilityParams(epsilon=0.05, alpha=0.5, beta=1.0, k=1, h=6)
@@ -73,12 +74,14 @@ class TreeMachine(RuleBasedStateMachine):
         self.tree = DecisionTree.from_multiset(
             ActiveMultiset.from_examples(warm, SCHEMA), params)
         self.deleted = None  # the last example whose last count was deleted
-        self.max_distinct = len(self.shadow)
+        # the row ids the store may have made (see _row_bound)
+        self.max_rows = len(self.shadow)
         # symbols made by insert_new_symbol and insert_rejected_symbol
         self.fresh = 0
         self.rejected_at = []  # per insert_rejected_symbol, at a trigger
 
     def _apply(self, e, op):
+        self.max_rows = max(self.max_rows, _row_bound(self.tree))
         info = self.tree.update(e, op)
         if op == "ins":
             self.shadow[e] += 1
@@ -87,7 +90,6 @@ class TreeMachine(RuleBasedStateMachine):
             if not self.shadow[e]:
                 del self.shadow[e]
                 self.deleted = e
-        self.max_distinct = max(self.max_distinct, len(self.shadow))
         return info
 
     @rule(e=examples)
@@ -112,7 +114,8 @@ class TreeMachine(RuleBasedStateMachine):
                   and self.deleted not in self.shadow)
     @rule()
     def reinsert_deleted(self):
-        # the example's row was freed; it comes back in a reused row
+        # the example's row was freed; it comes back in another row, or in
+        # the same one once a rebuild has recycled it
         self._apply(self.deleted, "ins")
 
     @precondition(lambda self: self.shadow)
@@ -127,9 +130,9 @@ class TreeMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.shadow)
     @rule(i=st.integers(0, 10**6), other=examples)
     def reuse_row_elsewhere_and_back(self, i, other):
-        # e's freed row is reused at once by other, which may route to
-        # another leaf, then freed again and reused by e, so e's leaf may
-        # list the row twice: once stale, once current
+        # e's freed row stays listed in e's leaf, so other, which may
+        # route to another leaf, takes another row, is freed in turn, and
+        # e comes back in a third, listed beside its old one
         held = sorted(self.shadow)
         e = held[i % len(held)]
         if other in self.shadow or other == e:
@@ -283,7 +286,7 @@ class TreeMachine(RuleBasedStateMachine):
     @rule()
     def swap_for_pickled_clone(self):
         # the later rules run on the clone, which carries the original's
-        # new-row lists, stale listings, freed rows and pending counts
+        # new-row lists, freed rows listed or recycled, and pending counts
         clone = pickle.loads(pickle.dumps(self.tree))
         assert _dump(clone) == _dump(self.tree)
         self.tree = clone
@@ -309,7 +312,7 @@ class TreeMachine(RuleBasedStateMachine):
 
     @invariant()
     def store_holds(self):
-        assert _store_problems(self.tree, self.max_distinct) == []
+        assert _store_problems(self.tree, self.max_rows) == []
 
 
 def _triggers(tree, features):
@@ -330,51 +333,42 @@ def _dump(tree):
     nodes = [(v.depth, v.size, v.pending, v.height, v.split,
               v.split_gain.hex(), v.leaf_label, v.label_hist,
               None if v.leaf_rows is None else v.leaf_rows.tolist(),
-              v.leaf_ticket, v.leaf_new) for v in walk(tree.root)]
+              v.leaf_new) for v in walk(tree.root)]
     arrays = [None if a is None else a.tobytes()
               for a in (store.y, store.X, store.C, store.rank)]
     return (nodes, arrays, list(store.row_of.items()), store.examples,
-            store.free, store.uncoded, store.count.tolist(),
-            store.stamp.tolist(), store.clock, store.ids, store.symbols,
-            store.code_col, store.symbol_types, tree.stats, tree.active_size)
+            store.free, store.uncoded, store.count.tolist(), store.ids,
+            store.symbols, store.code_col, store.symbol_types, tree.stats,
+            tree.active_size)
 
 
-def _leaf_of(node, features):
-    while not node.is_leaf:
-        node = node.route_child(features)
-    return node
+def _row_bound(tree):
+    """The most row ids tree's store may have after its next update: a
+    new row is made only when no row is recycled, so each row id is a
+    held row, a freed row that a leaf lists, or the one that update's
+    insert makes."""
+    return len(tree._store.row_of) + len(freed_listed(tree)) + 1
 
 
-def _store_problems(tree, max_distinct):
-    """Broken row-store invariants of tree (see dyntree.core), as strings."""
+def _store_problems(tree, max_rows):
+    """Broken row-store invariants of tree (see dyntree.core), as strings.
+    max_rows is the largest _row_bound of the tree before each update."""
     store = tree._store
-    problems = []
-    listed = {}  # row -> the leaf that lists it currently
+    problems = listing_problems(tree)
     for v in walk(tree.root):
         if not v.is_leaf:
             continue
         hist = [0, 0]
-        for r in current_rows(store, v):  # stale listings skipped
-            if store.examples[r] is None:
-                problems.append(f"a current listing points at freed row {r}")
-            elif r in listed:
-                problems.append(f"row {r} has two current listings")
-            else:
-                listed[r] = v
-                hist[store.examples[r].label] += store.count[r]
+        for r in current_rows(store, v):
+            hist[store.examples[r].label] += store.count[r]
         if hist != v.label_hist:
             problems.append(f"a leaf's histogram {v.label_hist} differs "
                             f"from its rows' {hist}")
+    if len(store.row_of) != len(store.examples) - store.examples.count(None):
+        problems.append("row_of and the rows' examples differ")
     for e, r in store.row_of.items():
         if store.examples[r] != e:
             problems.append(f"row {r} holds {store.examples[r]}, not {e}")
-        if store.count[r] < 1:
-            problems.append(f"held row {r} counts {store.count[r]}")
-        if r not in listed:
-            problems.append(f"held row {r} has no current listing")
-        elif listed[r] is not _leaf_of(tree.root, e.features):
-            problems.append(f"row {r} is listed in a leaf {e} does not "
-                            "route to")
         types = tuple(type(e.features[j]) for j in tree.schema._categorical)
         if types != store.symbol_types:
             problems.append(f"{e} holds symbol types {types}, "
@@ -383,16 +377,15 @@ def _store_problems(tree, max_distinct):
     if not store.total == held == tree.active_size:
         problems.append(f"the store totals {store.total} copies, its held "
                         f"rows count {held} and the tree {tree.active_size}")
-    if any(store.count[r] != 1 for r in range(len(store.count))
-           if r >= len(store.examples) or store.examples[r] is None):
-        problems.append("a free row does not count 1, as its next take "
-                        "expects")
-    if sorted(store.free) != [r for r, e in enumerate(store.examples)
-                              if e is None]:
-        problems.append("free list differs from the free rows")
-    if len(store.examples) > max_distinct:
+    # every freed row a leaf lists was freed by a delete since the root
+    # was built, and each such update counts on the root
+    freed = len(freed_listed(tree))
+    if freed > tree.root.pending:
+        problems.append(f"{freed} freed rows listed, more than the root's "
+                        f"{tree.root.pending} updates")
+    if len(store.examples) > max_rows:
         problems.append(f"{len(store.examples)} row ids for at most "
-                        f"{max_distinct} distinct examples")
+                        f"{max_rows}")
     schema = tree.schema
     cat = schema._categorical
     if len(store.symbols) > 3 * len(cat) * len(store.examples):
@@ -413,27 +406,45 @@ def _store_problems(tree, max_distinct):
     return problems
 
 
+def _step(tree, e, op, max_rows):
+    """Apply one update to tree; returns max_rows raised to the tree's
+    row bound before it (see _row_bound)."""
+    max_rows = max(max_rows, _row_bound(tree))
+    tree.update(e, op)
+    return max_rows
+
+
 def test_store_recycles_rows_and_ranks_symbols():
     params = FeasibilityParams(epsilon=0.2, alpha=0.1, beta=0.5, k=1, h=6)
     exs = [make_example((float(i % 3), s), i % 2)
            for i, s in enumerate(["m", "n", "m", "p"])]
     tree = DecisionTree.from_multiset(ActiveMultiset.from_examples(exs), params)
-    max_distinct = 4
-    assert _store_problems(tree, max_distinct) == []
-    # a freed row is reused: row ids never outnumber the distinct examples
+    store = tree._store
+    max_rows = 4
+    assert _store_problems(tree, max_rows) == []
+    # each delete rebuilds the root, which drops the freed row's listing
+    # and recycles it, so the next new example takes it again
     for e in exs[:2]:
-        tree.update(e, "del")
-        tree.update(make_example(e.features, 1 - e.label), "ins")
-        assert _store_problems(tree, max_distinct) == []
+        row = store.row_of[e]
+        rebuilds = tree.stats.rebuild_count
+        max_rows = _step(tree, e, "del", max_rows)
+        assert tree.stats.rebuild_count == rebuilds + 1
+        assert store.free == [row] and not store.count[row]
+        assert _store_problems(tree, max_rows) == []
+        flipped = make_example(e.features, 1 - e.label)
+        max_rows = _step(tree, flipped, "ins", max_rows)
+        assert store.row_of[flipped] == row and store.free == []
+        assert _store_problems(tree, max_rows) == []
+    assert len(store.examples) == 4
     # a symbol below every held one ranks the column again when the rows
     # are next coded
     low = make_example((0.0, "a"), 1)
     for _ in range(4):
-        tree.update(low, "ins")
-    assert _store_problems(tree, max_distinct + 1) == []
+        max_rows = _step(tree, low, "ins", max_rows)
+    assert _store_problems(tree, max_rows) == []
     tree._store.flush()
     assert tree._store.symbols[0] == "a"
-    assert _store_problems(tree, max_distinct + 1) == []
+    assert _store_problems(tree, max_rows) == []
 
 
 def test_new_symbols_leave_coded_rows_and_unheld_ids_go():
@@ -447,28 +458,31 @@ def test_new_symbols_leave_coded_rows_and_unheld_ids_go():
                                       params)
     store = tree._store
     drops = 0
+    max_rows = 20
     for e in exs[20:]:
         kept = {r: store.C[r].copy() for x, r in store.row_of.items()
                 if x != window[0]}
         ids = len(store.symbols)
-        tree.update(window.pop(0), "del")
-        tree.update(e, "ins")
+        max_rows = _step(tree, window.pop(0), "del", max_rows)
+        max_rows = _step(tree, e, "ins", max_rows)
         window.append(e)
         store.flush()
         if len(store.symbols) > ids:
             assert all((store.C[r] == c).all() for r, c in kept.items())
         else:
             drops += 1
-        assert _store_problems(tree, 20) == []
+        assert _store_problems(tree, max_rows) == []
     assert drops > 0
 
 
 def test_listings_stay_within_a_constant_of_the_rows():
     # At a large epsilon leaves go long without a rebuild, while every
-    # delete and reinsert of an example takes a row afresh and lists it
-    # again; the leaves must fold their stale listings away.  Reinserting
-    # in delete order hands the freed rows out in reverse, so rows also
-    # move between leaves.
+    # delete frees a row that stays listed and every reinsert takes a row
+    # afresh and lists it; the leaves must fold their freed listings away
+    # and recycle the rows, which inserts into other leaves then take, so
+    # rows also move between leaves.  By the fold rule a leaf lists at
+    # most its rows at its last fold, plus 2 (n0 + n1) + 32 new ones, and
+    # here no leaf ever holds more copies than at the start of a round.
     params = FeasibilityParams(epsilon=64.0, alpha=0.1, beta=0.5, k=100, h=3)
     rng = random.Random(64)
     exs = [make_example((rng.random(), rng.choice("mno")),
@@ -480,39 +494,40 @@ def test_listings_stay_within_a_constant_of_the_rows():
     store = tree._store
     leaves = [v for v in walk(tree.root) if v.is_leaf]
     assert len(leaves) > 2
+    bound = sum(3 * sum(v.label_hist) + 32 for v in leaves)
     for round_ in range(200):
         churn = rng.sample(exs, 100)
         for e in churn:
             tree.update(e, "del")
         for e in churn:
             tree.update(e, "ins")
-        listings = sum(len(v.leaf_rows) + len(v.leaf_new or ()) // 2
-                       for v in walk(tree.root) if v.is_leaf)
-        assert listings <= 4 * len(store.row_of)
+        listings = sum(len(v.leaf_rows) + len(v.leaf_new or ())
+                       for v in leaves)
+        assert listings <= bound
         if round_ % 50 == 49:
-            assert _store_problems(tree, 1000) == []
+            # a new row is made only when every row id is listed
+            assert _store_problems(tree, bound) == []
     assert tree.stats.rebuild_count == 0  # the leaves above, folded
     assert [v for v in walk(tree.root) if v.is_leaf] == leaves
     assert dict(tree.leaf_union().items()) == dict(Counter(exs))
-    rows, _ = tree._gather(tree.root)
+    rows = tree._gather(tree.root)[0]
     assert sorted(rows.tolist()) == sorted(store.row_of.values())
 
 
 def _carried(tree):
-    """Whether tree holds new-row lists, stale listings and freed rows."""
-    store = tree._store
+    """Whether tree holds new-row lists, freed rows that leaves list, and
+    recycled rows."""
     leaves = [v for v in walk(tree.root) if v.is_leaf]
-    listed = sum(len(v.leaf_rows) + len(v.leaf_new or ()) // 2 for v in leaves)
-    current = sum(len(current_rows(store, v)) for v in leaves)
-    return (any(v.leaf_new for v in leaves), listed > current,
-            bool(store.free))
+    return (any(v.leaf_new for v in leaves), bool(freed_listed(tree)),
+            bool(tree._store.free))
 
 
 def test_a_pickled_clone_carries_listings_and_freed_rows():
     # the machine's small trees rebuild often, so its random swaps seldom
-    # clone these; a lazy tree keeps them until the swap, and the clone
-    # then takes updates that fold, rebuild and reuse its rows, and ends
-    # as the tree it was cloned from would have
+    # clone these; a lazy tree keeps freed rows listed in some leaves while
+    # one leaf's rebuild has recycled others, and the clone then takes
+    # updates that fold, rebuild and reuse its rows, and ends as the tree
+    # it was cloned from would have
     params = FeasibilityParams(epsilon=4.0, alpha=0.2, beta=0.4, k=2, h=4)
 
     def run(swap):
@@ -522,6 +537,10 @@ def test_a_pickled_clone_carries_listings_and_freed_rows():
         m.delete_all_then_reinsert(0)  # the row comes back, listed again
         m.reuse_row_elsewhere_and_back(5, make_example((3.0, "o"), 0))
         m.delete(7)
+        assert _carried(m.tree) == (True, True, False)
+        for _ in range(6):  # until the first leaf rebuilds and recycles
+            m.delete_all_then_reinsert(0)
+        assert m.tree.stats.rebuild_count == 1
         assert _carried(m.tree) == (True, True, True)
         if swap:
             m.swap_for_pickled_clone()
