@@ -4,19 +4,22 @@ Examples are immutable (features, label) pairs with binary labels.  The
 active set is a multiset over examples, kept in a row store
 (``_Store``): each distinct example gets one row, coded into column
 arrays once, and the store counts each row's copies in one dense per-row
-count and all of them in one total.  A caller's multiset owns its store;
-a tree keeps one for all its leaves, and each leaf lists the rows routed
-to it (see ``TreeNode``), so a rebuild slices the store's columns and
-counts by row id instead of re-reading examples.  A multiset made from a
-batch (``ActiveMultiset.from_examples``) takes all its rows in one pass
-when every example would pass ``Schema.validate``'s fast path, checked
-column by column; any other batch is inserted one example at a time, and
-both leave the same store.  A row is coded by the first flush after its
-take: a rebuild's flush, which codes only the few rows taken since the
-last one, writes them cell by cell in Python, and a large one, such as a
-set-up's, with numpy (see ``_Store``).  Enumeration sorts on demand,
-lexicographically by features then label, so its order is deterministic
-regardless of the order updates arrived in.
+count and all of them in one total.  Its per-row arrays share one
+capacity, which one growth step raises before a take writes anything.  A
+caller's multiset owns its store; a tree keeps one for all its leaves,
+and each leaf lists the rows routed to it (see ``TreeNode``), so a
+rebuild slices the store's columns and counts by row id instead of
+re-reading examples.  The store lists nothing: the tree lists each row
+that a take hands out afresh in the leaf its example routes to.  A
+multiset made from a batch (``ActiveMultiset.from_examples``) takes all
+its rows in one pass when every example would pass ``Schema.validate``'s
+fast path, checked column by column; any other batch is inserted one
+example at a time, and both leave the same store.  A row is coded by the
+first flush after its take: a rebuild's flush, which codes only the few
+rows taken since the last one, writes them cell by cell in Python, and a
+large one, such as a set-up's, with numpy (see ``_Store``).  Enumeration
+sorts on demand, lexicographically by features then label, so its order
+is deterministic regardless of the order updates arrived in.
 
 Store invariants, which hold whenever the store is flushed (see
 ``_Store.flush``):
@@ -265,20 +268,13 @@ def _binary_label(label) -> bool:
         return False
 
 
-def _int64s(n: int) -> memoryview:
-    # a per-row column: Python reads and writes plain ints through the
-    # memoryview, about twice as fast as through the array, and numpy reads
-    # the array under it (.obj) without a copy
-    return memoryview(np.zeros(n, dtype=np.int64))
-
-
 class _Store:
     """Rows of distinct examples, coded into column arrays.
 
     Row r holds ``examples[r]`` (None while free) and ``row_of`` maps each
     held example back to its row.  Rows are taken by ``take``, freed by
     ``release`` and handed back for reuse by ``recycle``, in pure Python,
-    and nothing else touches ``row_of``, ``examples``, ``free``,
+    and nothing else writes ``row_of``, ``examples``, ``free``,
     ``uncoded``, ``count`` or ``total``.  ``count[r]`` is the number of
     copies of row r's example that the store's holder (a caller's
     multiset, or the leaves of one tree) holds, 0 for a free row, and
@@ -288,14 +284,26 @@ class _Store:
     holder passes it to ``recycle``, which it does once nothing it keeps
     names the row (see the module docstring); ``free`` lists the rows
     recycled and not taken since, and ``take`` hands them out before it
-    makes a new one.  ``count`` is a memoryview of an int64 array, grown
-    geometrically, so it may hold more rows than there are row ids.
+    makes a new one.  The store lists no row: its holder keeps track of
+    the rows that ``take`` hands out afresh, those it counts 1 (see
+    ``TreeNode``).  ``count`` is a memoryview of an int64 array.
     ``take_all`` takes a whole batch into an empty store in one pass
     and writes what a run of ``take`` calls would; ``check_all`` says
     whether the batch may go that way, that is whether every example
     would pass ``check`` on ``Schema.validate``'s fast path.  A batch that
     may not is taken one ``take`` at a time (see
     ``ActiveMultiset.from_examples``).
+
+    Every per-row array, ``count`` and the columns ``y``, ``X`` and ``C``
+    below, has one capacity: no rows until the first take, then 16 rows,
+    doubled as rows are made, so it may hold more rows than there are row
+    ids; a row not yet made counts 0.
+    One growth step, ``_grow``, sizes them all: it makes every new array
+    before it assigns any, and ``take`` and ``take_all`` call it before
+    their first write, so a growth that raises leaves the store as it
+    was.  The columns exist once the schema is known: a store made
+    without one is empty, and a multiset replaces it at its first insert
+    (see ``ActiveMultiset.insert``).
 
     Coding waits for ``flush``, which fills the columns of the rows taken
     since: ``y`` (labels), ``X`` (real features, one column per real
@@ -312,8 +320,7 @@ class _Store:
     across columns, each column's in one block that follows its sorted
     symbols (see the module docstring), with ``symbols[code]`` and
     ``code_col[code]`` the symbol and the categorical column of a code.
-    The arrays grow geometrically, so they may hold more rows than there
-    are row ids.  ``symbol_types`` is the symbol type of each categorical
+    ``symbol_types`` is the symbol type of each categorical
     column, pinned by the first example the store took (see
     ``Schema._check_symbols``); None before that, and always for a schema
     without categorical columns.  Each is one of ``_SYMBOL_TYPES``, whose
@@ -335,14 +342,14 @@ class _Store:
         self.examples: list = []
         self.free: list = []
         self.uncoded: set = set()  # rows taken since the last flush
-        self.count = _int64s(0)
         self.total = 0
-        self.y = self.X = self.C = None
+        self.count = self.y = self.X = self.C = None
         self.ids: list = []
         self.rank = np.zeros(0, dtype=np.int64)
         self.symbols: list = []
         self.code_col: list = []
         self.symbol_types: Optional[tuple] = None
+        self._grow(0)
 
     def copy(self) -> "_Store":
         # Codes nothing: the copy's uncoded rows are this store's, and each
@@ -444,7 +451,7 @@ class _Store:
         rows = [setdefault(e, len(row_of)) for e in examples]
         k = len(row_of)
         if k > len(self.count):
-            self._grow_rows(k)
+            self._grow(k)
         if counts is None:
             self.count.obj[:k] = np.bincount(rows)
             self.total = len(examples)
@@ -455,16 +462,20 @@ class _Store:
         self.examples = list(row_of)
         self.uncoded = set(range(k))
 
-    def take(self, example: LabeledExample,
-             listing: Optional[list] = None) -> int:
+    def take(self, example: LabeledExample) -> int:
         """Count one more copy of example, and return its row: the held
-        one, else a recycled one, else a new one.
+        one, else a recycled one, else a new one, which counts 1.
 
-        A row handed out afresh is appended to listing, when one is given.
-        Raises TypeError for unhashable features before any change.
+        Raises TypeError for unhashable features, and whatever the growth
+        step raises, before any change.
         """
         free = self.free
         row = free[-1] if free else len(self.examples)
+        # a new example past the capacity grows the arrays first; the
+        # lookup raises TypeError for unhashable features, as setdefault
+        # does
+        if row == len(self.count) and example not in self.row_of:
+            self._grow(row + 1)
         # setdefault offers the row a new example would take, and returns
         # the held row otherwise
         held = self.row_of.setdefault(example, row)
@@ -477,12 +488,8 @@ class _Store:
             self.examples[row] = example
         else:
             self.examples.append(example)
-            if row == len(self.count):
-                self._grow_rows(row + 1)
         self.count[row] = 1
         self.uncoded.add(row)
-        if listing is not None:
-            listing.append(row)
         return row
 
     def release(self, row: int) -> None:
@@ -503,15 +510,34 @@ class _Store:
         more, to ``take`` for reuse."""
         self.free += rows
 
-    def _grow_rows(self, rows: int) -> None:
-        # doubles the per-row counts, from 16 rows, until they hold rows
-        n = len(self.count)
-        size = 2 * n or 16
+    def _grow(self, rows: int) -> None:
+        # The one growth step: sizes every per-row array, count and, once
+        # the schema is known, y, X and C, to one capacity, no rows for no
+        # rows, else 16 doubled until it holds rows, and makes every new
+        # array before it assigns any, so a raise leaves the store as it
+        # was.
+        size = 16 if rows else 0
         while size < rows:
             size *= 2
-        count = _int64s(size)
-        count.obj[:n] = self.count.obj
-        self.count = count
+        schema = self.schema
+        shapes = {"count": (size, np.int64)}
+        if schema is not None:  # else empty until a multiset replaces it
+            shapes["y"] = (size, np.float64)
+            for name, cols, dtype in (("X", schema._real, np.float64),
+                                      ("C", schema._categorical, np.int64)):
+                if cols:
+                    shapes[name] = ((size, len(cols)), dtype)
+        new = {name: np.zeros(shape, dtype=dtype)
+               for name, (shape, dtype) in shapes.items()}
+        for name, a in new.items():
+            old = getattr(self, name)
+            if old is not None:
+                a[:len(old)] = old
+            setattr(self, name, a)
+        # Python reads and writes plain ints through the memoryview of the
+        # counts, about twice as fast as through the array, and numpy reads
+        # the array under it (.obj) without a copy
+        self.count = memoryview(self.count)
 
     def held_rows(self) -> np.ndarray:
         """Every held row id, ascending."""
@@ -539,8 +565,6 @@ class _Store:
         # real values in one go (``_reals``) and writes by fancy assignment.
         examples = self.examples
         schema = self.schema
-        if self.y is None or len(self.y) < len(examples):
-            self._grow(len(examples))
         exs = [examples[r] for r in rows]
         k, d = len(rows), len(schema.kinds)
         num, cat = schema._real, schema._categorical
@@ -600,19 +624,6 @@ class _Store:
         if num:
             self.X[idx] = x.reshape(len(num), k).T
         self.C[idx] = coded
-
-    def _grow(self, rows: int) -> None:
-        size = max(rows, 2 * (0 if self.y is None else len(self.y)), 16)
-        m, mc = len(self.schema._real), len(self.schema._categorical)
-        for name, cols, dtype in (("y", None, np.float64), ("X", m, np.float64),
-                                  ("C", mc, np.int64)):
-            if cols == 0:
-                continue
-            a = np.zeros(size if cols is None else (size, cols), dtype=dtype)
-            old = getattr(self, name)
-            if old is not None:
-                a[:len(old)] = old
-            setattr(self, name, a)
 
     def _add_symbols(self, batch: list, rows: list) -> None:
         # Gives ids to the symbols of batch (per categorical column, the
@@ -678,8 +689,6 @@ class _Store:
         categorical features.
         """
         self.flush()
-        if self.y is None:  # no row coded yet: empty columns of the schema
-            self._grow(0)
         w = self.count.obj[rows].astype(np.float64)
         # matrix rows by take, not X[rows], which takes numpy's slower path
         return (w, w * self.y[rows],
@@ -719,14 +728,14 @@ class ActiveMultiset:
         """
         s = cls(schema)
         examples = list(examples)
-        store = s._store
-        checked = store.check_all(examples)
+        checked = s._store.check_all(examples)
         if checked is None:
             for e in examples:
                 s.insert(e)
             return s
-        store.take_all(examples)
-        store.schema, store.symbol_types = checked
+        s = cls(checked[0])  # the schema sizes the store's columns
+        s._store.take_all(examples)
+        s._store.symbol_types = checked[1]
         return s
 
     @classmethod
@@ -778,11 +787,15 @@ class ActiveMultiset:
     def insert(self, example: LabeledExample) -> None:
         store = self._store
         schema, types = store.check(example)
+        if store.schema is None:
+            # the first insert brings the schema, which sizes the store's
+            # columns; the store is empty, so a new one replaces it
+            store = _Store(schema)
+        # take raises before it changes anything, so the new store and the
+        # pin are kept only after it
         store.take(example)
-        # take raises TypeError for unhashable features before it changes
-        # anything, so an inferred schema and the pin are kept only after it
-        store.schema = schema
         store.symbol_types = types
+        self._store = store
 
     def delete(self, example: LabeledExample) -> None:
         """Count one copy of example out, and recycle its row once none is
@@ -847,15 +860,18 @@ class TreeNode:
 
     A leaf lists the rows of its tree's row store (``_Store``) whose
     examples route to it, and keeps their label histogram.  ``leaf_rows``
-    is the array of rows the builder listed; ``leaf_new`` is the list of
-    rows an update took afresh for this leaf since (None until the first).
-    An insert that makes ``leaf_new`` too long folds the leaf's held
-    listings into a new ``leaf_rows`` (see ``dynamic``).  A row is listed
-    at most once in the whole tree: a held row in the leaf its example
-    routes to, and a row freed since the leaf was built or folded in the
-    leaf that held it, until a rebuild or a fold drops the listing and
-    recycles the row (see the module docstring).  The example counts are
-    the store's.  Every node carries the rebuild
+    is the array of rows the builder or the last fold listed;
+    ``leaf_new`` is the list of rows that inserts took afresh for this
+    leaf since (None until the first).  ``DecisionTree.update`` alone
+    adds rows to ``leaf_new`` and takes them off: an insert lists the row
+    it took afresh, and the undo of a failed insert unlists it.  An insert
+    that leaves the leaf too many listings, freed ones included, folds
+    its held listings into a new ``leaf_rows`` (see ``dynamic``).  A row
+    is listed at most once in the whole tree: a held row in the leaf its
+    example routes to, and a row freed since the leaf was built or folded
+    in the leaf that held it, until a rebuild or a fold drops the listing
+    and recycles the row (see the module docstring).  The example counts
+    are the store's.  Every node carries the rebuild
     counters: ``size`` is the subtree size at the time the node was built
     and ``pending`` counts updates routed through it since.
 

@@ -13,31 +13,39 @@ row store (``core._Store``) with a row per distinct active example and
 its count, and each leaf lists its rows (``TreeNode``): the builder's
 array of row ids, plus a list of the rows updates took afresh for it
 since.  An update counts its copy in or out through the store
-(``_Store.take``, ``_Store.release``), which also lists a row taken
-afresh in the leaf's list, and does no numpy work; rows it adds are coded
-at the next rebuild.  A row that a delete frees stays listed, counting 0,
-until a rebuild or a fold drops its listing and, as its last step that
-can fail, hands it back to the store for reuse (``_Store.recycle``); so
-every row is listed at most once.  A rebuild joins its leaves' listings
-with one concatenation and splits them into held and freed rows by one
-vectorized count test, so one rebuild touch costs an element of that
-array, its slice of the store's counts and columns, and its place in a
-child leaf's slice; only the rows listed since the leaves were built pass
-through Python.  A leaf whose new-row list outgrows twice its rows' count
-(plus a constant) folds its held listings into one array at that insert,
-unless the insert rebuilds it, so its listings do not grow with the stream,
-whatever epsilon is; the fold is paid for by the inserts that grew the
-list.  At epsilon 1 or below the leaf rebuilds first, so ``update`` does
-not test for a fold there.
+(``_Store.take``, ``_Store.release``), and an insert whose row ``take``
+hands out afresh (it counts 1) lists that row in the leaf's list; the
+store itself lists nothing.  An update does no numpy work, and rows it
+adds are coded at the next rebuild.  A row that a delete frees stays
+listed, counting 0, until a rebuild or a fold drops its listing and, as
+its last step that can fail, hands it back to the store for reuse
+(``_Store.recycle``); so every row is listed at most once.  A rebuild
+joins its leaves' listings with one concatenation and splits them into
+held and freed rows by one vectorized count test, so one rebuild touch
+costs an element of that array, its slice of the store's counts and
+columns, and its place in a child leaf's slice; only the rows listed
+since the leaves were built pass through Python.  A leaf whose
+listings, freed ones included, outnumber twice its copies plus 32 folds
+its held listings into one array at that insert, unless the insert
+rebuilds it, so its listings do not grow with the stream, whatever
+epsilon is.  At epsilon 1 or below the leaf rebuilds first, so
+``update`` does not test for a fold there.
 
 The store makes a new row only when no recycled row is left, so every
 row id is then held or a freed row that a leaf lists.  A root rebuild
 drops every listing, so each freed row listed was freed by a delete
 since, which counts on the root: there are at most epsilon times the
-root's size of them.  Above epsilon 1 the fold rule also bounds them: a
-leaf lists at most its rows at its last build or fold, plus twice its
-copies, plus 33.  So row ids stay within a constant factor of the most
-examples held.
+root's size of them.  Above epsilon 1 the fold rule also bounds them:
+after each insert a leaf lists at most twice its copies plus 32 rows,
+freed ones included, since a fold leaves it its held rows only.  So row
+ids stay within a constant factor of the most examples held.  The
+factor 2 also pays for the folds: a leaf lists at most its copies at
+its last build or fold plus the inserts routed to it since, that is its
+copies now plus the deletes since, so a fold, which costs a touch per
+listing, finds fewer listings than twice those deletes.  A failed
+update leaves no row behind either: the undo of an insert unlists the
+row the insert took afresh and recycles it, as the undo of a delete
+takes back the row the delete freed.
 
 The store holds only examples valid under the tree's schema.  A tree is
 built over a copy of a multiset, whose inserts were checked, and each
@@ -310,16 +318,11 @@ class DecisionTree:
                     node = node.left
                 else:
                     node = node.right
-            # an example's row, when held, is listed in the leaf the
-            # example routes to, and a row taken afresh is listed there
             leaf = node
             if op == "ins":
-                new = leaf.leaf_new
-                if new is None:  # made on demand: most leaves never need one
-                    new = leaf.leaf_new = []
-                # take raises TypeError for unhashable features before it
-                # changes anything
-                row = store.take(example, new)
+                # take raises before it changes anything: TypeError for
+                # unhashable features, or what its growth step raises
+                row = store.take(example)
         except BaseException:
             for v in path:
                 v.pending -= 1
@@ -328,6 +331,13 @@ class DecisionTree:
         hist = leaf.label_hist
         if op == "ins":
             pin, store.symbol_types = store.symbol_types, types
+            # an example's row, when held, is listed in the leaf the example
+            # routes to, so a row taken afresh (it counts 1) is listed there
+            if store.count[row] == 1:
+                new = leaf.leaf_new
+                if new is None:  # made on demand: most leaves never need one
+                    new = leaf.leaf_new = []
+                new.append(row)
             hist[example.label] += 1
         else:
             store.release(row)
@@ -338,10 +348,11 @@ class DecisionTree:
         try:
             if i >= 0:
                 return self._rebuild_at(path, i)
-            # fold the leaf's listings once its new-row list lists more
-            # than 2 (n0 + n1) + 32 rows; a rebuild replaces the leaf
+            # fold the leaf's listings once they outnumber 2 (n0 + n1) + 32
+            # rows, freed ones included; a rebuild replaces the leaf
             # instead, and at epsilon 1 or below the leaf rebuilds first
-            if eps > 1 and op == "ins" and len(new) > 2 * (n0 + n1) + 32:
+            if (eps > 1 and op == "ins" and len(leaf.leaf_rows)
+                    + len(leaf.leaf_new or ()) > 2 * (n0 + n1) + 32):
                 rows, _, freed = self._gather(leaf)
                 store.recycle(freed.tolist())
                 leaf.leaf_rows = rows
@@ -360,8 +371,7 @@ class DecisionTree:
         # builder changed nothing of the old subtree, a store flush is all
         # or nothing, and a rebuild or a fold recycles rows and writes the
         # tree only once all else is done, so the tree is as it was before
-        # the update.  A row that a failed insert took afresh stays listed,
-        # freed, as a delete's would.
+        # the update.
         for v in path:
             v.pending -= 1
         self.stats.updates -= 1
@@ -370,6 +380,11 @@ class DecisionTree:
         hist = leaf.label_hist
         if op == "ins":
             store.release(row)
+            if not store.count[row]:
+                # a row the insert took afresh was listed last in the leaf;
+                # unlisted, it is recycled, as a delete's undo takes it back
+                leaf.leaf_new = leaf.leaf_new[:-1] or None
+                store.recycle([row])
             store.symbol_types = prior
             hist[example.label] -= 1
         else:

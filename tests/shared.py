@@ -1,7 +1,14 @@
 """Helpers that several test modules share."""
 
+import inspect
+import re
+import types
+from collections import Counter
 from dataclasses import astuple
 
+import numpy as np
+
+import dyntree
 from dyntree import ActiveMultiset
 
 
@@ -37,7 +44,8 @@ def listing_problems(tree):
     dyntree.core.TreeNode), as strings: no row is listed twice; a held
     row is listed in the leaf its example routes to; a free row counts 0
     and holds no example, and is either recycled (on the store's free
-    list) and listed nowhere, or listed and not on the free list."""
+    list) and listed nowhere, or listed and not on the free list; and the
+    store's per-row arrays hold every row id (see capacity_problems)."""
     store = tree._store
     problems = []
     where = {}  # row -> the leaf that lists it
@@ -73,7 +81,26 @@ def listing_problems(tree):
         problems.append("a row not yet made is recycled or listed")
     if any(store.count.obj[len(store.examples):]):
         problems.append("a row not yet made counts more than 0")
-    return problems
+    return problems + capacity_problems(store)
+
+
+def capacity_problems(store):
+    """Broken capacity invariant of a row store, as strings: its per-row
+    arrays share one capacity, which holds every row id."""
+    sizes = {len(a) for a in (store.count, store.y, store.X, store.C)
+             if a is not None}
+    if len(sizes) != 1 or min(sizes) < len(store.examples):
+        return [f"per-row arrays of {sorted(sizes)} rows hold "
+                f"{len(store.examples)} row ids"]
+    return []
+
+
+def row_bound(tree):
+    """The most row ids tree's store may have after its next update: a
+    new row is made only when no row is recycled, so each row id is a
+    held row, a freed row that a leaf lists, or the one that update's
+    insert makes."""
+    return len(tree._store.row_of) + len(freed_listed(tree)) + 1
 
 
 def leaf_of(node, features):
@@ -139,3 +166,76 @@ class Unordered(str):
 
 class Code(int):
     """An int that is not exactly an int, so not a symbol."""
+
+
+class _Counted:
+    """A function or ufunc whose calls an Allocations counts; attributes,
+    such as a ufunc's ``reduceat``, pass through uncounted."""
+
+    def __init__(self, allocations, site, f):
+        self._allocations, self._site, self._f = allocations, site, f
+
+    def __call__(self, *args, **kwargs):
+        self._allocations.hit(self._site)
+        return self._f(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._f, name)
+
+
+class Allocations:
+    """Fails the Nth call of the functions through which the engine
+    allocates, as SQLite's out-of-memory tests fail its Nth malloc: every
+    numpy function that the engine modules call through their ``np``,
+    ``core._reals`` and ``core._Store._grow``.  ``install`` gives each
+    module a namespace of the numpy names its source uses, the functions
+    among them counted.  ``arm(n)`` starts the count: the nth call from
+    then on raises MemoryError, once, and the calls after it run.
+    ``disarm`` stops the count; ``calls`` is the number counted,
+    ``failed`` the site of the fault (None before it), ``reached`` every
+    site that has failed some call, and ``sites`` every site counted."""
+
+    MODULES = (dyntree.core, dyntree.build, dyntree.gini, dyntree.dynamic)
+
+    def __init__(self):
+        self.fail_at = None
+        self.calls = 0
+        self.failed = None
+        self.reached = Counter()
+        self.sites = {"_reals", "_Store._grow"}
+
+    def install(self, monkeypatch):
+        for module in self.MODULES:
+            ns = types.SimpleNamespace()
+            for name in set(re.findall(r"\bnp\.(\w+)",
+                                       inspect.getsource(module))):
+                f = getattr(np, name)
+                if callable(f) and not isinstance(f, type):
+                    f = _Counted(self, f"np.{name}", f)
+                    self.sites.add(f"np.{name}")
+                setattr(ns, name, f)
+            monkeypatch.setattr(module, "np", ns)
+        core = dyntree.core
+        monkeypatch.setattr(core, "_reals", _Counted(self, "_reals",
+                                                     core._reals))
+        grow = core._Store._grow
+
+        def counted_grow(store, rows):
+            self.hit("_Store._grow")
+            grow(store, rows)
+        monkeypatch.setattr(core._Store, "_grow", counted_grow)
+
+    def arm(self, n):
+        self.fail_at, self.calls, self.failed = n, 0, None
+
+    def disarm(self):
+        self.fail_at = None
+
+    def hit(self, site):
+        if self.fail_at is None:
+            return
+        self.calls += 1
+        if self.calls == self.fail_at:
+            self.failed = site
+            self.reached[site] += 1
+            raise MemoryError(f"injected fault in {site}")

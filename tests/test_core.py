@@ -646,6 +646,93 @@ def test_a_delete_whose_rebuild_raises_changes_nothing(monkeypatch):
     assert dyntree.check_counters(tree, tree.leaf_union(), EAGER.epsilon).ok
 
 
+class _Numpy:
+    """numpy, but for the functions given."""
+
+    def __init__(self, **functions):
+        self.__dict__.update(functions)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def _growth_fails_at(k, monkeypatch):
+    # An injected fault: core's np.zeros raises MemoryError at its kth
+    # call for an array of 32 rows, the size of the first growth past 16
+    # rows; returns the calls for 32 rows made so far
+    calls = []
+
+    def zeros(shape, *args, **kwargs):
+        if (shape[0] if isinstance(shape, tuple) else shape) == 32:
+            calls.append(shape)
+            if len(calls) == k:
+                raise MemoryError("injected fault")
+        return np.zeros(shape, *args, **kwargs)
+    monkeypatch.setattr(dyntree.core, "np", _Numpy(zeros=zeros))
+    return calls
+
+
+def _exact_store(store):
+    return (list(store.row_of.items()), list(store.examples),
+            list(store.free), store.count.obj.tolist(), set(store.uncoded),
+            store.total, store.symbol_types,
+            [None if a is None else a.shape
+             for a in (store.y, store.X, store.C)])
+
+
+@pytest.mark.parametrize("case", ["real tree", "mixed tree", "multiset"])
+def test_an_insert_whose_growth_raises_changes_nothing(case, monkeypatch):
+    # The 17th distinct example grows the store's per-row arrays, and each
+    # of their allocations fails in turn.  take once grew the counts after
+    # it had written row_of, examples and total: a MemoryError there left
+    # a tree's active_size at 17 over a leaf union of 16 (2 real features,
+    # eps 0.5), and its retry, like a multiset's count(), raised
+    # IndexError.  And y, X and C were replaced one at a time at a flush: a
+    # MemoryError at X's allocation (a real and a categorical column, eps
+    # 0.01) left y at 32 rows and X and C at 16, and the next 15 inserts
+    # raised IndexError.  The store must be as it was, and the insert and
+    # 15 more must then succeed.
+    if case == "real tree":
+        exs = [make_example((float(i), float(i % 3)), i % 2)
+               for i in range(16)]
+        params = FeasibilityParams(epsilon=0.5)
+    else:
+        exs = [make_example((float(i), float(i % 3), "abc"[i % 3]), i % 2)
+               for i in range(16)]
+        params = FeasibilityParams(epsilon=0.01, alpha=0.2, beta=0.4, k=1)
+    more = [make_example(e.features[:1] + (9.0,) + e.features[2:],
+                         1 - e.label) for e in exs]
+    for k in range(1, 10):
+        obj = ActiveMultiset.from_examples(exs)
+        if case != "multiset":
+            obj = DecisionTree.from_multiset(obj, params)
+            obj._store.flush()
+            before = _tree_state(obj)
+        store_before = _exact_store(obj._store)
+        calls = _growth_fails_at(k, monkeypatch)
+        insert = obj.insert if case == "multiset" else (
+            lambda e: obj.update(e, "ins"))
+        try:
+            insert(more[0])
+        except MemoryError:
+            pass
+        monkeypatch.undo()
+        if len(calls) < k:  # every allocation of the growth has failed
+            break
+        assert _exact_store(obj._store) == store_before
+        if case != "multiset":
+            assert _tree_state(obj) == before
+        for e in more:
+            insert(e)
+        if case == "multiset":
+            assert obj == ActiveMultiset.from_examples(exs + more)
+        else:
+            union = obj.leaf_union()
+            assert union == ActiveMultiset.from_examples(exs + more)
+            assert dyntree.check_counters(obj, union, params.epsilon).ok
+    assert k == (3 if case == "real tree" else 4) + 1
+
+
 def test_symbols_that_do_not_order_never_enter_a_tree():
     # In a tree at eps=4, Picky(0) twice, then Picky(1) and Picky(2)
     # once entered without a rebuild; 19 of the next 20 inserts of
@@ -712,8 +799,9 @@ def test_building_from_or_copying_a_multiset_codes_nothing_of_it():
         tree = DecisionTree.from_multiset(s, FeasibilityParams(epsilon=0.5))
         c = s.copy()
         assert kept() == before
-        if not more:  # never coded: no columns at all
-            assert before[1] == [None, None, None] and len(before[0]) == 10
+        if not more:  # never coded: columns of zeros, made by the take
+            assert [any(a) for a in before[1]] == [False] * 3
+            assert len(before[0]) == 10
         else:
             assert len(before[0]) == 2
         assert tree.leaf_union() == s and c == s

@@ -29,7 +29,8 @@ from dyntree import (
 from dyntree.build import build
 from dyntree.dynamic import _shat
 from shared import (Code, Picky, Unordered, leaf_multiset, leaf_of,
-                    listing_problems, state, subtree_multiset, walk)
+                    listing_problems, row_bound, state, subtree_multiset,
+                    walk)
 
 HALF = FeasibilityParams(epsilon=0.5, alpha=0.2, beta=0.2, k=1, h=8)
 
@@ -690,6 +691,8 @@ def _install_faults(faults: _Faults, monkeypatch) -> None:
     # every rebuild and fold recycles the freed rows its gather dropped
     monkeypatch.setattr(store, "recycle", faults.wrap("recycle",
                                                       store.recycle))
+    # the growth step of a take past the store's capacity
+    monkeypatch.setattr(store, "_grow", faults.wrap("_grow", store._grow))
     node_sweep = dyntree.build._node_sweep
 
     def faulty_node_sweep(store, rows):
@@ -722,11 +725,12 @@ def _lockstep_state(tree):
 def test_updates_that_fail_anywhere_leave_the_tree_as_it_was(monkeypatch):
     # Two trees take the same sliding window from empty; one of them meets
     # a MemoryError at random calls of the node sweep's kernels, of the
-    # store's columns and coding, midway through a build, in the fold and
-    # the gather, and in the recycling of freed rows.  A failed update must
-    # leave that tree as it was, with no row recycled that a leaf still
-    # lists, and its retry, without faults, must bring it level with the
-    # other again.
+    # store's columns, coding and growth, midway through a build, in the
+    # fold and the gather, and in the recycling of freed rows.  A failed
+    # update must leave that tree as it was, with no row recycled that a
+    # leaf still lists and no more row ids than the row bound before it,
+    # and its retry, without faults, must bring it level with the other
+    # again.
     faults = _Faults(seed=3, rate=0.2)
     _install_faults(faults, monkeypatch)
     streams = [mixed_stream(300, d_num=2, d_cat=2, seed=1, grid=8),
@@ -747,12 +751,14 @@ def test_updates_that_fail_anywhere_leave_the_tree_as_it_was(monkeypatch):
             a, b = (DecisionTree.empty(params, schema) for _ in range(2))
             now = _lockstep_state(a)
             window = deque()
+            rows = 0  # the most row ids b may have (see row_bound)
             for e in stream:
                 steps = [(e, "ins")]
                 if len(window) == size:
                     steps.insert(0, (window.popleft(), "del"))
                 window.append(e)
                 for ex, op in steps:
+                    rows = max(rows, row_bound(b))
                     faults.armed = True
                     try:
                         info = b.update(ex, op)
@@ -760,6 +766,7 @@ def test_updates_that_fail_anywhere_leave_the_tree_as_it_was(monkeypatch):
                         faults.armed = False
                         assert _lockstep_state(b) == now
                         assert listing_problems(b) == []
+                        assert len(b._store.examples) <= rows
                         # the first insert pins the symbol types
                         failed["pin"] += b._store.symbol_types is None
                         info = b.update(ex, op)
@@ -772,11 +779,12 @@ def test_updates_that_fail_anywhere_leave_the_tree_as_it_was(monkeypatch):
                     now = _lockstep_state(a)
                     assert _lockstep_state(b) == now
                     assert listing_problems(b) == []
+                    assert len(b._store.examples) <= rows
     # every site failed some update, folds and first pins among them
     assert set(faults.raised) == {
         "_sweep_list", "_sweep_numeric", "_sweep_binned", "_scan_binned",
         "_sweep_categorical", "_sweep_categorical_present", "_rank_codes",
-        "columns", "_code",
+        "columns", "_code", "_grow",
         "node sweep", "_current_rows", "recycle"}
     assert failed["fold"] and failed["pin"]
 
@@ -868,8 +876,9 @@ def test_a_reused_row_is_gathered_once():
 
 
 @pytest.mark.parametrize("mode, eps", [("sw", 1.0), ("sw", 1000.0),
-                                       ("ru", 0.1)])
-def test_row_ids_stay_within_the_freed_listings_bound(mode, eps):
+                                       ("ru", 0.1), ("fail", 0.01)])
+def test_row_ids_stay_within_the_freed_listings_bound(mode, eps,
+                                                      monkeypatch):
     # The store makes a new row only when no row is recycled, so every row
     # id is then held or a freed row that a leaf lists.  Two rules bound
     # the freed listings:
@@ -878,11 +887,30 @@ def test_row_ids_stay_within_the_freed_listings_bound(mode, eps):
     #   counts on the root, which triggers past eps times its size, so
     #   row ids stay within the distinct examples held, plus 1, plus eps
     #   times the most copies held;
-    # - a leaf folds once its new-row list outgrows 2 (n0 + n1) + 32 rows,
-    #   and its builder or fold array lists at most its copies then, so
-    #   it lists at most 3 times its most copies plus 33 rows, the insert
-    #   that takes a row included.
+    # - a leaf folds once its listings, freed ones included, outnumber
+    #   2 (n0 + n1) + 32 rows, and its fold lists at most its copies, so at
+    #   rest it lists at most 2 times its most copies plus 32 rows; row
+    #   ids then number at most the leaves' listings plus the row the
+    #   next insert makes.
+    # A failed update leaves no row behind: its undo unlists and recycles
+    # the row an insert took afresh.
     params = FeasibilityParams(epsilon=eps, alpha=0.3, beta=0.4, k=5, h=8)
+    if mode == "fail":
+        # every insert rebuilds and its builder raises; 50 such inserts
+        # into a 20-example tree once left 70 row ids
+        tree = _tree([make_example((float(i),), i % 2) for i in range(20)],
+                     params)
+
+        def fail(*args):
+            raise MemoryError("injected fault")
+        monkeypatch.setattr(dyntree.dynamic, "_build_entries", fail)
+        for i in range(50):
+            with pytest.raises(MemoryError):
+                tree.update(make_example((100.0 + i,), 1), "ins")
+        assert len(tree._store.row_of) == 20
+        assert len(tree._store.examples) <= 20 + 1
+        assert listing_problems(tree) == []
+        return
     window = 300
     if mode == "sw":
         stream = threshold_stream(window + 2000, d=4, seed=5, theta=0.75)
@@ -931,7 +959,7 @@ def test_row_ids_stay_within_the_freed_listings_bound(mode, eps):
     if eps > 1:  # no leaf rebuilt, and some folded
         assert tree.stats.rebuild_count == 0
         assert any(v.leaf_rows is not rows for v, rows in built.items())
-        assert peak_rows <= sum(3 * n + 33 for n in leaves.values())
+        assert peak_rows <= sum(2 * n + 32 for n in leaves.values()) + 1
     else:
         assert tree.stats.rebuild_count > 20
     assert peak_rows > peak_distinct  # rows waited for their leaves

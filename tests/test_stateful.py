@@ -44,7 +44,7 @@ from dyntree import (
     make_example,
 )
 from shared import (Code, Unordered, current_rows, freed_listed,
-                    listing_problems, state, walk)
+                    listing_problems, row_bound, state, walk)
 
 SCHEMA = Schema.infer((0.0, "m"))
 GUARANTEED = FeasibilityParams(epsilon=0.05, alpha=0.5, beta=1.0, k=1, h=6)
@@ -74,14 +74,14 @@ class TreeMachine(RuleBasedStateMachine):
         self.tree = DecisionTree.from_multiset(
             ActiveMultiset.from_examples(warm, SCHEMA), params)
         self.deleted = None  # the last example whose last count was deleted
-        # the row ids the store may have made (see _row_bound)
+        # the row ids the store may have made (see row_bound)
         self.max_rows = len(self.shadow)
         # symbols made by insert_new_symbol and insert_rejected_symbol
         self.fresh = 0
         self.rejected_at = []  # per insert_rejected_symbol, at a trigger
 
     def _apply(self, e, op):
-        self.max_rows = max(self.max_rows, _row_bound(self.tree))
+        self.max_rows = max(self.max_rows, row_bound(self.tree))
         info = self.tree.update(e, op)
         if op == "ins":
             self.shadow[e] += 1
@@ -342,17 +342,9 @@ def _dump(tree):
             tree.active_size)
 
 
-def _row_bound(tree):
-    """The most row ids tree's store may have after its next update: a
-    new row is made only when no row is recycled, so each row id is a
-    held row, a freed row that a leaf lists, or the one that update's
-    insert makes."""
-    return len(tree._store.row_of) + len(freed_listed(tree)) + 1
-
-
 def _store_problems(tree, max_rows):
     """Broken row-store invariants of tree (see dyntree.core), as strings.
-    max_rows is the largest _row_bound of the tree before each update."""
+    max_rows is the largest row_bound of the tree before each update."""
     store = tree._store
     problems = listing_problems(tree)
     for v in walk(tree.root):
@@ -408,8 +400,8 @@ def _store_problems(tree, max_rows):
 
 def _step(tree, e, op, max_rows):
     """Apply one update to tree; returns max_rows raised to the tree's
-    row bound before it (see _row_bound)."""
-    max_rows = max(max_rows, _row_bound(tree))
+    row bound before it (see row_bound)."""
+    max_rows = max(max_rows, row_bound(tree))
     tree.update(e, op)
     return max_rows
 
@@ -481,8 +473,8 @@ def test_listings_stay_within_a_constant_of_the_rows():
     # afresh and lists it; the leaves must fold their freed listings away
     # and recycle the rows, which inserts into other leaves then take, so
     # rows also move between leaves.  By the fold rule a leaf lists at
-    # most its rows at its last fold, plus 2 (n0 + n1) + 32 new ones, and
-    # here no leaf ever holds more copies than at the start of a round.
+    # most 2 (n0 + n1) + 32 rows at rest, freed ones included, and here no
+    # leaf ever holds more copies than at the start of a round.
     params = FeasibilityParams(epsilon=64.0, alpha=0.1, beta=0.5, k=100, h=3)
     rng = random.Random(64)
     exs = [make_example((rng.random(), rng.choice("mno")),
@@ -494,7 +486,7 @@ def test_listings_stay_within_a_constant_of_the_rows():
     store = tree._store
     leaves = [v for v in walk(tree.root) if v.is_leaf]
     assert len(leaves) > 2
-    bound = sum(3 * sum(v.label_hist) + 32 for v in leaves)
+    bound = sum(2 * sum(v.label_hist) + 32 for v in leaves)
     for round_ in range(200):
         churn = rng.sample(exs, 100)
         for e in churn:
@@ -506,7 +498,7 @@ def test_listings_stay_within_a_constant_of_the_rows():
         assert listings <= bound
         if round_ % 50 == 49:
             # a new row is made only when every row id is listed
-            assert _store_problems(tree, bound) == []
+            assert _store_problems(tree, bound + 1) == []
     assert tree.stats.rebuild_count == 0  # the leaves above, folded
     assert [v for v in walk(tree.root) if v.is_leaf] == leaves
     assert dict(tree.leaf_union().items()) == dict(Counter(exs))
