@@ -10,7 +10,11 @@ caller's multiset owns its store; a tree keeps one for all its leaves,
 and each leaf lists the rows routed to it (see ``TreeNode``), so a
 rebuild slices the store's columns and counts by row id instead of
 re-reading examples.  The store lists nothing: the tree lists each row
-that a take hands out afresh in the leaf its example routes to.  A
+that a take hands out afresh in the leaf its example routes to.  Both
+holders edit the store by example through one pair: ``_Store.take``
+counts a copy in and pins its symbol types, and ``_Store.remove``
+counts one out under the one delete rule, checking the example unless
+it is the very object held.  A
 multiset made from a batch (``ActiveMultiset.from_examples``) takes all
 its rows in one pass when every example would pass ``Schema.validate``'s
 fast path, checked column by column; any other batch is inserted one
@@ -272,27 +276,32 @@ class _Store:
     """Rows of distinct examples, coded into column arrays.
 
     Row r holds ``examples[r]`` (None while free) and ``row_of`` maps each
-    held example back to its row.  Rows are taken by ``take``, freed by
-    ``release`` and handed back for reuse by ``recycle``, in pure Python,
-    and nothing else writes ``row_of``, ``examples``, ``free``,
-    ``uncoded``, ``count`` or ``total``.  ``count[r]`` is the number of
-    copies of row r's example that the store's holder (a caller's
-    multiset, or the leaves of one tree) holds, 0 for a free row, and
-    ``total`` the number of copies of all of them, which the holder reads
-    as its size: each ``take`` counts one copy and each ``release`` one
-    fewer, in both.  A row that ``release`` frees is not reused until the
-    holder passes it to ``recycle``, which it does once nothing it keeps
-    names the row (see the module docstring); ``free`` lists the rows
-    recycled and not taken since, and ``take`` hands them out before it
-    makes a new one.  The store lists no row: its holder keeps track of
-    the rows that ``take`` hands out afresh, those it counts 1 (see
-    ``TreeNode``).  ``count`` is a memoryview of an int64 array.
-    ``take_all`` takes a whole batch into an empty store in one pass
-    and writes what a run of ``take`` calls would; ``check_all`` says
-    whether the batch may go that way, that is whether every example
-    would pass ``check`` on ``Schema.validate``'s fast path.  A batch that
-    may not is taken one ``take`` at a time (see
-    ``ActiveMultiset.from_examples``).
+    held example back to its row.  The store is edited by example through
+    one pair, in pure Python: ``take`` counts a copy in and ``remove``
+    counts one out, applying the delete rule (see ``remove``).  Rows
+    that ``remove`` frees are handed back for reuse by ``recycle``.
+    ``take`` (and ``take_all`` for a batch) writes ``row_of``,
+    ``examples``, ``free``, ``uncoded``, ``count``, ``total`` and
+    ``symbol_types``; ``remove`` writes ``row_of``, ``examples``,
+    ``count`` and ``total``; ``recycle`` writes ``free``, and ``flush``
+    ``uncoded``.  Nothing else writes them, but the tree's undo of a
+    failed insert restores the ``symbol_types`` it found (see
+    ``DecisionTree.update``).  ``count[r]`` is the number of copies of
+    row r's example that the store's holder (a caller's multiset, or the
+    leaves of one tree) holds, 0 for a free row, and ``total`` the number
+    of copies of all of them, which the holder reads as its size.  A row
+    that ``remove`` frees is not reused until the holder passes it to
+    ``recycle``, which it does once nothing it keeps names the row (see
+    the module docstring); ``free`` lists the rows recycled and not taken
+    since, and ``take`` hands them out before it makes a new one.  The
+    store lists no row: its holder keeps track of the rows that ``take``
+    hands out afresh, those it counts 1 (see ``TreeNode``).  ``count`` is
+    a memoryview of an int64 array.  ``take_all`` takes a whole batch
+    into an empty store in one pass and writes what a run of ``take``
+    calls would; ``check_all`` says whether the batch may go that way,
+    that is whether every example would pass ``check`` on
+    ``Schema.validate``'s fast path.  A batch that may not is taken one
+    ``take`` at a time (see ``ActiveMultiset.from_examples``).
 
     Every per-row array, ``count`` and the columns ``y``, ``X`` and ``C``
     below, has one capacity: no rows until the first take, then 16 rows,
@@ -322,7 +331,9 @@ class _Store:
     ``code_col[code]`` the symbol and the categorical column of a code.
     ``symbol_types`` is the symbol type of each categorical
     column, pinned by the first example the store took (see
-    ``Schema._check_symbols``); None before that, and always for a schema
+    ``Schema._check_symbols``): ``take`` and ``take_all`` write the types
+    their caller had ``check`` or ``check_all`` return, which equal the
+    pin once there is one.  None before that, and always for a schema
     without categorical columns.  Each is one of ``_SYMBOL_TYPES``, whose
     ``<`` cannot raise within the type, so the sort of a column's symbols
     in ``_add_symbols`` cannot fail on them.
@@ -377,11 +388,11 @@ class _Store:
         self.count = memoryview(self.count)
 
     def check(self, example: LabeledExample, valid: bool = False) -> tuple:
-        """(schema, symbol types) to keep once ``take`` has taken example's
-        row.  Changes nothing, and raises SchemaError first unless the label
+        """(schema, symbol types) of example, the types for ``take`` to
+        pin.  Changes nothing, and raises SchemaError first unless the label
         is an integer equal to 0 or 1, the features fit the schema (inferred
         when the store has none) and the symbols have the pinned types.  A
-        delete that does not pass the held object runs the same checks.
+        ``remove`` that is not handed the held object runs the same checks.
         ``valid`` says the caller knows the features pass
         ``Schema.validate``'s fast path under the store's schema (as
         ``DecisionTree.update`` does for the tuple its last query
@@ -402,8 +413,8 @@ class _Store:
         return schema, types
 
     def check_all(self, examples: list) -> Optional[tuple]:
-        """(schema, symbol types) to keep once ``take_all`` has taken
-        examples into this empty store, when every one of them would pass
+        """(schema, symbol types) of examples, the types for ``take_all``
+        to pin, when every one of them would pass
         ``check`` on ``Schema.validate``'s fast path: exactly a
         ``LabeledExample`` with an ``int`` label of 0 or 1, and features
         exactly a ``tuple`` of the schema's arity (inferred from the first
@@ -436,16 +447,16 @@ class _Store:
                     return None
         return schema, schema._str_symbols
 
-    def take_all(self, examples: list,
+    def take_all(self, examples: list, types: Optional[tuple],
                  counts: Optional[list] = None) -> None:
         """Take every one of examples into this empty store in one pass,
         writing what a run of ``take`` calls would: rows in first-seen
         order, each holding the first of its equal examples, counts equal
         to multiplicities, every row uncoded, ``total`` the batch's length,
-        and the per-row counts grown as ``take`` grows them, whose unused
-        rows count 0.  With counts,
-        the examples are distinct and example i is taken counts[i] times.
-        Checks nothing (see ``check_all``)."""
+        the per-row counts grown as ``take`` grows them, whose unused rows
+        count 0, and types pinned.  With counts, the examples are distinct
+        and example i is taken counts[i] times.  Checks nothing (see
+        ``check_all``)."""
         row_of: dict = {}
         setdefault = row_of.setdefault
         rows = [setdefault(e, len(row_of)) for e in examples]
@@ -461,10 +472,12 @@ class _Store:
         self.row_of = row_of
         self.examples = list(row_of)
         self.uncoded = set(range(k))
+        self.symbol_types = types
 
-    def take(self, example: LabeledExample) -> int:
-        """Count one more copy of example, and return its row: the held
-        one, else a recycled one, else a new one, which counts 1.
+    def take(self, example: LabeledExample, types: Optional[tuple]) -> int:
+        """Count one more copy of example, pin types, the symbol types that
+        ``check`` returned for it, and return its row: the held one, else a
+        recycled one, else a new one, which counts 1.
 
         Raises TypeError for unhashable features, and whatever the growth
         step raises, before any change.
@@ -480,6 +493,7 @@ class _Store:
         # the held row otherwise
         held = self.row_of.setdefault(example, row)
         self.total += 1
+        self.symbol_types = types
         if held != row:
             self.count[held] += 1
             return held
@@ -492,18 +506,38 @@ class _Store:
         self.uncoded.add(row)
         return row
 
-    def release(self, row: int) -> None:
-        """Count one copy fewer of row's example, and free the row once
-        none is left: it counts 0 and holds no example, but ``take`` hands
-        it out again only after ``recycle``."""
+    def remove(self, example: LabeledExample) -> tuple:
+        """Count one copy of example out, and return (its row, the object
+        the row held).  The row is freed once no copy is left: it counts 0
+        and holds no example, but ``take`` hands it out again only after
+        ``recycle``.
+
+        The store holds only examples that passed ``check`` when they were
+        taken, so a remove of the very object held skips it.  Any other
+        runs it, because equality can join values of types the schema
+        rejects (``True == 1.0``), and raises ``ExampleNotFound`` when
+        the store holds no equal example; every raise comes before any
+        change.
+        """
+        row_of = self.row_of
+        try:
+            row = row_of.get(example)
+        except TypeError:  # unhashable features
+            self.check(example)
+            raise
+        held = None if row is None else self.examples[row]
+        if held is not example:
+            self.check(example)
+            if row is None:
+                raise ExampleNotFound(f"example not in active set: {example}")
         self.total -= 1
         count = self.count
         c = count[row] - 1
         count[row] = c
         if not c:
-            examples = self.examples
-            del self.row_of[examples[row]]
-            examples[row] = None
+            del row_of[held]
+            self.examples[row] = None
+        return row, held
 
     def recycle(self, rows: list) -> None:
         """Hand rows, freed rows that nothing of the holder names any
@@ -734,8 +768,7 @@ class ActiveMultiset:
                 s.insert(e)
             return s
         s = cls(checked[0])  # the schema sizes the store's columns
-        s._store.take_all(examples)
-        s._store.symbol_types = checked[1]
+        s._store.take_all(examples, checked[1])
         return s
 
     @classmethod
@@ -748,12 +781,11 @@ class ActiveMultiset:
         # distinct examples of one symbol type per column, in any order,
         # pinned by the first of them as insert pins them.
         s = cls(schema)
-        store = s._store
         items = list(items)
-        store.take_all([e for e, _ in items], [c for _, c in items])
-        if store.examples:
-            store.symbol_types = schema._check_symbols(
-                store.examples[0].features, None)
+        types = (schema._check_symbols(items[0][0].features, None)
+                 if items else None)
+        s._store.take_all([e for e, _ in items], types,
+                          [c for _, c in items])
         return s
 
     def _unsorted_items(self) -> list:
@@ -791,30 +823,17 @@ class ActiveMultiset:
             # the first insert brings the schema, which sizes the store's
             # columns; the store is empty, so a new one replaces it
             store = _Store(schema)
-        # take raises before it changes anything, so the new store and the
-        # pin are kept only after it
-        store.take(example)
-        store.symbol_types = types
+        # take raises before it changes anything, so the new store is kept
+        # only after it
+        store.take(example, types)
         self._store = store
 
     def delete(self, example: LabeledExample) -> None:
-        """Count one copy of example out, and recycle its row once none is
-        left, since a multiset lists no row.  As in
-        ``DecisionTree.update``, a delete of the very object held skips
-        the checks that insert runs, which it passed when it entered; any
-        other runs them, because equality can join values of types the
-        schema rejects (``True == 1.0``)."""
+        """Count one copy of example out (``_Store.remove``, which checks
+        it unless handed the very object held), and recycle its row once
+        none is left, since a multiset lists no row."""
         store = self._store
-        try:
-            row = store.row_of.get(example)
-        except TypeError:  # unhashable features
-            store.check(example)
-            raise
-        if row is None or store.examples[row] is not example:
-            store.check(example)
-            if row is None:
-                raise ExampleNotFound(f"example not in active set: {example}")
-        store.release(row)
+        row, _ = store.remove(example)
         if not store.count[row]:
             store.recycle([row])
 

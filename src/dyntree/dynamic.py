@@ -12,19 +12,20 @@ Every example is coded once, when it enters the tree: the tree keeps one
 row store (``core._Store``) with a row per distinct active example and
 its count, and each leaf lists its rows (``TreeNode``): the builder's
 array of row ids, plus a list of the rows updates took afresh for it
-since.  An update counts its copy in or out through the store
-(``_Store.take``, ``_Store.release``), and an insert whose row ``take``
-hands out afresh (it counts 1) lists that row in the leaf's list; the
-store itself lists nothing.  An update does no numpy work, and rows it
-adds are coded at the next rebuild.  A row that a delete frees stays
-listed, counting 0, until a rebuild or a fold drops its listing and, as
-its last step that can fail, hands it back to the store for reuse
-(``_Store.recycle``); so every row is listed at most once.  A rebuild
-joins its leaves' listings with one concatenation and splits them into
-held and freed rows by one vectorized count test, so one rebuild touch
-costs an element of that array, its slice of the store's counts and
-columns, and its place in a child leaf's slice; only the rows listed
-since the leaves were built pass through Python.  A leaf whose
+since.  An update edits the store by example through one pair: an insert
+counts its copy in (``_Store.take``) and a delete counts one out
+(``_Store.remove``, which holds the delete rule below); an insert whose
+row ``take`` hands out afresh (it counts 1) lists that row in the leaf's
+list, and the store itself lists nothing.  An update does no numpy work,
+and rows it adds are coded at the next rebuild.  A row that a delete
+frees stays listed, counting 0, until a rebuild or a fold drops its
+listing and, as its last step that can fail, hands it back to the store
+for reuse (``_Store.recycle``); so every row is listed at most once.  A
+rebuild joins its leaves' listings with one concatenation and splits
+them into held and freed rows by one vectorized count test, so one
+rebuild touch costs an element of that array, its slice of the store's
+counts and columns, and its place in a child leaf's slice; only the rows
+listed since the leaves were built pass through Python.  A leaf whose
 listings, freed ones included, outnumber twice its copies plus 32 folds
 its held listings into one array at that insert, unless the insert
 rebuilds it, so its listings do not grow with the stream, whatever
@@ -38,20 +39,27 @@ since, which counts on the root: there are at most epsilon times the
 root's size of them.  Above epsilon 1 the fold rule also bounds them:
 after each insert a leaf lists at most twice its copies plus 32 rows,
 freed ones included, since a fold leaves it its held rows only.  So row
-ids stay within a constant factor of the most examples held.  The
-factor 2 also pays for the folds: a leaf lists at most its copies at
-its last build or fold plus the inserts routed to it since, that is its
-copies now plus the deletes since, so a fold, which costs a touch per
-listing, finds fewer listings than twice those deletes.  A failed
-update leaves no row behind either: the undo of an insert unlists the
-row the insert took afresh and recycles it, as the undo of a delete
-takes back the row the delete freed.
+ids stay within twice the sum, over leaves, of each leaf's most copies,
+plus 32 per leaf.  Only an insert tests for the fold, so a leaf that
+deletes empty keeps its freed listings until an insert or a rebuild
+reaches it, and that sum may then exceed the most examples held at any
+one time (ROADMAP item 15).  The factor 2 also pays for the folds: a
+leaf lists at most its copies at its last build or fold plus the inserts
+routed to it since, that is its copies now plus the deletes since, so a
+fold, which costs a touch per listing, finds fewer listings than twice
+those deletes.  A failed update leaves no row behind either: the undo of
+an insert unlists the row the insert took afresh and recycles it, as the
+undo of a delete takes back the row the delete freed.
 
 The store holds only examples valid under the tree's schema.  A tree is
 built over a copy of a multiset, whose inserts were checked, and each
 later insert passes the same checks (``_Store.check``) before it enters.
 So a delete looks its example up before validating it, and a delete of
-the object the store holds skips validation.  A test-then-train step
+the object the store holds skips validation: that is the delete rule,
+and ``_Store.remove`` holds it for a tree and a multiset alike.  A
+delete counts its copy out before it descends, since ``remove`` either
+completes or changes nothing; an insert counts its copy in once the
+descent has reached its leaf.  A test-then-train step
 queries an example's features, then inserts the example, so the tree
 remembers the last features tuple that ``query`` accepted on
 ``Schema.validate``'s fast path (exact floats and strs, none NaN); an
@@ -88,7 +96,6 @@ import numpy as np
 from .build import _build_cat_entries, _build_entries, build  # noqa: F401
 from .core import (
     ActiveMultiset,
-    ExampleNotFound,
     FeasibilityParams,
     LabeledExample,
     Schema,
@@ -146,7 +153,7 @@ class DecisionTree:
     node is the builder's, as subtree reuse needs (see the module
     docstring); ``empty`` and ``from_multiset`` wrap it.  The tree's row
     store, a clone of the multiset's (``_Store.copy``), counts the active
-    copies as updates take and release them, and ``active_size`` reads
+    copies as updates take and remove them, and ``active_size`` reads
     its total.
     """
 
@@ -262,38 +269,31 @@ class DecisionTree:
 
         A rejected update raises before any state changes: an invalid op,
         features or label, a symbol of another type than its column holds,
-        or a delete of an example that is not active.  A delete looks its
-        example up first: the store holds only examples that were checked
-        when they entered the tree, so a delete of the very object held
-        skips the checks.  Any other delete runs them, because equality
-        can join values of types the schema rejects (``True == 1.0``).
-        An insert whose features are the very tuple the last ``query``
+        or a delete of an example that is not active.  A delete counts its
+        copy out first (``_Store.remove``, which holds the delete rule: it
+        checks the example unless handed the very object held, and raises
+        before any change), then descends.  An insert is checked first and
+        counted in (``_Store.take``) once its descent reaches the leaf; an
+        insert whose features are the very tuple the last ``query``
         accepted on ``Schema.validate``'s fast path skips that validation
-        only; its label and symbol types are checked as for any insert.
-        An update that raises later, while routing, in the leaf edit, in
-        a rebuild or in a fold, undoes what it did before it re-raises.
-        Every node of the path counts the update, below the trigger too;
-        everything below the rebuilt ancestor is replaced wholesale, so
-        those counts die with their nodes.
+        only, and its label and symbol types are checked as for any insert.
+        One handler covers the descent, the leaf edit, a rebuild and a
+        fold: an update that raises in any of them undoes what it did
+        (``_undo``) before it re-raises.  Every node of the path counts the
+        update, below the trigger too; everything below the rebuilt
+        ancestor is replaced wholesale, so those counts die with their
+        nodes.
         """
         store = self._store
         features = example.features
         if op == "del":
-            try:
-                row = store.row_of.get(example)
-            except TypeError:  # unhashable features
-                store.check(example)
-                raise
-            held = None if row is None else store.examples[row]
-            if held is not example:
-                store.check(example)
-                if row is None:
-                    raise ExampleNotFound(f"example not in active set: {example}")
+            row, prior = store.remove(example)
         elif op == "ins":
             # a tuple query accepted on the fast path is still valid: it
             # cannot change, nor can its floats and strs
             _, types = store.check(example, features is self._queried
                                    and type(features) is tuple)
+            row, prior = None, store.symbol_types
         else:
             raise ValueError(f"op must be ins or del, got {op!r}")
 
@@ -304,6 +304,7 @@ class DecisionTree:
         path = []
         i = -1
         node = self.root
+        leaf = None  # the leaf, once its edit starts: an insert's after take
         try:
             while True:
                 p = node.pending = node.pending + 1
@@ -318,34 +319,27 @@ class DecisionTree:
                     node = node.left
                 else:
                     node = node.right
-            leaf = node
+            hist = node.label_hist
             if op == "ins":
                 # take raises before it changes anything: TypeError for
                 # unhashable features, or what its growth step raises
-                row = store.take(example)
-        except BaseException:
-            for v in path:
-                v.pending -= 1
-            raise
-
-        hist = leaf.label_hist
-        if op == "ins":
-            pin, store.symbol_types = store.symbol_types, types
-            # an example's row, when held, is listed in the leaf the example
-            # routes to, so a row taken afresh (it counts 1) is listed there
-            if store.count[row] == 1:
-                new = leaf.leaf_new
-                if new is None:  # made on demand: most leaves never need one
-                    new = leaf.leaf_new = []
-                new.append(row)
-            hist[example.label] += 1
-        else:
-            store.release(row)
-            hist[example.label] -= 1
-        n0, n1 = hist
-        leaf.leaf_label = 1 if n1 > n0 else 0
-        self.stats.updates += 1
-        try:
+                row = store.take(example, types)
+                leaf = node
+                # an example's row, when held, is listed in the leaf the
+                # example routes to, so a row taken afresh (it counts 1) is
+                # listed there
+                if store.count[row] == 1:
+                    new = leaf.leaf_new
+                    if new is None:  # made on demand: most leaves need none
+                        new = leaf.leaf_new = []
+                    new.append(row)
+                hist[example.label] += 1
+            else:
+                leaf = node
+                hist[example.label] -= 1
+            n0, n1 = hist
+            leaf.leaf_label = 1 if n1 > n0 else 0
+            self.stats.updates += 1
             if i >= 0:
                 return self._rebuild_at(path, i)
             # fold the leaf's listings once they outnumber 2 (n0 + n1) + 32
@@ -359,27 +353,35 @@ class DecisionTree:
                 leaf.leaf_new = None
             return None
         except BaseException:
-            self._undo(path, example, op, row, held if op == "del" else pin)
+            self._undo(path, leaf, example, op, row, prior)
             raise
 
-    def _undo(self, path: list, example: LabeledExample, op: str, row: int,
+    def _undo(self, path: list, leaf: Optional[TreeNode],
+              example: LabeledExample, op: str, row: Optional[int],
               prior) -> None:
-        # Undoes an update whose rebuild or fold raised: its counts on
-        # path, its stats, its store edit (which counts its copy out or back
-        # in) and leaf edit, and an insert's symbol pin.  prior is the pin
-        # before an insert, or the example object a delete released.  The
-        # builder changed nothing of the old subtree, a store flush is all
-        # or nothing, and a rebuild or a fold recycles rows and writes the
-        # tree only once all else is done, so the tree is as it was before
-        # the update.
+        # Undoes what a failed update did: its counts on path; its store
+        # edit, if made (a delete's always, an insert's once it reached
+        # leaf); and, once it reached leaf, its leaf edit and stats.  prior
+        # is the symbol pin before an insert, or the object a delete
+        # removed.  The builder changed nothing of the old subtree, a store
+        # flush is all or nothing, and a rebuild or a fold recycles rows and
+        # writes the tree only once all else is done, so the tree is as it
+        # was before the update.
         for v in path:
             v.pending -= 1
-        self.stats.updates -= 1
         store = self._store
-        leaf = path[-1]
+        if op == "del":
+            # a row the delete freed is still listed in its leaf; recycled,
+            # it is free[-1], so it is taken back with no new listing
+            if not store.count[row]:
+                store.recycle([row])
+            store.take(prior, store.symbol_types)
+        if leaf is None:
+            return
         hist = leaf.label_hist
         if op == "ins":
-            store.release(row)
+            # the very object held, so remove runs no check
+            store.remove(store.examples[row])
             if not store.count[row]:
                 # a row the insert took afresh was listed last in the leaf;
                 # unlisted, it is recycled, as a delete's undo takes it back
@@ -388,13 +390,9 @@ class DecisionTree:
             store.symbol_types = prior
             hist[example.label] -= 1
         else:
-            # a row the delete freed is still listed in the leaf; recycled,
-            # it is free[-1], so it is taken back with no new listing
-            if not store.count[row]:
-                store.recycle([row])
-            store.take(prior)
             hist[example.label] += 1
         leaf.leaf_label = 1 if hist[1] > hist[0] else 0
+        self.stats.updates -= 1
 
     def _rebuild_at(self, path: list, i: int) -> RebuildInfo:
         shat = _shat(path[i].size)

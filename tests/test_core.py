@@ -96,11 +96,13 @@ TRACER_SHIMS = {("build.py", "_gain_from_counts"),
 
 def test_every_imported_name_is_used():
     # neither pyflakes nor ruff is a dependency, so this is their unused
-    # import check, for the package and the scripts: a module uses a name
-    # it imports, or re-exports it in __all__, or is a tracer shim
+    # import check, for the package, the scripts and the tests: a module
+    # uses a name it imports, or re-exports it in __all__, or is a tracer
+    # shim
     unused = []
     for path in [*(REPO / "src" / "dyntree").glob("*.py"),
-                 *(REPO / "scripts").glob("*.py")]:
+                 *(REPO / "scripts").glob("*.py"),
+                 *(REPO / "tests").glob("*.py")]:
         module = ast.parse(path.read_text())
         imported, used = set(), set()
         for node in ast.walk(module):
@@ -861,10 +863,9 @@ def test_a_store_copy_shares_no_container_it_changes():
             copied.append(name)
     assert len(copied) == 12  # y, X and C included: the store has coded
     before = copy.deepcopy(store.__getstate__())
-    c.take(make_example((8.0, "c"), 0))
-    c.release(c.row_of[exs[0]])
-    row = c.row_of[exs[5]]
-    c.release(row)  # its last copy: the row is freed, then recycled
+    c.take(make_example((8.0, "c"), 0), (str,))
+    c.remove(exs[0])
+    row, _ = c.remove(exs[5])  # its last copy: the row is freed, then recycled
     c.recycle([row])
     assert c.free == [row] and c.count[row] == 0
     c.flush()

@@ -467,16 +467,24 @@ def _path(tree, features):
     return path
 
 
-@pytest.mark.parametrize("where", ["take", "route"])
+@pytest.mark.parametrize("where", ["take", "route", "delete"])
 def test_an_update_that_raises_in_its_descent_changes_nothing(where):
     # the descent bumps each node's pending as it routes, so it takes the
     # bumps back when the leaf edit (take: unhashable features) or the
-    # routing (a symbol's == below the root) raises
+    # routing (a symbol's == below the root) raises; a delete counts its
+    # copy out before it descends, so it also takes that copy back
     tree = _xor_tree(str)
+    store = tree._store
+    op = "ins"
     if where == "take":
         bad, err = LabeledExample([str(3), str(1)], 0), TypeError
     else:
         bad, err = make_example((str(3), str(1)), 0), RuntimeError
+        if where == "delete":
+            # the very object held, whose one copy frees its row
+            op, [bad] = "del", [e for e in store.examples if e is not None
+                                and e.features == bad.features]
+            assert store.count[store.row_of[bad]] == 1
         # the split below the root on bad's path compares by raising
         node = _path(tree, bad.features)[1]
         node.split = dataclasses.replace(node.split, threshold=_Touchy())
@@ -484,7 +492,7 @@ def test_an_update_that_raises_in_its_descent_changes_nothing(where):
 
     before = state(tree)
     with pytest.raises(err):
-        tree.update(bad, "ins")
+        tree.update(bad, op)
     assert state(tree) == before
 
 
@@ -876,7 +884,8 @@ def test_a_reused_row_is_gathered_once():
 
 
 @pytest.mark.parametrize("mode, eps", [("sw", 1.0), ("sw", 1000.0),
-                                       ("ru", 0.1), ("fail", 0.01)])
+                                       ("drift", 1000.0), ("ru", 0.1),
+                                       ("fail", 0.01)])
 def test_row_ids_stay_within_the_freed_listings_bound(mode, eps,
                                                       monkeypatch):
     # The store makes a new row only when no row is recycled, so every row
@@ -893,7 +902,10 @@ def test_row_ids_stay_within_the_freed_listings_bound(mode, eps,
     #   ids then number at most the leaves' listings plus the row the
     #   next insert makes.
     # A failed update leaves no row behind: its undo unlists and recycles
-    # the row an insert took afresh.
+    # the row an insert took afresh.  Only an insert tests for the fold:
+    # in the drift stream most leaves lose every example and take no
+    # insert afterwards, so their freed listings wait, and the per-leaf
+    # bound, by the most copies each leaf held, still holds.
     params = FeasibilityParams(epsilon=eps, alpha=0.3, beta=0.4, k=5, h=8)
     if mode == "fail":
         # every insert rebuilds and its builder raises; 50 such inserts
@@ -912,8 +924,15 @@ def test_row_ids_stay_within_the_freed_listings_bound(mode, eps,
         assert listing_problems(tree) == []
         return
     window = 300
-    if mode == "sw":
+    if mode != "ru":
         stream = threshold_stream(window + 2000, d=4, seed=5, theta=0.75)
+        if mode == "drift":
+            # stripes on the first feature give the warm tree 8 leaves,
+            # and every later insert routes past their thresholds to one
+            stream = [LabeledExample(e.features, int(e.features[0] * 8) % 2)
+                      for e in stream[:window]] + [
+                LabeledExample(tuple(v + 2.0 for v in e.features), e.label)
+                for e in stream[window:]]
         updates = [u for old, e in zip(stream, stream[window:])
                    for u in ((old, "del"), (e, "ins"))]
     else:
@@ -956,6 +975,8 @@ def test_row_ids_stay_within_the_freed_listings_bound(mode, eps,
         peak_total = max(peak_total, shadow.total())
     assert dict(tree.leaf_union().items()) == dict(shadow)
     assert peak_rows <= peak_distinct + 1 + eps * peak_total
+    if mode == "drift":  # the other 7 warm leaves ended empty
+        assert sum(not sum(v.label_hist) for v in leaves) == 7
     if eps > 1:  # no leaf rebuilt, and some folded
         assert tree.stats.rebuild_count == 0
         assert any(v.leaf_rows is not rows for v, rows in built.items())
